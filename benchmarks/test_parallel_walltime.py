@@ -19,6 +19,7 @@ import time
 import numpy as np
 
 import kernel_zoo as zoo
+from repro import LaunchOptions
 from repro.engine import Grid, launch
 from repro.parallel import ParallelPolicy, host_worker_count
 
@@ -36,12 +37,13 @@ needs_cores = pytest.mark.skipif(
 
 
 def _time_launches(kernel, grid, args, parallel) -> float:
-    launch(kernel, grid, args, backend="codegen", parallel=parallel)  # warm
+    opts = LaunchOptions(backend="codegen", parallel=parallel)
+    launch(kernel, grid, args, options=opts)  # warm
     best = float("inf")
     for _repeat in range(3):
         started = time.perf_counter()
         for _ in range(LAUNCHES):
-            launch(kernel, grid, args, backend="codegen", parallel=parallel)
+            launch(kernel, grid, args, options=opts)
         best = min(best, time.perf_counter() - started)
     return best
 

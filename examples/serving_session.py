@@ -51,13 +51,12 @@ class DriftingKDE(KernelDensityApp):
 
 def main() -> None:
     app = DriftingKDE()
-    # JSONL audit trail: spans + quality timeline in one stream (the old
-    # ``event_log=`` session argument is a deprecated shim for this).
+    # JSONL audit trail: spans + quality timeline in one stream.
     # REPRO_OBS/REPRO_OBS_TRACE take precedence when set in the environment.
-    event_log = CACHE_DIR / "events.jsonl"
+    trace_file = CACHE_DIR / "events.jsonl"
     if not obs_trace.enabled():
         CACHE_DIR.mkdir(parents=True, exist_ok=True)
-        obs_trace.enable(trace_path=event_log)
+        obs_trace.enable(trace_path=trace_file)
     with ApproxSession(
         app,
         target_quality=TOQ,
@@ -106,7 +105,7 @@ def main() -> None:
                 f"  launch {t['launch']}: {t['from_variant']} -> "
                 f"{t['to_variant']} ({t['reason']})"
             )
-        print(f"\nevent log      : {event_log}")
+        print(f"\ntrace stream   : {trace_file}")
         print("full snapshot  :")
         print(json.dumps(snapshot["session"], indent=2, default=str))
 

@@ -1,15 +1,8 @@
-"""The unified launch-options surface: one scope, one precedence chain.
+"""The launch-options surface: one record, one scope, one precedence chain.
 
-Before this module existed, three unrelated mechanisms controlled how a
-kernel launch executed: a thread-local backend stack
-(``use_backend``), a thread-local parallel-policy stack
-(``use_parallel``), and a thread-local guard stack (``use_guard``) —
-plus ``launch(backend=..., parallel=...)`` keyword arguments that
-bypassed all of them.  Every subsystem re-invented scoping and every
-caller had to know which of the five knobs lived where.
-
-Now there is exactly one ambient stack, holding :class:`LaunchOptions`
-records, and one way to scope it::
+How a kernel launch executes — backend, sharding, executor, guard,
+fusion — is decided by :class:`LaunchOptions` records and nothing else.
+There is exactly one ambient stack of them and one way to scope it::
 
     import repro
 
@@ -21,12 +14,11 @@ records, and one way to scope it::
 
 Precedence, strongest first:
 
-1. **explicit per-call options** — ``launch(..., options=...)`` or the
-   per-call arguments of session methods;
+1. **explicit per-call options** — ``launch(..., options=...)``;
 2. **the active scope** — the innermost :func:`options` block on this
    thread (fields merge across nesting; inner set fields win);
-3. **session defaults** — what an :class:`~repro.serve.ApproxSession`
-   was constructed with;
+3. **session defaults** — the ``options=`` an
+   :class:`~repro.serve.ApproxSession` was constructed with;
 4. **ParaproxConfig** — the compile-time config knobs
    (``backend``, ``parallel_workers``, ``executor``).
 
@@ -35,21 +27,14 @@ Unset fields are ``None`` (or :data:`UNSET` for ``guard``, where
 only overrides what it actually sets.
 
 The stack is **per thread** and worker threads start from the empty
-defaults rather than inheriting the spawning thread's scope — the same
-rule the old backend/policy/guard stacks enforced, for the same reason:
-pool workers must not observe whatever scope happened to be active at
+defaults rather than inheriting the spawning thread's scope: pool
+workers must not observe whatever scope happened to be active at
 submission time.
-
-The legacy surface (``use_backend``/``use_parallel``/``use_guard`` and
-the ``backend=``/``parallel=`` launch keywords) remains as thin shims
-that emit :class:`DeprecationWarning` and forward here; see
-``docs/API.md`` for the migration table.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from dataclasses import dataclass, fields, replace
 from typing import List, Optional
 
@@ -256,18 +241,3 @@ class options:
 
     def __exit__(self, *_exc) -> None:
         _STACK.stack.pop()
-
-
-def deprecated(old: str, new: str) -> None:
-    """Emit the one-line deprecation message every legacy shim uses.
-
-    ``stacklevel=3`` points the warning at the caller of the shim (the
-    shims themselves add one frame), which is also what lets CI's
-    ``-W error::DeprecationWarning:repro`` filter catch *internal*
-    callers while user code merely warns.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead (see docs/API.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )

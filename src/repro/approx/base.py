@@ -134,7 +134,7 @@ class VariantSet:
             the ambient default.
         parallel: worker count the variants should be served with (an
             int, ``"auto"``, or ``None`` to defer to the ambient
-            :func:`repro.parallel.use_parallel` scope) — stamped from
+            :func:`repro.options` scope) — stamped from
             ``ParaproxConfig.parallel_workers`` by ``Paraprox.compile``.
     """
 

@@ -30,7 +30,6 @@ from .cache import (
     clear_cache,
     get_compiled,
     stats_snapshot,
-    v2_enabled,
 )
 from .check import DiffResult, check_apps, check_approx_apps, diff_app, diff_kernel
 from .fingerprint import fingerprint_kernel
@@ -44,7 +43,6 @@ __all__ = [
     "cache_size",
     "classify_lowering",
     "stats_snapshot",
-    "v2_enabled",
     "fingerprint_kernel",
     "lower_kernel",
     "lower_kernel_ex",

@@ -10,7 +10,6 @@ itself cached) geometry differs per launch.
 from __future__ import annotations
 
 import linecache
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -18,7 +17,7 @@ from typing import Dict, List, Tuple
 from ..errors import CodegenError
 from ..kernel import ir
 from ..obs import trace as obs_trace
-from ..obs.registry import get_registry
+from ..obs.registry import CounterGroup
 from ..resilience.faults import SITE_COMPILE, maybe_inject
 from .fingerprint import fingerprint_kernel
 from .lower import lower_kernel_ex
@@ -38,14 +37,10 @@ _FIELDS = {
 }
 
 
-def v2_enabled() -> bool:
-    """Whether the approx-specialized lowering is on (``REPRO_CODEGEN_V2``,
-    default on; set to ``0`` to force every kernel through v1)."""
-    return os.environ.get("REPRO_CODEGEN_V2", "1") != "0"
-
-
 def _lowering_mode(fn: ir.Function) -> str:
-    return "v2" if getattr(fn, "approx", None) is not None and v2_enabled() else "v1"
+    """Approx-tagged kernels take the specialized emitter, exact kernels
+    the exact one — decided by the kernel alone."""
+    return "v2" if getattr(fn, "approx", None) is not None else "v1"
 
 
 def _detail_string(info: Dict[str, int]) -> str:
@@ -53,50 +48,8 @@ def _detail_string(info: Dict[str, int]) -> str:
     return " ".join(parts) if parts else "no specializations applied"
 
 
-class CodegenStats:
-    """Process-wide codegen counters, served from the metrics registry.
-
-    The attribute API (``STATS.compiles += 1``, ``snapshot()``,
-    ``reset()``) is unchanged; the values now live in registry counters
-    (``repro_codegen_*``) so the Prometheus exposition and every snapshot
-    read the same store.
-    """
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        object.__setattr__(
-            self,
-            "_metrics",
-            {
-                name: registry.counter(f"repro_codegen_{name}", help)
-                for name, help in _FIELDS.items()
-            },
-        )
-
-    def __getattr__(self, name: str):
-        try:
-            child = self._metrics[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        value = child.value
-        return value if name == "compile_seconds" else int(value)
-
-    def __setattr__(self, name: str, value) -> None:
-        self._metrics[name].set(value)
-
-    def snapshot(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for name in _FIELDS:
-            value = getattr(self, name)
-            out[name] = round(value, 6) if name == "compile_seconds" else value
-        return out
-
-    def reset(self) -> None:
-        for name in _FIELDS:
-            self._metrics[name].set(0.0)
-
-
-STATS = CodegenStats()
+#: Process-wide codegen counters (``repro_codegen_*`` registry series).
+STATS = CounterGroup("codegen", _FIELDS, floats=("compile_seconds",))
 
 
 def stats_snapshot() -> Dict[str, object]:
@@ -142,7 +95,7 @@ def get_compiled(
     key = (fp, "2d" if grid.is_2d else "1d", bool(bounds_check), mode)
     hit = _CACHE.get(key)
     if hit is not None:
-        STATS.cache_hits += 1
+        STATS.inc("cache_hits")
         with obs_trace.span(
             "codegen.compile", kernel=fn.name, cache="hit", grid_class=key[1]
         ):
@@ -176,21 +129,21 @@ def get_compiled(
         lowering="codegen-v2" if mode == "v2" else "codegen-v1",
         detail=_detail_string(info) if mode == "v2" else "",
     )
-    STATS.compiles += 1
-    STATS.compile_seconds += time.perf_counter() - started
-    STATS.source_bytes += len(source)
+    STATS.inc("compiles")
+    STATS.inc("compile_seconds", time.perf_counter() - started)
+    STATS.inc("source_bytes", len(source))
     if mode == "v2":
-        STATS.v2_compiles += 1
-        STATS.v2_folds += info["folded"] + info["reassociated"]
-        STATS.v2_table_gathers += info["table_gathers"]
-        STATS.v2_cast_elisions += info["cast_elisions"]
+        STATS.inc("v2_compiles")
+        STATS.inc("v2_folds", info["folded"] + info["reassociated"])
+        STATS.inc("v2_table_gathers", info["table_gathers"])
+        STATS.inc("v2_cast_elisions", info["cast_elisions"])
     _CACHE[key] = compiled
     return compiled
 
 
 # Identity-keyed memo for classification results (same pinning rationale
 # as the fingerprint memo: IR trees are immutable after construction).
-_CLASSIFY_MEMO: Dict[Tuple[int, int, str], Tuple[object, object, Tuple[str, str]]] = {}
+_CLASSIFY_MEMO: Dict[Tuple[int, int], Tuple[object, object, Tuple[str, str]]] = {}
 _CLASSIFY_MEMO_MAX = 512
 
 
@@ -201,12 +154,11 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
     Runs the actual lowering (without exec) so the answer can't drift
     from what a launch would do; results are memoized per (fn, module).
     """
-    mode = _lowering_mode(fn)
-    key = (id(fn), id(module), mode)
+    key = (id(fn), id(module))
     hit = _CLASSIFY_MEMO.get(key)
     if hit is not None and hit[0] is fn and hit[1] is module:
         return hit[2]
-    meta = getattr(fn, "approx", None)
+    mode = _lowering_mode(fn)
     try:
         _src, _globals, _entry, info = lower_kernel_ex(
             fn, module, bounds_check=True, mode=mode
@@ -216,8 +168,6 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
     else:
         if mode == "v2":
             result = ("codegen-v2", _detail_string(info))
-        elif meta is not None:
-            result = ("codegen-v1", "v2 disabled via REPRO_CODEGEN_V2=0")
         else:
             result = ("codegen-v1", "exact lowering (no approx metadata)")
     if len(_CLASSIFY_MEMO) >= _CLASSIFY_MEMO_MAX:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .._options import options
+from .._options import LaunchOptions, options
 from ..engine.launch import Grid
 
 
@@ -90,7 +90,7 @@ def diff_kernel(
             local,
             module=module,
             bounds_check=bounds_check,
-            backend=backend,
+            options=LaunchOptions(backend=backend),
         )
         runs[backend] = [a for a in local if isinstance(a, np.ndarray)]
 

@@ -8,8 +8,6 @@ from .launch import (
     Grid,
     Program,
     bind_arguments,
-    default_backend,
-    use_backend,
     validate_backend,
 )
 from .trace import MemStats, Trace
@@ -29,8 +27,6 @@ __all__ = [
     "BACKENDS",
     "LaunchOptions",
     "current_options",
-    "default_backend",
     "options",
-    "use_backend",
     "validate_backend",
 ]

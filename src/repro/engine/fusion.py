@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..obs.registry import get_registry
+from ..obs.registry import CounterGroup
 
 #: Registry field -> help text; each becomes ``repro_fusion_<field>``.
 _FIELDS = {
@@ -57,39 +57,8 @@ _FIELDS = {
 }
 
 
-class FusionStats:
-    """Process-wide fusion counters, served from the metrics registry."""
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        object.__setattr__(
-            self,
-            "_metrics",
-            {
-                name: registry.counter(f"repro_fusion_{name}", help)
-                for name, help in _FIELDS.items()
-            },
-        )
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            child = self._metrics[name]
-        except KeyError:
-            raise AttributeError(name) from None
-        return int(child.value)
-
-    def __setattr__(self, name: str, value) -> None:
-        self._metrics[name].set(value)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in _FIELDS}
-
-    def reset(self) -> None:
-        for name in _FIELDS:
-            self._metrics[name].set(0.0)
-
-
-STATS = FusionStats()
+#: Process-wide fusion counters (``repro_fusion_*`` registry series).
+STATS = CounterGroup("fusion", _FIELDS)
 
 
 def stats_snapshot() -> Dict[str, int]:
@@ -219,7 +188,7 @@ def flush() -> None:
     if pending is None:
         return
     _WINDOW.pending = None
-    STATS.flushes += 1
+    STATS.inc("flushes")
     _plan, record = pending
     _run_stage(record)
 
@@ -293,7 +262,7 @@ def _try_learn(last: _LaunchRecord, current: _LaunchRecord) -> None:
     if len(_WINDOW.plans) >= _MAX_PLANS:
         _WINDOW.plans.pop(next(iter(_WINDOW.plans)))
     _WINDOW.plans[(plan.fp_a, plan.grid, plan.bounds_check)] = plan
-    STATS.plans_learned += 1
+    STATS.inc("plans_learned")
 
 
 def _consumer_matches(
@@ -353,8 +322,8 @@ def _run_fused(plan: FusedPlan, producer: _LaunchRecord, consumer: _LaunchRecord
                 [bound_a[name] for name in plan.compiled_a.param_names],
                 [bound_b[name] for name in plan.compiled_b.param_names],
             )
-    STATS.fused_runs += 1
-    STATS.elided_writes += 1
+    STATS.inc("fused_runs")
+    STATS.inc("elided_writes")
 
 
 def offer(fn, module, compiled, grid, bound, effective, bounds_check: bool) -> bool:
@@ -388,7 +357,7 @@ def offer(fn, module, compiled, grid, bound, effective, bounds_check: bool) -> b
     if plan is not None:
         _WINDOW.pending = (plan, current)
         _WINDOW.last = None
-        STATS.deferred += 1
+        STATS.inc("deferred")
         return True
     if _WINDOW.last is not None:
         _try_learn(_WINDOW.last, current)

@@ -23,11 +23,12 @@ instruction classes and memory access streams for the device cost model.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Optional
 
 import numpy as np
 
-from .._options import LaunchOptions, current_options, deprecated
+from .._options import LaunchOptions, current_options
 from ..errors import CodegenError, ExecutionError
 from ..kernel import intrinsics, ir
 from ..obs import trace as obs_trace
@@ -51,8 +52,6 @@ def launch(
     trace: Optional[Trace] = None,
     bounds_check: bool = True,
     call_observer=None,
-    backend: Optional[str] = None,
-    parallel=None,
     options: Optional[LaunchOptions] = None,
 ) -> Trace:
     """Execute ``kernel`` over ``grid`` with ``args`` (sequence or mapping).
@@ -73,23 +72,17 @@ def launch(
     which records per-op events codegen elides — and falls back to the
     interpreter if lowering fails.  Kernels the shardability analysis
     rejects (and interpreter launches) transparently run serial.
-
-    ``backend``/``parallel`` are the deprecated keyword spellings of the
-    same knobs; they forward into ``options`` and warn.
     """
     fn = resolve_kernel(kernel)
     mod = resolve_module(kernel, module)
     if fn.kind != "kernel":
         raise ExecutionError(f"{fn.name} is a device function, not a kernel")
-    if backend is not None or parallel is not None:
-        deprecated(
-            "launch(backend=..., parallel=...) keywords",
-            "launch(options=LaunchOptions(...)) or a repro.options(...) scope",
-        )
-        legacy = LaunchOptions(backend=backend, parallel=parallel)
-        options = legacy if options is None else legacy.merged_over(options)
     ambient = current_options()
     effective = ambient if options is None else options.merged_over(ambient)
+    # With no backend set anywhere the default is the interpreter, on
+    # every thread: the tuner's cost model needs the instruction/memory
+    # traces only it records, and pool workers start from this default
+    # rather than from whatever the spawning thread had scoped.
     chosen = validate_backend(
         effective.backend if effective.backend is not None else "interp"
     )
@@ -108,7 +101,7 @@ def launch(
     # a producer deferred by repro.engine.fusion must run before it.
     will_offer = chosen == "codegen" and bool(effective.fuse)
     if not will_offer:
-        _flush_fusion()
+        flush_fusion()
     bound = bind_arguments(fn, args)
     t = trace if trace is not None else Trace()
     if chosen == "codegen":
@@ -119,9 +112,9 @@ def launch(
         except CodegenError:
             if not fallback:
                 raise
-            _codegen_cache.STATS.fallbacks += 1
+            _codegen_cache.STATS.inc("fallbacks")
             if will_offer:
-                _flush_fusion()  # falling back to interp: boundary after all
+                flush_fusion()  # falling back to interp: boundary after all
         else:
             if will_offer:
                 from . import fusion
@@ -160,15 +153,14 @@ def launch(
     return t
 
 
-def _flush_fusion() -> None:
+def flush_fusion() -> None:
     """Run any launch the fusion window deferred on this thread.
 
-    Reached through ``sys.modules`` so sessions that never enable
-    ``fuse`` pay nothing — the fusion module is only imported (and its
-    window only populated) by launches that opted in.
+    The one window-boundary call for every layer (launch, ladder rung,
+    session, front-end).  Reached through ``sys.modules`` so processes
+    that never enable ``fuse`` pay nothing — the fusion module is only
+    imported (and its window only populated) by launches that opted in.
     """
-    import sys
-
     fusion = sys.modules.get("repro.engine.fusion")
     if fusion is not None:
         fusion.flush()

@@ -7,46 +7,10 @@ from typing import Dict, Sequence, Union
 
 import numpy as np
 
-from .._options import (  # noqa: F401  (re-exported for compatibility)
-    BACKENDS,
-    deprecated,
-    options as _options_scope,
-    validate_backend,
-)
-from .._options import current_options
+from .._options import BACKENDS, validate_backend  # noqa: F401  (re-exported)
 from ..errors import ExecutionError
 from ..kernel import ir
 from ..kernel.frontend import KernelFn
-
-
-def default_backend() -> str:
-    """The backend used when ``launch`` is not given one explicitly.
-
-    Reads the unified :func:`repro.options` scope; the process default
-    stays ``"interp"`` on every thread — the tuner's cost model depends
-    on instruction/memory traces that only the interpreter records, and
-    pool workers must start from that default rather than inherit
-    whatever the spawning thread had scoped.
-    """
-    backend = current_options().backend
-    return backend if backend is not None else "interp"
-
-
-class use_backend(_options_scope):
-    """Deprecated: scope the launch backend to a ``with`` block.
-
-    Superseded by the unified :func:`repro.options` scope::
-
-        with repro.options(backend="codegen"):
-            ...
-    """
-
-    def __init__(self, name: str) -> None:
-        deprecated("use_backend(...)", "repro.options(backend=...)")
-        super().__init__(backend=validate_backend(name))
-
-    def __enter__(self) -> str:
-        return super().__enter__().backend
 
 
 @dataclass(frozen=True)

@@ -313,3 +313,52 @@ REGISTRY = MetricsRegistry()
 
 def get_registry() -> MetricsRegistry:
     return REGISTRY
+
+
+class CounterGroup:
+    """A subsystem's fixed set of unlabelled counters, as one object.
+
+    ``fields`` maps a field name to its help text; each becomes the
+    registry counter ``repro_<prefix>_<field>``.  The only way to change
+    a value is :meth:`inc` (one locked add on the series) or
+    :meth:`reset` — there is deliberately no attribute assignment, so
+    ``STATS.x += 1``, a locked read followed by a separate locked write
+    that loses updates between threads, is an ``AttributeError`` rather
+    than a latent race.  Reading ``STATS.x`` and :meth:`snapshot` return
+    ints, except for the names in ``floats`` (accumulated seconds).
+    """
+
+    __slots__ = ("_series", "_floats")
+
+    def __init__(
+        self, prefix: str, fields: Dict[str, str], floats: Iterable[str] = ()
+    ) -> None:
+        self._series: Dict[str, Child] = {
+            name: REGISTRY.counter(f"repro_{prefix}_{name}", help).labels()
+            for name, help in fields.items()
+        }
+        self._floats = frozenset(floats)
+
+    def inc(self, name: str, n: float = 1) -> None:
+        self._series[name].inc(n)
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):  # an unset slot, not a counter
+            raise AttributeError(name)
+        try:
+            value = self._series[name].value
+        except KeyError:
+            raise AttributeError(name) from None
+        return value if name in self._floats else int(value)
+
+    def snapshot(self) -> Dict[str, object]:
+        return {
+            name: round(getattr(self, name), 6)
+            if name in self._floats
+            else getattr(self, name)
+            for name in self._series
+        }
+
+    def reset(self) -> None:
+        for child in self._series.values():
+            child.set(0.0)

@@ -25,19 +25,16 @@ from .pool import (
     AUTO_WORKERS,
     DEFAULT_MIN_SHARD_THREADS,
     ParallelPolicy,
-    default_policy,
     host_worker_count,
     parallel_map,
     pools_snapshot,
-    resolve_policy,
     resolve_workers,
     shutdown_pools,
-    use_parallel,
 )
 from .procpool import ProcessShardPool, get_process_pool, shutdown_process_pool
 from .procpool import stats_snapshot as procpool_stats_snapshot
 from .profiler import ProfileCache, profile_key, variant_identity
-from .shard import STATS, ShardStats, maybe_run_sharded, plan_shards, run_sharded
+from .shard import STATS, maybe_run_sharded, plan_shards, run_sharded
 from .shard import stats_snapshot as shard_stats_snapshot
 
 __all__ = [
@@ -50,21 +47,17 @@ __all__ = [
     "ParallelPolicy",
     "ProfileCache",
     "STATS",
-    "ShardStats",
     "Shardability",
     "analyze_shardability",
-    "default_policy",
     "host_worker_count",
     "maybe_run_sharded",
     "parallel_map",
     "plan_shards",
     "pools_snapshot",
     "profile_key",
-    "resolve_policy",
     "resolve_workers",
     "run_sharded",
     "shard_stats_snapshot",
     "shutdown_pools",
-    "use_parallel",
     "variant_identity",
 ]

@@ -1,4 +1,4 @@
-"""Worker pools and the ambient parallelism policy.
+"""Worker pools and the parallelism policy.
 
 Two long-lived :class:`~concurrent.futures.ThreadPoolExecutor` pools back
 the parallel runtime:
@@ -19,10 +19,10 @@ NumPy callables spend their time inside vectorized ufuncs, which release
 the GIL; array views also let shards write disjoint slices of the same
 output buffer with zero copies.
 
-The ambient :class:`ParallelPolicy` is scoped per *thread* (a worker
-thread starts from the defaults, whatever the spawning thread had
-scoped), exactly like the launch-backend stack in
-:mod:`repro.engine.launch`.
+Parallelism is requested through :class:`repro.LaunchOptions`
+(``parallel``/``min_shard_threads``/``executor``);
+:func:`policy_from_options` resolves a merged record to the
+:class:`ParallelPolicy` the shard runtime consumes.
 """
 
 from __future__ import annotations
@@ -33,12 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from .._options import (
-    LaunchOptions,
-    current_options,
-    deprecated,
-    validate_executor,
-)
+from .._options import LaunchOptions, validate_executor
 from ..errors import ConfigError
 from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
@@ -200,69 +195,6 @@ def policy_from_options(opts: LaunchOptions) -> ParallelPolicy:
     )
 
 
-def default_policy() -> ParallelPolicy:
-    """The policy of the ambient :func:`repro.options` scope on this
-    thread (serial when no scope sets parallelism)."""
-    return policy_from_options(current_options())
-
-
-class use_parallel:
-    """Deprecated: scope launch parallelism to a ``with`` block.
-
-    Superseded by the unified :func:`repro.options` scope::
-
-        with repro.options(parallel=4):
-            ...
-    """
-
-    def __init__(self, workers, min_shard_threads: int = None) -> None:
-        deprecated("use_parallel(...)", "repro.options(parallel=...)")
-        policy = (
-            workers
-            if isinstance(workers, ParallelPolicy)
-            else ParallelPolicy(
-                workers,
-                min_shard_threads
-                if min_shard_threads is not None
-                else default_policy().min_shard_threads,
-            )
-        )
-        # Pushing every policy field pins the old all-or-nothing scope
-        # semantics: an inner use_parallel fully replaces the outer one.
-        from .._options import options as options_scope
-
-        self._scope = options_scope(
-            parallel=policy,
-            min_shard_threads=policy.min_shard_threads,
-            executor=policy.executor,
-        )
-        self.policy = policy
-
-    def __enter__(self) -> ParallelPolicy:
-        self._scope.__enter__()
-        return self.policy
-
-    def __exit__(self, *exc) -> None:
-        self._scope.__exit__(*exc)
-
-
-def resolve_policy(parallel) -> ParallelPolicy:
-    """Normalize a raw ``parallel`` value against the ambient scope.
-
-    ``None`` defers to the ambient :func:`repro.options` scope; an int or
-    ``"auto"`` overrides the worker count but keeps the ambient shard
-    threshold and executor; a :class:`ParallelPolicy` is used as-is.
-    """
-    if parallel is None:
-        return default_policy()
-    if isinstance(parallel, ParallelPolicy):
-        return parallel
-    ambient = default_policy()
-    return ParallelPolicy(
-        parallel, ambient.min_shard_threads, ambient.executor
-    )
-
-
 # ----------------------------------------------------------------- pools
 
 
@@ -371,12 +303,6 @@ def get_pool(kind: str, workers: int) -> ThreadPoolExecutor:
         if pool is None or _POOL_SIZES[kind] < workers:
             pool = _fresh_pool_locked(kind, max(workers, _POOL_SIZES.get(kind, 0)))
         return pool
-
-
-def get_healthy_pool(kind: str, workers: int) -> ThreadPoolExecutor:
-    """Alias of :func:`get_pool` (which now health-checks), kept explicit
-    for guard-path callers that depend on the liveness guarantee."""
-    return get_pool(kind, workers)
 
 
 def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:

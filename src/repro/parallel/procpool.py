@@ -22,15 +22,17 @@ Execution protocol, per sharded launch:
    cache compiled kernels per-process (:func:`repro.codegen.get_compiled`
    keys on the IR fingerprint), so recompilation happens once per
    worker, not once per launch.
-3. Assembly follows the same two flavours as the thread lane:
+3. Each worker runs the one shard body,
+   :func:`repro.parallel.shard.run_shard`, on its attached views, in
+   the mode the caller (:func:`repro.parallel.shard.run_sharded`) chose:
 
    * ``direct`` (``Shardability.disjoint_writes``) — workers write the
      shared output segments in place; the parent copies each written
      segment back to the caller's buffer once (no per-shard pickling at
      all).
    * ``diff`` — workers run against private copies and return, per
-     shard, the byte indices and values that changed relative to the
-     pristine segment; the parent overlays diffs in ascending shard
+     shard, a mask of the bytes that changed relative to the pristine
+     segment and their new values; the caller overlays them in ascending shard
      order, byte-exactly reproducing the serial store order.
 
 Containment mirrors the guarded thread lane and is *always on* here,
@@ -38,7 +40,8 @@ because a worker process can genuinely die: the caller's buffers are
 never touched before every shard has succeeded, a worker that exits
 without reporting is respawned and its task re-submitted (a bounded
 number of times), and a wall-clock deadline terminates hung workers.
-Every unrecoverable outcome falls back to bit-exact serial re-execution
+Every unrecoverable outcome is raised (:class:`~repro.errors.ShardTimeout`,
+:class:`WorkerLost`) for ``run_sharded``'s bit-exact serial re-execution
 in the parent.  Kernel-raised exceptions (e.g. bounds checks) are not
 faults to absorb: the error from the lowest failing shard propagates,
 matching the serial order of discovery.
@@ -62,13 +65,13 @@ import time
 import multiprocessing
 from multiprocessing import get_context
 from multiprocessing import shared_memory as shm_mod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ExecutionError, ResilienceError, ShardTimeout
 from ..obs import trace as obs_trace
-from ..obs.registry import get_registry
+from ..obs.registry import CounterGroup
 
 #: Wall-clock bound on one process-sharded launch outside any guard
 #: scope; a :class:`~repro.resilience.GuardPolicy` overrides it.
@@ -115,43 +118,8 @@ _FIELDS = {
 }
 
 
-class ProcPoolStats:
-    """Process-pool counters, served from the metrics registry.
-
-    Same shim pattern as :class:`repro.parallel.shard.ShardStats`: the
-    attribute API reads/writes ``repro_procpool_*`` registry counters so
-    snapshots and the Prometheus exposition share one store.
-    """
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        object.__setattr__(
-            self,
-            "_metrics",
-            {
-                name: registry.counter(f"repro_procpool_{name}", help)
-                for name, help in _FIELDS.items()
-            },
-        )
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return int(self._metrics[name].value)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value) -> None:
-        self._metrics[name].set(value)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: int(self._metrics[name].value) for name in _FIELDS}
-
-    def reset(self) -> None:
-        for name in _FIELDS:
-            self._metrics[name].set(0.0)
-
-
-STATS = ProcPoolStats()
+#: Process-pool counters (``repro_procpool_*`` registry series).
+STATS = CounterGroup("procpool", _FIELDS)
 
 
 def stats_snapshot() -> Dict[str, int]:
@@ -207,65 +175,41 @@ def _attach_arrays(
     return views, segments
 
 
-def _run_task(payload: dict) -> Tuple[List[tuple], Optional[List[tuple]]]:
+def _run_task(payload: dict) -> List[tuple]:
     """Execute one worker task: all this worker's shards of one launch.
 
-    Returns ``(timings, diffs)`` where ``timings`` is a list of
-    ``(b0, b1, start, end)`` perf-counter stamps and ``diffs`` is None in
-    direct mode or a list of ``(b0, {name: (byte_idx, byte_val)})``
-    entries in diff mode.
+    Returns one ``(b0, b1, start, end, diff)`` entry per shard:
+    perf-counter stamps around :func:`repro.parallel.shard.run_shard`
+    and what it returned (None when the shard wrote the staged arrays in
+    place, per-array byte diffs otherwise).
     """
     from ..codegen.cache import get_compiled
     from ..codegen.runtime import geometry
+    from .shard import run_shard
 
-    fn = payload["fn"]
-    module = payload["module"]
     grid = payload["grid"]
-    compiled = get_compiled(fn, module, grid, payload["bounds_check"])
+    compiled = get_compiled(
+        payload["fn"], payload["module"], grid, payload["bounds_check"]
+    )
     geo = geometry(grid)
-    block_threads = grid.block_threads
-    written = payload["written"]
-    mode = payload["mode"]
-
     views, segments = _attach_arrays(payload["arrays"])
     try:
         values = dict(payload["scalars"])
         values.update(views)
-        timings: List[tuple] = []
-        diffs: Optional[List[tuple]] = None if mode == "direct" else []
+        shards: List[tuple] = []
         for b0, b1 in payload["shards"]:
             _maybe_fault(b0)
             start = time.perf_counter()
-            if mode == "direct":
-                compiled.entry(
-                    geo.shard(b0, b1, block_threads),
-                    *[values[name] for name in compiled.param_names],
-                )
-            else:
-                private = dict(values)
-                for name in written:
-                    private[name] = views[name].copy()
-                compiled.entry(
-                    geo.shard(b0, b1, block_threads),
-                    *[private[name] for name in compiled.param_names],
-                )
-                shard_diff = {}
-                for name in written:
-                    priv = private[name].view(np.uint8)
-                    pristine = views[name].view(np.uint8)
-                    idx = np.nonzero(priv != pristine)[0]
-                    shard_diff[name] = (idx, priv[idx].copy())
-                diffs.append((b0, shard_diff))
-            timings.append((b0, b1, start, time.perf_counter()))
-        return timings, diffs
+            diff = run_shard(
+                compiled, geo, grid.block_threads, values, (b0, b1),
+                payload["private"],
+            )
+            shards.append((b0, b1, start, time.perf_counter(), diff))
+        return shards
     finally:
         # Views must be dropped before the segments close: an exported
         # buffer keeps SharedMemory.close() from releasing the mapping.
         del views, values
-        try:
-            del private  # noqa: F821 - only bound in diff mode
-        except NameError:
-            pass
         for seg in segments:
             seg.close()
 
@@ -278,8 +222,7 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
             return
         epoch, task_id, payload = item
         try:
-            timings, diffs = _run_task(payload)
-            result_q.put(("ok", epoch, task_id, timings, diffs))
+            result_q.put(("ok", epoch, task_id, _run_task(payload)))
         except BaseException as exc:  # noqa: BLE001 - must report, not die
             b0 = payload["shards"][0][0] if payload["shards"] else -1
             failing = getattr(exc, "_proc_b0", b0)
@@ -317,7 +260,7 @@ class _Worker:
             daemon=True,
         )
         self.process.start()
-        STATS.workers_spawned += 1
+        STATS.inc("workers_spawned")
 
     def alive(self) -> bool:
         return self.process is not None and self.process.is_alive()
@@ -325,7 +268,7 @@ class _Worker:
     def respawn(self) -> None:
         self.terminate()
         self.spawn()
-        STATS.workers_replaced += 1
+        STATS.inc("workers_replaced")
 
     def submit(self, epoch: int, task_id: int, payload: dict) -> None:
         self.task_q.put((epoch, task_id, payload))
@@ -393,14 +336,15 @@ class ProcessShardPool:
         self,
         payloads: Dict[int, dict],
         deadline_seconds: float,
-    ) -> Dict[int, Tuple[List[tuple], Optional[List[tuple]]]]:
+    ) -> Dict[int, List[tuple]]:
         """Run one task per worker index; gather every result.
 
-        Returns ``{task_id: (timings, diffs)}`` on full success.  Raises
+        Returns ``{task_id: shard entries}`` (see :func:`_run_task`) on
+        full success.  Raises
         the lowest-shard kernel exception on worker-reported errors,
         :class:`~repro.errors.ShardTimeout` on deadline expiry, and
-        :class:`~repro.errors.ExecutionError` when a task's worker died
-        past its respawn budget.  In every raising path the workers that
+        :class:`WorkerLost` when a task's worker died past its respawn
+        budget.  In every raising path the workers that
         hold abandoned tasks have been terminated and respawned, so the
         next launch starts from a clean pool.
         """
@@ -410,7 +354,7 @@ class ProcessShardPool:
             deadline = time.monotonic() + deadline_seconds
             outstanding: Dict[int, int] = {}  # task_id -> worker index
             respawns: Dict[int, int] = {}
-            results: Dict[int, tuple] = {}
+            results: Dict[int, List[tuple]] = {}
             errors: List[Tuple[int, BaseException]] = []  # (failing b0, exc)
 
             for task_id, payload in payloads.items():
@@ -419,7 +363,7 @@ class ProcessShardPool:
                     worker.respawn()
                 worker.submit(epoch, task_id, payload)
                 outstanding[task_id] = task_id % len(self.workers)
-                STATS.tasks += 1
+                STATS.inc("tasks")
 
             def abandon() -> None:
                 for task_id, widx in outstanding.items():
@@ -429,7 +373,7 @@ class ProcessShardPool:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     abandon()
-                    STATS.deadline_timeouts += 1
+                    STATS.inc("deadline_timeouts")
                     raise ShardTimeout(
                         f"process-sharded launch overran its "
                         f"{deadline_seconds:.3f}s deadline with "
@@ -458,7 +402,7 @@ class ProcessShardPool:
                     continue  # stale result from an abandoned launch
                 outstanding.pop(task_id)
                 if kind == "ok":
-                    results[task_id] = (msg[3], msg[4])
+                    results[task_id] = msg[3]
                 else:
                     errors.append((msg[3], msg[4]))
             if errors:
@@ -528,7 +472,7 @@ def _stage_arrays(
         view[...] = value
         views[name] = view
         specs[name] = (seg.name, value.size, value.dtype.str)
-        STATS.shm_bytes += value.nbytes
+        STATS.inc("shm_bytes", value.nbytes)
     return specs, scalars, views, segments
 
 
@@ -545,7 +489,7 @@ def _release(views: Dict[str, np.ndarray], segments) -> None:
 # ------------------------------------------------------------- execution
 
 
-def run_process_sharded(
+def run_shards(
     fn,
     module,
     compiled,
@@ -553,43 +497,41 @@ def run_process_sharded(
     bound: Dict[str, object],
     plan: List[Tuple[int, int]],
     workers: int,
-    analysis,
-    guard=None,
-) -> str:
-    """Execute one sharded launch on the worker processes.
+    written: Sequence[str],
+    direct: bool,
+    deadline_seconds: float,
+) -> List[Optional[dict]]:
+    """The process transport: run the shard body over ``plan`` on the
+    worker processes and return its results in plan order, or raise.
 
-    Containment is unconditional (see the module docstring); ``guard``
-    (a :class:`~repro.resilience.GuardPolicy`, when a guard scope is
-    active) only tightens the deadline.  Returns the assembly mode used
-    (``"direct"``/``"diff"``) for the caller's stats, or ``"serial"``
-    when containment fell back to in-parent re-execution.
+    Workers run against staged shared-memory copies of ``bound``; the
+    caller's buffers are only written here, after every shard has
+    succeeded.  With ``direct`` the shards write the staged ``written``
+    arrays in place and those are copied back once; otherwise they run
+    against private copies of them and the returned per-shard diffs are
+    the caller's to assemble.  Raises the lowest-shard kernel exception,
+    :class:`~repro.errors.ShardTimeout` or :class:`WorkerLost` (see
+    :meth:`ProcessShardPool.run_tasks`).
     """
-    deadline = (
-        guard.deadline_seconds
-        if guard is not None and guard.enabled
-        else DEFAULT_DEADLINE_SECONDS
-    )
-    mode = "direct" if analysis.disjoint_writes else "diff"
-    written = list(analysis.written_arrays)
+    mode = "direct" if direct else "diff"
     pool = get_process_pool(workers)
     count = min(workers, pool.size, len(plan))
 
     specs, scalars, views, segments = _stage_arrays(bound, compiled.param_names)
     try:
-        payloads: Dict[int, dict] = {}
-        for widx in range(count):
-            shards = [plan[i] for i in range(widx, len(plan), count)]
-            payloads[widx] = {
+        payloads: Dict[int, dict] = {
+            widx: {
                 "fn": fn,
                 "module": module,
                 "grid": grid,
                 "bounds_check": compiled.bounds_check,
-                "shards": shards,
-                "mode": mode,
+                "shards": [plan[i] for i in range(widx, len(plan), count)],
                 "arrays": specs,
                 "scalars": scalars,
-                "written": written,
+                "private": [] if direct else list(written),
             }
+            for widx in range(count)
+        }
         with obs_trace.span(
             "proc.launch",
             kernel=compiled.fn_name,
@@ -597,18 +539,9 @@ def run_process_sharded(
             workers=count,
             shards=len(plan),
         ):
-            try:
-                results = pool.run_tasks(payloads, deadline)
-            except (ShardTimeout, WorkerLost):
-                # Deadline or repeated worker death: the caller's buffers
-                # were never touched, so serial re-execution is exact.
-                # Kernel-raised errors are NOT caught here — they
-                # propagate like the serial path's would.
-                STATS.serial_reexecutions += 1
-                compiled.run(grid, bound)
-                return "serial"
+            results = pool.run_tasks(payloads, deadline_seconds)
             for task_id in sorted(results):
-                for b0, b1, start, end in results[task_id][0]:
+                for b0, b1, start, end, _diff in results[task_id]:
                     obs_trace.emit_span(
                         "proc.shard",
                         start,
@@ -618,24 +551,17 @@ def run_process_sharded(
                         mode=mode,
                         worker=task_id,
                     )
-                    STATS.shards_run += 1
-            if mode == "direct":
+            if direct:
                 for name in written:
                     bound[name][...] = views[name]
-            else:
-                shard_diffs: List[tuple] = []
-                for _timings, diffs in results.values():
-                    shard_diffs.extend(diffs)
-                shard_diffs.sort(key=lambda pair: pair[0])
-                for _b0, diff in shard_diffs:
-                    for name, (idx, vals) in diff.items():
-                        if idx.size:
-                            bound[name].view(np.uint8)[idx] = vals
-        STATS.launches += 1
-        if mode == "direct":
-            STATS.direct += 1
-        else:
-            STATS.diff += 1
-        return mode
+        # Workers took the plan in strides; ascending b0 restores its order.
+        shards = sorted(
+            (entry for entries in results.values() for entry in entries),
+            key=lambda entry: entry[0],
+        )
+        STATS.inc("shards_run", len(shards))
+        STATS.inc("launches")
+        STATS.inc(mode)
+        return [diff for _b0, _b1, _start, _end, diff in shards]
     finally:
         _release(views, segments)

@@ -5,24 +5,37 @@ When the shardability analysis (:mod:`repro.parallel.analysis`) proves
 blocks independent, the launch can instead split the *block* range into
 per-worker sub-grids — blocks are contiguous in linear thread order, so
 each shard's geometry is a zero-copy slice of the full grid's
-(:meth:`repro.codegen.runtime.Geometry.shard`) — and run them on the
-``"shard"`` thread pool.  The compiled callables spend their time inside
-vectorized ufuncs, which release the GIL, so threads scale on real cores.
+(:meth:`repro.codegen.runtime.Geometry.shard`).
 
-Output assembly is deterministic and comes in two flavours:
+This module owns the sharded launch, once, for both executors:
 
-* **zero-copy** — when every global store is provably thread- or
-  block-private (``Shardability.disjoint_writes``), shards write the
-  caller's buffers directly; no assembly step exists at all.
-* **copy + overlay** — otherwise each shard runs against private copies
-  of the written arrays and the results are overlaid onto the caller's
-  buffer in ascending shard order.  Changed elements are detected by
-  *byte* comparison against a pristine snapshot (``==`` on floats would
-  miss ``-0.0`` vs ``0.0`` and NaN-payload differences).  The overlay
-  equals serial execution unless a higher block overwrites a lower
-  block's store with the pristine byte pattern — a cross-block write
-  conflict no kernel in the suite exhibits, and exactly what the
-  differential harness (:mod:`repro.parallel.check`) certifies.
+* the **shard body** (:func:`run_shard`) — run blocks ``b0:b1`` either in
+  place or against private copies of the written arrays, returning in
+  the private case the bytes that changed;
+* the **mode decision** — ``direct`` (shards write in place, nothing to
+  assemble) iff every global store is provably thread- or block-private
+  (``Shardability.disjoint_writes``) *and* a failed or hung worker
+  cannot reach the caller's buffers; otherwise ``overlay``;
+* the **assembly** (:func:`apply_diffs`) — overlay the per-shard byte
+  diffs onto the caller's buffers in ascending shard order.  Changes are
+  detected by *byte* comparison against the untouched original (``==``
+  on floats would miss ``-0.0`` vs ``0.0`` and NaN-payload differences).
+  The overlay equals serial execution unless a higher block overwrites a
+  lower block's store with the original byte pattern — a cross-block
+  write conflict no kernel in the suite exhibits, and exactly what the
+  differential harness (:mod:`repro.parallel.check`) certifies;
+* the **fallback** — when the transport gives up (deadline, lost worker,
+  retries exhausted under a guard) the launch is re-run serially on the
+  caller's buffers, which no shard was allowed to touch.
+
+Only the *transport* differs per executor, because the failure modes
+genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
+pool (``parallel_map``, or ``guarded_map`` under a guard — a hung thread
+cannot be killed, so the pool is abandoned, and so a guarded thread
+launch never writes in place); ``"process"`` ships it to the
+:mod:`repro.parallel.procpool` workers, which run it on shared-memory
+staging copies (a dead worker is respawned; the caller's buffers are out
+of reach by construction).
 
 Exceptions (e.g. bounds-check failures) propagate from the lowest
 failing shard, matching the serial order of discovery; the reported
@@ -31,18 +44,25 @@ index range may cover a sub-grid rather than the whole launch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..codegen.cache import CompiledKernel
-from ..codegen.runtime import geometry
+from ..codegen.runtime import Geometry, geometry
 from ..engine.launch import Grid
+from ..errors import ShardTimeout
 from ..kernel import ir
 from ..obs import trace as obs_trace
-from ..obs.registry import get_registry
+from ..obs.registry import CounterGroup
+from ..resilience import guard as guard_mod
+from ..resilience.faults import SITE_WORKER, maybe_inject
+from . import procpool
 from .analysis import Shardability, analyze_shardability
 from .pool import ParallelPolicy, parallel_map
+
+#: Per written array: (byte mask, byte values under it) a shard changed.
+ShardDiff = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
 # ------------------------------------------------------------------ stats
 
@@ -56,44 +76,8 @@ _FIELDS = {
     "serial_small_grid": "launches kept serial below the shard threshold",
 }
 
-
-class ShardStats:
-    """Process-wide sharding counters, served from the metrics registry.
-
-    The attribute API is unchanged; values live in ``repro_shard_*``
-    registry counters so snapshots and the Prometheus exposition read
-    one store.
-    """
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        object.__setattr__(
-            self,
-            "_metrics",
-            {
-                name: registry.counter(f"repro_shard_{name}", help)
-                for name, help in _FIELDS.items()
-            },
-        )
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return int(self._metrics[name].value)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value) -> None:
-        self._metrics[name].set(value)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: int(self._metrics[name].value) for name in _FIELDS}
-
-    def reset(self) -> None:
-        for name in _FIELDS:
-            self._metrics[name].set(0.0)
-
-
-STATS = ShardStats()
+#: Process-wide sharding counters (``repro_shard_*`` registry series).
+STATS = CounterGroup("shard", _FIELDS)
 
 
 def stats_snapshot() -> Dict[str, int]:
@@ -124,61 +108,50 @@ def plan_shards(total_blocks: int, workers: int) -> List[Tuple[int, int]]:
 # --------------------------------------------------------------- execution
 
 
-def _run_zero_copy(
+def run_shard(
     compiled: CompiledKernel,
-    grid: Grid,
-    bound: Dict[str, object],
-    plan: List[Tuple[int, int]],
-    workers: int,
-) -> None:
-    geo = geometry(grid)
-    block_threads = grid.block_threads
-    args = [bound[name] for name in compiled.param_names]
+    geo: Geometry,
+    block_threads: int,
+    values: Dict[str, object],
+    span: Tuple[int, int],
+    private: Sequence[str],
+) -> Optional[ShardDiff]:
+    """The shard body: run blocks ``span`` of ``compiled`` over ``values``.
 
-    def run_one(shard_span: Tuple[int, int]) -> None:
-        b0, b1 = shard_span
-        with obs_trace.span(
-            "shard.run", kernel=compiled.fn_name, blocks=f"{b0}:{b1}", mode="zero_copy"
-        ):
-            compiled.entry(geo.shard(b0, b1, block_threads), *args)
+    With ``private`` empty the kernel writes ``values`` in place and
+    None is returned.  Otherwise the arrays named in ``private`` are
+    copied first, the kernel writes the copies, and the result is what
+    changed: per array, a mask of the bytes that differ from ``values``
+    — which nothing writes before assembly, so it is the pristine
+    snapshot — and the new bytes under it.  (A mask, not an index list:
+    eight index bytes per changed byte made assembly three times slower
+    and the pickled diff larger than the array.)
+    """
+    shard_geo = geo.shard(span[0], span[1], block_threads)
+    if not private:
+        compiled.entry(shard_geo, *[values[name] for name in compiled.param_names])
+        return None
+    local = dict(values)
+    for name in private:
+        local[name] = values[name].copy()
+    compiled.entry(shard_geo, *[local[name] for name in compiled.param_names])
+    diff: ShardDiff = {}
+    for name in private:
+        mine = local[name].view(np.uint8)
+        changed = mine != values[name].view(np.uint8)
+        diff[name] = (changed, mine[changed])
+    return diff
 
-    parallel_map("shard", workers, run_one, plan)
 
+def apply_diffs(bound: Dict[str, object], diffs: Sequence[ShardDiff]) -> None:
+    """The assembly: overlay per-shard diffs onto the caller's buffers.
 
-def _run_overlay(
-    compiled: CompiledKernel,
-    grid: Grid,
-    bound: Dict[str, object],
-    plan: List[Tuple[int, int]],
-    workers: int,
-    written: List[str],
-) -> None:
-    geo = geometry(grid)
-    block_threads = grid.block_threads
-    pristine = {name: bound[name].copy() for name in written}
-
-    def run_one(shard_span: Tuple[int, int]) -> Dict[str, np.ndarray]:
-        b0, b1 = shard_span
-        with obs_trace.span(
-            "shard.run", kernel=compiled.fn_name, blocks=f"{b0}:{b1}", mode="overlay"
-        ):
-            private = dict(bound)
-            for name in written:
-                private[name] = pristine[name].copy()
-            compiled.entry(
-                geo.shard(b0, b1, block_threads),
-                *[private[name] for name in compiled.param_names],
-            )
-            return {name: private[name] for name in written}
-
-    results = parallel_map("shard", workers, run_one, plan)
-    for shard_out in results:  # ascending shard order = serial store order
-        for name in written:
-            target = bound[name].view(np.uint8)
-            changed = shard_out[name].view(np.uint8) != pristine[name].view(
-                np.uint8
-            )
-            target[changed] = shard_out[name].view(np.uint8)[changed]
+    ``diffs`` must be in ascending shard order — the serial store order.
+    """
+    for diff in diffs:
+        for name, (changed, vals) in diff.items():
+            if vals.size:
+                bound[name].view(np.uint8)[changed] = vals
 
 
 def run_sharded(
@@ -195,40 +168,76 @@ def run_sharded(
 
     ``executor="process"`` routes the shards to the
     :mod:`repro.parallel.procpool` worker processes (``fn``/``module``
-    must be supplied — workers recompile from the IR); containment is
-    built into that lane.  On the thread lane, an ambient guard scope
-    routes through the guarded executor instead: always overlay-style (a
-    hung or abandoned worker must never hold the caller's buffers),
-    with retries, a deadline and a serial fallback.
+    must be supplied — workers recompile from the IR).  An ambient guard
+    adds retries and a deadline on the thread lane and tightens the
+    deadline on the process lane; the module docstring says how mode and
+    fallback follow from the executor and the guard.
     """
-    from ..resilience.guard import current_policy, run_sharded_guarded
-
     plan = plan_shards(grid.total_blocks, workers)
-    policy = current_policy()
-    if executor == "process" and fn is not None:
-        from . import procpool
+    guard = guard_mod.current_policy()
+    guarded = guard is not None and guard.enabled
+    on_processes = executor == "process" and fn is not None
+    # In place only when a failed or hung worker cannot reach the
+    # caller's buffers: process workers only ever see staged copies, and
+    # an unguarded thread launch has no failure handling to protect.
+    direct = analysis.disjoint_writes and (on_processes or not guarded)
+    private = () if direct else analysis.written_arrays
+    try:
+        if on_processes:
+            deadline = (
+                guard.deadline_seconds
+                if guarded
+                else procpool.DEFAULT_DEADLINE_SECONDS
+            )
+            diffs = procpool.run_shards(
+                fn, module, compiled, grid, bound, plan, workers,
+                analysis.written_arrays, direct, deadline,
+            )
+        else:
+            geo = geometry(grid)
+            mode = "direct" if direct else "overlay"
 
-        mode = procpool.run_process_sharded(
-            fn, module, compiled, grid, bound, plan, workers, analysis,
-            guard=policy,
+            def on_thread(span: Tuple[int, int]) -> Optional[ShardDiff]:
+                with obs_trace.span(
+                    "shard.run",
+                    kernel=compiled.fn_name,
+                    blocks=f"{span[0]}:{span[1]}",
+                    mode=mode,
+                ):
+                    if guarded:
+                        maybe_inject(
+                            SITE_WORKER, f"{compiled.fn_name}:{span[0]}-{span[1]}"
+                        )
+                    return run_shard(
+                        compiled, geo, grid.block_threads, bound, span, private
+                    )
+
+            if guarded:
+                guard_mod.STATS.inc("guarded_sharded")
+                diffs = guard_mod.guarded_map("shard", workers, on_thread, plan, guard)
+            else:
+                diffs = parallel_map("shard", workers, on_thread, plan)
+    except Exception as exc:
+        # A transport that gave up — deadline, lost worker, or (guarded
+        # thread lane) a shard still failing past the retry budget —
+        # left the caller's buffers untouched, so serial re-execution is
+        # exact.  Any other kernel-raised error is not a fault to
+        # absorb: it propagates as the serial path's would.
+        if not (
+            isinstance(exc, (ShardTimeout, procpool.WorkerLost))
+            or (guarded and not on_processes)
+        ):
+            raise
+        (procpool.STATS if on_processes else guard_mod.STATS).inc(
+            "serial_reexecutions"
         )
-        if mode == "direct":
-            STATS.zero_copy += 1
-        elif mode == "diff":
-            STATS.overlay += 1
-    elif policy is not None and policy.enabled:
-        STATS.overlay += 1
-        run_sharded_guarded(
-            compiled, grid, bound, plan, workers, analysis.written_arrays, policy
-        )
-    elif analysis.disjoint_writes:
-        STATS.zero_copy += 1
-        _run_zero_copy(compiled, grid, bound, plan, workers)
+        compiled.run(grid, bound)
     else:
-        STATS.overlay += 1
-        _run_overlay(compiled, grid, bound, plan, workers, analysis.written_arrays)
-    STATS.sharded_launches += 1
-    STATS.shards_run += len(plan)
+        STATS.inc("zero_copy" if direct else "overlay")
+        if not direct:
+            apply_diffs(bound, diffs)
+    STATS.inc("sharded_launches")
+    STATS.inc("shards_run", len(plan))
 
 
 def maybe_run_sharded(
@@ -248,11 +257,11 @@ def maybe_run_sharded(
     if policy.serial:
         return False
     if grid.threads < policy.min_shard_threads or grid.total_blocks < 2:
-        STATS.serial_small_grid += 1
+        STATS.inc("serial_small_grid")
         return False
     analysis = analyze_shardability(fn, module, fingerprint=compiled.fingerprint)
     if not analysis.shardable:
-        STATS.serial_unshardable += 1
+        STATS.inc("serial_unshardable")
         return False
     run_sharded(
         compiled, grid, bound, policy.workers, analysis,

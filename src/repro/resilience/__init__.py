@@ -39,15 +39,12 @@ from .faults import (
 )
 from .guard import (
     GuardPolicy,
-    GuardStats,
     LadderAttempt,
     LadderReport,
     current_policy,
     guarded_map,
     run_ladder,
-    run_sharded_guarded,
     stats_snapshot,
-    use_guard,
 )
 from .validate import corrupt_output, validate_output
 
@@ -72,15 +69,12 @@ __all__ = [
     "random_plan",
     "use_faults",
     "GuardPolicy",
-    "GuardStats",
     "LadderAttempt",
     "LadderReport",
     "current_policy",
     "guarded_map",
     "run_ladder",
-    "run_sharded_guarded",
     "stats_snapshot",
-    "use_guard",
     "corrupt_output",
     "validate_output",
 ]

@@ -2,14 +2,15 @@
 
 Two layers of protection compose here:
 
-* **Shard level** — :func:`run_sharded_guarded` executes a sharded
-  codegen launch with the paranoia a production pool needs: every shard
-  runs against *private copies* of the written arrays (so an abandoned
-  or hung worker can never scribble on the caller's buffers), failed
-  shards are retried with exponential backoff, the whole launch carries
-  a wall-clock deadline, and any unrecoverable outcome (deadline, dead
-  pool, exhausted retries) falls back to serial re-execution — which is
-  bit-exact because the caller's buffers were never touched.
+* **Task level** — :func:`guarded_map` is ``parallel_map`` with the
+  paranoia a production pool needs: failed tasks are retried with
+  full-jitter exponential backoff, the whole batch carries a wall-clock
+  deadline, and a dead or hung pool is replaced.  The sharded launch
+  path (:func:`repro.parallel.shard.run_sharded`) maps its shard body
+  through it whenever a guard is enabled, against private copies of the
+  written arrays — so an abandoned or hung worker can never scribble on
+  the caller's buffers — and turns any unrecoverable outcome into a
+  bit-exact serial re-execution.
 * **Launch level** — :func:`run_ladder` walks the fallback ladder
   *approx variant → exact codegen → exact interpreter*.  Each rung's
   exceptions are contained, its output is validated (NaN/Inf guardrail)
@@ -18,9 +19,10 @@ Two layers of protection compose here:
   propagate, because an exception there is a genuine bug, not a fault to
   absorb.
 
-The ambient :class:`GuardPolicy` is scoped per thread with
-:func:`use_guard` (sessions wrap every launch in it); plain ``launch``
-calls outside any guard scope keep their original, zero-overhead paths.
+The ambient :class:`GuardPolicy` is the ``guard`` field of the
+:func:`repro.options` scope (sessions wrap every launch in one); plain
+``launch`` calls outside any guard scope keep their original,
+zero-overhead paths.
 """
 
 from __future__ import annotations
@@ -29,16 +31,15 @@ import random
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-import numpy as np
-
-from .._options import UNSET, current_options, deprecated
+from .._options import UNSET, current_options
 from .._options import options as options_scope
+from ..engine.interpreter import flush_fusion
 from ..errors import ResilienceError, ShardTimeout, WorkerDeath
 from ..obs import trace as obs_trace
-from ..obs.registry import get_registry
-from .faults import SITE_OUTPUT, SITE_WORKER, active_plan, maybe_inject
+from ..obs.registry import CounterGroup
+from .faults import SITE_OUTPUT, active_plan
 from .validate import corrupt_output, validate_output
 
 
@@ -83,25 +84,6 @@ def current_policy() -> Optional[GuardPolicy]:
     return None if guard is UNSET else guard
 
 
-class use_guard(options_scope):
-    """Deprecated: scope a guard policy to a ``with`` block.
-
-    Superseded by the unified :func:`repro.options` scope::
-
-        with repro.options(guard=GuardPolicy(retries=1)):
-            ...
-    """
-
-    def __init__(self, policy: Optional[GuardPolicy]) -> None:
-        deprecated("use_guard(...)", "repro.options(guard=...)")
-        super().__init__(guard=policy)
-        self.policy = policy
-
-    def __enter__(self) -> Optional[GuardPolicy]:
-        super().__enter__()
-        return self.policy
-
-
 #: Jitter source outside any fault plan; unseeded on purpose — real
 #: deployments *want* decorrelated retries across processes.
 _JITTER_RNG = random.Random()
@@ -142,43 +124,8 @@ _FIELDS = {
 }
 
 
-class GuardStats:
-    """Process-wide guard counters, served from the metrics registry.
-
-    The attribute API is unchanged; values live in ``repro_guard_*``
-    registry counters so snapshots and the Prometheus exposition read
-    one store.
-    """
-
-    def __init__(self) -> None:
-        registry = get_registry()
-        object.__setattr__(
-            self,
-            "_metrics",
-            {
-                name: registry.counter(f"repro_guard_{name}", help)
-                for name, help in _FIELDS.items()
-            },
-        )
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return int(self._metrics[name].value)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value) -> None:
-        self._metrics[name].set(value)
-
-    def snapshot(self) -> Dict[str, int]:
-        return {name: int(self._metrics[name].value) for name in _FIELDS}
-
-    def reset(self) -> None:
-        for name in _FIELDS:
-            self._metrics[name].set(0.0)
-
-
-STATS = GuardStats()
+#: Process-wide guard counters (``repro_guard_*`` registry series).
+STATS = CounterGroup("guard", _FIELDS)
 
 
 def stats_snapshot() -> Dict[str, int]:
@@ -210,7 +157,7 @@ def guarded_map(
     ambient = obs_trace.current_span()
     fn = obs_trace.carry(fn)
     deadline = time.monotonic() + policy.deadline_seconds
-    executor = pool_mod.get_healthy_pool(kind, workers)
+    executor = pool_mod.get_pool(kind, workers)
     pool_mod.pool_stats(kind).record(len(items), workers)
     results: List[object] = [None] * len(items)
     attempts = [0] * len(items)
@@ -223,7 +170,7 @@ def guarded_map(
         except RuntimeError:
             # The executor was shut down under us (a dead pool); build a
             # fresh one and resubmit there.
-            STATS.pool_replacements += 1
+            STATS.inc("pool_replacements")
             executor = pool_mod.replace_pool(kind, workers)
             future = executor.submit(fn, items[idx])
         pending[future] = idx
@@ -246,14 +193,14 @@ def guarded_map(
                 results[idx] = future.result()
                 continue
             if isinstance(exc, WorkerDeath):
-                STATS.pool_replacements += 1
+                STATS.inc("pool_replacements")
                 executor = pool_mod.replace_pool(kind, workers)
             if attempts[idx] >= policy.retries:
                 for other in pending:
                     other.cancel()
                 raise exc
             attempts[idx] += 1
-            STATS.shard_retries += 1
+            STATS.inc("shard_retries")
             if ambient is not None:
                 ambient.event(
                     "shard_retry",
@@ -277,8 +224,8 @@ def guarded_map(
         # launches from queueing behind them.
         for future in pending:
             future.cancel()
-        STATS.shard_timeouts += 1
-        STATS.pool_replacements += 1
+        STATS.inc("shard_timeouts")
+        STATS.inc("pool_replacements")
         if ambient is not None:
             ambient.event("shard_timeout", outstanding=len(pending))
         pool_mod.replace_pool(kind, workers)
@@ -287,65 +234,6 @@ def guarded_map(
             f"deadline with {len(pending)} shard(s) outstanding"
         )
     return results
-
-
-# ------------------------------------------------- guarded shard execution
-
-
-def run_sharded_guarded(
-    compiled,
-    grid,
-    bound: Dict[str, object],
-    plan: List[Tuple[int, int]],
-    workers: int,
-    written: List[str],
-    policy: GuardPolicy,
-) -> None:
-    """Execute a sharded launch under full containment.
-
-    Always runs overlay-style — every shard writes private copies, so
-    the caller's buffers stay pristine until all shards succeed — which
-    is what makes the serial fallback trivially exact: on any
-    unrecoverable failure the untouched buffers are simply recomputed in
-    one serial pass.
-    """
-    from ..codegen.runtime import geometry
-
-    geo = geometry(grid)
-    block_threads = grid.block_threads
-    pristine = {name: bound[name].copy() for name in written}
-
-    def run_one(shard_span: Tuple[int, int]) -> Dict[str, np.ndarray]:
-        b0, b1 = shard_span
-        with obs_trace.span(
-            "shard.run", kernel=compiled.fn_name, blocks=f"{b0}:{b1}", mode="guarded"
-        ):
-            maybe_inject(SITE_WORKER, f"{compiled.fn_name}:{b0}-{b1}")
-            private = dict(bound)
-            for name in written:
-                private[name] = pristine[name].copy()
-            compiled.entry(
-                geo.shard(b0, b1, block_threads),
-                *[private[name] for name in compiled.param_names],
-            )
-            return {name: private[name] for name in written}
-
-    STATS.guarded_sharded += 1
-    try:
-        results = guarded_map("shard", workers, run_one, plan, policy)
-    except Exception:
-        # Deadline, dead pool, or a shard that kept failing past its
-        # retry budget: recompute serially on the untouched buffers.
-        STATS.serial_reexecutions += 1
-        compiled.run(grid, bound)
-        return
-    for shard_out in results:  # ascending shard order = serial store order
-        for name in written:
-            target = bound[name].view(np.uint8)
-            changed = shard_out[name].view(np.uint8) != pristine[name].view(
-                np.uint8
-            )
-            target[changed] = shard_out[name].view(np.uint8)[changed]
 
 
 # ---------------------------------------------------------- fallback ladder
@@ -405,18 +293,6 @@ def _ladder_rungs(variant, backend: str, workers: int):
     return rungs
 
 
-def _flush_fusion() -> None:
-    """Rung boundary for cross-launch fusion: a producer the fusion
-    window deferred inside a rung must execute before that rung's output
-    is validated (or its failure attributed).  ``sys.modules`` gate so
-    apps that never enable ``fuse`` pay nothing."""
-    import sys
-
-    fusion = sys.modules.get("repro.engine.fusion")
-    if fusion is not None:
-        fusion.flush()
-
-
 def run_ladder(
     app,
     inputs,
@@ -443,12 +319,12 @@ def run_ladder(
                 out, _trace = app.run_exact(inputs)
             else:
                 out, _trace = app.run_variant(variant, inputs)
-            _flush_fusion()
+            flush_fusion()
         return out, LadderReport(
             served=label, depth=0, attempts=[LadderAttempt(label, True)]
         )
 
-    STATS.guarded_launches += 1
+    STATS.inc("guarded_launches")
     rungs = _ladder_rungs(variant, backend, workers)
     report = LadderReport(served="", depth=0)
     for depth, (label, be, w, runs_variant) in enumerate(rungs):
@@ -462,15 +338,18 @@ def run_ladder(
                     out, _trace = app.run_variant(variant, inputs)
                 else:
                     out, _trace = app.run_exact(inputs)
-                _flush_fusion()
+                # Rung boundary: a producer the fusion window deferred
+                # inside this rung must execute before the rung's output
+                # is validated (or its failure attributed).
+                flush_fusion()
         except Exception as exc:
             try:
-                _flush_fusion()
+                flush_fusion()
             except Exception:
                 pass  # rung already failed; its deferral dies contained too
             if final:
                 raise
-            STATS.containments += 1
+            STATS.inc("containments")
             report.attempts.append(
                 LadderAttempt(
                     label,
@@ -485,11 +364,11 @@ def run_ladder(
             if plan is not None:
                 spec = plan.poll(SITE_OUTPUT, label)
                 if spec is not None and corrupt_output(out, spec.mode):
-                    STATS.corruptions_injected += 1
+                    STATS.inc("corruptions_injected")
             if policy.validate_outputs:
                 violation = validate_output(out, policy.value_limit)
                 if violation is not None:
-                    STATS.validation_trips += 1
+                    STATS.inc("validation_trips")
                     ambient = obs_trace.current_span()
                     if ambient is not None:
                         ambient.event(

@@ -9,7 +9,7 @@ structured metrics snapshot and optional JSONL event log.
 """
 
 from .cache import CacheEntry, VariantCache, app_fingerprint, cache_key
-from .metrics import EventLog, LaunchRecord, SessionMetrics, Transition
+from .metrics import LaunchRecord, SessionMetrics, Transition
 from .monitor import DRIFT, HEADROOM, OK, VIOLATION, MonitorConfig, QualityMonitor
 from .overload import (
     LevelTransition,
@@ -50,7 +50,6 @@ __all__ = [
     "SessionMetrics",
     "LaunchRecord",
     "Transition",
-    "EventLog",
     "VIOLATION",
     "DRIFT",
     "HEADROOM",

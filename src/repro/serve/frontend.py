@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from .._options import LaunchOptions, options as options_scope
+from ..engine.interpreter import flush_fusion
 from ..errors import AdmissionError, BackpressureError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
@@ -65,16 +66,6 @@ DEFAULT_BATCH_WINDOW_S = 0.002
 
 #: Requests fused into one batch at most.
 DEFAULT_MAX_BATCH = 8
-
-
-def _flush_fusion() -> None:
-    """Run any launch the cross-launch fusion window deferred on this
-    thread (``sys.modules`` gate: free unless ``fuse`` was enabled)."""
-    import sys
-
-    fusion = sys.modules.get("repro.engine.fusion")
-    if fusion is not None:
-        fusion.flush()
 
 
 @dataclass(frozen=True)
@@ -650,7 +641,7 @@ class ServeFrontend:
                     # A resolved Future promises every array write has
                     # landed, so a fuse-enabled request may not leave a
                     # deferred producer behind on the dispatcher thread.
-                    _flush_fusion()
+                    flush_fusion()
                 except BaseException as exc:  # noqa: BLE001 - future carries it
                     request.future.set_exception(exc)
                 else:

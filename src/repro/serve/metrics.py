@@ -13,20 +13,16 @@ fault counts, fallback depths, breaker states, guard policy) is
 assembled in exactly one place — here — from sources the session binds
 at construction.
 
-An optional JSONL event log persists every event for offline analysis.
-It predates the observability layer and is **superseded** by the
-``REPRO_OBS=1`` / ``REPRO_OBS_TRACE`` trace stream (which adds spans and
-trace correlation ids); it is kept for backward compatibility.  See
-``docs/OBSERVABILITY.md`` for the migration notes.
+Per-event narrative (launches, transitions, breaker changes) is carried
+by the quality timeline and the ``REPRO_OBS=1`` / ``REPRO_OBS_TRACE``
+trace stream; see ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Deque, Dict, List, Optional
 
 from ..obs.registry import get_registry
@@ -68,28 +64,6 @@ class Transition:
     quality: Optional[float] = None
 
 
-class EventLog:
-    """Append-only JSONL sink; one JSON object per line.
-
-    Superseded by the :mod:`repro.obs` trace stream (``REPRO_OBS=1`` +
-    ``REPRO_OBS_TRACE``), which carries the same launch events plus spans
-    and correlation ids; kept for existing consumers.
-    """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    def emit(self, event: Dict[str, object]) -> None:
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-
 class SessionMetrics:
     """Counters and recent history for one :class:`ApproxSession`.
 
@@ -103,7 +77,6 @@ class SessionMetrics:
     def __init__(
         self,
         history: int = 256,
-        event_log: Optional[EventLog] = None,
         label: Optional[str] = None,
     ):
         self.label = label if label is not None else f"s{next(_SESSION_IDS)}"
@@ -191,7 +164,6 @@ class SessionMetrics:
         self._guard_baseline = _guard_stats()
         self.records: Deque[LaunchRecord] = deque(maxlen=history)
         self.transitions: List[Transition] = []
-        self.event_log = event_log
         # Bound by the session so the parallel/resilience sections are
         # assembled in exactly one place (see bind_session_sources).
         self._breaker = None
@@ -252,7 +224,6 @@ class SessionMetrics:
         if record.duration:
             self._launch_seconds.observe(record.duration)
         self.records.append(record)
-        self._emit({"event": "launch", **asdict(record)})
 
     def record_breaker_event(self, event: Dict[str, object]) -> None:
         """Roll up one circuit-breaker transition (drained from the
@@ -269,7 +240,6 @@ class SessionMetrics:
             state=str(event.get("state", "")),
             reason=str(event.get("reason", "")),
         )
-        self._emit(dict(event))
 
     def record_transition(self, transition: Transition) -> None:
         self.transitions.append(transition)
@@ -282,13 +252,11 @@ class SessionMetrics:
             reason=transition.reason,
             quality=transition.quality,
         )
-        self._emit({"event": "transition", **asdict(transition)})
 
     def record_launch_error(self) -> None:
         """One launch that raised past every ladder rung — the error the
         caller actually saw, the numerator of an availability SLO."""
         self._launch_errors.inc()
-        self._emit({"event": "launch_error"})
 
     def record_compile(self, cache: str, seconds: float) -> None:
         """``cache`` is "memory", "disk" or "miss"."""
@@ -297,7 +265,6 @@ class SessionMetrics:
         else:
             self._compile_hits.inc()
         self._compile_seconds.inc(seconds)
-        self._emit({"event": "compile", "cache": cache, "seconds": seconds})
 
     def record_tune(self, cache: str, seconds: float) -> None:
         if cache == "miss":
@@ -305,11 +272,6 @@ class SessionMetrics:
         else:
             self._tune_hits.inc()
         self._tune_seconds.inc(seconds)
-        self._emit({"event": "tune", "cache": cache, "seconds": seconds})
-
-    def _emit(self, event: Dict[str, object]) -> None:
-        if self.event_log is not None:
-            self.event_log.emit(event)
 
     # -- registry views (legacy attribute API) --------------------------------
 

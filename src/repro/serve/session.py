@@ -23,16 +23,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .._options import (
-    LaunchOptions,
-    current_options,
-    deprecated,
-    options as options_scope,
-)
+from .._options import LaunchOptions, current_options, options as options_scope
 from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
 from ..engine import launch_hook, validate_backend
+from ..engine.interpreter import flush_fusion
 from ..errors import ServeError
 from ..obs import trace as obs_trace
 from ..obs.timeline import timeline as obs_timeline
@@ -79,8 +75,6 @@ class ApproxSession:
         cache_dir: directory for the on-disk variant cache; None keeps the
             cache purely in-process.
         monitor: quality-monitor knobs (sampling cadence, window, drift).
-        event_log: deprecated — forwards to the unified trace stream
-            (:func:`repro.obs.trace.enable`) with a DeprecationWarning.
         tuner_repeats: training input sets the tuner averages over.
         options: session-default :class:`~repro.LaunchOptions` — the
             third layer of the precedence chain.  At launch time an
@@ -88,9 +82,6 @@ class ApproxSession:
             these override the config knobs (``backend``,
             ``parallel_workers``, ``executor``).  Tuning always
             interprets — its cost model needs instruction traces.
-        backend / parallel: per-field spellings of the same defaults,
-            kept for convenience; where both are given, these explicit
-            fields override the corresponding ``options`` fields.
         guard: guarded-launch policy (retries, deadline, output
             validation); defaults to ``GuardPolicy()``.  Pass
             ``GuardPolicy(enabled=False)`` for the raw unguarded path.
@@ -113,10 +104,7 @@ class ApproxSession:
         config: Optional[ParaproxConfig] = None,
         cache_dir: Optional[object] = None,
         monitor: Optional[MonitorConfig] = None,
-        event_log: Optional[object] = None,
         tuner_repeats: int = 1,
-        backend: Optional[str] = None,
-        parallel: Optional[object] = None,
         guard: Optional[GuardPolicy] = None,
         breaker: Optional[BreakerConfig] = None,
         options: Optional[LaunchOptions] = None,
@@ -129,19 +117,17 @@ class ApproxSession:
         self.paraprox = Paraprox(
             target_quality=target_quality, device=device, config=config
         )
-        # Session defaults: config knobs < options= < explicit fields.
+        # Session defaults: config knobs < options=.
         config_defaults = LaunchOptions(
             backend=self.paraprox.config.backend,
             parallel=self.paraprox.config.parallel_workers,
             executor=self.paraprox.config.executor,
         )
-        merged = (
+        self.options = (
             options.merged_over(config_defaults)
             if options is not None
             else config_defaults
         )
-        explicit = LaunchOptions(backend=backend, parallel=parallel)
-        self.options = explicit.merged_over(merged)
         self.backend = validate_backend(self.options.backend)
         self.parallel_workers = resolve_workers(
             policy_from_options(self.options).workers
@@ -155,17 +141,7 @@ class ApproxSession:
         self.spec = spec_for(device)
         self.cache = VariantCache(cache_dir)
         self.monitor = QualityMonitor(self.toq, monitor)
-        if event_log is not None:
-            # Shim: the session-private JSONL log is superseded by the
-            # unified trace stream, which carries the same launch/quality
-            # story (plus spans) in one file for the whole process.
-            deprecated(
-                "ApproxSession(event_log=...)",
-                "repro.obs.trace.enable(trace_path=...)",
-            )
-            if obs_trace.trace_path() is None:
-                obs_trace.enable(trace_path=event_log)
-        self.metrics = SessionMetrics(event_log=None)
+        self.metrics = SessionMetrics()
         self.metrics.bind_session_sources(
             breaker=self.breaker,
             guard_policy=self.guard,
@@ -419,11 +395,7 @@ class ApproxSession:
                 # The ladder flushes per rung, but a fuse-enabled app
                 # that ends on a deferred producer must run it before
                 # this launch's output is treated as final.
-                import sys as _sys
-
-                _fusion = _sys.modules.get("repro.engine.fusion")
-                if _fusion is not None:
-                    _fusion.flush()
+                flush_fusion()
 
             record = LaunchRecord(
                 index=index,
@@ -727,8 +699,6 @@ class ApproxSession:
     # -- teardown --------------------------------------------------------------
 
     def close(self) -> None:
-        if self.metrics.event_log is not None:
-            self.metrics.event_log.close()
         obs_trace.flush()
         self._closed = True
 

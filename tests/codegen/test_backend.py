@@ -5,15 +5,14 @@ import pytest
 
 import kernel_zoo as zoo
 from repro.codegen import CodegenError
+from repro import LaunchOptions, current_options, options
 from repro.codegen.cache import STATS
 from repro.engine import (
     BACKENDS,
     Grid,
     Trace,
-    default_backend,
     launch,
     launch_hook,
-    use_backend,
     validate_backend,
 )
 from repro.errors import ConfigError, ExecutionError
@@ -24,10 +23,16 @@ def _square_args(n=256):
     return [np.zeros(n, np.float32), x, np.int32(n)]
 
 
-def _events_for(**launch_kwargs):
+def _events_for(backend=None, **launch_kwargs):
     events = []
     with launch_hook(events.append):
-        launch(zoo.square_map, Grid.for_elements(256), _square_args(), **launch_kwargs)
+        launch(
+            zoo.square_map,
+            Grid.for_elements(256),
+            _square_args(),
+            options=LaunchOptions(backend=backend),
+            **launch_kwargs,
+        )
     assert len(events) == 1
     return events[0]
 
@@ -48,7 +53,12 @@ class TestValidation:
 
     def test_launch_rejects_unknown_backend(self):
         with pytest.raises(ConfigError):
-            launch(zoo.square_map, Grid.for_elements(8), _square_args(8), backend="llvm")
+            launch(
+                zoo.square_map,
+                Grid.for_elements(8),
+                _square_args(8),
+                options=LaunchOptions(backend="llvm"),
+            )
 
     def test_config_rejects_unknown_backend(self):
         from repro.approx.compiler import ParaproxConfig
@@ -67,16 +77,16 @@ class TestValidation:
 
 class TestSelection:
     def test_default_is_interp(self):
-        assert default_backend() == "interp"
+        assert current_options().backend is None
         assert _events_for().backend == "interp"
 
     def test_use_backend_nests_and_restores(self):
-        with use_backend("codegen"):
-            assert default_backend() == "codegen"
-            with use_backend("interp"):
-                assert default_backend() == "interp"
-            assert default_backend() == "codegen"
-        assert default_backend() == "interp"
+        with options(backend="codegen"):
+            assert current_options().backend == "codegen"
+            with options(backend="interp"):
+                assert current_options().backend == "interp"
+            assert current_options().backend == "codegen"
+        assert current_options().backend is None
 
     def test_explicit_codegen_event(self):
         assert _events_for(backend="codegen").backend == "codegen"
@@ -98,12 +108,12 @@ class TestSelection:
                 zoo.square_map,
                 Grid.for_elements(8),
                 _square_args(8),
-                backend="codegen",
+                options=LaunchOptions(backend="codegen"),
                 call_observer=lambda *a: None,
             )
 
     def test_ambient_backend_applies_to_launch(self):
-        with use_backend("codegen"):
+        with options(backend="codegen"):
             assert _events_for().backend == "codegen"
 
 
@@ -119,7 +129,12 @@ class TestFallback:
         args = _square_args(64)
         event = []
         with launch_hook(event.append):
-            launch(zoo.square_map, Grid.for_elements(64), args, backend="auto")
+            launch(
+                zoo.square_map,
+                Grid.for_elements(64),
+                args,
+                options=LaunchOptions(backend="auto"),
+            )
         assert STATS.fallbacks == before + 1
         assert event[0].backend == "interp"
         np.testing.assert_array_equal(args[0], args[1] * args[1])
@@ -136,7 +151,7 @@ class TestFallback:
                 zoo.square_map,
                 Grid.for_elements(8),
                 _square_args(8),
-                backend="codegen",
+                options=LaunchOptions(backend="codegen"),
             )
 
 
@@ -148,7 +163,12 @@ class TestErrorParity:
         # out/x hold only 10 elements but all 64 lanes pass the guard.
         args = [np.zeros(10, np.float32), np.zeros(10, np.float32), np.int32(n)]
         with pytest.raises(ExecutionError) as exc:
-            launch(zoo.square_map, Grid.for_elements(n), args, backend=backend)
+            launch(
+                zoo.square_map,
+                Grid.for_elements(n),
+                args,
+                options=LaunchOptions(backend=backend),
+            )
         return str(exc.value)
 
     def test_out_of_bounds_message_matches(self):
@@ -166,7 +186,7 @@ class TestErrorParity:
                 zoo.square_map,
                 Grid.for_elements(n),
                 [out, x, np.int32(n)],
-                backend=backend,
+                options=LaunchOptions(backend=backend),
                 bounds_check=False,
             )
             outs[backend] = out

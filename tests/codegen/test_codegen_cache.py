@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kernel_zoo as zoo
+from repro import LaunchOptions
 from repro.codegen import (
     cache_size,
     clear_cache,
@@ -103,7 +104,12 @@ class TestCompileCache:
                 np.ones(n, np.float32),
                 np.int32(n),
             ]
-            launch(zoo.square_map, Grid.for_elements(n), args, backend="codegen")
+            launch(
+                zoo.square_map,
+                Grid.for_elements(n),
+                args,
+                options=LaunchOptions(backend="codegen"),
+            )
         now = stats_snapshot()
         assert now["compiles"] == base["compiles"] + 1
         assert now["cache_hits"] == base["cache_hits"] + 4

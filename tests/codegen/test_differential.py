@@ -141,7 +141,7 @@ def test_approx_variants_bit_exact_across_backends():
     """Generated *approximate* variants must also lower identically —
     the serving hot path runs variants, not the exact kernel."""
     from repro.approx.compiler import Paraprox
-    from repro.engine import use_backend
+    from repro import options
 
     app = make_app("meanfilter", seed=0)
     variants = Paraprox(target_quality=0.5).compile(app)
@@ -150,7 +150,7 @@ def test_approx_variants_bit_exact_across_backends():
     for variant in list(variants)[:4]:
         outs = {}
         for backend in ("interp", "codegen"):
-            with use_backend(backend):
+            with options(backend=backend):
                 out, _trace = app.run_variant(variant, inputs)
             outs[backend] = np.asarray(out)
         assert outs["interp"].tobytes() == outs["codegen"].tobytes(), (

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import LaunchOptions
 from repro.apps.registry import make_app
 from repro.errors import ConfigError
 from repro.serve import ApproxSession
@@ -9,7 +10,9 @@ from repro.serve import ApproxSession
 
 def _serve(backend=None, launches=4):
     app = make_app("meanfilter", seed=0)
-    with ApproxSession(app, target_quality=0.5, backend=backend) as session:
+    with ApproxSession(
+        app, target_quality=0.5, options=LaunchOptions(backend=backend)
+    ) as session:
         session.tune()
         for seed in range(launches):
             session.launch(app.generate_inputs(seed=seed))
@@ -46,13 +49,15 @@ def test_session_can_pin_the_interpreter():
 def test_session_rejects_unknown_backend():
     app = make_app("meanfilter", seed=0)
     with pytest.raises(ConfigError) as exc:
-        ApproxSession(app, backend="tensorrt")
+        ApproxSession(app, options=LaunchOptions(backend="tensorrt"))
     assert "'tensorrt'" in str(exc.value) and "'codegen'" in str(exc.value)
 
 
 def test_per_launch_records_carry_backend_counts():
     app = make_app("meanfilter", seed=0)
-    with ApproxSession(app, target_quality=0.5, backend="codegen") as session:
+    with ApproxSession(
+        app, target_quality=0.5, options=LaunchOptions(backend="codegen")
+    ) as session:
         session.tune()
         session.launch(app.generate_inputs(seed=1))
         snapshot = session.metrics_snapshot()

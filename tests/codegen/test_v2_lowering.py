@@ -19,7 +19,6 @@ from repro.codegen import (
     fingerprint_kernel,
     lower_kernel_ex,
     stats_snapshot,
-    v2_enabled,
 )
 from repro.codegen.cache import _CACHE, get_compiled
 from repro.codegen.check import diff_variant
@@ -66,14 +65,6 @@ class TestModeSelection:
         mode, detail = classify_lowering(tagged, mod)
         assert mode == "codegen-v2"
         assert "reassociated" in detail
-
-    def test_env_kill_switch_forces_v1(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN_V2", "0")
-        assert not v2_enabled()
-        tagged, mod = _tagged(_const_chain)
-        mode, detail = classify_lowering(tagged, mod)
-        assert mode == "codegen-v1"
-        assert "REPRO_CODEGEN_V2=0" in detail
 
     def test_cache_keys_separate_modes(self):
         clear_cache()

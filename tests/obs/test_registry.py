@@ -167,12 +167,52 @@ class TestSubsystemFamilies:
         from repro.parallel.shard import STATS
 
         before = STATS.shards_run
-        STATS.shards_run += 2
+        STATS.inc("shards_run", 2)
+        metric = get_registry().get("repro_shard_shards_run")
+        assert int(metric.value) == before + 2
+        assert STATS.snapshot()["shards_run"] == before + 2
+        with pytest.raises(AttributeError):
+            STATS.shards_run += 1  # the racy read-then-write idiom is gone
+
+    @pytest.mark.parametrize(
+        "module_name,field",
+        [
+            ("repro.codegen.cache", "cache_hits"),
+            ("repro.parallel.shard", "shards_run"),
+            ("repro.parallel.procpool", "tasks"),
+            ("repro.resilience.guard", "shard_retries"),
+            ("repro.engine.fusion", "flushes"),
+        ],
+    )
+    def test_concurrent_increments_are_not_lost(self, module_name, field):
+        """4 threads x 20 000 bumps of one counter per stats group land
+        exactly: every increment is one locked add on the series."""
+        import importlib
+        import sys
+        import threading
+
+        stats = importlib.import_module(module_name).STATS
+        threads_n, bumps = 4, 20_000
+        before = getattr(stats, field)
+        start = threading.Barrier(threads_n)
+
+        def bump():
+            start.wait()
+            for _ in range(bumps):
+                stats.inc(field)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            metric = get_registry().get("repro_shard_shards_run")
-            assert int(metric.value) == before + 2
+            threads = [threading.Thread(target=bump) for _ in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
-            STATS.shards_run = before
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert getattr(stats, field) == before + threads_n * bumps
 
 
 class TestQuantiles:

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import LaunchOptions
 from repro.apps.gaussian import GaussianFilterApp
 from repro.obs import build_trees, load_trace, render_prometheus
 from repro.obs import trace as obs_trace
@@ -30,8 +31,7 @@ def served(request, tmp_path_factory):
     session = ApproxSession(
         app,
         target_quality=0.9,
-        backend="codegen",
-        parallel=2,
+        options=LaunchOptions(backend="codegen", parallel=2),
         monitor=MonitorConfig(sample_every=2),
     )
     infos = []

@@ -1,11 +1,12 @@
-"""The unified launch-options surface: precedence, merging, shims.
+"""The launch-options surface: precedence, merging, and what is gone.
 
-One ambient stack (:func:`repro.options`) replaced the backend, parallel
-and guard stacks plus the ``launch(backend=..., parallel=...)`` keywords;
-these tests pin the precedence chain and prove every legacy spelling
-still works while warning.
+One ambient stack (:func:`repro.options`) decides how launches execute;
+these tests pin the precedence chain and prove the spellings it replaced
+(three scopes, two ``launch`` keywords, three session keywords) no
+longer exist anywhere on the public surface.
 """
 
+import inspect
 import threading
 
 import numpy as np
@@ -15,12 +16,10 @@ import kernel_zoo as zoo
 import repro
 from repro import LaunchOptions
 from repro._options import UNSET, current_options
-from repro.engine import Grid, default_backend, launch, use_backend
+from repro.engine import Grid, launch
 from repro.engine.trace import Trace
 from repro.errors import ConfigError
-from repro.parallel import ParallelPolicy, default_policy, use_parallel
-from repro.resilience import GuardPolicy, use_guard
-from repro.resilience.guard import current_policy
+from repro.resilience import GuardPolicy
 
 
 def _square_args(n=64, seed=0):
@@ -138,16 +137,19 @@ class TestPrecedenceChain:
         # session default overrides the config knob
         assert session.options.backend == "codegen"
         assert session.backend == "codegen"
-        # explicit ctor field overrides the options record
+        # fields the options record leaves unset fall through to config
         session2 = ApproxSession(
             app,
             target_quality=0.9,
             config=config,
-            backend="auto",
-            options=LaunchOptions(backend="codegen", parallel=2),
+            options=LaunchOptions(parallel=2),
         )
-        assert session2.options.backend == "auto"
+        assert session2.options.backend == "interp"
         assert session2.parallel_workers == 2
+        # an active scope overrides the session default at launch time
+        with session, repro.options(backend="interp"):
+            session.launch(app.generate_inputs(seed=1))
+        assert set(session.metrics_snapshot()["backend_launches"]) == {"interp"}
 
     def test_config_executor_knob_flows_into_session_defaults(self):
         from repro import ParaproxConfig
@@ -169,78 +171,63 @@ class TestPrecedenceChain:
         assert ParaproxConfig.from_dict(config.to_dict()).executor == "process"
 
 
-class TestDeprecatedShims:
-    def test_use_backend_warns_and_still_scopes(self):
-        with pytest.warns(DeprecationWarning, match="use_backend"):
-            with use_backend("codegen") as name:
-                assert name == "codegen"
-                assert default_backend() == "codegen"
-        assert default_backend() == "interp"
+class TestRemovedSurface:
+    """The replaced spellings are gone, not deprecated."""
 
-    def test_use_parallel_warns_and_still_scopes(self):
-        with pytest.warns(DeprecationWarning, match="use_parallel"):
-            with use_parallel(3) as policy:
-                assert policy.workers == 3
-                assert default_policy().workers == 3
-        assert default_policy().serial
+    REMOVED = {
+        "repro.engine": ("use_backend", "default_backend"),
+        "repro.parallel": (
+            "use_parallel",
+            "default_policy",
+            "resolve_policy",
+            "ShardStats",
+        ),
+        "repro.parallel.pool": ("get_healthy_pool",),
+        "repro.resilience": ("use_guard", "run_sharded_guarded", "GuardStats"),
+        "repro.serve": ("EventLog",),
+        "repro.codegen": ("v2_enabled",),
+        "repro._options": ("deprecated",),
+    }
 
-    def test_use_parallel_replaces_wholesale(self):
-        """The old stack replaced the whole policy, not field-by-field."""
-        inner = ParallelPolicy(workers=2)
-        with pytest.warns(DeprecationWarning):
-            with repro.options(min_shard_threads=7), use_parallel(inner):
-                assert default_policy().min_shard_threads == inner.min_shard_threads
+    @pytest.mark.parametrize("module_name", sorted(REMOVED))
+    def test_removed_names_are_absent(self, module_name):
+        import importlib
 
-    def test_use_guard_warns_and_still_scopes(self):
-        policy = GuardPolicy(retries=1)
-        with pytest.warns(DeprecationWarning, match="use_guard"):
-            with use_guard(policy):
-                assert current_policy() is policy
-        assert current_policy() is None
+        module = importlib.import_module(module_name)
+        for name in self.REMOVED[module_name]:
+            assert not hasattr(module, name), f"{module_name}.{name} is back"
+            assert name not in getattr(module, "__all__", ())
 
-    def test_launch_keywords_warn_and_forward(self):
-        args = _square_args()
-        with pytest.warns(DeprecationWarning, match="backend"):
-            trace = launch(
-                zoo.square_map, Grid.for_elements(64), args, backend="interp"
-            )
-        assert trace.op_counts
+    def test_launch_and_session_take_options_only(self):
+        from repro.serve import ApproxSession
 
-    def test_launch_keywords_stay_most_explicit(self):
-        """The deprecated keywords keep their old top precedence — they
-        override even an options= record, so migrating call sites one
-        argument at a time never changes behaviour."""
-        args = _square_args()
-        with pytest.warns(DeprecationWarning):
-            trace = launch(
-                zoo.square_map,
-                Grid.for_elements(64),
-                args,
-                backend="interp",
-                options=LaunchOptions(backend="codegen"),
-            )
-        assert trace.op_counts  # interpreter (the keyword) ran, not codegen
+        launch_params = inspect.signature(launch).parameters
+        assert "options" in launch_params
+        assert not {"backend", "parallel"} & set(launch_params)
+        session_params = inspect.signature(ApproxSession.__init__).parameters
+        assert "options" in session_params
+        assert not {"backend", "parallel", "event_log"} & set(session_params)
 
-    def test_strict_filter_surfaces_misuse(self, recwarn):
-        """-W error::DeprecationWarning style checks can catch old API."""
-        import warnings
+    def test_launch_options_fields_are_the_same_six(self):
+        import dataclasses
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                use_backend("interp")
+        assert [f.name for f in dataclasses.fields(LaunchOptions)] == [
+            "backend",
+            "parallel",
+            "min_shard_threads",
+            "executor",
+            "guard",
+            "fuse",
+        ]
 
 
 class TestLaunchEquivalence:
     def test_all_spellings_produce_identical_output(self):
         grid = Grid.for_elements(256)
         outs = []
-        for style in ("kwargs", "scope", "options"):
+        for style in ("scope", "options"):
             args = _square_args(n=256, seed=3)
-            if style == "kwargs":
-                with pytest.warns(DeprecationWarning):
-                    launch(zoo.square_map, grid, args, backend="codegen")
-            elif style == "scope":
+            if style == "scope":
                 with repro.options(backend="codegen"):
                     launch(zoo.square_map, grid, args)
             else:
@@ -250,6 +237,6 @@ class TestLaunchEquivalence:
                     args,
                     options=LaunchOptions(backend="codegen"),
                 )
-            outs.append(args[1].copy())
+            outs.append(args[0].copy())
+        assert outs[0].any()
         assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])

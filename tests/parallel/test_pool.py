@@ -5,20 +5,24 @@ import time
 
 import pytest
 
+from repro import LaunchOptions, current_options, options
 from repro.errors import ConfigError
 from repro.parallel.pool import (
     AUTO_WORKERS,
     DEFAULT_MIN_SHARD_THREADS,
     ParallelPolicy,
-    default_policy,
     host_worker_count,
     parallel_map,
+    policy_from_options,
     pool_stats,
     pools_snapshot,
-    resolve_policy,
     resolve_workers,
-    use_parallel,
 )
+
+
+def ambient_policy():
+    """The policy a launch on this thread would resolve right now."""
+    return policy_from_options(current_options())
 
 
 class TestResolveWorkers:
@@ -52,33 +56,33 @@ class TestPolicy:
             ParallelPolicy(workers=2, min_shard_threads=bad)
 
     def test_ambient_default_is_serial(self):
-        assert default_policy().serial
+        assert ambient_policy().serial
 
     def test_use_parallel_scopes_and_nests(self):
-        assert default_policy().workers == 1
-        with use_parallel(4):
-            assert default_policy().workers == 4
-            with use_parallel(2, min_shard_threads=16):
-                assert default_policy().workers == 2
-                assert default_policy().min_shard_threads == 16
-            assert default_policy().workers == 4
+        assert ambient_policy().workers == 1
+        with options(parallel=4):
+            assert ambient_policy().workers == 4
+            with options(parallel=2, min_shard_threads=16):
+                assert ambient_policy().workers == 2
+                assert ambient_policy().min_shard_threads == 16
+            assert ambient_policy().workers == 4
             # inner scope did not leak its threshold
-            assert default_policy().min_shard_threads == DEFAULT_MIN_SHARD_THREADS
-        assert default_policy().serial
+            assert ambient_policy().min_shard_threads == DEFAULT_MIN_SHARD_THREADS
+        assert ambient_policy().serial
 
     def test_use_parallel_accepts_a_policy(self):
         policy = ParallelPolicy(workers=3, min_shard_threads=1)
-        with use_parallel(policy) as active:
-            assert active is policy
-            assert default_policy() is policy
+        with options(parallel=policy) as active:
+            assert active.parallel is policy
+            assert ambient_policy() is policy
 
     def test_policy_scope_is_thread_local(self):
         seen = {}
 
         def worker():
-            seen["policy"] = default_policy()
+            seen["policy"] = ambient_policy()
 
-        with use_parallel(4):
+        with options(parallel=4):
             t = threading.Thread(target=worker)
             t.start()
             t.join()
@@ -87,19 +91,24 @@ class TestPolicy:
         assert seen["policy"].serial
 
     def test_resolve_policy_none_uses_ambient(self):
-        with use_parallel(3):
-            assert resolve_policy(None).workers == 3
-        assert resolve_policy(None).serial
+        with options(parallel=3):
+            assert policy_from_options(
+                LaunchOptions().merged_over(current_options())
+            ).workers == 3
+        assert policy_from_options(LaunchOptions()).serial
 
     def test_resolve_policy_int_keeps_ambient_threshold(self):
-        with use_parallel(2, min_shard_threads=64):
-            policy = resolve_policy(5)
+        # a per-call worker count overrides the scope's but keeps its threshold
+        with options(parallel=2, min_shard_threads=64):
+            policy = policy_from_options(
+                LaunchOptions(parallel=5).merged_over(current_options())
+            )
             assert policy.workers == 5
             assert policy.min_shard_threads == 64
 
     def test_resolve_policy_passes_policy_through(self):
         policy = ParallelPolicy(workers=2)
-        assert resolve_policy(policy) is policy
+        assert policy_from_options(LaunchOptions(parallel=policy)) is policy
 
 
 class TestParallelMap:

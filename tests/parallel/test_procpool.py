@@ -21,7 +21,7 @@ from repro.engine.launch import resolve_kernel, resolve_module
 from repro.errors import ExecutionError
 from repro.parallel import procpool, shutdown_process_pool
 from repro.parallel.analysis import analyze_shardability
-from repro.parallel.shard import plan_shards
+from repro.parallel.shard import plan_shards, run_sharded
 from repro.resilience import GuardPolicy
 
 #: Two workers is enough to prove the lane on a single-core container.
@@ -92,11 +92,13 @@ class TestBitExactness:
         bound = bind_arguments(fn, args)
         analysis = analyze_shardability(fn, mod, fingerprint=compiled.fingerprint)
         forced = dataclasses.replace(analysis, disjoint_writes=False)
-        plan = plan_shards(grid.total_blocks, 2)
-        mode = procpool.run_process_sharded(
-            fn, mod, compiled, grid, bound, plan, 2, forced
+        before = procpool.stats_snapshot()
+        run_sharded(
+            compiled, grid, bound, 2, forced, executor="process", fn=fn, module=mod
         )
-        assert mode == "diff"
+        after = procpool.stats_snapshot()
+        assert after["diff"] == before["diff"] + 1
+        assert after["direct"] == before["direct"]
         assert np.array_equal(args[0], serial[0])
 
     def test_shards_stride_across_workers(self):

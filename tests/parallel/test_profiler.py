@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import DeviceKind, Paraprox
+from repro import DeviceKind, LaunchOptions, Paraprox
 from repro.apps.gaussian import MeanFilterApp
 from repro.device import spec_for
 from repro.parallel.profiler import ProfileCache, profile_key, variant_identity
@@ -288,7 +288,9 @@ class TestSessionIntegration:
 
     def test_metrics_snapshot_reports_parallel_section(self):
         with ApproxSession(
-            MeanFilterApp(scale=0.05), target_quality=0.9, parallel=2
+            MeanFilterApp(scale=0.05),
+            target_quality=0.9,
+            options=LaunchOptions(parallel=2),
         ) as session:
             session.tune()
             out = session.launch(session.app.generate_inputs(seed=3))
@@ -309,7 +311,9 @@ class TestSessionIntegration:
 
     def test_session_parallel_arg_overrides_config(self):
         with ApproxSession(
-            MeanFilterApp(scale=0.05), target_quality=0.9, parallel=3
+            MeanFilterApp(scale=0.05),
+            target_quality=0.9,
+            options=LaunchOptions(parallel=3),
         ) as session:
             assert session.parallel_workers == 3
         with ApproxSession(MeanFilterApp(scale=0.05), target_quality=0.9) as session:

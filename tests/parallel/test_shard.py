@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 
 import kernel_zoo as zoo
-from repro.engine import Grid, launch, use_backend
+import repro
+from repro import LaunchOptions
+from repro.engine import Grid, launch
 from repro.errors import ExecutionError
-from repro.parallel import use_parallel
+from repro.parallel import procpool, shutdown_process_pool
 from repro.parallel.check import diff_kernel_sharded
 from repro.parallel.pool import ParallelPolicy
 from repro.parallel.shard import STATS, plan_shards
+from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
+from repro.resilience.faults import FAULT_CLASSES, FaultPlan, FaultSpec, use_faults
+
+
+def _codegen(parallel=None):
+    return LaunchOptions(backend="codegen", parallel=parallel)
 
 
 class TestPlanShards:
@@ -143,6 +151,55 @@ def test_sharded_bit_exact(name, workers):
     )
 
 
+# One shard body, one assembly and one fallback serve every lane, so the
+# same differential must hold on each.  tile_scale2d's writes are not
+# provably disjoint; square_map's are.
+FAST_GUARD = GuardPolicy(retries=1, backoff_seconds=0.0, deadline_seconds=5.0)
+
+
+@pytest.fixture
+def _process_pool():
+    shutdown_process_pool()
+    yield
+    shutdown_process_pool()
+
+
+@pytest.mark.parametrize(
+    "name,ambient,snapshot,counter",
+    [
+        # a guarded thread launch never writes in place, disjoint or not
+        ("square_map", dict(guard=FAST_GUARD), STATS.snapshot, "overlay"),
+        ("tile_scale2d", dict(guard=FAST_GUARD), STATS.snapshot, "overlay"),
+        ("square_map", dict(executor="process"), procpool.stats_snapshot, "direct"),
+        ("tile_scale2d", dict(executor="process"), procpool.stats_snapshot, "diff"),
+    ],
+)
+def test_sharded_bit_exact_on_every_lane(
+    name, ambient, snapshot, counter, _process_pool
+):
+    kernel, grid, args = SHARDABLE_CASES[name](1000)
+    before = snapshot()
+    with repro.options(**ambient):
+        result = diff_kernel_sharded(kernel, grid, args, workers=2)
+    assert result.ok, result.describe()
+    assert snapshot()[counter] == before[counter] + 1
+
+
+@pytest.mark.parametrize("name", ["square_map", "tile_scale2d"])
+def test_serial_reexecution_after_worker_crash_is_bit_exact(name):
+    """An injected ``worker_crash`` past the retry budget lands on the one
+    fallback: serial re-execution on buffers no shard touched."""
+    site, _modes = FAULT_CLASSES["worker_crash"]
+    kernel, grid, args = SHARDABLE_CASES[name](1000)
+    plan = FaultPlan([FaultSpec(site, mode="exception")])
+    before = guard_stats()["serial_reexecutions"]
+    with use_faults(plan), repro.options(guard=FAST_GUARD):
+        result = diff_kernel_sharded(kernel, grid, args, workers=2)
+    assert result.ok, result.describe()
+    assert plan.total_fired() > 0
+    assert guard_stats()["serial_reexecutions"] == before + 1
+
+
 class TestTransparentFallback:
     def _policy(self):
         return ParallelPolicy(workers=4, min_shard_threads=1)
@@ -158,8 +215,7 @@ class TestTransparentFallback:
             zoo.atomic_histogram,
             Grid.for_elements(n),
             [hist_parallel, data, n, 1],
-            backend="codegen",
-            parallel=self._policy(),
+            options=_codegen(self._policy()),
         )
         after = STATS.snapshot()
         assert after["serial_unshardable"] == before["serial_unshardable"] + 1
@@ -168,7 +224,7 @@ class TestTransparentFallback:
             zoo.atomic_histogram,
             Grid.for_elements(n),
             [hist_serial, data, n, 1],
-            backend="codegen",
+            options=_codegen(),
         )
         np.testing.assert_array_equal(hist_parallel, hist_serial)
 
@@ -180,8 +236,8 @@ class TestTransparentFallback:
             zoo.square_map,
             Grid.for_elements(n),
             [out, _rand(n), n],
-            backend="codegen",
-            parallel=ParallelPolicy(workers=4),  # default 2048-thread floor
+            # default 2048-thread floor
+            options=_codegen(ParallelPolicy(workers=4)),
         )
         after = STATS.snapshot()
         assert after["serial_small_grid"] == before["serial_small_grid"] + 1
@@ -195,8 +251,7 @@ class TestTransparentFallback:
             zoo.square_map,
             Grid(1, threads),
             [out, _rand(threads), threads],
-            backend="codegen",
-            parallel=self._policy(),
+            options=_codegen(self._policy()),
         )
         after = STATS.snapshot()
         assert after["serial_small_grid"] == before["serial_small_grid"] + 1
@@ -205,12 +260,12 @@ class TestTransparentFallback:
         n = 4096
         out = np.zeros(n, np.float32)
         before = STATS.sharded_launches
-        with use_parallel(4, min_shard_threads=1):
+        with repro.options(parallel=4, min_shard_threads=1):
             launch(
                 zoo.square_map,
                 Grid.for_elements(n),
                 [out, _rand(n), n],
-                backend="codegen",
+                options=_codegen(),
             )
         assert STATS.sharded_launches == before + 1
 
@@ -218,7 +273,7 @@ class TestTransparentFallback:
         n = 4096
         out = np.zeros(n, np.float32)
         before = STATS.snapshot()
-        with use_backend("interp"), use_parallel(4, min_shard_threads=1):
+        with repro.options(backend="interp", parallel=4, min_shard_threads=1):
             launch(zoo.square_map, Grid.for_elements(n), [out, _rand(n), n])
         after = STATS.snapshot()
         assert after == before  # sharding is a codegen-path feature
@@ -233,8 +288,7 @@ class TestAssemblyModes:
             zoo.square_map,
             Grid.for_elements(n),
             [out, _rand(n), n],
-            backend="codegen",
-            parallel=ParallelPolicy(workers=4, min_shard_threads=1),
+            options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
         )
         after = STATS.snapshot()
         assert after["zero_copy"] == before["zero_copy"] + 1
@@ -247,8 +301,7 @@ class TestAssemblyModes:
             zoo.tile_scale2d,
             Grid.for_image(50, 30),
             [out, _rand(1500), 50, 30, 1.7],
-            backend="codegen",
-            parallel=ParallelPolicy(workers=4, min_shard_threads=1),
+            options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
         )
         after = STATS.snapshot()
         assert after["overlay"] == before["overlay"] + 1
@@ -261,8 +314,7 @@ class TestAssemblyModes:
             zoo.square_map,
             Grid.for_elements(n),
             [out, _rand(n), n],
-            backend="codegen",
-            parallel=ParallelPolicy(workers=3, min_shard_threads=1),
+            options=_codegen(ParallelPolicy(workers=3, min_shard_threads=1)),
         )
         assert STATS.shards_run == before + 3
 
@@ -276,7 +328,6 @@ class TestErrorPropagation:
                 zoo.square_map,
                 Grid.for_elements(n),
                 [out, _rand(n), n],
-                backend="codegen",
                 bounds_check=True,
-                parallel=ParallelPolicy(workers=4, min_shard_threads=1),
+                options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
             )

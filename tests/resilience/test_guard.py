@@ -8,9 +8,10 @@ import pytest
 
 import kernel_zoo as zoo
 from repro.apps.registry import make_app
-from repro.engine import Grid, launch, use_backend
+from repro import LaunchOptions, options
+from repro.engine import Grid, launch
 from repro.errors import ResilienceError, ShardTimeout, WorkerDeath
-from repro.parallel import ParallelPolicy, use_parallel
+from repro.parallel import ParallelPolicy
 from repro.resilience.faults import (
     SITE_OUTPUT,
     SITE_WORKER,
@@ -24,7 +25,6 @@ from repro.resilience.guard import (
     current_policy,
     guarded_map,
     run_ladder,
-    use_guard,
 )
 from repro.resilience.validate import corrupt_output, validate_output
 
@@ -54,7 +54,7 @@ class TestGuardPolicy:
 
     def test_use_guard_scopes_per_thread(self):
         assert current_policy() is None
-        with use_guard(FAST):
+        with options(guard=FAST):
             assert current_policy() is FAST
             seen = []
             t = threading.Thread(target=lambda: seen.append(current_policy()))
@@ -165,13 +165,12 @@ class TestGuardedShardedLaunch:
         x = np.random.default_rng(0).random(n, dtype=np.float32)
         out = np.zeros(n, np.float32)
         pp = ParallelPolicy(workers=workers, min_shard_threads=1)
-        with use_guard(policy):
+        with options(guard=policy):
             launch(
                 zoo.square_map,
                 Grid.for_elements(n),
                 [out, x, n],
-                backend="codegen",
-                parallel=pp,
+                options=LaunchOptions(backend="codegen", parallel=pp),
             )
         return out, x * x
 
@@ -213,7 +212,7 @@ class TestRunLadder:
     @pytest.fixture(scope="class")
     def setup(self, app):
         inputs = app.generate_inputs(seed=app.seed)
-        with use_backend("interp"), use_parallel(1):
+        with options(backend="interp", parallel=1):
             golden, _ = app.run_exact(inputs)
         return inputs, np.asarray(golden)
 

@@ -161,39 +161,6 @@ class TestSessionLifecycle:
         # the snapshot is JSON-serialisable as promised
         json.dumps(snap)
 
-    def test_event_log_shim_forwards_to_trace_stream(self, tmp_path):
-        """``event_log=`` warns and lands the launch story in the unified
-        trace stream instead of a session-private log."""
-        from repro.obs import trace as obs_trace
-
-        app = GaussianFilterApp(scale=0.05)
-        log = tmp_path / "events.jsonl"
-        was_enabled = obs_trace.enabled()
-        try:
-            with pytest.warns(DeprecationWarning, match="event_log"):
-                session = ApproxSession(
-                    app,
-                    target_quality=0.9,
-                    monitor=MonitorConfig(sample_every=1),
-                    event_log=log,
-                )
-            with session:
-                session.launch(app.generate_inputs(seed=3))
-                session.launch(app.generate_inputs(seed=4))
-        finally:
-            obs_trace.disable()
-            obs_trace.drain_records()
-            if was_enabled:
-                obs_trace.enable()
-        records = [json.loads(line) for line in log.read_text().splitlines()]
-        launches = [
-            r
-            for r in records
-            if r["type"] == "span" and r["name"] == "serve.launch"
-        ]
-        assert len(launches) == 2
-        assert session.metrics.event_log is None
-
     def test_closed_session_rejects_use(self):
         app = GaussianFilterApp(scale=0.05)
         session = ApproxSession(app, target_quality=0.9)
