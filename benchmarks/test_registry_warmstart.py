@@ -6,7 +6,8 @@ Two claims back ``repro.registry``:
   must reach a TOQ-satisfying choice with at least
   ``REPRO_REGISTRY_MIN_SAVINGS`` (default 0.5 = 50%) fewer variant
   measurements than the cold sweep, across a representative app set
-  (the full 13-app sweep is ``python -m repro.registry --selfcheck``).
+  (the full 13-app sweep is ``python -m repro.conformance --contract
+  warm_start``).
 * **Disabled is free** — with ``registry=None`` the serving path pays
   only is-None guards.  Two timed runs of identical code cannot resolve
   1 % above host noise, so the bound is operationalised

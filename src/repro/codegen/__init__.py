@@ -15,8 +15,9 @@ Layers:
 * :mod:`~repro.codegen.fingerprint` — stable IR digests for cache keys.
 * :mod:`~repro.codegen.cache` — fingerprint -> compiled callable, with
   compile-time statistics for ``serve.metrics``.
-* :mod:`~repro.codegen.check` — differential harness asserting bit-exact
-  agreement with the interpreter (``python -m repro.codegen.check``).
+
+Bit-exact agreement with the interpreter is the ``exact`` and ``variant``
+contracts of :mod:`repro.conformance` (``python -m repro.conformance``).
 
 Backend selection lives in :mod:`repro.engine.launch`
 (``backend="interp" | "codegen" | "auto"``).
@@ -31,7 +32,6 @@ from .cache import (
     get_compiled,
     stats_snapshot,
 )
-from .check import DiffResult, check_apps, check_approx_apps, diff_app, diff_kernel
 from .fingerprint import fingerprint_kernel
 from .lower import lower_kernel, lower_kernel_ex
 
@@ -46,9 +46,4 @@ __all__ = [
     "fingerprint_kernel",
     "lower_kernel",
     "lower_kernel_ex",
-    "DiffResult",
-    "diff_kernel",
-    "diff_app",
-    "check_apps",
-    "check_approx_apps",
 ]

@@ -26,8 +26,8 @@ optimizations both possible and — because every rule below replays the
   and bounds check that :func:`~repro.codegen.runtime.load_global` pays.
 
 Nothing here is approximate: every rewrite preserves the interpreter's
-bit-exact semantics, which the differential harness re-verifies per
-variant (``python -m repro.codegen --approx``).
+bit-exact semantics, which the ``variant`` contract re-verifies per
+variant (``python -m repro.conformance --contract variant``).
 """
 
 from __future__ import annotations

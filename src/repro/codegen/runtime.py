@@ -5,8 +5,8 @@ Every helper here is the extraction of one code path of
 generated source and the interpreter share semantics *by construction*:
 masked assignment merging, lane liveness under divergent ``return``,
 bounds checking on live lanes only, index clamping, C-style integer
-division, and the exact scalar/array casting rules.  The differential
-harness (:mod:`repro.codegen.check`) then verifies the equivalence
+division, and the exact scalar/array casting rules.  The ``exact``
+contract of :mod:`repro.conformance` then verifies the equivalence
 bit-for-bit on every app kernel.
 
 Generated modules receive this module under the name ``rt``.

@@ -15,9 +15,8 @@ Two pipelines share this package's worker pools:
   :class:`ProfileCache` (:mod:`repro.parallel.profiler`), so serving
   sessions recalibrate without re-measuring unchanged variants.
 
-``python -m repro.parallel`` runs the differential harness proving
-sharded == serial for every shardable kernel across the registered apps
-and the kernel zoo.
+``python -m repro.conformance`` proves sharded == serial == interpreter
+for every registered app on both executors.
 """
 
 from .analysis import Shardability, analyze_shardability

@@ -63,7 +63,7 @@ import queue as queue_mod
 import threading
 import time
 import multiprocessing
-from multiprocessing import get_context
+from multiprocessing import get_context, resource_tracker
 from multiprocessing import shared_memory as shm_mod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -159,17 +159,11 @@ def _attach_arrays(
     views: Dict[str, np.ndarray] = {}
     segments: List[shm_mod.SharedMemory] = []
     for name, (seg_name, length, dtype_str) in arrays.items():
-        seg = shm_mod.SharedMemory(name=seg_name)
         # CPython registers *attached* segments with the resource tracker
-        # too (gh-82300); left registered, this worker's exit would
-        # unlink segments the parent still owns.  The parent created
-        # them and the parent unlinks them.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
-        except Exception:  # pragma: no cover - tracker internals moved
-            pass
+        # too (gh-82300).  Every worker shares the parent's tracker
+        # (_Worker.spawn starts it first), where that is a duplicate of
+        # the parent's own registration and its unlink clears it.
+        seg = shm_mod.SharedMemory(name=seg_name)
         segments.append(seg)
         views[name] = np.ndarray(length, dtype=np.dtype(dtype_str), buffer=seg.buf)
     return views, segments
@@ -252,6 +246,10 @@ class _Worker:
         self.spawn()
 
     def spawn(self) -> None:
+        # A worker started before the parent's resource tracker exists
+        # would launch a tracker of its own on first attach, and that
+        # one unlinks the parent's segments when the worker exits.
+        resource_tracker.ensure_running()
         self.task_q = self.ctx.Queue()
         self.process = self.ctx.Process(
             target=_worker_main,

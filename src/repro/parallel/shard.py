@@ -23,7 +23,7 @@ This module owns the sharded launch, once, for both executors:
   The overlay equals serial execution unless a higher block overwrites a
   lower block's store with the original byte pattern — a cross-block
   write conflict no kernel in the suite exhibits, and exactly what the
-  differential harness (:mod:`repro.parallel.check`) certifies;
+  ``exact`` contract of :mod:`repro.conformance` certifies;
 * the **fallback** — when the transport gives up (deadline, lost worker,
   retries exhausted under a guard) the launch is re-run serially on the
   caller's buffers, which no shard was allowed to touch.

@@ -19,7 +19,7 @@ Public surface:
 * :func:`registry_key`, :func:`input_sketch` — key derivation
   (``repro.registry.sketch``);
 * ``python -m repro.registry`` — inspect / merge / gc / ingest /
-  selfcheck / smoke CLI (``repro.registry.__main__``).
+  smoke CLI (``repro.registry.__main__``).
 
 See ``docs/REGISTRY.md`` for the file format, the locking model and the
 environment variables.

@@ -11,13 +11,13 @@ Subcommands:
 * ``ingest DIR TRACE.jsonl`` — fold ``registry_key``-stamped quality
   samples from an exported trace/timeline stream back into the store.
 
-Self-contained checks (used by CI):
+Self-contained check:
 
-* ``--selfcheck`` — for every Table-1 benchmark, tune cold into a fresh
-  registry, then warm from it, and verify the warm start reaches a
-  TOQ-satisfying choice with at least 50% fewer variant measurements.
 * ``--smoke --procs N`` — N concurrent writer processes hammer one
   shared registry; verifies no corruption and no lost points.
+
+(Warm-vs-cold tuning savings are the ``warm_start`` contract of
+``python -m repro.conformance``.)
 """
 
 from __future__ import annotations
@@ -114,73 +114,6 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------- selfcheck
-
-
-def _selfcheck(out=print) -> int:
-    """Warm-vs-cold measurement savings across every Table-1 benchmark."""
-    import tempfile
-
-    from ..approx.compiler import Paraprox
-    from ..apps.registry import APP_CLASSES, make_app
-    from ..device import DeviceKind, spec_for
-    from ..runtime.tuner import GreedyTuner
-
-    spec = spec_for(DeviceKind.GPU)
-    toq = 0.90
-    failures: List[str] = []
-    cold_total = warm_total = 0
-    with tempfile.TemporaryDirectory(prefix="repro-registry-check-") as root:
-        for name in APP_CLASSES:
-            registry = VariantRegistry(f"{root}/{name}")
-            app = make_app(name)
-            variants = Paraprox(target_quality=toq).compile(app)
-            inputs = app.generate_inputs(seed=app.seed)
-
-            cold = GreedyTuner(spec, toq=toq, registry=registry)
-            cold_result = cold.profile(app, variants, inputs)
-            warm = GreedyTuner(spec, toq=toq, registry=registry)
-            warm_result = warm.profile(app, variants, inputs)
-
-            cold_total += cold.last_measured
-            warm_total += warm.last_measured
-            budget = max(1, cold.last_measured // 2)
-            problems = []
-            if warm.last_seed_mode != "warm":
-                problems.append(f"seed_mode={warm.last_seed_mode}")
-            if warm.last_measured > budget:
-                problems.append(
-                    f"measured {warm.last_measured} > budget {budget}"
-                )
-            if warm_result.chosen.quality < toq:
-                problems.append(
-                    f"warm choice quality {warm_result.chosen.quality:.4f} < {toq}"
-                )
-            if warm_result.chosen.name != cold_result.chosen.name:
-                problems.append(
-                    f"warm chose {warm_result.chosen.name}, "
-                    f"cold chose {cold_result.chosen.name}"
-                )
-            status = "ok " if not problems else "FAIL"
-            out(
-                f"[{status}] {name:12s} cold={cold.last_measured:2d} "
-                f"warm={warm.last_measured:2d} chosen={warm_result.chosen.name}"
-                + ("" if not problems else f"  <- {'; '.join(problems)}")
-            )
-            if problems:
-                failures.append(name)
-    savings = 1.0 - warm_total / max(1, cold_total)
-    out(
-        f"{len(APP_CLASSES) - len(failures)}/{len(APP_CLASSES)} apps warm-start "
-        f"clean; measurements {cold_total} cold -> {warm_total} warm "
-        f"({savings:.0%} saved)"
-    )
-    if savings < 0.50:
-        out(f"FAIL: aggregate savings {savings:.0%} < 50%")
-        return 1
-    return 1 if failures else 0
-
-
 # ---------------------------------------------------------------- smoke
 
 #: One writer process: append `rounds` batches under its own name, then
@@ -274,9 +207,6 @@ def _smoke(procs: int, rounds: int, root: Optional[str], out=print) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--selfcheck" in argv:
-        return _selfcheck()
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.registry",
         description="Inspect and maintain a cross-session variant registry.",

@@ -14,10 +14,8 @@ Three cooperating pieces (Paraprox's runtime, hardened for production):
   quarantine a variant after repeated faults and re-admit it through a
   probation window.
 
-The chaos differential harness lives in
-:mod:`~repro.resilience.check` (run it as ``python -m repro.resilience``);
-it is deliberately not imported here — it pulls in the serving stack,
-which itself imports this package.
+The ``contained`` contract of :mod:`repro.conformance` holds all three
+to their promise under every fault class.
 """
 
 from .breaker import CLOSED, OPEN, PROBATION, BreakerConfig, VariantBreaker

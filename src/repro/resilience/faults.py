@@ -3,8 +3,8 @@
 Production code is littered with *sites* where the real world can fail:
 codegen compilation, shard-worker execution, quality evaluation, cache
 loads.  Each such site calls :func:`maybe_inject` — a no-op unless a
-:class:`FaultPlan` is active — so the chaos harness
-(:mod:`repro.resilience.check`) and the resilience tests can force any of
+:class:`FaultPlan` is active — so the conformance runner
+(:mod:`repro.conformance`) and the resilience tests can force any of
 those failures on demand, deterministically, without monkeypatching.
 
 A plan is a list of :class:`FaultSpec` triggers.  Each spec names a site,
@@ -61,7 +61,7 @@ SITE_OUTPUT = "output.corrupt"
 #: front-end's pressure sampler polls this site directly and *adds*
 #: ``hang_seconds`` to the measured queue delay — no real sleep — so a
 #: drill can push a brownout controller through its whole state machine
-#: deterministically (``python -m repro.serve.overload --drill``).
+#: deterministically (the ``floor`` contract of :mod:`repro.conformance`).
 SITE_OVERLOAD = "serve.overload"
 
 SITES = (

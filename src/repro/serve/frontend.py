@@ -28,9 +28,9 @@ callers into one disciplined execution stream:
   front-end thread stays responsive.  Results land in
   :class:`concurrent.futures.Future` objects returned by ``submit``.
 
-Run ``python -m repro.serve.frontend`` for the differential harness: it
-pushes every benchmark app's kernel workload through a process-executor
-front-end and byte-compares against serial execution.
+``python -m repro.conformance`` holds the front-end to the ``exact``
+contract: every benchmark app's exact pipeline submitted through the
+queue is byte-compared against the interpreter.
 """
 
 from __future__ import annotations
@@ -722,82 +722,3 @@ class ServeFrontend:
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-# ---------------------------------------------------------------- harness
-
-
-def _differential_harness(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.serve.frontend``: process-vs-serial bit-exactness.
-
-    For every benchmark app, runs the exact program serially, then
-    replays the same inputs through a front-end configured with the
-    process executor, and byte-compares the outputs.  Exits non-zero on
-    the first mismatch.
-    """
-    import argparse
-    import copy
-
-    import numpy as np
-
-    from ..apps.registry import APP_CLASSES, make_app
-    from ..codegen.check import _compare_arrays
-    from ..parallel.procpool import stats_snapshot
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.frontend",
-        description="Differential harness: batched process-executor "
-        "front-end vs serial execution, byte-exact, all benchmark apps.",
-    )
-    parser.add_argument("apps", nargs="*", help="app names (default: all)")
-    parser.add_argument(
-        "--workers", type=int, default=2, help="process workers (default 2)"
-    )
-    args = parser.parse_args(argv)
-
-    def arrays(out) -> List:
-        parts = out if isinstance(out, (tuple, list)) else [out]
-        return [np.asarray(p) for p in parts if isinstance(p, np.ndarray)]
-
-    failures = []
-    frontend = ServeFrontend(
-        options=LaunchOptions(
-            backend="codegen",
-            parallel=args.workers,
-            executor="process",
-            min_shard_threads=1,
-        )
-    )
-    with frontend:
-        for name in args.apps or sorted(APP_CLASSES):
-            app = make_app(name, seed=0)
-            inputs = app.generate_inputs()
-            with options_scope(backend="codegen"):
-                serial = app.run_exact(copy.deepcopy(inputs))
-
-            def run(app=app, inputs=inputs):
-                with options_scope(frontend.options):
-                    return app.run_exact(copy.deepcopy(inputs))
-
-            batched = frontend._enqueue("default", ("app", name), run).result()
-            mismatches = []
-            for i, (a, b) in enumerate(zip(arrays(serial), arrays(batched))):
-                note = _compare_arrays(f"output[{i}]", a, b)
-                if note is not None:
-                    mismatches.append(note)
-            status = "ok " if not mismatches else "FAIL"
-            print(f"[{status}] {name}" + ("" if not mismatches else f": {mismatches}"))
-            if mismatches:
-                failures.append(name)
-    stats = stats_snapshot()
-    print(
-        f"{len(args.apps or APP_CLASSES) - len(failures)}/"
-        f"{len(args.apps or APP_CLASSES)} apps bit-exact (process front-end "
-        f"vs serial); procpool ran {stats['shards_run']} shards in "
-        f"{stats['launches']} launches"
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI job
-    raise SystemExit(_differential_harness())

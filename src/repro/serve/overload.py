@@ -21,12 +21,13 @@ exhausted.  That policy lives here:
   still clears the interpolated quality bar (TOQ at level 0 sliding to
   the tenant's floor at level K), skipping breaker-quarantined variants,
   seeded from the variant registry's knee point when one is known.
-* the saturation drill — ``python -m repro.serve.overload --drill``
-  ramps synthetic queue delay (via the ``serve.overload`` fault seam)
-  through a three-tenant front-end for every benchmark app and asserts
-  the brownout contract: no deadline-miss cascade, every served response
-  at or above its tenant's floor, shed confined to the lowest-priority
-  tenant, monotone level transitions, and full recovery to NORMAL.
+
+The ``floor`` contract of :mod:`repro.conformance` ramps synthetic queue
+delay (via the ``serve.overload`` fault seam) through a three-tenant
+front-end for every benchmark app and asserts the brownout promise: no
+deadline-miss cascade, every served response at or above its tenant's
+floor, shed confined to the lowest-priority tenant, monotone level
+transitions, and full recovery to NORMAL.
 """
 
 from __future__ import annotations
@@ -366,176 +367,3 @@ def degraded_variant(
     if pick.name == session.current_variant:
         return None
     return pick.name
-
-
-# ---------------------------------------------------------------- drill
-
-
-def _drill_app(name: str, seed: int) -> List[str]:
-    """Saturation-drill one app; returns the list of contract violations
-    (empty = pass)."""
-    import copy
-
-    from ..apps.registry import make_app
-    from ..errors import BackpressureError
-    from ..resilience.faults import (
-        SITE_OVERLOAD,
-        FaultPlan,
-        FaultSpec,
-        use_faults,
-    )
-    from .frontend import ServeFrontend
-    from .session import ApproxSession
-
-    problems: List[str] = []
-    app = make_app(name, seed=seed)
-    config = OverloadConfig(
-        levels=3,
-        high_water=0.75,
-        low_water=0.25,
-        cooldown_s=0.05,
-        # The batching straggler window itself is queue delay; a target
-        # well above it keeps fault-free pressure under the low-water
-        # mark so recovery can actually complete.
-        queue_delay_target_s=0.2,
-        deadline_s=10.0,  # generous: the drill asserts *zero* misses
-        window=8,
-    )
-    floors = {"gold": 0.88, "silver": 0.5, "bronze": 0.0}
-    served: List[tuple] = []
-    sheds: List[str] = []
-
-    with ApproxSession(app, target_quality=0.9) as session, ServeFrontend(
-        batch_window_s=0.02, max_batch=8, overload=config
-    ) as frontend:
-        controller = frontend.overload
-        frontend.register_tenant(
-            "gold", toq_floor=floors["gold"], priority=2, degradable=False
-        )
-        frontend.register_tenant("silver", toq_floor=floors["silver"], priority=1)
-        frontend.register_tenant("bronze", toq_floor=floors["bronze"], priority=0)
-        session.tune()
-        inputs = app.generate_inputs(seed=app.seed)
-
-        def round_once() -> None:
-            pending = []
-            for tenant in ("gold", "silver", "bronze"):
-                try:
-                    pending.append(
-                        (
-                            tenant,
-                            frontend.submit_app(
-                                session, copy.deepcopy(inputs), tenant=tenant
-                            ),
-                        )
-                    )
-                except BackpressureError:
-                    sheds.append(tenant)
-            for tenant, future in pending:
-                out = future.result(timeout=120)
-                served.append((tenant, app.evaluate(out, inputs)))
-
-        # Ramp synthetic queue delay up through the seam: each pressure
-        # observation consumes one spec firing, ascending toward 4x the
-        # delay target, then the budget runs out and load subsides.
-        target = config.queue_delay_target_s
-        ramp = [
-            FaultSpec(
-                SITE_OVERLOAD, mode="hang", hang_seconds=target * scale,
-                max_fires=fires,
-            )
-            for scale, fires in ((0.9, 2), (1.5, 2), (2.4, 2), (4.0, 12))
-        ]
-        with use_faults(FaultPlan(ramp, seed=seed)):
-            rounds = 0
-            while not controller.is_shedding and rounds < 40:
-                round_once()
-                rounds += 1
-            shed_rounds = 0
-            while controller.is_shedding and shed_rounds < 4:
-                round_once()
-                shed_rounds += 1
-        recovery_rounds = 0
-        while controller.level > 0 and recovery_rounds < 400:
-            future = frontend.submit_app(
-                session, copy.deepcopy(inputs), tenant="gold"
-            )
-            served.append(("gold", app.evaluate(future.result(timeout=120), inputs)))
-            time.sleep(0.01)
-            recovery_rounds += 1
-
-        # -- the brownout contract
-        for tenant, quality in served:
-            if quality + 1e-9 < floors[tenant]:
-                problems.append(
-                    f"served {tenant} below its floor: "
-                    f"{quality:.4f} < {floors[tenant]}"
-                )
-        for tenant in sheds:
-            if tenant != "bronze":
-                problems.append(f"shed non-lowest-priority tenant {tenant!r}")
-        if not sheds:
-            problems.append("SHED never rejected a bronze request")
-        transitions = controller.transitions
-        if not any(t.to_level >= controller.shed_level for t in transitions):
-            problems.append("controller never reached SHED during the ramp")
-        for t in transitions:
-            if abs(t.to_level - t.from_level) != 1:
-                problems.append(
-                    f"non-monotone transition {t.from_level} -> {t.to_level}"
-                )
-        if controller.level != 0:
-            problems.append(
-                f"no recovery to NORMAL (stuck at {controller.state_name()})"
-            )
-        gauge = get_registry().gauge(
-            "repro_brownout_level",
-            "current overload level (0 = NORMAL, levels+1 = SHED)",
-            labelnames=("frontend",),
-        )
-        if gauge.labels(frontend=controller.label).value != 0:
-            problems.append("repro_brownout_level gauge did not return to 0")
-        misses = frontend.deadline_misses()
-        if misses:
-            problems.append(f"deadline-miss cascade: {misses} miss(es)")
-    return problems
-
-
-def _drill(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.serve.overload --drill``: the saturation drill."""
-    import argparse
-
-    from ..apps.registry import APP_CLASSES
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.overload",
-        description="Saturation drill: ramp synthetic overload through a "
-        "three-tenant brownout front-end for every benchmark app and "
-        "assert the degrade-before-drop contract.",
-    )
-    parser.add_argument(
-        "--drill", action="store_true", help="run the saturation drill"
-    )
-    parser.add_argument("apps", nargs="*", help="app names (default: all)")
-    parser.add_argument("--seed", type=int, default=0, help="fault-plan seed")
-    args = parser.parse_args(argv)
-    if not args.drill:
-        parser.error("nothing to do; pass --drill")
-
-    names = args.apps or sorted(APP_CLASSES)
-    failures = []
-    for name in names:
-        problems = _drill_app(name, args.seed)
-        status = "ok " if not problems else "FAIL"
-        print(f"[{status}] {name}" + ("" if not problems else f": {problems}"))
-        if problems:
-            failures.append(name)
-    print(
-        f"{len(names) - len(failures)}/{len(names)} apps pass the brownout "
-        f"drill (seed {args.seed})"
-    )
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised by CI job
-    raise SystemExit(_drill())

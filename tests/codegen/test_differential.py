@@ -1,6 +1,8 @@
-"""Differential tests: interpreter vs codegen must agree bit-for-bit.
+"""The ``exact`` contract: every backend and executor agrees with the
+interpreter bit-for-bit.
 
-Parametrized over every registered application plus zoo kernels covering
+Parametrized over every registered application (its whole fault-free
+row of conformance cells) plus zoo kernels covering
 the semantics corners: divergent control flow with early returns, device
 functions with multiple returns, 2-D grids, shared memory + barriers,
 atomics, and uniform loops.
@@ -11,15 +13,17 @@ import pytest
 
 import kernel_zoo as zoo
 from repro.apps.registry import APP_CLASSES, make_app
-from repro.codegen import diff_app, diff_kernel
+from repro.conformance import Cell, check, compare, kernel_subject, sweep_pipeline
 from repro.engine import Grid
 
 
 @pytest.mark.parametrize("name", sorted(APP_CLASSES))
 def test_app_bit_exact_across_backends(name):
     app = make_app(name, seed=0)
-    result = diff_app(app)
-    assert result.ok, result.describe()
+    results = list(sweep_pipeline(app, seeds=(), contracts=("exact",)))
+    assert Cell(backend="codegen") in [r.cell for r in results]
+    for result in results:
+        assert result.status == "ok", result.describe()
 
 
 def _rand(n, seed=0):
@@ -120,21 +124,19 @@ ZOO_CASES = {
 @pytest.mark.parametrize("name", sorted(ZOO_CASES))
 def test_zoo_kernel_bit_exact_across_backends(name):
     kernel, grid, args = ZOO_CASES[name](1000)
-    result = diff_kernel(kernel, grid, args)
-    assert result.ok, result.describe()
+    result = check(kernel_subject(kernel, grid, args), Cell(backend="codegen"))
+    assert result.status == "ok", result.describe()
 
 
 def test_diff_kernel_reports_divergence_readably():
     # Feed deliberately different kernels through the comparator helper to
     # make sure a real divergence would be reported, not masked.
-    from repro.codegen.check import _compare_arrays
-
     a = np.arange(4, dtype=np.float32)
     b = a.copy()
     b[2] = 7.0
-    note = _compare_arrays("out", a, b)
+    note = compare([a], [b])
     assert note is not None and "element 2" in note
-    assert _compare_arrays("out", a, a.copy()) is None
+    assert compare([a], [a.copy()]) is None
 
 
 def test_approx_variants_bit_exact_across_backends():

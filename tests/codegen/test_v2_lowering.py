@@ -13,7 +13,6 @@ from repro.approx.base import ApproxMeta, tag_approx, variant_lowering
 from repro.approx.compiler import Paraprox
 from repro.apps.registry import make_app
 from repro.codegen import (
-    check_approx_apps,
     classify_lowering,
     clear_cache,
     fingerprint_kernel,
@@ -21,7 +20,7 @@ from repro.codegen import (
     stats_snapshot,
 )
 from repro.codegen.cache import _CACHE, get_compiled
-from repro.codegen.check import diff_variant
+from repro.conformance import Cell, app_subject, check, sweep_variants
 from repro.engine import Grid
 from repro.engine.launch import resolve_kernel, resolve_module
 from repro.kernel import kernel
@@ -160,10 +159,9 @@ class TestDifferential:
     def test_gaussian_variants_bit_exact(self):
         app = make_app("gaussian", seed=0)
         variants = Paraprox(target_quality=0.9).compile(app)
-        inputs = app.generate_inputs()
         for v in variants:
-            result = diff_variant(app, v, inputs)
-            assert result.ok, result.describe()
+            result = check(app_subject(app, v), Cell(backend="codegen"), contract="variant")
+            assert result.status == "ok", result.describe()
 
     def test_memoized_blackscholes_uses_table_gather(self):
         app = make_app("blackscholes", seed=0)
@@ -173,10 +171,14 @@ class TestDifferential:
         mode, detail = variant_lowering(memo[0])
         assert mode == "codegen-v2"
         assert "table_gathers" in detail
-        result = diff_variant(app, memo[0])
-        assert result.ok, result.describe()
+        result = check(app_subject(app, memo[0]), Cell(backend="codegen"), contract="variant")
+        assert result.status == "ok", result.describe()
 
-    def test_harness_runs_capped_sweep(self):
-        per_app = check_approx_apps(["gamma"], verbose=False, per_transform=1)
-        assert set(per_app) == {"gamma"}
-        assert all(r.ok for r in per_app["gamma"])
+    def test_runner_sweeps_every_variant_lane(self):
+        app = make_app("gamma", seed=0)
+        results = list(sweep_variants(app))
+        variants = Paraprox(target_quality=0.9).compile(app)
+        assert {r.subject for r in results} == {f"{app.name}:{v.name}" for v in variants}
+        assert all(r.status == "ok" for r in results), [
+            r.describe() for r in results if r.status != "ok"
+        ]

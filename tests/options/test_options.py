@@ -7,6 +7,7 @@ longer exist anywhere on the public surface.
 """
 
 import inspect
+import os
 import threading
 
 import numpy as np
@@ -185,9 +186,30 @@ class TestRemovedSurface:
         "repro.parallel.pool": ("get_healthy_pool",),
         "repro.resilience": ("use_guard", "run_sharded_guarded", "GuardStats"),
         "repro.serve": ("EventLog",),
-        "repro.codegen": ("v2_enabled",),
+        "repro.codegen": (
+            "v2_enabled",
+            "DiffResult",
+            "diff_kernel",
+            "diff_app",
+            "check_apps",
+            "check_approx_apps",
+        ),
         "repro._options": ("deprecated",),
+        "repro.serve.frontend": ("_differential_harness",),
+        "repro.serve.overload": ("_drill", "_drill_app"),
+        "repro.registry.__main__": ("_selfcheck",),
     }
+
+    #: The six retired harness drivers; ``python -m repro.conformance``
+    #: replaced them and no alias remains.
+    REMOVED_MODULES = (
+        "repro.codegen.check",
+        "repro.codegen.__main__",
+        "repro.parallel.check",
+        "repro.parallel.__main__",
+        "repro.resilience.check",
+        "repro.resilience.__main__",
+    )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
     def test_removed_names_are_absent(self, module_name):
@@ -197,6 +219,37 @@ class TestRemovedSurface:
         for name in self.REMOVED[module_name]:
             assert not hasattr(module, name), f"{module_name}.{name} is back"
             assert name not in getattr(module, "__all__", ())
+
+    @pytest.mark.parametrize("module_name", REMOVED_MODULES)
+    def test_removed_modules_are_absent(self, module_name):
+        import importlib.util
+
+        assert importlib.util.find_spec(module_name) is None
+
+    def test_serving_modules_carry_no_harness_imports(self):
+        import repro.serve.frontend
+        import repro.serve.overload
+
+        for module in (repro.serve.frontend, repro.serve.overload):
+            source = inspect.getsource(module)
+            for needle in ("argparse", "FaultPlan", "FaultSpec", "apps.registry"):
+                assert needle not in source, f"{module.__name__} mentions {needle}"
+
+    def test_importing_codegen_imports_no_harness(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.codegen; "
+            "print([m for m in sys.modules if m.startswith('repro.') and "
+            "m.rsplit('.', 1)[-1] in ('check', 'conformance')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert done.stdout.strip() == "[]", done.stdout + done.stderr
 
     def test_launch_and_session_take_options_only(self):
         from repro.serve import ApproxSession

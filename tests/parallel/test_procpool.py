@@ -8,6 +8,10 @@ at spawn (fork), so every test that sets it shuts the pool down first.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -186,6 +190,69 @@ class TestPoolLifecycle:
         args2 = _square_args(seed=11)
         launch(zoo.square_map, grid, args2, options=PROC)
         assert np.array_equal(args2[0], serial[0])
+
+
+#: One launch sequence per mode, each forking a worker *after* the
+#: parent's resource tracker exists.  Such a worker shares that tracker,
+#: so anything it unregisters is the parent's own registration — and the
+#: parent's later unlink makes the tracker print a KeyError traceback.
+TRACKER_CHILD = textwrap.dedent(
+    """
+    import copy, sys
+    import repro
+    from repro.apps.registry import make_app
+    from repro.parallel import shutdown_process_pool
+
+    mode = sys.argv[1]
+    if mode == "tracker_first":  # a host program that touched shm first
+        from multiprocessing import resource_tracker
+        resource_tracker.ensure_running()
+    app = make_app("gamma", seed=0)
+    inputs = app.generate_inputs()
+    with repro.options(backend="codegen"):
+        serial, _trace = app.run_exact(copy.deepcopy(inputs))
+
+    def launch(workers):
+        with repro.options(
+            backend="codegen", parallel=workers, executor="process",
+            min_shard_threads=1,
+        ):
+            out, _trace = app.run_exact(copy.deepcopy(inputs))
+        assert out.dtype == serial.dtype and out.tobytes() == serial.tobytes()
+
+    if mode == "grow":
+        for workers in (2, 3, 2):
+            launch(workers)
+    elif mode == "restart":
+        launch(2)
+        shutdown_process_pool()
+        launch(2)
+    else:
+        launch(2)
+    shutdown_process_pool()
+    print("BIT-EXACT")
+    """
+)
+
+
+class TestResourceTracker:
+    @pytest.mark.parametrize("mode", ["grow", "restart", "tracker_first"])
+    def test_late_forked_workers_leave_the_tracker_clean(self, mode):
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        )
+        existing = os.environ.get("PYTHONPATH")
+        env = dict(
+            os.environ,
+            PYTHONPATH=src + (os.pathsep + existing if existing else ""),
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", TRACKER_CHILD, mode],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "BIT-EXACT"
+        assert child.stderr == ""
 
 
 class TestObservability:

@@ -5,6 +5,8 @@ zoo coverage: if a kernel exercises a semantics corner for codegen, the
 same corner must survive sharding.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ import kernel_zoo as zoo
 import repro
 from repro import LaunchOptions
 from repro.engine import Grid, launch
+from repro.conformance import Cell, check, kernel_subject, run_cell
 from repro.errors import ExecutionError
 from repro.parallel import procpool, shutdown_process_pool
-from repro.parallel.check import diff_kernel_sharded
 from repro.parallel.pool import ParallelPolicy
 from repro.parallel.shard import STATS, plan_shards
 from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
@@ -23,6 +25,16 @@ from repro.resilience.faults import FAULT_CLASSES, FaultPlan, FaultSpec, use_fau
 
 def _codegen(parallel=None):
     return LaunchOptions(backend="codegen", parallel=parallel)
+
+
+SERIAL = Cell(backend="codegen")
+
+
+def _sharded_vs_serial(kernel, grid, args, **lane):
+    """The ``exact`` check with serial codegen as the reference: only the
+    sharding lane differs between the two runs."""
+    subject = kernel_subject(kernel, grid, args)
+    return check(subject, replace(SERIAL, **lane), reference=run_cell(subject, SERIAL))
 
 
 class TestPlanShards:
@@ -144,8 +156,8 @@ SHARDABLE_CASES = {
 def test_sharded_bit_exact(name, workers):
     kernel, grid, args = SHARDABLE_CASES[name](1000)
     before = STATS.sharded_launches
-    result = diff_kernel_sharded(kernel, grid, args, workers=workers)
-    assert result.ok, result.describe()
+    result = _sharded_vs_serial(kernel, grid, args, workers=workers)
+    assert result.status == "ok", result.describe()
     assert STATS.sharded_launches == before + 1, (
         f"{name} should actually have sharded"
     )
@@ -154,7 +166,6 @@ def test_sharded_bit_exact(name, workers):
 # One shard body, one assembly and one fallback serve every lane, so the
 # same differential must hold on each.  tile_scale2d's writes are not
 # provably disjoint; square_map's are.
-FAST_GUARD = GuardPolicy(retries=1, backoff_seconds=0.0, deadline_seconds=5.0)
 
 
 @pytest.fixture
@@ -168,8 +179,8 @@ def _process_pool():
     "name,ambient,snapshot,counter",
     [
         # a guarded thread launch never writes in place, disjoint or not
-        ("square_map", dict(guard=FAST_GUARD), STATS.snapshot, "overlay"),
-        ("tile_scale2d", dict(guard=FAST_GUARD), STATS.snapshot, "overlay"),
+        ("square_map", dict(guard=True), STATS.snapshot, "overlay"),
+        ("tile_scale2d", dict(guard=True), STATS.snapshot, "overlay"),
         ("square_map", dict(executor="process"), procpool.stats_snapshot, "direct"),
         ("tile_scale2d", dict(executor="process"), procpool.stats_snapshot, "diff"),
     ],
@@ -179,9 +190,8 @@ def test_sharded_bit_exact_on_every_lane(
 ):
     kernel, grid, args = SHARDABLE_CASES[name](1000)
     before = snapshot()
-    with repro.options(**ambient):
-        result = diff_kernel_sharded(kernel, grid, args, workers=2)
-    assert result.ok, result.describe()
+    result = _sharded_vs_serial(kernel, grid, args, workers=2, **ambient)
+    assert result.status == "ok", result.describe()
     assert snapshot()[counter] == before[counter] + 1
 
 
@@ -193,9 +203,9 @@ def test_serial_reexecution_after_worker_crash_is_bit_exact(name):
     kernel, grid, args = SHARDABLE_CASES[name](1000)
     plan = FaultPlan([FaultSpec(site, mode="exception")])
     before = guard_stats()["serial_reexecutions"]
-    with use_faults(plan), repro.options(guard=FAST_GUARD):
-        result = diff_kernel_sharded(kernel, grid, args, workers=2)
-    assert result.ok, result.describe()
+    with use_faults(plan):
+        result = _sharded_vs_serial(kernel, grid, args, workers=2, guard=True)
+    assert result.status == "ok", result.describe()
     assert plan.total_fired() > 0
     assert guard_stats()["serial_reexecutions"] == before + 1
 

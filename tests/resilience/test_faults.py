@@ -163,9 +163,8 @@ class TestRandomPlan:
 
         # Every injectable-failure site has a chaos class.  The overload
         # seam is the one exception: it feeds a synthetic pressure signal
-        # to the serving front-end (its drill is
-        # ``python -m repro.serve.overload --drill``), it never fires in
-        # the guarded-ladder chaos harness.
+        # to the serving front-end (the conformance ``floor`` contract
+        # ramps it), it never fires in the guarded-ladder fault cells.
         assert {site for site, _modes in FAULT_CLASSES.values()} == set(
             SITES
         ) - {SITE_OVERLOAD}

@@ -3,7 +3,7 @@
 The controller is tested against a fake clock (no sleeps), the
 degradation ladder against hand-built tuning profiles, and the front-end
 integration against a fake session — the full real-session path is the
-saturation drill (``python -m repro.serve.overload --drill``).
+``floor`` contract (``python -m repro.conformance --contract floor``).
 """
 
 import threading
