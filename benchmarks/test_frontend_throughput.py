@@ -1,6 +1,6 @@
 """Wall-clock checks for the serving front-end and the process executor.
 
-Two claims from the serving tier are asserted here:
+Three claims from the serving tier are asserted here:
 
 * **Process beats threads on GIL-bound kernels** — a compiled kernel
   dominated by a long Python-level uniform loop over small vectors holds
@@ -10,16 +10,21 @@ Two claims from the serving tier are asserted here:
 * **Fault-free front-end overhead** — queue + future + dispatcher hand-off
   must cost at most ``REPRO_FRONTEND_MAX_OVERHEAD`` (default 5%) over
   calling :func:`repro.launch` directly.  Runs everywhere.
+* **A quality check costs one exact launch** — a sampled session launch
+  stays within 1.5x a served plus an exact launch on the smallest grids.
+  Runs everywhere.
 """
 
 import os
 import time
+from statistics import median
 
 import numpy as np
 import pytest
 
 import kernel_zoo as zoo
-from repro import LaunchOptions
+from repro import ApproxSession, LaunchOptions, MonitorConfig
+from repro.apps import make_app
 from repro.engine import Grid, launch
 from repro.parallel import host_worker_count, shutdown_process_pool
 from repro.serve import ServeFrontend
@@ -160,4 +165,68 @@ def test_fault_free_frontend_overhead_is_bounded():
     assert overhead <= MAX_OVERHEAD, (
         f"front-end overhead {overhead * 100:.1f}% exceeds "
         f"{MAX_OVERHEAD * 100:.0f}% (override with REPRO_FRONTEND_MAX_OVERHEAD)"
+    )
+
+
+# Smallest grids the serving apps make (what `python3 -m bench` calls the
+# small workloads): the stack above the kernel is most of a request here.
+CHECKED_APPS = {"blackscholes": 0.0005, "gaussian": 0.01}
+CHECK_LAUNCHES = 61
+
+
+@pytest.mark.parametrize("name", list(CHECKED_APPS))
+def test_checked_launch_costs_a_served_plus_an_exact_launch(name):
+    """A quality check is one exact run at the session's own speed.
+
+    Median ``launch`` time with every launch sampled must stay within
+    1.5x (served launch + ``launch(variant="exact")``) — what is left
+    over is the input fingerprint and the metric pass.  While the check
+    ran on the trace-recording interpreter by accident it was ~2x.
+    """
+    options = LaunchOptions(backend="codegen")
+
+    def warm_session(sample_every):
+        app = make_app(name, scale=CHECKED_APPS[name])
+        session = ApproxSession(
+            app,
+            target_quality=0.9,
+            monitor=MonitorConfig(sample_every=sample_every),
+            options=options,
+        )
+        session.tune()
+        assert session.current_variant != "exact"
+        for seed in (10**6, 10**6 + 1):  # compile the variant and the exact kernel
+            session.launch(app.generate_inputs(seed=seed))
+            session.launch(app.generate_inputs(seed=seed), variant="exact")
+        return session
+
+    def timed(session, inputs, **kwargs) -> float:
+        started = time.perf_counter()
+        session.launch(inputs, **kwargs)
+        return time.perf_counter() - started
+
+    unsampled = warm_session(sample_every=10**9)
+    sampled = warm_session(sample_every=1)
+    # The three kinds of launch take turns on fresh inputs (every check is
+    # a golden-cache miss), so a slow spell of the host lands on all of them.
+    times = {"served": [], "exact": [], "checked": []}
+    for seed in range(CHECK_LAUNCHES):
+        inputs = unsampled.app.generate_inputs(seed=seed)
+        times["served"].append(timed(unsampled, inputs))
+        times["exact"].append(timed(unsampled, inputs, variant="exact"))
+        times["checked"].append(timed(sampled, inputs))
+    served, exact, checked = (median(times[k]) for k in ("served", "exact", "checked"))
+    assert sampled.metrics.sampled_checks >= CHECK_LAUNCHES
+
+    ratio = checked / (served + exact)
+    print(
+        f"\n{name}: served {served * 1e3:.2f} ms, exact {exact * 1e3:.2f} ms, "
+        f"checked {checked * 1e3:.2f} ms = {ratio:.2f}x (served + exact)"
+    )
+    from conftest import write_bench_summary
+
+    write_bench_summary("frontend_throughput", **{f"check_ratio_{name}": ratio})
+    assert ratio <= 1.5, (
+        f"{name}: a sampled launch costs {ratio:.2f}x a served plus an exact "
+        "launch; the check should be one compiled exact run, a hash and a metric"
     )

@@ -96,7 +96,7 @@ def main() -> None:
         print(
             f"monitoring     : {snapshot['sampled_checks']} checks over "
             f"{snapshot['launches']} launches "
-            f"({snapshot['sampling_overhead']:.0%} overhead), "
+            f"({snapshot['sampling_overhead']:.0%} of launch wall time), "
             f"{snapshot['toq_violations']} TOQ violations"
         )
         print("transitions    :")

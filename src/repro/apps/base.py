@@ -85,12 +85,15 @@ class Application(abc.ABC):
     #: the same input set it just launched, so a tiny cache suffices).
     GOLDEN_CACHE_SIZE = 8
 
-    def golden_output(self, inputs) -> np.ndarray:
+    def golden_output(self, inputs, run_exact=None) -> np.ndarray:
         """The exact program's output for ``inputs``, cached by content.
 
         A quality monitor checks sampled launches against the exact output
         of the *same* inputs; caching by input fingerprint makes repeated
-        checks on one input set cost a single exact execution.
+        checks on one input set cost a single exact execution.  A miss
+        calls ``run_exact(inputs)`` — by default :meth:`run_exact` under
+        the caller's ambient options; a session passes its own runner so
+        the check never depends on whatever scope happens to be active.
         """
         cache = getattr(self, "_golden_cache", None)
         if cache is None:
@@ -99,14 +102,14 @@ class Application(abc.ABC):
         if key not in cache:
             if len(cache) >= self.GOLDEN_CACHE_SIZE:
                 cache.pop(next(iter(cache)))
-            out, _trace = self.run_exact(inputs)
+            out, _trace = (run_exact or self.run_exact)(inputs)
             cache[key] = np.array(out, copy=True)
         return cache[key]
 
-    def evaluate(self, output, inputs) -> float:
+    def evaluate(self, output, inputs, run_exact=None) -> float:
         """Quality of ``output`` against the golden output for ``inputs`` —
         the cheap evaluator the serving monitor calls on sampled launches."""
-        return self.quality(output, self.golden_output(inputs))
+        return self.quality(output, self.golden_output(inputs, run_exact))
 
     @property
     def name(self) -> str:

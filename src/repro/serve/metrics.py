@@ -50,7 +50,8 @@ class LaunchRecord:
     faults: List[str] = field(default_factory=list)  # "rung:site" per containment
     launch_id: int = -1  # session-monotonic correlation id
     trace_id: Optional[str] = None  # obs trace id (None while tracing is off)
-    duration: float = 0.0  # wall seconds of the served launch
+    duration: float = 0.0  # wall seconds of the launch, its check included
+    sample_seconds: float = 0.0  # wall seconds of the quality check (0 = unsampled)
 
 
 @dataclass
@@ -112,6 +113,9 @@ class SessionMetrics:
             "compile_seconds", "wall time in session compiles"
         )
         self._tune_seconds = counter("tune_seconds", "wall time in session tunes")
+        self._sample_seconds = counter(
+            "sample_seconds", "wall time in sampled quality checks"
+        )
         self._fallback_launches = counter(
             "fallback_launches_total", "launches served below the primary rung"
         )
@@ -206,6 +210,7 @@ class SessionMetrics:
             ).inc(count)
         if record.sampled:
             self._sampled.inc()
+            self._sample_seconds.inc(record.sample_seconds)
         if record.reason == "toq_violation":
             self._toq_violations.inc()
         if record.reason == "drift":
@@ -371,9 +376,10 @@ class SessionMetrics:
 
     @property
     def sampling_overhead(self) -> float:
-        """Fraction of launches that also paid an exact execution."""
-        launches = self.launches
-        return self.sampled_checks / launches if launches else 0.0
+        """Share of launch wall time spent in quality checks (their count
+        is :attr:`sampled_checks`)."""
+        _buckets, _counts, total, _n = self._launch_seconds.raw_counts()
+        return self._sample_seconds.value / total if total else 0.0
 
     def snapshot(self) -> dict:
         """The JSON-serialisable state a metrics endpoint would return.
@@ -456,6 +462,7 @@ class SessionMetrics:
             "timings": {
                 "compile_seconds": self.compile_seconds,
                 "tune_seconds": self.tune_seconds,
+                "sample_seconds": self._sample_seconds.value,
             },
             "transitions": [asdict(t) for t in self.transitions],
             "recent_launches": [asdict(r) for r in recent],

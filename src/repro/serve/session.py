@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from .._options import LaunchOptions, current_options, options as options_scope
@@ -80,8 +80,10 @@ class ApproxSession:
             third layer of the precedence chain.  At launch time an
             active :func:`repro.options` scope overrides these, and
             these override the config knobs (``backend``,
-            ``parallel_workers``, ``executor``).  Tuning always
-            interprets — its cost model needs instruction traces.
+            ``parallel_workers``, ``executor``).  They govern every
+            launch the session makes, the sampled quality check
+            included; only tuning always interprets — its cost model
+            needs instruction traces.
         guard: guarded-launch policy (retries, deadline, output
             validation); defaults to ``GuardPolicy()``.  Pass
             ``GuardPolicy(enabled=False)`` for the raw unguarded path.
@@ -428,9 +430,19 @@ class ApproxSession:
             served_primary = report.primary_ok
             if self.monitor.should_sample(index) and served_primary:
                 record.sampled = True
+                check_started = time.perf_counter()
+                # The check runs the exact program the way this launch's
+                # exact rungs would: same backend, workers and guard.
                 quality = self._evaluate_quality(
-                    out, inputs, serving_variant, record
+                    out,
+                    inputs,
+                    serving_variant,
+                    record,
+                    replace(
+                        ambient, backend=backend, parallel=workers, guard=self.guard
+                    ),
                 )
+                record.sample_seconds = time.perf_counter() - check_started
                 if quality is not None:
                     record.quality = quality
                     # Overridden (browned-out) launches are *expected*
@@ -508,21 +520,48 @@ class ApproxSession:
                 pass
         return None
 
-    def _evaluate_quality(self, out, inputs, variant, record) -> Optional[float]:
+    def _evaluate_quality(
+        self, out, inputs, variant, record, scope: LaunchOptions
+    ) -> Optional[float]:
         """Sampled-quality evaluation with fault containment.
 
-        A crash inside the evaluator (it runs the exact program and the
-        app's metric — real code that can really fail) must not take the
-        serving path down; the sample is skipped and counted as a fault.
+        On a golden-cache miss the exact program runs under ``scope`` —
+        the options this launch served under, so a check costs what
+        ``launch(variant="exact")`` costs — and, if that run raises,
+        once more on the serial interpreter, the reference everywhere
+        else in the stack.  A crash past that (or in the app's metric —
+        real code that can really fail) must not take the serving path
+        down; the sample is skipped and counted as a fault.
         """
         with obs_trace.span(
-            "serve.quality_check", app=self.app.name, variant=record.variant
+            "serve.quality_check",
+            app=self.app.name,
+            variant=record.variant,
+            backend=scope.backend,
+            golden="hit",  # no exact run needed, unless run_exact says so
         ) as check_span:
+
+            def run_exact(fresh):
+                check_span.set(golden="miss")
+                try:
+                    with options_scope(scope):
+                        result = self.app.run_exact(fresh)
+                        flush_fusion()
+                    return result
+                except Exception as exc:
+                    check_span.set(fallback=type(exc).__name__)
+                    try:
+                        flush_fusion()
+                    except Exception:
+                        pass  # the failed run's deferral dies with it
+                    with options_scope(backend="interp", parallel=1):
+                        return self.app.run_exact(fresh)
+
             try:
                 maybe_inject(SITE_QUALITY, self.app.name)
-                quality = (
-                    1.0 if variant is None else self.app.evaluate(out, inputs)
-                )
+                quality = 1.0  # serving the exact program: nothing to compare
+                if variant is not None:
+                    quality = self.app.evaluate(out, inputs, run_exact)
                 check_span.set(quality=quality)
                 return quality
             except Exception as exc:

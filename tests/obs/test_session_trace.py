@@ -100,6 +100,21 @@ class TestServedTrace:
             assert sample["trace_id"] == trace_by_launch[sample["launch_id"]]
             assert sample["session"] == self.session.metrics.label
 
+    def test_quality_check_span_says_what_ran_the_golden(self):
+        checks = [s for s in self.spans if s["name"] == "serve.quality_check"]
+        assert len(checks) == 3
+        forest = build_trees(self.spans)
+        for check in checks:
+            # Fresh inputs every launch: each check ran the exact program,
+            # on the session's backend, with no interpreter fallback.
+            assert check["attrs"]["backend"] == "codegen"
+            assert check["attrs"]["golden"] == "miss"
+            assert "fallback" not in check["attrs"]
+        (root,) = forest[checks[-1]["trace_id"]]
+        (node,) = [c for c in root["children"] if c["name"] == "serve.quality_check"]
+        ran = [s for s in self._flatten(node) if s["name"] == "engine.launch"]
+        assert [s["attrs"]["backend"] for s in ran] == ["codegen"]
+
     def test_trace_file_is_valid_jsonl(self):
         for record in self.spans + self.events:
             json.dumps(record)  # round-trippable

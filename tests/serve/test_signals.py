@@ -87,7 +87,12 @@ class TestHandlerBookkeeping:
     def test_drain_closes_tracked_frontends(self):
         frontend = ServeFrontend(batch_window_s=0.001)
         assert frontend in signals.live_frontends()
-        signals.drain(timeout=5.0)
-        assert frontend._closed
-        # Draining a process with only closed front-ends is a no-op.
-        signals.drain(timeout=5.0)
+        try:
+            signals.drain(timeout=5.0)
+            assert frontend._closed
+            # Draining a process with only closed front-ends is a no-op.
+            signals.drain(timeout=5.0)
+        finally:
+            # The flag is process-global: /readyz of every later test
+            # in this process reads it.
+            signals.reset_draining()
