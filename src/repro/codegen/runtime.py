@@ -1,13 +1,19 @@
 """Runtime support library for generated kernel code.
 
-Every helper here is the extraction of one code path of
-:class:`repro.engine.interpreter._Execution` into a free function, so the
-generated source and the interpreter share semantics *by construction*:
-masked assignment merging, lane liveness under divergent ``return``,
-bounds checking on live lanes only, index clamping, C-style integer
-division, and the exact scalar/array casting rules.  The ``exact``
-contract of :mod:`repro.conformance` then verifies the equivalence
-bit-for-bit on every app kernel.
+Most helpers here are the extraction of one code path of
+:class:`repro.engine.interpreter._Execution` into a free function: masked
+assignment merging, lane liveness under divergent ``return``, and the
+exact scalar/array casting rules are the interpreter's *by construction*.
+
+Memory access and integer division are not.  :func:`resolve_index` and
+:func:`_c_div64` decide with one reduction whether the interpreter's
+check-then-clamp (``_flatten_index`` / ``_check_bounds``) or sign fix-up
+(``_c_divide`` / ``_c_mod``) could change anything, and skip it when it
+could not: they share its semantics *by test*
+(``tests/codegen/test_runtime_access.py``).  The interpreter is the
+reference — the ``exact`` contract and the benchmark's verification
+compare compiled kernels against it — and was deliberately left alone,
+so that it stays an independent implementation of what they must preserve.
 
 Generated modules receive this module under the name ``rt``.
 """
@@ -113,20 +119,32 @@ def lnot(value):
     return not value
 
 
-def c_divide_int(a, b):
-    """C truncation-toward-zero integer division (``_c_divide``)."""
+def _c_div64(a, b):
+    """``(a64, b64, a / b truncated toward zero)``: the quotient step of
+    :func:`c_divide_int` and :func:`c_mod_int`.
+
+    Under a positive scalar divisor and a dividend with no negative lane
+    (``gid / w``, ``t % 16``: thread ids over positive extents) the floor
+    quotient *is* the truncating one and the fix-up passes are skipped;
+    anything else takes ``_c_divide``'s fix-up unchanged."""
     a64 = np.asarray(a, dtype=np.int64)
     b64 = np.asarray(b, dtype=np.int64)
     q = np.floor_divide(a64, b64)
-    r = a64 - q * b64
-    fix = (r != 0) & ((a64 < 0) != (b64 < 0))
-    return q + fix
+    if b64.ndim or b64 <= 0 or not a64.size or a64.min() < 0:
+        r = a64 - q * b64
+        q = q + ((r != 0) & ((a64 < 0) != (b64 < 0)))
+    return a64, b64, q
+
+
+def c_divide_int(a, b):
+    """C truncation-toward-zero integer division (``_c_divide``)."""
+    return _c_div64(a, b)[2]
 
 
 def c_mod_int(a, b):
     """C remainder, sign follows the dividend (``_c_mod``)."""
-    q = c_divide_int(a, b)
-    return np.asarray(a, dtype=np.int64) - q * np.asarray(b, dtype=np.int64)
+    a64, b64, q = _c_div64(a, b)
+    return a64 - q * b64
 
 
 # keep the float paths importable for completeness / tests
@@ -152,19 +170,53 @@ def check_bounds(idx_arr, size, live, fname: str, aname: str) -> None:
         )
 
 
-def load_global(buf, idx, live, bc: bool, fname: str, aname: str):
-    """``array[index]`` on a flat global/constant buffer (``_eval_load``)."""
+#: Same-width unsigned twin of each index dtype the IR has (i32, u32, i64;
+#: a Python int arrives as int64).  Reinterpreting a signed index as
+#: unsigned (zero-copy) turns "negative" into "huge", so one ``max()``
+#: decides ``0 <= idx < size`` for every lane at once.
+_UNSIGNED = {
+    np.dtype(np.int32): np.uint32,
+    np.dtype(np.uint32): np.uint32,
+    np.dtype(np.int64): np.uint64,
+}
+
+
+def resolve_index(idx, size, live, bc: bool, fname: str, aname: str):
+    """The in-range index array every memory helper gathers/scatters with
+    (``_flatten_index``: check live lanes, then clamp).
+
+    Common case, one reduction and no allocation: if the largest index,
+    read as unsigned, is below ``size`` then *every* lane — live or
+    predicated off — is in range, so the live-lane check would pass and
+    the clamp would be the identity; the index is returned as given.
+    Anything that test cannot decide (a dead stencil-border lane at
+    ``-1``, a genuinely bad index, an empty or non-integer index, an
+    empty buffer) takes the interpreter's path: check, then clamp.
+    """
     idx_arr = np.asarray(idx)
+    unsigned = _UNSIGNED.get(idx_arr.dtype)
+    if unsigned is not None and idx_arr.size and idx_arr.view(unsigned).max() < size:
+        return idx_arr
     if bc:
-        check_bounds(idx_arr, buf.size, live, fname, aname)
-    return buf[np.clip(idx_arr, 0, max(buf.size - 1, 0))]
+        check_bounds(idx_arr, size, live, fname, aname)
+    return np.clip(idx_arr, 0, max(size - 1, 0))
+
+
+def load_global(buf, idx, live, bc: bool, fname: str, aname: str):
+    """``array[index]`` on a flat global/constant buffer (``_eval_load``).
+
+    ``take``, not ``buf[...]``: the same elements, but fancy indexing walks
+    an int32 index — what ``i32`` arithmetic produces — through a generic
+    casting path at 2-3x the cost on the grids served here."""
+    return buf.take(resolve_index(idx, buf.size, live, bc, fname, aname))
 
 
 def load_table(buf, idx, entries, live, bc: bool, fname: str, aname: str):
     """Gather from a lookup table whose index the v2 lowering *proved* to
     lie in ``[0, entries - 1]`` (interval analysis over the memoization
-    rewrite's clamp/pack idioms).  The clamp and the live-lane bounds scan
-    of :func:`load_global` are skipped — ``take`` is a straight gather.
+    rewrite's clamp/pack idioms).  Where :func:`resolve_index` tests the
+    range at run time, here it is a compile-time fact — ``take`` is a
+    straight gather.
 
     The proof is about the IR; the buffer is a runtime argument, so a
     caller binding a table smaller than the proof assumed falls back to
@@ -174,31 +226,25 @@ def load_table(buf, idx, entries, live, bc: bool, fname: str, aname: str):
     return buf.take(idx)
 
 
+def _shared_index(size, idx, bids, live, bc: bool, fname: str, aname: str):
+    """Per-block flattening ``b*size + i`` of a resolved shared index."""
+    return bids * np.int64(size) + resolve_index(idx, size, live, bc, fname, aname)
+
+
 def load_shared(buf, size, idx, bids, live, bc: bool, fname: str, aname: str):
-    """``shared[index]``: per-block flattening ``b*size + i``."""
-    idx_arr = np.asarray(idx)
-    if bc:
-        check_bounds(idx_arr, size, live, fname, aname)
-    idx_arr = np.clip(idx_arr, 0, size - 1)
-    return buf[bids * np.int64(size) + idx_arr]
+    """``shared[index]``."""
+    return buf.take(_shared_index(size, idx, bids, live, bc, fname, aname))
 
 
 def store_global(buf, idx, value, live, T: int, bc: bool, fname: str, aname: str):
-    idx_arr = np.asarray(idx)
-    if bc:
-        check_bounds(idx_arr, buf.size, live, fname, aname)
-    flat_idx = np.clip(idx_arr, 0, max(buf.size - 1, 0))
+    flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
     _masked_store(buf, flat_idx, value, live, T)
 
 
 def store_shared(
     buf, size, idx, value, bids, live, T: int, bc: bool, fname: str, aname: str
 ):
-    idx_arr = np.asarray(idx)
-    if bc:
-        check_bounds(idx_arr, size, live, fname, aname)
-    idx_arr = np.clip(idx_arr, 0, size - 1)
-    flat_idx = bids * np.int64(size) + idx_arr
+    flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
     _masked_store(buf, flat_idx, value, live, T)
 
 
@@ -226,21 +272,14 @@ _ATOMIC_UFUNCS = {
 def atomic_global(
     buf, idx, value, live, T: int, op: str, bc: bool, fname: str, aname: str
 ):
-    idx_arr = np.asarray(idx)
-    if bc:
-        check_bounds(idx_arr, buf.size, live, fname, aname)
-    flat_idx = np.clip(idx_arr, 0, max(buf.size - 1, 0))
+    flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
     _masked_atomic(buf, flat_idx, value, live, T, op)
 
 
 def atomic_shared(
     buf, size, idx, value, bids, live, T: int, op: str, bc: bool, fname: str, aname: str
 ):
-    idx_arr = np.asarray(idx)
-    if bc:
-        check_bounds(idx_arr, size, live, fname, aname)
-    idx_arr = np.clip(idx_arr, 0, size - 1)
-    flat_idx = bids * np.int64(size) + idx_arr
+    flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
     _masked_atomic(buf, flat_idx, value, live, T, op)
 
 

@@ -5,7 +5,8 @@ Parametrized over every registered application (its whole fault-free
 row of conformance cells) plus zoo kernels covering
 the semantics corners: divergent control flow with early returns, device
 functions with multiple returns, 2-D grids, shared memory + barriers,
-atomics, and uniform loops.
+atomics, uniform loops, and both branches of the compiled kernels' index
+resolution (all lanes in range; dead lanes outside the array).
 """
 
 import numpy as np
@@ -13,7 +14,14 @@ import pytest
 
 import kernel_zoo as zoo
 from repro.apps.registry import APP_CLASSES, make_app
-from repro.conformance import Cell, check, compare, kernel_subject, sweep_pipeline
+from repro.conformance import (
+    Cell,
+    check,
+    compare,
+    kernel_subject,
+    run_cell,
+    sweep_pipeline,
+)
 from repro.engine import Grid
 
 
@@ -118,6 +126,8 @@ ZOO_CASES = {
             n,
         ],
     ),
+    # both outcomes of the compiled kernels' index resolution, + int64 indices
+    **zoo.ACCESS_CASES,
 }
 
 
@@ -126,6 +136,16 @@ def test_zoo_kernel_bit_exact_across_backends(name):
     kernel, grid, args = ZOO_CASES[name](1000)
     result = check(kernel_subject(kernel, grid, args), Cell(backend="codegen"))
     assert result.status == "ok", result.describe()
+
+
+def test_live_out_of_range_lane_raises_the_same_text_on_both_backends():
+    """``border_stencil`` minus its predicate: the index that merely clamps
+    there must raise here, and the compiled kernel must say what the
+    interpreter says."""
+    subject = kernel_subject(*zoo.border_case(zoo.border_stencil_unguarded, 1024))
+    interp = run_cell(subject, Cell(backend="interp")).error
+    assert "index into 'x' out of range [-1, 1022] vs size 1024" in interp
+    assert run_cell(subject, Cell(backend="codegen")).error == interp
 
 
 def test_diff_kernel_reports_divergence_readably():

@@ -7,6 +7,7 @@ being defined inline in tests.
 
 import numpy as np
 
+from repro.engine import Grid
 from repro.kernel import kernel, device
 from repro.kernel.dsl import *  # noqa: F401,F403
 
@@ -225,3 +226,97 @@ def tile_scale2d(out: array_f32, img: array_f32, w: i32, h: i32, gain: f32):
     y = global_id_y()
     if (x < w) and (y < h):
         out[y * w + x] = img[y * w + x] * gain
+
+
+# -- memory-access resolution (repro.codegen.runtime.resolve_index) ---------
+
+MM_TILE = 16
+
+
+@kernel
+def tiled_matmul(c: array_f32, a: array_f32, b: array_f32, n: i32, k: i32):
+    """SDK-style shared-memory tiled GEMM, ``C[m,n] = A[m,k] @ B[k,n]`` with
+    one 16x16 block per output tile: every lane of every access is in
+    range, so no access should ever need the check or the clamp."""
+    sh_a = shared(256, f32)
+    sh_b = shared(256, f32)
+    t = thread_id()
+    ty = t / MM_TILE
+    tx = t % MM_TILE
+    row = (block_id() / (n / MM_TILE)) * MM_TILE + ty
+    col = (block_id() % (n / MM_TILE)) * MM_TILE + tx
+    acc = 0.0
+    for tk in range(0, k / MM_TILE):
+        sh_a[ty * MM_TILE + tx] = a[row * k + (tk * MM_TILE + tx)]
+        sh_b[ty * MM_TILE + tx] = b[(tk * MM_TILE + ty) * n + col]
+        barrier()
+        for kk in range(0, MM_TILE):
+            acc += sh_a[ty * MM_TILE + kk] * sh_b[kk * MM_TILE + tx]
+        barrier()
+    c[row * n + col] = acc
+
+
+@kernel
+def border_stencil(out: array_f32, x: array_f32, n: i32):
+    """3-point stencil whose edge lanes index ``-1`` and ``n`` — under a
+    predicate that keeps them dead, so the access must clamp, not raise."""
+    i = global_id()
+    if (i > 0) and (i < n - 1):
+        out[i] = (x[i - 1] + x[i] + x[i + 1]) / 3.0
+    else:
+        if i < n:
+            out[i] = x[i]
+
+
+@kernel
+def border_stencil_unguarded(out: array_f32, x: array_f32, n: i32):
+    """:func:`border_stencil` without its predicate: lane 0 reads ``x[-1]``
+    live, which must raise the same error on every backend."""
+    i = global_id()
+    out[i] = (x[i - 1] + x[i] + x[i + 1]) / 3.0
+
+
+@kernel
+def transpose_i64(out: array_f32, x: array_f32, w: i64, h: i64):
+    """Indexes with int64 values straight out of integer ``/`` and ``%``
+    (an ``i64`` extent keeps the quotient 64-bit through the result cast)."""
+    gid = global_id()
+    y = gid / w
+    col = gid % w
+    if y < h:
+        out[col * h + y] = x[y * w + col]
+
+
+def _rand(n, seed):
+    return np.random.default_rng(seed).random(n, dtype=np.float32)
+
+
+def matmul_case(m, n, k):
+    tiles = (m // MM_TILE) * (n // MM_TILE)
+    return (
+        tiled_matmul,
+        Grid(tiles, MM_TILE * MM_TILE),
+        [np.zeros(m * n, np.float32), _rand(m * k, 9), _rand(k * n, 10), n, k],
+    )
+
+
+def border_case(kernel, n):
+    """``border_stencil`` or its unguarded twin over ``n`` elements."""
+    return kernel, Grid.for_elements(n), [np.zeros(n, np.float32), _rand(n, 11), n]
+
+
+#: Launch recipes ``n -> (kernel, grid, args)`` for the kernels above, shared
+#: by the codegen differential, the shard differential and the access-count
+#: guard.
+ACCESS_CASES = {
+    # shared-memory tiles, every index in range: no check, no clamp
+    "tiled_matmul": lambda n: matmul_case(32, 48, 64),
+    # dead edge lanes index -1 and n: check the live lanes, clamp the rest
+    "border_stencil": lambda n: border_case(border_stencil, n),
+    # int64 indices straight out of c_divide_int / c_mod_int
+    "transpose_i64": lambda n: (
+        transpose_i64,
+        Grid.for_elements(n),
+        [np.zeros(n, np.float32), _rand(n, 12), 40, n // 40],
+    ),
+}

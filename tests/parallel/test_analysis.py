@@ -23,6 +23,10 @@ EXPECTED = {
     "clamp_map": True,
     "divergent_return": True,
     "tile_scale2d": True,
+    "tiled_matmul": True,
+    "border_stencil": True,
+    "border_stencil_unguarded": True,  # it raises, in whichever shard
+    "transpose_i64": True,
 }
 
 

@@ -148,6 +148,10 @@ SHARDABLE_CASES = {
         Grid.for_elements(n),
         [np.zeros(n, np.float32), _rand(n), n],
     ),
+    # The compiled kernels' index resolution reads each shard's *slice* of
+    # the parent's id arrays (reinterpreted as unsigned): all in range,
+    # dead lanes outside, and int64 indices.
+    **zoo.ACCESS_CASES,
 }
 
 
@@ -183,6 +187,11 @@ def _process_pool():
         ("tile_scale2d", dict(guard=True), STATS.snapshot, "overlay"),
         ("square_map", dict(executor="process"), procpool.stats_snapshot, "direct"),
         ("tile_scale2d", dict(executor="process"), procpool.stats_snapshot, "diff"),
+        ("tiled_matmul", dict(guard=True), STATS.snapshot, "overlay"),
+        ("tiled_matmul", dict(executor="process"), procpool.stats_snapshot, "diff"),
+        ("border_stencil", dict(guard=True), STATS.snapshot, "overlay"),
+        ("border_stencil", dict(executor="process"), procpool.stats_snapshot, "direct"),
+        ("transpose_i64", dict(executor="process"), procpool.stats_snapshot, "diff"),
     ],
 )
 def test_sharded_bit_exact_on_every_lane(
@@ -330,6 +339,17 @@ class TestAssemblyModes:
 
 
 class TestErrorPropagation:
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_live_border_lane_raises_in_the_shard_that_owns_it(
+        self, executor, _process_pool
+    ):
+        """Shard 0 holds lane 0 (``x[-1]``, live): the launch raises, and
+        the range it reports is the one over that shard's slice of the ids."""
+        subject = kernel_subject(*zoo.border_case(zoo.border_stencil_unguarded, 1024))
+        error = run_cell(subject, replace(SERIAL, workers=2, executor=executor)).error
+        assert "ExecutionError" in error
+        assert "index into 'x' out of range [-1, 510] vs size 1024" in error
+
     def test_bounds_violation_raises_under_sharding(self):
         n = 4096
         out = np.zeros(n // 2, np.float32)  # too small: threads n//2..n-1 OOB
