@@ -28,10 +28,9 @@ class ApproxMeta:
     from the IR:
 
     * :mod:`repro.codegen` keys its cache and fingerprint on the
-      ``(transform, knobs)`` tuple and switches the v2 lowering on for
-      tagged kernels (constant folding over the baked-in knob literals,
-      ``np.take`` gathers over lookup tables whose extent is proven by
-      ``tables``);
+      ``(transform, knobs)`` tuple and lowers loads from the lookup
+      tables named in ``tables`` as ``np.take`` gathers when it can prove
+      the index inside the recorded extent;
     * :meth:`VariantSet.describe` and the serving metrics surface the
       per-variant lowering outcome.
 
@@ -44,7 +43,7 @@ class ApproxMeta:
         knobs: the knob values baked into the IR, as a sorted
             ``(name, value)`` tuple (hashable, fingerprint-friendly).
         tables: ``(table param name, entry count)`` per lookup table the
-            kernel gained; the v2 lowering uses the entry count to prove
+            kernel gained; the lowering uses the entry count to prove
             gather indices in-range.
     """
 
@@ -212,9 +211,10 @@ class VariantSet:
     def describe(self, lowering: bool = True) -> str:
         """A human-readable table of the set: one line per variant with its
         pattern, knob values, and — unless ``lowering=False`` — the codegen
-        lowering outcome (``codegen-v2`` / ``codegen-v1`` / ``interpreter``
-        with the fallback reason), so silent ``backend="auto"`` fallbacks
-        are visible from ``repro.tools inspect``."""
+        lowering outcome (``codegen`` with what its specializations did, or
+        ``interpreter`` with the fallback reason), so silent
+        ``backend="auto"`` fallbacks are visible from ``repro.tools
+        inspect``."""
         header = f"VariantSet for kernel {self.kernel or '<pipeline>'!r}: " \
                  f"{len(self.variants)} variant(s)"
         lines = [header]
@@ -245,7 +245,7 @@ class VariantSet:
 
 def variant_lowering(variant) -> Tuple[str, str]:
     """Classify how one variant's kernel(s) will execute under the codegen
-    backend: ``("codegen-v2" | "codegen-v1" | "interpreter", detail)``.
+    backend: ``("codegen" | "interpreter", detail)``.
 
     Works for plain :class:`ApproxKernel` variants and for paired/pipeline
     variants that expose inner ``ApproxKernel`` attributes (e.g. the

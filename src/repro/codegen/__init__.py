@@ -33,7 +33,7 @@ from .cache import (
     stats_snapshot,
 )
 from .fingerprint import fingerprint_kernel
-from .lower import lower_kernel, lower_kernel_ex
+from .lower import lower_kernel
 
 __all__ = [
     "CodegenError",
@@ -45,5 +45,4 @@ __all__ = [
     "stats_snapshot",
     "fingerprint_kernel",
     "lower_kernel",
-    "lower_kernel_ex",
 ]

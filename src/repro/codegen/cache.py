@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import linecache
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..errors import CodegenError
@@ -20,7 +20,7 @@ from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
 from ..resilience.faults import SITE_COMPILE, maybe_inject
 from .fingerprint import fingerprint_kernel
-from .lower import lower_kernel_ex
+from .lower import lower_kernel
 from .runtime import geometry
 
 #: Registry field -> help text; each becomes ``repro_codegen_<field>``.
@@ -30,17 +30,10 @@ _FIELDS = {
     "compile_seconds": "wall time spent lowering and compiling",
     "source_bytes": "bytes of generated source",
     "fallbacks": "auto-mode launches that fell back to the interpreter",
-    "v2_compiles": "approx-specialized (v2) lowerings compiled",
-    "v2_folds": "constant subexpressions folded by v2 lowerings",
-    "v2_table_gathers": "lookup-table loads lowered as proven-in-range gathers",
-    "v2_cast_elisions": "identity result casts elided by v2 lowerings",
+    "folds": "constant subexpressions folded or reassociated at lowering",
+    "table_gathers": "lookup-table loads lowered as proven-in-range gathers",
+    "cast_elisions": "identity result casts elided at lowering",
 }
-
-
-def _lowering_mode(fn: ir.Function) -> str:
-    """Approx-tagged kernels take the specialized emitter, exact kernels
-    the exact one — decided by the kernel alone."""
-    return "v2" if getattr(fn, "approx", None) is not None else "v1"
 
 
 def _detail_string(info: Dict[str, int]) -> str:
@@ -67,9 +60,7 @@ class CompiledKernel:
     fingerprint: str
     grid_class: str
     bounds_check: bool
-    #: ``"codegen-v1"`` or ``"codegen-v2"`` — which lowering produced this.
-    lowering: str = "codegen-v1"
-    #: what the v2 lowering accomplished ("" for v1).
+    #: what the lowering's specializations accomplished.
     detail: str = ""
 
     def run(self, grid, bound_args: Dict[str, object]) -> None:
@@ -78,7 +69,7 @@ class CompiledKernel:
         self.entry(geo, *[bound_args[name] for name in self.param_names])
 
 
-_CACHE: Dict[Tuple[str, str, bool, str], CompiledKernel] = {}
+_CACHE: Dict[Tuple[str, str, bool], CompiledKernel] = {}
 
 
 def get_compiled(
@@ -91,8 +82,7 @@ def get_compiled(
     # so chaos runs can fault already-compiled kernels.
     maybe_inject(SITE_COMPILE, fn.name, exc=CodegenError)
     fp = fingerprint_kernel(fn, module)
-    mode = _lowering_mode(fn)
-    key = (fp, "2d" if grid.is_2d else "1d", bool(bounds_check), mode)
+    key = (fp, "2d" if grid.is_2d else "1d", bool(bounds_check))
     hit = _CACHE.get(key)
     if hit is not None:
         STATS.inc("cache_hits")
@@ -103,11 +93,9 @@ def get_compiled(
         return hit
     started = time.perf_counter()
     with obs_trace.span(
-        "codegen.compile", kernel=fn.name, cache="miss", grid_class=key[1], mode=mode
+        "codegen.compile", kernel=fn.name, cache="miss", grid_class=key[1]
     ):
-        source, exec_globals, entry_name, info = lower_kernel_ex(
-            fn, module, bounds_check, mode
-        )
+        source, exec_globals, entry_name, info = lower_kernel(fn, module, bounds_check)
         filename = f"<codegen:{fn.name}:{fp[:10]}>"
         try:
             code = compile(source, filename, "exec")
@@ -126,17 +114,14 @@ def get_compiled(
         fingerprint=fp,
         grid_class=key[1],
         bounds_check=key[2],
-        lowering="codegen-v2" if mode == "v2" else "codegen-v1",
-        detail=_detail_string(info) if mode == "v2" else "",
+        detail=_detail_string(info),
     )
     STATS.inc("compiles")
     STATS.inc("compile_seconds", time.perf_counter() - started)
     STATS.inc("source_bytes", len(source))
-    if mode == "v2":
-        STATS.inc("v2_compiles")
-        STATS.inc("v2_folds", info["folded"] + info["reassociated"])
-        STATS.inc("v2_table_gathers", info["table_gathers"])
-        STATS.inc("v2_cast_elisions", info["cast_elisions"])
+    STATS.inc("folds", info["folded"] + info["reassociated"])
+    STATS.inc("table_gathers", info["table_gathers"])
+    STATS.inc("cast_elisions", info["cast_elisions"])
     _CACHE[key] = compiled
     return compiled
 
@@ -149,7 +134,8 @@ _CLASSIFY_MEMO_MAX = 512
 
 def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
     """How this kernel will execute under the codegen backend:
-    ``("codegen-v2" | "codegen-v1" | "interpreter", detail)``.
+    ``("codegen" | "interpreter", detail)`` — the specialization summary,
+    or the reason lowering failed.
 
     Runs the actual lowering (without exec) so the answer can't drift
     from what a launch would do; results are memoized per (fn, module).
@@ -158,18 +144,12 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
     hit = _CLASSIFY_MEMO.get(key)
     if hit is not None and hit[0] is fn and hit[1] is module:
         return hit[2]
-    mode = _lowering_mode(fn)
     try:
-        _src, _globals, _entry, info = lower_kernel_ex(
-            fn, module, bounds_check=True, mode=mode
-        )
+        *_, info = lower_kernel(fn, module)
     except CodegenError as exc:
         result = ("interpreter", f"codegen fallback: {exc}")
     else:
-        if mode == "v2":
-            result = ("codegen-v2", _detail_string(info))
-        else:
-            result = ("codegen-v1", "exact lowering (no approx metadata)")
+        result = ("codegen", _detail_string(info))
     if len(_CLASSIFY_MEMO) >= _CLASSIFY_MEMO_MAX:
         _CLASSIFY_MEMO.pop(next(iter(_CLASSIFY_MEMO)))
     _CLASSIFY_MEMO[key] = (fn, module, result)

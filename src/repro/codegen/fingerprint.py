@@ -74,8 +74,8 @@ def _serialize_function(fn: ir.Function, out: List[str]) -> None:
     out.append(f"fn:{fn.name}:{fn.kind}")
     meta = getattr(fn, "approx", None)
     if meta is not None:
-        # The approx tag drives the v2 lowering (table extents, knob
-        # constants), so two IR-identical kernels with different tags must
+        # The approx tag feeds the lowering (table extents for proven
+        # gathers), so two IR-identical kernels with different tags must
         # not share compiled code.
         out.append(f"approx:{meta.transform}:{meta.knobs!r}:{meta.tables!r}")
     if fn.return_type is not None:

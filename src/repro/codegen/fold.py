@@ -1,4 +1,4 @@
-"""Compile-time IR optimizations for the v2 (approx-specialized) lowering.
+"""Compile-time IR optimizations applied by the lowering to every kernel.
 
 The approximation transforms bake their knob values into the IR as
 literals: quantization scales, clamp limits, shifted pack widths, tap
@@ -26,8 +26,8 @@ optimizations both possible and — because every rule below replays the
   and bounds check that :func:`~repro.codegen.runtime.load_global` pays.
 
 Nothing here is approximate: every rewrite preserves the interpreter's
-bit-exact semantics, which the ``variant`` contract re-verifies per
-variant (``python -m repro.conformance --contract variant``).
+bit-exact semantics, which the ``exact`` and ``variant`` contracts
+re-verify per kernel (``python -m repro.conformance``).
 """
 
 from __future__ import annotations

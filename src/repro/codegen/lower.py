@@ -123,19 +123,16 @@ class _Ctx:
 
 
 class _Emitter:
-    def __init__(self, module: ir.Module, bounds_check: bool, mode: str = "v1") -> None:
-        if mode not in ("v1", "v2"):
-            raise CodegenError(f"unknown lowering mode {mode!r}")
+    def __init__(self, module: ir.Module, bounds_check: bool) -> None:
         self.module = module
         self.bounds_check = bool(bounds_check)
-        self.mode = mode
         self.lines: List[str] = []
         self.globals: Dict[str, object] = {"np": np, "rt": _runtime}
         self._consts: Dict[Tuple[str, str], str] = {}
         self._counter = 0
-        # v2 (approx-specialized) lowering accomplishments, for the
-        # lowering-outcome detail string and the codegen stats.
-        self.v2_info: Dict[str, int] = {
+        # What the specializations accomplished, for the lowering-outcome
+        # detail string and the codegen stats.
+        self.info: Dict[str, int] = {
             "folded": 0,
             "reassociated": 0,
             "table_gathers": 0,
@@ -261,7 +258,7 @@ class _Emitter:
                     changed = True
         return self.varying
 
-    # ------------------------------------------------- static dtypes (v2)
+    # ------------------------------------------------------- static dtypes
 
     def _static_dtype(self, expr: ir.Expr) -> Optional[str]:
         """The NumPy dtype name this expression provably has at runtime
@@ -337,19 +334,22 @@ class _Emitter:
     # ------------------------------------------------------------- functions
 
     def emit_function(self, fn: ir.Function) -> str:
-        if self.mode == "v2":
-            # Exact-semantics constant folding: knob values baked into the
-            # IR by the approximation transforms become foldable literals.
-            fn, fstats = fold_function(fn)
-            self.v2_info["folded"] += fstats.folded
-            self.v2_info["reassociated"] += fstats.reassociated
+        # Exact-semantics constant folding; the knob values the approximation
+        # transforms bake into the IR are the literals it mostly finds.
+        fn, fstats = fold_function(fn)
+        self.info["folded"] += fstats.folded
+        self.info["reassociated"] += fstats.reassociated
         meta = getattr(fn, "approx", None)
-        if self.mode == "v2" and fn.kind == "kernel":
+        if fn.kind == "kernel":
+            # Only transformed kernels carry lookup tables with a proven
+            # extent; an exact kernel has none to gather from.
             self.tables = dict(meta.tables) if meta is not None else {}
             self.intervals = compute_intervals(fn)
             self._static = self._compute_static_dtypes(fn)
             self._elide = True
         else:
+            # Device functions: parameter dtypes depend on the call site,
+            # so they are folded but never cast-elided.
             self.tables = {}
             self.intervals = {}
             self._static = {}
@@ -618,7 +618,7 @@ class _Emitter:
             if self._elide and self._static_dtype(expr.operand) == expr.dtype.np_dtype:
                 # Identity cast: the operand provably already has the
                 # target dtype, so cast_value would only copy.
-                self.v2_info["cast_elisions"] += 1
+                self.info["cast_elisions"] += 1
                 return operand
             return f"rt.cast_value({operand}, {self.np_dtype(expr.dtype)})"
         if isinstance(expr, ir.Select):
@@ -640,7 +640,7 @@ class _Emitter:
                 if lo >= 0 and hi <= entries - 1:
                     # Lookup-table gather with a compile-time in-range
                     # proof: no clamp, no live-lane bounds scan.
-                    self.v2_info["table_gathers"] += 1
+                    self.info["table_gathers"] += 1
                     return f"rt.load_table({buf}, {idx}, {entries}, {tail}"
             return f"rt.load_global({buf}, {idx}, {tail}"
         if isinstance(expr, ir.Call):
@@ -679,7 +679,7 @@ class _Emitter:
             # Both operands provably carry the result dtype already, so
             # the ufunc's natural output dtype is expr.dtype and the
             # cast_result wrapper is the identity.
-            self.v2_info["cast_elisions"] += 1
+            self.info["cast_elisions"] += 1
             return f"({inner})"
         return f"rt.cast_result({inner}, {self.np_dtype(expr.dtype)})"
 
@@ -721,32 +721,20 @@ def _walk_exprs(stmt: ir.Stmt):
 
 
 def lower_kernel(
-    fn: ir.Function, module: ir.Module, bounds_check: bool = True, mode: str = "v1"
-) -> Tuple[str, Dict[str, object], str]:
+    fn: ir.Function, module: ir.Module, bounds_check: bool = True
+) -> Tuple[str, Dict[str, object], str, Dict[str, int]]:
     """Lower ``fn`` (and its reachable device functions) to source.
 
-    Returns ``(source, exec_globals, entry_name)``; the caller compiles
-    the source with these globals and fetches ``entry_name`` from the
-    namespace.  ``mode="v2"`` enables the approx-specialized lowering
-    (constant folding over baked-in knob literals, proven-in-range
-    lookup-table gathers, identity-cast elision) — still bit-exact per
-    knob setting; see :func:`lower_kernel_ex` for what it accomplished.
+    Returns ``(source, exec_globals, entry_name, info)``; the caller
+    compiles the source with these globals and fetches ``entry_name`` from
+    the namespace.  ``info`` counts what the specializations accomplished
+    (``folded``/``reassociated``/``table_gathers``/``cast_elisions``).
     """
-    source, exec_globals, entry, _info = lower_kernel_ex(fn, module, bounds_check, mode)
-    return source, exec_globals, entry
-
-
-def lower_kernel_ex(
-    fn: ir.Function, module: ir.Module, bounds_check: bool = True, mode: str = "v1"
-) -> Tuple[str, Dict[str, object], str, Dict[str, int]]:
-    """:func:`lower_kernel` plus the v2 accomplishment counters
-    (``folded``/``reassociated``/``table_gathers``/``cast_elisions``;
-    all zero in v1 mode)."""
     if fn.kind != "kernel":
         raise CodegenError(f"{fn.name} is a device function, not a kernel")
-    emitter = _Emitter(module, bounds_check, mode)
+    emitter = _Emitter(module, bounds_check)
     for dev in reachable_device_functions(fn, module):
         emitter.emit_function(dev)
     entry = emitter.emit_function(fn)
     source = "\n".join(emitter.lines) + "\n"
-    return source, emitter.globals, entry, dict(emitter.v2_info)
+    return source, emitter.globals, entry, emitter.info

@@ -212,7 +212,7 @@ def load_global(buf, idx, live, bc: bool, fname: str, aname: str):
 
 
 def load_table(buf, idx, entries, live, bc: bool, fname: str, aname: str):
-    """Gather from a lookup table whose index the v2 lowering *proved* to
+    """Gather from a lookup table whose index the lowering *proved* to
     lie in ``[0, entries - 1]`` (interval analysis over the memoization
     rewrite's clamp/pack idioms).  Where :func:`resolve_index` tests the
     range at run time, here it is a compile-time fact — ``take`` is a

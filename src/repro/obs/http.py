@@ -227,13 +227,3 @@ class ObsHTTPServer:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-
-def server_from_env(**kwargs) -> Optional[ObsHTTPServer]:
-    """Build (not start) a server from ``REPRO_OBS_HTTP``, if set."""
-    import os
-
-    spec = parse_http_spec(os.environ.get("REPRO_OBS_HTTP"))
-    if spec is None:
-        return None
-    host, port = spec
-    return ObsHTTPServer(port=port, host=host, **kwargs)

@@ -316,26 +316,40 @@ def get_registry() -> MetricsRegistry:
 
 
 class CounterGroup:
-    """A subsystem's fixed set of unlabelled counters, as one object.
+    """A subsystem's fixed set of counters, as one object.
 
     ``fields`` maps a field name to its help text; each becomes the
-    registry counter ``repro_<prefix>_<field>``.  The only way to change
-    a value is :meth:`inc` (one locked add on the series) or
-    :meth:`reset` — there is deliberately no attribute assignment, so
-    ``STATS.x += 1``, a locked read followed by a separate locked write
-    that loses updates between threads, is an ``AttributeError`` rather
-    than a latent race.  Reading ``STATS.x`` and :meth:`snapshot` return
-    ints, except for the names in ``floats`` (accumulated seconds).
+    registry counter ``repro_<prefix>_<field>`` — or
+    ``repro_<prefix>_<names[field]>`` where the series name differs from
+    the field (``launches`` -> ``launches_total``).  ``labels`` are
+    constant label values carried by every series of the group (one group
+    per session shares the families, ``session=<label>`` tells them
+    apart).  The only way to change a value is :meth:`inc` (one locked
+    add on the series) or :meth:`reset` — there is deliberately no
+    attribute assignment, so ``STATS.x += 1``, a locked read followed by a
+    separate locked write that loses updates between threads, is an
+    ``AttributeError`` rather than a latent race.  Reading ``STATS.x`` and
+    :meth:`snapshot` return ints, except for the names in ``floats``
+    (accumulated seconds).
     """
 
     __slots__ = ("_series", "_floats")
 
     def __init__(
-        self, prefix: str, fields: Dict[str, str], floats: Iterable[str] = ()
+        self,
+        prefix: str,
+        fields: Dict[str, str],
+        floats: Iterable[str] = (),
+        names: Optional[Dict[str, str]] = None,
+        labels: Optional[Dict[str, str]] = None,
     ) -> None:
+        names = names or {}
+        labels = labels or {}
         self._series: Dict[str, Child] = {
-            name: REGISTRY.counter(f"repro_{prefix}_{name}", help).labels()
-            for name, help in fields.items()
+            field: REGISTRY.counter(
+                f"repro_{prefix}_{names.get(field, field)}", help, tuple(labels)
+            ).labels(**labels)
+            for field, help in fields.items()
         }
         self._floats = frozenset(floats)
 

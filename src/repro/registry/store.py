@@ -27,20 +27,10 @@ Durability model — **versioned append-only segments**:
 ``root=None`` keeps the registry purely in memory — the zero-IO mode
 sessions use when no registry directory is configured.
 
-Environment overrides (all optional):
-
-* ``REPRO_REGISTRY_DIR`` — default directory ``resolve_registry`` opens
-  when a session asks for ``registry="auto"``.
-* ``REPRO_REGISTRY_MARGIN`` — TOQ safety margin for knee selection
-  (default 0.005): warm starts only trust front points clearing
-  ``toq + margin``.
-* ``REPRO_REGISTRY_MIN_POINTS`` — minimum front points before a warm
-  start is attempted (default 2).
-* ``REPRO_REGISTRY_SEGMENT_BYTES`` — active-segment rotation threshold
-  (default 1 MiB).
-* ``REPRO_REGISTRY_SKETCH_TOL`` — input-sketch match tolerance in log2
-  units (default 1.0): how far a fresh input draw's sketch may sit from
-  a stored key's sketch and still reuse its front.
+One environment variable, a deployment path: ``REPRO_REGISTRY_DIR`` is
+the directory ``resolve_registry`` opens when a session asks for
+``registry="auto"``.  The tuning values are :class:`VariantRegistry`
+constructor arguments.
 """
 
 from __future__ import annotations
@@ -80,26 +70,6 @@ _SEGMENT_RE = re.compile(r"^seg-(\d{6})\.jsonl$")
 DEFAULT_SEGMENT_BYTES = 1 << 20
 DEFAULT_MARGIN = 0.005
 DEFAULT_MIN_POINTS = 2
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
 
 
 class _Metrics:
@@ -176,7 +146,8 @@ class VariantRegistry:
         root: registry directory (created if missing); ``None`` for a
             purely in-memory registry.
         segment_bytes: active-segment rotation threshold.
-        margin: TOQ safety margin for knee selection.
+        margin: TOQ safety margin for knee selection — warm starts only
+            trust front points clearing ``toq + margin``.
         min_points: front points required before warm starts engage.
         fsync: fsync every append (off by default; the append-only
             format already confines a crash to the torn final line).
@@ -185,30 +156,15 @@ class VariantRegistry:
     def __init__(
         self,
         root: Optional[object] = None,
-        segment_bytes: Optional[int] = None,
-        margin: Optional[float] = None,
-        min_points: Optional[int] = None,
+        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
+        margin: float = DEFAULT_MARGIN,
+        min_points: int = DEFAULT_MIN_POINTS,
         fsync: bool = False,
     ) -> None:
         self.root = Path(root) if root is not None else None
-        self.segment_bytes = (
-            segment_bytes
-            if segment_bytes is not None
-            else _env_int("REPRO_REGISTRY_SEGMENT_BYTES", DEFAULT_SEGMENT_BYTES)
-        )
-        self.margin = (
-            margin
-            if margin is not None
-            else _env_float("REPRO_REGISTRY_MARGIN", DEFAULT_MARGIN)
-        )
-        self.min_points = (
-            min_points
-            if min_points is not None
-            else _env_int("REPRO_REGISTRY_MIN_POINTS", DEFAULT_MIN_POINTS)
-        )
-        self.tolerance = _env_float(
-            "REPRO_REGISTRY_SKETCH_TOL", DEFAULT_TOLERANCE
-        )
+        self.segment_bytes = segment_bytes
+        self.margin = margin
+        self.min_points = min_points
         self.fsync = fsync
         self._state: Dict[str, Dict[str, ParetoPoint]] = {}
         self._sketches: Dict[str, list] = {}  # key -> stored sketch vector
@@ -246,7 +202,7 @@ class VariantRegistry:
         exact sketch digests cannot be the matcher.  Instead every key
         stores its continuous sketch vector; resolution finds the
         nearest stored key with the same kernel/device prefix and reuses
-        it when within :attr:`tolerance` (Chebyshev, log2-ish units).
+        it when within :data:`DEFAULT_TOLERANCE` (Chebyshev, log2-ish units).
         Only genuinely new distributions mint new keys.
         """
         self.refresh()
@@ -260,7 +216,7 @@ class VariantRegistry:
                 distance = sketch_distance(vector, stored)
                 if distance < best_distance:
                     best_key, best_distance = key, distance
-        if best_key is not None and best_distance <= self.tolerance:
+        if best_key is not None and best_distance <= DEFAULT_TOLERANCE:
             return best_key
         key = registry_key(app, spec, inputs)
         with self._lock:

@@ -310,30 +310,24 @@ def run_ladder(
     """
     if policy is None:
         policy = current_policy()
-    if policy is None or not policy.enabled:
-        label = "variant" if variant is not None else "exact"
-        with obs_trace.span(
-            "ladder.rung", rung=label, depth=0, guarded=False
-        ), options_scope(backend=backend, parallel=workers):
-            if variant is None:
-                out, _trace = app.run_exact(inputs)
-            else:
-                out, _trace = app.run_variant(variant, inputs)
-            flush_fusion()
-        return out, LadderReport(
-            served=label, depth=0, attempts=[LadderAttempt(label, True)]
-        )
-
-    STATS.inc("guarded_launches")
+    guarded = policy is not None and policy.enabled
     rungs = _ladder_rungs(variant, backend, workers)
+    if guarded:
+        STATS.inc("guarded_launches")
+    else:
+        # Unguarded is the one-rung ladder: the first rung is also the
+        # final one, so nothing is contained or validated.
+        rungs = rungs[:1]
     report = LadderReport(served="", depth=0)
     for depth, (label, be, w, runs_variant) in enumerate(rungs):
         final = depth == len(rungs) - 1
+        # An unguarded rung leaves the ambient guard field as it found it.
+        scope = {"guard": policy} if guarded else {}
         rung_span = obs_trace.span(
-            "ladder.rung", rung=label, depth=depth, backend=be, guarded=True
+            "ladder.rung", rung=label, depth=depth, backend=be, guarded=guarded
         )
         try:
-            with rung_span, options_scope(guard=policy, backend=be, parallel=w):
+            with rung_span, options_scope(backend=be, parallel=w, **scope):
                 if runs_variant:
                     out, _trace = app.run_variant(variant, inputs)
                 else:

@@ -25,10 +25,36 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from ..obs.registry import get_registry
+from ..obs.registry import CounterGroup, get_registry
 from ..obs.timeline import timeline as obs_timeline
 
 _SESSION_IDS = itertools.count()
+
+#: Scalar session counters: field -> help.  Each is the registry series
+#: ``repro_session_<field>_total{session=<label>}`` (the accumulated
+#: seconds in ``_SECONDS`` carry no ``_total``), read as ``metrics.<field>``.
+_COUNTERS = {
+    "launches": "launches served",
+    "sampled_checks": "sampled quality checks",
+    "toq_violations": "TOQ violations",
+    "drift_events": "drift declarations",
+    "recalibrations_down": "ladder steps toward exact",
+    "recalibrations_up": "ladder steps toward aggressive",
+    "compile_cache_hits": "variant-cache hits",
+    "compile_cache_misses": "variant-cache misses",
+    "tune_cache_hits": "tuning resumes",
+    "tune_cache_misses": "tuning re-profiles",
+    "kernel_launches": "kernel launches observed",
+    "compile_seconds": "wall time in session compiles",
+    "tune_seconds": "wall time in session tunes",
+    "sample_seconds": "wall time in sampled quality checks",
+    "fallback_launches": "launches served below the primary rung",
+    "launch_errors": "launches that raised out of the fallback ladder",
+    "quarantines": "breaker transitions to open",
+    "readmissions": "breaker transitions back to closed",
+}
+_SECONDS = ("compile_seconds", "tune_seconds", "sample_seconds")
+_SERIES = {f: f"{f}_total" for f in _COUNTERS if f not in _SECONDS}
 
 
 @dataclass
@@ -83,51 +109,12 @@ class SessionMetrics:
         self.label = label if label is not None else f"s{next(_SESSION_IDS)}"
         registry = get_registry()
 
-        def counter(name: str, help: str):
-            return registry.counter(
-                f"repro_session_{name}", help, labelnames=("session",)
-            ).labels(session=self.label)
-
-        self._launches = counter("launches_total", "launches served")
-        self._sampled = counter("sampled_checks_total", "sampled quality checks")
-        self._toq_violations = counter("toq_violations_total", "TOQ violations")
-        self._drift_events = counter("drift_events_total", "drift declarations")
-        self._recal_down = counter(
-            "recalibrations_down_total", "ladder steps toward exact"
-        )
-        self._recal_up = counter(
-            "recalibrations_up_total", "ladder steps toward aggressive"
-        )
-        self._compile_hits = counter(
-            "compile_cache_hits_total", "variant-cache hits"
-        )
-        self._compile_misses = counter(
-            "compile_cache_misses_total", "variant-cache misses"
-        )
-        self._tune_hits = counter("tune_cache_hits_total", "tuning resumes")
-        self._tune_misses = counter("tune_cache_misses_total", "tuning re-profiles")
-        self._kernel_launches = counter(
-            "kernel_launches_total", "kernel launches observed"
-        )
-        self._compile_seconds = counter(
-            "compile_seconds", "wall time in session compiles"
-        )
-        self._tune_seconds = counter("tune_seconds", "wall time in session tunes")
-        self._sample_seconds = counter(
-            "sample_seconds", "wall time in sampled quality checks"
-        )
-        self._fallback_launches = counter(
-            "fallback_launches_total", "launches served below the primary rung"
-        )
-        self._launch_errors = counter(
-            "launch_errors_total",
-            "launches that raised out of the fallback ladder",
-        )
-        self._quarantines = counter(
-            "quarantines_total", "breaker transitions to open"
-        )
-        self._readmissions = counter(
-            "readmissions_total", "breaker transitions back to closed"
+        self._counters = CounterGroup(
+            "session",
+            _COUNTERS,
+            floats=_SECONDS,
+            names=_SERIES,
+            labels={"session": self.label},
         )
         self._backend_family = registry.counter(
             "repro_session_backend_launches_total",
@@ -202,30 +189,30 @@ class SessionMetrics:
     # -- recording -----------------------------------------------------------
 
     def record_launch(self, record: LaunchRecord) -> None:
-        self._launches.inc()
-        self._kernel_launches.inc(record.kernel_launches)
+        self._counters.inc("launches")
+        self._counters.inc("kernel_launches", record.kernel_launches)
         for backend, count in record.backends.items():
             self._backend_family.labels(
                 session=self.label, backend=backend
             ).inc(count)
         if record.sampled:
-            self._sampled.inc()
-            self._sample_seconds.inc(record.sample_seconds)
+            self._counters.inc("sampled_checks")
+            self._counters.inc("sample_seconds", record.sample_seconds)
         if record.reason == "toq_violation":
-            self._toq_violations.inc()
+            self._counters.inc("toq_violations")
         if record.reason == "drift":
-            self._drift_events.inc()
+            self._counters.inc("drift_events")
         if record.action == "recalibrate_down":
-            self._recal_down.inc()
+            self._counters.inc("recalibrations_down")
         elif record.action == "recalibrate_up":
-            self._recal_up.inc()
+            self._counters.inc("recalibrations_up")
         for fault in record.faults:
             self._fault_family.labels(session=self.label, fault=fault).inc()
         self._depth_family.labels(
             session=self.label, depth=record.fallback_depth
         ).inc()
         if record.fallback_depth > 0:
-            self._fallback_launches.inc()
+            self._counters.inc("fallback_launches")
         if record.duration:
             self._launch_seconds.observe(record.duration)
         self.records.append(record)
@@ -234,9 +221,9 @@ class SessionMetrics:
         """Roll up one circuit-breaker transition (drained from the
         session's :class:`~repro.resilience.breaker.VariantBreaker`)."""
         if event.get("state") == "open":
-            self._quarantines.inc()
+            self._counters.inc("quarantines")
         elif event.get("state") == "closed":
-            self._readmissions.inc()
+            self._counters.inc("readmissions")
         obs_timeline().breaker(
             session=self.label,
             launch_id=self._current_launch_id,
@@ -261,92 +248,31 @@ class SessionMetrics:
     def record_launch_error(self) -> None:
         """One launch that raised past every ladder rung — the error the
         caller actually saw, the numerator of an availability SLO."""
-        self._launch_errors.inc()
+        self._counters.inc("launch_errors")
 
     def record_compile(self, cache: str, seconds: float) -> None:
         """``cache`` is "memory", "disk" or "miss"."""
         if cache == "miss":
-            self._compile_misses.inc()
+            self._counters.inc("compile_cache_misses")
         else:
-            self._compile_hits.inc()
-        self._compile_seconds.inc(seconds)
+            self._counters.inc("compile_cache_hits")
+        self._counters.inc("compile_seconds", seconds)
 
     def record_tune(self, cache: str, seconds: float) -> None:
         if cache == "miss":
-            self._tune_misses.inc()
+            self._counters.inc("tune_cache_misses")
         else:
-            self._tune_hits.inc()
-        self._tune_seconds.inc(seconds)
+            self._counters.inc("tune_cache_hits")
+        self._counters.inc("tune_seconds", seconds)
 
-    # -- registry views (legacy attribute API) --------------------------------
+    # -- registry views ------------------------------------------------------
 
-    @property
-    def launches(self) -> int:
-        return int(self._launches.value)
-
-    @property
-    def sampled_checks(self) -> int:
-        return int(self._sampled.value)
-
-    @property
-    def toq_violations(self) -> int:
-        return int(self._toq_violations.value)
-
-    @property
-    def drift_events(self) -> int:
-        return int(self._drift_events.value)
-
-    @property
-    def recalibrations_down(self) -> int:
-        return int(self._recal_down.value)
-
-    @property
-    def recalibrations_up(self) -> int:
-        return int(self._recal_up.value)
-
-    @property
-    def compile_cache_hits(self) -> int:
-        return int(self._compile_hits.value)
-
-    @property
-    def compile_cache_misses(self) -> int:
-        return int(self._compile_misses.value)
-
-    @property
-    def tune_cache_hits(self) -> int:
-        return int(self._tune_hits.value)
-
-    @property
-    def tune_cache_misses(self) -> int:
-        return int(self._tune_misses.value)
-
-    @property
-    def kernel_launches(self) -> int:
-        return int(self._kernel_launches.value)
-
-    @property
-    def compile_seconds(self) -> float:
-        return self._compile_seconds.value
-
-    @property
-    def tune_seconds(self) -> float:
-        return self._tune_seconds.value
-
-    @property
-    def fallback_launches(self) -> int:
-        return int(self._fallback_launches.value)
-
-    @property
-    def launch_errors(self) -> int:
-        return int(self._launch_errors.value)
-
-    @property
-    def quarantines(self) -> int:
-        return int(self._quarantines.value)
-
-    @property
-    def readmissions(self) -> int:
-        return int(self._readmissions.value)
+    def __getattr__(self, name: str):
+        """``metrics.launches`` and the other ``_COUNTERS`` fields read
+        the registry series through the group."""
+        if name.startswith("_"):  # an attribute __init__ has not set yet
+            raise AttributeError(name)
+        return getattr(self._counters, name)
 
     def _labelled_view(self, family, key: str) -> Dict[str, int]:
         return {
@@ -379,7 +305,7 @@ class SessionMetrics:
         """Share of launch wall time spent in quality checks (their count
         is :attr:`sampled_checks`)."""
         _buckets, _counts, total, _n = self._launch_seconds.raw_counts()
-        return self._sample_seconds.value / total if total else 0.0
+        return self.sample_seconds / total if total else 0.0
 
     def snapshot(self) -> dict:
         """The JSON-serialisable state a metrics endpoint would return.
@@ -462,7 +388,7 @@ class SessionMetrics:
             "timings": {
                 "compile_seconds": self.compile_seconds,
                 "tune_seconds": self.tune_seconds,
-                "sample_seconds": self._sample_seconds.value,
+                "sample_seconds": self.sample_seconds,
             },
             "transitions": [asdict(t) for t in self.transitions],
             "recent_launches": [asdict(r) for r in recent],

@@ -354,7 +354,7 @@ class ApproxSession:
         from ..parallel.pool import policy_from_options
 
         effective = current_options().merged_over(self.options)
-        backend = validate_backend(effective.backend)
+        backend = effective.backend
         workers = policy_from_options(effective).workers
         ambient = LaunchOptions(
             executor=effective.executor,
@@ -569,6 +569,31 @@ class ApproxSession:
                 check_span.set(fault=type(exc).__name__)
                 return None
 
+    def _step_below_blocked(self, index: int) -> None:
+        """Step the recalibrator down until its rung is not quarantined."""
+        recal = self._recalibrator
+        while recal.current is not None and self.breaker.blocked(
+            recal.current_name, index
+        ):
+            if not recal.step_down():
+                break
+
+    def _record_move(
+        self, index: int, previous: str, reason: str, quality: Optional[float] = None
+    ) -> None:
+        """The recalibrator left ``previous``: restart the drift window
+        (its samples describe the old variant) and log the transition."""
+        self.monitor.reset()
+        self.metrics.record_transition(
+            Transition(
+                launch=index,
+                from_variant=previous,
+                to_variant=self._recalibrator.current_name,
+                reason=reason,
+                quality=quality,
+            )
+        )
+
     def _step_off_quarantined(self, index: int) -> None:
         """Move the recalibrator below any quarantined rung before serving."""
         recal = self._recalibrator
@@ -577,42 +602,16 @@ class ApproxSession:
         ):
             return
         previous = recal.current_name
-        while recal.current is not None and self.breaker.blocked(
-            recal.current_name, index
-        ):
-            if not recal.step_down():
-                break
-        self.monitor.reset()
-        self.metrics.record_transition(
-            Transition(
-                launch=index,
-                from_variant=previous,
-                to_variant=recal.current_name,
-                reason="quarantine",
-            )
-        )
+        self._step_below_blocked(index)
+        self._record_move(index, previous, "quarantine")
 
     def _quarantine(self, record: LaunchRecord) -> None:
         """A breaker just opened on the serving variant: step off it now."""
-        recal = self._recalibrator
-        previous = recal.current_name
+        previous = self._recalibrator.current_name
         record.action = "quarantine"
         record.reason = "quarantine"
-        while recal.current is not None and self.breaker.blocked(
-            recal.current_name, record.index
-        ):
-            if not recal.step_down():
-                break
-        self.monitor.reset()
-        self.metrics.record_transition(
-            Transition(
-                launch=record.index,
-                from_variant=previous,
-                to_variant=recal.current_name,
-                reason="quarantine",
-                quality=record.quality,
-            )
-        )
+        self._step_below_blocked(record.index)
+        self._record_move(record.index, previous, "quarantine", record.quality)
 
     def _react(self, verdict: str, record: LaunchRecord) -> None:
         """Apply the monitor's verdict: one greedy ladder step (§3.5)."""
@@ -634,16 +633,7 @@ class ApproxSession:
             previous = recal.current_name
             if recal.step_down():
                 record.action = "recalibrate_down"
-                self.monitor.reset()
-                self.metrics.record_transition(
-                    Transition(
-                        launch=record.index,
-                        from_variant=previous,
-                        to_variant=recal.current_name,
-                        reason=verdict,
-                        quality=record.quality,
-                    )
-                )
+                self._record_move(record.index, previous, verdict, record.quality)
         elif verdict == HEADROOM and not recal.at_top:
             record.reason = "headroom"
             previous = recal.current_name
@@ -657,16 +647,7 @@ class ApproxSession:
                     break
             if moved:
                 record.action = "recalibrate_up"
-                self.monitor.reset()
-                self.metrics.record_transition(
-                    Transition(
-                        launch=record.index,
-                        from_variant=previous,
-                        to_variant=recal.current_name,
-                        reason="headroom",
-                        quality=record.quality,
-                    )
-                )
+                self._record_move(record.index, previous, "headroom", record.quality)
             else:
                 recal.rung = previous_rung
 
@@ -707,10 +688,10 @@ class ApproxSession:
         """
         snapshot = self.metrics.snapshot()
         if self._variants is not None:
-            # Per-variant lowering outcome: codegen-v2 / codegen-v1 /
-            # interpreter, with the reason (specialization summary or
-            # fallback cause) — the serving-side answer to "which code
-            # actually runs for each variant?".
+            # Per-variant lowering outcome: codegen / interpreter, with the
+            # reason (specialization summary or fallback cause) — the
+            # serving-side answer to "which code actually runs for each
+            # variant?".
             snapshot["codegen"]["variants"] = self._variants.lowering_outcomes()
         snapshot["session"] = {
             "app": self.app.name,

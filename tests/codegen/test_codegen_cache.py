@@ -118,8 +118,9 @@ class TestCompileCache:
 class TestLowering:
     def test_lower_kernel_returns_compilable_source(self):
         fn, mod = _fn(zoo.square_map)
-        source, exec_globals, entry = lower_kernel(fn, mod)
+        source, exec_globals, entry, info = lower_kernel(fn, mod)
         assert entry == f"_kernel_{fn.name}"
+        assert set(info) == {"folded", "reassociated", "table_gathers", "cast_elisions"}
         compile(source, "<test>", "exec")  # must be valid Python
         assert "np.errstate" in source
 

@@ -239,4 +239,4 @@ class TestServeIntegration:
         variants = snapshot["codegen"]["variants"]
         assert variants  # the compiled ladder surfaces its lowering outcomes
         for entry in variants.values():
-            assert entry["mode"] in ("codegen-v2", "codegen-v1", "interpreter")
+            assert entry["mode"] in ("codegen", "interpreter")

@@ -1,9 +1,10 @@
-"""Codegen v2: approx-specialized lowering stays bit-exact and observable.
+"""The lowering's specializations stay bit-exact and observable.
 
-The v2 emitter may fold constants, reassociate integer chains, elide
-identity casts and lower proven-in-range LUT loads as gathers — but only
-for kernels carrying :class:`~repro.approx.base.ApproxMeta`, and never in
-a way the differential harness can distinguish from the interpreter.
+The emitter may fold constants, reassociate integer chains, elide
+identity casts and lower proven-in-range LUT loads as gathers — for every
+kernel, exact or carrying :class:`~repro.approx.base.ApproxMeta` (only the
+gathers need the meta's ``tables``), and never in a way the conformance
+runner can distinguish from the interpreter.
 """
 
 import numpy as np
@@ -16,11 +17,11 @@ from repro.codegen import (
     classify_lowering,
     clear_cache,
     fingerprint_kernel,
-    lower_kernel_ex,
+    lower_kernel,
     stats_snapshot,
 )
 from repro.codegen.cache import _CACHE, get_compiled
-from repro.conformance import Cell, app_subject, check, sweep_variants
+from repro.conformance import Cell, app_subject, check, kernel_subject, sweep_variants
 from repro.engine import Grid
 from repro.engine.launch import resolve_kernel, resolve_module
 from repro.kernel import kernel
@@ -32,8 +33,8 @@ from repro.kernel.visitors import clone
 def _const_chain(out: array_i32, x: array_i32, n: i32):
     gid = global_id()
     if gid < n:
-        # 3 constant adds around one variable term: v2 reassociates the
-        # int32 chain into (x + const); v1 must leave the tree alone.
+        # 3 constant adds around one variable term: the lowering
+        # reassociates the int32 chain into (x + const).
         out[gid] = 1 + x[gid] + 2 + 3
 
 
@@ -51,69 +52,68 @@ def _tagged(fn_kernel, transform="test", knobs=None, tables=()):
     return tagged, mod
 
 
-class TestModeSelection:
-    def test_untagged_kernels_stay_v1(self):
+def _strip_name(source, fn):
+    return source.replace(fn.name, "K")
+
+
+class TestOneLowering:
+    def test_untagged_kernels_reassociate(self):
         fn = resolve_kernel(_const_chain)
         mod = resolve_module(_const_chain, None)
         mode, detail = classify_lowering(fn, mod)
-        assert mode == "codegen-v1"
-        assert "no approx metadata" in detail
-
-    def test_tagged_kernels_take_v2(self):
-        tagged, mod = _tagged(_const_chain)
-        mode, detail = classify_lowering(tagged, mod)
-        assert mode == "codegen-v2"
+        assert mode == "codegen"
         assert "reassociated" in detail
+        # 1+2+3 collapses into one trailing constant: one add is left.
+        source, _, _, info = lower_kernel(fn, mod)
+        assert info["reassociated"] >= 1
+        assert source.count("np.add") == 1
 
-    def test_cache_keys_separate_modes(self):
+    def test_tagged_and_untagged_lower_to_the_same_source(self):
+        fn = resolve_kernel(_const_chain)
+        tagged, mod = _tagged(_const_chain)
+        tagged.name = "tagged_clone"
+        plain_src, _, _, plain_info = lower_kernel(fn, mod)
+        tagged_src, _, _, tagged_info = lower_kernel(tagged, mod)
+        assert _strip_name(plain_src, fn) == _strip_name(tagged_src, tagged)
+        assert plain_info == tagged_info
+        assert classify_lowering(tagged, mod) == classify_lowering(fn, mod)
+
+    def test_cache_keys_have_no_mode_axis(self):
         clear_cache()
         tagged, mod = _tagged(_const_chain)
         grid = Grid.for_elements(64)
         get_compiled(resolve_kernel(_const_chain), mod, grid)
         get_compiled(tagged, mod, grid)
-        modes = {key[3] for key in _CACHE}
-        assert modes == {"v1", "v2"}
+        # Two entries because the approx tag is part of the fingerprint.
+        assert len(_CACHE) == 2
+        for key in _CACHE:
+            fingerprint, grid_class, bounds_check = key
+            assert (grid_class, bounds_check) == ("1d", True)
 
-
-class TestFoldAndReassociate:
-    def test_v1_source_keeps_constants_v2_folds_them(self):
-        fn = resolve_kernel(_const_chain)
-        mod = resolve_module(_const_chain, None)
-        tagged, _ = _tagged(_const_chain)
-        v1_src, _, _, v1_info = lower_kernel_ex(fn, mod, True, "v1")
-        v2_src, _, _, v2_info = lower_kernel_ex(tagged, mod, True, "v2")
-        assert v1_info == {
-            "folded": 0, "reassociated": 0, "table_gathers": 0, "cast_elisions": 0,
-        }
-        assert v2_info["reassociated"] >= 1
-        # The reassociated chain collapses 1+2+3 into one trailing
-        # constant: two of the three adds disappear from the source.
-        assert v2_src.count("np.add") < v1_src.count("np.add")
-
-    def test_v2_is_bit_exact_against_v1(self):
-        mod = resolve_module(_const_chain, None)
-        tagged, _ = _tagged(_const_chain)
-        grid = Grid.for_elements(128)
+    def test_bit_exact_against_the_interpreter(self):
         rng = np.random.default_rng(0)
         x = rng.integers(-(2**30), 2**30, 128, dtype=np.int32)
-        outs = {}
-        for mode, fn in (("v1", resolve_kernel(_const_chain)), ("v2", tagged)):
+        args = [np.zeros(128, np.int32), x, np.int32(128)]
+        tagged, mod = _tagged(_const_chain)
+        for subject in (
+            kernel_subject(_const_chain, Grid.for_elements(128), args),
+            kernel_subject(tagged, Grid.for_elements(128), args, module=mod),
+        ):
             clear_cache()
-            compiled = get_compiled(fn, mod, grid)
-            assert compiled.lowering == f"codegen-{mode}"
-            out = np.zeros(128, np.int32)
-            compiled.run(grid, {"out": out, "x": x.copy(), "n": np.int32(128)})
-            outs[mode] = out
-        assert outs["v1"].tobytes() == outs["v2"].tobytes()
+            result = check(subject, Cell(backend="codegen"))
+            assert result.status == "ok", result.describe()
 
-    def test_v2_stats_counters_move(self):
+    def test_specialization_counters_move(self):
         clear_cache()
         before = stats_snapshot()
-        tagged, mod = _tagged(_const_chain)
-        get_compiled(tagged, mod, Grid.for_elements(32))
+        get_compiled(
+            resolve_kernel(_const_chain),
+            resolve_module(_const_chain, None),
+            Grid.for_elements(32),
+        )
         after = stats_snapshot()
-        assert after["v2_compiles"] == before["v2_compiles"] + 1
-        assert after["v2_folds"] > before["v2_folds"]
+        assert after["compiles"] == before["compiles"] + 1
+        assert after["folds"] > before["folds"]
 
 
 class TestFingerprint:
@@ -140,19 +140,19 @@ class TestVariantSurface:
 
     def test_describe_includes_lowering_outcome(self, variants):
         text = variants.describe()
-        assert "codegen-v2" in text
+        assert "-> codegen (" in text
 
     def test_lowering_outcomes_cover_every_variant(self, variants):
         outcomes = variants.lowering_outcomes()
         assert set(outcomes) == {v.name for v in variants}
         for entry in outcomes.values():
-            assert entry["mode"] in ("codegen-v2", "codegen-v1", "interpreter")
+            assert entry["mode"] in ("codegen", "interpreter")
             assert entry["detail"]
 
     def test_variant_lowering_matches_compiled_kernel(self, variants):
         v = next(iter(variants))
         mode, _detail = variant_lowering(v)
-        assert mode == "codegen-v2"
+        assert mode == "codegen"
 
 
 class TestDifferential:
@@ -169,7 +169,7 @@ class TestDifferential:
         memo = [v for v in variants if "memo" in v.name]
         assert memo, [v.name for v in variants]
         mode, detail = variant_lowering(memo[0])
-        assert mode == "codegen-v2"
+        assert mode == "codegen"
         assert "table_gathers" in detail
         result = check(app_subject(app, memo[0]), Cell(backend="codegen"), contract="variant")
         assert result.status == "ok", result.describe()

@@ -193,7 +193,12 @@ class TestRemovedSurface:
             "diff_app",
             "check_apps",
             "check_approx_apps",
+            "lower_kernel_ex",
         ),
+        "repro.codegen.lower": ("lower_kernel_ex",),
+        "repro.codegen.cache": ("_lowering_mode",),
+        "repro.obs.http": ("server_from_env",),
+        "repro.registry.store": ("_env_float", "_env_int"),
         "repro._options": ("deprecated",),
         "repro.serve.frontend": ("_differential_harness",),
         "repro.serve.overload": ("_drill", "_drill_app"),
@@ -260,6 +265,24 @@ class TestRemovedSurface:
         session_params = inspect.signature(ApproxSession.__init__).parameters
         assert "options" in session_params
         assert not {"backend", "parallel", "event_log"} & set(session_params)
+
+    def test_codegen_has_one_lowering(self):
+        import dataclasses
+
+        from repro import codegen
+        from repro.codegen.lower import _Emitter
+        from repro.engine.launch import resolve_kernel, resolve_module
+
+        for fn in (codegen.lower_kernel, codegen.get_compiled, _Emitter.__init__):
+            assert "mode" not in inspect.signature(fn).parameters
+        assert "lowering" not in {
+            f.name for f in dataclasses.fields(codegen.CompiledKernel)
+        }
+        assert not [k for k in codegen.stats_snapshot() if k.startswith("v2_")]
+        mode, detail = codegen.classify_lowering(
+            resolve_kernel(zoo.square_map), resolve_module(zoo.square_map, None)
+        )
+        assert mode == "codegen" and detail
 
     def test_launch_options_fields_are_the_same_six(self):
         import dataclasses

@@ -252,8 +252,12 @@ class TestResolveRegistry:
         registry = resolve_registry("auto")
         assert registry is not None and registry.root == tmp_path / "auto"
 
-    def test_env_overrides_tune_margin(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_REGISTRY_MARGIN", "0.05")
-        monkeypatch.setenv("REPRO_REGISTRY_MIN_POINTS", "7")
-        registry = VariantRegistry(tmp_path)
+    def test_constructor_arguments_tune_margin(self, monkeypatch, tmp_path):
+        # The tuning values are constructor arguments only; the removed
+        # REPRO_REGISTRY_* overrides must not leak back in.
+        monkeypatch.setenv("REPRO_REGISTRY_MARGIN", "0.5")
+        monkeypatch.setenv("REPRO_REGISTRY_MIN_POINTS", "99")
+        registry = VariantRegistry(tmp_path, margin=0.05, min_points=7)
         assert registry.margin == 0.05 and registry.min_points == 7
+        default = VariantRegistry(tmp_path / "default")
+        assert default.margin == 0.005 and default.min_points == 2
