@@ -2,10 +2,19 @@
 
 Two hundred launches of the blackscholes kernel — the paper's flagship
 map/memoization workload — must run at least ``REPRO_CODEGEN_MIN_SPEEDUP``
-times faster (default 2x) through compiled NumPy callables than through
+times faster (default 1.5x) through compiled NumPy callables than through
 per-launch interpretation.  Compilation is warmed outside the timed
 region: a serving session compiles once and then launches from the cache,
 and that steady state is what this benchmark models.
+
+Every floor here is an interp / codegen *ratio*, each ~0.7 of the median
+of ten runs.  They were re-based in PR 17 because the numerator got
+faster, not because the compiled path got slower: the interpreter now
+proves an access in range once and prices a warp in one pass, so the same
+compiled kernels read 2.0-2.2x (blackscholes; was 3.3-3.6x), 1.8-2.2x
+(tiled matmul; was 4.9-7.0x) and 1.95-2.45x (variant geomean; was ~3.6x)
+over it.  Compiled time itself is tracked by ``codegen.kernel_ms.*`` in
+``python3 -m bench``; these floors only guard the ordering.
 """
 
 import math
@@ -19,7 +28,7 @@ from repro.engine import Grid
 
 N = 1024
 LAUNCHES = 200
-MIN_SPEEDUP = float(os.environ.get("REPRO_CODEGEN_MIN_SPEEDUP", "2.0"))
+MIN_SPEEDUP = float(os.environ.get("REPRO_CODEGEN_MIN_SPEEDUP", "1.5"))
 #: Floor on the geomean speedup of compiled approximate variants
 #: over the interpreter running the same transformed IR.
 MIN_APPROX_SPEEDUP = float(os.environ.get("REPRO_CODEGEN_MIN_APPROX_SPEEDUP", "1.5"))
@@ -83,14 +92,17 @@ def test_codegen_beats_interpretation_on_repeated_launches():
 #: benchmark's ``large_*`` matmul grid: 16 384 threads, 289 loads/stores per
 #: launch and almost no arithmetic between them).  Blackscholes makes two
 #: stores and a handful of loads per launch, so its floor cannot see what a
-#: memory access costs; this one is mostly that.  The interpreter checks and
-#: clamps every access; compiled kernels skip both when one reduction shows
-#: every lane in range (``rt.resolve_index``).  Observed 5.8-7.0x (3.4-5.0x
-#: with the check-then-clamp on every access); the floor is ~0.7 of that,
-#: hard-coded on purpose: no new threshold variable.
+#: memory access costs; this one is mostly that.  Both sides now skip the
+#: check and the clamp when one reduction shows every lane in range
+#: (``rt.resolve_index`` compiled, ``_Execution._access`` interpreted); what
+#: is left of the ratio is the interpreter's tree walk and its trace
+#: recording.  Observed 1.82-2.18x over ten runs (median 2.05x); the floor
+#: is ~0.7 of that, hard-coded on purpose: no new threshold variable.  It
+#: was 4.0 against an observed 5.8-7.0x while the interpreter still
+#: checked, clamped and looped over lanes on every access.
 MATMUL_SIDE = 128
 MATMUL_LAUNCHES = 10
-MIN_MATMUL_SPEEDUP = 4.0
+MIN_MATMUL_SPEEDUP = 1.4
 
 
 def test_codegen_beats_interpretation_on_an_access_bound_kernel():
@@ -115,7 +127,9 @@ def test_codegen_beats_interpretation_on_an_access_bound_kernel():
     assert speedup >= MIN_MATMUL_SPEEDUP, (
         f"compiled tiled matmul only {speedup:.2f}x over the interpreter; "
         f"floor is {MIN_MATMUL_SPEEDUP:.2f}x — has the per-access "
-        "check-then-clamp come back (rt.resolve_index)?"
+        "check-then-clamp come back (rt.resolve_index)?  Compare "
+        "codegen.kernel_ms.matmul in `python3 -m bench` before blaming "
+        "the compiled side: this is a ratio and the interpreter moves too"
     )
 
 

@@ -23,6 +23,7 @@ instruction classes and memory access streams for the device cost model.
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Dict, Optional
 
@@ -31,6 +32,7 @@ import numpy as np
 from .._options import LaunchOptions, current_options
 from ..errors import CodegenError, ExecutionError
 from ..kernel import intrinsics, ir
+from ..kernel.types import BOOL, F32, F64, I32, I64, U32
 from ..obs import trace as obs_trace
 from .launch import (
     Grid,
@@ -41,7 +43,19 @@ from .launch import (
 )
 from .trace import Trace
 
-_INT_KINDS = ("i", "u")
+#: C arithmetic raises no floating-point exceptions: division by zero,
+#: NaN operands and overflow yield values, and NaN/Inf -> int casts are
+#: well-defined garbage (downstream clamps handle the value).  Entered once
+#: per launch, not once per operation.
+_C_ARITHMETIC = {"divide": "ignore", "invalid": "ignore", "over": "ignore"}
+
+#: An index dtype viewed as unsigned of the same width: a negative index
+#: reads as a huge one, so a single ``max()`` decides both ends of the range.
+_UNSIGNED = {
+    np.dtype(np.int32): np.uint32,
+    np.dtype(np.uint32): np.uint32,
+    np.dtype(np.int64): np.uint64,
+}
 
 
 def launch(
@@ -203,16 +217,58 @@ def call_device_function(fn, module: ir.Module, args) -> np.ndarray:
     n = max(a.size for a in arrays)
     execution = _Execution(fn, module, Grid(1, 1), {}, Trace(), True)
     execution.T = n
-    execution.global_ids = np.arange(n, dtype=np.int32)
-    execution.thread_ids = execution.global_ids
-    execution.block_ids = np.zeros(n, dtype=np.int32)
+    lanes = np.arange(n, dtype=np.int32)
+    execution.ids.update(
+        global_id=lanes, thread_id=lanes, block_id=np.zeros(n, dtype=np.int32)
+    )
     execution.root = _Frame({}, None, n)
     values = []
     for param, arr in zip(fn.params, arrays):
         cast = arr.astype(param.type.dtype.to_numpy(), copy=False)
         values.append(np.broadcast_to(cast, (n,)) if cast.size != n else cast)
-    result = execution._call_device(fn, values, execution.root)
+    with np.errstate(**_C_ARITHMETIC):
+        result = execution._call_device(fn, values, execution.root)
     return np.broadcast_to(result, (n,)) if np.ndim(result) == 0 else result
+
+
+#: What each thread/grid intrinsic evaluates to, from the launch geometry
+#: and from other intrinsics.  Threads are linearized x-fastest within a
+#: block and block-x-fastest in the grid, so for 1-D launches the x ids
+#: equal the linear ids.
+_GRID_INTRINSICS = {
+    "global_id": lambda ids, grid: np.arange(grid.threads, dtype=np.int32),
+    "thread_id": lambda ids, grid: ids["global_id"] % np.int32(grid.block_threads),
+    "block_id": lambda ids, grid: ids["global_id"] // np.int32(grid.block_threads),
+    "block_dim": lambda ids, grid: np.int32(grid.threads_per_block),
+    "grid_dim": lambda ids, grid: np.int32(grid.blocks),
+    "global_id_x": lambda ids, grid: (
+        ids["block_id_x"] * ids["block_dim_x"] + ids["thread_id_x"]
+    ),
+    "global_id_y": lambda ids, grid: (
+        ids["block_id_y"] * ids["block_dim_y"] + ids["thread_id_y"]
+    ),
+    "thread_id_x": lambda ids, grid: ids["thread_id"] % ids["block_dim_x"],
+    "thread_id_y": lambda ids, grid: ids["thread_id"] // ids["block_dim_x"],
+    "block_id_x": lambda ids, grid: ids["block_id"] % ids["grid_dim_x"],
+    "block_id_y": lambda ids, grid: ids["block_id"] // ids["grid_dim_x"],
+    "block_dim_x": lambda ids, grid: np.int32(grid.threads_per_block),
+    "block_dim_y": lambda ids, grid: np.int32(grid.threads_per_block_y),
+    "grid_dim_x": lambda ids, grid: np.int32(grid.blocks),
+    "grid_dim_y": lambda ids, grid: np.int32(grid.blocks_y),
+}
+
+
+class _GridIds(dict):
+    """The intrinsic values of one launch, each computed on first use: a
+    1-D map kernel never pays for the 2-D decomposition of its grid."""
+
+    def __init__(self, grid: Grid) -> None:
+        super().__init__()
+        self.grid = grid
+
+    def __missing__(self, name: str):
+        value = self[name] = _GRID_INTRINSICS[name](self, self.grid)
+        return value
 
 
 class _Frame:
@@ -237,24 +293,10 @@ class _Execution:
         self.trace = trace
         self.bounds_check = bounds_check
         self.T = grid.threads
-        linear = np.arange(self.T, dtype=np.int32)
-        block_threads = np.int32(grid.block_threads)
-        self.global_ids = linear
-        self.thread_ids = linear % block_threads  # in-block linear id
-        self.block_ids = linear // block_threads  # linear block id
-        # 2-D decomposition (x fastest within a block, block x fastest in
-        # the grid) — for 1-D launches the x ids equal the linear ids.
-        tx = np.int32(grid.threads_per_block)
-        self.thread_ids_x = self.thread_ids % tx
-        self.thread_ids_y = self.thread_ids // tx
-        self.block_ids_x = self.block_ids % np.int32(grid.blocks)
-        self.block_ids_y = self.block_ids // np.int32(grid.blocks)
-        self.global_ids_x = self.block_ids_x * tx + self.thread_ids_x
-        self.global_ids_y = (
-            self.block_ids_y * np.int32(grid.threads_per_block_y) + self.thread_ids_y
-        )
+        self.ids = _GridIds(grid)
         self.arrays: Dict[str, np.ndarray] = {}
-        self.shared: Dict[str, np.ndarray] = {}
+        #: name -> (flat buffer, per-block size, per-thread base offset)
+        self.shared: Dict[str, tuple] = {}
         env: Dict[str, object] = {}
         for name, value in bound_args.items():
             if isinstance(value, np.ndarray):
@@ -268,7 +310,8 @@ class _Execution:
 
     def run(self) -> None:
         self.trace.count_launch(self.T)
-        self._exec_body(self.fn.body, self.root)
+        with np.errstate(**_C_ARITHMETIC):
+            self._exec_body(self.fn.body, self.root)
 
     # ----------------------------------------------------------- statements
 
@@ -279,26 +322,27 @@ class _Execution:
             self._exec_stmt(stmt, frame)
 
     def _exec_stmt(self, stmt, frame: _Frame) -> None:
-        if isinstance(stmt, ir.Assign):
-            value = self._eval(stmt.value, frame)
-            self._assign(stmt.target, value, frame)
-        elif isinstance(stmt, ir.Store):
-            self._store(stmt, frame)
-        elif isinstance(stmt, ir.AtomicRMW):
-            self._atomic(stmt, frame)
-        elif isinstance(stmt, ir.If):
-            self._exec_if(stmt, frame)
-        elif isinstance(stmt, ir.For):
-            self._exec_for(stmt, frame)
-        elif isinstance(stmt, ir.Return):
-            self._exec_return(stmt, frame)
-        elif isinstance(stmt, ir.Barrier):
-            self.trace.count_op("barrier", "i32", 1)
-        elif isinstance(stmt, ir.SharedAlloc):
-            shape = (self.grid.blocks,) + tuple(stmt.shape)
-            self.shared[stmt.name] = np.zeros(shape, dtype=stmt.dtype.to_numpy())
-        else:
+        handler = _STATEMENTS.get(type(stmt))
+        if handler is None:
             raise ExecutionError(f"cannot execute {type(stmt).__name__}")
+        handler(self, stmt, frame)
+
+    def _exec_assign(self, stmt: ir.Assign, frame: _Frame) -> None:
+        self._assign(stmt.target, self._eval(stmt.value, frame), frame)
+
+    def _exec_barrier(self, stmt: ir.Barrier, frame: _Frame) -> None:
+        self.trace.count_op("barrier", "i32", 1)
+
+    def _exec_shared_alloc(self, stmt: ir.SharedAlloc, frame: _Frame) -> None:
+        shape = (self.grid.blocks,) + tuple(stmt.shape)
+        buf = np.zeros(shape, dtype=stmt.dtype.to_numpy())
+        size = buf.shape[1] if buf.ndim > 1 else buf.size
+        # Shared arrays are per-block: logical index i of a thread in block
+        # b lives at flat index b*size + i.  The b*size term is the same
+        # for every access of the launch.
+        self.shared[stmt.name] = (
+            buf.reshape(-1), size, self.ids["block_id"] * np.int64(size)
+        )
 
     def _assign(self, name: str, value, frame: _Frame) -> None:
         live = self._live_mask(frame)
@@ -311,17 +355,15 @@ class _Execution:
     def _store(self, stmt: ir.Store, frame: _Frame) -> None:
         idx = self._eval(stmt.index, frame)
         value = self._eval(stmt.value, frame)
-        buf, space = self._resolve_array(stmt.array, frame)
-        flat_idx, addresses = self._flatten_index(stmt.array, idx, frame)
+        buf, space, flat_idx, addresses = self._access(stmt.array, idx, frame)
         live = self._live_mask(frame)
         value = np.asarray(value, dtype=buf.dtype)
         if live is None:
-            buf.reshape(-1)[flat_idx] = value
-            count = self.T if np.ndim(flat_idx) else self.T
+            buf[flat_idx] = value
+            count = self.T
         else:
-            fi = np.broadcast_to(np.asarray(flat_idx), (self.T,))[live]
-            val = np.broadcast_to(value, (self.T,))[live]
-            buf.reshape(-1)[fi] = val
+            fi = np.broadcast_to(flat_idx, (self.T,))[live]
+            buf[fi] = np.broadcast_to(value, (self.T,))[live]
             count = frame.active
         self.trace.record_access(
             space, "store", buf.dtype.itemsize, count, addresses, stmt.array.name
@@ -330,31 +372,16 @@ class _Execution:
     def _atomic(self, stmt: ir.AtomicRMW, frame: _Frame) -> None:
         idx = self._eval(stmt.index, frame)
         value = self._eval(stmt.value, frame)
-        buf, space = self._resolve_array(stmt.array, frame)
-        flat_idx, addresses = self._flatten_index(stmt.array, idx, frame)
+        buf, space, flat_idx, addresses = self._access(stmt.array, idx, frame)
         live = self._live_mask(frame)
-        flat = buf.reshape(-1)
-        fi = np.broadcast_to(np.asarray(flat_idx), (self.T,))
+        fi = np.broadcast_to(flat_idx, (self.T,))
         val = np.broadcast_to(np.asarray(value, dtype=buf.dtype), (self.T,))
         if live is not None:
             fi, val = fi[live], val[live]
-        op = stmt.op
-        if op == "add":
-            np.add.at(flat, fi, val)
-        elif op == "inc":
-            np.add.at(flat, fi, np.ones_like(val))
-        elif op == "min":
-            np.minimum.at(flat, fi, val)
-        elif op == "max":
-            np.maximum.at(flat, fi, val)
-        elif op == "and":
-            np.bitwise_and.at(flat, fi, val)
-        elif op == "or":
-            np.bitwise_or.at(flat, fi, val)
-        elif op == "xor":
-            np.bitwise_xor.at(flat, fi, val)
-        else:  # pragma: no cover - guarded by IR validation
-            raise ExecutionError(f"unknown atomic {op}")
+        update = _ATOMICS.get(stmt.op)
+        if update is None:  # pragma: no cover - guarded by IR validation
+            raise ExecutionError(f"unknown atomic {stmt.op}")
+        update.at(buf, fi, np.ones_like(val) if stmt.op == "inc" else val)
         count = frame.active if live is not None else self.T
         self.trace.count_op("atomic", stmt.array.dtype.name, count)
         self.trace.record_access(
@@ -448,37 +475,38 @@ class _Execution:
             return int(flat[0])
         return int(value)
 
-    def _resolve_array(self, ref: ir.ArrayRef, frame: _Frame):
-        if ref.name in self.shared:
-            return self.shared[ref.name], "shared"
-        if ref.name in self.arrays:
-            return self.arrays[ref.name], ref.type.space
-        raise ExecutionError(f"{self.fn.name}: unbound array {ref.name!r}")
+    def _access(self, ref: ir.ArrayRef, idx, frame: _Frame):
+        """Resolve one array access: ``(flat buffer, memory space, flat
+        index into the buffer, addresses for the trace)``.
 
-    def _flatten_index(self, ref: ir.ArrayRef, idx, frame: _Frame):
-        """Return (flat index into the buffer, addresses for the trace).
-
-        Shared arrays are per-block: logical index i of a thread in block b
-        maps to flat index b*size + i.  Global arrays are flat already.
-        Out-of-range indices raise when all lanes are live and are clamped
-        (then masked out) when under predication.
+        Global arrays are flat already; for a shared array the flat index
+        adds the thread's block base and the trace sees the in-block
+        address (used only for footprint and bank statistics).  An index
+        array wholly inside ``[0, size)`` — dead lanes included — is used as
+        given.  Anything else is checked on the live lanes (when
+        ``bounds_check``) and then clamped, so lanes under predication may
+        compute any address without touching memory outside the buffer.
         """
-        if ref.name in self.shared:
-            buf = self.shared[ref.name]
-            size = buf.shape[1] if buf.ndim > 1 else buf.size
-            idx_arr = np.asarray(idx)
+        idx_arr = np.asarray(idx)
+        shared = self.shared.get(ref.name)
+        if shared is not None:
+            buf, size, base = shared
+            space = "shared"
+        elif ref.name in self.arrays:
+            buf = self.arrays[ref.name]
+            size, base, space = buf.size, None, ref.type.space
+        else:
+            raise ExecutionError(f"{self.fn.name}: unbound array {ref.name!r}")
+        unsigned = _UNSIGNED.get(idx_arr.dtype)
+        if (
+            unsigned is None
+            or idx_arr.size == 0
+            or idx_arr.view(unsigned).max() >= size
+        ):
             if self.bounds_check:
                 self._check_bounds(ref, idx_arr, size, frame)
-            idx_arr = np.clip(idx_arr, 0, size - 1)
-            flat = self.block_ids * np.int64(size) + idx_arr
-            # In-block addresses: used only for footprint tracking.
-            return flat, idx_arr
-        buf = self.arrays[ref.name]
-        idx_arr = np.asarray(idx)
-        if self.bounds_check:
-            self._check_bounds(ref, idx_arr, buf.size, frame)
-        idx_arr = np.clip(idx_arr, 0, max(buf.size - 1, 0))
-        return idx_arr, idx_arr
+            idx_arr = np.clip(idx_arr, 0, max(size - 1, 0))
+        return buf, space, idx_arr if base is None else base + idx_arr, idx_arr
 
     def _check_bounds(self, ref, idx_arr, size, frame) -> None:
         live = self._live_mask(frame)
@@ -497,58 +525,57 @@ class _Execution:
     # ---------------------------------------------------------- expressions
 
     def _eval(self, expr: ir.Expr, frame: _Frame):
-        if isinstance(expr, ir.Const):
-            return expr.dtype.to_numpy().type(expr.value)
-        if isinstance(expr, ir.Var):
-            try:
-                return frame.env[expr.name]
-            except KeyError:
-                raise ExecutionError(
-                    f"{self.fn.name}: read of unassigned variable {expr.name!r}"
-                )
-        if isinstance(expr, ir.ArrayRef):
-            return expr  # only consumed by Load/Store/Atomic
-        if isinstance(expr, ir.BinOp):
-            return self._eval_binop(expr, frame)
-        if isinstance(expr, ir.UnOp):
-            operand = self._eval(expr.operand, frame)
-            self.trace.count_op("alu", expr.dtype.name, frame.active)
-            if expr.op == "neg":
-                return -operand
-            if expr.op == "lnot":
-                return ~np.asarray(operand, dtype=bool) if np.ndim(operand) else not operand
-            return ~operand  # bnot
-        if isinstance(expr, ir.Cast):
-            value = self._eval(expr.operand, frame)
-            self.trace.count_op("alu", expr.dtype.name, frame.active)
-            target = expr.dtype.to_numpy()
-            # NaN/Inf -> int casts are well-defined garbage in C; silence
-            # the NumPy warning (downstream clamps handle the value).
-            with np.errstate(invalid="ignore"):
-                if np.ndim(value) == 0:
-                    return target.type(value)
-                return np.asarray(value).astype(target)
-        if isinstance(expr, ir.Select):
-            cond = self._eval(expr.cond, frame)
-            a = self._eval(expr.if_true, frame)
-            b = self._eval(expr.if_false, frame)
-            self.trace.count_op("alu", expr.dtype.name, frame.active)
-            out_dtype = expr.dtype.to_numpy()
-            if np.ndim(cond) == 0:
-                chosen = a if bool(cond) else b
-                return np.asarray(chosen, dtype=out_dtype) if np.ndim(chosen) else out_dtype.type(chosen)
-            return np.where(cond, a, b).astype(out_dtype, copy=False)
-        if isinstance(expr, ir.Load):
-            return self._eval_load(expr, frame)
-        if isinstance(expr, ir.Call):
-            return self._eval_call(expr, frame)
-        raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+        handler = _EXPRESSIONS.get(type(expr))
+        if handler is None:
+            raise ExecutionError(f"cannot evaluate {type(expr).__name__}")
+        return handler(self, expr, frame)
+
+    def _eval_const(self, expr: ir.Const, frame: _Frame):
+        return expr.dtype.to_numpy().type(expr.value)
+
+    def _eval_var(self, expr: ir.Var, frame: _Frame):
+        try:
+            return frame.env[expr.name]
+        except KeyError:
+            raise ExecutionError(
+                f"{self.fn.name}: read of unassigned variable {expr.name!r}"
+            )
+
+    def _eval_array_ref(self, expr: ir.ArrayRef, frame: _Frame):
+        return expr  # only consumed by Load/Store/Atomic
+
+    def _eval_unop(self, expr: ir.UnOp, frame: _Frame):
+        operand = self._eval(expr.operand, frame)
+        self.trace.count_op("alu", expr.dtype.name, frame.active)
+        if expr.op == "neg":
+            return -operand
+        if expr.op == "lnot":
+            return ~np.asarray(operand, dtype=bool) if np.ndim(operand) else not operand
+        return ~operand  # bnot
+
+    def _eval_cast(self, expr: ir.Cast, frame: _Frame):
+        value = self._eval(expr.operand, frame)
+        self.trace.count_op("alu", expr.dtype.name, frame.active)
+        target = expr.dtype.to_numpy()
+        if np.ndim(value) == 0:
+            return target.type(value)
+        return np.asarray(value).astype(target)
+
+    def _eval_select(self, expr: ir.Select, frame: _Frame):
+        cond = self._eval(expr.cond, frame)
+        a = self._eval(expr.if_true, frame)
+        b = self._eval(expr.if_false, frame)
+        self.trace.count_op("alu", expr.dtype.name, frame.active)
+        out_dtype = expr.dtype.to_numpy()
+        if np.ndim(cond) == 0:
+            chosen = a if bool(cond) else b
+            return np.asarray(chosen, dtype=out_dtype) if np.ndim(chosen) else out_dtype.type(chosen)
+        return np.where(cond, a, b).astype(out_dtype, copy=False)
 
     def _eval_load(self, expr: ir.Load, frame: _Frame):
         idx = self._eval(expr.index, frame)
-        buf, space = self._resolve_array(expr.array, frame)
-        flat_idx, addresses = self._flatten_index(expr.array, idx, frame)
-        value = buf.reshape(-1)[flat_idx]
+        buf, space, flat_idx, addresses = self._access(expr.array, idx, frame)
+        value = buf.take(flat_idx)
         self.trace.record_access(
             space, "load", buf.dtype.itemsize, frame.active, addresses,
             expr.array.name,
@@ -558,91 +585,26 @@ class _Execution:
     def _eval_binop(self, expr: ir.BinOp, frame: _Frame):
         a = self._eval(expr.left, frame)
         b = self._eval(expr.right, frame)
-        op = expr.op
-        dtype = expr.dtype
-        self.trace.count_op(_binop_class(op, dtype), dtype.name, frame.active)
-        np_dtype = dtype.to_numpy()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if op == "add":
-                out = np.add(a, b)
-            elif op == "sub":
-                out = np.subtract(a, b)
-            elif op == "mul":
-                out = np.multiply(a, b)
-            elif op == "div":
-                out = _c_divide(a, b, dtype)
-            elif op == "mod":
-                out = _c_mod(a, b, dtype)
-            elif op == "and":
-                out = np.bitwise_and(a, b)
-            elif op == "or":
-                out = np.bitwise_or(a, b)
-            elif op == "xor":
-                out = np.bitwise_xor(a, b)
-            elif op == "shl":
-                out = np.left_shift(a, b)
-            elif op == "shr":
-                out = np.right_shift(a, b)
-            elif op == "lt":
-                out = np.less(a, b)
-            elif op == "le":
-                out = np.less_equal(a, b)
-            elif op == "gt":
-                out = np.greater(a, b)
-            elif op == "ge":
-                out = np.greater_equal(a, b)
-            elif op == "eq":
-                out = np.equal(a, b)
-            elif op == "ne":
-                out = np.not_equal(a, b)
-            elif op == "land":
-                out = np.logical_and(a, b)
-            elif op == "lor":
-                out = np.logical_or(a, b)
-            else:  # pragma: no cover - guarded by IR construction
-                raise ExecutionError(f"unknown binop {op}")
+        dtype_name = expr.dtype.name
+        plan = _BINOP_PLANS.get((expr.op, dtype_name))
+        if plan is None:  # pragma: no cover - guarded by IR construction
+            raise ExecutionError(f"unknown binop {expr.op}")
+        evaluate, latency_class, np_dtype = plan
+        self.trace.count_op(latency_class, dtype_name, frame.active)
+        out = evaluate(a, b)
         if np.ndim(out) == 0:
             return np_dtype.type(out)
         return np.asarray(out).astype(np_dtype, copy=False)
 
     def _eval_call(self, expr: ir.Call, frame: _Frame):
         name = expr.func
-        if name == "global_id":
-            return self.global_ids
-        if name == "thread_id":
-            return self.thread_ids
-        if name == "block_id":
-            return self.block_ids
-        if name == "block_dim":
-            return np.int32(self.grid.threads_per_block)
-        if name == "grid_dim":
-            return np.int32(self.grid.blocks)
-        if name == "global_id_x":
-            return self.global_ids_x
-        if name == "global_id_y":
-            return self.global_ids_y
-        if name == "thread_id_x":
-            return self.thread_ids_x
-        if name == "thread_id_y":
-            return self.thread_ids_y
-        if name == "block_id_x":
-            return self.block_ids_x
-        if name == "block_id_y":
-            return self.block_ids_y
-        if name == "block_dim_x":
-            return np.int32(self.grid.threads_per_block)
-        if name == "block_dim_y":
-            return np.int32(self.grid.threads_per_block_y)
-        if name == "grid_dim_x":
-            return np.int32(self.grid.blocks)
-        if name == "grid_dim_y":
-            return np.int32(self.grid.blocks_y)
+        if name in _GRID_INTRINSICS:
+            return self.ids[name]
         args = [self._eval(a, frame) for a in expr.args]
         builtin = intrinsics.get(name)
         if builtin is not None:
             self.trace.count_op(builtin.latency_class, expr.dtype.name, frame.active)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                out = builtin.evaluate(*args)
+            out = builtin.evaluate(*args)
             np_dtype = expr.dtype.to_numpy()
             if np.ndim(out) == 0:
                 return np_dtype.type(out)
@@ -671,16 +633,6 @@ class _Execution:
         return callee.ret_val
 
 
-def _binop_class(op: str, dtype) -> str:
-    if op == "div":
-        return "fdiv" if dtype.is_float else "idiv"
-    if op == "mod":
-        return "fdiv" if dtype.is_float else "idiv"
-    if op == "mul":
-        return "fmul" if dtype.is_float else "imul"
-    return "alu"
-
-
 def _c_divide(a, b, dtype):
     """C-semantics division: truncation toward zero for integers."""
     if dtype.is_float:
@@ -699,3 +651,81 @@ def _c_mod(a, b, dtype):
         return np.fmod(a, b)
     q = _c_divide(a, b, dtype)
     return np.asarray(a, dtype=np.int64) - q * np.asarray(b, dtype=np.int64)
+
+
+_STATEMENTS = {
+    ir.Assign: _Execution._exec_assign,
+    ir.Store: _Execution._store,
+    ir.AtomicRMW: _Execution._atomic,
+    ir.If: _Execution._exec_if,
+    ir.For: _Execution._exec_for,
+    ir.Return: _Execution._exec_return,
+    ir.Barrier: _Execution._exec_barrier,
+    ir.SharedAlloc: _Execution._exec_shared_alloc,
+}
+
+_EXPRESSIONS = {
+    ir.Const: _Execution._eval_const,
+    ir.Var: _Execution._eval_var,
+    ir.ArrayRef: _Execution._eval_array_ref,
+    ir.BinOp: _Execution._eval_binop,
+    ir.UnOp: _Execution._eval_unop,
+    ir.Cast: _Execution._eval_cast,
+    ir.Select: _Execution._eval_select,
+    ir.Load: _Execution._eval_load,
+    ir.Call: _Execution._eval_call,
+}
+
+_ATOMICS = {
+    "add": np.add,
+    "inc": np.add,  # of ones
+    "min": np.minimum,
+    "max": np.maximum,
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
+}
+
+#: ``div`` and ``mod`` follow C, not NumPy, for integers.
+_BINOPS = {
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": _c_divide,
+    "mod": _c_mod,
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
+    "shl": np.left_shift,
+    "shr": np.right_shift,
+    "lt": np.less,
+    "le": np.less_equal,
+    "gt": np.greater,
+    "ge": np.greater_equal,
+    "eq": np.equal,
+    "ne": np.not_equal,
+    "land": np.logical_and,
+    "lor": np.logical_or,
+}
+
+
+def _binop_plan(op: str, dtype) -> tuple:
+    """``(evaluate(a, b), latency class, NumPy dtype)`` of one operator at
+    one result type."""
+    evaluate = _BINOPS[op]
+    if op in ("div", "mod"):
+        evaluate = functools.partial(evaluate, dtype=dtype)
+        latency_class = "fdiv" if dtype.is_float else "idiv"
+    elif op == "mul":
+        latency_class = "fmul" if dtype.is_float else "imul"
+    else:
+        latency_class = "alu"
+    return evaluate, latency_class, dtype.to_numpy()
+
+
+#: Resolved once at import instead of once per evaluated node.
+_BINOP_PLANS = {
+    (op, dtype.name): _binop_plan(op, dtype)
+    for dtype in (F32, F64, I32, I64, U32, BOOL)
+    for op in _BINOPS
+}

@@ -39,13 +39,32 @@ def _max_run_length(sorted_rows: np.ndarray) -> int:
     rows = np.asarray(sorted_rows)
     if rows.shape[1] < 2:
         return rows.shape[0]
-    eq = rows[:, 1:] == rows[:, :-1]
-    run = np.zeros(rows.shape[0], dtype=np.int64)
-    best = np.ones(rows.shape[0], dtype=np.int64)
-    for j in range(eq.shape[1]):  # at most WARP_SIZE - 1 vector steps
-        run = (run + 1) * eq[:, j]
-        best = np.maximum(best, run + 1)
-    return int(best.sum())
+    # A lane's run began at the last lane (its own included) that differs
+    # from its left neighbour, or at lane 0; its run is that many lanes long.
+    lane = np.arange(1, rows.shape[1])
+    run_start = np.maximum.accumulate(
+        np.where(rows[:, 1:] == rows[:, :-1], 0, lane), axis=1
+    )
+    return rows.shape[0] + int((lane - run_start).max(axis=1).sum())
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array (``np.unique`` without its
+    dispatch cost, which dominates at the sizes the recorder sees)."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
+def _bank_conflict_depth(warp_rows: np.ndarray) -> int:
+    """Deepest same-bank pile-up of each warp (one row of word addresses
+    per warp, 32 word-interleaved banks), summed over warps."""
+    warps = warp_rows.shape[0]
+    # WARP_SIZE is a power of two, so the mask is the (floor) modulus.
+    slots = (warp_rows & (WARP_SIZE - 1)) + (np.arange(warps) * WARP_SIZE)[:, None]
+    per_bank = np.bincount(slots.ravel(), minlength=warps * WARP_SIZE)
+    return int(per_bank.reshape(warps, WARP_SIZE).max(axis=1).sum())
 
 
 #: Cap on the per-stream distinct-segment set used for the working-set
@@ -91,10 +110,13 @@ class MemStats:
             return MAX_TRACKED_SEGMENTS * SEGMENT_BYTES * 4
         return len(self.segments) * SEGMENT_BYTES
 
-    def note_segments(self, segs: np.ndarray) -> None:
+    def note_segments(self, segs) -> None:
+        """Fold segment ids (repeats allowed) into the working-set
+        estimate.  The set holds Python ints; callers pre-reduce large
+        streams (see :meth:`Trace.record_access`) so this stays cheap."""
         if self.segments_saturated:
             return
-        self.segments.update(np.unique(segs).tolist())
+        self.segments.update(np.asarray(segs).ravel().tolist())
         if len(self.segments) > MAX_TRACKED_SEGMENTS:
             self.segments_saturated = True
             self.segments = set()
@@ -146,46 +168,72 @@ class Trace:
     ) -> None:
         """Record ``count`` thread-level accesses; ``addresses`` (element
         indices, possibly a sample) drives the coalescing statistics for
-        global-memory streams."""
-        stats = self.mem.setdefault((space, kind, array), MemStats())
+        global-memory streams.
+
+        A 0-d ``addresses`` is a *uniform* access — every lane reads the
+        same element — and is priced in O(1) as the single partial warp
+        the general path would make of a one-element sample: one warp, one
+        transaction, chain 1, whatever the space or the lane count.
+        """
+        key = (space, kind, array)
+        stats = self.mem.get(key)
+        if stats is None:
+            stats = self.mem[key] = MemStats()
         stats.accesses += int(count)
         stats.bytes += int(count) * element_size
         if addresses is None:
             return
-        sample = np.asarray(addresses).ravel()
-        if sample.size > COALESCE_SAMPLE:
-            sample = sample[:COALESCE_SAMPLE]
-        all_segs = sample * element_size // SEGMENT_BYTES
-        stats.note_segments(all_segs)
+        if np.ndim(addresses) == 0:
+            stats.note_segments(int(addresses) * element_size // SEGMENT_BYTES)
+            stats.warps += 1
+            stats.transactions += 1
+            if kind == "atomic":
+                stats.atomic_chain += 1
+            return
+        sample = np.asarray(addresses).ravel()[:COALESCE_SAMPLE]
+        segs = sample * element_size // SEGMENT_BYTES
         full_warps = sample.size // WARP_SIZE
         if full_warps == 0:
-            # Fewer than one warp of threads: a single partial warp.
+            # Fewer than one warp of threads: a single partial warp, priced
+            # by distinct segments in every space.
+            distinct = _distinct(segs)
+            stats.note_segments(distinct)
             stats.warps += 1
-            stats.transactions += int(np.unique(all_segs).size)
+            stats.transactions += distinct.size
             if kind == "atomic":
-                addr_sorted = np.sort(sample)
-                stats.atomic_chain += int(_max_run_length(addr_sorted[None, :]))
+                stats.atomic_chain += _max_run_length(np.sort(sample)[None, :])
             return
-        warp_view = sample[: full_warps * WARP_SIZE].reshape(full_warps, WARP_SIZE)
+        lanes = full_warps * WARP_SIZE
+        warp_view = sample[:lanes].reshape(full_warps, WARP_SIZE)
+        # Each warp's segment ids, sorted: the first of every run is a
+        # distinct segment of that warp.  Those (plus the ragged tail) are
+        # all the working-set estimate needs — usually a few dozen ids
+        # instead of the whole sample — and for global streams their count
+        # is the transaction count.
+        warp_segs = np.sort(segs[:lanes].reshape(full_warps, WARP_SIZE), axis=1)
+        new_seg = warp_segs[:, 1:] != warp_segs[:, :-1]
+        stats.note_segments(
+            _distinct(
+                np.concatenate(
+                    (warp_segs[:, 0], warp_segs[:, 1:][new_seg], segs[lanes:])
+                )
+            )
+        )
         stats.warps += full_warps
         if space == "shared":
             # Shared memory serializes on *bank* conflicts: a warp costs as
             # many cycles as the deepest same-bank pile-up (32 banks, word
             # interleaved).
-            banks = np.sort(warp_view % WARP_SIZE, axis=1)
-            stats.transactions += _max_run_length(banks)
+            stats.transactions += _bank_conflict_depth(warp_view)
         elif space == "constant":
             # The constant cache broadcasts one *word* per cycle: a warp
             # costs one step per distinct address it requests.
-            words_sorted = np.sort(warp_view, axis=1)
-            distinct = 1 + (words_sorted[:, 1:] != words_sorted[:, :-1]).sum(axis=1)
-            stats.transactions += int(distinct.sum())
-        else:
-            segs_sorted = np.sort(
-                warp_view * element_size // SEGMENT_BYTES, axis=1
+            words = np.sort(warp_view, axis=1)
+            stats.transactions += full_warps + int(
+                np.count_nonzero(words[:, 1:] != words[:, :-1])
             )
-            distinct = 1 + (segs_sorted[:, 1:] != segs_sorted[:, :-1]).sum(axis=1)
-            stats.transactions += int(distinct.sum())
+        else:
+            stats.transactions += full_warps + int(np.count_nonzero(new_seg))
         if kind == "atomic":
             stats.atomic_chain += _max_run_length(np.sort(warp_view, axis=1))
 

@@ -83,7 +83,10 @@ class ApproxSession:
             ``parallel_workers``, ``executor``).  They govern every
             launch the session makes, the sampled quality check
             included; only tuning always interprets — its cost model
-            needs instruction traces.
+            needs instruction traces.  That is what a cold start pays
+            for: profiling is ≈ 78 % of an empty-cache bring-up, which
+            ``bench``'s ``cold_start`` reads at ≈ 58 ms for the typical
+            app and ≈ 0.6 s for the slowest (docs/SERVING.md).
         guard: guarded-launch policy (retries, deadline, output
             validation); defaults to ``GuardPolicy()``.  Pass
             ``GuardPolicy(enabled=False)`` for the raw unguarded path.

@@ -194,3 +194,16 @@ def test_warm_start_fails_on_a_registry_that_forgets(monkeypatch, capsys):
     assert code == 1
     assert "[FAIL] warm_start Gamma Correction: seed_mode=cold" in out
     assert "[FAIL] warm_start aggregate" in out
+
+
+def test_a_one_contract_run_reports_only_that_contract(capsys):
+    """``--contract exact`` runs the fault cells too (their output must be
+    exact) but the "never fired" audit belongs to ``contained``: with one
+    seed some plans legitimately never fire, and that must not fail a run
+    that did not ask for the contract."""
+    code = main(["gamma", "--contract", "exact", "--seeds", "0"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "exact:" in out
+    for other in ("contained", "variant", "floor", "warm_start"):
+        assert other not in out

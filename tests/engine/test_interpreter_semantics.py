@@ -171,3 +171,132 @@ class TestMaskedSideEffects:
         out = np.full(64, -5.0, dtype=np.float32)
         launch(nested_divergence, Grid(1, 64), [out, x, 32])
         assert (out[32:] == -5.0).all()
+
+
+@kernel
+def guarded_shift(out: array_f32, x: array_f32, n: i32, shift: i32):
+    i = global_id()
+    if i < n:
+        out[i + shift] = x[i + shift]
+
+
+@kernel
+def tail_shift(out: array_f32, x: array_f32, lo: i32):
+    i = global_id()
+    if i >= lo:
+        out[i - lo] = x[i - lo]
+
+
+@kernel
+def uniform_slot(out: array_f32, x: array_f32, n: i32, k: i32):
+    i = global_id()
+    if i < n:
+        out[i] = x[k]
+
+
+@kernel
+def shared_shift(out: array_f32, x: array_f32, shift: i32):
+    tile = shared(32, f32)
+    t = thread_id()
+    g = global_id()
+    tile[t] = x[g]
+    barrier()
+    out[g] = tile[t + shift]
+
+
+class TestAccessUnderPredication:
+    """What an index may be, lane by lane: a dead lane may compute any
+    address and touches nothing; a live lane out of range raises, naming the
+    array, the live lanes' range and the size."""
+
+    def _run(self, n, shift, size=32, threads=64, **kwargs):
+        x = np.arange(size, dtype=np.float32) + 1
+        out = np.full(size, -1.0, dtype=np.float32)
+        launch(guarded_shift, Grid(1, threads), [out, x, n, shift], **kwargs)
+        return out, x
+
+    def test_dead_lanes_out_of_range_neither_raise_nor_write(self):
+        # lanes 24..39 are dead but in range, 40..63 dead and out of range
+        out, x = self._run(n=24, shift=0, size=40)
+        np.testing.assert_array_equal(out[:24], x[:24])
+        assert (out[24:] == -1.0).all()
+
+    def test_live_lane_past_the_end_raises_with_live_range(self):
+        with pytest.raises(ExecutionError) as err:
+            self._run(n=32, shift=5)
+        assert str(err.value) == (
+            "guarded_shift: index into 'x' out of range [5, 36] vs size 32"
+        )
+
+    def test_negative_index_raises_with_live_range(self):
+        with pytest.raises(ExecutionError) as err:
+            self._run(n=20, shift=-3)
+        assert str(err.value) == (
+            "guarded_shift: index into 'x' out of range [-3, 16] vs size 32"
+        )
+
+    def test_negative_index_on_dead_lanes_only_is_fine(self):
+        x = np.arange(32, dtype=np.float32) + 1
+        out = np.full(32, -1.0, dtype=np.float32)
+        # lanes 0..3 are dead and compute -4..-1; lanes 4..31 hit 0..27
+        launch(tail_shift, Grid(1, 32), [out, x, 4])
+        np.testing.assert_array_equal(out[:28], x[:28])
+        assert (out[28:] == -1.0).all()
+
+    def test_no_live_lane_checks_nothing(self):
+        out, _x = self._run(n=0, shift=1000)
+        assert (out == -1.0).all()
+
+    def test_bounds_check_off_clamps_instead_of_raising(self):
+        out, x = self._run(n=32, shift=5, bounds_check=False)
+        # live lanes 27..31 clamp to the last element
+        np.testing.assert_array_equal(out[5:], x[5:])
+        assert (out[:5] == -1.0).all()
+        out, x = self._run(n=20, shift=-3, bounds_check=False)
+        np.testing.assert_array_equal(out[:17], x[:17])
+
+    def test_uniform_index_in_range_under_a_mask(self):
+        x = np.arange(16, dtype=np.float32)
+        out = np.full(64, -1.0, dtype=np.float32)
+        launch(uniform_slot, Grid(1, 64), [out, x, 40, 15])
+        assert (out[:40] == 15.0).all() and (out[40:] == -1.0).all()
+
+    @pytest.mark.parametrize("k", [16, -1])
+    def test_uniform_index_out_of_range_raises(self, k):
+        x = np.arange(16, dtype=np.float32)
+        out = np.zeros(64, dtype=np.float32)
+        with pytest.raises(ExecutionError) as err:
+            launch(uniform_slot, Grid(1, 64), [out, x, 40, k])
+        assert str(err.value) == (
+            f"uniform_slot: index into 'x' out of range [{k}, {k}] vs size 16"
+        )
+
+    def test_uniform_index_out_of_range_clamps_without_the_check(self):
+        x = np.arange(16, dtype=np.float32)
+        out = np.zeros(64, dtype=np.float32)
+        launch(uniform_slot, Grid(1, 64), [out, x, 40, 99], bounds_check=False)
+        assert (out[:40] == 15.0).all()
+
+    def test_shared_arrays_are_per_block(self):
+        x = np.arange(96, dtype=np.float32)
+        out = np.zeros(96, dtype=np.float32)
+        launch(shared_shift, Grid(3, 32), [out, x, 0])
+        np.testing.assert_array_equal(out, x)
+
+    def test_shared_index_is_checked_against_the_block_size(self):
+        x = np.arange(96, dtype=np.float32)
+        out = np.zeros(96, dtype=np.float32)
+        with pytest.raises(ExecutionError) as err:
+            launch(shared_shift, Grid(3, 32), [out, x, 1])
+        assert str(err.value) == (
+            "shared_shift: index into 'tile' out of range [1, 32] vs size 32"
+        )
+        with pytest.raises(ExecutionError, match=r"\[-2, 29\] vs size 32"):
+            launch(shared_shift, Grid(3, 32), [out, x, -2])
+
+    def test_shared_index_clamps_inside_its_own_block(self):
+        x = np.arange(96, dtype=np.float32)
+        out = np.zeros(96, dtype=np.float32)
+        launch(shared_shift, Grid(3, 32), [out, x, 1], bounds_check=False)
+        want = x.reshape(3, 32)[:, np.minimum(np.arange(32) + 1, 31)].ravel()
+        np.testing.assert_array_equal(out, want)
