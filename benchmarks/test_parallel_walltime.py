@@ -21,7 +21,7 @@ import numpy as np
 import kernel_zoo as zoo
 from repro import LaunchOptions
 from repro.engine import Grid, launch
-from repro.parallel import ParallelPolicy, host_worker_count
+from repro.parallel import host_worker_count
 
 import pytest
 
@@ -36,8 +36,8 @@ needs_cores = pytest.mark.skipif(
 )
 
 
-def _time_launches(kernel, grid, args, parallel) -> float:
-    opts = LaunchOptions(backend="codegen", parallel=parallel)
+def _time_launches(kernel, grid, args, **sharding) -> float:
+    opts = LaunchOptions(backend="codegen", **sharding)
     launch(kernel, grid, args, options=opts)  # warm
     best = float("inf")
     for _repeat in range(3):
@@ -66,7 +66,8 @@ def test_sharded_map_beats_serial_codegen():
         zoo.black_scholes,
         grid,
         args,
-        parallel=ParallelPolicy(workers=WORKERS, min_shard_threads=1),
+        parallel=WORKERS,
+        min_shard_threads=1,
     )
     speedup = serial / sharded
     print(
@@ -105,7 +106,8 @@ def test_sharded_stencil_beats_serial_codegen():
         zoo.mean3x3,
         grid,
         args,
-        parallel=ParallelPolicy(workers=WORKERS, min_shard_threads=1),
+        parallel=WORKERS,
+        min_shard_threads=1,
     )
     speedup = serial / sharded
     print(

@@ -107,9 +107,8 @@ class LaunchOptions:
 
     Attributes:
         backend: ``"interp"``, ``"codegen"`` or ``"auto"``.
-        parallel: shard workers — a positive int, ``"auto"`` (usable
-            host cores) or a :class:`~repro.parallel.ParallelPolicy`
-            carrying its own threshold/executor.
+        parallel: shard workers — a positive int or ``"auto"`` (usable
+            host cores).
         min_shard_threads: grids smaller than this never shard.
         executor: ``"thread"`` or ``"process"`` — which pool runs shards.
         guard: a :class:`~repro.resilience.GuardPolicy`, or ``None`` for
@@ -150,10 +149,16 @@ class LaunchOptions:
         if self.parallel is not None:
             # Defer to the parallel runtime's validator without importing
             # it at module load (repro.parallel imports this module).
-            from .parallel.pool import ParallelPolicy, resolve_workers
+            from .parallel.pool import resolve_workers
 
-            if not isinstance(self.parallel, ParallelPolicy):
+            try:
                 resolve_workers(self.parallel)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"parallel= takes a worker count or 'auto' ({exc}); the "
+                    "shard threshold and the pool are the min_shard_threads= "
+                    "and executor= options"
+                ) from None
 
     def merged_over(self, base: "LaunchOptions") -> "LaunchOptions":
         """A new record where this record's set fields override ``base``."""

@@ -292,12 +292,7 @@ def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
         faults = use_faults(plan) if plan is not None else contextlib.nullcontext()
         with options(cell.options()), faults:
             if cell.via == "ladder":
-                # The ladder sets backend/parallel per rung and takes the
-                # guard, executor, threshold and fuse from the scope.
-                output, report = run_ladder(
-                    subject.app, inputs, subject.variant,
-                    backend=cell.backend, workers=cell.workers,
-                )
+                output, report = run_ladder(subject.app, inputs, subject.variant)
                 outcome.served, outcome.depth = report.served, report.depth
             else:
                 output = subject.run(inputs)

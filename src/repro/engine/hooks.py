@@ -3,13 +3,16 @@
 The serving runtime needs to see every kernel launch that flows through
 the engine — which kernel ran, over what geometry, and the trace it
 produced — without the interpreter knowing anything about sessions or
-monitors.  Hooks are process-global and deliberately cheap: when none are
-registered (the common case) a launch pays one truthiness check.
+monitors.  Registered hooks are process-global (the scoped
+:func:`launch_hook` form narrows delivery to its own thread) and
+deliberately cheap: when none are registered (the common case) a launch
+pays one truthiness check.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -44,12 +47,22 @@ def remove_launch_hook(hook: Callable[[LaunchEvent], None]) -> None:
 
 @contextlib.contextmanager
 def launch_hook(hook: Callable[[LaunchEvent], None]):
-    """Scope a hook to a ``with`` block (what sessions use per launch)."""
-    add_launch_hook(hook)
+    """Scope a hook to a ``with`` block (what sessions use per launch).
+
+    Only launches made on the thread that entered the block reach
+    ``hook``: two sessions serving on two threads each count their own.
+    """
+    owner = threading.get_ident()
+
+    def on_this_thread(event: LaunchEvent) -> None:
+        if threading.get_ident() == owner:
+            hook(event)
+
+    add_launch_hook(on_this_thread)
     try:
         yield hook
     finally:
-        remove_launch_hook(hook)
+        remove_launch_hook(on_this_thread)
 
 
 def notify_launch(kernel: str, grid: Grid, trace, backend: str = "interp") -> None:

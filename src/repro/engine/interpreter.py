@@ -34,6 +34,7 @@ from ..errors import CodegenError, ExecutionError
 from ..kernel import intrinsics, ir
 from ..kernel.types import BOOL, F32, F64, I32, I64, U32
 from ..obs import trace as obs_trace
+from .hooks import notify_launch
 from .launch import (
     Grid,
     bind_arguments,
@@ -118,6 +119,7 @@ def launch(
         flush_fusion()
     bound = bind_arguments(fn, args)
     t = trace if trace is not None else Trace()
+    compiled = None
     if chosen == "codegen":
         from ..codegen import cache as _codegen_cache
 
@@ -127,43 +129,29 @@ def launch(
             if not fallback:
                 raise
             _codegen_cache.STATS.inc("fallbacks")
+            chosen = "interp"
             if will_offer:
                 flush_fusion()  # falling back to interp: boundary after all
-        else:
-            if will_offer:
-                from . import fusion
+    t.count_launch(grid.threads)
+    fused = False
+    if compiled is not None and will_offer:
+        from . import fusion
 
-                if fusion.offer(
-                    fn, mod, compiled, grid, bound, effective, bounds_check
-                ):
-                    # Deferred as a producer or executed as the consumer
-                    # half of a fused pair; either way the launch is
-                    # accounted here and the kernel body is fusion's.
-                    t.count_launch(grid.threads)
-                    from .hooks import notify_launch
-
-                    notify_launch(fn.name, grid, t, backend="codegen")
-                    return t
-            t.count_launch(grid.threads)
-            with obs_trace.span(
-                "engine.launch", kernel=fn.name, backend="codegen",
-                threads=grid.threads,
-            ):
-                if not _maybe_shard(fn, mod, compiled, grid, bound, effective):
-                    compiled.run(grid, bound)
-            from .hooks import notify_launch
-
-            notify_launch(fn.name, grid, t, backend="codegen")
-            return t
-    execution = _Execution(fn, mod, grid, bound, t, bounds_check)
-    execution.call_observer = call_observer
-    with obs_trace.span(
-        "engine.launch", kernel=fn.name, backend="interp", threads=grid.threads
-    ):
-        execution.run()
-    from .hooks import notify_launch
-
-    notify_launch(fn.name, grid, t)
+        # Deferred as a producer or executed as the consumer half of a
+        # fused pair: the kernel body is fusion's, the launch is still
+        # accounted here.
+        fused = fusion.offer(fn, mod, compiled, grid, bound, effective, bounds_check)
+    if not fused:
+        with obs_trace.span(
+            "engine.launch", kernel=fn.name, backend=chosen, threads=grid.threads
+        ):
+            if compiled is None:
+                execution = _Execution(fn, mod, grid, bound, t, bounds_check)
+                execution.call_observer = call_observer
+                execution.run()
+            elif not _maybe_shard(fn, mod, compiled, grid, bound, effective):
+                compiled.run(grid, bound)
+    notify_launch(fn.name, grid, t, backend=chosen)
     return t
 
 
@@ -309,7 +297,6 @@ class _Execution:
     # ------------------------------------------------------------------ run
 
     def run(self) -> None:
-        self.trace.count_launch(self.T)
         with np.errstate(**_C_ARITHMETIC):
             self._exec_body(self.fn.body, self.root)
 

@@ -41,7 +41,7 @@ from ..obs.registry import get_registry
 #: Grids smaller than this many threads run serially even when a policy
 #: asks for workers: the pool handoff and geometry slicing cost more than
 #: the NumPy work they would split.  Tests and benchmarks lower it through
-#: ``ParallelPolicy(min_shard_threads=...)``.
+#: ``LaunchOptions(min_shard_threads=...)``.
 DEFAULT_MIN_SHARD_THREADS = 2048
 
 #: Accepted by every ``workers=`` knob: resolve to the usable host cores.
@@ -158,32 +158,10 @@ class ParallelPolicy:
         return self.workers <= 1
 
 
-SERIAL_POLICY = ParallelPolicy(workers=1)
-
-
 def policy_from_options(opts: LaunchOptions) -> ParallelPolicy:
-    """The :class:`ParallelPolicy` a merged options record resolves to.
-
-    A full :class:`ParallelPolicy` in ``opts.parallel`` supplies the
-    base; the record's own ``min_shard_threads``/``executor`` fields
-    (when set) override it.  Otherwise the policy is assembled from the
-    record's fields over the serial defaults.
-    """
-    if isinstance(opts.parallel, ParallelPolicy):
-        base = opts.parallel
-        min_shard = (
-            opts.min_shard_threads
-            if opts.min_shard_threads is not None
-            else base.min_shard_threads
-        )
-        executor = opts.executor if opts.executor is not None else base.executor
-        if min_shard == base.min_shard_threads and executor == base.executor:
-            return base
-        return ParallelPolicy(
-            workers=base.workers,
-            min_shard_threads=min_shard,
-            executor=executor,
-        )
+    """The :class:`ParallelPolicy` a merged options record resolves to:
+    its ``parallel``/``min_shard_threads``/``executor`` fields over the
+    serial defaults."""
     return ParallelPolicy(
         workers=opts.parallel if opts.parallel is not None else 1,
         min_shard_threads=(

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -297,8 +298,8 @@ def run_ladder(
     app,
     inputs,
     variant,
-    backend: str = "auto",
-    workers: int = 1,
+    backend: Optional[str] = None,
+    workers: Optional[object] = None,
     policy: Optional[GuardPolicy] = None,
 ):
     """Serve one invocation through the fallback ladder.
@@ -307,7 +308,19 @@ def run_ladder(
     exact-or-better answer: every contained rung failure steps down, and
     the final rung (exact program, interpreter, serial) is the reference
     semantics itself.  Only a final-rung exception propagates.
+
+    The first rung is the :func:`repro.options` scope the ladder is
+    called in: ``backend``, ``workers`` and ``policy`` left unset mean
+    what that scope says (``"auto"``, serial and unguarded where it says
+    nothing), and everything else — executor, shard threshold, fusion —
+    is only ever read from it.  A rung scopes just the fields in which
+    it differs, so a healthy first rung pushes no scope at all.
     """
+    scope = current_options()
+    if backend is None:
+        backend = scope.backend or "auto"
+    if workers is None:
+        workers = scope.parallel or 1
     if policy is None:
         policy = current_policy()
     guarded = policy is not None and policy.enabled
@@ -321,13 +334,16 @@ def run_ladder(
     report = LadderReport(served="", depth=0)
     for depth, (label, be, w, runs_variant) in enumerate(rungs):
         final = depth == len(rungs) - 1
-        # An unguarded rung leaves the ambient guard field as it found it.
-        scope = {"guard": policy} if guarded else {}
+        wanted = {"backend": be, "parallel": w}
+        if guarded:  # an unguarded rung leaves the guard field as it found it
+            wanted["guard"] = policy
+        differs = {k: v for k, v in wanted.items() if getattr(scope, k) != v}
+        rung_scope = options_scope(**differs) if differs else nullcontext()
         rung_span = obs_trace.span(
             "ladder.rung", rung=label, depth=depth, backend=be, guarded=guarded
         )
         try:
-            with rung_span, options_scope(backend=be, parallel=w, **scope):
+            with rung_span, rung_scope:
                 if runs_variant:
                     out, _trace = app.run_variant(variant, inputs)
                 else:

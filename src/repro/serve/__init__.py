@@ -20,7 +20,7 @@ from .overload import (
 )
 from .recalibrate import Recalibrator
 from .frontend import ServeFrontend, Tenant
-from .session import ApproxSession, LaunchInfo
+from .session import ApproxSession
 from .signals import (
     drain,
     install_signal_handlers,
@@ -39,7 +39,6 @@ __all__ = [
     "drain",
     "install_signal_handlers",
     "uninstall_signal_handlers",
-    "LaunchInfo",
     "VariantCache",
     "CacheEntry",
     "cache_key",

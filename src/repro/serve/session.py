@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from dataclasses import replace
+from typing import Optional
 
 from .._options import LaunchOptions, current_options, options as options_scope
 from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
-from ..engine import launch_hook, validate_backend
+from ..engine import launch_hook
 from ..engine.interpreter import flush_fusion
 from ..errors import ServeError
 from ..obs import trace as obs_trace
@@ -41,27 +41,6 @@ from .cache import CacheEntry, VariantCache, cache_key
 from .metrics import LaunchRecord, SessionMetrics, Transition
 from .monitor import DRIFT, HEADROOM, VIOLATION, MonitorConfig, QualityMonitor
 from .recalibrate import Recalibrator
-
-
-@dataclass(frozen=True)
-class LaunchInfo:
-    """Correlation record of the most recent :meth:`ApproxSession.launch`.
-
-    ``launch_id`` increases monotonically per session and is stamped on
-    the launch's root span, its quality-timeline entries, and the
-    :class:`~repro.serve.metrics.LaunchRecord`, so one served request can
-    be followed across every observability surface.  ``trace_id`` is None
-    while tracing is disabled.
-    """
-
-    launch_id: int
-    trace_id: Optional[str]
-    index: int
-    variant: str
-    served: str
-    fallback_depth: int
-    sampled: bool
-    quality: Optional[float]
 
 
 class ApproxSession:
@@ -115,29 +94,28 @@ class ApproxSession:
         options: Optional[LaunchOptions] = None,
         registry: Optional[object] = None,
     ) -> None:
-        from ..parallel.pool import policy_from_options
         from ..registry import resolve_registry
 
         self.app = app
         self.paraprox = Paraprox(
             target_quality=target_quality, device=device, config=config
         )
-        # Session defaults: config knobs < options=.
+        self.guard = guard if guard is not None else GuardPolicy()
+        # Session defaults: config knobs < options=, with the session's
+        # guard folded in so one record describes how a launch runs.
         config_defaults = LaunchOptions(
             backend=self.paraprox.config.backend,
             parallel=self.paraprox.config.parallel_workers,
             executor=self.paraprox.config.executor,
         )
-        self.options = (
+        self.options = replace(
             options.merged_over(config_defaults)
             if options is not None
-            else config_defaults
+            else config_defaults,
+            guard=self.guard,
         )
-        self.backend = validate_backend(self.options.backend)
-        self.parallel_workers = resolve_workers(
-            policy_from_options(self.options).workers
-        )
-        self.guard = guard if guard is not None else GuardPolicy()
+        self.backend = self.options.backend
+        self.parallel_workers = resolve_workers(self.options.parallel)
         self.breaker = VariantBreaker(breaker)
         self.profile_cache = ProfileCache(
             max_entries=self.paraprox.config.profile_cache_entries
@@ -158,7 +136,6 @@ class ApproxSession:
         self._tuner_seed_mode = "off"
         self.tuner_repeats = tuner_repeats
         self._launch_ids = itertools.count()
-        self._last_launch: Optional[LaunchInfo] = None
         self._entry: Optional[CacheEntry] = None
         self._variants: Optional[VariantSet] = None
         self._tuning: Optional[TuningResult] = None
@@ -343,35 +320,18 @@ class ApproxSession:
         override = self._resolve_override(variant) if variant is not None else None
         index = self.metrics.launches
         launch_id = next(self._launch_ids)
-        kernel_launches = [0]
-        backend_counts: Dict[str, int] = {}
-
-        def count(event) -> None:
-            kernel_launches[0] += 1
-            backend_counts[event.backend] = backend_counts.get(event.backend, 0) + 1
-
-        # Precedence: an active repro.options scope overrides the session
-        # defaults, which already fold in the config knobs.  The ladder
-        # sets backend/parallel per rung, so only the remaining fields
-        # (executor, shard threshold) ride in as an ambient scope.
-        from ..parallel.pool import policy_from_options
-
-        effective = current_options().merged_over(self.options)
-        backend = effective.backend
-        workers = policy_from_options(effective).workers
-        ambient = LaunchOptions(
-            executor=effective.executor,
-            min_shard_threads=effective.min_shard_threads,
-            fuse=effective.fuse,
-        )
-
         started = time.perf_counter()
+        # Precedence: an active repro.options scope overrides the session
+        # defaults, which already fold in the config knobs and the guard.
+        # The merged record is entered once; the ladder and the quality
+        # check both read how to run from it.
+        effective = current_options().merged_over(self.options)
         with obs_trace.span(
             "serve.launch",
             app=self.app.name,
             session=self.metrics.label,
             launch_id=launch_id,
-        ) as root:
+        ) as root, options_scope(effective):
             self.metrics.begin_launch(launch_id, root.trace_id)
             if override is not None:
                 serving_variant, serving_name, serving_speedup = override
@@ -382,125 +342,110 @@ class ApproxSession:
                 serving_name = recal.current_name
                 serving_speedup = recal.speedup_estimate
             root.set(variant=serving_name)
-            with launch_hook(count), options_scope(ambient):
-                try:
-                    out, report = run_ladder(
-                        self.app,
-                        inputs,
-                        serving_variant,
-                        backend=backend,
-                        workers=workers,
-                        policy=self.guard,
-                    )
-                except BaseException:
-                    # The ladder exhausted every rung: the caller sees
-                    # this error, so it counts against availability.
-                    self.metrics.record_launch_error()
-                    raise
-                # The ladder flushes per rung, but a fuse-enabled app
-                # that ends on a deferred producer must run it before
-                # this launch's output is treated as final.
-                flush_fusion()
-
             record = LaunchRecord(
                 index=index,
                 variant=serving_name,
                 knobs=dict(getattr(serving_variant, "knobs", {}) or {}),
                 speedup_estimate=serving_speedup,
-                kernel_launches=kernel_launches[0],
-                backends=backend_counts,
-                served=report.served,
-                fallback_depth=report.depth,
-                faults=[f"{a.rung}:{a.site}" for a in report.faults],
                 launch_id=launch_id,
                 trace_id=root.trace_id,
             )
+            on_ladder = override is None
+            out, report = self._serve(serving_variant, inputs, record)
             if serving_variant is not None:
-                if report.primary_ok:
-                    self.breaker.record_success(serving_name, index)
-                else:
-                    reason = report.faults[0].site if report.faults else "fault"
-                    if self.breaker.record_fault(serving_name, index, reason):
-                        # An overridden launch is off-ladder: the breaker
-                        # opened (so degradation skips this variant from
-                        # now on) but the recalibrator's rung — the
-                        # tuner's choice — must not move.
-                        if override is None:
-                            self._quarantine(record)
-                        else:
-                            record.action = "quarantine"
-                            record.reason = "quarantine"
-            served_primary = report.primary_ok
-            if self.monitor.should_sample(index) and served_primary:
-                record.sampled = True
-                check_started = time.perf_counter()
-                # The check runs the exact program the way this launch's
-                # exact rungs would: same backend, workers and guard.
-                quality = self._evaluate_quality(
-                    out,
-                    inputs,
-                    serving_variant,
-                    record,
-                    replace(
-                        ambient, backend=backend, parallel=workers, guard=self.guard
-                    ),
-                )
-                record.sample_seconds = time.perf_counter() - check_started
-                if quality is not None:
-                    record.quality = quality
-                    # Overridden (browned-out) launches are *expected*
-                    # to serve below the session TOQ; their samples stay
-                    # out of the drift window so the monitor keeps
-                    # describing the tuner's own configuration.
-                    verdict = (
-                        "brownout"
-                        if override is not None
-                        else self.monitor.observe(quality)
-                    )
-                    obs_timeline().quality_sample(
-                        session=self.metrics.label,
-                        launch_id=launch_id,
-                        trace_id=root.trace_id,
-                        variant=serving_name,
-                        quality=quality,
-                        estimate=self.monitor.estimate,
-                        toq=self.toq,
-                        speedup=serving_speedup,
-                        verdict=verdict,
-                        registry_key=self._registry_key,
-                    )
-                    if verdict in (VIOLATION, DRIFT):
-                        obs_timeline().verdict(
-                            verdict,
-                            session=self.metrics.label,
-                            launch_id=launch_id,
-                            trace_id=root.trace_id,
-                            variant=serving_name,
-                            quality=quality,
-                        )
-                    if override is None:
-                        self._react(verdict, record)
+                self._charge_breaker(record, report, on_ladder)
+            if report.primary_ok and self.monitor.should_sample(index):
+                self._sample(out, inputs, serving_variant, record, on_ladder)
             for event in self.breaker.drain_events():
                 self.metrics.record_breaker_event(event)
             record.duration = time.perf_counter() - started
             self.metrics.record_launch(record)
             root.set(
-                served=report.served or "primary",
-                fallback_depth=report.depth,
+                served=record.served or "primary",
+                fallback_depth=record.fallback_depth,
                 sampled=record.sampled,
                 quality=record.quality,
             )
-        self._last_launch = LaunchInfo(
-            launch_id=launch_id,
-            trace_id=root.trace_id,
-            index=index,
-            variant=record.variant,
-            served=record.served,
-            fallback_depth=record.fallback_depth,
-            sampled=record.sampled,
-            quality=record.quality,
-        )
         return out
+
+    def _serve(self, variant, inputs, record: LaunchRecord) -> tuple:
+        """Run ``variant`` through the ladder under the entered scope and
+        note on ``record`` what served; returns ``(output, report)``."""
+
+        def count(event) -> None:
+            record.kernel_launches += 1
+            record.backends[event.backend] = record.backends.get(event.backend, 0) + 1
+
+        with launch_hook(count):
+            try:
+                # The session's guard governs its ladder even under a
+                # scope that sets another.
+                out, report = run_ladder(self.app, inputs, variant, policy=self.guard)
+            except BaseException:
+                # The ladder exhausted every rung: the caller sees this
+                # error, so it counts against availability.
+                self.metrics.record_launch_error()
+                raise
+            # The ladder flushes per rung, but a fuse-enabled app that
+            # ends on a deferred producer must run it before this
+            # launch's output is treated as final.
+            flush_fusion()
+        record.served = report.served
+        record.fallback_depth = report.depth
+        record.faults = [f"{a.rung}:{a.site}" for a in report.faults]
+        return out, report
+
+    def _charge_breaker(self, record: LaunchRecord, report, on_ladder: bool) -> None:
+        """Credit or charge the served variant's circuit breaker."""
+        if report.primary_ok:
+            self.breaker.record_success(record.variant, record.index)
+            return
+        reason = report.faults[0].site if report.faults else "fault"
+        if self.breaker.record_fault(record.variant, record.index, reason):
+            # An overridden launch is off-ladder: the breaker opened (so
+            # degradation skips this variant from now on) but the
+            # recalibrator's rung — the tuner's choice — must not move.
+            if on_ladder:
+                self._quarantine(record)
+            else:
+                record.action = "quarantine"
+                record.reason = "quarantine"
+
+    def _sample(
+        self, out, inputs, variant, record: LaunchRecord, on_ladder: bool
+    ) -> None:
+        """Check this launch's quality, put it on the timeline and — for
+        a launch on the tuner's own ladder — let the monitor react."""
+        record.sampled = True
+        check_started = time.perf_counter()
+        quality = self._evaluate_quality(out, inputs, variant, record)
+        record.sample_seconds = time.perf_counter() - check_started
+        if quality is None:
+            return
+        record.quality = quality
+        # Overridden (browned-out) launches are *expected* to serve below
+        # the session TOQ; their samples stay out of the drift window so
+        # the monitor keeps describing the tuner's own configuration.
+        verdict = self.monitor.observe(quality) if on_ladder else "brownout"
+        ids = dict(
+            session=self.metrics.label,
+            launch_id=record.launch_id,
+            trace_id=record.trace_id,
+            variant=record.variant,
+            quality=quality,
+        )
+        obs_timeline().quality_sample(
+            **ids,
+            estimate=self.monitor.estimate,
+            toq=self.toq,
+            speedup=record.speedup_estimate,
+            verdict=verdict,
+            registry_key=self._registry_key,
+        )
+        if verdict in (VIOLATION, DRIFT):
+            obs_timeline().verdict(verdict, **ids)
+        if on_ladder:
+            self._react(verdict, record)
 
     def _resolve_override(self, name: str) -> Optional[tuple]:
         """Resolve a requested ladder rung to ``(variant, name, speedup)``.
@@ -523,33 +468,31 @@ class ApproxSession:
                 pass
         return None
 
-    def _evaluate_quality(
-        self, out, inputs, variant, record, scope: LaunchOptions
-    ) -> Optional[float]:
+    def _evaluate_quality(self, out, inputs, variant, record) -> Optional[float]:
         """Sampled-quality evaluation with fault containment.
 
-        On a golden-cache miss the exact program runs under ``scope`` —
-        the options this launch served under, so a check costs what
-        ``launch(variant="exact")`` costs — and, if that run raises,
-        once more on the serial interpreter, the reference everywhere
-        else in the stack.  A crash past that (or in the app's metric —
-        real code that can really fail) must not take the serving path
-        down; the sample is skipped and counted as a fault.
+        On a golden-cache miss the exact program runs under the scope
+        :meth:`launch` entered — the options this launch served under,
+        so a check costs what ``launch(variant="exact")`` costs — and,
+        if that run raises, once more on the serial interpreter, the
+        reference everywhere else in the stack.  A crash past that (or
+        in the app's metric — real code that can really fail) must not
+        take the serving path down; the sample is skipped and counted as
+        a fault.
         """
         with obs_trace.span(
             "serve.quality_check",
             app=self.app.name,
             variant=record.variant,
-            backend=scope.backend,
+            backend=current_options().backend,
             golden="hit",  # no exact run needed, unless run_exact says so
         ) as check_span:
 
             def run_exact(fresh):
                 check_span.set(golden="miss")
                 try:
-                    with options_scope(scope):
-                        result = self.app.run_exact(fresh)
-                        flush_fusion()
+                    result = self.app.run_exact(fresh)
+                    flush_fusion()
                     return result
                 except Exception as exc:
                     check_span.set(fallback=type(exc).__name__)
@@ -676,10 +619,11 @@ class ApproxSession:
         return self._registry_key
 
     @property
-    def last_launch(self) -> Optional[LaunchInfo]:
-        """Correlation ids and outcome of the most recent launch
-        (None before the first one)."""
-        return self._last_launch
+    def last_launch(self) -> Optional[LaunchRecord]:
+        """The record of the most recent launch — correlation ids and
+        outcome — or None before the first one."""
+        records = self.metrics.records
+        return records[-1] if records else None
 
     def metrics_snapshot(self) -> dict:
         """Counters, cache statistics, transition history and current state.

@@ -16,7 +16,7 @@ from repro.apps.gaussian import GaussianFilterApp
 from repro.obs import build_trees, load_trace, render_prometheus
 from repro.obs import trace as obs_trace
 from repro.obs.timeline import timeline
-from repro.serve import ApproxSession, LaunchInfo, MonitorConfig
+from repro.serve import ApproxSession, LaunchRecord, MonitorConfig
 
 
 @pytest.fixture(scope="class")
@@ -56,8 +56,9 @@ def served(request, tmp_path_factory):
 class TestServedTrace:
     def test_launch_ids_are_monotonic_and_exposed(self):
         assert [info.launch_id for info in self.infos] == list(range(6))
-        assert all(isinstance(info, LaunchInfo) for info in self.infos)
+        assert all(isinstance(info, LaunchRecord) for info in self.infos)
         assert self.session.last_launch is self.infos[-1]
+        assert self.infos == list(self.session.metrics.records)
 
     def test_every_launch_has_a_root_span_with_its_launch_id(self):
         roots = [s for s in self.spans if s["name"] == "serve.launch"]

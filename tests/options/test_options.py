@@ -51,6 +51,16 @@ class TestLaunchOptions:
         with pytest.raises(ConfigError):
             LaunchOptions(parallel="many")
 
+    def test_a_resolved_policy_is_not_an_option_value(self):
+        from repro.parallel import ParallelPolicy
+
+        policy = ParallelPolicy(workers=2, min_shard_threads=1)
+        for build in (LaunchOptions, repro.options):
+            with pytest.raises(
+                ConfigError, match="parallel=.*min_shard_threads=.*executor="
+            ):
+                build(parallel=policy)
+
     def test_merged_over_overrides_only_set_fields(self):
         base = LaunchOptions(backend="codegen", parallel=4)
         over = LaunchOptions(parallel=2, executor="process")
@@ -172,6 +182,25 @@ class TestPrecedenceChain:
         assert ParaproxConfig.from_dict(config.to_dict()).executor == "process"
 
 
+class TestEnvironmentKnobs:
+    """docs/API.md lists every ``REPRO_*`` variable ``src/`` reads."""
+
+    def test_the_documented_table_is_what_the_source_reads(self):
+        import pathlib
+        import re
+
+        root = pathlib.Path(__file__).resolve().parents[2]
+        # A read names its variable in a string literal: at the
+        # ``environ`` call, or in a constant handed to it.
+        literal = re.compile(r"""["'](REPRO_[A-Z0-9_]+)["']""")
+        read = set()
+        for path in (root / "src").rglob("*.py"):
+            read.update(literal.findall(path.read_text(encoding="utf-8")))
+        api = (root / "docs" / "API.md").read_text(encoding="utf-8")
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", api, re.M))
+        assert read == documented
+
+
 class TestRemovedSurface:
     """The replaced spellings are gone, not deprecated."""
 
@@ -185,7 +214,8 @@ class TestRemovedSurface:
         ),
         "repro.parallel.pool": ("get_healthy_pool",),
         "repro.resilience": ("use_guard", "run_sharded_guarded", "GuardStats"),
-        "repro.serve": ("EventLog",),
+        "repro.serve": ("EventLog", "LaunchInfo"),
+        "repro.serve.session": ("LaunchInfo",),
         "repro.codegen": (
             "v2_enabled",
             "DiffResult",

@@ -71,10 +71,11 @@ class TestPolicy:
         assert ambient_policy().serial
 
     def test_use_parallel_accepts_a_policy(self):
-        policy = ParallelPolicy(workers=3, min_shard_threads=1)
-        with options(parallel=policy) as active:
-            assert active.parallel is policy
-            assert ambient_policy() is policy
+        # ... spelled as the three fields it resolves from
+        policy = ParallelPolicy(workers=3, min_shard_threads=1, executor="process")
+        with options(parallel=3, min_shard_threads=1, executor="process") as active:
+            assert active.parallel == 3
+            assert ambient_policy() == policy
 
     def test_policy_scope_is_thread_local(self):
         seen = {}
@@ -106,9 +107,10 @@ class TestPolicy:
             assert policy.workers == 5
             assert policy.min_shard_threads == 64
 
-    def test_resolve_policy_passes_policy_through(self):
-        policy = ParallelPolicy(workers=2)
-        assert policy_from_options(LaunchOptions(parallel=policy)) is policy
+    def test_resolve_policy_rejects_a_policy_as_an_option(self):
+        # ParallelPolicy is what options resolve *to*, not an option value
+        with pytest.raises(ConfigError, match="min_shard_threads= and executor="):
+            LaunchOptions(parallel=ParallelPolicy(workers=2))
 
 
 class TestParallelMap:

@@ -17,14 +17,13 @@ from repro.engine import Grid, launch
 from repro.conformance import Cell, check, kernel_subject, run_cell
 from repro.errors import ExecutionError
 from repro.parallel import procpool, shutdown_process_pool
-from repro.parallel.pool import ParallelPolicy
 from repro.parallel.shard import STATS, plan_shards
 from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
 from repro.resilience.faults import FAULT_CLASSES, FaultPlan, FaultSpec, use_faults
 
 
-def _codegen(parallel=None):
-    return LaunchOptions(backend="codegen", parallel=parallel)
+def _codegen(parallel=None, **fields):
+    return LaunchOptions(backend="codegen", parallel=parallel, **fields)
 
 
 SERIAL = Cell(backend="codegen")
@@ -220,9 +219,6 @@ def test_serial_reexecution_after_worker_crash_is_bit_exact(name):
 
 
 class TestTransparentFallback:
-    def _policy(self):
-        return ParallelPolicy(workers=4, min_shard_threads=1)
-
     def test_unshardable_kernel_runs_serial(self):
         n = 1024
         rng = np.random.default_rng(4)
@@ -234,7 +230,7 @@ class TestTransparentFallback:
             zoo.atomic_histogram,
             Grid.for_elements(n),
             [hist_parallel, data, n, 1],
-            options=_codegen(self._policy()),
+            options=_codegen(4, min_shard_threads=1),
         )
         after = STATS.snapshot()
         assert after["serial_unshardable"] == before["serial_unshardable"] + 1
@@ -256,7 +252,7 @@ class TestTransparentFallback:
             Grid.for_elements(n),
             [out, _rand(n), n],
             # default 2048-thread floor
-            options=_codegen(ParallelPolicy(workers=4)),
+            options=_codegen(4),
         )
         after = STATS.snapshot()
         assert after["serial_small_grid"] == before["serial_small_grid"] + 1
@@ -270,7 +266,7 @@ class TestTransparentFallback:
             zoo.square_map,
             Grid(1, threads),
             [out, _rand(threads), threads],
-            options=_codegen(self._policy()),
+            options=_codegen(4, min_shard_threads=1),
         )
         after = STATS.snapshot()
         assert after["serial_small_grid"] == before["serial_small_grid"] + 1
@@ -307,7 +303,7 @@ class TestAssemblyModes:
             zoo.square_map,
             Grid.for_elements(n),
             [out, _rand(n), n],
-            options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
+            options=_codegen(4, min_shard_threads=1),
         )
         after = STATS.snapshot()
         assert after["zero_copy"] == before["zero_copy"] + 1
@@ -320,7 +316,7 @@ class TestAssemblyModes:
             zoo.tile_scale2d,
             Grid.for_image(50, 30),
             [out, _rand(1500), 50, 30, 1.7],
-            options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
+            options=_codegen(4, min_shard_threads=1),
         )
         after = STATS.snapshot()
         assert after["overlay"] == before["overlay"] + 1
@@ -333,7 +329,7 @@ class TestAssemblyModes:
             zoo.square_map,
             Grid.for_elements(n),
             [out, _rand(n), n],
-            options=_codegen(ParallelPolicy(workers=3, min_shard_threads=1)),
+            options=_codegen(3, min_shard_threads=1),
         )
         assert STATS.shards_run == before + 3
 
@@ -359,5 +355,5 @@ class TestErrorPropagation:
                 Grid.for_elements(n),
                 [out, _rand(n), n],
                 bounds_check=True,
-                options=_codegen(ParallelPolicy(workers=4, min_shard_threads=1)),
+                options=_codegen(4, min_shard_threads=1),
             )

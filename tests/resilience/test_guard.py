@@ -9,9 +9,8 @@ import pytest
 import kernel_zoo as zoo
 from repro.apps.registry import make_app
 from repro import LaunchOptions, options
-from repro.engine import Grid, launch
+from repro.engine import Grid, launch, launch_hook
 from repro.errors import ResilienceError, ShardTimeout, WorkerDeath
-from repro.parallel import ParallelPolicy
 from repro.resilience.faults import (
     SITE_OUTPUT,
     SITE_WORKER,
@@ -26,6 +25,7 @@ from repro.resilience.guard import (
     guarded_map,
     run_ladder,
 )
+from repro.parallel.shard import STATS as SHARD_STATS
 from repro.resilience.validate import corrupt_output, validate_output
 
 
@@ -164,13 +164,14 @@ class TestGuardedShardedLaunch:
     def _launch_square(self, n=4096, policy=None, workers=4):
         x = np.random.default_rng(0).random(n, dtype=np.float32)
         out = np.zeros(n, np.float32)
-        pp = ParallelPolicy(workers=workers, min_shard_threads=1)
         with options(guard=policy):
             launch(
                 zoo.square_map,
                 Grid.for_elements(n),
                 [out, x, n],
-                options=LaunchOptions(backend="codegen", parallel=pp),
+                options=LaunchOptions(
+                    backend="codegen", parallel=workers, min_shard_threads=1
+                ),
             )
         return out, x * x
 
@@ -234,6 +235,35 @@ class TestRunLadder:
         np.testing.assert_array_equal(np.asarray(out), golden)
         assert report.depth == 0 and report.primary_ok
         assert not report.faults
+
+    def _walk_under_a_sharding_scope(self, app, inputs, **keywords):
+        """(output, launch backends, launches that sharded) of one walk."""
+        events = []
+        before = SHARD_STATS.sharded_launches
+        with options(
+            backend="codegen", parallel=2, min_shard_threads=1, guard=FAST
+        ), launch_hook(events.append):
+            out, report = run_ladder(app, inputs, None, **keywords)
+        assert report.served == "exact" and report.primary_ok
+        backends = {e.backend for e in events}
+        return np.asarray(out), backends, SHARD_STATS.sharded_launches - before
+
+    def test_first_rung_is_the_calling_scope(self, app, setup):
+        inputs, golden = setup
+        out, backends, sharded = self._walk_under_a_sharding_scope(app, inputs)
+        np.testing.assert_array_equal(out, golden)
+        assert backends == {"codegen"} and sharded > 0
+        assert STATS.guarded_launches == 1  # the scope's guard, too
+
+    def test_explicit_keywords_override_the_scope(self, app, setup):
+        inputs, golden = setup
+        out, backends, sharded = self._walk_under_a_sharding_scope(
+            app, inputs, backend="interp", workers=1,
+            policy=GuardPolicy(enabled=False),
+        )
+        np.testing.assert_array_equal(out, golden)
+        assert backends == {"interp"} and sharded == 0
+        assert STATS.guarded_launches == 0
 
     def test_corrupted_primary_falls_back_to_exact(self, app, setup):
         inputs, golden = setup

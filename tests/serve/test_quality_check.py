@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import ApproxSession, LaunchOptions, MonitorConfig
+from repro import ApproxSession, LaunchOptions, MonitorConfig, current_options
 from repro.apps import APP_CLASSES, make_app
 from repro.apps.gaussian import GaussianFilterApp
 from repro.codegen import clear_cache
@@ -77,6 +77,24 @@ class TestCheckBackend:
         assert len(backends) == 2 * SAMPLE_EVERY + len(sampled)
         # The record keeps meaning "what served the response".
         assert all(r.kernel_launches == 1 for r in session.metrics.records)
+
+    def test_check_runs_under_the_scope_the_launch_served_under(self):
+        session = tuned_session(
+            sample_every=1, parallel=2, executor="thread", min_shard_threads=1
+        )
+        app, seen = session.app, {}
+        for name in ("run_variant", "run_exact"):
+
+            def spy(*args, _name=name, _run=getattr(app, name)):
+                seen[_name] = current_options()
+                return _run(*args)
+
+            setattr(app, name, spy)
+        session.launch(app.generate_inputs(seed=1))
+        assert sampled_records(session)
+        # Backend, workers, threshold, executor and guard alike.
+        assert seen["run_exact"] == seen["run_variant"] == session.options
+        assert seen["run_exact"].guard is session.guard
 
     def test_active_scope_overrides_the_session(self, backends):
         session = tuned_session(sample_every=1)

@@ -1,10 +1,11 @@
 """Session lifecycle, monitor/recalibrator units, metrics and event log."""
 
 import json
+import threading
 
 import pytest
 
-from repro import ApproxSession, DeviceKind, MonitorConfig, Paraprox
+from repro import ApproxSession, DeviceKind, LaunchOptions, MonitorConfig, Paraprox
 from repro.apps.gaussian import GaussianFilterApp
 from repro.errors import ServeError
 from repro.serve import QualityMonitor, Recalibrator
@@ -124,6 +125,52 @@ class TestSessionLifecycle:
         session.launch(app.generate_inputs(seed=3))
         snap = session.metrics_snapshot()
         assert snap["kernel_launches"] >= 1
+
+    def test_sessions_on_two_threads_count_their_own_launches(self):
+        app = GaussianFilterApp(scale=0.05)
+        session = ApproxSession(app, target_quality=0.9)
+        other = ApproxSession(GaussianFilterApp(scale=0.05), target_quality=0.9)
+        session.tune()
+        other.tune()
+        assert session.current_variant != "exact"
+        run_variant = app.run_variant
+
+        def run_while_the_other_session_serves(variant, inputs):
+            # A whole launch of ``other``, on its own thread, inside this
+            # launch's accounting window.
+            thread = threading.Thread(
+                target=other.launch, args=(other.app.generate_inputs(seed=4),)
+            )
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+            return run_variant(variant, inputs)
+
+        app.run_variant = run_while_the_other_session_serves
+        session.launch(app.generate_inputs(seed=3))
+        for record in (session.last_launch, other.last_launch):
+            assert record.kernel_launches == 1
+            assert sum(record.backends.values()) == 1
+        assert session.metrics.kernel_launches == other.metrics.kernel_launches == 1
+
+    def test_unsampled_launch_builds_one_options_record(self, monkeypatch):
+        app = GaussianFilterApp(scale=0.05)
+        session = ApproxSession(
+            app, target_quality=0.9, monitor=MonitorConfig(sample_every=100)
+        )
+        session.launch(app.generate_inputs(seed=3))  # compile, tune, warm
+        built = []
+        post_init = LaunchOptions.__post_init__
+
+        def counting(record):
+            built.append(record)
+            post_init(record)
+
+        monkeypatch.setattr(LaunchOptions, "__post_init__", counting)
+        session.launch(app.generate_inputs(seed=4))
+        assert not session.last_launch.sampled
+        # The scope the launch enters; the ladder and the engine read it.
+        assert len(built) <= 1
 
     def test_sampled_launch_records_quality(self):
         app = GaussianFilterApp(scale=0.05)
