@@ -18,9 +18,12 @@ Precedence, strongest first:
 2. **the active scope** — the innermost :func:`options` block on this
    thread (fields merge across nesting; inner set fields win);
 3. **session defaults** — the ``options=`` an
-   :class:`~repro.serve.ApproxSession` was constructed with;
-4. **ParaproxConfig** — the compile-time config knobs
-   (``backend``, ``parallel_workers``, ``executor``).
+   :class:`~repro.serve.ApproxSession` was constructed with
+   (``backend="auto"``, serial, ``executor="thread"`` where it says
+   nothing).
+
+:class:`~repro.approx.compiler.ParaproxConfig` is not a layer: it holds
+what the compiler explores, and nothing about how a launch runs.
 
 Unset fields are ``None`` (or :data:`UNSET` for ``guard``, where
 ``None`` is a meaningful value: "explicitly unguarded"), so every layer
@@ -102,8 +105,8 @@ class LaunchOptions:
     """Everything one launch is allowed to decide about its execution.
 
     Every field defaults to "unset"; unset fields inherit from the next
-    layer of the precedence chain (active scope, then session defaults,
-    then config).  Instances are immutable and reusable.
+    layer of the precedence chain (active scope, then session
+    defaults).  Instances are immutable and reusable.
 
     Attributes:
         backend: ``"interp"``, ``"codegen"`` or ``"auto"``.

@@ -128,21 +128,12 @@ class VariantSet:
             single-kernel shape, else ``None``.
         skipped: notes about patterns that matched but could not be
             rewritten (mirrors ``Paraprox.last_skipped``).
-        backend: launch backend these variants should be served with
-            (one of ``repro.engine.BACKENDS``), or ``None`` to defer to
-            the ambient default.
-        parallel: worker count the variants should be served with (an
-            int, ``"auto"``, or ``None`` to defer to the ambient
-            :func:`repro.options` scope) — stamped from
-            ``ParaproxConfig.parallel_workers`` by ``Paraprox.compile``.
     """
 
     kernel: str
     variants: List[ApproxKernel] = field(default_factory=list)
     exact: Optional[object] = None
     skipped: List[str] = field(default_factory=list)
-    backend: Optional[str] = None
-    parallel: Optional[object] = None
 
     # -- container protocol (backward compatibility with the list return) ----
 

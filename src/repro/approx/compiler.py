@@ -13,8 +13,6 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..device import DeviceKind, spec_for
-from .._options import EXECUTORS
-from ..engine.launch import BACKENDS, validate_backend
 from ..errors import ConfigError, TransformError
 from ..patterns import (
     MapMatch,
@@ -61,22 +59,6 @@ class ParaproxConfig:
     #: division in generated approximate kernels so an approximated zero
     #: divisor skips the calculation instead of faulting.
     guard_divisions: bool = False
-    #: launch backend sessions serve compiled variants with: "interp",
-    #: "codegen", or "auto" (codegen unless a launch needs traces).
-    backend: str = "auto"
-    #: worker threads for sharded launches and concurrent profiling in
-    #: sessions: a positive int (1 = serial, the default) or "auto"
-    #: (one per host core).
-    parallel_workers: object = 1
-    #: shard executor for sessions' parallel launches: "thread" (the
-    #: in-process pool; NumPy-bound kernels release the GIL) or
-    #: "process" (:mod:`repro.parallel.procpool` worker processes with
-    #: shared-memory handoff; true multicore for GIL-bound kernels).
-    executor: str = "thread"
-    #: LRU capacity of the session-owned profile-measurement cache
-    #: (:class:`~repro.parallel.ProfileCache`); the oldest-used
-    #: (variant, input-set) measurements are evicted past this bound.
-    profile_cache_entries: int = 4096
 
     def __post_init__(self) -> None:
         self.validate()
@@ -142,34 +124,8 @@ class ParaproxConfig:
                 f"memo_start_bits must be in [1, 24] or None, "
                 f"got {self.memo_start_bits!r}",
             )
-        check(
-            self.backend in BACKENDS,
-            f"unknown backend {self.backend!r}; valid choices are "
-            + ", ".join(repr(b) for b in BACKENDS),
-        )
-        check(
-            self.parallel_workers == "auto"
-            or (
-                isinstance(self.parallel_workers, int)
-                and not isinstance(self.parallel_workers, bool)
-                and self.parallel_workers >= 1
-            ),
-            f"parallel_workers must be a positive integer or 'auto', "
-            f"got {self.parallel_workers!r}",
-        )
-        check(
-            self.executor in EXECUTORS,
-            f"executor must be one of {EXECUTORS!r}, got {self.executor!r}",
-        )
-        check(
-            isinstance(self.profile_cache_entries, int)
-            and not isinstance(self.profile_cache_entries, bool)
-            and self.profile_cache_entries >= 1,
-            f"profile_cache_entries must be a positive integer, "
-            f"got {self.profile_cache_entries!r}",
-        )
 
-    # -- serialization (the disk cache persists configs alongside variants) --
+    # -- serialization (the session cache key hashes ``to_dict()``) ----------
 
     def to_dict(self) -> dict:
         """A JSON-serialisable form; ``from_dict`` round-trips it."""
@@ -241,26 +197,14 @@ class Paraprox:
 
     # -- compilation -----------------------------------------------------------
 
-    def compile(
-        self,
-        app,
-        device: Optional[DeviceKind] = None,
-        backend: Optional[str] = None,
-    ) -> VariantSet:
+    def compile(self, app, device: Optional[DeviceKind] = None) -> VariantSet:
         """Generate every approximate variant ``app``'s patterns admit,
         returned as a typed :class:`~repro.approx.base.VariantSet` (iterable
         like the plain list earlier releases returned).
 
-        ``backend`` stamps the launch backend the variants should be served
-        with (default: the config's ``backend`` knob); unknown names raise
-        :class:`~repro.errors.ConfigError`.
-
         Applications with a custom pipeline (the scan benchmark) may define
         ``build_variants(toq, config)`` and take over entirely.
         """
-        chosen_backend = validate_backend(
-            backend if backend is not None else self.config.backend
-        )
         custom = getattr(app, "build_variants", None)
         if callable(custom):
             self.last_skipped = []
@@ -270,8 +214,6 @@ class Paraprox:
                 kernel=fn.name if fn is not None else "",
                 variants=list(custom(self.toq, self.config)),
                 exact=exact,
-                backend=chosen_backend,
-                parallel=self.config.parallel_workers,
             )
         spec = spec_for(device or self.device)
         detector = PatternDetector(latency_table=spec.latencies)
@@ -313,8 +255,6 @@ class Paraprox:
             variants=variants,
             exact=app.kernel,
             skipped=skipped,
-            backend=chosen_backend,
-            parallel=self.config.parallel_workers,
         )
 
     def _apply_match(self, app, match, kernel_name, cfg, variants, module=None) -> None:

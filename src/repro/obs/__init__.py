@@ -29,7 +29,7 @@ On top of the legs sit the live-ops surfaces:
 ``python -m repro.obs summarize <trace.jsonl>`` renders a trace file:
 top spans by time, fallback-depth breakdown, the quality-vs-speedup
 timeline and per-launch span trees.  ``flame``/``top`` render collapsed
-profiles, ``slo --drill`` replays the deterministic burn-rate drill.
+profiles.
 See ``docs/OBSERVABILITY.md``.
 """
 

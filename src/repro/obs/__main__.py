@@ -17,9 +17,6 @@ Commands:
   (``REPRO_OBS_PROFILE_OUT``, or ``/debug/profile`` saved to a file).
 * ``top <profile.collapsed> [--limit N]`` — self-time ranking of the
   hottest frames in a collapsed profile.
-* ``slo --drill [--verbose]`` — the deterministic burn-rate drill:
-  inject a latency regression on a fake clock and assert WARN/PAGE fire
-  and recover at the exactly predicted evaluation ticks.
 """
 
 from __future__ import annotations
@@ -79,20 +76,6 @@ def main(argv=None) -> int:
         "--limit", type=int, default=20, help="rows to show (default 20)"
     )
 
-    p_slo = sub.add_parser("slo", help="SLO tooling (the burn-rate drill)")
-    p_slo.add_argument(
-        "--drill", action="store_true",
-        help="run the deterministic burn-rate drill",
-    )
-    p_slo.add_argument(
-        "--verbose", action="store_true",
-        help="print every drill evaluation tick",
-    )
-    p_slo.add_argument(
-        "--no-http", action="store_true",
-        help="skip the /slo endpoint check at the end of the drill",
-    )
-
     args = parser.parse_args(argv)
     if args.command == "summarize":
         print(summarize(args.trace, trees=args.trees))
@@ -118,28 +101,6 @@ def main(argv=None) -> int:
         )
     elif args.command == "top":
         sys.stdout.write(render_top(load_collapsed(args.profile), args.limit))
-    elif args.command == "slo":
-        if not args.drill:
-            parser.error("nothing to do; pass --drill")
-        from .slo import run_drill
-
-        try:
-            report = run_drill(
-                verbose=args.verbose, serve_http=not args.no_http
-            )
-        except AssertionError as exc:
-            print(f"DRILL FAILED: {exc}", file=sys.stderr)
-            return 1
-        print("SLO drill passed:")
-        for transition in report["transitions"]:
-            print(
-                f"  {transition['phase']:>10} tick {transition['tick']:>3}: "
-                f"-> {transition['state']}"
-            )
-        print(
-            f"  {report['timeline_entries']} timeline transitions, "
-            f"/slo endpoint checked: {report['http_checked']}"
-        )
     return 0
 
 

@@ -36,10 +36,10 @@ the overload controller may fold into its
 :class:`~repro.serve.overload.PressureSample`: a paging SLO is pressure
 even when queues look healthy.
 
-``python -m repro.obs slo --drill`` runs :func:`run_drill`: a
-deterministic fake-clock replay that injects a latency regression and
-asserts WARN and PAGE fire at the exactly predicted evaluation ticks,
-then recover with the expected hysteresis delays.
+``tests/obs/test_slo.py::TestDrill`` is the deterministic fake-clock
+replay: it injects a latency regression and asserts WARN and PAGE fire
+at the exactly predicted evaluation ticks, then recover with the
+expected hysteresis delays.
 """
 
 from __future__ import annotations
@@ -564,172 +564,3 @@ class SLOEngine:
             "max_state": STATE_NAMES[worst],
             "pressure_hint": self.pressure_hint(),
         }
-
-
-# ------------------------------------------------------------------- drill
-
-
-def run_drill(verbose: bool = False, serve_http: bool = True) -> dict:
-    """Deterministic burn-rate drill on a fake clock.
-
-    Replays a synthetic latency history against a private registry:
-    30 healthy evaluation ticks (10s apart, 100 requests each at 10ms),
-    then a 12-tick regression in which 10% of requests wait 1s — ten
-    times the 100ms threshold — then recovery.  With a 60s/300s window
-    pair, warn burn 1, page burn 4 and a 1% budget the alert timeline is
-    exactly predictable:
-
-    * WARN at regression tick 3 (slow-window burn reaches 1.0; the fast
-      window was already over from tick 1 — multi-window AND);
-    * PAGE at regression tick 12 (slow-window burn reaches 4.0);
-    * PAGE → WARN 16 ticks after the regression ends (the fast window
-      clears at tick 4 of recovery, plus 120s = 12 ticks of hysteresis);
-    * WARN → OK 12 hysteresis ticks later, at recovery tick 28.
-
-    Asserts each transition fires at its predicted tick, that the
-    transitions landed in the timeline and the ``repro_slo_*`` metrics,
-    and (with ``serve_http``) that ``/slo`` reports the firing alert.
-    Raises ``AssertionError`` with a diff on any miss; returns a report
-    dict on success.
-    """
-    from . import trace as obs_trace
-    from .timeline import SLO as SLO_KIND, timeline as obs_timeline
-
-    tick_s = 10.0
-    registry = MetricsRegistry()
-    wait = registry.histogram(
-        "repro_frontend_tenant_wait_seconds",
-        "drill wait-time histogram",
-        labelnames=("tenant",),
-        buckets=(0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
-    ).labels(tenant="drill")
-
-    clock_now = [0.0]
-    engine = SLOEngine(
-        registry=registry, clock=lambda: clock_now[0], min_interval_s=0.0
-    )
-    engine.add(
-        SLOObjective.latency(
-            name="drill-latency",
-            tenant="drill",
-            threshold_s=0.1,
-            target=0.99,
-            fast_window_s=60.0,
-            slow_window_s=300.0,
-            warn_burn=1.0,
-            page_burn=4.0,
-            clear_after_s=120.0,
-        )
-    )
-
-    was_enabled = obs_trace.enabled()
-    if not was_enabled:
-        obs_trace.enable()  # in-memory only: the drill asserts timeline entries
-    timeline_before = len(obs_timeline().entries(kind=SLO_KIND))
-
-    transitions: List[dict] = []
-    page_state: Optional[dict] = None
-
-    def observe_states(tick: int, phase: str) -> None:
-        nonlocal page_state
-        state = engine.alerts()["drill-latency"]
-        if transitions and transitions[-1]["state"] == state:
-            return
-        if not transitions and state == "OK":
-            transitions.append({"tick": tick, "phase": phase, "state": "OK"})
-            return
-        transitions.append({"tick": tick, "phase": phase, "state": state})
-        if state == "PAGE":
-            page_state = engine.state()
-
-    def run_phase(phase: str, ticks: int, bad_per_tick: int) -> None:
-        for tick in range(1, ticks + 1):
-            clock_now[0] += tick_s
-            for _ in range(100 - bad_per_tick):
-                wait.observe(0.01)
-            for _ in range(bad_per_tick):
-                wait.observe(1.0)  # 10x the threshold: a latency regression
-            engine.evaluate(clock_now[0])
-            observe_states(tick, phase)
-            if verbose:
-                alert = engine._alerts["drill-latency"]
-                print(
-                    f"[{phase:10s}] tick {tick:3d} t={clock_now[0]:6.0f}s "
-                    f"state={engine.alerts()['drill-latency']:4s} "
-                    f"fast={alert.burn_fast:6.2f} slow={alert.burn_slow:6.2f}"
-                )
-
-    run_phase("healthy", 31, bad_per_tick=0)
-    run_phase("regression", 12, bad_per_tick=10)
-    run_phase("recovery", 30, bad_per_tick=0)
-
-    expected = [
-        {"tick": 1, "phase": "healthy", "state": "OK"},
-        {"tick": 3, "phase": "regression", "state": "WARN"},
-        {"tick": 12, "phase": "regression", "state": "PAGE"},
-        {"tick": 16, "phase": "recovery", "state": "WARN"},
-        {"tick": 28, "phase": "recovery", "state": "OK"},
-    ]
-    try:
-        assert transitions == expected, (
-            f"drill transitions diverged:\n  expected {expected}\n"
-            f"  observed {transitions}"
-        )
-        assert page_state is not None, "PAGE never fired"
-        firing = page_state["objectives"][0]
-        assert firing["state"] == "PAGE" and page_state["max_state"] == "PAGE"
-
-        snapshot = registry.snapshot()
-        assert snapshot.get('repro_slo_state{objective=drill-latency}') == 0.0
-        for to_state, count in (("WARN", 2), ("PAGE", 1), ("OK", 1)):
-            key = (
-                "repro_slo_transitions_total"
-                f"{{objective=drill-latency,to_state={to_state}}}"
-            )
-            assert snapshot.get(key) == count, (
-                f"{key}: expected {count}, got {snapshot.get(key)}"
-            )
-
-        slo_entries = obs_timeline().entries(kind=SLO_KIND)[timeline_before:]
-        observed_timeline = [
-            (e["from_state"], e["to_state"]) for e in slo_entries
-        ]
-        assert observed_timeline == [
-            ("OK", "WARN"), ("WARN", "PAGE"), ("PAGE", "WARN"), ("WARN", "OK"),
-        ], f"timeline slo entries diverged: {observed_timeline}"
-
-        http_checked = False
-        if serve_http:
-            # The live surface must agree: serve this engine's /slo while
-            # PAGE is (re-)firing and read the alert back over HTTP.
-            import json as _json
-            import urllib.request
-
-            from .http import ObsHTTPServer
-
-            run_phase("refire", 12, bad_per_tick=10)
-            server = ObsHTTPServer(
-                port=0, registry=registry, slo=engine
-            )
-            server.start()
-            try:
-                with urllib.request.urlopen(
-                    f"http://127.0.0.1:{server.port}/slo", timeout=5
-                ) as response:
-                    served = _json.loads(response.read().decode("utf-8"))
-            finally:
-                server.stop()
-            assert served["max_state"] == "PAGE", (
-                f"/slo reports {served['max_state']}, expected PAGE"
-            )
-            http_checked = True
-    finally:
-        if not was_enabled:
-            obs_trace.disable()
-
-    return {
-        "transitions": transitions,
-        "timeline_entries": len(slo_entries),
-        "http_checked": http_checked,
-        "ok": True,
-    }

@@ -62,8 +62,7 @@ def profile_key(app_name: str, device: str, variant, inputs) -> Tuple:
 class ProfileCache:
     """Thread-safe LRU memo of (variant, input-set) -> (quality, cycles).
 
-    Bounded at ``max_entries`` (``ParaproxConfig.profile_cache_entries``
-    for session-owned caches); on overflow the least-recently-*used* entry
+    Bounded at ``max_entries``; on overflow the least-recently-*used* entry
     is evicted — recalibration re-touches the live variants' measurements,
     so churn from one-off inputs cannot push the working set out.
     """

@@ -383,12 +383,7 @@ class GreedyTuner:
 
             _Metrics.get().warmstarts.labels(mode=seed_mode).inc()
 
-        # Predicted profiles populate the recalibration ladder but are
-        # never chosen sight-unseen: only measured evidence picks the
-        # serving variant.
-        chosen = self.choose(
-            [p for p in profiles if not p.predicted], exclude=exclude
-        )
+        chosen = self.choose(profiles, exclude=exclude)
         return TuningResult(
             app=app.name,
             device=self.spec.kind.value,
@@ -544,13 +539,17 @@ class GreedyTuner:
         quality, then lexicographically smallest name — so the pick never
         depends on variant enumeration order.  Variants named in
         ``exclude`` (quarantined) are never chosen; the exact program is
-        exempt — there must always be something to serve.
+        exempt — there must always be something to serve.  Predicted
+        profiles populate the recalibration ladder but are never chosen
+        sight-unseen: only measured evidence picks the serving variant.
         """
         exclude = set(exclude)
         eligible = [
             p
             for p in profiles
-            if p.quality >= self.toq and (p.is_exact or p.name not in exclude)
+            if p.quality >= self.toq
+            and not p.predicted
+            and (p.is_exact or p.name not in exclude)
         ]
         if not eligible:
             return next(p for p in profiles if p.is_exact)

@@ -31,7 +31,7 @@ from ..kernel.printer import print_module
 from ..resilience.faults import SITE_CACHE_LOAD, maybe_inject
 
 #: Bump when the pickle layout changes; mismatched entries are misses.
-CACHE_FORMAT = 2  # 2: VariantSet gained the `backend` field
+CACHE_FORMAT = 3  # 3: VariantSet lost the `backend`/`parallel` fields
 
 
 def app_fingerprint(app) -> str:

@@ -97,8 +97,9 @@ class SessionMetrics:
     Scalar counters are registry series labelled with this session's
     ``label``; dict-shaped views (per-backend launches, fault counts,
     fallback depths) are registry families with an extra label dimension.
-    History (recent launch records, transitions) stays in-process — it is
-    bounded narrative, not a metric.
+    History (the last ``history`` launch records and transitions) stays
+    in-process — it is bounded narrative, not a metric; the totals are
+    the ``recalibrations_*`` and ``quarantines`` counters.
     """
 
     def __init__(
@@ -154,7 +155,7 @@ class SessionMetrics:
         self._guard_stats = _guard_stats
         self._guard_baseline = _guard_stats()
         self.records: Deque[LaunchRecord] = deque(maxlen=history)
-        self.transitions: List[Transition] = []
+        self.transitions: Deque[Transition] = deque(maxlen=history)
         # Bound by the session so the parallel/resilience sections are
         # assembled in exactly one place (see bind_session_sources).
         self._breaker = None
@@ -390,6 +391,6 @@ class SessionMetrics:
                 "tune_seconds": self.tune_seconds,
                 "sample_seconds": self.sample_seconds,
             },
-            "transitions": [asdict(t) for t in self.transitions],
+            "transitions": [asdict(t) for t in list(self.transitions)],
             "recent_launches": [asdict(r) for r in recent],
         }

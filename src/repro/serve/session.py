@@ -23,13 +23,18 @@ import time
 from dataclasses import replace
 from typing import Optional
 
-from .._options import LaunchOptions, current_options, options as options_scope
+from .._options import (
+    UNSET,
+    LaunchOptions,
+    current_options,
+    options as options_scope,
+)
 from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
 from ..engine import launch_hook
 from ..engine.interpreter import flush_fusion
-from ..errors import ServeError
+from ..errors import ConfigError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.timeline import timeline as obs_timeline
 from ..parallel import ProfileCache, resolve_workers
@@ -41,6 +46,9 @@ from .cache import CacheEntry, VariantCache, cache_key
 from .metrics import LaunchRecord, SessionMetrics, Transition
 from .monitor import DRIFT, HEADROOM, VIOLATION, MonitorConfig, QualityMonitor
 from .recalibrate import Recalibrator
+
+#: What a session serves with where its ``options=`` says nothing.
+_DEFAULT_OPTIONS = LaunchOptions(backend="auto", parallel=1, executor="thread")
 
 
 class ApproxSession:
@@ -56,10 +64,10 @@ class ApproxSession:
         monitor: quality-monitor knobs (sampling cadence, window, drift).
         tuner_repeats: training input sets the tuner averages over.
         options: session-default :class:`~repro.LaunchOptions` — the
-            third layer of the precedence chain.  At launch time an
-            active :func:`repro.options` scope overrides these, and
-            these override the config knobs (``backend``,
-            ``parallel_workers``, ``executor``).  They govern every
+            third and last layer of the precedence chain.  At launch
+            time an active :func:`repro.options` scope overrides these;
+            a field left unset here is ``backend="auto"``, serial,
+            ``executor="thread"``.  They govern every
             launch the session makes, the sampled quality check
             included; only tuning always interprets — its cost model
             needs instruction traces.  That is what a cold start pays
@@ -67,8 +75,11 @@ class ApproxSession:
             ``bench``'s ``cold_start`` reads at ≈ 58 ms for the typical
             app and ≈ 0.6 s for the slowest (docs/SERVING.md).
         guard: guarded-launch policy (retries, deadline, output
-            validation); defaults to ``GuardPolicy()``.  Pass
-            ``GuardPolicy(enabled=False)`` for the raw unguarded path.
+            validation); defaults to ``options.guard`` when that is set,
+            else ``GuardPolicy()``.  Pass ``GuardPolicy(enabled=False)``
+            (or ``options=LaunchOptions(guard=None)``) for the raw
+            unguarded path; saying two different guards is a
+            :class:`~repro.errors.ConfigError`.
         breaker: circuit-breaker knobs for variant quarantine; defaults
             to ``BreakerConfig()``.
         registry: cross-session variant registry — a
@@ -100,26 +111,29 @@ class ApproxSession:
         self.paraprox = Paraprox(
             target_quality=target_quality, device=device, config=config
         )
-        self.guard = guard if guard is not None else GuardPolicy()
-        # Session defaults: config knobs < options=, with the session's
-        # guard folded in so one record describes how a launch runs.
-        config_defaults = LaunchOptions(
-            backend=self.paraprox.config.backend,
-            parallel=self.paraprox.config.parallel_workers,
-            executor=self.paraprox.config.executor,
-        )
-        self.options = replace(
-            options.merged_over(config_defaults)
+        merged = (
+            options.merged_over(_DEFAULT_OPTIONS)
             if options is not None
-            else config_defaults,
-            guard=self.guard,
+            else _DEFAULT_OPTIONS
         )
+        # ``options.guard`` is the other spelling of ``guard=``; ``None``
+        # there is the explicitly unguarded session.
+        said = GuardPolicy(enabled=False) if merged.guard is None else merged.guard
+        if guard is None:
+            guard = GuardPolicy() if said is UNSET else said
+        elif said is not UNSET and said != guard:
+            raise ConfigError(
+                f"ApproxSession: guard={guard!r} and "
+                f"options=LaunchOptions(guard={merged.guard!r}) disagree; "
+                "say the guard in one of them"
+            )
+        self.guard = guard
+        # The guard folded in, so one record says how a launch runs.
+        self.options = replace(merged, guard=guard)
         self.backend = self.options.backend
         self.parallel_workers = resolve_workers(self.options.parallel)
         self.breaker = VariantBreaker(breaker)
-        self.profile_cache = ProfileCache(
-            max_entries=self.paraprox.config.profile_cache_entries
-        )
+        self.profile_cache = ProfileCache()
         self.device = device
         self.spec = spec_for(device)
         self.cache = VariantCache(cache_dir)

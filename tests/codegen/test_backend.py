@@ -60,20 +60,6 @@ class TestValidation:
                 options=LaunchOptions(backend="llvm"),
             )
 
-    def test_config_rejects_unknown_backend(self):
-        from repro.approx.compiler import ParaproxConfig
-
-        with pytest.raises(ConfigError) as exc:
-            ParaproxConfig(backend="cuda")
-        assert "'cuda'" in str(exc.value) and "'auto'" in str(exc.value)
-
-    def test_paraprox_compile_rejects_unknown_backend(self):
-        from repro.approx.compiler import Paraprox
-        from repro.apps.registry import make_app
-
-        with pytest.raises(ConfigError):
-            Paraprox(0.9).compile(make_app("meanfilter", seed=0), backend="nope")
-
 
 class TestSelection:
     def test_default_is_interp(self):

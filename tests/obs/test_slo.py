@@ -10,7 +10,6 @@ from repro.obs.slo import (
     WARN,
     SLOEngine,
     SLOObjective,
-    run_drill,
 )
 from repro.obs.timeline import timeline
 
@@ -330,9 +329,90 @@ class TestEngine:
 
 
 class TestDrill:
-    def test_drill_passes_without_http(self):
-        report = run_drill(serve_http=False)
-        assert report["ok"]
-        assert report["http_checked"] is False
-        states = [t["state"] for t in report["transitions"]]
-        assert states == ["OK", "WARN", "PAGE", "WARN", "OK"]
+    """Deterministic burn-rate drill on a fake clock.
+
+    A synthetic latency history against a private registry: 31 healthy
+    evaluation ticks (10s apart, 100 requests each at 10ms), then a
+    12-tick regression in which 10% of requests wait 1s — ten times the
+    100ms threshold — then recovery.  With a 60s/300s window pair, warn
+    burn 1, page burn 4 and a 1% budget the alert timeline is exactly
+    predictable:
+
+    * WARN at regression tick 3 (slow-window burn reaches 1.0; the fast
+      window was already over from tick 1 — multi-window AND);
+    * PAGE at regression tick 12 (slow-window burn reaches 4.0);
+    * PAGE → WARN 16 ticks after the regression ends (the fast window
+      clears at tick 4 of recovery, plus 120s = 12 ticks of hysteresis);
+    * WARN → OK 12 hysteresis ticks later, at recovery tick 28.
+
+    ``/slo`` over HTTP is ``test_http.py::test_slo_serves_the_engine_state``.
+    """
+
+    def test_drill_passes_without_http(self, traced_memory):
+        registry = MetricsRegistry()
+        wait = registry.histogram(
+            "repro_frontend_tenant_wait_seconds",
+            "drill wait-time histogram",
+            labelnames=("tenant",),
+            buckets=(0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
+        ).labels(tenant="drill")
+        now = [0.0]
+        engine = SLOEngine(
+            registry=registry, clock=lambda: now[0], min_interval_s=0.0
+        )
+        engine.add(
+            SLOObjective.latency(
+                name="drill-latency",
+                tenant="drill",
+                threshold_s=0.1,
+                target=0.99,
+                fast_window_s=60.0,
+                slow_window_s=300.0,
+                warn_burn=1.0,
+                page_burn=4.0,
+                clear_after_s=120.0,
+            )
+        )
+        transitions = []
+        page_state = None
+        for phase, ticks, bad_per_tick in (
+            ("healthy", 31, 0),
+            ("regression", 12, 10),
+            ("recovery", 30, 0),
+        ):
+            for tick in range(1, ticks + 1):
+                now[0] += 10.0
+                for _ in range(100 - bad_per_tick):
+                    wait.observe(0.01)
+                for _ in range(bad_per_tick):
+                    wait.observe(1.0)  # 10x the threshold
+                engine.evaluate(now[0])
+                state = engine.alerts()["drill-latency"]
+                if not transitions or transitions[-1][2] != state:
+                    transitions.append((phase, tick, state))
+                    if state == "PAGE":
+                        page_state = engine.state()
+
+        assert transitions == [
+            ("healthy", 1, "OK"),
+            ("regression", 3, "WARN"),
+            ("regression", 12, "PAGE"),
+            ("recovery", 16, "WARN"),
+            ("recovery", 28, "OK"),
+        ]
+        assert page_state["max_state"] == "PAGE"
+        assert page_state["objectives"][0]["state"] == "PAGE"
+
+        snapshot = registry.snapshot()
+        assert snapshot["repro_slo_state{objective=drill-latency}"] == 0.0
+        for to_state, count in (("WARN", 2), ("PAGE", 1), ("OK", 1)):
+            key = (
+                "repro_slo_transitions_total"
+                f"{{objective=drill-latency,to_state={to_state}}}"
+            )
+            assert snapshot[key] == count, key
+
+        assert [
+            (e["from_state"], e["to_state"])
+            for e in timeline().entries(kind="slo")
+        ] == [("OK", "WARN"), ("WARN", "PAGE"), ("PAGE", "WARN"), ("WARN", "OK")]

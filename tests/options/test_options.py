@@ -51,6 +51,16 @@ class TestLaunchOptions:
         with pytest.raises(ConfigError):
             LaunchOptions(parallel="many")
 
+    @pytest.mark.parametrize("bad", ["fork", "THREAD", "", 1, True, ["thread"]])
+    def test_unknown_executor_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigError, match="executor"):
+            LaunchOptions(executor=bad)
+
+    @pytest.mark.parametrize("bad", [0, -1, "fast", 1.5, True])
+    def test_bad_worker_counts_rejected_at_construction(self, bad):
+        with pytest.raises(ConfigError, match="parallel="):
+            LaunchOptions(parallel=bad)
+
     def test_a_resolved_policy_is_not_an_option_value(self):
         from repro.parallel import ParallelPolicy
 
@@ -132,54 +142,78 @@ class TestScope:
 
 
 class TestPrecedenceChain:
-    def test_scope_beats_session_default_which_beats_config(self):
-        from repro import ParaproxConfig
+    def test_scope_beats_session_default(self):
         from repro.apps.gaussian import GaussianFilterApp
         from repro.serve import ApproxSession
 
         app = GaussianFilterApp(scale=0.05)
-        config = ParaproxConfig(backend="interp", parallel_workers=1)
         session = ApproxSession(
-            app,
-            target_quality=0.9,
-            config=config,
-            options=LaunchOptions(backend="codegen"),
+            app, target_quality=0.9, options=LaunchOptions(backend="codegen")
         )
-        # session default overrides the config knob
         assert session.options.backend == "codegen"
         assert session.backend == "codegen"
-        # fields the options record leaves unset fall through to config
+        # fields the options record leaves unset are the session constants
         session2 = ApproxSession(
-            app,
-            target_quality=0.9,
-            config=config,
-            options=LaunchOptions(parallel=2),
+            app, target_quality=0.9, options=LaunchOptions(parallel=2)
         )
-        assert session2.options.backend == "interp"
+        assert session2.options.backend == "auto"
+        assert session2.options.executor == "thread"
         assert session2.parallel_workers == 2
         # an active scope overrides the session default at launch time
         with session, repro.options(backend="interp"):
             session.launch(app.generate_inputs(seed=1))
         assert set(session.metrics_snapshot()["backend_launches"]) == {"interp"}
 
-    def test_config_executor_knob_flows_into_session_defaults(self):
-        from repro import ParaproxConfig
+    def test_a_bare_session_serves_auto_serial_on_threads(self):
         from repro.apps.gaussian import GaussianFilterApp
+        from repro.resilience import GuardPolicy
         from repro.serve import ApproxSession
 
-        config = ParaproxConfig(executor="process")
-        session = ApproxSession(
-            GaussianFilterApp(scale=0.05), target_quality=0.9, config=config
-        )
-        assert session.options.executor == "process"
-        with pytest.raises(ConfigError):
-            ParaproxConfig(executor="bogus")
+        with ApproxSession(GaussianFilterApp(scale=0.05), target_quality=0.9) as s:
+            assert s.options == LaunchOptions(
+                backend="auto", parallel=1, executor="thread", guard=GuardPolicy()
+            )
+            snapshot = s.metrics_snapshot()
+        assert snapshot["session"]["backend"] == "auto"
+        assert snapshot["parallel"]["workers"] == 1
+        assert snapshot["parallel"]["profile_cache"]["max_entries"] == 4096
 
-    def test_config_executor_round_trips(self):
+
+class TestCompileKnobs:
+    """``ParaproxConfig`` holds what ``compile`` explores, nothing about
+    how a launch runs — a run-time knob cannot come back unannounced."""
+
+    def test_every_config_field_is_read_by_the_compiler(self):
+        import dataclasses
+        import pathlib
+        import re
+
         from repro import ParaproxConfig
 
-        config = ParaproxConfig(executor="process")
-        assert ParaproxConfig.from_dict(config.to_dict()).executor == "process"
+        src = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+        # The compiler's own reads, and the apps' ``build_variants``.
+        readers = "\n".join(
+            path.read_text(encoding="utf-8")
+            for folder in ("approx", "apps")
+            for path in sorted((src / folder).glob("*.py"))
+        )
+        names = [f.name for f in dataclasses.fields(ParaproxConfig)]
+        assert names == [
+            "skipping_rates",
+            "reaching_distances",
+            "stencil_schemes",
+            "scan_skip_fractions",
+            "memo_modes",
+            "memo_spaces",
+            "memo_extra_tables",
+            "memo_start_bits",
+            "enable_section_outlining",
+            "guard_divisions",
+        ]
+        unread = [
+            n for n in names if not re.search(rf"\b(?:cfg|config)\.{n}\b", readers)
+        ]
+        assert not unread, f"no compile step reads {unread}"
 
 
 class TestEnvironmentKnobs:
@@ -233,6 +267,7 @@ class TestRemovedSurface:
         "repro.serve.frontend": ("_differential_harness",),
         "repro.serve.overload": ("_drill", "_drill_app"),
         "repro.registry.__main__": ("_selfcheck",),
+        "repro.obs.slo": ("run_drill",),
     }
 
     #: The six retired harness drivers; ``python -m repro.conformance``
@@ -313,6 +348,47 @@ class TestRemovedSurface:
             resolve_kernel(zoo.square_map), resolve_module(zoo.square_map, None)
         )
         assert mode == "codegen" and detail
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"backend": "codegen"},
+            {"parallel_workers": 2},
+            {"executor": "process"},
+            {"profile_cache_entries": 16},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_execution_knobs_are_not_config_fields(self, knob):
+        from repro import ParaproxConfig
+
+        with pytest.raises(TypeError):
+            ParaproxConfig(**knob)
+        # A dict written by an older release reads as unknown keys.
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ParaproxConfig.from_dict({**ParaproxConfig().to_dict(), **knob})
+
+    def test_compile_and_variant_set_carry_no_execution_stamp(self):
+        import dataclasses
+
+        from repro import Paraprox
+        from repro.approx.base import VariantSet
+
+        assert list(inspect.signature(Paraprox.compile).parameters) == [
+            "self",
+            "app",
+            "device",
+        ]
+        assert [f.name for f in dataclasses.fields(VariantSet)] == [
+            "kernel",
+            "variants",
+            "exact",
+            "skipped",
+        ]
+        with pytest.raises(TypeError):
+            VariantSet(kernel="k", backend="codegen")
+        source = inspect.getsource(inspect.getmodule(Paraprox))
+        assert "_options" not in source and "engine.launch" not in source
 
     def test_launch_options_fields_are_the_same_six(self):
         import dataclasses

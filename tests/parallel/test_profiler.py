@@ -317,22 +317,4 @@ class TestSessionIntegration:
         ) as session:
             assert session.parallel_workers == 3
         with ApproxSession(MeanFilterApp(scale=0.05), target_quality=0.9) as session:
-            assert session.parallel_workers == 1  # config default
-
-    def test_config_knob_flows_through(self):
-        from repro import ParaproxConfig
-
-        config = ParaproxConfig(parallel_workers=2)
-        with ApproxSession(
-            MeanFilterApp(scale=0.05), target_quality=0.9, config=config
-        ) as session:
-            assert session.parallel_workers == 2
-
-    def test_config_rejects_bad_parallel_workers(self):
-        from repro import ParaproxConfig
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            ParaproxConfig(parallel_workers=0)
-        with pytest.raises(ConfigError):
-            ParaproxConfig(parallel_workers="fast")
+            assert session.parallel_workers == 1  # the session's constant

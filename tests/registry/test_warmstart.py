@@ -82,6 +82,24 @@ class TestPredictedProfiles:
         _, warm = tune(setup, registry)
         assert not warm.chosen.predicted
 
+    def test_resume_never_rechooses_a_predicted_profile(self, setup):
+        """A quarantined choice is re-chosen on resume from measured
+        evidence only, as a fresh profile would."""
+        app, variants, _, spec = setup
+        tuner, cold = tune(setup, None)
+        runner_up = tuner.choose(cold.profiles, exclude={cold.chosen.name})
+        assert not runner_up.is_exact
+        data = cold.to_dict()
+        for row in data["profiles"]:
+            if row["name"] == runner_up.name:
+                row["predicted"] = True
+        resumed = GreedyTuner(spec, toq=0.9).resume(
+            app, variants, data, exclude={cold.chosen.name}
+        )
+        assert resumed.resumed
+        assert not resumed.chosen.predicted
+        assert resumed.chosen.name not in {cold.chosen.name, runner_up.name}
+
     def test_predicted_profiles_survive_serialization(self, setup):
         from repro.runtime.tuner import TuningResult
 

@@ -218,3 +218,92 @@ class TestSessionLifecycle:
     def test_invalid_toq_propagates(self):
         with pytest.raises(ValueError):
             ApproxSession(GaussianFilterApp(scale=0.05), target_quality=90)
+
+    def test_transition_history_is_bounded_like_the_launch_records(self):
+        from repro.serve.metrics import SessionMetrics, Transition
+
+        metrics = SessionMetrics(history=4)
+        for i in range(10):
+            metrics.record_transition(Transition(i, f"v{i}", f"v{i + 1}", "drift"))
+        assert metrics.transitions.maxlen == metrics.records.maxlen == 4
+        kept = metrics.snapshot()["transitions"]
+        assert [t["launch"] for t in kept] == [6, 7, 8, 9]
+
+
+class TestSessionOptions:
+    """``options=`` is the one record that says how a session's launches
+    run; nothing about it reaches the compiled artifact's identity."""
+
+    def test_a_restart_that_only_runs_differently_is_disk_warm(self, tmp_path):
+        from repro.parallel import shutdown_process_pool
+
+        app = GaussianFilterApp(scale=0.05)
+        with ApproxSession(app, target_quality=0.9, cache_dir=tmp_path) as cold:
+            cold.launch(app.generate_inputs(seed=3))
+            assert cold.metrics_snapshot()["cache"]["compile_misses"] == 1
+        options = LaunchOptions(backend="codegen", parallel=2, executor="process")
+        try:
+            with ApproxSession(
+                GaussianFilterApp(scale=0.05),
+                target_quality=0.9,
+                cache_dir=tmp_path,
+                options=options,
+            ) as warm:
+                assert warm.key == cold.key
+                warm.launch(app.generate_inputs(seed=3))
+                cache = warm.metrics_snapshot()["cache"]
+        finally:
+            shutdown_process_pool()
+        assert (cache["compile_hits"], cache["compile_misses"]) == (1, 0)
+        assert (cache["tune_hits"], cache["tune_misses"]) == (1, 0)
+
+    def test_the_cache_key_names_no_execution_setting(self):
+        import inspect
+
+        from repro import ParaproxConfig
+        from repro.serve.cache import cache_key
+
+        # The key is a function of these four and nothing ambient ...
+        assert list(inspect.signature(cache_key).parameters) == [
+            "app",
+            "config",
+            "spec",
+            "toq",
+        ]
+        # ... and the config's share of the payload is compile knobs only.
+        assert not {
+            "backend",
+            "parallel",
+            "parallel_workers",
+            "executor",
+            "profile_cache_entries",
+            "guard",
+        } & set(ParaproxConfig().to_dict())
+
+    def test_a_guard_said_in_options_is_the_sessions_guard(self):
+        from repro.resilience import GuardPolicy
+
+        app = GaussianFilterApp(scale=0.05)
+        tight = GuardPolicy(retries=0, deadline_seconds=1.0)
+        session = ApproxSession(app, options=LaunchOptions(guard=tight))
+        assert session.guard is tight and session.options.guard is tight
+        assert session.metrics_snapshot()["resilience"]["guard_policy"]["retries"] == 0
+        unguarded = ApproxSession(app, options=LaunchOptions(guard=None))
+        assert unguarded.guard == GuardPolicy(enabled=False)
+        assert unguarded.options.guard == unguarded.guard
+        # guard= alone, and both spellings agreeing, stay as they were
+        assert ApproxSession(app, guard=tight).options.guard is tight
+        assert ApproxSession(app).guard == GuardPolicy()
+        both = ApproxSession(app, guard=tight, options=LaunchOptions(guard=tight))
+        assert both.guard == tight
+
+    def test_two_different_guards_are_refused(self):
+        from repro.errors import ConfigError
+        from repro.resilience import GuardPolicy
+
+        with pytest.raises(ConfigError, match=r"guard=.*options=LaunchOptions\(guard="):
+            ApproxSession(
+                GaussianFilterApp(scale=0.05),
+                guard=GuardPolicy(),
+                options=LaunchOptions(guard=None),
+            )
