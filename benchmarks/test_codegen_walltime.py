@@ -15,6 +15,14 @@ compiled kernels read 2.0-2.2x (blackscholes; was 3.3-3.6x), 1.8-2.2x
 (tiled matmul; was 4.9-7.0x) and 1.95-2.45x (variant geomean; was ~3.6x)
 over it.  Compiled time itself is tracked by ``codegen.kernel_ms.*`` in
 ``python3 -m bench``; these floors only guard the ordering.
+
+Since PR 21 the compiled kernels read their masks and resolved indices from
+an address plan from the third launch of a grid on (docs/CODEGEN.md), so the
+ratios rose again, this time because the denominator fell: 2.2-2.3x
+(blackscholes, arithmetic-bound, so the least), 4.2-4.5x (tiled matmul, all
+addressing) and 3.5-4.0x (variant geomean) over four runs.  The floors stay
+where they were: they guard the ordering, and a floor raised to today's
+ratio would start failing the day the interpreter gets faster again.
 """
 
 import math

@@ -17,32 +17,18 @@ from typing import Dict, List, Tuple
 from ..errors import CodegenError
 from ..kernel import ir
 from ..obs import trace as obs_trace
-from ..obs.registry import CounterGroup
 from ..resilience.faults import SITE_COMPILE, maybe_inject
 from .fingerprint import fingerprint_kernel
 from .lower import lower_kernel
-from .runtime import geometry
 
-#: Registry field -> help text; each becomes ``repro_codegen_<field>``.
-_FIELDS = {
-    "compiles": "kernels lowered and compiled to NumPy callables",
-    "cache_hits": "compiled-kernel cache hits",
-    "compile_seconds": "wall time spent lowering and compiling",
-    "source_bytes": "bytes of generated source",
-    "fallbacks": "auto-mode launches that fell back to the interpreter",
-    "folds": "constant subexpressions folded or reassociated at lowering",
-    "table_gathers": "lookup-table loads lowered as proven-in-range gathers",
-    "cast_elisions": "identity result casts elided at lowering",
-}
+# STATS: the process-wide ``repro_codegen_*`` counters.  The group is made
+# where generated code can reach it (plan hits are counted per launch).
+from .runtime import STATS, drop_plans, geometry
 
 
 def _detail_string(info: Dict[str, int]) -> str:
     parts = [f"{key}={value}" for key, value in sorted(info.items()) if value]
     return " ".join(parts) if parts else "no specializations applied"
-
-
-#: Process-wide codegen counters (``repro_codegen_*`` registry series).
-STATS = CounterGroup("codegen", _FIELDS, floats=("compile_seconds",))
 
 
 def stats_snapshot() -> Dict[str, object]:
@@ -122,6 +108,7 @@ def get_compiled(
     STATS.inc("folds", info["folded"] + info["reassociated"])
     STATS.inc("table_gathers", info["table_gathers"])
     STATS.inc("cast_elisions", info["cast_elisions"])
+    STATS.inc("planned_sites", info["planned_sites"])
     _CACHE[key] = compiled
     return compiled
 
@@ -157,8 +144,10 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
 
 
 def clear_cache() -> None:
-    """Drop all compiled kernels (tests; does not reset STATS)."""
+    """Drop all compiled kernels, and the address plans resolved for them
+    (tests; does not reset STATS)."""
     _CACHE.clear()
+    drop_plans()
 
 
 def cache_size() -> int:

@@ -33,7 +33,8 @@ back to the interpreter in that case.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+import itertools
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -107,19 +108,49 @@ _CMP_FUNCS = {
 }
 
 
+#: One id per lowered kernel with planned sites: the kernel's part of its
+#: plan keys.  A global of the generated module, not a literal in its source.
+_PLAN_IDS = itertools.count()
+
+
 class _Ctx:
-    """Lexical emission context: current mask expression and the locals
-    statically known to be bound at this point."""
+    """Lexical emission context: current mask expression, the locals
+    statically known to be bound at this point, and what the address plan
+    needs to know about the control flow leading here."""
 
-    __slots__ = ("mask", "defined", "dynamic")
+    __slots__ = ("mask", "defined", "dynamic", "invariant", "loops", "deps")
 
-    def __init__(self, mask: Optional[str], defined: Set[str], dynamic: bool):
+    def __init__(
+        self,
+        mask: Optional[str],
+        defined: Set[str],
+        dynamic: bool,
+        invariant: bool = False,
+        loops: Tuple[Tuple[str, str], ...] = (),
+        deps: FrozenSet[str] = frozenset(),
+    ):
         self.mask = mask  # python expr for frame.mask; None = all lanes live
         self.defined = defined
         self.dynamic = dynamic  # function tracks _ret/_retm/_retall
+        # Every enclosing condition and loop bound is launch-invariant (and
+        # the kernel has no ``return``): the live mask here is a function of
+        # the plan key, so sites may be planned.
+        self.invariant = invariant
+        self.loops = loops  # (variable, counter) of each enclosing loop
+        self.deps = deps  # scalar params / loop variables control flow read
 
-    def copy(self, mask: Optional[str] = None) -> "_Ctx":
-        return _Ctx(mask if mask is not None else self.mask, set(self.defined), self.dynamic)
+    def copy(self, mask: Optional[str] = None, **changes) -> "_Ctx":
+        new = _Ctx(
+            mask if mask is not None else self.mask,
+            set(self.defined),
+            self.dynamic,
+            self.invariant,
+            self.loops,
+            self.deps,
+        )
+        for name, value in changes.items():
+            setattr(new, name, value)
+        return new
 
 
 class _Emitter:
@@ -137,6 +168,7 @@ class _Emitter:
             "reassociated": 0,
             "table_gathers": 0,
             "cast_elisions": 0,
+            "planned_sites": 0,
         }
         # per-function state
         self.fname = ""
@@ -148,6 +180,21 @@ class _Emitter:
         self.intervals: Dict[str, Tuple[float, float]] = {}
         self._static: Dict[str, str] = {}  # var -> proven runtime np dtype name
         self._elide = False
+        # address-plan state of the function being emitted
+        self._scalars: Set[str] = set()  # scalar params never assigned
+        #: launch-invariant local -> scalar params and loops its value depends on
+        self._inv_locals: Dict[str, FrozenSet[str]] = {}
+        self._deps_memo: Dict[int, Optional[FrozenSet[str]]] = {}
+        self._sites = 0
+        self._key_scalars: Set[str] = set()
+        self._key_buffers: List[str] = []
+        #: plan-only candidates: single top-level assignment, invariant
+        self._lazy_names: Set[str] = set()
+        #: candidate -> (line, indent, value source, candidates it reads)
+        self._lazy: Dict[str, Tuple[int, int, str, Set[str]]] = {}
+        self._data_uses: Set[str] = set()
+        self._sites_ok = True  # False while emitting a site's computation
+        self._refs: Optional[Set[str]] = None  # candidates read by that computation
 
     # ------------------------------------------------------------- plumbing
 
@@ -331,6 +378,153 @@ class _Emitter:
                 break
         return known
 
+    # ------------------------------------------------------ launch invariance
+
+    def _compute_invariants(self, fn: ir.Function) -> None:
+        """Which locals are *launch-invariant* -- every assignment's value
+        is built from thread intrinsics, constants, unassigned scalar
+        params and other such locals, and sits under conditions and loop
+        bounds that are -- and which of them are plan-only candidates (one
+        assignment, at the top level of the body).  One walk over the IR
+        and two small fixpoints; nothing is emitted here."""
+        defs: Dict[str, List[ir.Expr]] = {}  # name -> value + controlling exprs
+        within: Dict[str, Set[str]] = {}  # name -> loops its value may vary in
+        top: Dict[str, int] = {}  # name -> assignments at top level
+        count: Dict[str, int] = {}
+
+        def visit(body, control: Tuple[ir.Expr, ...], loops: Tuple[str, ...]) -> None:
+            for stmt in body:
+                if isinstance(stmt, ir.Assign):
+                    defs.setdefault(stmt.target, []).extend((stmt.value,) + control)
+                    within.setdefault(stmt.target, set()).update(loops)
+                    count[stmt.target] = count.get(stmt.target, 0) + 1
+                    if not control:
+                        top[stmt.target] = top.get(stmt.target, 0) + 1
+                elif isinstance(stmt, ir.If):
+                    inner = control + (stmt.cond,)
+                    visit(stmt.then_body, inner, loops)
+                    visit(stmt.else_body, inner, loops)
+                elif isinstance(stmt, ir.For):
+                    bounds = (stmt.start, stmt.stop, stmt.step)
+                    defs.setdefault(stmt.var, []).extend(bounds + control)
+                    within.setdefault(stmt.var, set()).add(stmt.var)
+                    count[stmt.var] = 2  # never a plan-only candidate
+                    visit(stmt.body, control + bounds, loops + (stmt.var,))
+
+        visit(fn.body, (), ())
+        self._scalars = {
+            p.name for p in fn.params if not p.is_array and p.name not in defs
+        }
+        facts: Dict[int, Tuple[Set[str], bool]] = {}  # expr -> (names read, pure)
+
+        def fact(expr: ir.Expr) -> Tuple[Set[str], bool]:
+            found = facts.get(id(expr))
+            if found is None:
+                names: Set[str] = set()
+                found = facts[id(expr)] = (names, _scan_pure(expr, names))
+            return found
+
+        reads: Dict[str, Set[str]] = {}
+        invariant: Set[str] = set()
+        for name, exprs in defs.items():
+            reads[name] = set().union(*(fact(e)[0] for e in exprs))
+            if name not in self.param_names and all(fact(e)[1] for e in exprs):
+                invariant.add(name)
+        changed = True
+        while changed:
+            changed = False
+            for name in sorted(invariant):
+                if not reads[name] <= invariant | self._scalars:
+                    invariant.discard(name)
+                    changed = True
+        # What a local's value is a function of: scalar params, and the
+        # loops it is assigned in (a loop-carried local changes with the
+        # iteration without reading the loop variable).
+        deps = {
+            name: frozenset(reads[name] & self._scalars | within[name])
+            for name in invariant
+        }
+        changed = True
+        while changed:
+            changed = False
+            for name in invariant:
+                wider = deps[name].union(*(deps[r] for r in reads[name] & invariant))
+                if wider != deps[name]:
+                    deps[name] = wider
+                    changed = True
+        self._inv_locals = deps
+        self._lazy_names = {
+            name for name in invariant if count[name] == 1 and top.get(name) == 1
+        }
+
+    def _deps(self, expr: ir.Expr) -> Optional[FrozenSet[str]]:
+        """The scalar params and loop variables a launch-invariant
+        expression depends on (through locals too), or None if it is not
+        launch-invariant."""
+        memo = self._deps_memo
+        key = id(expr)
+        if key in memo:
+            return memo[key]
+        if isinstance(expr, ir.Const):
+            result: Optional[FrozenSet[str]] = frozenset()
+        elif isinstance(expr, ir.Var):
+            if expr.name in self._inv_locals:
+                result = self._inv_locals[expr.name]
+            elif expr.name in self._scalars:
+                result = frozenset((expr.name,))
+            else:
+                result = None
+        elif isinstance(expr, ir.BinOp):
+            result = self._deps_of(expr.left, expr.right)
+        elif isinstance(expr, (ir.UnOp, ir.Cast)):
+            result = self._deps(expr.operand)
+        elif isinstance(expr, ir.Select):
+            result = self._deps_of(expr.cond, expr.if_true, expr.if_false)
+        elif isinstance(expr, ir.Call) and expr.func in _INTRINSIC_ATTR:
+            result = frozenset()
+        elif isinstance(expr, ir.Call) and intrinsics.get(expr.func) is not None:
+            result = self._deps_of(*expr.args)
+        else:  # loads, device calls
+            result = None
+        memo[key] = result
+        return result
+
+    def _deps_of(self, *exprs: ir.Expr) -> Optional[FrozenSet[str]]:
+        out: FrozenSet[str] = frozenset()
+        for expr in exprs:
+            deps = self._deps(expr)
+            if deps is None:
+                return None
+            out |= deps
+        return out
+
+    def _new_site(self, ctx: _Ctx, deps: FrozenSet[str]) -> Tuple[str, str]:
+        """Register one planned site; returns its key within the plan -- the
+        site's number, with the counters of the enclosing loops its value
+        or its live mask changes in -- as the source that probes the plan
+        with it and the source that names it again on a miss."""
+        self.info["planned_sites"] += 1
+        deps = deps | ctx.deps
+        self._key_scalars |= deps & self._scalars
+        number = self._sites
+        self._sites += 1
+        counters = [counter for var, counter in ctx.loops if var in deps]
+        if counters:
+            return f"_k := ({number}, {', '.join(counters)})", "_k"
+        return str(number), str(number)
+
+    def _computation(self, expr: ir.Expr, ctx: _Ctx, refs: Optional[Set[str]]) -> str:
+        """Emit ``expr`` as plain code with no site inside it: what a site
+        evaluates when its plan has no entry, or an invariant local's
+        value.  Plan-only candidates it reads are noted in ``refs`` (the
+        reader only runs on a miss), or count as data uses if None."""
+        saved = self._sites_ok, self._refs
+        self._sites_ok, self._refs = False, refs
+        try:
+            return self.emit_expr(expr, ctx)
+        finally:
+            self._sites_ok, self._refs = saved
+
     # ------------------------------------------------------------- functions
 
     def emit_function(self, fn: ir.Function) -> str:
@@ -369,11 +563,22 @@ class _Emitter:
         dynamic = (not is_kernel) or any(
             isinstance(s, ir.Return) for s in walk_statements(fn.body)
         )
+        # Address plans: kernels without ``return`` only; device-function
+        # bodies (and lane deactivation) stay as they are.
+        planning = is_kernel and not dynamic
+        self._inv_locals, self._lazy_names, self._scalars = {}, set(), set()
+        self._deps_memo, self._lazy, self._data_uses = {}, {}, set()
+        self._sites, self._key_scalars, self._key_buffers = 0, set(), []
+        if planning:
+            self._compute_invariants(fn)
         params = ", ".join(f"v_{p.name}" for p in fn.params)
+        plan_line = -1
         if is_kernel:
             name = f"_kernel_{fn.name}"
             self.emit(0, f"def {name}(_G, {params}):")
             self.emit(1, "_T = _G.T")
+            plan_line = len(self.lines)
+            self.emit(1, "")  # this launch's plan, once the body's sites are known
         else:
             for p in fn.params:
                 if p.is_array:
@@ -403,13 +608,40 @@ class _Emitter:
                 prefix = "_sh_" if local in self.shared else "v_"
                 self.emit(1, f"{prefix}{local} = rt.UNSET")
         self.emit(1, 'with np.errstate(divide="ignore", invalid="ignore", over="ignore"):')
-        ctx = _Ctx("_mask" if not is_kernel else None, set(), dynamic)
+        ctx = _Ctx("_mask" if not is_kernel else None, set(), dynamic, planning)
         self._shared_totals = total_elems
         self.emit_body(fn.body, ctx, 2)
-        if not is_kernel:
+        if is_kernel:
+            self._finish_plan(plan_line)
+        else:
             self.emit(1, f"return rt.device_result(_ret, {fn.name!r})")
         self.emit(0, "")
         return name
+
+    def _finish_plan(self, plan_line: int) -> None:
+        """Fill in what the body's emission decided: the plan lookup at the
+        top of the kernel, and each plan-only candidate's assignment --
+        guarded by ``_B`` (some site may still have to be computed) when
+        every reader is such a computation, plain when anything else reads
+        it, including a later candidate that turned out plain."""
+        planned = self._sites > 0
+        for name in reversed(list(self._lazy)):
+            line, indent, value, refs = self._lazy[name]
+            guard = ""
+            if name in self._data_uses or not planned:
+                self._data_uses |= refs
+            else:
+                guard = "if _B: "
+            self.lines[line] = "    " * indent + f"{guard}v_{name} = {value}"
+        if not planned:
+            del self.lines[plan_line]
+            return
+        self.globals["_PID"] = next(_PLAN_IDS)
+        key = ["_PID"]
+        key += [f"v_{name}.size" for name in self._key_buffers]
+        key += [f"rt.scalar_key(v_{name})" for name in sorted(self._key_scalars)]
+        self.lines[plan_line] = f"    _P, _g, _B = rt.plan(_G, ({', '.join(key)},))"
+        self.emit(1, "if _B: rt.plan_built(_P)")
 
     # ------------------------------------------------------------ statements
 
@@ -460,8 +692,23 @@ class _Emitter:
         return mask
 
     def _emit_assign(self, stmt: ir.Assign, ctx: _Ctx, indent: int) -> None:
-        value = self.emit_expr(stmt.value, ctx)
         target = stmt.target
+        if target in self._lazy_names:
+            # A plan-only candidate: whether its assignment runs on every
+            # launch or only while sites are being resolved is known once
+            # all its readers have been emitted (``_finish_plan``).
+            refs: Set[str] = set()
+            value = self._computation(stmt.value, ctx, refs)
+            self._lazy[target] = (len(self.lines), indent, value, refs)
+            self.emit(indent, "")
+            ctx.defined.add(target)
+            return
+        if target in self._inv_locals:
+            # Cheap thread-id arithmetic feeding sites: computed in place,
+            # not stored a second time as a site of its own.
+            value = self._computation(stmt.value, ctx, None)
+        else:
+            value = self.emit_expr(stmt.value, ctx)
         bound = target in ctx.defined or target in self.param_names
         if ctx.mask is None and not ctx.dynamic:
             self.emit(indent, f"v_{target} = {value}")
@@ -482,56 +729,122 @@ class _Emitter:
             return False, f"v_{ref.name}"
         raise CodegenError(f"{self.fname}: unbound array {ref.name!r}")
 
+    def _access_site(self, ref: ir.ArrayRef, index: ir.Expr, ctx: _Ctx):
+        """``(index source, plan key pair or None)`` of one load/store/atomic.
+        The access is a planned site when its index and its live mask are
+        launch-invariant: what it resolves to -- in-range verdict, clamp,
+        shared-memory flattening, live-lane compaction -- is then a function
+        of the plan key (which gains the buffer's size)."""
+        deps = self._deps(index) if ctx.invariant else None
+        if deps is None:
+            return self.emit_expr(index, ctx), None
+        key = self._new_site(ctx, deps)
+        if ref.name not in self.shared and ref.name not in self._key_buffers:
+            self._key_buffers.append(ref.name)
+        return self._computation(index, ctx, set()), key
+
+    def _emit_write(self, call: str, buf: str, key, value: str, extra: str, indent: int):
+        """A store or atomic: ``call`` is the helper call up to its closing
+        parenthesis, run as it always was when the plan has no entry."""
+        if key is None:
+            self.emit(indent, f"{call})")
+            return
+        nsb = ", _G.nsb" if call.startswith("rt.store_shared") else ""
+        self.emit(
+            indent,
+            f"(_s.run({buf}, {value}{extra}) if (_s := _g({key[0]})) "
+            f"else {call}, _P, {key[1]}{nsb}))",
+        )
+
+    def _written_value(self, expr: ir.Expr, key, ctx: _Ctx, indent: int) -> str:
+        """The value of a store or atomic.  At a planned site it is named
+        twice (hit and miss), so it is held in a temporary first; its loads
+        then fault before the access's own index is looked at, as in the
+        interpreter."""
+        value = self.emit_expr(expr, ctx)
+        if key is None:
+            return value
+        held = self.tmp()
+        self.emit(indent, f"{held} = {value}")
+        return held
+
     def _emit_store(self, stmt: ir.Store, ctx: _Ctx, indent: int) -> None:
-        idx = self.emit_expr(stmt.index, ctx)
-        value = self.emit_expr(stmt.value, ctx)
+        idx, key = self._access_site(stmt.array, stmt.index, ctx)
+        value = self._written_value(stmt.value, key, ctx, indent)
         live = self.live_expr(ctx)
         shared, buf = self._array_kind(stmt.array)
-        tail = f"{live}, _T, {self.bounds_check}, {self.fname!r}, {stmt.array.name!r})"
+        tail = f"{live}, _T, {self.bounds_check}, {self.fname!r}, {stmt.array.name!r}"
         if shared:
             size = self.shared[stmt.array.name]
-            self.emit(
-                indent,
-                f"rt.store_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}",
-            )
+            call = f"rt.store_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}"
         else:
-            self.emit(indent, f"rt.store_global({buf}, {idx}, {value}, {tail}")
+            call = f"rt.store_global({buf}, {idx}, {value}, {tail}"
+        self._emit_write(call, buf, key, value, "", indent)
 
     def _emit_atomic(self, stmt: ir.AtomicRMW, ctx: _Ctx, indent: int) -> None:
-        idx = self.emit_expr(stmt.index, ctx)
-        value = self.emit_expr(stmt.value, ctx)
+        idx, key = self._access_site(stmt.array, stmt.index, ctx)
+        value = self._written_value(stmt.value, key, ctx, indent)
         live = self.live_expr(ctx)
         shared, buf = self._array_kind(stmt.array)
         tail = (
             f"{live}, _T, {stmt.op!r}, {self.bounds_check}, "
-            f"{self.fname!r}, {stmt.array.name!r})"
+            f"{self.fname!r}, {stmt.array.name!r}"
         )
         if shared:
             size = self.shared[stmt.array.name]
-            self.emit(
-                indent,
-                f"rt.atomic_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}",
-            )
+            call = f"rt.atomic_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}"
         else:
-            self.emit(indent, f"rt.atomic_global({buf}, {idx}, {value}, {tail}")
+            call = f"rt.atomic_global({buf}, {idx}, {value}, {tail}"
+        self._emit_write(call, buf, key, value, f", {stmt.op!r}", indent)
 
     def _emit_if(self, stmt: ir.If, ctx: _Ctx, indent: int) -> None:
+        deps = self._deps(stmt.cond) if ctx.invariant else None
+        # Inside the arms sites stay plannable only if this condition is
+        # launch-invariant as well.
+        inner = ctx.copy(
+            invariant=deps is not None, deps=ctx.deps | (deps or frozenset())
+        )
+        if deps is not None and self.expr_varying(stmt.cond):
+            self._emit_planned_if(stmt, deps, inner, indent)
+            return
         cond = self.tmp()
         self.emit(indent, f"{cond} = {self.emit_expr(stmt.cond, ctx)}")
         if self.expr_varying(stmt.cond):
-            self._emit_masked_if(stmt, cond, ctx, indent)
+            self._emit_masked_if(stmt, cond, inner, indent)
             return
         # Possibly-uniform condition: replicate the interpreter's runtime
         # scalar/array dispatch.  The scalar arm executes the taken body
         # under the *parent* context (no new mask).
         self.emit(indent, f"if np.ndim({cond}) == 0:")
         self.emit(indent + 1, f"if bool({cond}):")
-        self.emit_body(stmt.then_body, ctx.copy(), indent + 2)
+        self.emit_body(stmt.then_body, inner.copy(), indent + 2)
         if stmt.else_body:
             self.emit(indent + 1, "else:")
-            self.emit_body(stmt.else_body, ctx.copy(), indent + 2)
+            self.emit_body(stmt.else_body, inner.copy(), indent + 2)
         self.emit(indent, "else:")
-        self._emit_masked_if(stmt, cond, ctx, indent + 1)
+        self._emit_masked_if(stmt, cond, inner, indent + 1)
+
+    def _emit_planned_if(
+        self, stmt: ir.If, deps: FrozenSet[str], ctx: _Ctx, indent: int
+    ) -> None:
+        """A divergent ``if`` on a launch-invariant condition: both masks
+        and both ``any_lanes`` verdicts are one planned site."""
+        probe, key = self._new_site(ctx, deps)
+        cond = self._computation(stmt.cond, ctx, set())
+        base = ctx.mask if ctx.mask is not None else "None"
+        then_mask, else_mask, then_any, else_any = (self.tmp() for _ in range(4))
+        self.emit(
+            indent,
+            f"{then_mask}, {else_mask}, {then_any}, {else_any} = _g({probe}) or "
+            f"rt.plan_masks(_P, {key}, {cond}, {base}, {bool(stmt.else_body)})",
+        )
+        for mask, live, body in (
+            (then_mask, then_any, stmt.then_body),
+            (else_mask, else_any, stmt.else_body),
+        ):
+            if body:
+                self.emit(indent, f"if {live}:")
+                self.emit_body(body, ctx.copy(mask=mask), indent + 1)
 
     def _emit_masked_if(self, stmt: ir.If, cond: str, ctx: _Ctx, indent: int) -> None:
         base = ctx.mask if ctx.mask is not None else "None"
@@ -577,7 +890,15 @@ class _Emitter:
         self.emit(indent, f"rt.check_step({step}, {self.fname!r})")
         counter = self.tmp()
         self.emit(indent, f"for {counter} in range({start}, {stop}, {step}):")
-        body_ctx = ctx.copy()
+        deps = self._deps_of(stmt.start, stmt.stop, stmt.step) if ctx.invariant else None
+        if deps is None:
+            body_ctx = ctx.copy(invariant=False)
+        else:
+            # Invariant bounds: the same iterations on every launch, each
+            # with its own entry at the sites inside.
+            body_ctx = ctx.copy(
+                loops=ctx.loops + ((stmt.var, counter),), deps=ctx.deps | deps
+            )
         # The interpreter binds the loop variable straight into the env
         # (no mask merge), even under predication.
         self.emit(indent + 1, f"v_{stmt.var} = np.int32({counter})")
@@ -601,9 +922,25 @@ class _Emitter:
             return self.const(expr.value, expr.dtype)
         if isinstance(expr, ir.Var):
             name = expr.name
+            if name in self._lazy_names:
+                # Read by a site's computation (runs only on a miss), or by
+                # code that runs on every launch?
+                (self._data_uses if self._refs is None else self._refs).add(name)
             if name in ctx.defined or name in self.param_names:
                 return f"v_{name}"
             return f"rt.check_defined(v_{name}, {name!r}, {self.fname!r})"
+        if ctx.invariant and self._sites_ok and not isinstance(expr, ir.Load):
+            deps = self._deps(expr)
+            if (
+                deps is not None
+                and not (isinstance(expr, ir.Call) and expr.func in _INTRINSIC_ATTR)
+                and self.expr_varying(expr)
+            ):
+                # A maximal launch-invariant array operand of a data
+                # expression: read it from the plan.
+                probe, key = self._new_site(ctx, deps)
+                value = self._computation(expr, ctx, set())
+                return f"(_g({probe}) or rt.plan_value(_P, {key}, {value}))[0]"
         if isinstance(expr, ir.BinOp):
             return self._emit_binop(expr, ctx)
         if isinstance(expr, ir.UnOp):
@@ -627,22 +964,31 @@ class _Emitter:
             b = self.emit_expr(expr.if_false, ctx)
             return f"rt.select({cond}, {a}, {b}, {self.np_dtype(expr.dtype)})"
         if isinstance(expr, ir.Load):
-            idx = self.emit_expr(expr.index, ctx)
+            idx, key = self._access_site(expr.array, expr.index, ctx)
             live = self.live_expr(ctx)
             shared, buf = self._array_kind(expr.array)
-            tail = f"{live}, {self.bounds_check}, {self.fname!r}, {expr.array.name!r})"
+            tail = f"{live}, {self.bounds_check}, {self.fname!r}, {expr.array.name!r}"
+            nsb = ""
             if shared:
                 size = self.shared[expr.array.name]
-                return f"rt.load_shared({buf}, {size}, {idx}, _G.sbid, {tail}"
-            entries = self.tables.get(expr.array.name)
-            if entries is not None:
-                lo, hi = interval_of(expr.index, self.intervals)
-                if lo >= 0 and hi <= entries - 1:
-                    # Lookup-table gather with a compile-time in-range
-                    # proof: no clamp, no live-lane bounds scan.
-                    self.info["table_gathers"] += 1
-                    return f"rt.load_table({buf}, {idx}, {entries}, {tail}"
-            return f"rt.load_global({buf}, {idx}, {tail}"
+                call = f"rt.load_shared({buf}, {size}, {idx}, _G.sbid, {tail}"
+                nsb = ", _G.nsb"
+            else:
+                call = f"rt.load_global({buf}, {idx}, {tail}"
+                entries = self.tables.get(expr.array.name)
+                if entries is not None:
+                    lo, hi = interval_of(expr.index, self.intervals)
+                    if lo >= 0 and hi <= entries - 1:
+                        # Lookup-table gather with a compile-time in-range
+                        # proof: no clamp, no live-lane bounds scan.
+                        self.info["table_gathers"] += 1
+                        call = f"rt.load_table({buf}, {idx}, {entries}, {tail}"
+            if key is None:
+                return f"{call})"
+            return (
+                f"(_s.run({buf}) if (_s := _g({key[0]})) "
+                f"else {call}, _P, {key[1]}{nsb}))"
+            )
         if isinstance(expr, ir.Call):
             return self._emit_call(expr, ctx)
         raise CodegenError(f"{self.fname}: cannot lower {type(expr).__name__}")
@@ -699,6 +1045,35 @@ class _Emitter:
             joined = ", ".join(args + [mask, retm, "_T"])
             return f"_dev_{name}({joined})"
         raise CodegenError(f"{self.fname}: call to unknown function {name!r}")
+
+
+def _scan_pure(expr: ir.Expr, names: Set[str]) -> bool:
+    """Whether ``expr`` holds no load and no device call (so its value is
+    thread ids, constants and the variables collected into ``names``).  The
+    names of an impure expression are never looked at."""
+    kind = type(expr)
+    if kind is ir.Var:
+        names.add(expr.name)
+        return True
+    if kind is ir.Const:
+        return True
+    if kind is ir.BinOp:
+        return _scan_pure(expr.left, names) and _scan_pure(expr.right, names)
+    if kind is ir.UnOp or kind is ir.Cast:
+        return _scan_pure(expr.operand, names)
+    if kind is ir.Select:
+        return (
+            _scan_pure(expr.cond, names)
+            and _scan_pure(expr.if_true, names)
+            and _scan_pure(expr.if_false, names)
+        )
+    if kind is ir.Call:
+        if expr.func in _INTRINSIC_ATTR:
+            return True
+        if intrinsics.get(expr.func) is None:
+            return False  # a device function
+        return all(_scan_pure(arg, names) for arg in expr.args)
+    return False  # a load
 
 
 def _can_return(stmt: ir.Stmt) -> bool:

@@ -15,18 +15,32 @@ reference — the ``exact`` contract and the benchmark's verification
 compare compiled kernels against it — and was deliberately left alone,
 so that it stays an independent implementation of what they must preserve.
 
+**Address plans** live here too, beside the cached :class:`Geometry`: what a
+kernel's launch-invariant sites resolved to (branch masks, in-range
+verdicts, clamped / flattened / compacted indices) per (kernel, scalars,
+buffer sizes), each access in the cheapest stored form that reproduces it
+element for element, all plans under one byte cap.  A site is computed by
+the same helpers as ever and *offered*; it is read back only on later
+launches.  They share the interpreter's semantics by test as well
+(``tests/codegen/test_address_plan.py``).
+
 Generated modules receive this module under the name ``rt``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+import os
+import threading
+from bisect import bisect_right
+from collections import OrderedDict
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..engine.interpreter import _c_divide, _c_mod
 from ..engine.launch import Grid
 from ..errors import ExecutionError
+from ..obs.registry import CounterGroup
 
 #: Marker for a local that has not been assigned yet.  The interpreter
 #: models this as absence from the frame environment; generated code
@@ -152,7 +166,504 @@ c_divide = _c_divide
 c_mod = _c_mod
 
 
+# ------------------------------------------------------------------ counters
+#
+# The one ``codegen`` counter group lives here rather than beside the compile
+# cache (``cache.py`` re-exports it) because plan hits are counted from
+# generated code, and ``cache`` imports this module.
+
+#: Registry field -> help text; each becomes ``repro_codegen_<field>``.
+_FIELDS = {
+    "compiles": "kernels lowered and compiled to NumPy callables",
+    "cache_hits": "compiled-kernel cache hits",
+    "compile_seconds": "wall time spent lowering and compiling",
+    "source_bytes": "bytes of generated source",
+    "fallbacks": "auto-mode launches that fell back to the interpreter",
+    "folds": "constant subexpressions folded or reassociated at lowering",
+    "table_gathers": "lookup-table loads lowered as proven-in-range gathers",
+    "cast_elisions": "identity result casts elided at lowering",
+    "planned_sites": "launch-invariant sites the lowering handed to address plans",
+    "plan_builds": "address plans started (second launch of a key, or a retry)",
+    "plan_hits": "launches that read a resident address plan",
+    "plan_evictions": "address plans released (colder than a newcomer, over the cap, "
+    "geometry evicted, cache cleared)",
+    "plan_bytes": "bytes resident address plans hold now (falls on eviction)",
+    "plan_form_slice": "planned accesses stored as a slice",
+    "plan_form_runs": "planned gathers stored as a run list",
+    "plan_form_block": "planned shared-memory gathers stored as a per-block index",
+    "plan_form_shift": "planned gathers stored as a shift of the site's first iteration",
+    "plan_form_mask": "planned masked stores that reuse the live mask as their index",
+    "plan_form_index": "planned accesses stored as an intp index array (the fallback)",
+}
+
+#: Process-wide codegen counters (``repro_codegen_*`` registry series).
+STATS = CounterGroup("codegen", _FIELDS, floats=("compile_seconds",))
+
+
+# ------------------------------------------------------------- address plans
+#
+# What a kernel's thread-id arithmetic resolves to -- branch masks, in-range
+# verdicts, clamped and flattened indices, live-lane compactions -- depends on
+# the grid, a few scalar arguments and the sizes of the buffers, never on the
+# data.  The lowering marks each such *site*; generated code reads it from the
+# launch's plan and, where the plan has no entry yet, computes it through the
+# helpers below exactly as an unplanned launch does and offers the result.
+# docs/CODEGEN.md, "Address plans", has the measurements behind each choice.
+
+#: Bytes all resident plans of the process may hold together.
+PLAN_BYTE_CAP = 4 << 20
+#: Longest run list a clamped index is stored as.
+PLAN_MAX_RUNS = 8
+#: Keys one geometry remembers (seen once, or planned).
+_PLAN_KEYS_MAX = 128
+#: Lanes per run below which ``take`` through an index beats a run list
+#: (0.3 us + 0.75 ns a lane, against 0.4 us a run).
+_RUNS_PAY = 512
+#: What one stored site costs beside its arrays (site, closure, key, slot).
+_SITE_BYTES = 400
+
+_PLAN_LOCK = threading.Lock()
+_RESIDENT: set = set()
+_plan_bytes = 0
+
+
+def _unlock_in_child() -> None:
+    """A shard worker forked while another thread resolved a site would
+    inherit the lock held, and wait on it for ever."""
+    global _PLAN_LOCK
+    _PLAN_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_unlock_in_child)
+
+
+class _Entry:
+    """What one geometry knows about one plan key: how often it launched
+    and the plan it holds now, if any."""
+
+    __slots__ = ("launches", "plan", "retry_at")
+
+    def __init__(self) -> None:
+        self.launches = 1
+        self.plan: Optional["_Plan"] = None
+        self.retry_at = 2  # built on the second launch that shows the key
+
+
+class _Plan:
+    """The resolved sites of one (kernel, scalars, buffer sizes) on one
+    geometry.  Every stored site is truthy: generated code reads one with
+    ``sites.get(key) or <compute and offer>``.  A dead plan (evicted, over
+    the cap, or :data:`NO_PLAN`) takes no offers."""
+
+    __slots__ = ("sites", "bases", "held", "nbytes", "complete", "dead", "entry")
+
+    def __init__(self, entry: Optional[_Entry]) -> None:
+        self.sites: Dict[object, object] = {}
+        self.bases: Dict[int, tuple] = {}  # site id -> its first iteration's index
+        self.held: Dict[int, np.ndarray] = {}  # id -> array, each counted once
+        self.nbytes = 0
+        self.complete = False
+        self.dead = entry is None
+        self.entry = entry
+
+
+#: The plan of a launch that does not plan: first launch of a key, a shard
+#: view, a key whose plan did not fit.  Empty, and deaf to offers.
+NO_PLAN = _Plan(None)
+
+
+class _Site:
+    """One planned access.  ``run`` reproduces the helper call it replaces
+    element for element; ``arrays`` is what it holds (for the byte cap)."""
+
+    __slots__ = ("form", "run", "arrays")
+
+    def __init__(self, form: str, run, arrays: tuple = ()) -> None:
+        self.form = form
+        self.run = run
+        self.arrays = arrays
+
+
+def scalar_key(value) -> Tuple[str, bytes]:
+    """A scalar argument as a plan-key part: dtype and bit pattern, so
+    ``-0.0`` is not ``0.0`` and a NaN equals itself."""
+    try:
+        return value.dtype.char, value.tobytes()
+    except AttributeError:
+        value = np.asarray(value)
+        return value.dtype.char, value.tobytes()
+
+
+def plan(geo: "Geometry", key: tuple):
+    """``(plan, site lookup, building)`` for one launch of the
+    kernel/scalars/sizes in ``key``.  ``building`` is False only when every
+    site the launch will reach is already resolved."""
+    plans = geo.plans
+    current = NO_PLAN  # a shard view: built per launch, cached nowhere
+    if plans is not None:
+        entry = plans.get(key)
+        if entry is not None:
+            entry.launches += 1
+            current = entry.plan
+            if current is not None:
+                STATS.inc("plan_hits")
+                return current, current.sites.get, not current.complete
+        current = _plan_miss(plans, key)
+    return current, current.sites.get, True
+
+
+def _plan_miss(plans: Dict[tuple, _Entry], key: tuple) -> _Plan:
+    with _PLAN_LOCK:
+        entry = plans.get(key)
+        if entry is None:
+            if len(plans) >= _PLAN_KEYS_MAX:
+                # Forget the oldest key that holds nothing; failing that,
+                # the oldest.
+                old = next((k for k, e in plans.items() if e.plan is None), None)
+                if old is None:
+                    old = next(iter(plans))
+                    _release(plans[old].plan)
+                del plans[old]
+            plans[key] = _Entry()
+            return NO_PLAN
+        if entry.plan is not None:
+            return entry.plan
+        if entry.launches < entry.retry_at:
+            return NO_PLAN
+        started = entry.plan = _Plan(entry)
+        _RESIDENT.add(started)
+    STATS.inc("plan_builds")
+    return started
+
+
+def plan_built(plan: _Plan) -> None:
+    """End of a launch that may have resolved sites: every site the key
+    reaches is in the plan now (control flow around a site is invariant
+    too), so later launches skip what only the sites' computation read."""
+    if not plan.dead:
+        plan.complete = True
+
+
+def _release(plan: _Plan) -> None:
+    """Drop a whole plan from residency (caller holds the lock).  Launches
+    still running on it keep their reference and finish on it."""
+    global _plan_bytes
+    plan.dead = True
+    _RESIDENT.discard(plan)
+    _plan_bytes -= plan.nbytes
+    entry = plan.entry
+    if entry.plan is plan:
+        entry.plan = None
+        entry.retry_at = 2 * entry.launches
+    STATS.inc("plan_evictions")
+    STATS.inc("plan_bytes", -plan.nbytes)
+
+
+def _make_room(plan: _Plan, nbytes: int) -> bool:
+    """Fit ``nbytes`` more under the cap, releasing only plans launched
+    strictly less often than ``plan`` -- coldest first, whole plans."""
+    over = _plan_bytes + nbytes - PLAN_BYTE_CAP
+    if over <= 0:
+        return True
+    mine = plan.entry.launches
+    colder = sorted(
+        (p for p in _RESIDENT if p is not plan and p.entry.launches < mine),
+        key=lambda p: p.entry.launches,
+    )
+    chosen = []
+    for victim in colder:
+        chosen.append(victim)
+        over -= victim.nbytes
+        if over <= 0:
+            break
+    if over > 0:
+        return False
+    for victim in chosen:
+        _release(victim)
+    return True
+
+
+def _offer(plan: _Plan, key, value, arrays=(), form: str = "") -> None:
+    """Store one resolved site.  A plan that would not fit is dropped
+    whole, never truncated; what it holds becomes read-only."""
+    global _plan_bytes
+    with _PLAN_LOCK:
+        if plan.dead or key in plan.sites:
+            return
+        fresh = {id(a): a for a in arrays if id(a) not in plan.held}
+        nbytes = _SITE_BYTES + sum(a.nbytes for a in fresh.values())
+        if not _make_room(plan, nbytes):
+            _release(plan)
+            return
+        for array in fresh.values():
+            array.flags.writeable = False
+        plan.held.update(fresh)
+        plan.nbytes += nbytes
+        _plan_bytes += nbytes
+        plan.sites[key] = value
+    STATS.inc("plan_bytes", nbytes)
+    if form:
+        STATS.inc("plan_form_" + form)
+
+
+def drop_plans() -> None:
+    """Release every plan (their compiled kernels are gone)."""
+    with _PLAN_LOCK:
+        for resident in list(_RESIDENT):
+            _release(resident)
+        for geo in _GEOMETRY_CACHE.values():
+            geo.plans.clear()
+
+
+def plan_masks(plan: _Plan, key, cond, base, has_else: bool):
+    """The masks and ``any_lanes`` verdicts of a divergent ``if`` whose
+    condition is launch-invariant: ``(then, else, any_then, any_else)``.
+    An arm without a live lane is skipped, so its mask is not kept."""
+    cond = np.asarray(cond, dtype=bool)
+    then = and_mask(cond, base)
+    any_then = any_lanes(then)
+    other, any_other = None, False
+    if has_else:
+        other = andnot_mask(cond, base)
+        any_other = any_lanes(other)
+    site = (then if any_then else None, other if any_other else None, any_then, any_other)
+    if not plan.dead:
+        _offer(plan, key, site, [m for m in site[:2] if m is not None])
+    return site
+
+
+def plan_value(plan: _Plan, key, value) -> tuple:
+    """A launch-invariant operand of a data expression, as the 1-tuple its
+    site stores (an array has no truth value; a tuple holding one does)."""
+    if not plan.dead:
+        _offer(plan, key, (value,), (value,) if isinstance(value, np.ndarray) else ())
+    return (value,)
+
+
+def _as_slice(idx: np.ndarray, size: int) -> Optional[slice]:
+    """The slice selecting exactly the elements of the non-empty 1-D index
+    ``idx`` in order (an arithmetic progression inside ``[0, size)`` with a
+    positive step), or None."""
+    n = idx.size
+    first, last = int(idx[0]), int(idx[-1])
+    if first < 0 or last >= size:
+        return None
+    if n == 1:
+        return slice(first, first + 1)
+    step, rest = divmod(last - first, n - 1)
+    if rest or step < 1 or not np.array_equal(idx, np.arange(first, last + 1, step)):
+        return None
+    return slice(first, last + 1, step)
+
+
+def _as_runs(idx: np.ndarray, size: int):
+    """``idx`` (1-D, at least two lanes) as at most :data:`PLAN_MAX_RUNS`
+    ``(lanes, source)`` pairs -- ``source`` a slice (stride 1) or one
+    element (stride 0) of ``[0, size)`` -- or None.  What a clamp does to an
+    affine index."""
+    n = idx.size
+    head = np.diff(idx[:258])  # most indices that are not runs show it at once
+    if np.count_nonzero(head[1:] != head[:-1]) > 2 * PLAN_MAX_RUNS:
+        return None
+    d = np.diff(idx)
+    cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
+    if cuts.size > 2 * PLAN_MAX_RUNS:
+        return None
+    edges = cuts.tolist() + [n - 1]
+    runs, expanded, lane = [], [], 0
+    while lane < n:
+        if len(runs) == PLAN_MAX_RUNS:
+            return None
+        start = int(idx[lane])
+        stride = int(d[lane]) if lane < n - 1 else 0
+        if stride in (0, 1):
+            stop = edges[bisect_right(edges, lane)] + 1 if lane < n - 1 else n
+        else:
+            stride, stop = 0, lane + 1
+        length = stop - lane
+        if start < 0 or start + (length if stride else 1) > size:
+            return None
+        if stride:
+            runs.append((slice(lane, stop), slice(start, start + length)))
+            expanded.append(np.arange(start, start + length))
+        else:
+            runs.append((slice(lane, stop), start))
+            expanded.append(np.full(length, start))
+        lane = stop
+    # Kept only if re-expanding it gives the index back.
+    if not np.array_equal(np.concatenate(expanded), idx):
+        return None
+    return tuple(runs)
+
+
+def _block_local(flat: np.ndarray, size: int, nsb: int, ssize: int):
+    """The in-block index every block of a flat shared-memory index
+    ``b*ssize + local`` repeats, or None (not shared memory, or the blocks
+    differ)."""
+    if not nsb or size != nsb * ssize or flat.size % nsb:
+        return None
+    rows = flat.reshape(nsb, flat.size // nsb)
+    local = rows[0]
+    if local.min() < 0 or local.max() >= ssize:
+        return None
+    offsets = (np.arange(nsb, dtype=flat.dtype) * ssize)[:, None]
+    return local if np.array_equal(rows, local + offsets) else None
+
+
+def _gather_site(plan: _Plan, key, flat, size: int, nsb: int, ssize: int) -> _Site:
+    """The cheapest stored form that reproduces ``buf.take(flat)`` element
+    for element, decided by looking at the resolved index ``flat``: a
+    slice, a shift of the site's first loop iteration, a run list, a
+    per-block index (shared memory, ``nsb`` blocks of ``ssize``), or --
+    always correct -- the index itself as intp (never int32: ``take`` walks
+    it 1.5-5x slower).  Every load returns a fresh array."""
+    flat = np.asarray(flat)
+    n = flat.size
+    if flat.ndim != 1 or n == 0:
+        idx = flat.astype(np.intp)
+        return _Site("index", lambda buf: buf.take(idx), (idx,))
+    where = _as_slice(flat, size)
+    if where is not None:
+        return _Site("slice", lambda buf: buf[where].copy())
+    # A site inside loops: iterations after the first are often the first
+    # one moved by a constant (``tk*16 + tx``), and then share its index.
+    first = plan.bases.get(key[0]) if isinstance(key, tuple) else None
+    if first is not None:
+        blocked, base, top = first
+        idx = _block_local(flat, size, nsb, ssize) if blocked else flat
+        if idx is not None and idx.shape == base.shape:
+            shift = int(idx[0]) - int(base[0])
+            if (
+                0 <= shift < (ssize if blocked else size) - top
+                and np.array_equal(idx, base + shift)
+            ):
+                return _index_site("shift", base, shift, blocked, nsb, ssize)
+    runs = _as_runs(flat, size) if n >= _RUNS_PAY * 2 else None
+    if runs is not None and n >= _RUNS_PAY * len(runs):
+
+        def load_runs(buf):
+            out = np.empty(n, dtype=buf.dtype)
+            for lanes, source in runs:
+                out[lanes] = buf[source]
+            return out
+
+        return _Site("runs", load_runs)
+    local = _block_local(flat, size, nsb, ssize)
+    blocked = local is not None
+    idx = (local if blocked else flat).astype(np.intp)
+    if first is None and isinstance(key, tuple) and idx.min() >= 0:
+        plan.bases[key[0]] = (blocked, idx, int(idx.max()))
+    cols = _as_slice(idx, ssize) if blocked else None
+    if cols is not None:
+        return _Site("block", lambda buf: buf.reshape(nsb, ssize)[:, cols].copy().reshape(-1))
+    return _index_site("block" if blocked else "index", idx, 0, blocked, nsb, ssize)
+
+
+def _index_site(form: str, idx, shift: int, blocked: bool, nsb: int, ssize: int) -> _Site:
+    """A gather through the stored intp index ``idx`` moved by ``shift``:
+    into the flat buffer, or into every block's row of it."""
+    if blocked:
+        return _Site(
+            form,
+            lambda buf: buf.reshape(nsb, ssize)[:, shift:].take(idx, axis=1).reshape(-1),
+            (idx,),
+        )
+    return _Site(form, lambda buf: buf[shift:].take(idx), (idx,))
+
+
+def _store_value(buf, value, T: int):
+    return np.broadcast_to(np.asarray(value, dtype=buf.dtype), (T,))
+
+
+def _scatter_site(flat, size: int, live, T: int, nsb: int = 0, ssize: int = 0) -> _Site:
+    """The stored form of one store's resolved index and live-lane
+    compaction; ``run(buf, value)`` is :func:`_masked_store`.  Slice, block
+    and mask forms write each element once (their indices are unique by
+    construction); the intp fallback is the same fancy assignment as
+    today, so NumPy's last-writer order on duplicates is kept."""
+    flat = np.asarray(flat)
+    if live is None:
+        whole = flat.ndim == 1 and flat.size == T > 0
+        where = _as_slice(flat, size) if whole else None
+        if where is not None:
+
+            def store_slice(buf, value):
+                buf[where] = np.asarray(value, dtype=buf.dtype)
+
+            return _Site("slice", store_slice)
+        local = _block_local(flat, size, nsb, ssize) if whole else None
+        cols = _as_slice(local, ssize) if local is not None else None
+        if cols is not None:
+            # Per-block scatter only through a slice: a 2-D fancy scatter
+            # is slower than the flat intp one.
+            def store_block(buf, value):
+                value = np.asarray(value, dtype=buf.dtype)
+                buf.reshape(nsb, ssize)[:, cols] = (
+                    value.reshape(nsb, -1) if value.ndim else value
+                )
+
+            return _Site("block", store_block)
+        idx = flat.astype(np.intp)
+
+        def store_all(buf, value):
+            buf[idx] = np.asarray(value, dtype=buf.dtype)
+
+        return _Site("index", store_all, (idx,))
+    fi = np.broadcast_to(flat, (T,))[live]
+    lanes = np.flatnonzero(live)
+    # Which lanes of the value are written: a slice when the live lanes
+    # are a progression (``gid < n``, ``t == bdim - 1``), else the mask.
+    pick = _as_slice(lanes, T) if lanes.size else None
+    held = ()
+    if pick is None:
+        pick, held = live, (live,)
+    where = _as_slice(fi, size) if fi.size else None
+    if where is not None:
+
+        def store_live_slice(buf, value):
+            buf[where] = _store_value(buf, value, T)[pick]
+
+        return _Site("slice", store_live_slice, held)
+    if fi.size and np.array_equal(fi, lanes):
+        # The index is the lane id: the live mask is the scatter.
+        m = min(T, size)
+        mask = live[:m]
+
+        def store_mask(buf, value):
+            np.copyto(buf[:m], _store_value(buf, value, T)[:m], where=mask)
+
+        return _Site("mask", store_mask, (live,))
+    idx = fi.astype(np.intp)
+
+    def store_live(buf, value):
+        buf[idx] = _store_value(buf, value, T)[pick]
+
+    return _Site("index", store_live, (idx,) + held)
+
+
+def _atomic_site(flat, live, T: int) -> _Site:
+    """The compacted index of one atomic; ``run(buf, value, op)`` is
+    :func:`_masked_atomic`."""
+    fi = np.broadcast_to(np.asarray(flat), (T,))
+    idx = (fi if live is None else fi[live]).astype(np.intp)
+
+    def atomic(buf, value, op):
+        val = _store_value(buf, value, T)
+        _atomic_update(buf, idx, val if live is None else val[live], op)
+
+    return _Site("index", atomic, (idx,) if live is None else (idx, live))
+
+
+def _offer_site(plan: _Plan, key, site: _Site) -> None:
+    _offer(plan, key, site, site.arrays, site.form)
+
+
 # ------------------------------------------------------------------- memory
+#
+# Each helper ends in ``plan, key``: a planned site passes its launch's plan
+# and, after the access has succeeded the way it always did, offers what it
+# resolved.  An access that raises stores nothing, so it raises again -- the
+# interpreter's text, at the interpreter's point -- on every launch.
 
 
 def check_bounds(idx_arr, size, live, fname: str, aname: str) -> None:
@@ -202,16 +713,22 @@ def resolve_index(idx, size, live, bc: bool, fname: str, aname: str):
     return np.clip(idx_arr, 0, max(size - 1, 0))
 
 
-def load_global(buf, idx, live, bc: bool, fname: str, aname: str):
+def load_global(buf, idx, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None):
     """``array[index]`` on a flat global/constant buffer (``_eval_load``).
 
     ``take``, not ``buf[...]``: the same elements, but fancy indexing walks
     an int32 index — what ``i32`` arithmetic produces — through a generic
     casting path at 2-3x the cost on the grids served here."""
-    return buf.take(resolve_index(idx, buf.size, live, bc, fname, aname))
+    flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
+    value = buf.take(flat_idx)
+    if not plan.dead:
+        _offer_site(plan, key, _gather_site(plan, key, flat_idx, buf.size, 0, 0))
+    return value
 
 
-def load_table(buf, idx, entries, live, bc: bool, fname: str, aname: str):
+def load_table(
+    buf, idx, entries, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None
+):
     """Gather from a lookup table whose index the lowering *proved* to
     lie in ``[0, entries - 1]`` (interval analysis over the memoization
     rewrite's clamp/pack idioms).  Where :func:`resolve_index` tests the
@@ -222,8 +739,11 @@ def load_table(buf, idx, entries, live, bc: bool, fname: str, aname: str):
     caller binding a table smaller than the proof assumed falls back to
     the exact interpreter path (clamp + optional bounds check)."""
     if buf.size < entries:
-        return load_global(buf, idx, live, bc, fname, aname)
-    return buf.take(idx)
+        return load_global(buf, idx, live, bc, fname, aname, plan, key)
+    value = buf.take(idx)
+    if not plan.dead:
+        _offer_site(plan, key, _gather_site(plan, key, idx, buf.size, 0, 0))
+    return value
 
 
 def _shared_index(size, idx, bids, live, bc: bool, fname: str, aname: str):
@@ -231,21 +751,36 @@ def _shared_index(size, idx, bids, live, bc: bool, fname: str, aname: str):
     return bids * np.int64(size) + resolve_index(idx, size, live, bc, fname, aname)
 
 
-def load_shared(buf, size, idx, bids, live, bc: bool, fname: str, aname: str):
+def load_shared(
+    buf, size, idx, bids, live, bc: bool, fname: str, aname: str,
+    plan=NO_PLAN, key=None, nsb: int = 0,
+):
     """``shared[index]``."""
-    return buf.take(_shared_index(size, idx, bids, live, bc, fname, aname))
+    flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
+    value = buf.take(flat_idx)
+    if not plan.dead:
+        _offer_site(plan, key, _gather_site(plan, key, flat_idx, buf.size, nsb, size))
+    return value
 
 
-def store_global(buf, idx, value, live, T: int, bc: bool, fname: str, aname: str):
+def store_global(
+    buf, idx, value, live, T: int, bc: bool, fname: str, aname: str,
+    plan=NO_PLAN, key=None,
+):
     flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
     _masked_store(buf, flat_idx, value, live, T)
+    if not plan.dead:
+        _offer_site(plan, key, _scatter_site(flat_idx, buf.size, live, T))
 
 
 def store_shared(
-    buf, size, idx, value, bids, live, T: int, bc: bool, fname: str, aname: str
+    buf, size, idx, value, bids, live, T: int, bc: bool, fname: str, aname: str,
+    plan=NO_PLAN, key=None, nsb: int = 0,
 ):
     flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
     _masked_store(buf, flat_idx, value, live, T)
+    if not plan.dead:
+        _offer_site(plan, key, _scatter_site(flat_idx, buf.size, live, T, nsb, size))
 
 
 def _masked_store(buf, flat_idx, value, live, T: int) -> None:
@@ -270,17 +805,23 @@ _ATOMIC_UFUNCS = {
 
 
 def atomic_global(
-    buf, idx, value, live, T: int, op: str, bc: bool, fname: str, aname: str
+    buf, idx, value, live, T: int, op: str, bc: bool, fname: str, aname: str,
+    plan=NO_PLAN, key=None,
 ):
     flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
     _masked_atomic(buf, flat_idx, value, live, T, op)
+    if not plan.dead:
+        _offer_site(plan, key, _atomic_site(flat_idx, live, T))
 
 
 def atomic_shared(
-    buf, size, idx, value, bids, live, T: int, op: str, bc: bool, fname: str, aname: str
+    buf, size, idx, value, bids, live, T: int, op: str, bc: bool, fname: str, aname: str,
+    plan=NO_PLAN, key=None,
 ):
     flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
     _masked_atomic(buf, flat_idx, value, live, T, op)
+    if not plan.dead:
+        _offer_site(plan, key, _atomic_site(flat_idx, live, T))
 
 
 def _masked_atomic(buf, flat_idx, value, live, T: int, op: str) -> None:
@@ -289,6 +830,10 @@ def _masked_atomic(buf, flat_idx, value, live, T: int, op: str) -> None:
     val = np.broadcast_to(np.asarray(value, dtype=buf.dtype), (T,))
     if live is not None:
         fi, val = fi[live], val[live]
+    _atomic_update(buf, fi, val, op)
+
+
+def _atomic_update(buf, fi, val, op: str) -> None:
     if op == "inc":
         np.add.at(buf, fi, np.ones_like(val))
     else:
@@ -360,7 +905,8 @@ class Geometry:
 
     Mirrors the id construction in ``_Execution.__init__``; generated code
     only ever *reads* these arrays (every masked merge allocates a fresh
-    array), so sharing one instance across launches is safe.
+    array), so sharing one instance across launches is safe.  ``plans``
+    holds the address plans resolved over this grid, by plan key.
     """
 
     __slots__ = (
@@ -381,6 +927,7 @@ class Geometry:
         "nbx",
         "sbid",
         "nsb",
+        "plans",
     )
 
     def __init__(self, grid: Grid) -> None:
@@ -407,6 +954,7 @@ class Geometry:
         # identity and generated code can use them unconditionally.
         self.sbid = self.bid
         self.nsb = grid.blocks
+        self.plans: Optional[Dict[tuple, _Entry]] = {}
 
     def shard(self, b0: int, b1: int, block_threads: int) -> "Geometry":
         """The sub-geometry covering blocks ``[b0, b1)``.
@@ -417,7 +965,8 @@ class Geometry:
         ``nbx``) keep their full-grid values: intrinsics must report the
         launch geometry, not the shard.  Only the shared-memory
         addressing pair (``sbid``/``nsb``) is rebased so each shard
-        allocates exactly its own blocks' shared storage.
+        allocates exactly its own blocks' shared storage.  A shard view is
+        built per launch and cached nowhere, so it carries no plans.
         """
         lo, hi = b0 * block_threads, b1 * block_threads
         geo = Geometry.__new__(Geometry)
@@ -438,17 +987,31 @@ class Geometry:
         geo.nbx = self.nbx
         geo.sbid = geo.bid - np.int32(b0)
         geo.nsb = b1 - b0
+        geo.plans = None
         return geo
 
 
-_GEOMETRY_CACHE: Dict[Grid, Geometry] = {}
+_GEOMETRY_CACHE: "OrderedDict[Grid, Geometry]" = OrderedDict()
 _GEOMETRY_CACHE_MAX = 64
 
 
 def geometry(grid: Grid) -> Geometry:
+    """The cached geometry of ``grid``, least recently launched evicted
+    first; an evicted geometry's plans leave the byte cap with it."""
     geo = _GEOMETRY_CACHE.get(grid)
-    if geo is None:
-        if len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
-            _GEOMETRY_CACHE.pop(next(iter(_GEOMETRY_CACHE)))
-        geo = _GEOMETRY_CACHE[grid] = Geometry(grid)
+    if geo is not None:
+        try:
+            _GEOMETRY_CACHE.move_to_end(grid)
+        except KeyError:  # evicted by another thread since the lookup
+            pass
+        return geo
+    with _PLAN_LOCK:
+        geo = _GEOMETRY_CACHE.get(grid)
+        if geo is None:
+            while len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
+                _, old = _GEOMETRY_CACHE.popitem(last=False)
+                for entry in old.plans.values():
+                    if entry.plan is not None:
+                        _release(entry.plan)
+            geo = _GEOMETRY_CACHE[grid] = Geometry(grid)
     return geo

@@ -120,7 +120,9 @@ class TestLowering:
         fn, mod = _fn(zoo.square_map)
         source, exec_globals, entry, info = lower_kernel(fn, mod)
         assert entry == f"_kernel_{fn.name}"
-        assert set(info) == {"folded", "reassociated", "table_gathers", "cast_elisions"}
+        assert set(info) == {
+            "folded", "reassociated", "table_gathers", "cast_elisions", "planned_sites",
+        }
         compile(source, "<test>", "exec")  # must be valid Python
         assert "np.errstate" in source
 

@@ -273,16 +273,19 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def _access_counts(monkeypatch, case, launches=3):
-    """(clamps, check_bounds calls) of each of ``launches`` warm codegen
-    launches of a zoo access case."""
+def _access_counts(monkeypatch, case, launches):
+    """(clamps, check_bounds calls) of each of the first ``launches`` codegen
+    launches of a zoo access case over its grid."""
     import kernel_zoo as zoo
     from repro import LaunchOptions
+    from repro.codegen import clear_cache, get_compiled
     from repro.engine import launch
+    from repro.engine.launch import resolve_kernel, resolve_module
 
     kernel, grid, args = zoo.ACCESS_CASES[case](1024)
+    clear_cache()  # and with it every address plan
+    get_compiled(resolve_kernel(kernel), resolve_module(kernel), grid)  # outside the count
     opts = LaunchOptions(backend="codegen")
-    launch(kernel, grid, args, options=opts)  # compile outside the count
     clamps = _count_calls(monkeypatch, np, "clip")
     checks = _count_calls(monkeypatch, rt, "check_bounds")
     counts = []
@@ -299,11 +302,13 @@ def test_in_range_kernel_launch_never_checks_or_clamps(monkeypatch):
     accesses, plus the final store) has all lanes in range.  A count, not a
     timing: it repeats exactly, and a returning check-then-clamp shows as
     145 of each."""
-    assert _access_counts(monkeypatch, "tiled_matmul") == [(0, 0)] * 3
+    assert _access_counts(monkeypatch, "tiled_matmul", 3) == [(0, 0)] * 3
 
 
 def test_border_kernel_checks_only_the_accesses_that_leave_the_array(monkeypatch):
     """``border_stencil`` on 1024 lanes makes six accesses; only ``x[i - 1]``
     (dead lane 0 at -1) and ``x[i + 1]`` (dead lane 1023 at 1024) hold a lane
-    outside the array."""
-    assert _access_counts(monkeypatch, "border_stencil") == [(2, 2)] * 3
+    outside the array.  That is what the launch that does not plan performs,
+    and the second launch, which resolves the kernel's address plan; from the
+    third on the verdicts and the clamped indices are read from the plan."""
+    assert _access_counts(monkeypatch, "border_stencil", 4) == [(2, 2), (2, 2), (0, 0), (0, 0)]
