@@ -23,6 +23,16 @@ ratios rose again, this time because the denominator fell: 2.2-2.3x
 addressing) and 3.5-4.0x (variant geomean) over four runs.  The floors stay
 where they were: they guard the ordering, and a floor raised to today's
 ratio would start failing the day the interpreter gets faster again.
+
+Since PR 22 the compiled kernels also compute their array temporaries into
+reused slots of a per-thread workspace and drop the ``np.where`` merges
+nobody can see (docs/CODEGEN.md, "Workspace and liveness"): the denominator
+fell again and the ratios read 2.7-2.9x (blackscholes: its device functions
+elide their casts and write into slots now), 6.2-7.0x (tiled matmul: the
+accumulator is updated in place) and 7.9-8.7x (variant geomean: the stencil
+variant lost nine merges and six of nine products) over four runs of this
+file on the host that wrote PR 21's numbers.  Floors unchanged, for the
+same reason.
 """
 
 import math

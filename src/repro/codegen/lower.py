@@ -25,6 +25,13 @@ Lowering rules, in interpreter terms:
   loop variable as a plain ``np.int32`` even under predication.
 * **Memory.**  Loads/stores/atomics clamp indices and bounds-check live
   lanes only; shared allocations use the interpreter's per-x-block sizing.
+* **Workspace.**  One liveness pass per function (:meth:`_Emitter._analyse_flow`)
+  says where each local's value dies and which masked assignments nobody
+  can see the other lanes of.  The emitter then computes every array value
+  whose dtype and ``(T,)`` shape are static facts into a numbered *slot*
+  (``np.add(a, b, out=_w3)``) -- in place on a dead operand where there is
+  one -- and emits a plain bind instead of ``np.where(mask, new, old)``
+  for such an assignment (docs/CODEGEN.md, "Workspace and liveness").
 
 Unsupported shapes (device functions touching arrays, unknown calls)
 raise :class:`~repro.errors.CodegenError`; the ``auto`` backend falls
@@ -40,9 +47,9 @@ import numpy as np
 
 from ..errors import CodegenError
 from ..kernel import intrinsics, ir
-from ..kernel.visitors import walk_statements
+from ..kernel.visitors import walk, walk_statements
 from . import runtime as _runtime
-from .fingerprint import reachable_device_functions
+from .fingerprint import ir_walk, reachable_device_functions
 from .fold import compute_intervals, fold_function, interval_of
 
 #: Ceiling on generated source size; dual-path emission of deeply nested
@@ -112,6 +119,114 @@ _CMP_FUNCS = {
 #: plan keys.  A global of the generated module, not a literal in its source.
 _PLAN_IDS = itertools.count()
 
+#: The observation scope "every lane, whatever the mask" (a loop bound reads
+#: all lanes of its operands): no arm path extends it.
+_ALL = ("<all>",)
+
+#: ``dest`` of an expression whose root allocates as it always did.
+_FRESH = ("<fresh>", None)
+
+#: Statements a basic block of the emitted function is made of.
+_SIMPLE = (ir.Assign, ir.Store, ir.AtomicRMW)
+
+#: Unary operators with a ufunc spelling, by the dtype kinds they are exact on.
+_UNARY_UFUNCS = {
+    "neg": ("np.negative", ("float32", "float64", "int32", "int64", "uint32")),
+    "bnot": ("np.invert", ("bool", "int32", "int64", "uint32")),
+    "lnot": ("np.logical_not", ("bool",)),
+}
+
+
+class _Val:
+    """One emitted expression: its source, and what the emitter knows about
+    where the value lives.  Formats as its source."""
+
+    __slots__ = ("src", "array", "slot", "owned", "var", "dying")
+
+    def __init__(self, src, array=False, slot=None, owned=False, var=None):
+        self.src = src
+        self.array = array  # definitely a (T,) array at run time
+        self.slot = slot  # the workspace slot holding it, if one does
+        self.owned = owned  # ... as a temporary nobody else names
+        self.var = var  # the local whose current value this is
+        self.dying = None  # that local's slot, when this is the value's last read
+
+    def __format__(self, spec) -> str:
+        return self.src
+
+
+def _meet(a, b):
+    """The wider of two observation scopes: arm paths meet at their common
+    prefix, ``None`` is "never observed", :data:`_ALL` absorbs."""
+    if a is None or b is None:
+        return b if a is None else a
+    if a is _ALL or b is _ALL:
+        return _ALL
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return a[:n]
+
+
+def _count_names(expr: ir.Expr, into: Dict[str, int]) -> None:
+    """Occurrences of each variable in ``expr``."""
+    kind = type(expr)
+    if kind is ir.Var:
+        into[expr.name] = into.get(expr.name, 0) + 1
+    elif kind is ir.BinOp:
+        _count_names(expr.left, into)
+        _count_names(expr.right, into)
+    elif kind is ir.UnOp or kind is ir.Cast:
+        _count_names(expr.operand, into)
+    elif kind is ir.Select:
+        _count_names(expr.cond, into)
+        _count_names(expr.if_true, into)
+        _count_names(expr.if_false, into)
+    elif kind is ir.Load:
+        _count_names(expr.index, into)
+    elif kind is ir.Call:
+        for arg in expr.args:
+            _count_names(arg, into)
+
+
+def _stmt_exprs(stmt: ir.Stmt) -> Tuple[ir.Expr, ...]:
+    """The expressions a statement evaluates itself (not its bodies')."""
+    kind = type(stmt)
+    if kind is ir.Assign:
+        return (stmt.value,)
+    if kind is ir.Store or kind is ir.AtomicRMW:
+        return (stmt.index, stmt.value)
+    if kind is ir.If:
+        return (stmt.cond,)
+    if kind is ir.For:
+        return (stmt.start, stmt.stop, stmt.step)
+    if kind is ir.Return and stmt.value is not None:
+        return (stmt.value,)
+    return ()
+
+
+_UFUNC_KEEPS: Dict[Tuple[object, str], bool] = {}
+
+
+def _ufunc_keeps(func, dtype: str, nargs: int) -> bool:
+    """Whether ``func`` is a ufunc that maps ``nargs`` operands of ``dtype``
+    to that dtype -- its result cast is then the identity and ``out=`` of
+    that dtype runs the very same loop.  Asked of NumPy itself, once."""
+    key = (func, dtype)
+    known = _UFUNC_KEEPS.get(key)
+    if known is None:
+        known = False
+        if isinstance(func, np.ufunc) and func.nin == nargs and func.nout == 1:
+            probe = np.empty(0, dtype=dtype)
+            try:
+                known = func(*[probe] * nargs).dtype == probe.dtype
+            except TypeError:
+                pass
+        _UFUNC_KEEPS[key] = known
+    return known
+
 
 class _Ctx:
     """Lexical emission context: current mask expression, the locals
@@ -157,7 +272,7 @@ class _Emitter:
     def __init__(self, module: ir.Module, bounds_check: bool) -> None:
         self.module = module
         self.bounds_check = bool(bounds_check)
-        self.lines: List[str] = []
+        self.lines: List[Optional[str]] = []  # None: a placeholder nothing filled
         self.globals: Dict[str, object] = {"np": np, "rt": _runtime}
         self._consts: Dict[Tuple[str, str], str] = {}
         self._counter = 0
@@ -169,17 +284,19 @@ class _Emitter:
             "table_gathers": 0,
             "cast_elisions": 0,
             "planned_sites": 0,
+            "slots": 0,
+            "merges_elided": 0,
+            "reused_exprs": 0,
         }
         # per-function state
         self.fname = ""
+        self.is_kernel = True
         self.param_names: Set[str] = set()
         self.shared: Dict[str, int] = {}  # name -> in-block size (shape[0])
         self.varying: Set[str] = set()
-        self._varying_devices: Set[str] = set()
         self.tables: Dict[str, int] = {}  # table param -> proven entry count
         self.intervals: Dict[str, Tuple[float, float]] = {}
         self._static: Dict[str, str] = {}  # var -> proven runtime np dtype name
-        self._elide = False
         # address-plan state of the function being emitted
         self._scalars: Set[str] = set()  # scalar params never assigned
         #: launch-invariant local -> scalar params and loops its value depends on
@@ -195,6 +312,38 @@ class _Emitter:
         self._data_uses: Set[str] = set()
         self._sites_ok = True  # False while emitting a site's computation
         self._refs: Optional[Set[str]] = None  # candidates read by that computation
+        # workspace state of the module: slot number -> dtype name, where
+        # each function's frame line is, and what its call sites proved
+        self._slot_dtypes: List[str] = []
+        self._frames: List[Tuple[int, int, int, bool]] = []
+        self._site_facts: Dict[str, List[Tuple[tuple, tuple]]] = {}
+        self._dtype_facts: Dict[tuple, Optional[str]] = {}
+        self._array_facts: Dict[tuple, bool] = {}
+        self._has_devices = any(f.kind == "device" for f in module.functions.values())
+        self._recursive: Set[str] = set()
+        self._loopy: Dict[str, bool] = {}
+        # workspace state of the function being emitted: flow facts ...
+        self._plain: Set[int] = set()  # assignments emitted as plain binds
+        self._live_after: Dict[int, FrozenSet[str]] = {}
+        self._carried: Dict[int, FrozenSet[str]] = {}
+        self._assigned: Dict[int, FrozenSet[str]] = {}
+        self._aliased: Set[str] = set()
+        self._reads: Dict[int, Dict[str, int]] = {}
+        # ... and where values live as emission walks the body
+        self._slot_ok = True
+        self._first_slot = 0
+        self._busy: Dict[int, Set[str]] = {}  # slot -> names ("" = a temporary)
+        self._where: Dict[str, FrozenSet[int]] = {}  # local -> slots it may be in
+        self._array: Set[str] = set()  # locals that hold a (T,) array right now
+        self._loop_dest: Dict[str, Optional[Tuple[str, int]]] = {}
+        self._reads_left: Dict[str, int] = {}
+        self._stmt_live: Optional[FrozenSet[str]] = None
+        self._stmt_kill: Optional[str] = None
+        # value numbering inside one basic block
+        self._version: Dict[str, int] = {}
+        self._vn_counts: Dict[tuple, int] = {}
+        self._vn_held: Dict[tuple, list] = {}
+        self._reuse_names = 0
 
     # ------------------------------------------------------------- plumbing
 
@@ -233,31 +382,22 @@ class _Emitter:
 
     # -------------------------------------------------------------- analysis
 
-    def _device_produces_varying(self, name: str) -> bool:
-        """Whether a device function's body references thread ids, making
-        its result an array irrespective of the arguments."""
-        if name in self._varying_devices:
-            return True
-        fn = self.module[name]
-        for dev in [fn] + reachable_device_functions(fn, self.module):
-            for stmt in walk_statements(dev.body):
-                for node in _walk_exprs(stmt):
-                    if isinstance(node, ir.Call) and node.func in VARYING_INTRINSICS:
-                        self._varying_devices.add(name)
-                        return True
-        return False
+    def _device(self, name: str) -> Optional[ir.Function]:
+        fn = self.module[name] if name in self.module else None
+        return fn if fn is not None and fn.kind == "device" else None
 
     def expr_varying(self, expr) -> bool:
         """Sound "definitely a (T,) array at runtime" check.
 
-        Drives emission shape only: a True result lets a conditional skip
-        its uniform path.  False merely means "could be scalar", which
-        costs a runtime ``np.ndim`` test, never correctness.
+        Drives the shape of what is emitted: a True result lets a
+        conditional skip its uniform path and lets a value take a workspace
+        slot.  False merely means "could be scalar", which costs a runtime
+        ``np.ndim`` test or an allocation, never correctness.
         """
         if isinstance(expr, (ir.Const, ir.ArrayRef)):
             return False
         if isinstance(expr, ir.Var):
-            return expr.name in self.varying
+            return expr.name in self.varying or expr.name in self._array
         if isinstance(expr, ir.BinOp):
             return self.expr_varying(expr.left) or self.expr_varying(expr.right)
         if isinstance(expr, (ir.UnOp, ir.Cast)):
@@ -275,17 +415,18 @@ class _Emitter:
                 return True
             if intrinsics.is_builtin(expr.func) and expr.func not in ir.THREAD_INTRINSICS:
                 return any(self.expr_varying(a) for a in expr.args)
-            if expr.func in self.module and self.module[expr.func].kind == "device":
-                if self._device_produces_varying(expr.func):
-                    return True
-                return any(self.expr_varying(a) for a in expr.args)
+            if self._device(expr.func) is not None:
+                return self._call_array(
+                    expr.func, tuple(self.expr_varying(a) for a in expr.args)
+                )
             return False
         return False
 
-    def _compute_varying(self, fn: ir.Function) -> Set[str]:
+    def _compute_varying(self, fn: ir.Function, arrays: Set[str] = frozenset()) -> Set[str]:
         """Fixpoint: a local is definitely varying iff it is assigned at
         least once and *every* assignment's RHS is definitely varying
-        (merges under masks never turn an array back into a scalar)."""
+        (merges under masks never turn an array back into a scalar).
+        ``arrays`` are the parameters every call site passes an array for."""
         assigns: Dict[str, List[ir.Expr]] = {}
         loop_vars: Set[str] = set()
         for stmt in walk_statements(fn.body):
@@ -293,12 +434,13 @@ class _Emitter:
                 assigns.setdefault(stmt.target, []).append(stmt.value)
             elif isinstance(stmt, ir.For):
                 loop_vars.add(stmt.var)
-        self.varying = set()
+        # A parameter the body assigns is only what its assignments make it.
+        self.varying = {name for name in arrays if name not in assigns}
         changed = True
         while changed:
             changed = False
             for name, values in assigns.items():
-                if name in self.varying or name in loop_vars:
+                if name in self.varying or name in loop_vars or name in self.param_names:
                     continue
                 if all(self.expr_varying(v) for v in values):
                     self.varying.add(name)
@@ -316,7 +458,9 @@ class _Emitter:
         coercion to ``expr.dtype`` or (elision) only when its operands
         already prove that dtype; loads yield the buffer's element type
         (validated by ``bind_arguments``); thread intrinsics read the
-        int32 :class:`~repro.codegen.runtime.Geometry` arrays."""
+        int32 :class:`~repro.codegen.runtime.Geometry` arrays; a device
+        function returns what its ``return`` values prove, given what this
+        call passes it."""
         if isinstance(expr, ir.Const):
             return expr.dtype.np_dtype
         if isinstance(expr, ir.Var):
@@ -339,19 +483,24 @@ class _Emitter:
             if expr.func in _INTRINSIC_ATTR:
                 return "int32"
             if intrinsics.is_builtin(expr.func):
-                return expr.dtype.np_dtype  # cast_result-wrapped
-            return None  # device calls: result dtype not guaranteed
+                return expr.dtype.np_dtype  # cast_result-wrapped, or proven
+            if self._device(expr.func) is not None:
+                return self._call_dtype(
+                    expr.func, tuple(self._static_dtype(a) for a in expr.args)
+                )
+            return None
         return None
 
-    def _compute_static_dtypes(self, fn: ir.Function) -> Dict[str, str]:
+    def _compute_static_dtypes(
+        self, fn: ir.Function, seeds: Dict[str, str]
+    ) -> Dict[str, str]:
         """Fixpoint over assignments: a local has a proven dtype iff every
-        assignment's RHS proves the same dtype (params seed with their
-        declared dtype — ``bind_arguments`` casts scalars and validates
-        arrays; loop vars are bound as ``np.int32``)."""
-        seeds: Dict[str, str] = {}
-        for p in fn.params:
-            if not p.is_array:
-                seeds[p.name] = p.type.dtype.np_dtype
+        assignment's RHS proves the same dtype.  ``seeds`` are the
+        parameters' (a kernel's scalars carry their declared dtype --
+        ``bind_arguments`` casts scalars and validates arrays -- a device
+        function's what every call site proved); loop vars are bound as
+        ``np.int32``."""
+        seeds = dict(seeds)
         for stmt in walk_statements(fn.body):
             if isinstance(stmt, ir.For):
                 seeds[stmt.var] = "int32"
@@ -377,6 +526,108 @@ class _Emitter:
             if not changed:
                 break
         return known
+
+    # --------------------------------------------- facts across device calls
+    #
+    # What a device call returns -- its dtype, and whether it is an array --
+    # follows from what the call passes; what a device function's parameters
+    # are follows from all its call sites.  The kernel is emitted first and
+    # every caller before its callees, so a callee is emitted knowing both.
+
+    def _returns(self, fn: ir.Function) -> List[ir.Expr]:
+        return [
+            s.value
+            for s in walk_statements(fn.body)
+            if isinstance(s, ir.Return) and s.value is not None
+        ]
+
+    def _call_dtype(self, name: str, dtypes: tuple) -> Optional[str]:
+        """The dtype ``name`` returns when called with operands of
+        ``dtypes``: what all its ``return`` values prove, or None."""
+        key = (name, dtypes)
+        if key not in self._dtype_facts:
+            self._dtype_facts[key] = None  # a recursive call proves nothing
+            fn = self.module[name]
+            saved = self._static
+            try:
+                self._compute_static_dtypes(
+                    fn, {p.name: d for p, d in zip(fn.params, dtypes) if d is not None}
+                )
+                found = {self._static_dtype(value) for value in self._returns(fn)}
+            finally:
+                self._static = saved
+            if len(found) == 1:
+                self._dtype_facts[key] = found.pop()
+        return self._dtype_facts[key]
+
+    def _call_array(self, name: str, arrays: tuple) -> bool:
+        """Whether ``name`` returns a ``(T,)`` array when the operands
+        flagged in ``arrays`` are: every ``return`` value must be one (a
+        ``return`` under a mask merges into one anyway)."""
+        key = (name, arrays)
+        if key not in self._array_facts:
+            self._array_facts[key] = False
+            fn = self.module[name]
+            saved = self.varying, self._array, self.param_names
+            try:
+                self._array = set()
+                self.param_names = {p.name for p in fn.params}
+                self._compute_varying(
+                    fn, {p.name for p, array in zip(fn.params, arrays) if array}
+                )
+                values = self._returns(fn)
+                self._array_facts[key] = bool(values) and all(
+                    self.expr_varying(value) for value in values
+                )
+            finally:
+                self.varying, self._array, self.param_names = saved
+        return self._array_facts[key]
+
+    def _reads_every_lane(self, name: str) -> bool:
+        """Whether a device function (or one it calls) has a loop: its
+        bounds are checked uniform over *all* lanes, so the lanes of an
+        argument outside the caller's mask are not unobserved."""
+        known = self._loopy.get(name)
+        if known is None:
+            fn = self.module[name]
+            known = self._loopy[name] = any(
+                isinstance(stmt, ir.For)
+                for dev in [fn] + reachable_device_functions(fn, self.module)
+                for stmt in walk_statements(dev.body)
+            )
+        return known
+
+    def device_order(self, fn: ir.Function) -> List[ir.Function]:
+        """The device functions reachable from ``fn``, every caller before
+        its callees; those on a call cycle are noted (they get no slots: two
+        activations of one function would share a frame)."""
+        order: List[ir.Function] = []
+        if not self._has_devices:
+            return order
+        state: Dict[str, int] = {}  # 1 = on the walk's stack, 2 = done
+
+        def visit(function: ir.Function) -> None:
+            for node in ir_walk(function.body):
+                callee = self._device(node.func) if isinstance(node, ir.Call) else None
+                if callee is None:
+                    continue
+                seen = state.get(callee.name)
+                if seen == 1:
+                    self._recursive.add(callee.name)
+                elif seen is None:
+                    state[callee.name] = 1
+                    visit(callee)
+                    state[callee.name] = 2
+                    order.append(callee)
+
+        visit(fn)
+        if self._recursive:
+            # Whatever can reach a cycle's entry may be on the cycle itself.
+            for dev in order:
+                reach = {d.name for d in reachable_device_functions(dev, self.module)}
+                if reach & self._recursive:
+                    self._recursive.add(dev.name)
+        return order[::-1]
 
     # ------------------------------------------------------ launch invariance
 
@@ -513,17 +764,423 @@ class _Emitter:
             return f"_k := ({number}, {', '.join(counters)})", "_k"
         return str(number), str(number)
 
-    def _computation(self, expr: ir.Expr, ctx: _Ctx, refs: Optional[Set[str]]) -> str:
-        """Emit ``expr`` as plain code with no site inside it: what a site
-        evaluates when its plan has no entry, or an invariant local's
-        value.  Plan-only candidates it reads are noted in ``refs`` (the
-        reader only runs on a miss), or count as data uses if None."""
-        saved = self._sites_ok, self._refs
-        self._sites_ok, self._refs = False, refs
-        try:
-            return self.emit_expr(expr, ctx)
-        finally:
-            self._sites_ok, self._refs = saved
+    # ------------------------------------------------- liveness and merges
+
+    def _stmt_reads(self, stmt: ir.Stmt) -> Dict[str, int]:
+        """How often the statement's own expressions read each variable."""
+        reads = self._reads.get(id(stmt))
+        if reads is None:
+            reads = self._reads[id(stmt)] = {}
+            for expr in _stmt_exprs(stmt):
+                _count_names(expr, reads)
+        return reads
+
+    def _analyse_flow(self, fn: ir.Function, dynamic: bool) -> None:
+        """The one liveness pass of the function about to be emitted.
+
+        *Which masked assignments are plain binds.*  Each variable gets an
+        observation scope: the arm path (``(if, arm), ...``) common to every
+        place its lanes can be seen -- any read sees the lanes of its own
+        arm (a store, atomic, condition or ``return`` masks, clamps or
+        zeroes the others), a loop bound or an argument of a device
+        function with a loop sees all of them, what an assignment reads
+        is also seen wherever its target is, and a variable a loop body
+        assigns and may read from an earlier iteration
+        (:meth:`_exposed_reads`) is seen by the whole loop: an arm inside it
+        has another mask each time round.  An assignment in
+        arm ``p`` needs no ``np.where`` when ``p`` is a prefix of its
+        target's scope: no reader anywhere can tell what the lanes outside
+        ``p`` hold.  Flow-insensitive on purpose (any read of the name
+        outside the arm, before or after, keeps the merge).
+
+        *Where values die.*  Backwards over the structured body:
+        ``_live_after[stmt]`` names the variables read later on some path
+        (the arms of an ``if`` run one after the other, a loop body feeds
+        itself), ``_carried[loop]`` those live round its back edge and
+        assigned inside it."""
+        scope: Dict[str, object] = {}
+        flows: List[Tuple[str, str]] = []  # (read, target): seen wherever target is
+        masked: List[Tuple[ir.Assign, tuple]] = []
+        self._plain, self._aliased = set(), set()
+        self._live_after, self._carried, self._assigned, self._reads = {}, {}, {}, {}
+
+        def seen(stmt: ir.Stmt, where) -> None:
+            for name in self._stmt_reads(stmt):
+                scope[name] = _meet(scope.get(name), where)
+
+        def every_lane(stmt: ir.Stmt) -> None:
+            if not self._has_devices:
+                return
+            for expr in _stmt_exprs(stmt):
+                for node in walk(expr):
+                    if (
+                        isinstance(node, ir.Call)
+                        and self._device(node.func) is not None
+                        and self._reads_every_lane(node.func)
+                    ):
+                        names: Dict[str, int] = {}
+                        _count_names(node, names)
+                        for name in names:
+                            scope[name] = _ALL
+
+        def visit(body: List[ir.Stmt], path: tuple) -> None:
+            for stmt in body:
+                kind = type(stmt)
+                every_lane(stmt)
+                if kind is ir.Assign:
+                    seen(stmt, path)  # a read is a read, even into a dead value
+                    flows.extend((name, stmt.target) for name in self._stmt_reads(stmt))
+                    if path or dynamic:
+                        masked.append((stmt, path))
+                    else:
+                        self._plain.add(id(stmt))
+                    root = stmt.value
+                    while isinstance(root, ir.Cast):
+                        root = root.operand
+                    if isinstance(root, ir.Var):
+                        self._aliased.update((root.name, stmt.target))
+                elif kind is ir.If:
+                    seen(stmt, path)
+                    visit(stmt.then_body, path + ((id(stmt), 0),))
+                    visit(stmt.else_body, path + ((id(stmt), 1),))
+                elif kind is ir.For:
+                    seen(stmt, _ALL)
+                    visit(stmt.body, path)
+                    # An arm inside the loop has another mask each time
+                    # round: a value that reaches a read round the back edge
+                    # may be read by lanes its bind did not run for.
+                    exposed: Set[str] = set()
+                    self._exposed_reads(stmt.body, set(), exposed)
+                    for inner in walk_statements(stmt.body):
+                        if isinstance(inner, ir.Assign) and inner.target in exposed:
+                            scope[inner.target] = _meet(scope.get(inner.target), path)
+                else:
+                    seen(stmt, path)
+
+        visit(fn.body, ())
+        changed = True
+        while changed:
+            changed = False
+            for name, target in flows:
+                wider = _meet(scope.get(name), scope.get(target))
+                if wider != scope.get(name):
+                    scope[name] = wider
+                    changed = True
+        for stmt, path in masked:
+            where = scope.get(stmt.target)
+            # With a proven dtype only: np.where would promote new and old.
+            if stmt.target in self._static and where is not _ALL and (
+                where is None or where[: len(path)] == path
+            ):
+                self._plain.add(id(stmt))
+                self.info["merges_elided"] += 1
+        self._liveness(fn.body, frozenset())
+
+    def _exposed_reads(self, body: List[ir.Stmt], bound: Set[str], into: Set[str]) -> None:
+        """Collect the variables one run of ``body`` may read from before it:
+        those read where no earlier assignment of the same run covers the
+        reading lanes.  An assignment covers the rest of its own arm and the
+        arms nested there (``bound``) -- not a sibling arm, not the code after
+        its arm, not the code after an inner loop that may not run."""
+        for stmt in body:
+            into.update(name for name in self._stmt_reads(stmt) if name not in bound)
+            kind = type(stmt)
+            if kind is ir.Assign:
+                bound.add(stmt.target)
+            elif kind is ir.If:
+                self._exposed_reads(stmt.then_body, set(bound), into)
+                self._exposed_reads(stmt.else_body, set(bound), into)
+            elif kind is ir.For:
+                self._exposed_reads(stmt.body, set(bound), into)
+
+    def _liveness(self, body: List[ir.Stmt], live: FrozenSet[str]) -> FrozenSet[str]:
+        """Fill ``_live_after`` for ``body`` given what is live after it;
+        returns what is live before it."""
+        for stmt in reversed(body):
+            self._live_after[id(stmt)] = live
+            kind = type(stmt)
+            reads = self._stmt_reads(stmt)
+            if kind is ir.Assign:
+                if id(stmt) in self._plain:
+                    live = live - {stmt.target}
+                else:  # a merge reads the old value
+                    live = live | {stmt.target}
+                live = live.union(reads)
+            elif kind is ir.If:
+                # The arms of a divergent ``if`` run one after the other.
+                other = self._liveness(stmt.else_body, live)
+                then = self._liveness(stmt.then_body, live | other)
+                live = live.union(other, then, reads)
+            elif kind is ir.For:
+                assigned = frozenset(
+                    s.target if isinstance(s, ir.Assign) else s.var
+                    for s in walk_statements(stmt.body)
+                    if isinstance(s, (ir.Assign, ir.For))
+                )
+                top: FrozenSet[str] = frozenset()
+                while True:
+                    again = self._liveness(stmt.body, live | top) - {stmt.var}
+                    if again <= top:
+                        break
+                    top |= again
+                self._assigned[id(stmt)] = assigned
+                self._carried[id(stmt)] = top & assigned
+                live = live.union(top, reads)
+            else:
+                live = live.union(reads)
+        return live
+
+    # ---------------------------------------------------------------- slots
+
+    @property
+    def _slotting(self) -> bool:
+        """Whether values may be computed into slots here: not inside a
+        site's computation (it runs on a miss only, and a plan may keep its
+        result), not in a function on a call cycle."""
+        return self._sites_ok and self._slot_ok
+
+    def _take(self, dtype: str) -> int:
+        """A free slot of ``dtype``, as a temporary: the lowest-numbered one
+        of this function nothing lives in, or a new one."""
+        for slot in range(self._first_slot, len(self._slot_dtypes)):
+            if self._slot_dtypes[slot] == dtype and slot not in self._busy:
+                break
+        else:
+            slot = len(self._slot_dtypes)
+            self._slot_dtypes.append(dtype)
+        self._busy[slot] = {""}
+        return slot
+
+    def _unhold(self, slot: int, name: str) -> None:
+        holders = self._busy.get(slot)
+        if holders is not None:
+            holders.discard(name)
+            if not holders:
+                del self._busy[slot]
+
+    def _release(self, *vals: _Val) -> None:
+        """The consumer of these operands has been composed: the
+        temporaries among them are dead."""
+        for val in vals:
+            if val.owned:
+                val.owned = False
+                self._unhold(val.slot, "")
+
+    def _consume(self, operands) -> None:
+        """The node reading ``operands`` is being composed -- in the order
+        nodes will run, so a variable's reads are counted down as they
+        happen.  The last one of a value that does not outlive the
+        statement, alone in one slot, may be overwritten there."""
+        live = self._stmt_live
+        for val in operands:
+            name = val.var
+            if name is None:
+                continue
+            left = self._reads_left[name] = self._reads_left.get(name, 0) - 1
+            if left == 0 and live is not None and (
+                name not in live or name == self._stmt_kill
+            ):
+                slots = self._where.get(name, ())
+                if len(slots) == 1:
+                    (slot,) = slots
+                    if self._busy[slot] == {name}:
+                        val.dying = slot
+
+    def _place(self, dtype: str, operands, dest, call, inplace: bool = True) -> _Val:
+        """A ``(T,)`` result of ``dtype`` computed by ``call(out)`` from
+        ``operands``: into ``dest`` when the statement chose one, else in
+        place on an operand that dies here (``inplace``: the call reads and
+        writes lane by lane), else into a free slot."""
+        if not self._slotting:
+            return _Val(call(None), True)
+        self._consume(operands)
+        if dest is _FRESH:
+            self._release(*operands)
+            return _Val(call(None), True)
+        if dest is not None:
+            self._release(*operands)
+            return _Val(call(dest[0]), True, dest[1])
+        slot = None
+        if inplace:
+            for val in operands:
+                if val.owned and self._slot_dtypes[val.slot] == dtype:
+                    slot, val.owned = val.slot, False
+                    break
+            else:
+                for val in operands:
+                    if val.dying is not None and self._slot_dtypes[val.dying] == dtype:
+                        slot = val.dying
+                        del self._where[val.var]
+                        self._busy[slot] = {""}
+                        break
+        if slot is None:
+            slot = self._take(dtype)
+        self._release(*operands)
+        return _Val(call(f"_w{slot}"), True, slot, owned=True)
+
+    def _fresh(self, operands, src: str, array: bool) -> _Val:
+        """A value that allocates as it always did."""
+        if self._slotting:
+            self._consume(operands)
+            self._release(*operands)
+        return _Val(src, array)
+
+    def _begin(self, stmt: ir.Stmt, can_die: bool = True) -> None:
+        """Start of one statement's expressions: how often each variable is
+        still to be read in it, and which values do not outlive it."""
+        self._reads_left = dict(self._stmt_reads(stmt))
+        self._stmt_live = self._live_after[id(stmt)] if can_die else None
+        plain = isinstance(stmt, ir.Assign) and id(stmt) in self._plain
+        self._stmt_kill = stmt.target if plain else None
+
+    def _retire(self, stmt: ir.Stmt) -> None:
+        """End of a statement: locals nothing reads any more let go of
+        their slots."""
+        live = self._live_after[id(stmt)]
+        for name in [name for name in self._where if name not in live]:
+            for slot in self._where.pop(name):
+                self._unhold(slot, name)
+
+    def _bind(self, target: str, val: _Val, merged: bool = False) -> None:
+        """``target`` now names ``val`` (or, ``merged``, a fresh
+        ``np.where`` of it): it lets go of what it held and holds the slot
+        ``val`` is in -- its own temporary, or another local's (an alias
+        keeps that slot busy for as long as either is live)."""
+        self._version[target] = self._version.get(target, 0) + 1
+        if val.var == target and not merged:
+            return
+        slots: FrozenSet[int] = frozenset()
+        if merged:
+            self._release(val)
+        elif val.slot is not None:
+            if val.owned:
+                val.owned = False
+                self._busy[val.slot].discard("")
+            slots = frozenset((val.slot,))
+        elif val.var is not None:
+            slots = self._where.get(val.var, slots)
+        for slot in slots:
+            self._busy[slot].add(target)
+        for slot in self._where.pop(target, ()):
+            if slot not in slots:
+                self._unhold(slot, target)
+        if slots:
+            self._where[target] = slots
+        if merged or val.array:
+            self._array.add(target)
+        else:
+            self._array.discard(target)
+
+    def _snapshot(self):
+        return dict(self._where), set(self._array)
+
+    def _join(self, snapshot) -> None:
+        """Control flow that may have skipped what was just emitted meets
+        it again: a local may be in the slots either path left it in, and
+        is an array only if both say so."""
+        where, array = snapshot
+        for name, slots in where.items():
+            mine = self._where.get(name, frozenset())
+            if not slots <= mine:
+                self._where[name] = mine | slots
+                for slot in slots:
+                    self._busy.setdefault(slot, set()).add(name)
+        self._array &= array
+
+    def _skippable(self, body: List[ir.Stmt], ctx: _Ctx, indent: int) -> None:
+        """Emit a body that may not run (an arm, a loop's iterations)."""
+        snapshot = self._snapshot()
+        self.emit_body(body, ctx, indent)
+        self._join(snapshot)
+
+    # ------------------------------------------------------ value numbering
+
+    def _vn_key(self, expr: ir.Expr, versions: Dict[str, int], counts=None):
+        """The value number of a pure expression over constants, thread ids
+        and variables at their current assignment count -- or None (loads,
+        device calls, selects).  With ``counts``, tallies every operator
+        node on the way."""
+        kind = type(expr)
+        if kind is ir.Const:
+            return ("k", expr.dtype.name, repr(expr.value))
+        if kind is ir.Var:
+            return ("v", expr.name, versions.get(expr.name, 0))
+        if kind is ir.BinOp:
+            parts = (
+                self._vn_key(expr.left, versions, counts),
+                self._vn_key(expr.right, versions, counts),
+            )
+            head = expr.op
+        elif kind is ir.UnOp or kind is ir.Cast:
+            parts = (self._vn_key(expr.operand, versions, counts),)
+            head = expr.op if kind is ir.UnOp else "cast"
+        elif kind is ir.Call:
+            if expr.func in _INTRINSIC_ATTR:
+                return ("g", expr.func)
+            parts = tuple(self._vn_key(arg, versions, counts) for arg in expr.args)
+            if intrinsics.get(expr.func) is None or intrinsics.is_impure(expr.func):
+                return None
+            head = expr.func
+        else:
+            if counts is not None:  # nothing to number here, maybe below
+                if kind is ir.Load:
+                    self._vn_key(expr.index, versions, counts)
+                elif kind is ir.Select:
+                    for child in (expr.cond, expr.if_true, expr.if_false):
+                        self._vn_key(child, versions, counts)
+            return None
+        if None in parts:
+            return None
+        key = (head, expr.dtype.name) + parts
+        if counts is not None:
+            counts[key] = counts.get(key, 0) + 1
+        return key
+
+    def _open_block(self, block: List[ir.Stmt]) -> None:
+        """Number the values of one basic block -- consecutive assignments,
+        stores and atomics -- so that a pure sub-expression it computes
+        more than once, on operands no assignment in between touches, is
+        computed once and its slot held until the last use."""
+        counts: Dict[tuple, int] = {}
+        versions = dict(self._version)
+        for stmt in block:
+            for expr in _stmt_exprs(stmt):
+                self._vn_key(expr, versions, counts)
+            if isinstance(stmt, ir.Assign):
+                versions[stmt.target] = versions.get(stmt.target, 0) + 1
+        self._vn_counts = {key: n for key, n in counts.items() if n > 1}
+
+    def _close_block(self) -> None:
+        for _, slot, _ in self._vn_held.values():
+            self._unhold(slot, "")
+        self._vn_held, self._vn_counts = {}, {}
+
+    def _reused(self, expr: ir.Expr, ctx: _Ctx, key: tuple) -> _Val:
+        """An expression the block computes more than once: emitted (and
+        named) the first time, read back after that."""
+        held = self._vn_held.get(key)
+        if held is None:
+            val = self._emit_node(expr, ctx, None)
+            if not val.owned:
+                return val  # not a slot of its own: nothing to hold
+            self._reuse_names += 1
+            name = f"_c{self._reuse_names}"
+            self._vn_held[key] = [name, val.slot, self._vn_counts[key] - 1]
+            val.owned = False  # the block holds it now
+            val.src = f"({name} := {val.src})"
+            return val
+        self.info["reused_exprs"] += 1
+        name, slot, left = held
+        held[2] = left - 1
+        if left > 1:
+            return _Val(name, True, slot)
+        # The last use: the block lets go, and unless a local was bound to
+        # the value meanwhile the consumer may overwrite it.
+        del self._vn_held[key]
+        if self._busy[slot] == {""}:
+            return _Val(name, True, slot, owned=True)
+        self._unhold(slot, "")
+        return _Val(name, True, slot)
 
     # ------------------------------------------------------------- functions
 
@@ -534,22 +1191,31 @@ class _Emitter:
         self.info["folded"] += fstats.folded
         self.info["reassociated"] += fstats.reassociated
         meta = getattr(fn, "approx", None)
-        if fn.kind == "kernel":
+        is_kernel = self.is_kernel = fn.kind == "kernel"
+        self.fname = fn.name
+        self.param_names = {p.name for p in fn.params}
+        self._array = set()
+        arrays: Set[str] = set()
+        if is_kernel:
             # Only transformed kernels carry lookup tables with a proven
             # extent; an exact kernel has none to gather from.
             self.tables = dict(meta.tables) if meta is not None else {}
             self.intervals = compute_intervals(fn)
-            self._static = self._compute_static_dtypes(fn)
-            self._elide = True
+            seeds = {p.name: p.type.dtype.np_dtype for p in fn.params if not p.is_array}
         else:
-            # Device functions: parameter dtypes depend on the call site,
-            # so they are folded but never cast-elided.
+            # A device function's parameters are what every call site
+            # passes: the dtypes they all prove, arrays where they all do.
             self.tables = {}
             self.intervals = {}
-            self._static = {}
-            self._elide = False
-        self.fname = fn.name
-        self.param_names = {p.name for p in fn.params}
+            sites = self._site_facts.get(fn.name, [])
+            seeds = {}
+            for i, p in enumerate(fn.params):
+                dtypes = {site[0][i] for site in sites}
+                if len(dtypes) == 1 and None not in dtypes:
+                    seeds[p.name] = dtypes.pop()
+                if sites and all(site[1][i] for site in sites):
+                    arrays.add(p.name)
+        self._compute_static_dtypes(fn, seeds)
         self.shared = {}
         total_elems: Dict[str, int] = {}
         for stmt in walk_statements(fn.body):
@@ -557,9 +1223,8 @@ class _Emitter:
                 shape = tuple(stmt.shape)
                 self.shared[stmt.name] = int(shape[0])
                 total_elems[stmt.name] = int(np.prod(shape))
-        self._compute_varying(fn)
+        self._compute_varying(fn, arrays)
 
-        is_kernel = fn.kind == "kernel"
         dynamic = (not is_kernel) or any(
             isinstance(s, ir.Return) for s in walk_statements(fn.body)
         )
@@ -571,12 +1236,18 @@ class _Emitter:
         self._sites, self._key_scalars, self._key_buffers = 0, set(), []
         if planning:
             self._compute_invariants(fn)
+        self._slot_ok = fn.name not in self._recursive
+        self._first_slot = len(self._slot_dtypes)
+        self._busy, self._where, self._loop_dest, self._version = {}, {}, {}, {}
+        self._analyse_flow(fn, dynamic)
         params = ", ".join(f"v_{p.name}" for p in fn.params)
         plan_line = -1
         if is_kernel:
             name = f"_kernel_{fn.name}"
             self.emit(0, f"def {name}(_G, {params}):")
             self.emit(1, "_T = _G.T")
+            frame_line = len(self.lines)
+            self.emit(1, "")  # this launch's slots, once the module's are known
             plan_line = len(self.lines)
             self.emit(1, "")  # this launch's plan, once the body's sites are known
         else:
@@ -587,7 +1258,9 @@ class _Emitter:
                         "are not lowered"
                     )
             name = f"_dev_{fn.name}"
-            self.emit(0, f"def {name}({params}, _mask, _retm, _T):")
+            self.emit(0, f"def {name}({params}, _mask, _retm, _T, _W, _out):")
+            frame_line = len(self.lines)
+            self.emit(1, "")
             self.emit(1, "_retm = rt.copy_retm(_retm)")
         if dynamic:
             self.emit(1, "_ret = None")
@@ -616,6 +1289,9 @@ class _Emitter:
         else:
             self.emit(1, f"return rt.device_result(_ret, {fn.name!r})")
         self.emit(0, "")
+        self._frames.append(
+            (frame_line, self._first_slot, len(self._slot_dtypes), is_kernel)
+        )
         return name
 
     def _finish_plan(self, plan_line: int) -> None:
@@ -634,7 +1310,7 @@ class _Emitter:
                 guard = "if _B: "
             self.lines[line] = "    " * indent + f"{guard}v_{name} = {value}"
         if not planned:
-            del self.lines[plan_line]
+            self.lines[plan_line] = None  # dropped by finish()
             return
         self.globals["_PID"] = next(_PLAN_IDS)
         key = ["_PID"]
@@ -643,13 +1319,45 @@ class _Emitter:
         self.lines[plan_line] = f"    _P, _g, _B = rt.plan(_G, ({', '.join(key)},))"
         self.emit(1, "if _B: rt.plan_built(_P)")
 
+    def finish(self) -> str:
+        """The module's source, once every function is emitted: each
+        function's frame line names the slots it uses out of the launch's
+        workspace ``_W`` -- the kernel fetches it, device functions are
+        handed it and unpack their own frame, above their callers'."""
+        slots = self.info["slots"] = len(self._slot_dtypes)
+        if slots:
+            self.globals["_WS"] = _runtime.Layout(self._slot_dtypes)
+        calls = len(self._frames) > 1
+        for line, first, last, is_kernel in self._frames:
+            parts = []
+            if is_kernel and slots:
+                parts.append("_W = rt.frame(_WS, _T)")
+            elif is_kernel and calls:
+                parts.append("_W = None")
+            if last > first:
+                names = ", ".join(f"_w{slot}" for slot in range(first, last))
+                parts.append(f"{names}{',' if last == first + 1 else ''} = _W[{first}:{last}]")
+            self.lines[line] = "\n".join("    " + part for part in parts) or None
+        return "\n".join(line for line in self.lines if line is not None) + "\n"
+
     # ------------------------------------------------------------ statements
 
     def emit_body(self, body: List[ir.Stmt], ctx: _Ctx, indent: int) -> None:
         if not body:
             self.emit(indent, "pass")
             return
+        block_end = 0
         for i, stmt in enumerate(body):
+            if not isinstance(stmt, _SIMPLE):
+                self._close_block()
+            elif i >= block_end and self._slot_ok:
+                # A basic block starts: straight-line statements up to the
+                # next branch, loop or return.
+                block_end = i + 1
+                while block_end < len(body) and isinstance(body[block_end], _SIMPLE):
+                    block_end += 1
+                if block_end - i > 1:
+                    self._open_block(body[i:block_end])
             self.emit_stmt(stmt, ctx, indent)
             if ctx.dynamic and i + 1 < len(body) and _can_return(stmt):
                 # _exec_body re-checks returned_all before each statement;
@@ -657,6 +1365,7 @@ class _Emitter:
                 # each possibly-returning statement is equivalent.
                 self.emit(indent, "if not _retall:")
                 indent += 1
+        self._close_block()
 
     def emit_stmt(self, stmt: ir.Stmt, ctx: _Ctx, indent: int) -> None:
         if isinstance(stmt, ir.Assign):
@@ -703,23 +1412,40 @@ class _Emitter:
             self.emit(indent, "")
             ctx.defined.add(target)
             return
+        # A plain bind: nothing is masked here, or nobody can see the lanes
+        # a merge would have kept (``_analyse_flow``).
+        plain = id(stmt) in self._plain or (ctx.mask is None and not ctx.dynamic)
+        merged = not plain and not ctx.dynamic and (
+            target in ctx.defined or target in self.param_names
+        )
+        self._begin(stmt)
+        if not plain:  # the old value is read after the new one is computed
+            self._reads_left[target] = self._reads_left.get(target, 0) + 1
         if target in self._inv_locals:
             # Cheap thread-id arithmetic feeding sites: computed in place,
             # not stored a second time as a site of its own.
-            value = self._computation(stmt.value, ctx, None)
+            val = _Val(
+                self._computation(stmt.value, ctx, None), self.expr_varying(stmt.value)
+            )
         else:
-            value = self.emit_expr(stmt.value, ctx)
-        bound = target in ctx.defined or target in self.param_names
-        if ctx.mask is None and not ctx.dynamic:
-            self.emit(indent, f"v_{target} = {value}")
-        elif bound and not ctx.dynamic:
-            self.emit(indent, f"v_{target} = np.where({ctx.mask}, {value}, v_{target})")
+            dest = None
+            if target in self._loop_dest and not merged:
+                # Live round a loop's back edge: the new value goes where
+                # the loop keeps this local, or nowhere near a slot.
+                dest = (self._loop_dest[target] if plain else None) or _FRESH
+            val = self.emit_expr(stmt.value, ctx, dest)
+        if plain:
+            self.emit(indent, f"v_{target} = {val}")
+        elif merged:
+            self.emit(indent, f"v_{target} = np.where({ctx.mask}, {val}, v_{target})")
         else:
             self.emit(
                 indent,
-                f"v_{target} = rt.assign(v_{target}, {value}, {self.live_expr(ctx)})",
+                f"v_{target} = rt.assign(v_{target}, {val}, {self.live_expr(ctx)})",
             )
+        self._bind(target, val, merged)
         ctx.defined.add(target)
+        self._retire(stmt)
 
     def _array_kind(self, ref: ir.ArrayRef) -> Tuple[bool, str]:
         """(is_shared, buffer expression) for an array reference."""
@@ -730,7 +1456,7 @@ class _Emitter:
         raise CodegenError(f"{self.fname}: unbound array {ref.name!r}")
 
     def _access_site(self, ref: ir.ArrayRef, index: ir.Expr, ctx: _Ctx):
-        """``(index source, plan key pair or None)`` of one load/store/atomic.
+        """``(index, plan key pair or None)`` of one load/store/atomic.
         The access is a planned site when its index and its live mask are
         launch-invariant: what it resolves to -- in-range verdict, clamp,
         shared-memory flattening, live-lane compaction -- is then a function
@@ -741,7 +1467,7 @@ class _Emitter:
         key = self._new_site(ctx, deps)
         if ref.name not in self.shared and ref.name not in self._key_buffers:
             self._key_buffers.append(ref.name)
-        return self._computation(index, ctx, set()), key
+        return _Val(self._computation(index, ctx, set())), key
 
     def _emit_write(self, call: str, buf: str, key, value: str, extra: str, indent: int):
         """A store or atomic: ``call`` is the helper call up to its closing
@@ -756,19 +1482,20 @@ class _Emitter:
             f"else {call}, _P, {key[1]}{nsb}))",
         )
 
-    def _written_value(self, expr: ir.Expr, key, ctx: _Ctx, indent: int) -> str:
+    def _written_value(self, expr: ir.Expr, key, ctx: _Ctx, indent: int) -> _Val:
         """The value of a store or atomic.  At a planned site it is named
         twice (hit and miss), so it is held in a temporary first; its loads
         then fault before the access's own index is looked at, as in the
         interpreter."""
         value = self.emit_expr(expr, ctx)
-        if key is None:
-            return value
-        held = self.tmp()
-        self.emit(indent, f"{held} = {value}")
-        return held
+        if key is not None:
+            held = self.tmp()
+            self.emit(indent, f"{held} = {value}")
+            value.src = held
+        return value
 
     def _emit_store(self, stmt: ir.Store, ctx: _Ctx, indent: int) -> None:
+        self._begin(stmt)
         idx, key = self._access_site(stmt.array, stmt.index, ctx)
         value = self._written_value(stmt.value, key, ctx, indent)
         live = self.live_expr(ctx)
@@ -779,9 +1506,12 @@ class _Emitter:
             call = f"rt.store_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}"
         else:
             call = f"rt.store_global({buf}, {idx}, {value}, {tail}"
-        self._emit_write(call, buf, key, value, "", indent)
+        self._emit_write(call, buf, key, value.src, "", indent)
+        self._release(idx, value)
+        self._retire(stmt)
 
     def _emit_atomic(self, stmt: ir.AtomicRMW, ctx: _Ctx, indent: int) -> None:
+        self._begin(stmt)
         idx, key = self._access_site(stmt.array, stmt.index, ctx)
         value = self._written_value(stmt.value, key, ctx, indent)
         live = self.live_expr(ctx)
@@ -795,7 +1525,9 @@ class _Emitter:
             call = f"rt.atomic_shared({buf}, {size}, {idx}, {value}, _G.sbid, {tail}"
         else:
             call = f"rt.atomic_global({buf}, {idx}, {value}, {tail}"
-        self._emit_write(call, buf, key, value, f", {stmt.op!r}", indent)
+        self._emit_write(call, buf, key, value.src, f", {stmt.op!r}", indent)
+        self._release(idx, value)
+        self._retire(stmt)
 
     def _emit_if(self, stmt: ir.If, ctx: _Ctx, indent: int) -> None:
         deps = self._deps(stmt.cond) if ctx.invariant else None
@@ -804,25 +1536,32 @@ class _Emitter:
         inner = ctx.copy(
             invariant=deps is not None, deps=ctx.deps | (deps or frozenset())
         )
-        if deps is not None and self.expr_varying(stmt.cond):
+        varying = self.expr_varying(stmt.cond)
+        self._begin(stmt, can_die=False)
+        if deps is not None and varying:
             self._emit_planned_if(stmt, deps, inner, indent)
+            self._retire(stmt)
             return
         cond = self.tmp()
-        self.emit(indent, f"{cond} = {self.emit_expr(stmt.cond, ctx)}")
-        if self.expr_varying(stmt.cond):
+        # The masks may be this very array: its slot stays busy over the arms.
+        value = self.emit_expr(stmt.cond, ctx)
+        self.emit(indent, f"{cond} = {value}")
+        if varying:
             self._emit_masked_if(stmt, cond, inner, indent)
-            return
-        # Possibly-uniform condition: replicate the interpreter's runtime
-        # scalar/array dispatch.  The scalar arm executes the taken body
-        # under the *parent* context (no new mask).
-        self.emit(indent, f"if np.ndim({cond}) == 0:")
-        self.emit(indent + 1, f"if bool({cond}):")
-        self.emit_body(stmt.then_body, inner.copy(), indent + 2)
-        if stmt.else_body:
-            self.emit(indent + 1, "else:")
-            self.emit_body(stmt.else_body, inner.copy(), indent + 2)
-        self.emit(indent, "else:")
-        self._emit_masked_if(stmt, cond, inner, indent + 1)
+        else:
+            # Possibly-uniform condition: replicate the interpreter's runtime
+            # scalar/array dispatch.  The scalar arm executes the taken body
+            # under the *parent* context (no new mask).
+            self.emit(indent, f"if np.ndim({cond}) == 0:")
+            self.emit(indent + 1, f"if bool({cond}):")
+            self._skippable(stmt.then_body, inner.copy(), indent + 2)
+            if stmt.else_body:
+                self.emit(indent + 1, "else:")
+                self._skippable(stmt.else_body, inner.copy(), indent + 2)
+            self.emit(indent, "else:")
+            self._emit_masked_if(stmt, cond, inner, indent + 1)
+        self._release(value)
+        self._retire(stmt)
 
     def _emit_planned_if(
         self, stmt: ir.If, deps: FrozenSet[str], ctx: _Ctx, indent: int
@@ -844,7 +1583,7 @@ class _Emitter:
         ):
             if body:
                 self.emit(indent, f"if {live}:")
-                self.emit_body(body, ctx.copy(mask=mask), indent + 1)
+                self._skippable(body, ctx.copy(mask=mask), indent + 1)
 
     def _emit_masked_if(self, stmt: ir.If, cond: str, ctx: _Ctx, indent: int) -> None:
         base = ctx.mask if ctx.mask is not None else "None"
@@ -861,7 +1600,7 @@ class _Emitter:
             self.emit(indent, f"if rt.any_lanes({mask}):")
             if ctx.dynamic:
                 self.emit(indent + 1, "_retall = False")
-            self.emit_body(body, ctx.copy(mask=mask), indent + 1)
+            self._skippable(body, ctx.copy(mask=mask), indent + 1)
         if ctx.dynamic:
             # Lanes that returned inside an arm stay inactive from here on.
             self.emit(
@@ -871,22 +1610,16 @@ class _Emitter:
             )
 
     def _emit_for(self, stmt: ir.For, ctx: _Ctx, indent: int) -> None:
+        self._begin(stmt, can_die=False)
         start, stop, step = self.tmp(), self.tmp(), self.tmp()
-        self.emit(
-            indent,
-            f"{start} = rt.uniform_int({self.emit_expr(stmt.start, ctx)}, "
-            f"'loop start', {self.fname!r})",
-        )
-        self.emit(
-            indent,
-            f"{stop} = rt.uniform_int({self.emit_expr(stmt.stop, ctx)}, "
-            f"'loop stop', {self.fname!r})",
-        )
-        self.emit(
-            indent,
-            f"{step} = rt.uniform_int({self.emit_expr(stmt.step, ctx)}, "
-            f"'loop step', {self.fname!r})",
-        )
+        for name, bound, what in (
+            (start, stmt.start, "loop start"),
+            (stop, stmt.stop, "loop stop"),
+            (step, stmt.step, "loop step"),
+        ):
+            value = self.emit_expr(bound, ctx)
+            self.emit(indent, f"{name} = rt.uniform_int({value}, {what!r}, {self.fname!r})")
+            self._release(value)
         self.emit(indent, f"rt.check_step({step}, {self.fname!r})")
         counter = self.tmp()
         self.emit(indent, f"for {counter} in range({start}, {stop}, {step}):")
@@ -899,36 +1632,104 @@ class _Emitter:
             body_ctx = ctx.copy(
                 loops=ctx.loops + ((stmt.var, counter),), deps=ctx.deps | deps
             )
+        entered = self._enter_loop(stmt)
         # The interpreter binds the loop variable straight into the env
         # (no mask merge), even under predication.
         self.emit(indent + 1, f"v_{stmt.var} = np.int32({counter})")
+        self._bind(stmt.var, _Val(""))
         body_ctx.defined.add(stmt.var)
-        self.emit_body(stmt.body, body_ctx, indent + 1)
+        self._skippable(stmt.body, body_ctx, indent + 1)
         if ctx.dynamic and _can_return(stmt):
             self.emit(indent + 1, "if _retall: break")
+        self._leave_loop(entered)
+        self._retire(stmt)
+
+    def _enter_loop(self, stmt: ir.For) -> List[str]:
+        """The body is emitted once and runs many times, so what it assumes
+        about where values live must hold on every iteration.  It does for
+        what an iteration defines and drops, and for what it only reads.  A
+        local *live round the back edge and assigned in the body* gets one
+        place for the whole loop: the slot it already owns alone or a new
+        one, written in place by each plain assignment of an elementwise
+        result -- or, if a name is ever bound to another's value (an alias
+        would see the overwrite), no slot at all inside the loop."""
+        # What the body assigns may be a scalar when an iteration starts.
+        self._array -= self._assigned[id(stmt)]
+        entered = []
+        if not self._slot_ok:
+            return entered
+        for name in sorted(self._carried[id(stmt)]):
+            if name in self._loop_dest:
+                continue  # an enclosing loop decided already
+            dest = None
+            dtype = self._static.get(name)
+            if dtype is not None and name not in self._aliased and any(
+                s.target == name and self.expr_varying(s.value)
+                for s in walk_statements(stmt.body)
+                if isinstance(s, ir.Assign)
+            ):
+                slots = self._where.get(name, ())
+                slot = next(iter(slots)) if len(slots) == 1 else None
+                if (
+                    slot is None
+                    or self._busy[slot] != {name}
+                    or self._slot_dtypes[slot] != dtype
+                ):
+                    slot = self._take(dtype)
+                    self._busy[slot].discard("")
+                self._busy[slot].add("<loop>")
+                dest = (f"_w{slot}", slot)
+            self._loop_dest[name] = dest
+            entered.append(name)
+        return entered
+
+    def _leave_loop(self, entered: List[str]) -> None:
+        for name in entered:
+            dest = self._loop_dest.pop(name)
+            if dest is not None:
+                self._unhold(dest[1], "<loop>")
 
     def _emit_return(self, stmt: ir.Return, ctx: _Ctx, indent: int) -> None:
-        value = "None" if stmt.value is None else self.emit_expr(stmt.value, ctx)
+        self._begin(stmt)
+        value = "None"
+        if stmt.value is not None:
+            # A device function computes what it returns into the slot its
+            # caller passed: its own frame is the next call's to overwrite.
+            val = self.emit_expr(stmt.value, ctx, None if self.is_kernel else ("_out", None))
+            value = val.src
+            if not self.is_kernel and (val.slot is not None or val.var is not None):
+                value = f"rt.returned(_out, {val})"
+            self._release(val)
         mask = ctx.mask if ctx.mask is not None else "None"
         self.emit(
             indent,
             f"_ret, _retm, _retall = rt.do_return({value}, {mask}, _ret, _retm, _T)",
         )
+        self._retire(stmt)
 
     # ----------------------------------------------------------- expressions
 
-    def emit_expr(self, expr: ir.Expr, ctx: _Ctx) -> str:
+    def _computation(self, expr: ir.Expr, ctx: _Ctx, refs: Optional[Set[str]]) -> str:
+        """Emit ``expr`` as plain code with no site and no slot inside it:
+        what a site evaluates when its plan has no entry (and may keep), or
+        an invariant local's value.  Plan-only candidates it reads are noted
+        in ``refs`` (the reader only runs on a miss), or count as data uses
+        if None."""
+        saved = self._sites_ok, self._refs
+        self._sites_ok, self._refs = False, refs
+        try:
+            return self.emit_expr(expr, ctx).src
+        finally:
+            self._sites_ok, self._refs = saved
+
+    def emit_expr(self, expr: ir.Expr, ctx: _Ctx, dest=None) -> _Val:
+        """Emit one expression.  ``dest`` is where the statement wants the
+        root's result: ``(name, slot)``, :data:`_FRESH`, or None for
+        "wherever is free"."""
         if isinstance(expr, ir.Const):
-            return self.const(expr.value, expr.dtype)
+            return _Val(self.const(expr.value, expr.dtype))
         if isinstance(expr, ir.Var):
-            name = expr.name
-            if name in self._lazy_names:
-                # Read by a site's computation (runs only on a miss), or by
-                # code that runs on every launch?
-                (self._data_uses if self._refs is None else self._refs).add(name)
-            if name in ctx.defined or name in self.param_names:
-                return f"v_{name}"
-            return f"rt.check_defined(v_{name}, {name!r}, {self.fname!r})"
+            return self._read_var(expr.name, ctx)
         if ctx.invariant and self._sites_ok and not isinstance(expr, ir.Load):
             deps = self._deps(expr)
             if (
@@ -940,111 +1741,212 @@ class _Emitter:
                 # expression: read it from the plan.
                 probe, key = self._new_site(ctx, deps)
                 value = self._computation(expr, ctx, set())
-                return f"(_g({probe}) or rt.plan_value(_P, {key}, {value}))[0]"
+                return _Val(f"(_g({probe}) or rt.plan_value(_P, {key}, {value}))[0]", True)
+        if self._vn_counts and dest is None and self._slotting:
+            key = self._vn_key(expr, self._version)
+            if key in self._vn_counts:
+                return self._reused(expr, ctx, key)
+        return self._emit_node(expr, ctx, dest)
+
+    def _emit_node(self, expr: ir.Expr, ctx: _Ctx, dest) -> _Val:
         if isinstance(expr, ir.BinOp):
-            return self._emit_binop(expr, ctx)
+            return self._emit_binop(expr, ctx, dest)
         if isinstance(expr, ir.UnOp):
-            operand = self.emit_expr(expr.operand, ctx)
-            if expr.op == "neg":
-                return f"(-({operand}))"
-            if expr.op == "lnot":
-                return f"rt.lnot({operand})"
-            return f"(~({operand}))"
+            return self._emit_unop(expr, ctx, dest)
         if isinstance(expr, ir.Cast):
             operand = self.emit_expr(expr.operand, ctx)
-            if self._elide and self._static_dtype(expr.operand) == expr.dtype.np_dtype:
+            if self._static_dtype(expr.operand) == expr.dtype.np_dtype:
                 # Identity cast: the operand provably already has the
                 # target dtype, so cast_value would only copy.
                 self.info["cast_elisions"] += 1
                 return operand
-            return f"rt.cast_value({operand}, {self.np_dtype(expr.dtype)})"
+            np_dtype = self.np_dtype(expr.dtype)
+            if operand.array:
+                return self._place(
+                    expr.dtype.np_dtype,
+                    (operand,),
+                    dest,
+                    lambda out: f"rt.cast_into({out}, {operand}, {np_dtype})"
+                    if out
+                    else f"rt.cast_value({operand}, {np_dtype})",
+                    inplace=False,
+                )
+            return self._fresh((operand,), f"rt.cast_value({operand}, {np_dtype})", False)
         if isinstance(expr, ir.Select):
             cond = self.emit_expr(expr.cond, ctx)
             a = self.emit_expr(expr.if_true, ctx)
             b = self.emit_expr(expr.if_false, ctx)
-            return f"rt.select({cond}, {a}, {b}, {self.np_dtype(expr.dtype)})"
-        if isinstance(expr, ir.Load):
-            idx, key = self._access_site(expr.array, expr.index, ctx)
-            live = self.live_expr(ctx)
-            shared, buf = self._array_kind(expr.array)
-            tail = f"{live}, {self.bounds_check}, {self.fname!r}, {expr.array.name!r}"
-            nsb = ""
-            if shared:
-                size = self.shared[expr.array.name]
-                call = f"rt.load_shared({buf}, {size}, {idx}, _G.sbid, {tail}"
-                nsb = ", _G.nsb"
-            else:
-                call = f"rt.load_global({buf}, {idx}, {tail}"
-                entries = self.tables.get(expr.array.name)
-                if entries is not None:
-                    lo, hi = interval_of(expr.index, self.intervals)
-                    if lo >= 0 and hi <= entries - 1:
-                        # Lookup-table gather with a compile-time in-range
-                        # proof: no clamp, no live-lane bounds scan.
-                        self.info["table_gathers"] += 1
-                        call = f"rt.load_table({buf}, {idx}, {entries}, {tail}"
-            if key is None:
-                return f"{call})"
-            return (
-                f"(_s.run({buf}) if (_s := _g({key[0]})) "
-                f"else {call}, _P, {key[1]}{nsb}))"
+            return self._fresh(
+                (cond, a, b),
+                f"rt.select({cond}, {a}, {b}, {self.np_dtype(expr.dtype)})",
+                cond.array or (a.array and b.array),
             )
+        if isinstance(expr, ir.Load):
+            return self._emit_load(expr, ctx, dest)
         if isinstance(expr, ir.Call):
-            return self._emit_call(expr, ctx)
+            return self._emit_call(expr, ctx, dest)
         raise CodegenError(f"{self.fname}: cannot lower {type(expr).__name__}")
 
-    def _emit_binop(self, expr: ir.BinOp, ctx: _Ctx) -> str:
+    def _read_var(self, name: str, ctx: _Ctx) -> _Val:
+        if name in self._lazy_names:
+            # Read by a site's computation (runs only on a miss), or by
+            # code that runs on every launch?
+            (self._data_uses if self._refs is None else self._refs).add(name)
+        if name in ctx.defined or name in self.param_names:
+            src = f"v_{name}"
+        else:
+            src = f"rt.check_defined(v_{name}, {name!r}, {self.fname!r})"
+        return _Val(src, name in self.varying or name in self._array, var=name)
+
+    def _emit_binop(self, expr: ir.BinOp, ctx: _Ctx, dest) -> _Val:
         a = self.emit_expr(expr.left, ctx)
         b = self.emit_expr(expr.right, ctx)
+        array = a.array or b.array
         op = expr.op
         if op in _CMP_FUNCS:
-            return f"{_CMP_FUNCS[op]}({a}, {b})"
+            # Comparisons/logic yield bool whatever they compare.
+            func = _CMP_FUNCS[op]
+            if array:
+                return self._place(
+                    "bool", (a, b), dest, lambda out: _ufunc_call(func, (a, b), out)
+                )
+            return self._fresh((a, b), f"{func}({a}, {b})", False)
         dtype_preserving = True
         if op == "div":
-            inner = (
-                f"np.divide({a}, {b})"
-                if expr.dtype.is_float
-                else f"rt.c_divide_int({a}, {b})"
-            )
+            func = "np.divide" if expr.dtype.is_float else "rt.c_divide_int"
             dtype_preserving = expr.dtype.is_float  # int path goes via int64
         elif op == "mod":
-            inner = (
-                f"np.fmod({a}, {b})"
-                if expr.dtype.is_float
-                else f"rt.c_mod_int({a}, {b})"
-            )
+            func = "np.fmod" if expr.dtype.is_float else "rt.c_mod_int"
             dtype_preserving = expr.dtype.is_float
         else:
-            inner = f"{_ARITH_FUNCS[op]}({a}, {b})"
+            func = _ARITH_FUNCS[op]
+        dtype = expr.dtype.np_dtype
         if (
             dtype_preserving
-            and self._elide
-            and self._static_dtype(expr.left) == expr.dtype.np_dtype
-            and self._static_dtype(expr.right) == expr.dtype.np_dtype
+            and self._static_dtype(expr.left) == dtype
+            and self._static_dtype(expr.right) == dtype
         ):
             # Both operands provably carry the result dtype already, so
             # the ufunc's natural output dtype is expr.dtype and the
             # cast_result wrapper is the identity.
             self.info["cast_elisions"] += 1
-            return f"({inner})"
-        return f"rt.cast_result({inner}, {self.np_dtype(expr.dtype)})"
+            if array:
+                return self._place(
+                    dtype, (a, b), dest, lambda out: _ufunc_call(func, (a, b), out)
+                )
+            return self._fresh((a, b), f"({func}({a}, {b}))", False)
+        return self._fresh(
+            (a, b),
+            f"rt.cast_result({func}({a}, {b}), {self.np_dtype(expr.dtype)})",
+            array,
+        )
 
-    def _emit_call(self, expr: ir.Call, ctx: _Ctx) -> str:
+    def _emit_unop(self, expr: ir.UnOp, ctx: _Ctx, dest) -> _Val:
+        operand = self.emit_expr(expr.operand, ctx)
+        func, dtypes = _UNARY_UFUNCS[expr.op]
+        dtype = self._static_dtype(expr.operand)
+        if operand.array and dtype in dtypes:
+            # The operator is this ufunc on a proven dtype: same loop.
+            return self._place(
+                dtype, (operand,), dest, lambda out: _ufunc_call(func, (operand,), out)
+            )
+        if expr.op == "neg":
+            src = f"(-({operand}))"
+        elif expr.op == "lnot":
+            src = f"rt.lnot({operand})"
+        else:
+            src = f"(~({operand}))"
+        return self._fresh((operand,), src, operand.array)
+
+    def _emit_load(self, expr: ir.Load, ctx: _Ctx, dest) -> _Val:
+        idx, key = self._access_site(expr.array, expr.index, ctx)
+        live = self.live_expr(ctx)
+        shared, buf = self._array_kind(expr.array)
+        tail = f"{live}, {self.bounds_check}, {self.fname!r}, {expr.array.name!r}"
+        nsb = ""
+        if shared:
+            size = self.shared[expr.array.name]
+            call = f"rt.load_shared({buf}, {size}, {idx}, _G.sbid, {tail}"
+            nsb = ", _G.nsb"
+        else:
+            call = f"rt.load_global({buf}, {idx}, {tail}"
+            entries = self.tables.get(expr.array.name)
+            if entries is not None:
+                lo, hi = interval_of(expr.index, self.intervals)
+                if lo >= 0 and hi <= entries - 1:
+                    # Lookup-table gather with a compile-time in-range
+                    # proof: no clamp, no live-lane bounds scan.
+                    self.info["table_gathers"] += 1
+                    call = f"rt.load_table({buf}, {idx}, {entries}, {tail}"
+
+        def source(out):
+            if key is None:
+                return f"{call}, out={out})" if out else f"{call})"
+            args, kwarg = (f"{buf}, {out}", f", out={out}") if out else (buf, "")
+            return (
+                f"(_s.run({args}) if (_s := _g({key[0]})) "
+                f"else {call}, _P, {key[1]}{nsb}{kwarg}))"
+            )
+
+        array = idx.array if key is None else self.expr_varying(expr.index)
+        if array:
+            # One element per lane.  Never in place: a gather does not read
+            # its index lane by lane as it writes.
+            return self._place(
+                expr.array.type.dtype.np_dtype, (idx,), dest, source, inplace=False
+            )
+        return self._fresh((idx,), source(None), False)
+
+    def _emit_call(self, expr: ir.Call, ctx: _Ctx, dest) -> _Val:
         name = expr.func
         attr = _INTRINSIC_ATTR.get(name)
         if attr is not None:
-            return f"_G.{attr}"
+            return _Val(f"_G.{attr}", name in VARYING_INTRINSICS)
         args = [self.emit_expr(a, ctx) for a in expr.args]
+        array = any(a.array for a in args)
+        joined = ", ".join(a.src for a in args)
         builtin = intrinsics.get(name)
         if builtin is not None:
-            call = f"{self.builtin_fn(builtin)}({', '.join(args)})"
-            return f"rt.cast_result({call}, {self.np_dtype(expr.dtype)})"
-        if name in self.module and self.module[name].kind == "device":
+            func = self.builtin_fn(builtin)
+            dtype = expr.dtype.np_dtype
+            if all(self._static_dtype(a) == dtype for a in expr.args) and _ufunc_keeps(
+                builtin.evaluate, dtype, len(args)
+            ):
+                # A ufunc over operands that provably carry the result
+                # dtype yields it: the result cast is the identity.
+                self.info["cast_elisions"] += 1
+                if array:
+                    return self._place(
+                        dtype, args, dest, lambda out: _ufunc_call(func, args, out)
+                    )
+                return self._fresh(args, f"{func}({joined})", False)
+            return self._fresh(
+                args,
+                f"rt.cast_result({func}({joined}), {self.np_dtype(expr.dtype)})",
+                array,
+            )
+        if self._device(name) is not None:
             mask = ctx.mask if ctx.mask is not None else "None"
             retm = "_retm" if ctx.dynamic else "None"
-            joined = ", ".join(args + [mask, retm, "_T"])
-            return f"_dev_{name}({joined})"
+            dtypes = tuple(self._static_dtype(a) for a in expr.args)
+            arrays = tuple(a.array for a in args)
+            self._site_facts.setdefault(name, []).append((dtypes, arrays))
+
+            def call(out):
+                return f"_dev_{name}({joined}, {mask}, {retm}, _T, _W, {out})"
+
+            dtype = self._call_dtype(name, dtypes)
+            if dtype is not None and self._call_array(name, arrays):
+                # The callee returns into the slot it is handed -- never one
+                # of its operands': it reads them until it returns.
+                return self._place(dtype, args, dest, call, inplace=False)
+            return self._fresh(args, call(None), False)
         raise CodegenError(f"{self.fname}: call to unknown function {name!r}")
+
+
+def _ufunc_call(func: str, operands, out: Optional[str]) -> str:
+    joined = ", ".join(val.src for val in operands)
+    return f"{func}({joined}, out={out})" if out else f"({func}({joined}))"
 
 
 def _scan_pure(expr: ir.Expr, names: Set[str]) -> bool:
@@ -1088,13 +1990,6 @@ def _can_return(stmt: ir.Stmt) -> bool:
     return False
 
 
-def _walk_exprs(stmt: ir.Stmt):
-    """Every expression node appearing (recursively) in one statement."""
-    from ..kernel.visitors import walk
-
-    yield from walk(stmt)
-
-
 def lower_kernel(
     fn: ir.Function, module: ir.Module, bounds_check: bool = True
 ) -> Tuple[str, Dict[str, object], str, Dict[str, int]]:
@@ -1103,13 +1998,17 @@ def lower_kernel(
     Returns ``(source, exec_globals, entry_name, info)``; the caller
     compiles the source with these globals and fetches ``entry_name`` from
     the namespace.  ``info`` counts what the specializations accomplished
-    (``folded``/``reassociated``/``table_gathers``/``cast_elisions``).
+    (``folded``/``reassociated``/``table_gathers``/``cast_elisions``/
+    ``planned_sites``, and the workspace's ``slots``/``merges_elided``/
+    ``reused_exprs``).
     """
     if fn.kind != "kernel":
         raise CodegenError(f"{fn.name} is a device function, not a kernel")
     emitter = _Emitter(module, bounds_check)
-    for dev in reachable_device_functions(fn, module):
-        emitter.emit_function(dev)
+    # Callers first: a device function is emitted knowing what every call
+    # site passes it.
+    order = emitter.device_order(fn)
     entry = emitter.emit_function(fn)
-    source = "\n".join(emitter.lines) + "\n"
-    return source, emitter.globals, entry, emitter.info
+    for dev in order:
+        emitter.emit_function(dev)
+    return emitter.finish(), emitter.globals, entry, emitter.info

@@ -24,13 +24,19 @@ the same helpers as ever and *offered*; it is read back only on later
 launches.  They share the interpreter's semantics by test as well
 (``tests/codegen/test_address_plan.py``).
 
+The **launch workspace** is here as well: one arena per thread, from which
+a generated module's numbered slots are carved (:func:`frame`); the helpers
+that produce an array take the slot to produce it into (``out=``).
+
 Generated modules receive this module under the name ``rt``.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
+import weakref
 from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -121,9 +127,20 @@ def select(cond, a, b, np_dtype):
     if np.ndim(cond) == 0:
         chosen = a if bool(cond) else b
         if np.ndim(chosen):
-            return np.asarray(chosen, dtype=np_dtype)
+            # A copy: the arm may live in a workspace slot its owner reuses.
+            return np.array(chosen, dtype=np_dtype)
         return np_dtype.type(chosen)
     return np.where(cond, a, b).astype(np_dtype, copy=False)
+
+
+def cast_into(out, value, np_dtype):
+    """:func:`cast_value` of a ``(T,)`` array into the workspace slot
+    ``out``: the same cast loop ``astype`` runs, without its allocation.
+    ``out`` is None where a device function's caller passed no slot."""
+    if out is None:
+        return cast_value(value, np_dtype)
+    np.copyto(out, value, casting="unsafe")
+    return out
 
 
 def lnot(value):
@@ -194,6 +211,9 @@ _FIELDS = {
     "plan_form_shift": "planned gathers stored as a shift of the site's first iteration",
     "plan_form_mask": "planned masked stores that reuse the live mask as their index",
     "plan_form_index": "planned accesses stored as an intp index array (the fallback)",
+    "workspace_bytes": "bytes the per-thread launch workspaces hold now, all threads",
+    "workspace_overflows": "launches whose slots did not fit the workspace cap "
+    "and were allocated afresh",
 }
 
 #: Process-wide codegen counters (``repro_codegen_*`` registry series).
@@ -221,10 +241,18 @@ _PLAN_KEYS_MAX = 128
 _RUNS_PAY = 512
 #: What one stored site costs beside its arrays (site, closure, key, slot).
 _SITE_BYTES = 400
+#: Planned-kernel launches of the whole process after which a key nobody
+#: launched counts as the coldest there is, however hot it once was.  About
+#: twice the longest gap a key that is *in use* sees in the serving mix the
+#: benchmark models: the exact program behind a 1-in-40 quality check, four
+#: apps taking turns at ~7 planned launches a round (~280 ticks).
+PLAN_IDLE_LAUNCHES = 512
 
 _PLAN_LOCK = threading.Lock()
 _RESIDENT: set = set()
 _plan_bytes = 0
+#: The process-wide launch clock plans age on: one tick per :func:`plan`.
+_plan_clock = 0
 
 
 def _unlock_in_child() -> None:
@@ -238,15 +266,24 @@ os.register_at_fork(after_in_child=_unlock_in_child)
 
 
 class _Entry:
-    """What one geometry knows about one plan key: how often it launched
-    and the plan it holds now, if any."""
+    """What one geometry knows about one plan key: how often it launched,
+    when it last did (on the process-wide clock) and the plan it holds now,
+    if any."""
 
-    __slots__ = ("launches", "plan", "retry_at")
+    __slots__ = ("launches", "last", "plan", "retry_at")
 
     def __init__(self) -> None:
         self.launches = 1
+        self.last = _plan_clock
         self.plan: Optional["_Plan"] = None
         self.retry_at = 2  # built on the second launch that shows the key
+
+    def heat(self) -> int:
+        """What eviction ranks by: the lifetime launch count while the key
+        is in use, nothing once it has sat out :data:`PLAN_IDLE_LAUNCHES`
+        launches of other keys.  The count itself never decays -- the retry
+        back-off (``retry_at``) doubles against it."""
+        return self.launches if _plan_clock - self.last <= PLAN_IDLE_LAUNCHES else 0
 
 
 class _Plan:
@@ -274,7 +311,9 @@ NO_PLAN = _Plan(None)
 
 class _Site:
     """One planned access.  ``run`` reproduces the helper call it replaces
-    element for element; ``arrays`` is what it holds (for the byte cap)."""
+    element for element -- a load's ``run(buf, out=None)`` into the
+    workspace slot ``out`` when the kernel passes one; ``arrays`` is what it
+    holds (for the byte cap)."""
 
     __slots__ = ("form", "run", "arrays")
 
@@ -298,12 +337,15 @@ def plan(geo: "Geometry", key: tuple):
     """``(plan, site lookup, building)`` for one launch of the
     kernel/scalars/sizes in ``key``.  ``building`` is False only when every
     site the launch will reach is already resolved."""
+    global _plan_clock
     plans = geo.plans
     current = NO_PLAN  # a shard view: built per launch, cached nowhere
     if plans is not None:
+        _plan_clock += 1  # unlocked: a lost tick only ages a plan later
         entry = plans.get(key)
         if entry is not None:
             entry.launches += 1
+            entry.last = _plan_clock
             current = entry.plan
             if current is not None:
                 STATS.inc("plan_hits")
@@ -360,15 +402,16 @@ def _release(plan: _Plan) -> None:
 
 
 def _make_room(plan: _Plan, nbytes: int) -> bool:
-    """Fit ``nbytes`` more under the cap, releasing only plans launched
-    strictly less often than ``plan`` -- coldest first, whole plans."""
+    """Fit ``nbytes`` more under the cap, releasing only plans strictly
+    colder than ``plan`` (:meth:`_Entry.heat`: launched less often, or gone
+    idle) -- coldest first, whole plans."""
     over = _plan_bytes + nbytes - PLAN_BYTE_CAP
     if over <= 0:
         return True
-    mine = plan.entry.launches
+    mine = plan.entry.heat()
     colder = sorted(
-        (p for p in _RESIDENT if p is not plan and p.entry.launches < mine),
-        key=lambda p: p.entry.launches,
+        (p for p in _RESIDENT if p is not plan and p.entry.heat() < mine),
+        key=lambda p: p.entry.heat(),
     )
     chosen = []
     for victim in colder:
@@ -510,21 +553,37 @@ def _block_local(flat: np.ndarray, size: int, nsb: int, ssize: int):
     return local if np.array_equal(rows, local + offsets) else None
 
 
+def _take(buf, idx, out):
+    """``buf.take(idx)`` into ``out`` when there is one.  ``idx`` is already
+    in range, and ``mode="clip"`` is what lets ``take`` write ``out``
+    directly (under the default it gathers into a buffer of its own first)."""
+    if out is None:
+        return buf.take(idx)
+    return buf.take(idx, None, out, "clip")
+
+
+def _copy(view, out):
+    if out is None:
+        return view.copy()
+    np.copyto(out, view)
+    return out
+
+
 def _gather_site(plan: _Plan, key, flat, size: int, nsb: int, ssize: int) -> _Site:
     """The cheapest stored form that reproduces ``buf.take(flat)`` element
     for element, decided by looking at the resolved index ``flat``: a
     slice, a shift of the site's first loop iteration, a run list, a
     per-block index (shared memory, ``nsb`` blocks of ``ssize``), or --
     always correct -- the index itself as intp (never int32: ``take`` walks
-    it 1.5-5x slower).  Every load returns a fresh array."""
+    it 1.5-5x slower).  Every load returns a fresh array, or ``out``."""
     flat = np.asarray(flat)
     n = flat.size
     if flat.ndim != 1 or n == 0:
         idx = flat.astype(np.intp)
-        return _Site("index", lambda buf: buf.take(idx), (idx,))
+        return _Site("index", lambda buf, out=None: _take(buf, idx, out), (idx,))
     where = _as_slice(flat, size)
     if where is not None:
-        return _Site("slice", lambda buf: buf[where].copy())
+        return _Site("slice", lambda buf, out=None: _copy(buf[where], out))
     # A site inside loops: iterations after the first are often the first
     # one moved by a constant (``tk*16 + tx``), and then share its index.
     first = plan.bases.get(key[0]) if isinstance(key, tuple) else None
@@ -541,8 +600,9 @@ def _gather_site(plan: _Plan, key, flat, size: int, nsb: int, ssize: int) -> _Si
     runs = _as_runs(flat, size) if n >= _RUNS_PAY * 2 else None
     if runs is not None and n >= _RUNS_PAY * len(runs):
 
-        def load_runs(buf):
-            out = np.empty(n, dtype=buf.dtype)
+        def load_runs(buf, out=None):
+            if out is None:
+                out = np.empty(n, dtype=buf.dtype)
             for lanes, source in runs:
                 out[lanes] = buf[source]
             return out
@@ -555,7 +615,15 @@ def _gather_site(plan: _Plan, key, flat, size: int, nsb: int, ssize: int) -> _Si
         plan.bases[key[0]] = (blocked, idx, int(idx.max()))
     cols = _as_slice(idx, ssize) if blocked else None
     if cols is not None:
-        return _Site("block", lambda buf: buf.reshape(nsb, ssize)[:, cols].copy().reshape(-1))
+
+        def load_block(buf, out=None):
+            rows = buf.reshape(nsb, ssize)[:, cols]
+            if out is None:
+                return rows.copy().reshape(-1)
+            np.copyto(out.reshape(rows.shape), rows)
+            return out
+
+        return _Site("block", load_block)
     return _index_site("block" if blocked else "index", idx, 0, blocked, nsb, ssize)
 
 
@@ -563,12 +631,16 @@ def _index_site(form: str, idx, shift: int, blocked: bool, nsb: int, ssize: int)
     """A gather through the stored intp index ``idx`` moved by ``shift``:
     into the flat buffer, or into every block's row of it."""
     if blocked:
-        return _Site(
-            form,
-            lambda buf: buf.reshape(nsb, ssize)[:, shift:].take(idx, axis=1).reshape(-1),
-            (idx,),
-        )
-    return _Site(form, lambda buf: buf[shift:].take(idx), (idx,))
+
+        def load_rows(buf, out=None):
+            rows = buf.reshape(nsb, ssize)[:, shift:]
+            if out is None:
+                return rows.take(idx, axis=1).reshape(-1)
+            rows.take(idx, 1, out.reshape(nsb, idx.size), "clip")
+            return out
+
+        return _Site(form, load_rows, (idx,))
+    return _Site(form, lambda buf, out=None: _take(buf[shift:], idx, out), (idx,))
 
 
 def _store_value(buf, value, T: int):
@@ -713,21 +785,25 @@ def resolve_index(idx, size, live, bc: bool, fname: str, aname: str):
     return np.clip(idx_arr, 0, max(size - 1, 0))
 
 
-def load_global(buf, idx, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None):
-    """``array[index]`` on a flat global/constant buffer (``_eval_load``).
+def load_global(
+    buf, idx, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None, out=None
+):
+    """``array[index]`` on a flat global/constant buffer (``_eval_load``),
+    into the workspace slot ``out`` when the kernel passes one.
 
     ``take``, not ``buf[...]``: the same elements, but fancy indexing walks
     an int32 index — what ``i32`` arithmetic produces — through a generic
     casting path at 2-3x the cost on the grids served here."""
     flat_idx = resolve_index(idx, buf.size, live, bc, fname, aname)
-    value = buf.take(flat_idx)
+    value = _take(buf, flat_idx, out)
     if not plan.dead:
         _offer_site(plan, key, _gather_site(plan, key, flat_idx, buf.size, 0, 0))
     return value
 
 
 def load_table(
-    buf, idx, entries, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None
+    buf, idx, entries, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None,
+    out=None,
 ):
     """Gather from a lookup table whose index the lowering *proved* to
     lie in ``[0, entries - 1]`` (interval analysis over the memoization
@@ -739,8 +815,8 @@ def load_table(
     caller binding a table smaller than the proof assumed falls back to
     the exact interpreter path (clamp + optional bounds check)."""
     if buf.size < entries:
-        return load_global(buf, idx, live, bc, fname, aname, plan, key)
-    value = buf.take(idx)
+        return load_global(buf, idx, live, bc, fname, aname, plan, key, out)
+    value = _take(buf, idx, out)
     if not plan.dead:
         _offer_site(plan, key, _gather_site(plan, key, idx, buf.size, 0, 0))
     return value
@@ -753,11 +829,11 @@ def _shared_index(size, idx, bids, live, bc: bool, fname: str, aname: str):
 
 def load_shared(
     buf, size, idx, bids, live, bc: bool, fname: str, aname: str,
-    plan=NO_PLAN, key=None, nsb: int = 0,
+    plan=NO_PLAN, key=None, nsb: int = 0, out=None,
 ):
     """``shared[index]``."""
     flat_idx = _shared_index(size, idx, bids, live, bc, fname, aname)
-    value = buf.take(flat_idx)
+    value = _take(buf, flat_idx, out)
     if not plan.dead:
         _offer_site(plan, key, _gather_site(plan, key, flat_idx, buf.size, nsb, size))
     return value
@@ -840,6 +916,112 @@ def _atomic_update(buf, fi, val, op: str) -> None:
         _ATOMIC_UFUNCS[op].at(buf, fi, val)
 
 
+# ---------------------------------------------------------------- workspace
+#
+# A compiled function computes its array temporaries into numbered *slots*
+# -- ``np.add(a, b, out=_w3)`` -- that the lowering assigned by liveness
+# (docs/CODEGEN.md, "Workspace and liveness").  The slots of one generated
+# module (the kernel's, then each device function's frame above it) are
+# views carved from one per-thread arena: no grid-sized allocation, no page
+# fault and no cold cache line on a warm launch.  Nothing from the arena is
+# visible outside the launch: stores copy, and plans hold only what was
+# computed outside it.
+
+#: Bytes one thread's arena may grow to.  A launch whose slots need more
+#: gets fresh arrays instead (and counts as a ``workspace_overflow``).
+WORKSPACE_BYTE_CAP = 16 << 20
+#: Slots start on cache-line boundaries: a ufunc writing a 16-byte-aligned
+#: ``out`` ran 1.5x slower here than into a 64-byte-aligned one.
+_SLOT_ALIGN = 64
+#: (layout, T) view tuples one thread keeps.
+_VIEWS_MAX = 64
+
+_LAYOUT_IDS = itertools.count()
+
+
+class Layout:
+    """The slots of one generated module: a dtype each, numbered as the
+    source names them (``_w0`` ...)."""
+
+    __slots__ = ("dtypes", "key")
+
+    def __init__(self, dtype_names) -> None:
+        self.dtypes = tuple(np.dtype(name) for name in dtype_names)
+        self.key = next(_LAYOUT_IDS)  # never reused, unlike id()
+
+
+class _Arena:
+    """One thread's workspace: a byte buffer grown to the largest need seen
+    (up to the cap) and the slot views carved from it, per (layout, T)."""
+
+    __slots__ = ("buf", "views", "held", "__weakref__")
+
+    def __init__(self) -> None:
+        self.buf = np.empty(0, dtype=np.uint8)
+        self.views: Dict[Tuple[int, int], tuple] = {}
+        # What ``workspace_bytes`` counts for this arena; handed back when
+        # the thread (and with it the arena) goes.
+        self.held = [0]
+        weakref.finalize(self, _arena_freed, self.held)
+
+
+_LOCAL = threading.local()
+
+
+def _arena() -> _Arena:
+    try:
+        return _LOCAL.arena
+    except AttributeError:
+        arena = _LOCAL.arena = _Arena()
+        return arena
+
+
+def _arena_freed(held: list) -> None:
+    STATS.inc("workspace_bytes", -held[0])
+
+
+def frame(layout: Layout, T: int) -> tuple:
+    """The slot views of one launch of ``layout`` over ``T`` lanes, from the
+    calling thread's arena.  Their contents are whatever the last launch
+    left: generated code writes a slot before it reads it."""
+    arena = _arena()
+    views = arena.views.get((layout.key, T))
+    if views is None:
+        views = _carve(arena, layout, T)
+    return views
+
+
+def _carve(arena: _Arena, layout: Layout, T: int) -> tuple:
+    sizes = [-(-T * dtype.itemsize // _SLOT_ALIGN) * _SLOT_ALIGN for dtype in layout.dtypes]
+    need = sum(sizes)
+    if need > WORKSPACE_BYTE_CAP:
+        STATS.inc("workspace_overflows")
+        return tuple(np.empty(T, dtype=dtype) for dtype in layout.dtypes)
+    if need + _SLOT_ALIGN > arena.buf.size:
+        # Views of the old buffer die with it; a launch never grows the
+        # arena while another one on this thread is using it.
+        arena.views.clear()
+        arena.buf = np.empty(need + _SLOT_ALIGN, dtype=np.uint8)
+        STATS.inc("workspace_bytes", arena.buf.size - arena.held[0])
+        arena.held[0] = arena.buf.size
+    elif len(arena.views) >= _VIEWS_MAX:
+        arena.views.clear()
+    offset = -arena.buf.ctypes.data % _SLOT_ALIGN
+    views = []
+    for dtype, size in zip(layout.dtypes, sizes):
+        views.append(arena.buf[offset : offset + T * dtype.itemsize].view(dtype))
+        offset += size
+    views = arena.views[layout.key, T] = tuple(views)
+    return views
+
+
+def scribble_workspace() -> None:
+    """Fill the calling thread's arena with 0xA5 (tests, and the
+    conformance runner between launches): a slot read before it is written
+    then shows up as a wrong answer instead of a stale right one."""
+    _arena().buf.fill(0xA5)
+
+
 # -------------------------------------------------------------------- loops
 
 
@@ -890,6 +1072,19 @@ def device_result(ret, fname: str):
     if ret is None:
         raise ExecutionError(f"device function {fname} did not return")
     return ret
+
+
+def returned(out, value):
+    """A device function's return value that may be one of its parameters
+    or live in its frame: handed to the caller in the slot it passed
+    (``out``), or as a copy.  A callee never returns a view the caller -- or
+    its own next activation -- could overwrite."""
+    if np.ndim(value) == 0:
+        return value
+    if out is None:
+        return value.copy()
+    np.copyto(out, value)
+    return out
 
 
 def copy_retm(retm):

@@ -38,6 +38,7 @@ from ._options import LaunchOptions, options
 from .approx.compiler import Paraprox
 from .apps.registry import APP_CLASSES, make_app
 from .codegen.cache import clear_cache
+from .codegen.runtime import scribble_workspace
 from .device import DeviceKind, spec_for
 from .engine.interpreter import flush_fusion, launch
 from .engine.launch import resolve_kernel
@@ -285,7 +286,11 @@ def run_cell(subject: Subject, cell: Cell, session=None) -> Outcome:
 
 #: Launches of a fault-free serial codegen cell: one that does not plan, one
 #: that builds the kernels' address plans, one that reads them.  Under the
-#: second-launch rule a single launch would never execute a plan hit.
+#: second-launch rule a single launch would never execute a plan hit.  A
+#: launch on the calling thread (serial, not through a front-end) starts over
+#: a scribbled workspace: a compiled kernel that read a slot before writing
+#: it would answer differently from the interpreter.  Dispatcher and shard
+#: worker threads have arenas of their own, which nothing here scribbles.
 PLANNED_LAUNCHES = 3
 
 
@@ -296,6 +301,7 @@ def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
     earlier: List[List[np.ndarray]] = []
     for _ in range(repeats):
         inputs = copy.deepcopy(subject.inputs)  # fresh outputs every launch
+        scribble_workspace()  # this thread's arena only
         if cell.via == "frontend":
             with ServeFrontend(options=cell.options()) as frontend:
                 output = frontend.submit_app(subject, inputs).result(timeout=120)

@@ -6,7 +6,9 @@ the layers a user debugging a mis-detected kernel needs to see:
 * ``list`` — the benchmark registry,
 * ``inspect <app>`` — kernel source (CUDA or OpenCL dialect), detected
   patterns, Eq.-1 cost estimates, and the approximate variants Paraprox
-  would generate with their knob settings,
+  would generate with their knob settings; ``--lowered`` adds the NumPy
+  source the codegen backend generates for the exact kernel and for each
+  variant, with its lowering detail string,
 * ``tune <app>`` — run the full pipeline and print the tuning frontier.
 """
 
@@ -19,6 +21,7 @@ from typing import List, Optional
 from .analysis.latency import cycles_needed
 from .apps import APP_CLASSES, make_app
 from .approx.compiler import Paraprox
+from .codegen import classify_lowering, lower_kernel
 from .device import DeviceKind, spec_for
 from .kernel.printer import print_function, print_module
 from .patterns import PatternDetector
@@ -38,6 +41,14 @@ def cmd_list(_args) -> int:
 
 def _device(args) -> DeviceKind:
     return DeviceKind.CPU if args.device == "cpu" else DeviceKind.GPU
+
+
+def _print_lowered(label: str, fn, module) -> None:
+    """The generated NumPy source of one kernel, as a launch would run it."""
+    mode, detail = classify_lowering(fn, module)
+    print(f"\n=== lowered: {label} -> {mode} ({detail}) ===")
+    if mode == "codegen":
+        print(lower_kernel(fn, module)[0].rstrip())
 
 
 def cmd_inspect(args) -> int:
@@ -83,6 +94,10 @@ def cmd_inspect(args) -> int:
         v = variant_set[0]
         print(f"\n=== rewritten kernel: {v.name} ({args.dialect}) ===")
         print(print_function(v.module[v.kernel], args.dialect))
+    if args.lowered:
+        _print_lowered(f"{app.kernel.fn.name} (exact)", app.kernel.fn, module)
+        for v in variant_set:
+            _print_lowered(v.name, v.module[v.kernel], v.module)
     return 0
 
 
@@ -120,6 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     inspect_p.add_argument("--dialect", choices=("cuda", "opencl"), default="cuda")
     inspect_p.add_argument(
         "--show-variant", action="store_true", help="print the first rewritten kernel"
+    )
+    inspect_p.add_argument(
+        "--lowered",
+        action="store_true",
+        help="print the generated NumPy source and lowering detail of the exact "
+        "kernel and of each variant",
     )
     inspect_p.set_defaults(func=cmd_inspect)
 

@@ -8,6 +8,7 @@ what it raises where it raises it, and the stored forms must reproduce
 ``buf.take(idx)`` / ``buf[idx] = v`` element for element.
 """
 
+import functools
 import sys
 import threading
 
@@ -94,19 +95,22 @@ def test_zoo_kernel_unplanned_building_and_hit_launches_match_the_interpreter(na
         assert compare(want, got) is None, f"launch {launch_no}"
 
 
-def _served_variant(app):
+@functools.lru_cache(maxsize=None)
+def served_variant(name):
+    """``(app, the variant a TOQ-0.9 session serves)`` -- tuned once for
+    this module and ``test_workspace``."""
+    app = make_app(name, seed=0)
     with ApproxSession(app, target_quality=0.9) as session:
         session.tune()
         for profile in session.tuning.profiles:
             if profile.name == session.current_variant:
-                return profile.variant
-    return None
+                return app, profile.variant
+    return app, None
 
 
 @pytest.mark.parametrize("name", sorted(APP_CLASSES))
 def test_app_exact_and_served_kernels_match_the_interpreter_on_every_launch(name):
-    app = make_app(name, seed=0)
-    served = _served_variant(app)
+    app, served = served_variant(name)
     clear_cache()  # tuning launched too: start the count from nothing
     for variant in (None, served) if served is not None else (None,):
         for launch_no in range(1, 5):
@@ -467,6 +471,41 @@ def test_a_plan_larger_than_the_cap_is_dropped_not_truncated(monkeypatch):
     args = [np.zeros(n, np.float32), np.arange(n, dtype=np.float32), n]
     want = _outcome(_gather_reversed, Grid.for_elements(n, 64), args, INTERP)
     assert compare(want, _outcome(_gather_reversed, Grid.for_elements(n, 64), args, CODEGEN)) is None
+
+
+def test_a_plan_that_went_idle_is_evicted_by_a_newcomer_launched_less_often(monkeypatch):
+    """Eviction ranks by launch count only while a key is in use: one that
+    sat out ``PLAN_IDLE_LAUNCHES`` launches of other keys is the coldest
+    there is, however hot it once was (a closed session, the early apps of
+    a sweep)."""
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 20_000)
+    hot = _launch_reversed(2048, times=1000)  # ~17 KB: one intp index array
+    assert hot.plan is not None and hot.launches == 1000
+    # the idle span: other keys launch, this one does not
+    for k in range(rt.PLAN_IDLE_LAUNCHES + 1):
+        launch(_reciprocal_of_scalar, Grid.for_elements(32),
+               [np.zeros(32, np.float32), np.ones(32, np.float32), np.float32(k % 3 + 1), 32],
+               options=CODEGEN)
+    assert hot.plan is not None  # nothing needed its room yet
+    cold = _launch_reversed(1024, times=50)  # 50 < 1000, and still it gets in
+    assert cold.plan is not None and cold.plan.complete and hot.plan is None
+    assert rt._plan_bytes <= 20_000 and stats_snapshot()["plan_bytes"] == rt._plan_bytes
+
+
+def test_a_plan_still_being_hit_is_not_aged_out(monkeypatch):
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 20_000)
+    monkeypatch.setattr(rt, "PLAN_IDLE_LAUNCHES", 64)
+    hot = _launch_reversed(2048, times=100)
+    grid = Grid.for_elements(32)
+    for k in range(300):  # far past the idle span in total, never in a row
+        launch(_reciprocal_of_scalar, grid,
+               [np.zeros(32, np.float32), np.ones(32, np.float32), np.float32(k % 3 + 1), 32],
+               options=CODEGEN)
+        if k % 40 == 0:
+            _launch_reversed(2048, times=1)
+    hot = _launch_reversed(2048, times=1)
+    cold = _launch_reversed(1024, times=50)
+    assert hot.plan is not None and cold.plan is None  # launched less often: stays out
 
 
 # ------------------------------------------------------------ geometry cache

@@ -122,6 +122,7 @@ class TestLowering:
         assert entry == f"_kernel_{fn.name}"
         assert set(info) == {
             "folded", "reassociated", "table_gathers", "cast_elisions", "planned_sites",
+            "slots", "merges_elided", "reused_exprs",
         }
         compile(source, "<test>", "exec")  # must be valid Python
         assert "np.errstate" in source

@@ -36,6 +36,15 @@ class TestInspectCommand:
         out = capsys.readouterr().out
         assert "rewritten kernel" in out and "_cse1" in out
 
+    def test_inspect_lowered_prints_generated_source_and_detail(self, capsys):
+        assert main(["inspect", "gaussian", "--lowered"]) == 0
+        out = capsys.readouterr().out
+        assert "=== lowered: gaussian_kernel (exact) -> codegen (" in out
+        assert "def _kernel_gaussian_kernel(_G, " in out
+        assert "def _kernel_gaussian_kernel__stencil_center_rd1(_G, " in out
+        assert "slots=" in out and "merges_elided=" in out and "reused_exprs=" in out
+        assert "out=_w0" in out
+
     def test_inspect_program_app(self, capsys):
         assert main(["inspect", "cumhist", "--scale", "0.01"]) == 0
         out = capsys.readouterr().out
