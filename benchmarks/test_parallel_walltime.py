@@ -12,16 +12,15 @@ containers skip — there is nothing to measure):
   not be slower than the serial warm-up (the variants profile
   concurrently); the measured ratio is printed for the record.
 
-Since address plans (docs/CODEGEN.md) a serial codegen launch may read its
-masks and resolved indices from a plan while a shard never does
-(docs/PARALLEL.md, "Shards run unplanned"), so the two sharded-vs-serial
-floors compare an unplanned sharded side with a serial side that plans
-whenever its plan fits.  At the 4M threads used here it does not: one
-branch mask is 4 MiB, the whole ``PLAN_BYTE_CAP``, so the plan is dropped
-and both sides run unplanned; shrink ``N`` and the serial side gets faster
-while the sharded side does not.  The floors were left as they are and
-were **not run** for that change: this module skips below 4 cores and the
-image it was written on has 2.
+Since address plans (docs/CODEGEN.md) a codegen launch may read its masks
+and resolved indices from a plan, and since shard views are cached a shard
+plans the same way (docs/PARALLEL.md, "Shards plan"), so both sides of the
+two sharded-vs-serial floors plan whenever their plan fits.  At the 4M
+threads used here the serial side's does not — one branch mask is 4 MiB,
+the whole ``PLAN_BYTE_CAP`` — while a quarter-grid shard's masks do, so the
+sharded side may read plans the serial side cannot keep.  The floors were
+left as they are and were **not run** for either change: this module skips
+below 4 cores and the image it was written on has 2.
 """
 
 import os

@@ -1318,6 +1318,9 @@ class _Emitter:
         key += [f"rt.scalar_key(v_{name})" for name in sorted(self._key_scalars)]
         self.lines[plan_line] = f"    _P, _g, _B = rt.plan(_G, ({', '.join(key)},))"
         self.emit(1, "if _B: rt.plan_built(_P)")
+        # What the shard lanes count as ``planned``: this launch computed
+        # no site.  (A kernel without sites returns None.)
+        self.emit(1, "return not _B")
 
     def finish(self) -> str:
         """The module's source, once every function is emitted: each

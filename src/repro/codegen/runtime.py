@@ -236,6 +236,8 @@ PLAN_BYTE_CAP = 4 << 20
 PLAN_MAX_RUNS = 8
 #: Keys one geometry remembers (seen once, or planned).
 _PLAN_KEYS_MAX = 128
+#: Shard views one geometry keeps: the spans of a few worker counts.
+_SHARD_VIEWS_MAX = 16
 #: Lanes per run below which ``take`` through an index beats a run list
 #: (0.3 us + 0.75 ns a lane, against 0.4 us a run).
 _RUNS_PAY = 512
@@ -251,18 +253,30 @@ PLAN_IDLE_LAUNCHES = 512
 _PLAN_LOCK = threading.Lock()
 _RESIDENT: set = set()
 _plan_bytes = 0
-#: The process-wide launch clock plans age on: one tick per :func:`plan`.
-_plan_clock = 0
+#: The process-wide launch clock plans age on: one tick per grid launched.
+#: A shard ticks its share of the grid's threads (:attr:`Geometry.share`), so
+#: a sharded launch ages the other keys as the serial launch would, not once
+#: per worker.
+_plan_clock = 0.0
 
 
-def _unlock_in_child() -> None:
+def _reset_in_child() -> None:
     """A shard worker forked while another thread resolved a site would
-    inherit the lock held, and wait on it for ever."""
-    global _PLAN_LOCK
+    inherit the lock held, and wait on it for ever.  It would also inherit
+    the parent's resident plans: full-grid plans a worker never launches,
+    counted against the cap that decides whether its shard plans fit.  The
+    geometries stay (their id arrays are what a worker would rebuild).
+    The ``plan_bytes`` gauge is left alone -- its lock may be held too."""
+    global _PLAN_LOCK, _plan_bytes
     _PLAN_LOCK = threading.Lock()
+    _RESIDENT.clear()
+    _plan_bytes = 0
+    for geo in _GEOMETRY_CACHE.values():
+        geo.plans = {}
+        geo.shards = {}
 
 
-os.register_at_fork(after_in_child=_unlock_in_child)
+os.register_at_fork(after_in_child=_reset_in_child)
 
 
 class _Entry:
@@ -270,19 +284,21 @@ class _Entry:
     when it last did (on the process-wide clock) and the plan it holds now,
     if any."""
 
-    __slots__ = ("launches", "last", "plan", "retry_at")
+    __slots__ = ("launches", "last", "plan", "need")
 
     def __init__(self) -> None:
         self.launches = 1
         self.last = _plan_clock
         self.plan: Optional["_Plan"] = None
-        self.retry_at = 2  # built on the second launch that shows the key
+        #: Bytes its plan had reached when it last left residency (did not
+        #: fit, or was evicted): the room a launch must find before it builds
+        #: again.  A lower bound -- a plan that did not fit was not finished.
+        self.need = 0
 
     def heat(self) -> int:
         """What eviction ranks by: the lifetime launch count while the key
         is in use, nothing once it has sat out :data:`PLAN_IDLE_LAUNCHES`
-        launches of other keys.  The count itself never decays -- the retry
-        back-off (``retry_at``) doubles against it."""
+        launches of other keys."""
         return self.launches if _plan_clock - self.last <= PLAN_IDLE_LAUNCHES else 0
 
 
@@ -304,8 +320,8 @@ class _Plan:
         self.entry = entry
 
 
-#: The plan of a launch that does not plan: first launch of a key, a shard
-#: view, a key whose plan did not fit.  Empty, and deaf to offers.
+#: The plan of a launch that does not plan: first launch of a key, or a key
+#: whose plan did not fit.  Empty, and deaf to offers.
 NO_PLAN = _Plan(None)
 
 
@@ -339,18 +355,16 @@ def plan(geo: "Geometry", key: tuple):
     site the launch will reach is already resolved."""
     global _plan_clock
     plans = geo.plans
-    current = NO_PLAN  # a shard view: built per launch, cached nowhere
-    if plans is not None:
-        _plan_clock += 1  # unlocked: a lost tick only ages a plan later
-        entry = plans.get(key)
-        if entry is not None:
-            entry.launches += 1
-            entry.last = _plan_clock
-            current = entry.plan
-            if current is not None:
-                STATS.inc("plan_hits")
-                return current, current.sites.get, not current.complete
-        current = _plan_miss(plans, key)
+    _plan_clock += geo.share  # unlocked: a lost tick only ages a plan later
+    entry = plans.get(key)
+    if entry is not None:
+        entry.launches += 1
+        entry.last = _plan_clock
+        current = entry.plan
+        if current is not None:
+            STATS.inc("plan_hits")
+            return current, current.sites.get, not current.complete
+    current = _plan_miss(plans, key)
     return current, current.sites.get, True
 
 
@@ -370,8 +384,8 @@ def _plan_miss(plans: Dict[tuple, _Entry], key: tuple) -> _Plan:
             return NO_PLAN
         if entry.plan is not None:
             return entry.plan
-        if entry.launches < entry.retry_at:
-            return NO_PLAN
+        if _victims(entry, entry.need) is None:
+            return NO_PLAN  # still no room for what it had reached last time
         started = entry.plan = _Plan(entry)
         _RESIDENT.add(started)
     STATS.inc("plan_builds")
@@ -396,34 +410,47 @@ def _release(plan: _Plan) -> None:
     entry = plan.entry
     if entry.plan is plan:
         entry.plan = None
-        entry.retry_at = 2 * entry.launches
+        entry.need = max(entry.need, plan.nbytes)
     STATS.inc("plan_evictions")
     STATS.inc("plan_bytes", -plan.nbytes)
 
 
-def _make_room(plan: _Plan, nbytes: int) -> bool:
-    """Fit ``nbytes`` more under the cap, releasing only plans strictly
-    colder than ``plan`` (:meth:`_Entry.heat`: launched less often, or gone
-    idle) -- coldest first, whole plans."""
+def _release_all(plans: Dict[tuple, _Entry]) -> None:
+    """Release what a geometry that is going away holds (caller holds the
+    lock)."""
+    for entry in plans.values():
+        if entry.plan is not None:
+            _release(entry.plan)
+
+
+def _victims(entry: _Entry, nbytes: int) -> Optional[list]:
+    """The resident plans to release so that ``nbytes`` more fit under the
+    cap, or None when that many cannot be freed (caller holds the lock).
+
+    Only plans at most half as hot as ``entry`` (:meth:`_Entry.heat`: launched
+    half as often, or gone idle) give way: keys launched about equally often
+    -- the exact programs behind several sessions' quality checks -- keep
+    what they hold instead of displacing one another each time one of them
+    is a launch ahead.  Whole plans, coldest first and among equally cold
+    the largest (fewest plans lost for the room): which plans go follows from
+    what is resident, never from the order a set iterates in or the order
+    the shards of one launch happened to start in."""
     over = _plan_bytes + nbytes - PLAN_BYTE_CAP
     if over <= 0:
-        return True
-    mine = plan.entry.heat()
-    colder = sorted(
-        (p for p in _RESIDENT if p is not plan and p.entry.heat() < mine),
-        key=lambda p: p.entry.heat(),
-    )
+        return []
+    if nbytes > PLAN_BYTE_CAP:
+        return None
+    mine = entry.heat()
     chosen = []
-    for victim in colder:
+    for victim in sorted(
+        (p for p in _RESIDENT if p.entry is not entry and 2 * p.entry.heat() <= mine),
+        key=lambda p: (p.entry.heat(), -p.nbytes),
+    ):
         chosen.append(victim)
         over -= victim.nbytes
         if over <= 0:
-            break
-    if over > 0:
-        return False
-    for victim in chosen:
-        _release(victim)
-    return True
+            return chosen
+    return None
 
 
 def _offer(plan: _Plan, key, value, arrays=(), form: str = "") -> None:
@@ -435,9 +462,13 @@ def _offer(plan: _Plan, key, value, arrays=(), form: str = "") -> None:
             return
         fresh = {id(a): a for a in arrays if id(a) not in plan.held}
         nbytes = _SITE_BYTES + sum(a.nbytes for a in fresh.values())
-        if not _make_room(plan, nbytes):
+        victims = _victims(plan.entry, nbytes)
+        if victims is None:
+            plan.entry.need = max(plan.entry.need, plan.nbytes + nbytes)
             _release(plan)
             return
+        for victim in victims:
+            _release(victim)
         for array in fresh.values():
             array.flags.writeable = False
         plan.held.update(fresh)
@@ -456,6 +487,7 @@ def drop_plans() -> None:
             _release(resident)
         for geo in _GEOMETRY_CACHE.values():
             geo.plans.clear()
+            geo.shards.clear()
 
 
 def plan_masks(plan: _Plan, key, cond, base, has_else: bool):
@@ -696,13 +728,15 @@ def _scatter_site(flat, size: int, live, T: int, nsb: int = 0, ssize: int = 0) -
             buf[where] = _store_value(buf, value, T)[pick]
 
         return _Site("slice", store_live_slice, held)
-    if fi.size and np.array_equal(fi, lanes):
-        # The index is the lane id: the live mask is the scatter.
-        m = min(T, size)
+    base = int(fi[0]) - int(lanes[0]) if fi.size else -1
+    if base >= 0 and np.array_equal(fi, lanes + base):
+        # The index is the lane id (past ``base``, where a shard that does
+        # not start at block 0 begins): the live mask is the scatter.
+        m = min(T, size - base)
         mask = live[:m]
 
         def store_mask(buf, value):
-            np.copyto(buf[:m], _store_value(buf, value, T)[:m], where=mask)
+            np.copyto(buf[base : base + m], _store_value(buf, value, T)[:m], where=mask)
 
         return _Site("mask", store_mask, (live,))
     idx = fi.astype(np.intp)
@@ -1101,7 +1135,10 @@ class Geometry:
     Mirrors the id construction in ``_Execution.__init__``; generated code
     only ever *reads* these arrays (every masked merge allocates a fresh
     array), so sharing one instance across launches is safe.  ``plans``
-    holds the address plans resolved over this grid, by plan key.
+    holds the address plans resolved over this grid, by plan key;
+    ``shards`` the sub-geometries sharded launches run on, by span;
+    ``share`` the part of a launch this geometry runs (1 unless a shard view),
+    which is what a launch on it advances the plan clock by.
     """
 
     __slots__ = (
@@ -1123,6 +1160,8 @@ class Geometry:
         "sbid",
         "nsb",
         "plans",
+        "shards",
+        "share",
     )
 
     def __init__(self, grid: Grid) -> None:
@@ -1149,19 +1188,36 @@ class Geometry:
         # identity and generated code can use them unconditionally.
         self.sbid = self.bid
         self.nsb = grid.blocks
-        self.plans: Optional[Dict[tuple, _Entry]] = {}
+        self.plans: Dict[tuple, _Entry] = {}
+        self.shards: Dict[Tuple[int, int, int], "Geometry"] = {}
+        self.share = 1.0
 
     def shard(self, b0: int, b1: int, block_threads: int) -> "Geometry":
-        """The sub-geometry covering blocks ``[b0, b1)``.
+        """The sub-geometry covering blocks ``[b0, b1)``, remembered here:
+        the launches of one span share one view, and with it the span's
+        address plans -- a view plans like any geometry, under the same cap.
+        At most :data:`_SHARD_VIEWS_MAX` spans are kept, oldest dropped
+        first, its plans released with it.
+        """
+        span = (b0, b1, block_threads)
+        view = self.shards.get(span)
+        if view is None:
+            with _PLAN_LOCK:
+                view = self.shards.get(span)
+                if view is None:
+                    while len(self.shards) >= _SHARD_VIEWS_MAX:
+                        _release_all(self.shards.pop(next(iter(self.shards))).plans)
+                    view = self.shards[span] = self._slice(*span)
+        return view
 
-        Blocks are contiguous in linear thread order (``bid = linear //
+    def _slice(self, b0: int, b1: int, block_threads: int) -> "Geometry":
+        """Blocks are contiguous in linear thread order (``bid = linear //
         block_threads``), so every per-thread array is a zero-copy slice
         of the parent's.  Grid-wide scalars (``bdim``/``gdim``/... and
         ``nbx``) keep their full-grid values: intrinsics must report the
         launch geometry, not the shard.  Only the shared-memory
         addressing pair (``sbid``/``nsb``) is rebased so each shard
-        allocates exactly its own blocks' shared storage.  A shard view is
-        built per launch and cached nowhere, so it carries no plans.
+        allocates exactly its own blocks' shared storage.
         """
         lo, hi = b0 * block_threads, b1 * block_threads
         geo = Geometry.__new__(Geometry)
@@ -1182,7 +1238,9 @@ class Geometry:
         geo.nbx = self.nbx
         geo.sbid = geo.bid - np.int32(b0)
         geo.nsb = b1 - b0
-        geo.plans = None
+        geo.plans = {}
+        geo.shards = {}  # never filled: a launch shards the full grid only
+        geo.share = geo.T / self.T
         return geo
 
 
@@ -1192,7 +1250,8 @@ _GEOMETRY_CACHE_MAX = 64
 
 def geometry(grid: Grid) -> Geometry:
     """The cached geometry of ``grid``, least recently launched evicted
-    first; an evicted geometry's plans leave the byte cap with it."""
+    first; an evicted geometry's plans, and its shard views', leave the
+    byte cap with it."""
     geo = _GEOMETRY_CACHE.get(grid)
     if geo is not None:
         try:
@@ -1205,8 +1264,7 @@ def geometry(grid: Grid) -> Geometry:
         if geo is None:
             while len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
                 _, old = _GEOMETRY_CACHE.popitem(last=False)
-                for entry in old.plans.values():
-                    if entry.plan is not None:
-                        _release(entry.plan)
+                for gone in (old, *old.shards.values()):
+                    _release_all(gone.plans)
             geo = _GEOMETRY_CACHE[grid] = Geometry(grid)
     return geo

@@ -284,19 +284,22 @@ def run_cell(subject: Subject, cell: Cell, session=None) -> Outcome:
     return outcome
 
 
-#: Launches of a fault-free serial codegen cell: one that does not plan, one
-#: that builds the kernels' address plans, one that reads them.  Under the
-#: second-launch rule a single launch would never execute a plan hit.  A
-#: launch on the calling thread (serial, not through a front-end) starts over
-#: a scribbled workspace: a compiled kernel that read a slot before writing
-#: it would answer differently from the interpreter.  Dispatcher and shard
-#: worker threads have arenas of their own, which nothing here scribbles.
+#: Launches of a fault-free codegen cell, serial or sharded on either
+#: executor: one that does not plan, one that builds the kernels' address
+#: plans (a shard's on its cached view, in the worker that runs it), one that
+#: reads them.  Under the second-launch rule a single launch would never
+#: execute a plan hit.  A launch on the calling thread (serial, not through a
+#: front-end) starts over a scribbled workspace: a compiled kernel that read
+#: a slot before writing it would answer differently from the interpreter.
+#: Dispatcher threads, shard threads and worker processes have arenas of
+#: their own, which nothing here scribbles: there a kernel runs over whatever
+#: its own earlier launches left.
 PLANNED_LAUNCHES = 3
 
 
 def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
     repeats = 1
-    if cell.backend == "codegen" and cell.workers == 1 and cell.fault is None:
+    if cell.backend == "codegen" and cell.fault is None:
         repeats = PLANNED_LAUNCHES
     earlier: List[List[np.ndarray]] = []
     for _ in range(repeats):

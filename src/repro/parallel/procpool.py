@@ -7,24 +7,39 @@ generated code, observer callbacks — serialize on the GIL no matter how
 many threads run.  This module provides the ``executor="process"`` lane:
 a long-lived pool of ``multiprocessing`` workers that each *recompile*
 the kernel from its (small, picklable) IR and execute sub-grids against
-arrays staged in :mod:`multiprocessing.shared_memory` segments, so the
-payload crossing the process boundary per launch is a few kilobytes of
-IR plus shard geometry — never the arrays.
+arrays staged in :mod:`multiprocessing.shared_memory` segments.  What the
+lane builds it keeps — segments, the workers' attachments to them, the
+workers' kernels — so the payload crossing the process boundary on a warm
+launch is a kernel key, the grid, shard spans, scalars and segment names:
+a few hundred bytes, never the arrays and not the IR.
 
 Execution protocol, per sharded launch:
 
 1. The parent stages every array argument into a shared-memory segment
-   (one copy in) and splits the block range with
+   (one copy in) taken from the pool's free list — segments come in
+   power-of-two size classes, named ``repro-<pid>-…``, and go back on the
+   list after the launch; the list is bounded, and what it holds is
+   unlinked at :func:`shutdown_process_pool` / exit (each segment is
+   registered with the resource tracker, so a parent that dies leaks
+   nothing).  The staged view spans the array exactly and is overwritten
+   whole, so whatever an earlier, larger array left behind it is never
+   read.  The block range is split with
    :func:`repro.parallel.shard.plan_shards`.
 2. Shards are assigned statically — shard ``i`` goes to worker
    ``i % W`` — and each worker receives *one* task message carrying the
-   kernel IR, the grid, its shard list and the segment names.  Workers
-   cache compiled kernels per-process (:func:`repro.codegen.get_compiled`
-   keys on the IR fingerprint), so recompilation happens once per
-   worker, not once per launch.
-3. Each worker runs the one shard body,
-   :func:`repro.parallel.shard.run_shard`, on its attached views, in
-   the mode the caller (:func:`repro.parallel.shard.run_sharded`) chose:
+   kernel's key ``(fingerprint, grid class, bounds_check)``, the grid,
+   its shard list and the segment names.  The IR rides along only the
+   first time a worker process is handed that key: it compiles
+   (:func:`repro.codegen.get_compiled`) and keeps the kernel in a table
+   of its own, so the unpickle, the fingerprint and the compile are paid
+   once per (worker process, kernel).  The parent's record of what a
+   worker was sent starts empty with every (re)spawn, so a task
+   re-submitted after its worker died carries the IR again.
+3. Each worker maps the segments by name — attachments are kept across
+   launches, bounded, least recently used closed first — and runs the
+   one shard body, :func:`repro.parallel.shard.run_shard`, on views of
+   them, in the mode the caller
+   (:func:`repro.parallel.shard.run_sharded`) chose:
 
    * ``direct`` (``Shardability.disjoint_writes``) — workers write the
      shared output segments in place; the parent copies each written
@@ -35,11 +50,17 @@ Execution protocol, per sharded launch:
      segment and their new values; the caller overlays them in ascending shard
      order, byte-exactly reproducing the serial store order.
 
+   A worker's shard views (:meth:`repro.codegen.runtime.Geometry.shard`)
+   are cached like the parent's, so its second launch of a span builds
+   the span's address plan and later ones read it.
+
 Containment mirrors the guarded thread lane and is *always on* here,
 because a worker process can genuinely die: the caller's buffers are
 never touched before every shard has succeeded, a worker that exits
 without reporting is respawned and its task re-submitted (a bounded
-number of times), and a wall-clock deadline terminates hung workers.
+number of times), and a wall-clock deadline terminates hung workers —
+before the launch returns its segments to the free list, so no process
+still running an abandoned task can write into a later launch's staging.
 Every unrecoverable outcome is raised (:class:`~repro.errors.ShardTimeout`,
 :class:`WorkerLost`) for ``run_sharded``'s bit-exact serial re-execution
 in the parent.  Kernel-raised exceptions (e.g. bounds checks) are not
@@ -60,9 +81,11 @@ import atexit
 import os
 import pickle
 import queue as queue_mod
+import secrets
 import threading
 import time
 import multiprocessing
+from collections import OrderedDict
 from multiprocessing import get_context, resource_tracker
 from multiprocessing import shared_memory as shm_mod
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -83,6 +106,13 @@ MAX_RESPAWNS_PER_TASK = 2
 
 #: Environment variable holding a worker-side fault directive.
 INJECT_ENV = "REPRO_PROC_INJECT"
+
+#: Smallest segment size class (a page); classes double from here.
+_SEGMENT_MIN_BYTES = 1 << 12
+#: Bytes of idle segments the parent's free list keeps, and bytes of
+#: attachments one worker keeps mapped.  A segment that does not fit is
+#: unlinked (parent) or closed (worker) as soon as its launch is over.
+_KEPT_BYTES_MAX = 64 << 20
 
 #: ``fork`` keeps worker start cheap and inherits the imported modules;
 #: platforms without it (Windows, macOS defaults notwithstanding) get
@@ -115,6 +145,9 @@ _FIELDS = {
     "deadline_timeouts": "launches that overran their deadline",
     "serial_reexecutions": "launches recomputed serially after containment",
     "shm_bytes": "bytes staged into shared-memory segments",
+    "segments_reused": "staged arrays that took a segment from the free list",
+    "kernels_sent": "task messages that carried a kernel's IR (first use by a "
+    "worker process, or a re-submission)",
 }
 
 
@@ -152,71 +185,89 @@ def _maybe_fault(b0: int) -> None:
         time.sleep(float(arg) if arg else 3600.0)
 
 
-def _attach_arrays(
-    arrays: Dict[str, Tuple[str, int, str]]
-) -> Tuple[Dict[str, np.ndarray], List[shm_mod.SharedMemory]]:
-    """Map the parent's segments into this worker as 1-D NumPy views."""
-    views: Dict[str, np.ndarray] = {}
-    segments: List[shm_mod.SharedMemory] = []
-    for name, (seg_name, length, dtype_str) in arrays.items():
-        # CPython registers *attached* segments with the resource tracker
-        # too (gh-82300).  Every worker shares the parent's tracker
-        # (_Worker.spawn starts it first), where that is a duplicate of
-        # the parent's own registration and its unlink clears it.
-        seg = shm_mod.SharedMemory(name=seg_name)
-        segments.append(seg)
-        views[name] = np.ndarray(length, dtype=np.dtype(dtype_str), buffer=seg.buf)
-    return views, segments
+class _Kept:
+    """What one worker process keeps between tasks: its compiled kernels,
+    by the key the parent names them with, and its mapped segments by
+    name, least recently used first."""
+
+    def __init__(self) -> None:
+        self.kernels: Dict[tuple, object] = {}
+        self.attached: "OrderedDict[str, shm_mod.SharedMemory]" = OrderedDict()
+
+    def attach(self, seg_name: str) -> shm_mod.SharedMemory:
+        """The parent's segment ``seg_name``, mapped into this worker once."""
+        seg = self.attached.get(seg_name)
+        if seg is None:
+            # CPython registers *attached* segments with the resource
+            # tracker too (gh-82300).  Every worker shares the parent's
+            # tracker (_Worker.spawn starts it first), where that is a
+            # duplicate of the parent's own registration and its unlink
+            # clears it.
+            seg = self.attached[seg_name] = shm_mod.SharedMemory(name=seg_name)
+        else:
+            self.attached.move_to_end(seg_name)
+        return seg
+
+    def trim(self) -> None:
+        """Close the least recently used attachments beyond the byte bound.
+        Only between tasks: a NumPy view does not keep its mapping alive."""
+        held = sum(seg.size for seg in self.attached.values())
+        while held > _KEPT_BYTES_MAX:
+            _, seg = self.attached.popitem(last=False)
+            held -= seg.size
+            seg.close()
 
 
-def _run_task(payload: dict) -> List[tuple]:
+def _run_task(payload: dict, kept: _Kept) -> List[tuple]:
     """Execute one worker task: all this worker's shards of one launch.
 
-    Returns one ``(b0, b1, start, end, diff)`` entry per shard:
+    Returns one ``(b0, b1, start, end, planned, diff)`` entry per shard:
     perf-counter stamps around :func:`repro.parallel.shard.run_shard`
-    and what it returned (None when the shard wrote the staged arrays in
-    place, per-array byte diffs otherwise).
+    and what it returned (whether the shard read a complete address plan;
+    None when it wrote the staged arrays in place, per-array byte diffs
+    otherwise).
     """
     from ..codegen.cache import get_compiled
     from ..codegen.runtime import geometry
     from .shard import run_shard
 
     grid = payload["grid"]
-    compiled = get_compiled(
-        payload["fn"], payload["module"], grid, payload["bounds_check"]
-    )
+    ir = payload.get("ir")
+    if ir is not None:
+        kept.kernels[payload["kernel"]] = get_compiled(*ir, grid, payload["kernel"][2])
+    compiled = kept.kernels[payload["kernel"]]
     geo = geometry(grid)
-    views, segments = _attach_arrays(payload["arrays"])
+    values = dict(payload["scalars"])
     try:
-        values = dict(payload["scalars"])
-        values.update(views)
+        for name, (seg_name, length, dtype_str) in payload["arrays"].items():
+            values[name] = np.ndarray(
+                length, dtype=np.dtype(dtype_str), buffer=kept.attach(seg_name).buf
+            )
         shards: List[tuple] = []
         for b0, b1 in payload["shards"]:
             _maybe_fault(b0)
             start = time.perf_counter()
-            diff = run_shard(
+            planned, diff = run_shard(
                 compiled, geo, grid.block_threads, values, (b0, b1),
                 payload["private"],
             )
-            shards.append((b0, b1, start, time.perf_counter(), diff))
+            shards.append((b0, b1, start, time.perf_counter(), planned, diff))
         return shards
     finally:
-        # Views must be dropped before the segments close: an exported
-        # buffer keeps SharedMemory.close() from releasing the mapping.
-        del views, values
-        for seg in segments:
-            seg.close()
+        del values
+        kept.trim()
 
 
 def _worker_main(worker_id: int, task_q, result_q) -> None:
     """Worker loop: take one task message, run it, report, repeat."""
+    kept = _Kept()
     while True:
         item = task_q.get()
         if item is None:
             return
         epoch, task_id, payload = item
         try:
-            result_q.put(("ok", epoch, task_id, _run_task(payload)))
+            result_q.put(("ok", epoch, task_id, _run_task(payload, kept)))
         except BaseException as exc:  # noqa: BLE001 - must report, not die
             b0 = payload["shards"][0][0] if payload["shards"] else -1
             failing = getattr(exc, "_proc_b0", b0)
@@ -231,10 +282,12 @@ def _worker_main(worker_id: int, task_q, result_q) -> None:
 
 
 class _Worker:
-    """One pool slot: a process plus its private task queue.
+    """One pool slot: a process, its private task queue and the kernel
+    keys whose IR that process has been sent.
 
-    A respawn replaces both — a worker killed mid-``get`` can leave its
-    queue's feeder state inconsistent, so the replacement starts clean.
+    A respawn replaces all three — a worker killed mid-``get`` can leave
+    its queue's feeder state inconsistent, and the new process knows no
+    kernel, so the replacement starts clean.
     """
 
     def __init__(self, ctx, worker_id: int, result_q) -> None:
@@ -243,6 +296,7 @@ class _Worker:
         self.result_q = result_q
         self.task_q = None
         self.process = None
+        self.sent: set = set()
         self.spawn()
 
     def spawn(self) -> None:
@@ -250,6 +304,7 @@ class _Worker:
         # would launch a tracker of its own on first attach, and that
         # one unlinks the parent's segments when the worker exits.
         resource_tracker.ensure_running()
+        self.sent = set()
         self.task_q = self.ctx.Queue()
         self.process = self.ctx.Process(
             target=_worker_main,
@@ -268,7 +323,13 @@ class _Worker:
         self.spawn()
         STATS.inc("workers_replaced")
 
-    def submit(self, epoch: int, task_id: int, payload: dict) -> None:
+    def submit(self, epoch: int, task_id: int, payload: dict, ir: tuple) -> None:
+        """Queue one task; ``ir`` (``(fn, module)``) goes with it only if
+        this process has not been sent the payload's kernel yet."""
+        if payload["kernel"] not in self.sent:
+            self.sent.add(payload["kernel"])
+            payload = dict(payload, ir=ir)
+            STATS.inc("kernels_sent")
         self.task_q.put((epoch, task_id, payload))
 
     def terminate(self) -> None:
@@ -292,6 +353,58 @@ class _Worker:
         self.terminate()
 
 
+class _SegmentList:
+    """The parent's staging segments: idle ones wait on a free list per
+    size class (powers of two), up to :data:`_KEPT_BYTES_MAX` in all."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.free: Dict[int, List[shm_mod.SharedMemory]] = {}
+        self.free_bytes = 0
+        self.closed = False
+
+    def take(self, nbytes: int) -> shm_mod.SharedMemory:
+        """A segment of at least ``nbytes``: an idle one, else a new one."""
+        size = max(_SEGMENT_MIN_BYTES, 1 << (nbytes - 1).bit_length())
+        with self.lock:
+            idle = self.free.get(size)
+            if idle:
+                self.free_bytes -= size
+                STATS.inc("segments_reused")
+                return idle.pop()
+        # The pid makes a process's segments recognisable in /dev/shm.
+        name = f"repro-{os.getpid()}-{secrets.token_hex(6)}"
+        return shm_mod.SharedMemory(name=name, create=True, size=size)
+
+    def give(self, seg: shm_mod.SharedMemory) -> None:
+        """Back on the free list, or unlinked if the list is full (or the
+        pool was shut down while the launch ran).  No view of ``seg`` may
+        be in use: a NumPy view does not keep an unlinked mapping alive."""
+        with self.lock:
+            if not self.closed and self.free_bytes + seg.size <= _KEPT_BYTES_MAX:
+                self.free.setdefault(seg.size, []).append(seg)
+                self.free_bytes += seg.size
+                return
+        _unlink(seg)
+
+    def close(self) -> None:
+        with self.lock:
+            self.closed = True
+            idle = [seg for segs in self.free.values() for seg in segs]
+            self.free.clear()
+            self.free_bytes = 0
+        for seg in idle:
+            _unlink(seg)
+
+
+def _unlink(seg: shm_mod.SharedMemory) -> None:
+    try:
+        seg.close()
+        seg.unlink()
+    except FileNotFoundError:  # pragma: no cover - already unlinked
+        pass
+
+
 class ProcessShardPool:
     """A fixed set of worker processes executing shard tasks.
 
@@ -309,6 +422,7 @@ class ProcessShardPool:
             _Worker(self.ctx, i, self.result_q) for i in range(workers)
         ]
         self.lock = threading.Lock()
+        self.segments = _SegmentList()
         self._epoch = 0
 
     @property
@@ -323,19 +437,24 @@ class ProcessShardPool:
                 )
 
     def shutdown(self) -> None:
+        """Stop the workers, then unlink the idle segments (a launch still
+        running unlinks its own when it ends)."""
         with self.lock:
             for worker in self.workers:
                 worker.stop()
             self.workers = []
+        self.segments.close()
 
     # -- one launch ---------------------------------------------------------
 
     def run_tasks(
         self,
         payloads: Dict[int, dict],
+        ir: tuple,
         deadline_seconds: float,
     ) -> Dict[int, List[tuple]]:
-        """Run one task per worker index; gather every result.
+        """Run one task per worker index; gather every result.  ``ir`` is
+        the ``(fn, module)`` of the kernel every payload names.
 
         Returns ``{task_id: shard entries}`` (see :func:`_run_task`) on
         full success.  Raises
@@ -359,7 +478,7 @@ class ProcessShardPool:
                 worker = self.workers[task_id % len(self.workers)]
                 if not worker.alive():
                     worker.respawn()
-                worker.submit(epoch, task_id, payload)
+                worker.submit(epoch, task_id, payload, ir)
                 outstanding[task_id] = task_id % len(self.workers)
                 STATS.inc("tasks")
 
@@ -393,7 +512,7 @@ class ProcessShardPool:
                                 f"process shard task {task_id} lost its "
                                 f"worker {respawns[task_id]} times"
                             )
-                        worker.submit(epoch, task_id, payloads[task_id])
+                        worker.submit(epoch, task_id, payloads[task_id], ir)
                     continue
                 kind, msg_epoch, task_id = msg[0], msg[1], msg[2]
                 if msg_epoch != epoch or task_id not in outstanding:
@@ -442,46 +561,35 @@ atexit.register(shutdown_process_pool)
 
 
 def _stage_arrays(
-    bound: Dict[str, object], param_names: List[str]
-) -> Tuple[
-    Dict[str, Tuple[str, int, str]],
-    Dict[str, object],
-    Dict[str, np.ndarray],
-    List[shm_mod.SharedMemory],
-]:
-    """Copy array arguments into fresh shared-memory segments.
+    segments: _SegmentList,
+    bound: Dict[str, object],
+    param_names: List[str],
+    views: Dict[str, np.ndarray],
+    taken: List[shm_mod.SharedMemory],
+) -> Tuple[Dict[str, Tuple[str, int, str]], Dict[str, object]]:
+    """Copy array arguments into shared-memory segments from ``segments``.
 
-    Returns ``(array_specs, scalars, staged_views, segments)``; the
-    views alias the segments and must be dropped before the segments are
-    closed and unlinked.
+    Returns ``(array_specs, scalars)`` and fills ``views`` (the staged
+    arrays) and ``taken`` (their segments, the caller's to give back even
+    if staging fails half way).  Each view spans its array exactly — a
+    reused segment may be larger and hold an earlier launch's bytes past
+    it — and must be dropped before its segment is given back.
     """
     specs: Dict[str, Tuple[str, int, str]] = {}
     scalars: Dict[str, object] = {}
-    views: Dict[str, np.ndarray] = {}
-    segments: List[shm_mod.SharedMemory] = []
     for name in param_names:
         value = bound[name]
         if not isinstance(value, np.ndarray):
             scalars[name] = value
             continue
-        seg = shm_mod.SharedMemory(create=True, size=max(1, value.nbytes))
-        segments.append(seg)
+        seg = segments.take(value.nbytes)
+        taken.append(seg)
         view = np.ndarray(value.size, dtype=value.dtype, buffer=seg.buf)
         view[...] = value
         views[name] = view
         specs[name] = (seg.name, value.size, value.dtype.str)
         STATS.inc("shm_bytes", value.nbytes)
-    return specs, scalars, views, segments
-
-
-def _release(views: Dict[str, np.ndarray], segments) -> None:
-    views.clear()
-    for seg in segments:
-        try:
-            seg.close()
-            seg.unlink()
-        except FileNotFoundError:  # pragma: no cover - already unlinked
-            pass
+    return specs, scalars
 
 
 # ------------------------------------------------------------- execution
@@ -498,9 +606,10 @@ def run_shards(
     written: Sequence[str],
     direct: bool,
     deadline_seconds: float,
-) -> List[Optional[dict]]:
+) -> List[Tuple[bool, Optional[dict]]]:
     """The process transport: run the shard body over ``plan`` on the
-    worker processes and return its results in plan order, or raise.
+    worker processes and return what it returned
+    (:func:`repro.parallel.shard.run_shard`) in plan order, or raise.
 
     Workers run against staged shared-memory copies of ``bound``; the
     caller's buffers are only written here, after every shard has
@@ -509,20 +618,23 @@ def run_shards(
     against private copies of them and the returned per-shard diffs are
     the caller's to assemble.  Raises the lowest-shard kernel exception,
     :class:`~repro.errors.ShardTimeout` or :class:`WorkerLost` (see
-    :meth:`ProcessShardPool.run_tasks`).
+    :meth:`ProcessShardPool.run_tasks`) — by then no worker is running a
+    shard of this launch, so its segments are free to be reused.
     """
     mode = "direct" if direct else "diff"
     pool = get_process_pool(workers)
     count = min(workers, pool.size, len(plan))
 
-    specs, scalars, views, segments = _stage_arrays(bound, compiled.param_names)
+    views: Dict[str, np.ndarray] = {}
+    taken: List[shm_mod.SharedMemory] = []
     try:
+        specs, scalars = _stage_arrays(
+            pool.segments, bound, compiled.param_names, views, taken
+        )
         payloads: Dict[int, dict] = {
             widx: {
-                "fn": fn,
-                "module": module,
+                "kernel": (compiled.fingerprint, compiled.grid_class, compiled.bounds_check),
                 "grid": grid,
-                "bounds_check": compiled.bounds_check,
                 "shards": [plan[i] for i in range(widx, len(plan), count)],
                 "arrays": specs,
                 "scalars": scalars,
@@ -537,9 +649,9 @@ def run_shards(
             workers=count,
             shards=len(plan),
         ):
-            results = pool.run_tasks(payloads, deadline_seconds)
+            results = pool.run_tasks(payloads, (fn, module), deadline_seconds)
             for task_id in sorted(results):
-                for b0, b1, start, end, _diff in results[task_id]:
+                for b0, b1, start, end, planned, _diff in results[task_id]:
                     obs_trace.emit_span(
                         "proc.shard",
                         start,
@@ -547,6 +659,7 @@ def run_shards(
                         kernel=compiled.fn_name,
                         blocks=f"{b0}:{b1}",
                         mode=mode,
+                        planned=planned,
                         worker=task_id,
                     )
             if direct:
@@ -560,6 +673,8 @@ def run_shards(
         STATS.inc("shards_run", len(shards))
         STATS.inc("launches")
         STATS.inc(mode)
-        return [diff for _b0, _b1, _start, _end, diff in shards]
+        return [(planned, diff) for *_stamps, planned, diff in shards]
     finally:
-        _release(views, segments)
+        views.clear()
+        for seg in taken:
+            pool.segments.give(seg)

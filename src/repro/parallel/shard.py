@@ -5,13 +5,16 @@ When the shardability analysis (:mod:`repro.parallel.analysis`) proves
 blocks independent, the launch can instead split the *block* range into
 per-worker sub-grids — blocks are contiguous in linear thread order, so
 each shard's geometry is a zero-copy slice of the full grid's
-(:meth:`repro.codegen.runtime.Geometry.shard`).
+(:meth:`repro.codegen.runtime.Geometry.shard`), cached on it by span: a
+shard runs the kernel a serial launch runs, address plans included, and
+from its third launch a span reads its plan.
 
 This module owns the sharded launch, once, for both executors:
 
 * the **shard body** (:func:`run_shard`) — run blocks ``b0:b1`` either in
   place or against private copies of the written arrays, returning in
-  the private case the bytes that changed;
+  the private case the bytes that changed, and whether the launch read
+  a complete address plan;
 * the **mode decision** — ``direct`` (shards write in place, nothing to
   assemble) iff every global store is provably thread- or block-private
   (``Shardability.disjoint_writes``) *and* a failed or hung worker
@@ -74,6 +77,7 @@ _FIELDS = {
     "overlay": "sharded launches assembled copy+overlay",
     "serial_unshardable": "launches kept serial by the shardability analysis",
     "serial_small_grid": "launches kept serial below the shard threshold",
+    "planned": "shards that read a complete address plan (of shards_run)",
 }
 
 #: Process-wide sharding counters (``repro_shard_*`` registry series).
@@ -115,12 +119,14 @@ def run_shard(
     values: Dict[str, object],
     span: Tuple[int, int],
     private: Sequence[str],
-) -> Optional[ShardDiff]:
+) -> Tuple[bool, Optional[ShardDiff]]:
     """The shard body: run blocks ``span`` of ``compiled`` over ``values``.
+    Returns ``(planned, diff)``; ``planned`` says the kernel computed none
+    of its launch-invariant sites, it read them all from the span's plan.
 
     With ``private`` empty the kernel writes ``values`` in place and
-    None is returned.  Otherwise the arrays named in ``private`` are
-    copied first, the kernel writes the copies, and the result is what
+    ``diff`` is None.  Otherwise the arrays named in ``private`` are
+    copied first, the kernel writes the copies, and ``diff`` is what
     changed: per array, a mask of the bytes that differ from ``values``
     — which nothing writes before assembly, so it is the pristine
     snapshot — and the new bytes under it.  (A mask, not an index list:
@@ -128,19 +134,20 @@ def run_shard(
     and the pickled diff larger than the array.)
     """
     shard_geo = geo.shard(span[0], span[1], block_threads)
-    if not private:
-        compiled.entry(shard_geo, *[values[name] for name in compiled.param_names])
-        return None
     local = dict(values)
     for name in private:
         local[name] = values[name].copy()
-    compiled.entry(shard_geo, *[local[name] for name in compiled.param_names])
+    planned = bool(
+        compiled.entry(shard_geo, *[local[name] for name in compiled.param_names])
+    )
+    if not private:
+        return planned, None
     diff: ShardDiff = {}
     for name in private:
         mine = local[name].view(np.uint8)
         changed = mine != values[name].view(np.uint8)
         diff[name] = (changed, mine[changed])
-    return diff
+    return planned, diff
 
 
 def apply_diffs(bound: Dict[str, object], diffs: Sequence[ShardDiff]) -> None:
@@ -189,7 +196,7 @@ def run_sharded(
                 if guarded
                 else procpool.DEFAULT_DEADLINE_SECONDS
             )
-            diffs = procpool.run_shards(
+            results = procpool.run_shards(
                 fn, module, compiled, grid, bound, plan, workers,
                 analysis.written_arrays, direct, deadline,
             )
@@ -197,26 +204,28 @@ def run_sharded(
             geo = geometry(grid)
             mode = "direct" if direct else "overlay"
 
-            def on_thread(span: Tuple[int, int]) -> Optional[ShardDiff]:
+            def on_thread(span: Tuple[int, int]) -> Tuple[bool, Optional[ShardDiff]]:
                 with obs_trace.span(
                     "shard.run",
                     kernel=compiled.fn_name,
                     blocks=f"{span[0]}:{span[1]}",
                     mode=mode,
-                ):
+                ) as traced:
                     if guarded:
                         maybe_inject(
                             SITE_WORKER, f"{compiled.fn_name}:{span[0]}-{span[1]}"
                         )
-                    return run_shard(
+                    result = run_shard(
                         compiled, geo, grid.block_threads, bound, span, private
                     )
+                    traced.set(planned=result[0])
+                    return result
 
             if guarded:
                 guard_mod.STATS.inc("guarded_sharded")
-                diffs = guard_mod.guarded_map("shard", workers, on_thread, plan, guard)
+                results = guard_mod.guarded_map("shard", workers, on_thread, plan, guard)
             else:
-                diffs = parallel_map("shard", workers, on_thread, plan)
+                results = parallel_map("shard", workers, on_thread, plan)
     except Exception as exc:
         # A transport that gave up — deadline, lost worker, or (guarded
         # thread lane) a shard still failing past the retry budget —
@@ -234,8 +243,9 @@ def run_sharded(
         compiled.run(grid, bound)
     else:
         STATS.inc("zero_copy" if direct else "overlay")
+        STATS.inc("planned", sum(planned for planned, _diff in results))
         if not direct:
-            apply_diffs(bound, diffs)
+            apply_diffs(bound, [diff for _planned, diff in results])
     STATS.inc("sharded_launches")
     STATS.inc("shards_run", len(plan))
 

@@ -1,14 +1,15 @@
 """Address plans: a compiled kernel resolves its addressing once per
 (grid, scalars, buffer sizes) and executes many.
 
-A launch either does not plan (first launch of a key, shard views), builds
-(second launch: computes every site as an unplanned launch does and offers
-the result) or hits.  All three must be the interpreter bit for bit, raise
+A launch -- of the full grid, or of one span of it on a shard lane -- either
+does not plan (first launch of a key), builds (second launch: computes every
+site as an unplanned launch does and offers the result) or hits.  All three must be the interpreter bit for bit, raise
 what it raises where it raises it, and the stored forms must reproduce
 ``buf.take(idx)`` / ``buf[idx] = v`` element for element.
 """
 
 import functools
+import os
 import sys
 import threading
 
@@ -24,11 +25,15 @@ from repro.apps.registry import APP_CLASSES, make_app
 from repro.codegen import clear_cache, get_compiled, stats_snapshot
 from repro.codegen import runtime as rt
 from repro.conformance import compare, output_arrays
-from repro.engine import Grid, launch
+from repro.engine import Grid, bind_arguments, launch
 from repro.engine.launch import resolve_kernel, resolve_module
 from repro.errors import ExecutionError
 from repro.kernel import kernel
 from repro.kernel.dsl import array_f32, f32, global_id, i32
+from repro.parallel import shutdown_process_pool
+from repro.parallel.pool import get_pool
+from repro.parallel.shard import plan_shards, run_shard
+from repro.parallel.shard import stats_snapshot as shard_stats
 from test_differential import ZOO_CASES
 
 CODEGEN = LaunchOptions(backend="codegen")
@@ -142,13 +147,118 @@ def test_the_third_launch_is_a_hit_and_reads_every_site_from_the_plan():
     assert compiled.source.count("def _kernel_") == 1  # the planned kernel is the kernel
 
 
-def test_shard_views_carry_no_plan():
+# --------------------------------------------------------- shards plan too
+
+
+def _sharded(workers=2, executor="thread"):
+    return LaunchOptions(
+        backend="codegen", parallel=workers, executor=executor, min_shard_threads=1
+    )
+
+
+@pytest.fixture
+def _fresh_workers():
+    """Worker processes forked here know no plan and no kernel."""
+    shutdown_process_pool()
+    yield
+    shutdown_process_pool()
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("name", sorted(zoo.ACCESS_CASES))
+def test_a_sharded_key_builds_once_per_span_and_hits_from_the_third_launch(
+    name, executor, _fresh_workers
+):
+    kernel, grid, args = zoo.ACCESS_CASES[name](1024)
+    spans = len(plan_shards(grid.total_blocks, 2))
+    assert spans == 2
+    codegen, shards = stats_snapshot(), shard_stats()
+    for launch_no in range(1, 5):  # unplanned, building, hit, hit
+        fresh = _fresh(args, seed=launch_no)
+        want = _outcome(kernel, grid, fresh, INTERP)
+        got = _outcome(kernel, grid, fresh, _sharded(executor=executor))
+        assert compare(want, got) is None, f"launch {launch_no}"
+    moved = {k: v - shards[k] for k, v in shard_stats().items()}
+    assert moved["sharded_launches"] == 4 and moved["shards_run"] == 4 * spans
+    assert moved["planned"] == 2 * spans  # launches three and four, every span
+    if executor == "thread":  # a worker process counts its own
+        after = stats_snapshot()
+        assert after["plan_builds"] - codegen["plan_builds"] == spans
+        assert after["plan_hits"] - codegen["plan_hits"] == 2 * spans
+        views = rt.geometry(grid).shards
+        assert len(views) == spans and not rt.geometry(grid).plans
+        assert {id(p.entry) for p in _resident()} == {
+            id(e) for view in views.values() for e in view.plans.values()
+        }
+
+
+def test_a_changed_worker_count_makes_new_spans_and_the_view_table_stays_bounded(
+    monkeypatch,
+):
+    monkeypatch.setattr(rt, "_SHARD_VIEWS_MAX", 3)
+    kernel, grid, args = zoo.ACCESS_CASES["border_stencil"](2048)
+    two, three = (set(plan_shards(grid.total_blocks, w)) for w in (2, 3))
+    assert not two & three
+    for _ in range(3):
+        launch(kernel, grid, _fresh(args, 0), options=_sharded(2))
+    views = rt.geometry(grid).shards
+    assert {span[:2] for span in views} == two and len(_resident()) == 2
+    before = stats_snapshot()
+    for _ in range(3):
+        launch(kernel, grid, _fresh(args, 0), options=_sharded(3))
+    after = stats_snapshot()
+    # the table held two spans of three: both made way, and their plans with them
+    assert {span[:2] for span in views} == three
+    assert after["plan_evictions"] - before["plan_evictions"] == 2
+    live = [e.plan for view in views.values() for e in view.plans.values()]
+    assert sorted(map(id, live)) == sorted(map(id, _resident()))
+    assert after["plan_bytes"] == rt._plan_bytes == sum(p.nbytes for p in live) > 0
+
+
+def test_drop_plans_empties_shard_views_too():
     kernel, grid, args = zoo.ACCESS_CASES["tiled_matmul"](0)
-    sharded = LaunchOptions(backend="codegen", parallel=2, min_shard_threads=1)
-    for _ in range(4):
-        launch(kernel, grid, _fresh(args, 1), options=sharded)
-    assert _resident() == []
-    assert rt.geometry(grid).shard(0, 1, grid.block_threads).plans is None
+    for _ in range(3):
+        launch(kernel, grid, _fresh(args, 1), options=_sharded())
+    assert len(rt.geometry(grid).shards) == 2 and len(_resident()) == 2
+    rt.drop_plans()
+    assert rt.geometry(grid).shards == {} and _resident() == [] and rt._plan_bytes == 0
+    # ... and the next launches start over, on new views
+    for _ in range(3):
+        launch(kernel, grid, _fresh(args, 1), options=_sharded())
+    assert len(_resident()) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_worker_starts_with_no_plan_of_its_parents():
+    """A worker forked after the parent served serially must not count the
+    parent's full-grid plans, which it can never reach, against its cap."""
+    kernel, grid, args = zoo.ACCESS_CASES["border_stencil"](1024)
+    for _ in range(3):
+        launch(kernel, grid, _fresh(args, 0), options=CODEGEN)
+    assert rt._plan_bytes > 0 and rt.geometry(grid).plans
+    compiled = get_compiled(resolve_kernel(kernel), resolve_module(kernel), grid)
+    values = bind_arguments(resolve_kernel(kernel), _fresh(args, 0))
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, never return into pytest
+        try:
+            geo = rt.geometry(grid)
+            inherited = (rt._plan_bytes, len(rt._RESIDENT), len(geo.plans), len(geo.shards))
+            planned = [
+                run_shard(compiled, geo, grid.block_threads, values, (0, 2), ())[0]
+                for _ in range(3)
+            ]
+            report = repr((inherited, planned, rt._plan_bytes > 0, len(rt._RESIDENT)))
+        except BaseException as exc:  # noqa: BLE001 - reported to the parent
+            report = f"child failed: {exc!r}"
+        os.write(write, report.encode())
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as pipe:
+        report = pipe.read()
+    os.waitpid(pid, 0)
+    assert report == repr(((0, 0, 0, 0), [False, False, True], True, 1))
+    assert rt._plan_bytes > 0 and rt.geometry(grid).plans  # the parent keeps its own
 
 
 # ----------------------------------------------------- what re-plans, and when
@@ -425,6 +535,8 @@ def test_the_forms_the_patterns_meet_are_the_cheap_ones():
     interior = (gid % 33 > 0) & live
     site = rt._scatter_site(gid, 4000, interior, 4400)
     assert site.form == "mask" and site.arrays == (interior,)  # the live mask, nothing else
+    tail = rt._scatter_site(gid[2200:], 4000, interior[2200:], 2200)  # a shard past block 0
+    assert tail.form == "mask" and tail.arrays[0].size == 2200
     reverse = rt._scatter_site(gid[::-1].copy(), 4400, interior, 4400)
     assert reverse.form == "index" and reverse.arrays[0].dtype == np.intp  # never int32
 
@@ -478,10 +590,11 @@ def test_a_plan_that_went_idle_is_evicted_by_a_newcomer_launched_less_often(monk
     sat out ``PLAN_IDLE_LAUNCHES`` launches of other keys is the coldest
     there is, however hot it once was (a closed session, the early apps of
     a sweep)."""
-    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 20_000)
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 36_000)
     hot = _launch_reversed(2048, times=1000)  # ~17 KB: one intp index array
     assert hot.plan is not None and hot.launches == 1000
-    # the idle span: other keys launch, this one does not
+    # the idle span: other keys launch (~15 KB of plans, which fit beside
+    # it), this one does not
     for k in range(rt.PLAN_IDLE_LAUNCHES + 1):
         launch(_reciprocal_of_scalar, Grid.for_elements(32),
                [np.zeros(32, np.float32), np.ones(32, np.float32), np.float32(k % 3 + 1), 32],
@@ -489,7 +602,7 @@ def test_a_plan_that_went_idle_is_evicted_by_a_newcomer_launched_less_often(monk
     assert hot.plan is not None  # nothing needed its room yet
     cold = _launch_reversed(1024, times=50)  # 50 < 1000, and still it gets in
     assert cold.plan is not None and cold.plan.complete and hot.plan is None
-    assert rt._plan_bytes <= 20_000 and stats_snapshot()["plan_bytes"] == rt._plan_bytes
+    assert rt._plan_bytes <= 36_000 and stats_snapshot()["plan_bytes"] == rt._plan_bytes
 
 
 def test_a_plan_still_being_hit_is_not_aged_out(monkeypatch):
@@ -506,6 +619,86 @@ def test_a_plan_still_being_hit_is_not_aged_out(monkeypatch):
     hot = _launch_reversed(2048, times=1)
     cold = _launch_reversed(1024, times=50)
     assert hot.plan is not None and cold.plan is None  # launched less often: stays out
+
+
+def test_keys_launched_about_equally_often_do_not_displace_each_other(monkeypatch):
+    """Only a plan at most half as hot gives way.  With a bare "colder"
+    rule, keys launched in turn (the exact programs behind several sessions'
+    quality checks) evict one another whenever one is a launch ahead, and
+    which of them holds a plan depends on where the turn-taking stopped."""
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 20_000)
+    first = _launch_reversed(2048, times=30)
+    second = _launch_reversed(1024, times=34)  # ahead, not twice as hot
+    builds = stats_snapshot()["plan_builds"]
+    for _ in range(4):  # taking turns, the newcomer always a few launches ahead
+        first = _launch_reversed(2048, times=5)
+        second = _launch_reversed(1024, times=5)
+        assert first.plan is not None and second.plan is None
+    assert stats_snapshot()["plan_builds"] == builds  # and it did not try
+    second = _launch_reversed(1024, times=50)  # 104 launches against 50
+    assert second.plan is not None and second.plan.complete and first.plan is None
+
+
+def test_a_key_that_did_not_fit_builds_on_its_first_launch_with_room(monkeypatch):
+    """No back-off in launches: a key remembers how far its plan got
+    (``need``, a lower bound) and builds again as soon as that much fits --
+    so *when* a waiting key gets in follows from when room appeared, not
+    from how many launches a run happened to make before."""
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 20_000)
+    hot = _launch_reversed(2048, times=30)
+    cold = _launch_reversed(1024, times=2)  # builds, does not fit
+    assert cold.plan is None and 0 < cold.need <= 1024 * 8 + rt._SITE_BYTES
+    builds = stats_snapshot()["plan_builds"]
+    cold = _launch_reversed(1024, times=9)  # no room: not one more attempt
+    assert cold.plan is None and stats_snapshot()["plan_builds"] == builds
+    rt.geometry(Grid.for_elements(2048, 64)).plans.clear()  # the hot key's session closed
+    with rt._PLAN_LOCK:
+        rt._release(hot.plan)
+    cold = _launch_reversed(1024, times=1)
+    assert cold.plan is not None and cold.plan.complete
+    assert stats_snapshot()["plan_builds"] == builds + 1
+
+
+def test_which_plans_make_way_follows_from_what_is_resident(monkeypatch):
+    """Coldest first; among equally cold the largest; never one more than
+    half as hot as the newcomer; None when that does not free enough."""
+    monkeypatch.setattr(rt, "PLAN_BYTE_CAP", 1000)
+
+    def resident(launches, nbytes):
+        entry = rt._Entry()
+        entry.launches = launches
+        entry.plan = rt._Plan(entry)
+        entry.plan.nbytes = nbytes
+        return entry.plan
+
+    idle, small, large = resident(500, 100), resident(10, 100), resident(10, 300)
+    warm = resident(30, 400)
+    idle.entry.last -= rt.PLAN_IDLE_LAUNCHES + 1
+    monkeypatch.setattr(rt, "_RESIDENT", {warm, small, idle, large})
+    monkeypatch.setattr(rt, "_plan_bytes", 900)
+    newcomer = rt._Entry()
+    newcomer.launches = 40
+    assert rt._victims(newcomer, 100) == []
+    assert rt._victims(newcomer, 150) == [idle]
+    assert rt._victims(newcomer, 250) == [idle, large]
+    assert rt._victims(newcomer, 600) == [idle, large, small]
+    assert rt._victims(newcomer, 700) is None  # `warm` is more than half as hot
+    newcomer.launches = 60
+    assert rt._victims(newcomer, 700) == [idle, large, small, warm]
+    assert rt._victims(newcomer, 1001) is None  # more than the cap holds
+
+
+def test_a_sharded_launch_ticks_the_plan_clock_once():
+    """The idle span is counted in launches.  Ticked once per shard, the
+    clock of a lane that shards over W workers runs W times as fast and
+    ages out keys that are in use."""
+    kernel, grid, args = zoo.ACCESS_CASES["border_stencil"](2048)
+    launch(kernel, grid, _fresh(args, 0), options=CODEGEN)
+    for workers in (1, 2, 3):
+        before = rt._plan_clock
+        options = _sharded(workers) if workers > 1 else CODEGEN
+        launch(kernel, grid, _fresh(args, 0), options=options)
+        assert rt._plan_clock - before == pytest.approx(1.0)
 
 
 # ------------------------------------------------------------ geometry cache
@@ -565,5 +758,51 @@ def test_threads_launching_one_kernel_from_cold_agree_with_the_serial_result():
                 assert compare(want, got) is None
             assert rt._plan_bytes == sum(p.nbytes for p in _resident())
             assert all(p.complete for p in _resident()) and len(_resident()) == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_sharding_one_grid_by_different_worker_counts_agree_with_serial(
+    monkeypatch,
+):
+    """Callers that shard one grid two and three ways at once, over a view
+    table with room for three spans of the five: views are made, evicted and
+    made again while other launches build and read plans on them.  Two views
+    of one span, or an evicted view's plan left in the count, would show as a
+    wrong output or as bytes the cap accounts differently from what the
+    plans hold."""
+    monkeypatch.setattr(rt, "_SHARD_VIEWS_MAX", 3)
+    kernel, grid, args = zoo.ACCESS_CASES["border_stencil"](2048)
+    want = _outcome(kernel, grid, args, INTERP)
+    # Sized for the larger count up front: growing the thread pool replaces
+    # it, which a caller about to submit to the old one does not survive
+    # (repro.parallel.pool; not what this test is about).
+    get_pool("shard", 3)
+    callers = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _round in range(3):
+            clear_cache()
+            get_compiled(resolve_kernel(kernel), resolve_module(kernel), grid)
+            results, barrier = [], threading.Barrier(callers)
+
+            def caller(number):
+                barrier.wait(timeout=30)
+                for turn in range(6):
+                    options = _sharded(2 + (number + turn) % 2)
+                    results.append(_outcome(kernel, grid, args, options))
+
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert len(results) == 6 * callers
+            for got in results:
+                assert compare(want, got) is None
+            assert len(rt.geometry(grid).shards) <= 3
+            assert rt._plan_bytes == sum(p.nbytes for p in _resident())
     finally:
         sys.setswitchinterval(interval)

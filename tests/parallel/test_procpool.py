@@ -8,10 +8,12 @@ at spawn (fork), so every test that sets it shuts the pool down first.
 """
 
 import dataclasses
+import glob
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -117,6 +119,105 @@ class TestBitExactness:
         assert after["shards_run"] - before["shards_run"] == len(plan)
 
 
+def _own_segments():
+    """Shared-memory files this process created (``repro-<pid>-…``)."""
+    return glob.glob(f"/dev/shm/repro-{os.getpid()}-*")
+
+
+class TestStandingTransport:
+    """What the lane builds it keeps: segments, attachments, kernels."""
+
+    def test_a_kernel_is_sent_once_per_worker_and_segments_are_reused(self):
+        grid = Grid.for_elements(N)
+        before = procpool.stats_snapshot()
+        for seed in range(3):
+            args = _square_args(seed=seed)
+            serial = _run_serial(zoo.square_map, grid, args)
+            launch(zoo.square_map, grid, args, options=PROC)
+            assert np.array_equal(args[0], serial[0])
+        after = procpool.stats_snapshot()
+        assert after["kernels_sent"] - before["kernels_sent"] == 2  # two workers, once each
+        # two arrays a launch: the first launch creates, the next two reuse
+        assert after["segments_reused"] - before["segments_reused"] == 4
+
+    def test_a_reused_segment_serves_another_size_and_dtype(self):
+        """A shorter float32 array staged where an int32 index array was:
+        the worker's view ends where the array ends, so the bytes the
+        longer one left behind are never read."""
+        rng = np.random.default_rng(3)
+        idx = rng.integers(0, N, N).astype(np.int32)
+        gather = [np.zeros(N, np.float32), rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
+        serial = _run_serial(zoo.gather_expensive, Grid.for_elements(N), gather)
+        launch(zoo.gather_expensive, Grid.for_elements(N), gather, options=PROC)
+        assert np.array_equal(gather[0], serial[0])
+        held = procpool.get_process_pool(2).segments
+        assert held.free_bytes == 3 * N * 4 and set(held.free) == {N * 4}
+        n = N - 1000  # the same size class, 4 000 bytes short of it
+        before = procpool.stats_snapshot()
+        for seed in (1, 2):
+            args = _square_args(n, seed=seed)
+            serial = _run_serial(zoo.square_map, Grid.for_elements(n), args)
+            launch(zoo.square_map, Grid.for_elements(n), args, options=PROC)
+            assert args[0].tobytes() == serial[0].tobytes()
+        after = procpool.stats_snapshot()
+        assert after["segments_reused"] - before["segments_reused"] == 4
+        assert held.free_bytes == 3 * N * 4  # nothing new was created
+
+    def test_the_free_list_is_bounded_and_an_oversized_segment_is_unlinked(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(procpool, "_KEPT_BYTES_MAX", N * 4)  # room for one array
+        grid = Grid.for_elements(N)
+        for seed in (1, 2):
+            args = _square_args(seed=seed)
+            serial = _run_serial(zoo.square_map, grid, args)
+            launch(zoo.square_map, grid, args, options=PROC)
+            assert np.array_equal(args[0], serial[0])
+        held = procpool.get_process_pool(2).segments
+        assert held.free_bytes == N * 4
+        if os.path.isdir("/dev/shm"):
+            assert len(_own_segments()) == 1
+
+    def test_callers_on_several_threads_never_share_a_segment(self):
+        """Three callers staging at once (launches take turns on the pool,
+        staging does not): a segment handed to two of them would show as
+        another caller's data in an output."""
+        grid = Grid.for_elements(N)
+        failures, barrier = [], threading.Barrier(3)
+
+        def caller(number):
+            barrier.wait(timeout=30)
+            for turn in range(4):
+                args = _square_args(seed=10 * number + turn)
+                serial = _run_serial(zoo.square_map, grid, args)
+                launch(zoo.square_map, grid, args, options=PROC)
+                if not np.array_equal(args[0], serial[0]):
+                    failures.append((number, turn))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        held = procpool.get_process_pool(2).segments
+        assert held.free_bytes == sum(s.size for segs in held.free.values() for s in segs)
+        assert 2 * N * 4 <= held.free_bytes <= 6 * N * 4  # two arrays, up to three callers
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm to look at")
+    def test_shutdown_unlinks_every_segment_this_process_created(self):
+        launch(zoo.square_map, Grid.for_elements(N), _square_args(), options=PROC)
+        assert len(_own_segments()) == 2  # idle, on the free list
+        shutdown_process_pool()
+        assert _own_segments() == []
+
+
 class TestContainment:
     def test_dead_worker_is_replaced_and_task_retried(self, tmp_path, monkeypatch):
         once = tmp_path / "die-once"
@@ -132,6 +233,14 @@ class TestContainment:
         assert once.exists(), "the injected fault actually fired"
         assert np.array_equal(args[0], serial[0])
         assert after["workers_replaced"] >= before["workers_replaced"] + 1
+        # Both workers' first task carried the IR, and so did the retry:
+        # the respawned process knows no kernel.
+        assert after["kernels_sent"] - before["kernels_sent"] == 3
+        again = _square_args(seed=6)
+        serial = _run_serial(zoo.square_map, grid, again)
+        launch(zoo.square_map, grid, again, options=PROC)
+        assert np.array_equal(again[0], serial[0])
+        assert procpool.stats_snapshot()["kernels_sent"] == after["kernels_sent"]
 
     def test_persistent_death_falls_back_to_serial(self, monkeypatch):
         # No once-file: the shard kills every worker that picks it up.
@@ -159,6 +268,11 @@ class TestContainment:
         assert np.array_equal(args[0], serial[0])
         assert after["deadline_timeouts"] == before["deadline_timeouts"] + 1
         assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
+        # The hung worker was terminated before the launch gave its
+        # segments back, and its replacement has been sent nothing.
+        pool = procpool.get_process_pool(2)
+        assert pool.segments.free_bytes == 2 * N * 4
+        assert pool.workers[0].alive() and pool.workers[0].sent == set()
 
     def test_kernel_exception_propagates_and_buffers_stay_clean(self):
         rng = np.random.default_rng(8)
@@ -278,3 +392,32 @@ class TestObservability:
         assert shard_spans, "worker-reported shard spans are emitted"
         parent = next(r for r in records if r["name"] == "proc.launch")
         assert all(s["trace_id"] == parent["trace_id"] for s in shard_spans)
+        assert [s["attrs"]["planned"] for s in shard_spans] == [False, False]
+
+    def test_planned_shards_show_in_spans_and_in_the_registry(self):
+        from repro.obs import render_prometheus
+        from repro.obs import trace as obs_trace
+        from repro.parallel.shard import stats_snapshot as shard_stats
+
+        grid = Grid.for_elements(N)
+        for seed in (1, 2):  # unplanned, building
+            launch(zoo.square_map, grid, _square_args(seed=seed), options=PROC)
+        before = shard_stats()["planned"]
+        was_enabled = obs_trace.enabled()
+        obs_trace.enable()
+        try:
+            obs_trace.drain_records()
+            launch(zoo.square_map, grid, _square_args(seed=3), options=PROC)
+            records = obs_trace.drain_records()
+        finally:
+            if not was_enabled:
+                obs_trace.disable()
+        planned = [r["attrs"]["planned"] for r in records if r["name"] == "proc.shard"]
+        assert planned == [True, True]
+        assert shard_stats()["planned"] == before + 2
+        exposition = render_prometheus()
+        for series in (
+            "repro_shard_planned", "repro_procpool_segments_reused",
+            "repro_procpool_kernels_sent",
+        ):
+            assert series in exposition

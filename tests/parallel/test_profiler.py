@@ -305,6 +305,7 @@ class TestSessionIntegration:
             "overlay",
             "serial_unshardable",
             "serial_small_grid",
+            "planned",
         }
         assert parallel["profile_cache"]["entries"] > 0
         assert isinstance(parallel["pools"], dict)
