@@ -44,7 +44,7 @@ from .engine.interpreter import flush_fusion, launch
 from .engine.launch import resolve_kernel
 from .errors import BackpressureError
 from .obs.registry import get_registry
-from .parallel.shard import STATS as SHARD_STATS
+from .parallel.shard import STATS as SHARD_STATS, scribble_staging
 from .registry import VariantRegistry
 from .resilience.faults import (
     FAULT_CLASSES,
@@ -293,7 +293,10 @@ def run_cell(subject: Subject, cell: Cell, session=None) -> Outcome:
 #: a slot before writing it would answer differently from the interpreter.
 #: Dispatcher threads, shard threads and worker processes have arenas of
 #: their own, which nothing here scribbles: there a kernel runs over whatever
-#: its own earlier launches left.
+#: its own earlier launches left.  Every launch also starts over scribbled
+#: idle staging (the process's one free list, whichever thread launches): a
+#: guarded thread-sharded launch that read staged bytes it had not refilled
+#: would answer with NaNs, not with its last launch's correct values.
 PLANNED_LAUNCHES = 3
 
 
@@ -305,6 +308,7 @@ def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
     for _ in range(repeats):
         inputs = copy.deepcopy(subject.inputs)  # fresh outputs every launch
         scribble_workspace()  # this thread's arena only
+        scribble_staging()
         if cell.via == "frontend":
             with ServeFrontend(options=cell.options()) as frontend:
                 output = frontend.submit_app(subject, inputs).result(timeout=120)

@@ -30,9 +30,12 @@ and the impure zoo kernels fall back to serial.
 The analysis additionally proves, when it can, that every global store
 index is *thread-injective* (affine in ``global_id`` with a non-zero
 stride, or affine in ``block_id`` so distinct blocks hit distinct
-slots).  Then shards may write the caller's buffers directly —
-zero-copy; otherwise the executor gives each shard private copies of the
-written arrays and overlays them deterministically in shard order
+slots), and records whether any written array is also *loaded*.  With
+private stores into arrays the kernel never reads, shards may write one
+shared copy of each written array in place — zero-copy, and a shard that
+runs twice (a retry, a re-submitted task) stores the same bytes again;
+otherwise the executor gives each shard private copies of the written
+arrays and overlays them deterministically in shard order
 (:mod:`repro.parallel.shard`).
 """
 
@@ -81,8 +84,10 @@ class Shardability:
         written_arrays: global array params the kernel stores to, in
             declaration order — what the copy/overlay path must merge.
         disjoint_writes: every global store lands on a provably
-            thread- or block-private element, so shards may write the
-            caller's buffers in place (zero-copy).
+            thread- or block-private element.
+        write_only: no written array is also loaded, so running a shard
+            again over what an earlier run of it stored stores the same
+            bytes (``y[i] = a * x[i] + y[i]`` would apply twice).
     """
 
     kernel: str
@@ -90,10 +95,17 @@ class Shardability:
     reasons: List[str] = field(default_factory=list)
     written_arrays: List[str] = field(default_factory=list)
     disjoint_writes: bool = False
+    write_only: bool = False
+
+    @property
+    def in_place(self) -> bool:
+        """Shards may all write one copy of the written arrays in place
+        (zero-copy), on either executor, retried or not."""
+        return self.disjoint_writes and self.write_only
 
     def describe(self) -> str:
         if self.shardable:
-            mode = "zero-copy" if self.disjoint_writes else "copy+merge"
+            mode = "zero-copy" if self.in_place else "copy+merge"
             writes = ", ".join(self.written_arrays) or "none"
             return f"{self.kernel}: shardable ({mode}; writes: {writes})"
         return f"{self.kernel}: serial — " + "; ".join(self.reasons)
@@ -409,6 +421,7 @@ def analyze_function(fn: ir.Function, module: ir.Module) -> Shardability:
         reasons=sorted(set(reasons)),
         written_arrays=written,
         disjoint_writes=disjoint and not reasons,
+        write_only=not any(name in loads for name in stores),
     )
 
 

@@ -267,10 +267,13 @@ def _fresh_pool_locked(kind: str, workers: int) -> ThreadPoolExecutor:
 def get_pool(kind: str, workers: int) -> ThreadPoolExecutor:
     """The shared executor for ``kind`` with at least ``workers`` threads.
 
-    Pools only ever grow: asking for more workers than the current pool
-    holds replaces it (the old one drains its queue and exits).  A pool
-    whose workers have all died is replaced too — submitting to it would
-    deadlock forever — and the replacement counts as a worker restart.
+    Pools only ever grow, and grow in place: asking for more workers than
+    the pool holds raises the bound its next ``submit`` spawns threads up
+    to, so a caller that fetched the executor a moment ago still holds a
+    live one (replacing it here left that caller with ``cannot schedule
+    new futures after shutdown``).  A pool whose workers have all died is
+    replaced — submitting to it would deadlock forever — and the
+    replacement counts as a worker restart.
     """
     workers = resolve_workers(workers)
     with _POOL_LOCK:
@@ -278,8 +281,10 @@ def get_pool(kind: str, workers: int) -> ThreadPoolExecutor:
         if pool is not None and not _pool_healthy(pool):
             _stats_locked(kind).record_restart()
             pool = None
-        if pool is None or _POOL_SIZES[kind] < workers:
+        if pool is None:
             pool = _fresh_pool_locked(kind, max(workers, _POOL_SIZES.get(kind, 0)))
+        elif _POOL_SIZES[kind] < workers:
+            pool._max_workers = _POOL_SIZES[kind] = workers  # noqa: SLF001
         return pool
 
 

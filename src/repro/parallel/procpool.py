@@ -41,14 +41,18 @@ Execution protocol, per sharded launch:
    them, in the mode the caller
    (:func:`repro.parallel.shard.run_sharded`) chose:
 
-   * ``direct`` (``Shardability.disjoint_writes``) — workers write the
-     shared output segments in place; the parent copies each written
-     segment back to the caller's buffer once (no per-shard pickling at
-     all).
+   * ``direct`` (``Shardability.in_place``: private stores into arrays
+     the kernel never loads) — workers write the shared output segments
+     in place; the parent copies each written segment back to the
+     caller's buffer once (no per-shard pickling at all).  A task
+     re-submitted after its worker died runs over what the dead worker
+     already stored, and stores the same bytes.
    * ``diff`` — workers run against private copies and return, per
      shard, a mask of the bytes that changed relative to the pristine
      segment and their new values; the caller overlays them in ascending shard
-     order, byte-exactly reproducing the serial store order.
+     order, byte-exactly reproducing the serial store order.  A
+     re-submitted task starts again from the pristine segment, which is
+     why a kernel that loads an array it stores runs here.
 
    A worker's shard views (:meth:`repro.codegen.runtime.Geometry.shard`)
    are cached like the parent's, so its second launch of a span builds
@@ -183,6 +187,13 @@ def _maybe_fault(b0: int) -> None:
         os._exit(17)
     elif kind == "hang":
         time.sleep(float(arg) if arg else 3600.0)
+
+
+def size_class(nbytes: int) -> int:
+    """The staging size class for ``nbytes``: the next power of two, at
+    least a page.  Shared with the thread lane's heap staging
+    (:mod:`repro.parallel.shard`)."""
+    return max(_SEGMENT_MIN_BYTES, 1 << (nbytes - 1).bit_length())
 
 
 class _Kept:
@@ -365,7 +376,7 @@ class _SegmentList:
 
     def take(self, nbytes: int) -> shm_mod.SharedMemory:
         """A segment of at least ``nbytes``: an idle one, else a new one."""
-        size = max(_SEGMENT_MIN_BYTES, 1 << (nbytes - 1).bit_length())
+        size = size_class(nbytes)
         with self.lock:
             idle = self.free.get(size)
             if idle:

@@ -15,10 +15,19 @@ This module owns the sharded launch, once, for both executors:
   place or against private copies of the written arrays, returning in
   the private case the bytes that changed, and whether the launch read
   a complete address plan;
-* the **mode decision** — ``direct`` (shards write in place, nothing to
-  assemble) iff every global store is provably thread- or block-private
-  (``Shardability.disjoint_writes``) *and* a failed or hung worker
-  cannot reach the caller's buffers; otherwise ``overlay``;
+* **where shards write** — one rule on both executors.  Shards write *in
+  place* iff every global store is provably thread- or block-private and
+  no written array is also loaded (``Shardability.in_place``): no two
+  shards store to one element, and a shard that runs twice — a retry, a
+  task re-submitted after its worker died — stores the same bytes again.
+  In place means into the caller's buffers when nothing can fail over
+  them (a thread launch outside any guard), otherwise into one
+  **launch-private staging copy** of each written array, which the
+  parent fills from the caller's array before any shard starts and
+  copies back once, after *every* shard succeeded: shared-memory
+  segments on the process lane (:mod:`repro.parallel.procpool`), heap
+  buffers from :class:`_StagingList` on a guarded thread launch.  Any
+  other kernel runs ``overlay``: each shard writes private copies;
 * the **assembly** (:func:`apply_diffs`) — overlay the per-shard byte
   diffs onto the caller's buffers in ascending shard order.  Changes are
   detected by *byte* comparison against the untouched original (``==``
@@ -34,11 +43,13 @@ This module owns the sharded launch, once, for both executors:
 Only the *transport* differs per executor, because the failure modes
 genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
 pool (``parallel_map``, or ``guarded_map`` under a guard — a hung thread
-cannot be killed, so the pool is abandoned, and so a guarded thread
-launch never writes in place); ``"process"`` ships it to the
+cannot be killed, only abandoned, so the staging of a launch that did
+not fully succeed is dropped, never reused: a shard that wakes later
+writes memory nobody reads); ``"process"`` ships it to the
 :mod:`repro.parallel.procpool` workers, which run it on shared-memory
-staging copies (a dead worker is respawned; the caller's buffers are out
-of reach by construction).
+staging copies (a dead worker is respawned, a hung one terminated before
+its segments are reused; the caller's buffers are out of reach by
+construction).
 
 Exceptions (e.g. bounds-check failures) propagate from the lowest
 failing shard, matching the serial order of discovery; the reported
@@ -47,7 +58,8 @@ index range may cover a sub-grid rather than the whole launch.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -73,7 +85,12 @@ ShardDiff = Dict[str, Tuple[np.ndarray, np.ndarray]]
 _FIELDS = {
     "sharded_launches": "launches split across the shard pool",
     "shards_run": "individual shards executed",
-    "zero_copy": "sharded launches assembled zero-copy",
+    "zero_copy": "sharded launches whose shards wrote in place — caller's "
+    "buffers or launch staging",
+    "staged": "of zero_copy, launches that wrote launch-private staging, "
+    "copied back once (guarded thread lane, process lane)",
+    "staging_bytes": "bytes copied into heap staging buffers (thread lane; the "
+    "process lane counts repro_procpool_shm_bytes)",
     "overlay": "sharded launches assembled copy+overlay",
     "serial_unshardable": "launches kept serial by the shardability analysis",
     "serial_small_grid": "launches kept serial below the shard threshold",
@@ -107,6 +124,75 @@ def plan_shards(total_blocks: int, workers: int) -> List[Tuple[int, int]]:
         plan.append((start, start + size))
         start += size
     return plan
+
+
+# ----------------------------------------------------------------- staging
+
+#: Bytes of idle staging the free list keeps (as
+#: ``procpool._KEPT_BYTES_MAX``); a buffer that does not fit is left to
+#: the garbage collector when its launch is over.
+_STAGING_KEPT_BYTES_MAX = 64 << 20
+
+
+class _StagingList:
+    """Heap staging for guarded thread launches: idle byte buffers wait on
+    a free list per size class (:func:`procpool.size_class`), up to
+    :data:`_STAGING_KEPT_BYTES_MAX` in all.
+
+    A buffer is on the list or with exactly one launch, never both:
+    ``take`` pops under the lock, and only a launch whose every shard has
+    returned gives its buffers back — so no abandoned shard can hold a
+    buffer a later launch is handed.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.free: Dict[int, List[np.ndarray]] = {}
+        self.free_bytes = 0
+
+    def take(self, array: np.ndarray) -> np.ndarray:
+        """A staged copy of ``array``: a view spanning it exactly, over an
+        idle buffer of its size class (else a new one), overwritten whole —
+        what a longer array left behind the view is never read."""
+        size = procpool.size_class(array.nbytes)
+        raw = None
+        with self.lock:
+            if self.free.get(size):
+                raw = self.free[size].pop()
+                self.free_bytes -= size
+        if raw is None:
+            raw = np.empty(size, np.uint8)
+        view = raw[: array.nbytes].view(array.dtype).reshape(array.shape)
+        view[...] = array
+        STATS.inc("staging_bytes", array.nbytes)
+        return view
+
+    def give(self, views: Iterable[np.ndarray]) -> None:
+        """Back on the free list (a view's ``base`` is the buffer it was
+        taken over), or dropped if the list is full."""
+        with self.lock:
+            for view in views:
+                raw = view.base
+                if self.free_bytes + raw.nbytes <= _STAGING_KEPT_BYTES_MAX:
+                    self.free.setdefault(raw.nbytes, []).append(raw)
+                    self.free_bytes += raw.nbytes
+
+    def idle(self) -> List[np.ndarray]:
+        """The buffers on the free list (hold ``lock`` to touch them)."""
+        return [raw for raws in self.free.values() for raw in raws]
+
+
+_STAGING = _StagingList()
+
+
+def scribble_staging() -> None:
+    """Fill every idle staging buffer with 0xFF (an all-ones NaN in every
+    float width) so that a shard reading staged bytes its launch did not
+    refill shows in the output.  A correct launch reads none: ``take``
+    overwrites the whole view.  Buffers a launch holds are not idle."""
+    with _STAGING.lock:
+        for raw in _STAGING.idle():
+            raw.fill(0xFF)
 
 
 # --------------------------------------------------------------- execution
@@ -184,11 +270,13 @@ def run_sharded(
     guard = guard_mod.current_policy()
     guarded = guard is not None and guard.enabled
     on_processes = executor == "process" and fn is not None
-    # In place only when a failed or hung worker cannot reach the
-    # caller's buffers: process workers only ever see staged copies, and
-    # an unguarded thread launch has no failure handling to protect.
-    direct = analysis.disjoint_writes and (on_processes or not guarded)
-    private = () if direct else analysis.written_arrays
+    in_place = analysis.in_place
+    private = () if in_place else analysis.written_arrays
+    # In place is on the caller's buffers only when nothing can fail over
+    # them; a process worker can always die and a guard retries, times out
+    # and abandons, so those launches write staging, copied back at the end.
+    staged = in_place and (on_processes or guarded)
+    staging: Dict[str, np.ndarray] = {}
     try:
         if on_processes:
             deadline = (
@@ -198,11 +286,16 @@ def run_sharded(
             )
             results = procpool.run_shards(
                 fn, module, compiled, grid, bound, plan, workers,
-                analysis.written_arrays, direct, deadline,
+                analysis.written_arrays, in_place, deadline,
             )
         else:
             geo = geometry(grid)
-            mode = "direct" if direct else "overlay"
+            mode = "staged" if staged else "direct" if in_place else "overlay"
+            values = bound
+            if staged:
+                for name in analysis.written_arrays:
+                    staging[name] = _STAGING.take(bound[name])
+                values = {**bound, **staging}
 
             def on_thread(span: Tuple[int, int]) -> Tuple[bool, Optional[ShardDiff]]:
                 with obs_trace.span(
@@ -216,7 +309,7 @@ def run_sharded(
                             SITE_WORKER, f"{compiled.fn_name}:{span[0]}-{span[1]}"
                         )
                     result = run_shard(
-                        compiled, geo, grid.block_threads, bound, span, private
+                        compiled, geo, grid.block_threads, values, span, private
                     )
                     traced.set(planned=result[0])
                     return result
@@ -230,8 +323,9 @@ def run_sharded(
         # A transport that gave up — deadline, lost worker, or (guarded
         # thread lane) a shard still failing past the retry budget —
         # left the caller's buffers untouched, so serial re-execution is
-        # exact.  Any other kernel-raised error is not a fault to
-        # absorb: it propagates as the serial path's would.
+        # exact.  Its staging is dropped, not given back: a shard may
+        # still be running on it.  Any other kernel-raised error is not a
+        # fault to absorb: it propagates as the serial path's would.
         if not (
             isinstance(exc, (ShardTimeout, procpool.WorkerLost))
             or (guarded and not on_processes)
@@ -242,9 +336,17 @@ def run_sharded(
         )
         compiled.run(grid, bound)
     else:
-        STATS.inc("zero_copy" if direct else "overlay")
+        STATS.inc("zero_copy" if in_place else "overlay")
+        STATS.inc("staged", staged)
         STATS.inc("planned", sum(planned for planned, _diff in results))
-        if not direct:
+        if staging:
+            # Every shard returned: the thread lane's staging goes to the
+            # caller and back on the free list (the process lane copied
+            # its segments back itself).
+            for name, view in staging.items():
+                bound[name][...] = view
+            _STAGING.give(staging.values())
+        if not in_place:
             apply_diffs(bound, [diff for _planned, diff in results])
     STATS.inc("sharded_launches")
     STATS.inc("shards_run", len(plan))

@@ -7,10 +7,10 @@ Two layers of protection compose here:
   full-jitter exponential backoff, the whole batch carries a wall-clock
   deadline, and a dead or hung pool is replaced.  The sharded launch
   path (:func:`repro.parallel.shard.run_sharded`) maps its shard body
-  through it whenever a guard is enabled, against private copies of the
-  written arrays — so an abandoned or hung worker can never scribble on
-  the caller's buffers — and turns any unrecoverable outcome into a
-  bit-exact serial re-execution.
+  through it whenever a guard is enabled, against launch-private copies
+  of the written arrays — so an abandoned or hung worker can never
+  scribble on the caller's buffers — and turns any unrecoverable outcome
+  into a bit-exact serial re-execution.
 * **Launch level** — :func:`run_ladder` walks the fallback ladder
   *approx variant → exact codegen → exact interpreter*.  Each rung's
   exceptions are contained, its output is validated (NaN/Inf guardrail)
@@ -146,7 +146,7 @@ def guarded_map(
     :class:`~repro.errors.WorkerDeath` additionally replaces the pool
     (the worker is gone, not merely unlucky).  When the wall-clock
     deadline expires the pool is abandoned — hung workers keep running
-    against their private buffers, harmlessly — and
+    against buffers private to the abandoned launch, harmlessly — and
     :class:`~repro.errors.ShardTimeout` is raised for the caller's serial
     fallback.  Exhausted retries re-raise the shard's own exception.
     """
@@ -221,8 +221,8 @@ def guarded_map(
             submit(idx)
     if pending:
         # Deadline expired with shards still out.  Abandon the pool: hung
-        # workers only hold private buffers, and a fresh pool keeps later
-        # launches from queueing behind them.
+        # workers only hold buffers of this launch, and a fresh pool keeps
+        # later launches from queueing behind them.
         for future in pending:
             future.cancel()
         STATS.inc("shard_timeouts")

@@ -31,7 +31,6 @@ from repro.errors import ExecutionError
 from repro.kernel import kernel
 from repro.kernel.dsl import array_f32, f32, global_id, i32
 from repro.parallel import shutdown_process_pool
-from repro.parallel.pool import get_pool
 from repro.parallel.shard import plan_shards, run_shard
 from repro.parallel.shard import stats_snapshot as shard_stats
 from test_differential import ZOO_CASES
@@ -774,10 +773,6 @@ def test_threads_sharding_one_grid_by_different_worker_counts_agree_with_serial(
     monkeypatch.setattr(rt, "_SHARD_VIEWS_MAX", 3)
     kernel, grid, args = zoo.ACCESS_CASES["border_stencil"](2048)
     want = _outcome(kernel, grid, args, INTERP)
-    # Sized for the larger count up front: growing the thread pool replaces
-    # it, which a caller about to submit to the old one does not survive
-    # (repro.parallel.pool; not what this test is about).
-    get_pool("shard", 3)
     callers = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)

@@ -17,3 +17,14 @@ def _no_leaked_drain_flag():
     if signals is not None and signals.is_draining():
         signals.reset_draining()  # do not cascade into later tests
         pytest.fail("test left repro.serve.signals draining; call reset_draining()")
+
+
+@pytest.fixture
+def staging(monkeypatch):
+    """An empty thread-lane staging free list for one test, so what is
+    idle on it (``staging.idle()``) is what that test's launches gave back."""
+    from repro.parallel import shard
+
+    fresh = shard._StagingList()
+    monkeypatch.setattr(shard, "_STAGING", fresh)
+    return fresh

@@ -287,8 +287,22 @@ def transpose_i64(out: array_f32, x: array_f32, w: i64, h: i64):
         out[col * h + y] = x[y * w + col]
 
 
+@kernel
+def saxpy_inplace(y: array_f32, x: array_f32, a: f32, n: i32):
+    """Loads the array it stores, through one thread-private index: blocks
+    stay independent, but a shard run twice over one copy of ``y`` — a
+    retry, a re-submitted task — would apply twice."""
+    i = global_id()
+    if i < n:
+        y[i] = a * x[i] + y[i]
+
+
 def _rand(n, seed):
     return np.random.default_rng(seed).random(n, dtype=np.float32)
+
+
+def saxpy_case(n):
+    return saxpy_inplace, Grid.for_elements(n), [_rand(n, 13), _rand(n, 14), 2.5, n]
 
 
 def matmul_case(m, n, k):

@@ -27,6 +27,7 @@ EXPECTED = {
     "border_stencil": True,
     "border_stencil_unguarded": True,  # it raises, in whichever shard
     "transpose_i64": True,
+    "saxpy_inplace": True,  # y[i] loaded and stored through one private index
 }
 
 
@@ -79,6 +80,20 @@ def test_disjoint_writes_for_elementwise_stores():
     # not provably disjoint, so the overlay path must handle it
     result = analyze_function(zoo.tile_scale2d.fn, zoo.tile_scale2d.module)
     assert result.shardable and not result.disjoint_writes
+
+
+def test_in_place_needs_written_arrays_the_kernel_never_loads():
+    """Private stores alone are not enough to share one copy of the written
+    arrays: a shard that runs twice must store the same bytes again."""
+    result = analyze_function(zoo.square_map.fn, zoo.square_map.module)
+    assert result.write_only and result.in_place
+    saxpy = analyze_function(zoo.saxpy_inplace.fn, zoo.saxpy_inplace.module)
+    assert saxpy.shardable and saxpy.disjoint_writes
+    assert not saxpy.write_only and not saxpy.in_place
+    assert "copy+merge" in saxpy.describe()
+    # unproved stores into a write-only array: still not in place
+    tile = analyze_function(zoo.tile_scale2d.fn, zoo.tile_scale2d.module)
+    assert tile.write_only and not tile.in_place
 
 
 def test_analysis_is_cached_by_fingerprint():

@@ -27,7 +27,7 @@ from repro.engine.launch import resolve_kernel, resolve_module
 from repro.errors import ExecutionError
 from repro.parallel import procpool, shutdown_process_pool
 from repro.parallel.analysis import analyze_shardability
-from repro.parallel.shard import plan_shards, run_sharded
+from repro.parallel.shard import apply_diffs, plan_shards, run_sharded
 from repro.resilience import GuardPolicy
 
 #: Two workers is enough to prove the lane on a single-core container.
@@ -241,6 +241,37 @@ class TestContainment:
         launch(zoo.square_map, grid, again, options=PROC)
         assert np.array_equal(again[0], serial[0])
         assert procpool.stats_snapshot()["kernels_sent"] == after["kernels_sent"]
+
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_a_resubmitted_task_reruns_shards_that_already_stored(
+        self, direct, tmp_path, monkeypatch
+    ):
+        """Why in place needs arrays the kernel never loads.  Four shards on
+        two workers: worker 0 runs blocks 0:4, stores, and dies before 8:12;
+        its task is re-submitted over the same staged segment.  With private
+        copies (what the rule gives ``y[i] = a * x[i] + y[i]``) the rerun of
+        0:4 starts from the pristine ``y`` again; writing the segment in
+        place applies it twice."""
+        kernel, grid, args = zoo.saxpy_case(N)
+        fn, mod = resolve_kernel(kernel), resolve_module(kernel)
+        compiled = get_compiled(fn, mod, grid, True)
+        analysis = analyze_shardability(fn, mod, fingerprint=compiled.fingerprint)
+        assert not analysis.in_place
+        serial = _run_serial(kernel, grid, args)
+        plan = plan_shards(grid.total_blocks, 4)
+        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{plan[2][0]}:{tmp_path / 'once'}")
+        bound = bind_arguments(fn, args)
+        results = procpool.run_shards(
+            fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays, direct, 30.0
+        )
+        assert (tmp_path / "once").exists(), "the injected fault actually fired"
+        if direct:
+            twice = plan[1][0] * grid.block_threads  # blocks 0:4 ran twice
+            assert not np.array_equal(args[0][:twice], serial[0][:twice])
+            assert np.array_equal(args[0][twice:], serial[0][twice:])
+        else:
+            apply_diffs(bound, [diff for _planned, diff in results])
+            assert args[0].tobytes() == serial[0].tobytes()
 
     def test_persistent_death_falls_back_to_serial(self, monkeypatch):
         # No once-file: the shard kills every worker that picks it up.

@@ -302,6 +302,8 @@ class TestSessionIntegration:
             "sharded_launches",
             "shards_run",
             "zero_copy",
+            "staged",
+            "staging_bytes",
             "overlay",
             "serial_unshardable",
             "serial_small_grid",

@@ -5,6 +5,8 @@ zoo coverage: if a kernel exercises a semantics corner for codegen, the
 same corner must survive sharding.
 """
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro import LaunchOptions
 from repro.engine import Grid, launch
 from repro.conformance import PLANNED_LAUNCHES, Cell, check, kernel_subject, run_cell
 from repro.errors import ExecutionError
-from repro.parallel import procpool, shutdown_process_pool
+from repro.parallel import procpool, shard, shutdown_process_pool
 from repro.parallel.shard import STATS, plan_shards
 from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
 from repro.resilience.faults import FAULT_CLASSES, FaultPlan, FaultSpec, use_faults
@@ -147,6 +149,8 @@ SHARDABLE_CASES = {
         Grid.for_elements(n),
         [np.zeros(n, np.float32), _rand(n), n],
     ),
+    # loads the array it stores: never one shared copy, on any lane
+    "saxpy_inplace": zoo.saxpy_case,
     # The compiled kernels' index resolution reads each shard's *slice* of
     # the parent's id arrays (reinterpreted as unsigned): all in range,
     # dead lanes outside, and int64 indices.
@@ -168,8 +172,13 @@ def test_sharded_bit_exact(name, workers):
 
 
 # One shard body, one assembly and one fallback serve every lane, so the
-# same differential must hold on each.  tile_scale2d's writes are not
-# provably disjoint; square_map's are.
+# same differential must hold on each, and one rule says where shards
+# write.  square_map's and border_stencil's stores are provably private
+# and into an array they never load: in place — the caller's buffers with
+# no guard, launch staging under one or on worker processes.
+# tile_scale2d's, tiled_matmul's and transpose_i64's stores are not proved
+# private, and saxpy_inplace loads what it stores: private copies
+# everywhere.
 
 
 @pytest.fixture
@@ -182,16 +191,21 @@ def _process_pool():
 @pytest.mark.parametrize(
     "name,ambient,snapshot,counter",
     [
-        # a guarded thread launch never writes in place, disjoint or not
-        ("square_map", dict(guard=True), STATS.snapshot, "overlay"),
+        # a guarded thread launch never writes the caller's buffers in place
+        ("square_map", dict(guard=True), STATS.snapshot, "staged"),
+        ("square_map", dict(guard=True), STATS.snapshot, "zero_copy"),
         ("tile_scale2d", dict(guard=True), STATS.snapshot, "overlay"),
         ("square_map", dict(executor="process"), procpool.stats_snapshot, "direct"),
         ("tile_scale2d", dict(executor="process"), procpool.stats_snapshot, "diff"),
         ("tiled_matmul", dict(guard=True), STATS.snapshot, "overlay"),
         ("tiled_matmul", dict(executor="process"), procpool.stats_snapshot, "diff"),
-        ("border_stencil", dict(guard=True), STATS.snapshot, "overlay"),
+        ("border_stencil", dict(guard=True), STATS.snapshot, "staged"),
         ("border_stencil", dict(executor="process"), procpool.stats_snapshot, "direct"),
+        ("border_stencil", dict(executor="process"), STATS.snapshot, "staged"),
         ("transpose_i64", dict(executor="process"), procpool.stats_snapshot, "diff"),
+        ("saxpy_inplace", dict(), STATS.snapshot, "overlay"),
+        ("saxpy_inplace", dict(guard=True), STATS.snapshot, "overlay"),
+        ("saxpy_inplace", dict(executor="process"), procpool.stats_snapshot, "diff"),
     ],
 )
 def test_sharded_bit_exact_on_every_lane(
@@ -334,6 +348,100 @@ class TestAssemblyModes:
             options=_codegen(3, min_shard_threads=1),
         )
         assert STATS.shards_run == before + 3
+
+
+GUARDED = dict(backend="codegen", parallel=2, min_shard_threads=1, guard=GuardPolicy())
+
+
+class TestStaging:
+    """The free list guarded thread launches take their staging from."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_list(self, staging):
+        self.staging = staging
+
+    def test_a_buffer_serves_a_shorter_array_of_its_size_class(self):
+        """1 024 floats, then 1 000 of which the kernel stores 500, staged
+        over the same 4 KiB buffer: the view is filled whole from the
+        caller's array, so the elements the second launch does not store
+        come back as the caller's, not as the first launch's squares."""
+        x = _rand(1024, 1) + 1.0
+        with repro.options(**GUARDED):
+            launch(zoo.square_map, Grid.for_elements(1024), [np.zeros(1024, np.float32), x, 1024])
+            (first,) = self.staging.idle()
+            out = np.full(1000, -1.0, np.float32)
+            launch(zoo.square_map, Grid.for_elements(1000), [out, x[:1000], 500])
+        assert self.staging.idle() == [first] and first.nbytes == 4096
+        assert out[:500].tobytes() == (x[:500] * x[:500]).tobytes()
+        assert (out[500:] == -1.0).all()
+
+    def test_the_free_list_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(shard, "_STAGING_KEPT_BYTES_MAX", 4096)
+        with repro.options(**GUARDED):
+            for n in (1024, 4096):  # 4 KiB fits, 16 KiB is dropped
+                launch(zoo.square_map, Grid.for_elements(n), [np.zeros(n, np.float32), _rand(n), n])
+        assert self.staging.free_bytes == 4096 == sum(raw.nbytes for raw in self.staging.idle())
+
+    def test_scribbled_idle_staging_never_shows_in_an_output(self):
+        kernel, grid, args = SHARDABLE_CASES["border_stencil"](1000)
+        subject = kernel_subject(kernel, grid, args)
+        reference = run_cell(subject, SERIAL)
+        lane = replace(SERIAL, workers=2, guard=True)
+        assert check(subject, lane, reference=reference).status == "ok"
+        shard.scribble_staging()
+        assert all((raw == 0xFF).all() for raw in self.staging.idle()) and self.staging.idle()
+        assert check(subject, lane, reference=reference).status == "ok"
+
+    def test_callers_on_several_threads_never_share_a_buffer(self):
+        """Three guarded callers at once: no buffer is with two launches
+        at a time (it would show as another caller's data in an output)."""
+        n = 4096
+        grid = Grid.for_elements(n)
+        failures, barrier = [], threading.Barrier(3)
+        lock, held, shared = threading.Lock(), set(), []
+        take, give = self.staging.take, self.staging.give
+
+        def checked_take(array):
+            view = take(array)
+            with lock:
+                if id(view.base) in held:
+                    shared.append(id(view.base))
+                held.add(id(view.base))
+            return view
+
+        def checked_give(views):
+            views = list(views)
+            with lock:
+                held.difference_update(id(view.base) for view in views)
+            give(views)
+
+        self.staging.take, self.staging.give = checked_take, checked_give
+
+        def caller(number):
+            barrier.wait(timeout=30)
+            with repro.options(**GUARDED):
+                for turn in range(8):
+                    x = _rand(n, 10 * number + turn)
+                    out = np.zeros(n, np.float32)
+                    launch(zoo.square_map, grid, [out, x, n])
+                    if out.tobytes() != (x * x).tobytes():
+                        failures.append((number, turn))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and shared == [] and not held
+        idle = self.staging.idle()
+        assert 1 <= len(idle) <= 3 and len({id(raw) for raw in idle}) == len(idle)
+        assert self.staging.free_bytes == sum(raw.nbytes for raw in idle)
 
 
 class TestErrorPropagation:

@@ -161,8 +161,8 @@ class TestGuardedMap:
 
 
 class TestGuardedShardedLaunch:
-    def _launch_square(self, n=4096, policy=None, workers=4):
-        x = np.random.default_rng(0).random(n, dtype=np.float32)
+    def _launch_square(self, n=4096, policy=None, workers=4, seed=0):
+        x = np.random.default_rng(seed).random(n, dtype=np.float32)
         out = np.zeros(n, np.float32)
         with options(guard=policy):
             launch(
@@ -175,18 +175,41 @@ class TestGuardedShardedLaunch:
             )
         return out, x * x
 
-    def test_guarded_launch_is_bit_exact(self):
+    def test_guarded_launch_is_bit_exact(self, staging):
+        before = SHARD_STATS.snapshot()
         out, expected = self._launch_square(policy=FAST)
         np.testing.assert_array_equal(out, expected)
         assert STATS.guarded_sharded == 1
+        # square_map's stores are private and into an array it never loads:
+        # the shards wrote one staged copy of ``out`` in place
+        after = SHARD_STATS.snapshot()
+        assert after["staged"] == before["staged"] + 1
+        assert after["zero_copy"] == before["zero_copy"] + 1
+        assert after["staging_bytes"] == before["staging_bytes"] + out.nbytes
+        assert len(staging.idle()) == 1  # and gave it back
 
-    def test_worker_crashes_fall_back_to_serial_reexecution(self):
+    def test_worker_crashes_fall_back_to_serial_reexecution(self, staging):
         plan = FaultPlan([FaultSpec(SITE_WORKER, mode="exception")])
         with use_faults(plan):
             out, expected = self._launch_square(policy=FAST)
         np.testing.assert_array_equal(out, expected)
         assert STATS.serial_reexecutions == 1
         assert plan.total_fired() > 0
+        # past the retry budget other shards may still be writing it
+        assert staging.idle() == []
+
+    def test_a_crash_inside_the_retry_budget_is_retried_on_the_same_staging(
+        self, staging
+    ):
+        plan = FaultPlan([FaultSpec(SITE_WORKER, mode="exception", max_fires=1)])
+        before = SHARD_STATS.staged
+        with use_faults(plan):
+            out, expected = self._launch_square(policy=FAST, workers=2)
+        assert out.tobytes() == expected.tobytes()
+        assert plan.total_fired() == 1
+        assert STATS.shard_retries == 1 and STATS.serial_reexecutions == 0
+        assert SHARD_STATS.staged == before + 1
+        assert len(staging.idle()) == 1
 
     def test_hung_workers_hit_the_deadline_then_serial(self):
         policy = GuardPolicy(retries=0, deadline_seconds=0.05)
@@ -199,10 +222,49 @@ class TestGuardedShardedLaunch:
         assert STATS.shard_timeouts == 1
         assert STATS.serial_reexecutions == 1
 
-    def test_unguarded_launch_unchanged(self):
+    def test_the_staging_of_a_timed_out_launch_is_never_handed_out_again(
+        self, staging
+    ):
+        """One shard sleeps through the deadline and later wakes to run its
+        kernel on the launch's staging.  That buffer must be nobody's by
+        then: launches of the same shapes issued while it sleeps and after
+        it wakes stay byte-equal to serial, and the caller's array of the
+        timed-out launch is what the serial re-execution wrote."""
+        policy = GuardPolicy(retries=0, deadline_seconds=0.05)
+        self._launch_square(policy=policy, workers=2)
+        (abandoned,) = staging.idle()  # the next launch takes this one
+        hang = 1.0
+        plan = FaultPlan(
+            [FaultSpec(SITE_WORKER, mode="hang", hang_seconds=hang, max_fires=1)]
+        )
+        started = time.monotonic()
+        with use_faults(plan):
+            out, expected = self._launch_square(policy=policy, workers=2, seed=1)
+        assert STATS.shard_timeouts == 1 and STATS.serial_reexecutions == 1
+        assert out.tobytes() == expected.tobytes()
+        assert staging.idle() == []
+        for seed in range(2, 6):  # the abandoned shard is still asleep
+            later, want = self._launch_square(policy=policy, workers=2, seed=seed)
+            assert later.tobytes() == want.tobytes()
+        assert time.monotonic() - started < hang
+        time.sleep(hang + 0.2)  # it woke and stored seed 1's squares
+        assert out.tobytes() == expected.tobytes()
+        for seed in range(6, 10):
+            later, want = self._launch_square(policy=policy, workers=2, seed=seed)
+            assert later.tobytes() == want.tobytes()
+        assert all(raw is not abandoned for raw in staging.idle())
+        assert STATS.serial_reexecutions == 1  # only the timed-out launch fell back
+
+    def test_unguarded_launch_unchanged(self, staging):
+        before = SHARD_STATS.snapshot()
         out, expected = self._launch_square(policy=None)
         np.testing.assert_array_equal(out, expected)
         assert STATS.guarded_sharded == 0
+        # nothing can fail over the caller's buffers: written directly
+        after = SHARD_STATS.snapshot()
+        assert after["zero_copy"] == before["zero_copy"] + 1
+        assert after["staged"] == before["staged"]
+        assert staging.idle() == []
 
 
 class TestRunLadder:

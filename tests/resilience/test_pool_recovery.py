@@ -9,14 +9,23 @@ executor's own shutdown path, then reopen the flag so the pool *looks*
 serviceable) and assert the health check routes around it.
 """
 
+import copy
+import sys
 import threading
 
+import numpy as np
+
+from repro import LaunchOptions
+from repro.apps.registry import make_app
 from repro.parallel.pool import (
     get_pool,
     parallel_map,
     pool_stats,
     replace_pool,
+    shutdown_pools,
 )
+from repro.resilience import stats_snapshot as guard_stats
+from repro.serve import ApproxSession
 
 
 def _kill_workers(pool) -> None:
@@ -92,3 +101,63 @@ class TestDeadPoolRecovery:
         assert pool_stats(kind).snapshot()["workers_restarted"] == before + 1
         # Pool sizes only grow: the replacement keeps the larger size.
         assert fresh._max_workers == 4
+
+
+class TestGrowthKeepsTheExecutor:
+    """Asking for more workers grows the pool in place: a caller that
+    fetched the executor before the request still holds a live one."""
+
+    def test_a_grown_pool_is_the_same_executor_and_runs_the_larger_fan_out(self):
+        kind = "recovery-grow"
+        pool = get_pool(kind, 2)
+        pool.submit(lambda: None).result(timeout=5)
+        assert get_pool(kind, 3) is pool
+        barrier = threading.Barrier(3)  # met only if three tasks run at once
+        waited = _run_with_timeout(
+            lambda: parallel_map(kind, 3, lambda _i: barrier.wait(timeout=5), range(3))
+        )
+        assert sorted(waited) == [0, 1, 2]
+        assert pool_stats(kind).snapshot()["workers_restarted"] == 0
+
+    def test_two_sessions_with_different_parallel_on_two_threads(self):
+        """ROADMAP 7(b)(iii): one session's wider fan-out grows the
+        ``"shard"`` pool while the other's launches are submitting to it.
+        When growth replaced the executor the narrower session's submit
+        raised ``cannot schedule new futures after shutdown``."""
+        shutdown_pools()  # so the pool starts at the narrower size
+        app = make_app("gaussian", scale=0.05, seed=0)
+        inputs = app.generate_inputs(seed=1)
+        want = app.run_exact(copy.deepcopy(inputs))[0]
+        before = guard_stats()
+        failures, barrier = [], threading.Barrier(2)
+
+        def caller(parallel):
+            lane = LaunchOptions(backend="codegen", parallel=parallel, min_shard_threads=1)
+            try:
+                with ApproxSession(
+                    make_app("gaussian", scale=0.05, seed=0), options=lane
+                ) as session:
+                    session.tune()
+                    barrier.wait(timeout=60)
+                    for _turn in range(20):
+                        got = session.launch(copy.deepcopy(inputs), variant="exact")
+                        if not np.array_equal(got, want):
+                            failures.append((parallel, "output differs"))
+            except Exception as exc:  # noqa: BLE001 - reported on the main thread
+                failures.append((parallel, repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(p,)) for p in (2, 3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        after = guard_stats()
+        for counter in ("pool_replacements", "serial_reexecutions", "shard_retries"):
+            assert after[counter] == before[counter], counter
