@@ -22,10 +22,10 @@ tile width ``w``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..kernel import ir
-from ..kernel.visitors import walk_statements
+from ..kernel.visitors import walk, walk_statements
 
 #: Upper bound on combined unrolled iterations considered per access.
 MAX_UNROLL = 1024
@@ -93,6 +93,16 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.nonconst_terms
 
+    def subs(self, values: Dict[str, "Poly"]) -> "Poly":
+        """This polynomial with each symbol named in ``values`` replaced."""
+        out = Poly(())
+        for mono, coeff in self.terms:
+            term = Poly.constant(coeff)
+            for name in mono:
+                term = term * values.get(name, Poly.symbol(name))
+            out = out + term
+        return out
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if not self.terms:
             return "0"
@@ -112,7 +122,7 @@ class ArrayAccesses:
     opaque_loads: int = 0
 
 
-def _single_assignment_defs(fn: ir.Function) -> Dict[str, ir.Expr]:
+def single_assignment_defs(fn: ir.Function) -> Dict[str, ir.Expr]:
     """Locals assigned exactly once in the whole function -> their RHS."""
     counts: Dict[str, int] = {}
     rhs: Dict[str, ir.Expr] = {}
@@ -125,7 +135,7 @@ def _single_assignment_defs(fn: ir.Function) -> Dict[str, ir.Expr]:
     return {name: rhs[name] for name, n in counts.items() if n == 1}
 
 
-def _to_poly(
+def to_poly(
     expr: ir.Expr,
     defs: Dict[str, ir.Expr],
     bindings: Dict[str, int],
@@ -134,8 +144,10 @@ def _to_poly(
     """Lower an integer expression to a polynomial, or None if non-affine
     structure (division, modulo, loads, calls...) appears *above* the
     symbol level.  Non-affine sub-expressions reached through a variable
-    stay opaque as that variable's symbol."""
-    if depth > 32:
+    stay opaque as that variable's symbol.  Any sub-expression that is
+    not integer-typed is refused too: a float constant would read as its
+    truncation, a float cast as the identity."""
+    if depth > 32 or not expr.dtype.is_integer:
         return None
     if isinstance(expr, ir.Const):
         return Poly.constant(int(expr.value))
@@ -143,18 +155,18 @@ def _to_poly(
         if expr.name in bindings:
             return Poly.constant(bindings[expr.name])
         if expr.name in defs:
-            inlined = _to_poly(defs[expr.name], defs, bindings, depth + 1)
+            inlined = to_poly(defs[expr.name], defs, bindings, depth + 1)
             if inlined is not None:
                 return inlined
         return Poly.symbol(expr.name)
     if isinstance(expr, ir.Cast):
-        return _to_poly(expr.operand, defs, bindings, depth + 1)
+        return to_poly(expr.operand, defs, bindings, depth + 1)
     if isinstance(expr, ir.UnOp) and expr.op == "neg":
-        inner = _to_poly(expr.operand, defs, bindings, depth + 1)
+        inner = to_poly(expr.operand, defs, bindings, depth + 1)
         return None if inner is None else -inner
     if isinstance(expr, ir.BinOp):
-        left = _to_poly(expr.left, defs, bindings, depth + 1)
-        right = _to_poly(expr.right, defs, bindings, depth + 1)
+        left = to_poly(expr.left, defs, bindings, depth + 1)
+        right = to_poly(expr.right, defs, bindings, depth + 1)
         if left is None or right is None:
             return None
         if expr.op == "add":
@@ -163,7 +175,7 @@ def _to_poly(
             return left - right
         if expr.op == "mul":
             return left * right
-        if expr.op == "shl" and right.is_constant():
+        if expr.op == "shl" and right.is_constant() and right.const >= 0:
             return left * Poly.constant(1 << right.const)
         return None
     if isinstance(expr, ir.Call) and expr.func in ir.THREAD_INTRINSICS:
@@ -185,60 +197,69 @@ def _loop_values(loop: ir.For) -> Optional[List[int]]:
     return None
 
 
-def _collect(
+def walk_unrolled(
     body: List[ir.Stmt],
-    defs: Dict[str, ir.Expr],
-    bindings: Dict[str, int],
-    out: Dict[str, ArrayAccesses],
+    visit: Callable[[ir.Stmt, Dict[str, int], bool], None],
+    bindings: Optional[Dict[str, int]] = None,
+    looped: bool = False,
 ) -> None:
+    """Call ``visit(stmt, bindings, looped)`` for every statement of ``body``
+    and of the arms and loop bodies within it, once per iteration of each
+    enclosing constant-trip loop of at most :data:`MAX_UNROLL` iterations
+    (its variable bound in ``bindings``).  ``looped`` says some loop the
+    walk did not unroll encloses ``stmt``."""
+    bindings = bindings or {}
     for stmt in body:
+        visit(stmt, bindings, looped)
         if isinstance(stmt, ir.For):
             values = _loop_values(stmt)
             if values is not None and len(values) <= MAX_UNROLL:
                 for v in values:
-                    inner = dict(bindings)
-                    inner[stmt.var] = v
-                    _collect(stmt.body, defs, inner, out)
+                    walk_unrolled(stmt.body, visit, {**bindings, stmt.var: v}, looped)
             else:
-                _collect(stmt.body, defs, bindings, out)
-            continue
-        if isinstance(stmt, ir.If):
-            _collect(stmt.then_body, defs, bindings, out)
-            _collect(stmt.else_body, defs, bindings, out)
-            continue
-        for node in _loads_in_stmt(stmt):
+                walk_unrolled(stmt.body, visit, bindings, True)
+        elif isinstance(stmt, ir.If):
+            walk_unrolled(stmt.then_body, visit, bindings, looped)
+            walk_unrolled(stmt.else_body, visit, bindings, looped)
+
+
+def loads_in(stmt: ir.Stmt) -> List[ir.Load]:
+    """The loads ``stmt`` evaluates itself: in an ``if`` its condition, in a
+    loop its bounds, never those of the statements nested in it."""
+    if isinstance(stmt, ir.If):
+        exprs = [stmt.cond]
+    elif isinstance(stmt, ir.For):
+        exprs = [stmt.start, stmt.stop, stmt.step]
+    elif isinstance(stmt, (ir.Store, ir.AtomicRMW)):
+        exprs = [stmt.index, stmt.value]
+    elif isinstance(stmt, ir.Assign) or (
+        isinstance(stmt, ir.Return) and stmt.value is not None
+    ):
+        exprs = [stmt.value]
+    else:
+        exprs = []
+    return [node for e in exprs for node in walk(e) if isinstance(node, ir.Load)]
+
+
+def extract_load_polynomials(fn: ir.Function) -> Dict[str, ArrayAccesses]:
+    """Map each array read by ``fn`` to the polynomials of its load indices,
+    with constant-trip loops unrolled and single-assignment locals inlined.
+    (Loads in ``if`` conditions and loop bounds are not tile accesses.)"""
+    defs = single_assignment_defs(fn)
+    out: Dict[str, ArrayAccesses] = {}
+
+    def visit(stmt: ir.Stmt, bindings: Dict[str, int], _looped: bool) -> None:
+        if isinstance(stmt, (ir.If, ir.For)):
+            return
+        for node in loads_in(stmt):
             acc = out.setdefault(node.array.name, ArrayAccesses(node.array.name))
-            poly = _to_poly(node.index, defs, bindings)
+            poly = to_poly(node.index, defs, bindings)
             if poly is None:
                 acc.opaque_loads += 1
             else:
                 acc.forms.append(poly)
 
-
-def _loads_in_stmt(stmt: ir.Stmt) -> List[ir.Load]:
-    from ..kernel.visitors import walk
-
-    loads = []
-    exprs: List[ir.Expr] = []
-    if isinstance(stmt, ir.Assign):
-        exprs = [stmt.value]
-    elif isinstance(stmt, ir.Store):
-        exprs = [stmt.index, stmt.value]
-    elif isinstance(stmt, ir.AtomicRMW):
-        exprs = [stmt.index, stmt.value]
-    elif isinstance(stmt, ir.Return) and stmt.value is not None:
-        exprs = [stmt.value]
-    for e in exprs:
-        loads.extend(n for n in walk(e) if isinstance(n, ir.Load))
-    return loads
-
-
-def extract_load_polynomials(fn: ir.Function) -> Dict[str, ArrayAccesses]:
-    """Map each array read by ``fn`` to the polynomials of its load indices,
-    with constant-trip loops unrolled and single-assignment locals inlined."""
-    defs = _single_assignment_defs(fn)
-    out: Dict[str, ArrayAccesses] = {}
-    _collect(fn.body, defs, {}, out)
+    walk_unrolled(fn.body, visit)
     return out
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
+from ..analysis.affine import single_assignment_defs, to_poly
 from ..kernel import ir
 from ..kernel.printer import print_expr
 from ..kernel.visitors import Transformer, walk, walk_statements
@@ -83,9 +84,7 @@ class _BlockCSE(Transformer):
         """Two loads are duplicates when their index *polynomials* agree —
         the tile-replication rewrite produces syntactically different but
         algebraically identical indices (``(y*w+x+1) - 1`` vs ``y*w+x``)."""
-        from ..analysis.affine import _to_poly
-
-        poly = _to_poly(load.index, self.defs, {})
+        poly = to_poly(load.index, self.defs, {})
         if poly is not None:
             return (load.array.name, poly.terms)
         return (load.array.name, print_expr(load))
@@ -107,7 +106,5 @@ class _BlockCSE(Transformer):
 
 def eliminate_duplicate_loads(fn: ir.Function) -> ir.Function:
     """Return a copy of ``fn`` with duplicate block-local loads collapsed."""
-    from ..analysis.affine import _single_assignment_defs
-
-    cse = _BlockCSE(_stored_arrays(fn), _multiply_assigned(fn), _single_assignment_defs(fn))
+    cse = _BlockCSE(_stored_arrays(fn), _multiply_assigned(fn), single_assignment_defs(fn))
     return cse.transform_function(fn)

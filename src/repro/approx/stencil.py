@@ -24,7 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.affine import Poly, extract_load_polynomials, infer_tile
+from ..analysis.affine import (
+    Poly,
+    extract_load_polynomials,
+    infer_tile,
+    single_assignment_defs,
+    to_poly,
+)
 from ..errors import TransformError
 from ..kernel import ir
 from ..kernel.types import I32
@@ -95,9 +101,7 @@ class _LoadRedirector(Transformer):
         self.redirected = 0
 
     def _offset_of(self, index: ir.Expr) -> Optional[Tuple[int, int]]:
-        from ..analysis.affine import _to_poly
-
-        poly = _to_poly(index, self.defs, {})
+        poly = to_poly(index, self.defs, {})
         if poly is None:
             return None
         diff = poly - self.base
@@ -248,9 +252,7 @@ class StencilTransform:
         fn = unroll_where(fn, touches_tile_array)
 
         # Re-derive the base polynomial after unrolling.
-        from ..analysis.affine import _single_assignment_defs
-
-        defs = _single_assignment_defs(fn)
+        defs = single_assignment_defs(fn)
         accesses = extract_load_polynomials(fn).get(tile.array)
         if accesses is None or not accesses.forms:
             raise TransformError(f"{kernel_name}: lost accesses to {tile.array}")

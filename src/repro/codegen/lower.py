@@ -56,21 +56,6 @@ from .fold import compute_intervals, fold_function, interval_of
 #: uniform conditionals could otherwise blow up exponentially.
 MAX_LINES = 20_000
 
-#: Thread intrinsics that always evaluate to a ``(T,)`` array.
-VARYING_INTRINSICS = frozenset(
-    {
-        "global_id",
-        "thread_id",
-        "block_id",
-        "global_id_x",
-        "global_id_y",
-        "thread_id_x",
-        "thread_id_y",
-        "block_id_x",
-        "block_id_y",
-    }
-)
-
 #: intrinsic name -> Geometry attribute (mirrors ``_eval_call``).
 _INTRINSIC_ATTR = {
     "global_id": "gid",
@@ -411,7 +396,7 @@ class _Emitter:
         if isinstance(expr, ir.Load):
             return self.expr_varying(expr.index)
         if isinstance(expr, ir.Call):
-            if expr.func in VARYING_INTRINSICS:
+            if expr.func in ir.VARYING_INTRINSICS:
                 return True
             if intrinsics.is_builtin(expr.func) and expr.func not in ir.THREAD_INTRINSICS:
                 return any(self.expr_varying(a) for a in expr.args)
@@ -1904,7 +1889,7 @@ class _Emitter:
         name = expr.func
         attr = _INTRINSIC_ATTR.get(name)
         if attr is not None:
-            return _Val(f"_G.{attr}", name in VARYING_INTRINSICS)
+            return _Val(f"_G.{attr}", name in ir.VARYING_INTRINSICS)
         args = [self.emit_expr(a, ctx) for a in expr.args]
         array = any(a.array for a in args)
         joined = ", ".join(a.src for a in args)

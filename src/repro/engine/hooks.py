@@ -27,6 +27,8 @@ class LaunchEvent:
     grid: Grid
     trace: object  # repro.engine.trace.Trace
     backend: str = "interp"  # which backend executed it ("interp"/"codegen")
+    fn: object = None  # the kernel's ir.Function
+    module: object = None  # the ir.Module it was launched from
 
 
 _HOOKS: List[Callable[[LaunchEvent], None]] = []
@@ -65,11 +67,11 @@ def launch_hook(hook: Callable[[LaunchEvent], None]):
         remove_launch_hook(on_this_thread)
 
 
-def notify_launch(kernel: str, grid: Grid, trace, backend: str = "interp") -> None:
-    """Called by the engine after each launch completes."""
+def notify_launch(fn, module, grid: Grid, trace, backend: str = "interp") -> None:
+    """Called by the engine after each launch of kernel ``fn`` completes."""
     if not _HOOKS:
         return
-    event = LaunchEvent(kernel=kernel, grid=grid, trace=trace, backend=backend)
+    event = LaunchEvent(fn.name, grid, trace, backend, fn, module)
     # Iterate over a copy so a hook may deregister itself while running.
     for hook in list(_HOOKS):
         hook(event)

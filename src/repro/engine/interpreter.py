@@ -151,7 +151,7 @@ def launch(
                 execution.run()
             elif not _maybe_shard(fn, mod, compiled, grid, bound, effective):
                 compiled.run(grid, bound)
-    notify_launch(fn.name, grid, t, backend=chosen)
+    notify_launch(fn, mod, grid, t, backend=chosen)
     return t
 
 

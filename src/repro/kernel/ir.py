@@ -194,6 +194,12 @@ THREAD_INTRINSICS = (
     "grid_dim_y",
 )
 
+#: The thread intrinsics whose value differs across the threads of a grid;
+#: the block and grid extents are uniform over the whole launch.
+VARYING_INTRINSICS = frozenset(
+    name for name in THREAD_INTRINSICS if not name.startswith(("block_dim", "grid_dim"))
+)
+
 
 # ---------------------------------------------------------------------------
 # Statements

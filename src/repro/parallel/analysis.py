@@ -14,63 +14,54 @@ the cross-*block* coupling the hardware model forbids too:
 * **Impure builtins** (``printf``, ``clock``): their side effects are
   ordered by the serial lockstep schedule that sharding destroys.
 * **Cross-block data flow through global memory**: an array that is both
-  loaded and stored is only safe when every access is element-wise —
-  structurally the same thread-injective index — so a thread only ever
-  re-reads its own element.
+  loaded and stored is only safe when every access reads one private
+  index, so a thread only ever re-reads its own element.
+* **Stores the shard assembly cannot order** (below).
 * **Block-dependent control coupling**: loop bounds must be uniform
-  across the *whole grid*.  The runtime enforces uniformity per
-  execution, so a bound that varies per block would raise serially but
-  could pass inside a single-block shard; requiring statically uniform
-  bounds keeps error behaviour identical.
+  across the *whole grid* (a scalar param only if every assignment to it
+  is).  The runtime enforces uniformity per execution, so a bound that
+  varies per block would raise serially but could pass inside a
+  single-block shard; static uniformity keeps error behaviour identical.
 
 Kernels that pass map cleanly onto the paper's patterns: Map,
 Scatter/Gather, Stencil and Partition kernels shard; atomic Reductions
 and the impure zoo kernels fall back to serial.
 
-The analysis additionally proves, when it can, that every global store
-index is *thread-injective* (affine in ``global_id`` with a non-zero
-stride, or affine in ``block_id`` so distinct blocks hit distinct
-slots), and records whether any written array is also *loaded*.  With
-private stores into arrays the kernel never reads, shards may write one
-shared copy of each written array in place — zero-copy, and a shard that
-runs twice (a retry, a re-submitted task) stores the same bytes again;
-otherwise the executor gives each shard private copies of the written
-arrays and overlays them deterministically in shard order
-(:mod:`repro.parallel.shard`).
+Stores are judged **per array, across all of its store sites**, on the
+index polynomials of :mod:`repro.analysis.index`.  They are *private* —
+no element is stored by two blocks — when every site reads
+``A*block_id + c*thread_id + C_i`` with one ``A`` and one integer ``c``,
+all ``C_i`` share one non-constant part, and their constants differ by
+less than the stride:
+
+* ``c != 0``: ``A = c*k*block_threads`` for an integer ``k != 0``, and
+  the spread is below ``|c|`` (``block_threads`` is ``block_dim`` when
+  ``block_dim_y`` is 1, as in every 1-D launch, else
+  ``block_dim*block_dim_y``);
+* ``c == 0`` (block-private): ``A`` is a constant times grid extents, so
+  provably non-zero (a bare scalar param is not), and the spread is below
+  that constant.
+
+When every written array is private and none is also loaded, shards may
+write one shared copy of each written array in place — zero-copy, and a
+shard that runs twice (a retry, a re-submitted task) stores the same
+bytes again.  Otherwise each shard writes private copies, overlaid in
+shard order (:mod:`repro.parallel.shard`), which restores the serial
+store order only where each lane stores to an array once: an array with
+unproved stores at several sites, or under a loop the index walk did not
+unroll, is not shardable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..analysis.affine import Poly
+from ..analysis.index import grid_uniform, index_fact
 from ..codegen.fingerprint import fingerprint_kernel, reachable_device_functions
 from ..kernel import intrinsics, ir
 from ..kernel.visitors import walk, walk_statements
-
-#: Intrinsics whose value differs across threads of one grid.
-VARYING_INTRINSICS = frozenset(
-    {
-        "global_id",
-        "thread_id",
-        "block_id",
-        "global_id_x",
-        "global_id_y",
-        "thread_id_x",
-        "thread_id_y",
-        "block_id_x",
-        "block_id_y",
-    }
-)
-
-#: Intrinsics that are uniform across the whole grid (and across shards:
-#: shard geometries keep the full-grid dims).
-UNIFORM_INTRINSICS = frozenset(
-    {"block_dim", "block_dim_y", "grid_dim", "grid_dim_y"}
-) | {
-    "block_dim_x",
-    "grid_dim_x",
-}
 
 
 @dataclass
@@ -111,334 +102,118 @@ class Shardability:
         return f"{self.kernel}: serial — " + "; ".join(self.reasons)
 
 
-# -------------------------------------------------------- uniform locals
+# ------------------------------------------------------- the per-array rule
+
+#: Grid extents: each is at least 1 on every launch.
+_EXTENTS = {f"%{n}" for n in set(ir.THREAD_INTRINSICS) - ir.VARYING_INTRINSICS}
 
 
-def _uniform_locals(fn: ir.Function) -> Set[str]:
-    """Locals provably identical across every thread of any grid.
-
-    Fixpoint: a local is uniform iff every assignment to it has a uniform
-    RHS.  Loop variables are uniform by construction (bounds are uniform,
-    enforced below).
-    """
-    assigns: Dict[str, List[ir.Expr]] = {}
-    loop_vars: Set[str] = set()
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, ir.Assign):
-            assigns.setdefault(stmt.target, []).append(stmt.value)
-        elif isinstance(stmt, ir.For):
-            loop_vars.add(stmt.var)
-    scalar_params = {p.name for p in fn.params if not p.is_array}
-    uniform = set(scalar_params) | (loop_vars - set(assigns))
-
-    def expr_uniform(expr: ir.Expr) -> bool:
-        if isinstance(expr, ir.Const):
-            return True
-        if isinstance(expr, ir.Var):
-            return expr.name in uniform
-        if isinstance(expr, ir.BinOp):
-            return expr_uniform(expr.left) and expr_uniform(expr.right)
-        if isinstance(expr, (ir.UnOp, ir.Cast)):
-            return expr_uniform(expr.operand)
-        if isinstance(expr, ir.Select):
-            return (
-                expr_uniform(expr.cond)
-                and expr_uniform(expr.if_true)
-                and expr_uniform(expr.if_false)
-            )
-        if isinstance(expr, ir.Call):
-            if expr.func in UNIFORM_INTRINSICS:
-                return True
-            if expr.func in VARYING_INTRINSICS:
-                return False
-            if intrinsics.is_builtin(expr.func):
-                return all(expr_uniform(a) for a in expr.args)
-            return False  # device calls: conservatively varying
-        return False  # loads are varying in general
-
-    changed = True
-    while changed:
-        changed = False
-        for name, values in assigns.items():
-            if name in uniform:
-                continue
-            if all(expr_uniform(v) for v in values):
-                uniform.add(name)
-                changed = True
-    return uniform
-
-
-def _expr_grid_uniform(expr: ir.Expr, uniform: Set[str]) -> bool:
-    """Whether a loop-bound expression is uniform across the whole grid."""
-    if isinstance(expr, ir.Const):
-        return True
-    if isinstance(expr, ir.Var):
-        return expr.name in uniform
-    if isinstance(expr, ir.BinOp):
-        return _expr_grid_uniform(expr.left, uniform) and _expr_grid_uniform(
-            expr.right, uniform
-        )
-    if isinstance(expr, (ir.UnOp, ir.Cast)):
-        return _expr_grid_uniform(expr.operand, uniform)
-    if isinstance(expr, ir.Select):
-        return all(
-            _expr_grid_uniform(e, uniform)
-            for e in (expr.cond, expr.if_true, expr.if_false)
-        )
-    if isinstance(expr, ir.Call):
-        if expr.func in UNIFORM_INTRINSICS:
-            return True
-        if expr.func in VARYING_INTRINSICS:
-            return False
-        if intrinsics.is_builtin(expr.func):
-            return all(_expr_grid_uniform(a, uniform) for a in expr.args)
-    return False
-
-
-# ------------------------------------------------- affine index analysis
-
-#: ``{intrinsic: coeff}, constant`` — an integer-affine combination of
-#: thread intrinsics.
-_Affine = Tuple[Dict[str, int], int]
-
-
-def _affine_expr(expr: ir.Expr, env: Dict[str, _Affine]) -> Optional[_Affine]:
-    """Decompose ``expr`` into ``sum(coeff * intrinsic) + const``.
-
-    ``env`` maps single-assignment locals to their affine values, so the
-    idiomatic ``i = global_id(); out[i] = ...`` resolves.  Deliberately
-    narrow — it only needs to recognise the ``out[gid]``-family of store
-    indices that dominate the kernel suite; anything else returns None.
-    """
-    if isinstance(expr, ir.Const):
-        try:
-            value = int(expr.value)
-        except (TypeError, ValueError):
-            return None
-        if float(expr.value) != float(value):
-            return None
-        return {}, value
-    if isinstance(expr, ir.Var):
-        return env.get(expr.name)
-    if isinstance(expr, ir.Call) and expr.func in VARYING_INTRINSICS:
-        return {expr.func: 1}, 0
-    if isinstance(expr, ir.Cast):
-        if expr.dtype.is_integer:
-            return _affine_expr(expr.operand, env)
+def _split(form: Optional[Poly]) -> Optional[Tuple[Poly, int, Poly, int]]:
+    """``form`` as ``A*block_id + c*thread_id + N + k`` — ``A`` and ``N``
+    free of varying symbols, ``c`` and ``k`` integers — or None."""
+    if form is None:
         return None
-    if isinstance(expr, ir.BinOp):
-        left = _affine_expr(expr.left, env)
-        right = _affine_expr(expr.right, env)
-        if left is None or right is None:
+    a, c, rest = Poly(()), 0, Poly(())
+    for mono, coeff in form.terms:
+        varying = [s for s in mono if s not in _EXTENTS and s[0] == "%"]
+        if not varying:
+            rest = rest + Poly(((mono, coeff),))
+        elif varying == ["%block_id"]:
+            stride = tuple(s for s in mono if s != "%block_id")
+            a = a + Poly(((stride, coeff),))
+        elif mono == ("%thread_id",):
+            c = coeff
+        else:
             return None
-        (lc, lk), (rc, rk) = left, right
-        if expr.op == "add":
-            merged = dict(lc)
-            for name, coeff in rc.items():
-                merged[name] = merged.get(name, 0) + coeff
-            return {n: c for n, c in merged.items() if c}, lk + rk
-        if expr.op == "sub":
-            merged = dict(lc)
-            for name, coeff in rc.items():
-                merged[name] = merged.get(name, 0) - coeff
-            return {n: c for n, c in merged.items() if c}, lk - rk
-        if expr.op == "mul":
-            if not lc:  # constant * affine
-                return {n: c * lk for n, c in rc.items() if c * lk}, lk * rk
-            if not rc:  # affine * constant
-                return {n: c * rk for n, c in lc.items() if c * rk}, lk * rk
-    return None
+    return a, c, rest - Poly.constant(rest.const), rest.const
 
 
-def _affine_locals(fn: ir.Function) -> Dict[str, _Affine]:
-    """Locals with a single, loop-free, affine-in-intrinsics assignment.
-
-    Fixpoint so chains like ``i = global_id(); j = i + 1`` resolve.  A
-    local assigned more than once (accumulators) or inside a loop body
-    (iteration-varying) never enters the environment.
-    """
-    assigns: Dict[str, List[ir.Expr]] = {}
-    in_loop: Set[str] = set()
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, ir.Assign):
-            assigns.setdefault(stmt.target, []).append(stmt.value)
-        elif isinstance(stmt, ir.For):
-            in_loop.add(stmt.var)
-            for inner in walk_statements(stmt.body):
-                if isinstance(inner, ir.Assign):
-                    in_loop.add(inner.target)
-    env: Dict[str, _Affine] = {}
-    changed = True
-    while changed:
-        changed = False
-        for name, values in assigns.items():
-            if name in env or name in in_loop or len(values) != 1:
-                continue
-            affine = _affine_expr(values[0], env)
-            if affine is not None:
-                env[name] = affine
-                changed = True
-    return env
-
-
-def _store_disjoint(index: ir.Expr, env: Dict[str, _Affine]) -> bool:
-    """Whether a global store at ``index`` is provably private to its
-    writer across shards.
-
-    Two sufficient shapes:
-
-    * affine in ``global_id`` (or an x/y component) with non-zero stride —
-      distinct threads hit distinct elements, so distinct shards do too;
-    * affine in ``block_id`` with non-zero stride — all writers of one
-      element share a block, and a block lives in exactly one shard
-      (within the shard the lockstep store order is unchanged).
-    """
-    affine = _affine_expr(index, env)
-    if affine is None:
+def _private(forms: List[Optional[Poly]], flat: bool) -> bool:
+    """Whether no element is stored by two blocks through these sites (the
+    rule in the module docstring); ``flat``: ``block_dim_y`` is 1."""
+    if flat:
+        forms = [f and f.subs({"%block_dim_y": Poly.constant(1)}) for f in forms]
+    split = [_split(f) for f in forms]
+    if None in split or len({s[:3] for s in split}) != 1:
         return False
-    coeffs, _const = affine
-    if len(coeffs) != 1:
+    a, c, _rest, _k = split[0]
+    spread = max(s[3] for s in split) - min(s[3] for s in split)
+    if len(a.terms) != 1:
         return False
-    ((name, stride),) = coeffs.items()
-    return name in ("global_id", "block_id") and stride != 0
-
-
-def _index_key(expr: ir.Expr) -> Optional[str]:
-    """A structural key for comparing access indices (None = unkeyable)."""
-    if isinstance(expr, ir.Const):
-        return f"c:{expr.value!r}"
-    if isinstance(expr, ir.Var):
-        return f"v:{expr.name}"
-    if isinstance(expr, ir.Call):
-        parts = [_index_key(a) for a in expr.args]
-        if any(p is None for p in parts):
-            return None
-        return f"call:{expr.func}({','.join(parts)})"
-    if isinstance(expr, ir.BinOp):
-        left, right = _index_key(expr.left), _index_key(expr.right)
-        if left is None or right is None:
-            return None
-        return f"({left}{expr.op}{right})"
-    if isinstance(expr, ir.UnOp):
-        operand = _index_key(expr.operand)
-        return None if operand is None else f"{expr.op}({operand})"
-    if isinstance(expr, ir.Cast):
-        operand = _index_key(expr.operand)
-        return None if operand is None else f"cast[{expr.dtype.name}]({operand})"
-    return None
+    ((mono, coeff),) = a.terms
+    if c:
+        block = ("%block_dim",) if flat else ("%block_dim", "%block_dim_y")
+        return mono == block and coeff % c == 0 and spread < abs(c)
+    return all(s in _EXTENTS for s in mono) and spread < abs(coeff)
 
 
 # ---------------------------------------------------------- the analysis
 
 
-def _shared_names(fn: ir.Function) -> Set[str]:
-    return {
-        s.name for s in walk_statements(fn.body) if isinstance(s, ir.SharedAlloc)
-    }
-
-
-def analyze_function(fn: ir.Function, module: ir.Module) -> Shardability:
+def analyze_function(
+    fn: ir.Function, module: ir.Module, flat: bool = True
+) -> Shardability:
     """Uncached core of :func:`analyze_shardability`."""
     reasons: List[str] = []
-    shared = _shared_names(fn)
-    uniform = _uniform_locals(fn)
-    affine_env = _affine_locals(fn)
-    functions = [fn] + reachable_device_functions(fn, module)
-
-    # impure builtins anywhere in the call graph
-    for function in functions:
-        for stmt in walk_statements(function.body):
-            for node in walk(stmt):
-                if isinstance(node, ir.Call) and intrinsics.is_impure(node.func):
-                    reasons.append(
-                        f"impure builtin {node.func!r} in {function.name}"
-                    )
-
-    # loop bounds must be uniform across the whole grid
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, ir.For):
-            for what, bound in (
-                ("start", stmt.start),
-                ("stop", stmt.stop),
-                ("step", stmt.step),
-            ):
-                if not _expr_grid_uniform(bound, uniform):
-                    reasons.append(
-                        f"loop {what} for {stmt.var!r} is not grid-uniform"
-                    )
-    # device-function loops: bounds must be literal/uniform-intrinsic only
-    # (their scalar params may be varying at any call site)
-    for function in functions[1:]:
-        for stmt in walk_statements(function.body):
-            if isinstance(stmt, ir.For):
-                for what, bound in (
-                    ("start", stmt.start),
-                    ("stop", stmt.stop),
-                    ("step", stmt.step),
-                ):
-                    if not _expr_grid_uniform(bound, set()):
+    fact = index_fact(fn, module)
+    shared = {s.name for s in walk_statements(fn.body) if isinstance(s, ir.SharedAlloc)}
+    for function in [fn] + reachable_device_functions(fn, module):
+        # A device function's scalar params may vary at any call site, so
+        # its loop bounds may only read constants and grid extents.
+        uniform = fact.uniform if function is fn else frozenset()
+        where = "" if function is fn else f" in device function {function.name}"
+        for node in walk(function):
+            if isinstance(node, ir.Call) and intrinsics.is_impure(node.func):
+                reasons.append(f"impure builtin {node.func!r} in {function.name}")
+            elif isinstance(node, ir.AtomicRMW) and node.array.name not in shared:
+                reasons.append(f"global atomic_{node.op} on {node.array.name!r}")
+            elif isinstance(node, ir.For):
+                for what in ("start", "stop", "step"):
+                    if not grid_uniform(getattr(node, what), uniform):
                         reasons.append(
-                            f"loop {what} for {stmt.var!r} in device function "
-                            f"{function.name} may vary per thread"
+                            f"loop {what} for {node.var!r}{where} is not grid-uniform"
                         )
 
-    # memory coupling
-    loads: Dict[str, List[ir.Expr]] = {}
-    stores: Dict[str, List[ir.Expr]] = {}
-    for stmt in walk_statements(fn.body):
-        for node in walk(stmt):
-            if isinstance(node, ir.Load) and node.array.name not in shared:
-                loads.setdefault(node.array.name, []).append(node.index)
-        if isinstance(stmt, ir.Store) and stmt.array.name not in shared:
-            stores.setdefault(stmt.array.name, []).append(stmt.index)
-        elif isinstance(stmt, ir.AtomicRMW):
-            if stmt.array.name not in shared:
-                reasons.append(
-                    f"global atomic_{stmt.op} on {stmt.array.name!r}"
-                )
-
-    for name in stores:
-        if name not in loads:
-            continue
-        keys = {_index_key(index) for index in loads[name] + stores[name]}
-        if None in keys or len(keys) != 1 or not all(
-            _store_disjoint(index, affine_env) for index in stores[name]
-        ):
+    disjoint = True  # vacuously, with no stores: nothing to merge
+    for name, forms in fact.stores.items():
+        loaded = fact.loads.get(name)
+        private = _private(forms, flat)
+        disjoint = disjoint and private
+        if loaded is not None and not (private and set(loaded + forms) == {forms[0]}):
+            reasons.append(f"array {name!r} is read and written with coupled indices")
+        elif not private and (len(forms) > 1 or name in fact.repeated):
             reasons.append(
-                f"array {name!r} is read and written with coupled indices"
+                f"stores to {name!r} are not proved private and may overlap "
+                "across blocks"
             )
-
-    param_order = [p.name for p in fn.params if p.is_array]
-    written = [name for name in param_order if name in stores]
-    disjoint = all(
-        _store_disjoint(index, affine_env)
-        for indices in stores.values()
-        for index in indices
-    )  # vacuously True with no stores: nothing to merge
     return Shardability(
         kernel=fn.name,
         shardable=not reasons,
         reasons=sorted(set(reasons)),
-        written_arrays=written,
+        written_arrays=[p.name for p in fn.params if p.name in fact.stores],
         disjoint_writes=disjoint and not reasons,
-        write_only=not any(name in loads for name in stores),
+        write_only=not any(name in fact.loads for name in fact.stores),
     )
 
 
-_ANALYSIS_CACHE: Dict[str, Shardability] = {}
+_ANALYSIS_CACHE: Dict[Tuple[str, bool], Shardability] = {}
 _ANALYSIS_CACHE_MAX = 512
 
 
 def analyze_shardability(
-    fn: ir.Function, module: ir.Module, fingerprint: Optional[str] = None
+    fn: ir.Function,
+    module: ir.Module,
+    fingerprint: Optional[str] = None,
+    flat: bool = True,
 ) -> Shardability:
-    """Analyze ``fn`` once per IR fingerprint (kernels are immutable)."""
-    fp = fingerprint if fingerprint is not None else fingerprint_kernel(fn, module)
-    hit = _ANALYSIS_CACHE.get(fp)
+    """Analyze ``fn`` once per IR fingerprint (kernels are immutable) and
+    block shape: ``flat`` launches have ``block_dim_y == 1``."""
+    key = (fingerprint if fingerprint is not None else fingerprint_kernel(fn, module), flat)
+    hit = _ANALYSIS_CACHE.get(key)
     if hit is not None:
         return hit
-    result = analyze_function(fn, module)
+    result = analyze_function(fn, module, flat)
     if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_MAX:
         _ANALYSIS_CACHE.pop(next(iter(_ANALYSIS_CACHE)))
-    _ANALYSIS_CACHE[fp] = result
+    _ANALYSIS_CACHE[key] = result
     return result

@@ -371,7 +371,9 @@ def maybe_run_sharded(
     if grid.threads < policy.min_shard_threads or grid.total_blocks < 2:
         STATS.inc("serial_small_grid")
         return False
-    analysis = analyze_shardability(fn, module, fingerprint=compiled.fingerprint)
+    analysis = analyze_shardability(
+        fn, module, compiled.fingerprint, flat=grid.threads_per_block_y == 1
+    )
     if not analysis.shardable:
         STATS.inc("serial_unshardable")
         return False

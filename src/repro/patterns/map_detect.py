@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Set
 
+from ..analysis.affine import single_assignment_defs
 from ..analysis.latency import LatencyTable, cycles_needed, is_memoization_profitable
 from ..analysis.purity import is_pure
 from ..kernel import ir
@@ -82,9 +83,7 @@ def detect_map(
         key=lambda n: cycles_needed(module[n], table, module), reverse=True
     )
 
-    from ..analysis.affine import _single_assignment_defs
-
-    defs = _single_assignment_defs(fn)
+    defs = single_assignment_defs(fn)
     scatter_gather = False
     for node in walk(fn):
         if isinstance(node, (ir.Load, ir.Store)) and _is_data_dependent_index(

@@ -8,7 +8,9 @@ the layers a user debugging a mis-detected kernel needs to see:
   patterns, Eq.-1 cost estimates, and the approximate variants Paraprox
   would generate with their knob settings; ``--lowered`` adds the NumPy
   source the codegen backend generates for the exact kernel and for each
-  variant, with its lowering detail string,
+  variant, with its lowering detail string; ``--shards`` adds, for each
+  kernel the exact program and the variants launch, its shardability
+  verdict and the mode a sharded launch of it takes on each lane,
 * ``tune <app>`` — run the full pipeline and print the tuning frontier.
 """
 
@@ -16,14 +18,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
+from ._options import options
 from .analysis.latency import cycles_needed
 from .apps import APP_CLASSES, make_app
 from .approx.compiler import Paraprox
 from .codegen import classify_lowering, lower_kernel
 from .device import DeviceKind, spec_for
+from .engine import LaunchEvent, launch_hook
 from .kernel.printer import print_function, print_module
+from .parallel.analysis import analyze_shardability
 from .patterns import PatternDetector
 
 
@@ -51,6 +56,38 @@ def _print_lowered(label: str, fn, module) -> None:
         print(lower_kernel(fn, module)[0].rstrip())
 
 
+def launched_kernels(app, variant_set) -> Dict[str, LaunchEvent]:
+    """The first launch of each kernel the exact program and every variant
+    make (compiled, serial), by kernel name in launch order."""
+    launched: Dict[str, LaunchEvent] = {}
+    inputs = app.generate_inputs(seed=0)
+    with launch_hook(lambda e: launched.setdefault(e.kernel, e)), options(backend="codegen"):
+        app.run_exact(inputs)
+        for variant in variant_set:
+            app.run_variant(variant, inputs)
+    return launched
+
+
+def _print_shards(app, variant_set) -> None:
+    """Where the shards of each launched kernel write, per lane
+    (docs/PARALLEL.md), and why not in place."""
+    launched = launched_kernels(app, variant_set)
+    width = max(map(len, launched))
+    print(f"\n=== shard verdicts: kernels of the exact program + {len(variant_set)} variants ===")
+    print(f"  {'kernel':<{width}} thread   guarded  process  why not in place")
+    for name, event in launched.items():
+        verdict = analyze_shardability(
+            event.fn, event.module, flat=event.grid.threads_per_block_y == 1
+        )
+        lanes, why = ("serial",) * 3, "; ".join(verdict.reasons)
+        if verdict.in_place:
+            lanes = ("direct", "staged", "direct")
+        elif verdict.shardable:
+            lanes = ("overlay", "overlay", "diff")
+            why = "loads what it stores" if verdict.disjoint_writes else "stores not proved private"
+        print(f"  {name:<{width}} {''.join(f'{lane:<9}' for lane in lanes)}{why}".rstrip())
+
+
 def cmd_inspect(args) -> int:
     app = make_app(args.app, scale=args.scale)
     spec = spec_for(_device(args))
@@ -61,6 +98,8 @@ def cmd_inspect(args) -> int:
         print(f"  patterns (Table 1): {'+'.join(app.info.patterns)}")
         variant_set = Paraprox(target_quality=args.toq).compile(app)
         print(f"  variants: {variant_set.names()}")
+        if args.shards:
+            _print_shards(app, variant_set)
         return 0
 
     module = app.kernel.module
@@ -98,6 +137,8 @@ def cmd_inspect(args) -> int:
         _print_lowered(f"{app.kernel.fn.name} (exact)", app.kernel.fn, module)
         for v in variant_set:
             _print_lowered(v.name, v.module[v.kernel], v.module)
+    if args.shards:
+        _print_shards(app, variant_set)
     return 0
 
 
@@ -141,6 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the generated NumPy source and lowering detail of the exact "
         "kernel and of each variant",
+    )
+    inspect_p.add_argument(
+        "--shards",
+        action="store_true",
+        help="print each launched kernel's shardability verdict and mode per lane",
     )
     inspect_p.set_defaults(func=cmd_inspect)
 

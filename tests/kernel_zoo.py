@@ -297,6 +297,50 @@ def saxpy_inplace(y: array_f32, x: array_f32, a: f32, n: i32):
         y[i] = a * x[i] + y[i]
 
 
+@kernel
+def rescale_inplace(y: array_f32, a: f32, n: i32):
+    """Loads and stores ``y`` through two spellings of one private index."""
+    i = global_id()
+    if i < n:
+        y[i] = a * y[global_id()]
+
+
+# -- shardability corners: each store site is private, the array is not ------
+
+
+@kernel
+def overlapping_thread_stores(out: array_f32, n: i32):
+    """Thread ``i``'s second store lands on thread ``i + 1``'s first, across
+    the edge of a block too; serially the second site wins everywhere."""
+    i = global_id()
+    if i < n:
+        out[i] = 1.0
+        out[i + 1] = 2.0
+
+
+@kernel
+def overlapping_block_stores(out: array_f32, n: i32):
+    """The block-private twin: block ``b``'s second store is block
+    ``b + 1``'s first."""
+    b = block_id()
+    if b < n:
+        out[b] = 1.0
+        out[b + 1] = 2.0
+
+
+@kernel
+def block_varying_bound(out: array_f32, n: i32):
+    """Overwrites its scalar param with a per-block value and loops up to
+    it: the loop stop differs across threads, which every backend must
+    refuse, sharded or not."""
+    n = block_id() + 1
+    acc = 0.0
+    for k in range(0, n):
+        acc += 1.0
+    if thread_id() == 0:
+        out[block_id()] = acc
+
+
 def _rand(n, seed):
     return np.random.default_rng(seed).random(n, dtype=np.float32)
 

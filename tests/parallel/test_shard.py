@@ -151,6 +151,9 @@ SHARDABLE_CASES = {
     ),
     # loads the array it stores: never one shared copy, on any lane
     "saxpy_inplace": zoo.saxpy_case,
+    "rescale_inplace": lambda n: (
+        zoo.rescale_inplace, Grid.for_elements(n), [_rand(n, 15), 1.5, n]
+    ),
     # The compiled kernels' index resolution reads each shard's *slice* of
     # the parent's id arrays (reinterpreted as unsigned): all in range,
     # dead lanes outside, and int64 indices.
@@ -206,6 +209,8 @@ def _process_pool():
         ("saxpy_inplace", dict(), STATS.snapshot, "overlay"),
         ("saxpy_inplace", dict(guard=True), STATS.snapshot, "overlay"),
         ("saxpy_inplace", dict(executor="process"), procpool.stats_snapshot, "diff"),
+        ("rescale_inplace", dict(guard=True), STATS.snapshot, "overlay"),
+        ("rescale_inplace", dict(executor="process"), procpool.stats_snapshot, "diff"),
     ],
 )
 def test_sharded_bit_exact_on_every_lane(
@@ -216,6 +221,45 @@ def test_sharded_bit_exact_on_every_lane(
     result = _sharded_vs_serial(kernel, grid, args, workers=2, **ambient)
     assert result.status == "ok", result.describe()
     assert snapshot()[counter] == before[counter] + PLANNED_LAUNCHES
+
+
+# Each store site of these kernels is private, but the two sites of one
+# array overlap across blocks: in place, shards race on the shared
+# elements, and an overlay lets a later block's first store win over an
+# earlier block's second.  So they run serial on every lane.
+@pytest.mark.parametrize("executor", ["thread", "process"])
+@pytest.mark.parametrize("name", ["overlapping_thread_stores", "overlapping_block_stores"])
+def test_stores_overlapping_across_blocks_run_serial(name, executor, _process_pool):
+    n = 4096
+    args = [np.zeros(n + 1, np.float32), n]
+    before = STATS.snapshot()
+    result = _sharded_vs_serial(
+        getattr(zoo, name), Grid.for_elements(n), args, workers=2, executor=executor
+    )
+    assert result.status == "ok", result.describe()
+    after = STATS.snapshot()
+    assert after["serial_unshardable"] == before["serial_unshardable"] + PLANNED_LAUNCHES
+    assert after["sharded_launches"] == before["sharded_launches"]
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_a_loop_stop_that_varies_per_block_raises_as_serial_does(executor, _process_pool):
+    """``block_varying_bound``'s loop stop is one value inside each block,
+    so a one-block shard would run it; the whole grid must refuse it."""
+
+    def outcome(**fields):
+        out = np.zeros(2, np.float32)
+        try:
+            launch(zoo.block_varying_bound, Grid(2, 64), [out, 0], options=LaunchOptions(**fields))
+        except ExecutionError as exc:
+            return str(exc)
+        return f"returned {out.tolist()}"
+
+    serial = outcome(backend="interp")
+    assert "loop stop must be uniform across threads" in serial
+    assert outcome(backend="codegen") == serial
+    sharded = dict(parallel=2, min_shard_threads=1, executor=executor)
+    assert outcome(backend="codegen", **sharded) == serial
 
 
 @pytest.mark.parametrize("name", ["square_map", "tile_scale2d"])

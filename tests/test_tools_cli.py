@@ -51,6 +51,23 @@ class TestInspectCommand:
         assert "multi-kernel program" in out
         assert "scan" in out
 
+    def test_inspect_shards_prints_each_launched_kernels_lanes(self, capsys):
+        assert main(["inspect", "cumhist", "--shards"]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  scan_")
+        }
+        assert rows["scan_tail_predict"] == ["direct", "staged", "direct"]
+        assert rows["scan_phase2"] == ["overlay", "overlay", "diff"] + "stores not proved private".split()
+        assert set(rows) == {"scan_phase1", "scan_phase2", "scan_phase3", "scan_tail_predict"}
+
+    def test_inspect_shards_names_why_a_kernel_stays_serial(self, capsys):
+        assert main(["inspect", "naivebayes", "--shards"]) == 0
+        out = capsys.readouterr().out
+        assert "naive_bayes_kernel" in out and "serial   serial   serial" in out
+        assert "global atomic_add on 'counts'" in out
+
     def test_unknown_app_rejected(self):
         with pytest.raises(SystemExit):
             main(["inspect", "bitcoin"])
