@@ -1,7 +1,7 @@
 """The launch-options surface: one record, one scope, one precedence chain.
 
-How a kernel launch executes — backend, sharding, executor, guard,
-fusion — is decided by :class:`LaunchOptions` records and nothing else.
+How a kernel launch executes — backend, sharding, executor, guard — is
+decided by :class:`LaunchOptions` records and nothing else.
 There is exactly one ambient stack of them and one way to scope it::
 
     import repro
@@ -117,13 +117,6 @@ class LaunchOptions:
         guard: a :class:`~repro.resilience.GuardPolicy`, or ``None`` for
             an explicitly unguarded launch.  Left :data:`UNSET`, the
             ambient/inherited guard applies.
-        fuse: opt-in cross-launch fusion (:mod:`repro.engine.fusion`).
-            ``True`` lets back-to-back codegen launches whose output feeds
-            the next input run as one fused callable, eliding the
-            intermediate array — whose contents are then *unspecified*
-            after the pair, so only enable it for pipelines that never
-            read the intermediate on the host.  ``False`` disables;
-            ``None`` inherits (default off).
     """
 
     backend: Optional[str] = None
@@ -131,11 +124,8 @@ class LaunchOptions:
     min_shard_threads: Optional[int] = None
     executor: Optional[str] = None
     guard: object = UNSET
-    fuse: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        if self.fuse is not None and not isinstance(self.fuse, bool):
-            raise ConfigError(f"fuse must be a bool or None, got {self.fuse!r}")
         if self.backend is not None:
             validate_backend(self.backend)
         if self.executor is not None:

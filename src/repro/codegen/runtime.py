@@ -708,6 +708,14 @@ def _scatter_site(flat, size: int, live, T: int, nsb: int = 0, ssize: int = 0) -
 
             return _Site("block", store_block)
         idx = flat.astype(np.intp)
+        if not idx.ndim:
+
+            def store_one(buf, value):
+                value = np.asarray(value, dtype=buf.dtype)
+                # A uniform index: the last lane wins, as under a mask.
+                buf[idx] = value[-1] if value.ndim else value
+
+            return _Site("index", store_one, (idx,))
 
         def store_all(buf, value):
             buf[idx] = np.asarray(value, dtype=buf.dtype)
@@ -897,6 +905,8 @@ def _masked_store(buf, flat_idx, value, live, T: int) -> None:
     """The store tail of ``_Execution._store`` (trace recording elided)."""
     value = np.asarray(value, dtype=buf.dtype)
     if live is None:
+        if value.ndim and not np.ndim(flat_idx):
+            value = value[-1]  # a uniform index: the last lane wins, as under a mask
         buf[flat_idx] = value
     else:
         fi = np.broadcast_to(np.asarray(flat_idx), (T,))[live]

@@ -2,7 +2,7 @@
 
 Paraprox's argument rests on the exact kernel being *the* reference: an
 approximate variant may change what is computed, but nothing underneath
-it — lowering, sharding, fusion, the fallback ladder, the serving queue —
+it — lowering, sharding, the fallback ladder, the serving queue —
 may change it further, and every served answer must clear its TOQ.  This
 module states each of those promises once and checks it over every
 configuration that can occur; the five contracts — ``exact``,
@@ -40,7 +40,7 @@ from .apps.registry import APP_CLASSES, make_app
 from .codegen.cache import clear_cache
 from .codegen.runtime import scribble_workspace
 from .device import DeviceKind, spec_for
-from .engine.interpreter import flush_fusion, launch
+from .engine.interpreter import launch
 from .engine.launch import resolve_kernel
 from .errors import BackpressureError
 from .obs.registry import get_registry
@@ -83,7 +83,6 @@ class Cell:
     backend: str = "interp"
     executor: str = "thread"
     workers: int = 1
-    fuse: bool = False
     guard: bool = False
     via: str = "direct"  # "direct" | "ladder" | "frontend"
     fault: Optional[str] = None  # a FAULT_CLASSES key
@@ -100,7 +99,6 @@ class Cell:
             parallel=self.workers,
             executor=self.executor,
             min_shard_threads=1,
-            fuse=self.fuse,
             guard=guard,
         )
 
@@ -112,7 +110,8 @@ class Cell:
     def label(self) -> str:
         lane = "serial" if self.workers == 1 else f"{self.executor}x{self.workers}"
         parts = [self.backend, lane, self.via]
-        parts += [flag for flag in ("fuse", "guard") if getattr(self, flag)]
+        if self.guard:
+            parts.append("guard")
         if self.fault:
             parts.append(f"{self.fault}@{self.seed}")
         return "/".join(parts)
@@ -125,7 +124,6 @@ AXES = {
     "backend": ("interp", "codegen"),
     "executor": ("thread", "process"),
     "workers": (1, 2, 3, 4),
-    "fuse": (False, True),
     "guard": (False, True),
     "via": ("direct", "ladder", "frontend"),
 }
@@ -133,10 +131,8 @@ AXES = {
 
 def excluded(cell: Cell) -> Optional[str]:
     """Why ``cell`` cannot occur (or only repeats another cell), or None."""
-    if cell.backend == "interp" and (
-        cell.workers > 1 or cell.executor != "thread" or cell.fuse
-    ):
-        return "the interpreter never shards or fuses: executor/workers/fuse collapse"
+    if cell.backend == "interp" and (cell.workers > 1 or cell.executor != "thread"):
+        return "the interpreter never shards: executor/workers collapse"
     if cell.workers == 1 and cell.executor != "thread":
         return "a serial launch has no executor"
     if cell.fault is None:
@@ -149,8 +145,6 @@ def excluded(cell: Cell) -> Optional[str]:
         return "a FaultPlan does not cross the process boundary"
     if cell.workers != 2:
         return "one shard split is enough to visit the worker site"
-    if cell.fault == "cache_load" and cell.fuse:
-        return "a cache load launches nothing to fuse"
     return None
 
 
@@ -172,7 +166,6 @@ VARIANT_LANES = (
     _CODEGEN2,
     replace(_CODEGEN2, executor="process"),
     replace(_CODEGEN2, guard=True, via="ladder"),
-    Cell(backend="codegen", fuse=True),
 )
 
 
@@ -320,7 +313,6 @@ def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
                     outcome.served, outcome.depth = report.served, report.depth
                 else:
                     output = subject.run(inputs)
-                    flush_fusion()
         earlier.append(output_arrays(output))
     # The caller holds the last launch (the hit) to the interpreter; the
     # launches before it must be that same output, so each one is held.
@@ -645,7 +637,9 @@ def run(
     out=print,
 ) -> List[Result]:
     """Run ``contracts`` over the named apps (default: all); prints one
-    line per (contract, app), each failing cell, and the totals."""
+    line per (contract, app), each failing cell, the totals and what the
+    sweep cost."""
+    started = time.perf_counter()
     names = list(names) if names else sorted(APP_CLASSES)
     results: List[Result] = []
 
@@ -684,6 +678,7 @@ def run(
                 for fault in sorted({fault for fault, _ in fired})
             )
         )
+    out(f"{len(results)} cells run in {time.perf_counter() - started:.1f} s")
     return results
 
 

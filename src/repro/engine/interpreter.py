@@ -24,7 +24,6 @@ instruction classes and memory access streams for the device cost model.
 from __future__ import annotations
 
 import functools
-import sys
 from typing import Dict, Optional
 
 import numpy as np
@@ -112,11 +111,6 @@ def launch(
         fallback = True
     else:
         fallback = False
-    # Any launch that cannot participate in fusion is a window boundary:
-    # a producer deferred by repro.engine.fusion must run before it.
-    will_offer = chosen == "codegen" and bool(effective.fuse)
-    if not will_offer:
-        flush_fusion()
     bound = bind_arguments(fn, args)
     t = trace if trace is not None else Trace()
     compiled = None
@@ -130,42 +124,18 @@ def launch(
                 raise
             _codegen_cache.STATS.inc("fallbacks")
             chosen = "interp"
-            if will_offer:
-                flush_fusion()  # falling back to interp: boundary after all
     t.count_launch(grid.threads)
-    fused = False
-    if compiled is not None and will_offer:
-        from . import fusion
-
-        # Deferred as a producer or executed as the consumer half of a
-        # fused pair: the kernel body is fusion's, the launch is still
-        # accounted here.
-        fused = fusion.offer(fn, mod, compiled, grid, bound, effective, bounds_check)
-    if not fused:
-        with obs_trace.span(
-            "engine.launch", kernel=fn.name, backend=chosen, threads=grid.threads
-        ):
-            if compiled is None:
-                execution = _Execution(fn, mod, grid, bound, t, bounds_check)
-                execution.call_observer = call_observer
-                execution.run()
-            elif not _maybe_shard(fn, mod, compiled, grid, bound, effective):
-                compiled.run(grid, bound)
+    with obs_trace.span(
+        "engine.launch", kernel=fn.name, backend=chosen, threads=grid.threads
+    ):
+        if compiled is None:
+            execution = _Execution(fn, mod, grid, bound, t, bounds_check)
+            execution.call_observer = call_observer
+            execution.run()
+        elif not _maybe_shard(fn, mod, compiled, grid, bound, effective):
+            compiled.run(grid, bound)
     notify_launch(fn, mod, grid, t, backend=chosen)
     return t
-
-
-def flush_fusion() -> None:
-    """Run any launch the fusion window deferred on this thread.
-
-    The one window-boundary call for every layer (launch, ladder rung,
-    session, front-end).  Reached through ``sys.modules`` so processes
-    that never enable ``fuse`` pay nothing — the fusion module is only
-    imported (and its window only populated) by launches that opted in.
-    """
-    fusion = sys.modules.get("repro.engine.fusion")
-    if fusion is not None:
-        fusion.flush()
 
 
 def _maybe_shard(fn, mod, compiled, grid, bound, effective) -> bool:
@@ -346,6 +316,10 @@ class _Execution:
         live = self._live_mask(frame)
         value = np.asarray(value, dtype=buf.dtype)
         if live is None:
+            if value.ndim and not np.ndim(flat_idx):
+                # Every lane writes the one element: the last lane's value
+                # wins, as it does under a mask.
+                value = value[-1]
             buf[flat_idx] = value
             count = self.T
         else:

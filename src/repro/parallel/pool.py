@@ -253,9 +253,9 @@ def _stats_locked(kind: str) -> PoolStats:
 
 
 def _fresh_pool_locked(kind: str, workers: int) -> ThreadPoolExecutor:
-    old = _POOLS.get(kind)
-    if old is not None:
-        old.shutdown(wait=False)
+    # The old executor is dropped, never shut down: whoever fetched it and
+    # has not submitted yet can still submit.  Once the last holder lets
+    # go it is collected and its idle threads exit.
     pool = ThreadPoolExecutor(
         max_workers=workers, thread_name_prefix=f"repro-{kind}"
     )
@@ -292,8 +292,9 @@ def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:
     """Force-replace the ``kind`` pool with a fresh one.
 
     Used by the guarded launch path after a worker death or deadline
-    expiry: the old executor is shut down without waiting (hung workers
-    finish against private buffers and exit) and the restart is counted.
+    expiry: the old executor stays usable by any caller already holding
+    it (hung workers finish against private buffers and exit once it is
+    collected) and the restart is counted.
     """
     workers = resolve_workers(workers)
     with _POOL_LOCK:

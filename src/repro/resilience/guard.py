@@ -36,7 +36,6 @@ from typing import Dict, List, Optional
 
 from .._options import UNSET, current_options
 from .._options import options as options_scope
-from ..engine.interpreter import flush_fusion
 from ..errors import ResilienceError, ShardTimeout, WorkerDeath
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
@@ -165,16 +164,7 @@ def guarded_map(
     pending: Dict[object, int] = {}
 
     def submit(idx: int) -> None:
-        nonlocal executor
-        try:
-            future = executor.submit(fn, items[idx])
-        except RuntimeError:
-            # The executor was shut down under us (a dead pool); build a
-            # fresh one and resubmit there.
-            STATS.inc("pool_replacements")
-            executor = pool_mod.replace_pool(kind, workers)
-            future = executor.submit(fn, items[idx])
-        pending[future] = idx
+        pending[executor.submit(fn, items[idx])] = idx
 
     for i in range(len(items)):
         submit(i)
@@ -312,8 +302,8 @@ def run_ladder(
     The first rung is the :func:`repro.options` scope the ladder is
     called in: ``backend``, ``workers`` and ``policy`` left unset mean
     what that scope says (``"auto"``, serial and unguarded where it says
-    nothing), and everything else — executor, shard threshold, fusion —
-    is only ever read from it.  A rung scopes just the fields in which
+    nothing), and everything else — executor, shard threshold — is only
+    ever read from it.  A rung scopes just the fields in which
     it differs, so a healthy first rung pushes no scope at all.
     """
     scope = current_options()
@@ -348,15 +338,7 @@ def run_ladder(
                     out, _trace = app.run_variant(variant, inputs)
                 else:
                     out, _trace = app.run_exact(inputs)
-                # Rung boundary: a producer the fusion window deferred
-                # inside this rung must execute before the rung's output
-                # is validated (or its failure attributed).
-                flush_fusion()
         except Exception as exc:
-            try:
-                flush_fusion()
-            except Exception:
-                pass  # rung already failed; its deferral dies contained too
             if final:
                 raise
             STATS.inc("containments")

@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
 from .._options import LaunchOptions, options as options_scope
-from ..engine.interpreter import flush_fusion
 from ..errors import AdmissionError, BackpressureError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
@@ -638,10 +637,6 @@ class ServeFrontend:
                         if override is not None
                         else request.run()
                     )
-                    # A resolved Future promises every array write has
-                    # landed, so a fuse-enabled request may not leave a
-                    # deferred producer behind on the dispatcher thread.
-                    flush_fusion()
                 except BaseException as exc:  # noqa: BLE001 - future carries it
                     request.future.set_exception(exc)
                 else:

@@ -142,14 +142,11 @@ class SessionMetrics:
         # at session start, so the snapshot attributes compiles/hits/
         # shards/containments to *this* session.
         from ..codegen import stats_snapshot as _codegen_stats
-        from ..engine.fusion import stats_snapshot as _fusion_stats
         from ..parallel.shard import stats_snapshot as _shard_stats
         from ..resilience.guard import stats_snapshot as _guard_stats
 
         self._codegen_stats = _codegen_stats
         self._codegen_baseline = _codegen_stats()
-        self._fusion_stats = _fusion_stats
-        self._fusion_baseline = _fusion_stats()
         self._shard_stats = _shard_stats
         self._shard_baseline = _shard_stats()
         self._guard_stats = _guard_stats
@@ -322,10 +319,6 @@ class SessionMetrics:
             if isinstance(current[key], float)
             else current[key] - self._codegen_baseline[key]
             for key in current
-        }
-        fusion_now = self._fusion_stats()
-        codegen["fusion"] = {
-            key: fusion_now[key] - self._fusion_baseline[key] for key in fusion_now
         }
         shard_now = self._shard_stats()
         from ..parallel.pool import pools_snapshot as _pools

@@ -33,7 +33,6 @@ from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
 from ..engine import launch_hook
-from ..engine.interpreter import flush_fusion
 from ..errors import ConfigError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.timeline import timeline as obs_timeline
@@ -400,10 +399,6 @@ class ApproxSession:
                 # error, so it counts against availability.
                 self.metrics.record_launch_error()
                 raise
-            # The ladder flushes per rung, but a fuse-enabled app that
-            # ends on a deferred producer must run it before this
-            # launch's output is treated as final.
-            flush_fusion()
         record.served = report.served
         record.fallback_depth = report.depth
         record.faults = [f"{a.rung}:{a.site}" for a in report.faults]
@@ -505,15 +500,9 @@ class ApproxSession:
             def run_exact(fresh):
                 check_span.set(golden="miss")
                 try:
-                    result = self.app.run_exact(fresh)
-                    flush_fusion()
-                    return result
+                    return self.app.run_exact(fresh)
                 except Exception as exc:
                     check_span.set(fallback=type(exc).__name__)
-                    try:
-                        flush_fusion()
-                    except Exception:
-                        pass  # the failed run's deferral dies with it
                     with options_scope(backend="interp", parallel=1):
                         return self.app.run_exact(fresh)
 

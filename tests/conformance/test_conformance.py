@@ -8,6 +8,7 @@ cell.
 """
 
 import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from repro.conformance import (
     check,
     excluded,
     main,
+    run,
 )
 from repro.parallel.pool import ParallelPolicy, policy_from_options
 from repro.registry import VariantRegistry
@@ -72,7 +74,7 @@ class TestCoverage:
 
     def test_all_13_apps_x_47_variants_meet_the_codegen_lane(self):
         assert Cell(backend="codegen") in VARIANT_LANES
-        assert len(VARIANT_LANES) == 5
+        assert len(VARIANT_LANES) == 4
         toq = Paraprox(target_quality=0.9)
         counts = {name: len(toq.compile(make_app(name))) for name in APP_CLASSES}
         assert len(counts) == 13 and sum(counts.values()) == 47
@@ -90,7 +92,7 @@ class TestCoverage:
                 via="ladder", fault="worker_crash",
             )
         )
-        assert len(enumerated) == 129  # 90 fault-free + 39 fault cells
+        assert len(enumerated) == 69  # 48 fault-free + 21 fault cells
 
 
 # ------------------------------------------------------------ planted bugs
@@ -207,3 +209,34 @@ def test_a_one_contract_run_reports_only_that_contract(capsys):
     assert "exact:" in out
     for other in ("contained", "variant", "floor", "warm_start"):
         assert other not in out
+
+
+def test_the_runner_ends_with_what_the_sweep_cost(capsys):
+    main(["gamma", "--contract", "warm_start"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"2 cells run in \d+\.\d s", last), last
+
+
+def test_the_cost_line_counts_the_cells_of_every_contract():
+    lines = []
+    results = run(["gamma"], ["floor", "warm_start"], seeds=(0,), out=lines.append)
+    totals = {
+        contract: int(re.match(rf"{contract}: (\d+) cells run", line).group(1))
+        for contract in ("floor", "warm_start")
+        for line in lines
+        if line.startswith(f"{contract}: ")
+    }
+    assert totals["floor"] and totals["warm_start"]
+    cost = re.fullmatch(r"(\d+) cells run in \d+\.\d s", lines[-1])
+    assert cost and int(cost.group(1)) == len(results) == sum(totals.values())
+
+
+def test_a_cell_has_no_fusion_axis():
+    import dataclasses
+
+    assert list(AXES) == ["fault", "backend", "executor", "workers", "guard", "via"]
+    assert "fuse" not in {f.name for f in dataclasses.fields(Cell)}
+    with pytest.raises(TypeError):
+        Cell(fuse=True)
+    labels = {cell.label() for cell in (*cells(SEEDS), *VARIANT_LANES)}
+    assert not [label for label in labels if "fuse" in label]

@@ -341,6 +341,22 @@ def block_varying_bound(out: array_f32, n: i32):
         out[block_id()] = acc
 
 
+@kernel
+def uniform_store(out: array_f32, x: array_f32, n: i32):
+    """Every lane stores its own value into the one element ``out[n]``:
+    the last lane's value wins, as it does when the store sits under a
+    mask."""
+    out[n] = x[global_id()]
+
+
+@kernel
+def masked_uniform_store(out: array_f32, x: array_f32, n: i32, m: i32):
+    """``uniform_store`` under ``if i < m``: the last active lane wins."""
+    i = global_id()
+    if i < m:
+        out[n] = x[i]
+
+
 def _rand(n, seed):
     return np.random.default_rng(seed).random(n, dtype=np.float32)
 

@@ -181,7 +181,6 @@ class TestSubsystemFamilies:
             ("repro.parallel.shard", "shards_run"),
             ("repro.parallel.procpool", "tasks"),
             ("repro.resilience.guard", "shard_retries"),
-            ("repro.engine.fusion", "flushes"),
         ],
     )
     def test_concurrent_increments_are_not_lost(self, module_name, field):

@@ -390,7 +390,7 @@ class TestRemovedSurface:
         source = inspect.getsource(inspect.getmodule(Paraprox))
         assert "_options" not in source and "engine.launch" not in source
 
-    def test_launch_options_fields_are_the_same_six(self):
+    def test_launch_options_fields_are_the_same_five(self):
         import dataclasses
 
         assert [f.name for f in dataclasses.fields(LaunchOptions)] == [
@@ -399,8 +399,21 @@ class TestRemovedSurface:
             "min_shard_threads",
             "executor",
             "guard",
-            "fuse",
         ]
+        with pytest.raises(TypeError):
+            LaunchOptions(fuse=True)
+        with pytest.raises(TypeError):
+            repro.options(fuse=True)
+
+    def test_no_fusion_window_is_left_behind(self):
+        import pkgutil
+
+        from repro import engine
+        from repro.engine import interpreter
+
+        modules = {info.name for info in pkgutil.iter_modules(engine.__path__)}
+        assert "interpreter" in modules and "fusion" not in modules
+        assert not [name for name in dir(interpreter) if "fusion" in name]
 
 
 class TestLaunchEquivalence:

@@ -56,6 +56,8 @@ EXPECTED = {
     "overlapping_thread_stores": serial(OVERLAP),
     "overlapping_block_stores": serial(OVERLAP),
     "block_varying_bound": serial("loop stop for 'k' is not grid-uniform"),
+    "uniform_store": OVERLAY,  # every block stores out[n]: the last one wins
+    "masked_uniform_store": OVERLAY,  # the same, the last active block
 }
 
 #: Every kernel the 13 apps launch (exact program and every variant at TOQ

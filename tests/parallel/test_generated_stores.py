@@ -186,12 +186,12 @@ def _who_stores(fn, grid):
 
 
 def _outcome(fn, module, grid, size, **lane):
-    """The output's bytes, or the error (every lane raises what serial does:
-    a loop stop that varies, or one element stored with every lane's value)."""
+    """The output's bytes, or the error (every lane raises what serial
+    does: a loop stop that varies)."""
     out = np.full(size, -1.0, np.float32)
     try:
         launch(fn, grid, [out, P, Q], module=module, options=LaunchOptions(backend="codegen", **lane))
-    except (ExecutionError, ValueError) as exc:
+    except ExecutionError as exc:
         return f"{type(exc).__name__}: {exc}"
     return out.tobytes()
 

@@ -262,6 +262,47 @@ def test_a_loop_stop_that_varies_per_block_raises_as_serial_does(executor, _proc
     assert outcome(backend="codegen", **sharded) == serial
 
 
+@pytest.mark.parametrize(
+    "lane", [dict(), dict(workers=2), dict(workers=2, executor="process")]
+)
+def test_per_lane_values_stored_at_a_uniform_index_leave_the_last_lane(
+    lane, _process_pool
+):
+    """``out[n] = x[global_id()]`` with no mask: every lane writes the one
+    element and the last lane's value stays, on the first launch and on
+    the planned ones, on every lane — the same rule a masked store obeys."""
+    grid, n = Grid(2, 4), 5
+    x = _rand(grid.threads, 16)
+    subject = kernel_subject(zoo.uniform_store, grid, [np.zeros(8, np.float32), x, n])
+    reference = run_cell(subject, Cell())
+    assert not reference.error, reference.error
+    assert reference.arrays[0][n] == x[-1]
+    result = check(subject, replace(SERIAL, **lane), reference=reference)
+    assert result.status == "ok", result.describe()
+
+
+@pytest.mark.parametrize("backend", ["interp", "codegen"])
+def test_a_uniform_store_with_or_without_a_mask_leaves_the_last_active_lane(backend):
+    """The masked store keeps the last active lane's value; the unmasked
+    one keeps what the same mask with every lane active keeps — on each
+    backend, on the first launch and on the planned ones."""
+    grid, n = Grid(2, 4), 5
+    x = _rand(grid.threads, 17)
+    lane = LaunchOptions(backend=backend)
+
+    def stored(kern, *tail):
+        out = np.zeros(8, np.float32)
+        launch(kern, grid, [out, x, n, *tail], options=lane)
+        return out
+
+    for _launch in range(PLANNED_LAUNCHES):
+        for m in (1, 3, grid.threads):
+            masked = stored(zoo.masked_uniform_store, m)
+            assert masked[n] == x[m - 1] and np.count_nonzero(masked) == 1
+        unmasked = stored(zoo.uniform_store)
+        assert unmasked.tobytes() == masked.tobytes()
+
+
 @pytest.mark.parametrize("name", ["square_map", "tile_scale2d"])
 def test_serial_reexecution_after_worker_crash_is_bit_exact(name):
     """An injected ``worker_crash`` past the retry budget lands on the one

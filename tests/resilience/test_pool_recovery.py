@@ -18,13 +18,15 @@ import numpy as np
 from repro import LaunchOptions
 from repro.apps.registry import make_app
 from repro.parallel.pool import (
+    PoolStats,
     get_pool,
     parallel_map,
     pool_stats,
     replace_pool,
     shutdown_pools,
 )
-from repro.resilience import stats_snapshot as guard_stats
+from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
+from repro.resilience.guard import guarded_map
 from repro.serve import ApproxSession
 
 
@@ -101,6 +103,70 @@ class TestDeadPoolRecovery:
         assert pool_stats(kind).snapshot()["workers_restarted"] == before + 1
         # Pool sizes only grow: the replacement keeps the larger size.
         assert fresh._max_workers == 4
+
+
+class TestReplacementKeepsTheOldExecutor:
+    """A replaced pool stays usable by whoever already holds it: an
+    unguarded caller between ``get_pool`` and its submit (a sharded launch
+    on another thread, the tuner's profile pool) must not die with
+    ``cannot schedule new futures after shutdown``."""
+
+    def test_a_caller_holding_a_replaced_pool_finishes_and_its_threads_exit(
+        self, monkeypatch
+    ):
+        kind = "recovery-replaced"
+        record = PoolStats.record
+        ran_on = []
+
+        def replace_once(self, tasks, workers):
+            # Runs between parallel_map's get_pool and its pool.map.
+            record(self, tasks, workers)
+            monkeypatch.setattr(PoolStats, "record", record)
+            replace_pool(kind, 2)
+
+        def square(x):
+            ran_on.append(threading.current_thread())
+            return x * x
+
+        monkeypatch.setattr(PoolStats, "record", replace_once)
+        result = _run_with_timeout(lambda: parallel_map(kind, 2, square, [1, 2, 3]))
+        assert result == [1, 4, 9]
+        assert ran_on and threading.current_thread() not in ran_on
+        for thread in set(ran_on):
+            thread.join(timeout=5)
+            assert not thread.is_alive(), f"{thread.name} outlived its dropped pool"
+
+    def test_a_guarded_map_holding_a_replaced_pool_submits_there(self, monkeypatch):
+        """``guarded_map`` fetches the pool, records, then submits: a
+        replacement in between leaves it a live executor, so it neither
+        fails nor replaces the pool a second time."""
+        kind = "recovery-guarded"
+        record = PoolStats.record
+
+        def replace_once(self, tasks, workers):
+            record(self, tasks, workers)
+            monkeypatch.setattr(PoolStats, "record", record)
+            replace_pool(kind, 2)
+
+        monkeypatch.setattr(PoolStats, "record", replace_once)
+        restarts = pool_stats(kind).snapshot()["workers_restarted"]
+        before = guard_stats()
+        result = _run_with_timeout(
+            lambda: guarded_map(kind, 2, lambda x: x + 1, [1, 2, 3], GuardPolicy())
+        )
+        assert result == [2, 3, 4]
+        assert pool_stats(kind).snapshot()["workers_restarted"] == restarts + 1
+        after = guard_stats()
+        for counter in ("pool_replacements", "shard_retries"):
+            assert after[counter] == before[counter], counter
+
+    def test_the_replaced_executor_is_dropped_not_shut_down(self):
+        kind = "recovery-dropped"
+        old = get_pool(kind, 2)
+        fresh = replace_pool(kind, 2)
+        assert get_pool(kind, 2) is fresh is not old
+        assert not old._shutdown
+        assert old.submit(lambda: 7).result(timeout=5) == 7
 
 
 class TestGrowthKeepsTheExecutor:

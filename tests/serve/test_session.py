@@ -208,6 +208,28 @@ class TestSessionLifecycle:
         # the snapshot is JSON-serialisable as promised
         json.dumps(snap)
 
+    def test_session_metrics_expose_variant_lowerings(self):
+        from repro.apps.convsep import ConvolutionSeparableApp
+
+        app = ConvolutionSeparableApp(scale=0.01, seed=0)
+        with ApproxSession(app, target_quality=0.9) as session:
+            session.launch(app.generate_inputs())
+            snapshot = session.metrics_snapshot()
+        variants = snapshot["codegen"]["variants"]
+        assert variants  # the compiled ladder surfaces its lowering outcomes
+        for entry in variants.values():
+            assert entry["mode"] in ("codegen", "interpreter")
+
+    def test_session_metrics_carry_no_fusion_block_or_families(self):
+        from repro.obs.registry import get_registry
+
+        app = GaussianFilterApp(scale=0.05)
+        with ApproxSession(app, target_quality=0.9) as session:
+            session.launch(app.generate_inputs(seed=3))
+            codegen = session.metrics_snapshot()["codegen"]
+        assert "fusion" not in codegen
+        assert not [m.name for m in get_registry().collect() if "fusion" in m.name]
+
     def test_closed_session_rejects_use(self):
         app = GaussianFilterApp(scale=0.05)
         session = ApproxSession(app, target_quality=0.9)
