@@ -25,58 +25,68 @@ Execution protocol, per sharded launch:
    whole, so whatever an earlier, larger array left behind it is never
    read.  The block range is split with
    :func:`repro.parallel.shard.plan_shards`.
-2. Shards are assigned statically — shard ``i`` goes to worker
-   ``i % W`` — and each worker receives *one* task message carrying the
-   kernel's key ``(fingerprint, grid class, bounds_check)``, the grid,
-   its shard list and the segment names.  The IR rides along only the
-   first time a worker process is handed that key: it compiles
-   (:func:`repro.codegen.get_compiled`) and keeps the kernel in a table
-   of its own, so the unpickle, the fingerprint and the compile are paid
-   once per (worker process, kernel).  The parent's record of what a
-   worker was sent starts empty with every (re)spawn, so a task
-   re-submitted after its worker died carries the IR again.
-3. Each worker maps the segments by name — attachments are kept across
-   launches, bounded, least recently used closed first — and runs the
-   one shard body, :func:`repro.parallel.shard.run_shard`, on views of
-   them, in the mode the caller
-   (:func:`repro.parallel.shard.run_sharded`) chose:
+2. The launching thread keeps the first shard, ``plan[0]``, for itself;
+   the pool holds ``parallel − 1`` processes and ``plan[1:]`` strides
+   over them — its shard ``i`` goes to worker ``i % W``.  Each worker is
+   sent *one* task message over its own duplex pipe (no feeder thread on
+   either side), carrying the kernel's key ``(fingerprint, grid class,
+   bounds_check)``, the grid, its shard list and the segment names.  The
+   IR rides along only the first time a worker process is handed that
+   key: it compiles (:func:`repro.codegen.get_compiled`) and keeps the
+   kernel in a table of its own, so the unpickle, the fingerprint and the
+   compile are paid once per (worker process, kernel).  The parent's
+   record of what a worker was sent starts empty with every (re)spawn,
+   so a task re-submitted after its worker died carries the IR again.
+3. The caller runs its shard on its own views of the segments while the
+   workers run theirs; then it waits on each outstanding worker's pipe
+   and process sentinel at once, so a reply and a death are both seen
+   the moment they happen.  Each worker maps the segments by name —
+   attachments are kept across launches, bounded, least recently used
+   closed first — and replies on its pipe.  Caller and workers run the
+   one shard body, :func:`repro.parallel.shard.run_shard`, in the mode
+   :func:`repro.parallel.shard.run_sharded` chose:
 
    * ``direct`` (``Shardability.in_place``: private stores into arrays
-     the kernel never loads) — workers write the shared output segments
+     the kernel never loads) — shards write the shared output segments
      in place; the parent copies each written segment back to the
      caller's buffer once (no per-shard pickling at all).  A task
      re-submitted after its worker died runs over what the dead worker
      already stored, and stores the same bytes.
-   * ``diff`` — workers run against private copies and return, per
-     shard, a mask of the bytes that changed relative to the pristine
-     segment and their new values; the caller overlays them in ascending shard
-     order, byte-exactly reproducing the serial store order.  A
+   * ``diff`` — shards run against private copies and return a mask of
+     the bytes that changed relative to the pristine segment and their
+     new values; the caller overlays them in ascending shard order,
+     byte-exactly reproducing the serial store order.  A
      re-submitted task starts again from the pristine segment, which is
      why a kernel that loads an array it stores runs here.
 
-   A worker's shard views (:meth:`repro.codegen.runtime.Geometry.shard`)
-   are cached like the parent's, so its second launch of a span builds
-   the span's address plan and later ones read it.
+   Shard views (:meth:`repro.codegen.runtime.Geometry.shard`) are cached
+   per process, so the second launch of a span builds the span's address
+   plan and later ones read it — the caller's in the parent, the others'
+   in the workers.
 
 Containment mirrors the guarded thread lane and is *always on* here,
 because a worker process can genuinely die: the caller's buffers are
 never touched before every shard has succeeded, a worker that exits
-without reporting is respawned and its task re-submitted (a bounded
-number of times), and a wall-clock deadline terminates hung workers —
-before the launch returns its segments to the free list, so no process
-still running an abandoned task can write into a later launch's staging.
-Every unrecoverable outcome is raised (:class:`~repro.errors.ShardTimeout`,
-:class:`WorkerLost`) for ``run_sharded``'s bit-exact serial re-execution
-in the parent.  Kernel-raised exceptions (e.g. bounds checks) are not
-faults to absorb: the error from the lowest failing shard propagates,
-matching the serial order of discovery.
+without reporting — or whose pipe breaks under a send — is respawned
+with a fresh pipe and its task re-submitted (a bounded number of times),
+and a wall-clock deadline, which the caller's own shard counts against,
+terminates hung workers — before the launch returns its segments to the
+free list, so no process still running an abandoned task can write into
+a later launch's staging.  Every unrecoverable outcome is raised
+(:class:`~repro.errors.ShardTimeout`, :class:`WorkerLost`) for
+``run_sharded``'s bit-exact serial re-execution in the parent.
+Kernel-raised exceptions (e.g. bounds checks) are not faults to absorb:
+the error from the lowest failing shard propagates, matching the serial
+order of discovery — the caller's shard is the lowest, and a worker
+names the shard that raised.
 
 Fault injection for tests rides in the ``REPRO_PROC_INJECT`` environment
 variable (it must cross the process boundary, which the in-process fault
 plans of :mod:`repro.resilience.faults` cannot):
 ``die@<b0>:<once-path>`` makes the worker running the shard that starts
 at block ``b0`` exit hard (once; the path records that the fault fired),
-and ``hang@<b0>:<seconds>`` makes it sleep through the deadline.
+and ``hang@<b0>:<seconds>`` makes it sleep through the deadline.  Only
+workers read it: the caller's shard, ``plan[0]``, is never a target.
 """
 
 from __future__ import annotations
@@ -84,15 +94,16 @@ from __future__ import annotations
 import atexit
 import os
 import pickle
-import queue as queue_mod
 import secrets
 import threading
 import time
+import traceback
 import multiprocessing
 from collections import OrderedDict
 from multiprocessing import get_context, resource_tracker
 from multiprocessing import shared_memory as shm_mod
-from typing import Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait as wait_ready
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -140,8 +151,8 @@ class WorkerLost(ResilienceError):
 #: Registry field -> help text; each becomes ``repro_procpool_<field>``.
 _FIELDS = {
     "launches": "sharded launches executed on the process pool",
-    "tasks": "worker tasks submitted (one per worker per launch)",
-    "shards_run": "individual shards executed by worker processes",
+    "tasks": "worker tasks: parallel − 1 per launch",
+    "shards_run": "individual shards executed (the caller's included)",
     "direct": "launches assembled by direct shared-memory writes",
     "diff": "launches assembled by diff overlay",
     "workers_spawned": "worker processes started",
@@ -229,27 +240,33 @@ class _Kept:
             seg.close()
 
 
-def _run_task(payload: dict, kept: _Kept) -> List[tuple]:
+def _run_task(payload: dict, kept: _Kept) -> tuple:
     """Execute one worker task: all this worker's shards of one launch.
 
-    Returns one ``(b0, b1, start, end, planned, diff)`` entry per shard:
-    perf-counter stamps around :func:`repro.parallel.shard.run_shard`
-    and what it returned (whether the shard read a complete address plan;
-    None when it wrote the staged arrays in place, per-array byte diffs
-    otherwise).
+    Returns ``("ok", entries)`` with one ``(b0, b1, start, end, planned,
+    diff)`` entry per shard — perf-counter stamps around
+    :func:`repro.parallel.shard.run_shard` and what it returned (whether
+    the shard read a complete address plan; None when it wrote the staged
+    arrays in place, per-array byte diffs otherwise) — or, once a shard
+    raises, ``("err", b0, exc)`` naming that shard.
     """
     from ..codegen.cache import get_compiled
     from ..codegen.runtime import geometry
     from .shard import run_shard
 
     grid = payload["grid"]
-    ir = payload.get("ir")
-    if ir is not None:
-        kept.kernels[payload["kernel"]] = get_compiled(*ir, grid, payload["kernel"][2])
-    compiled = kept.kernels[payload["kernel"]]
-    geo = geometry(grid)
     values = dict(payload["scalars"])
+    # Blamed for what fails before the first shard starts (the compile, an
+    # attach), then rebound to each shard as it runs.
+    b0 = payload["shards"][0][0]
     try:
+        ir = payload.get("ir")
+        if ir is not None:
+            kept.kernels[payload["kernel"]] = get_compiled(
+                *ir, grid, payload["kernel"][2]
+            )
+        compiled = kept.kernels[payload["kernel"]]
+        geo = geometry(grid)
         for name, (seg_name, length, dtype_str) in payload["arrays"].items():
             values[name] = np.ndarray(
                 length, dtype=np.dtype(dtype_str), buffer=kept.attach(seg_name).buf
@@ -263,49 +280,50 @@ def _run_task(payload: dict, kept: _Kept) -> List[tuple]:
                 payload["private"],
             )
             shards.append((b0, b1, start, time.perf_counter(), planned, diff))
-        return shards
+        return ("ok", shards)
+    except Exception as exc:  # reported to the parent, which raises it
+        # Its frames hold views of the segments, which trim may close.
+        exc = exc.with_traceback(None)
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            exc = ExecutionError(f"{type(exc).__name__}: {exc}")
+        return ("err", b0, exc)
     finally:
         del values
         kept.trim()
 
 
-def _worker_main(worker_id: int, task_q, result_q) -> None:
-    """Worker loop: take one task message, run it, report, repeat."""
+def _worker_main(conn) -> None:
+    """Worker loop: receive a task on ``conn``, run it, send the reply,
+    repeat — until a ``None`` task or the parent's end closing."""
     kept = _Kept()
     while True:
-        item = task_q.get()
-        if item is None:
-            return
-        epoch, task_id, payload = item
         try:
-            result_q.put(("ok", epoch, task_id, _run_task(payload, kept)))
-        except BaseException as exc:  # noqa: BLE001 - must report, not die
-            b0 = payload["shards"][0][0] if payload["shards"] else -1
-            failing = getattr(exc, "_proc_b0", b0)
-            try:
-                pickle.dumps(exc)
-            except Exception:
-                exc = ExecutionError(f"{type(exc).__name__}: {exc}")
-            result_q.put(("err", epoch, task_id, failing, exc))
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
+        conn.send(_run_task(payload, kept))
 
 
 # ----------------------------------------------------------- parent side
 
 
 class _Worker:
-    """One pool slot: a process, its private task queue and the kernel
-    keys whose IR that process has been sent.
+    """One pool slot: a process, the parent's end of the duplex pipe to it
+    and the kernel keys whose IR that process has been sent.
 
-    A respawn replaces all three — a worker killed mid-``get`` can leave
-    its queue's feeder state inconsistent, and the new process knows no
-    kernel, so the replacement starts clean.
+    A respawn replaces all three — a worker killed mid-message leaves
+    half of it in the pipe, and the new process knows no kernel, so the
+    replacement starts clean.
     """
 
-    def __init__(self, ctx, worker_id: int, result_q) -> None:
+    def __init__(self, ctx, worker_id: int) -> None:
         self.ctx = ctx
         self.worker_id = worker_id
-        self.result_q = result_q
-        self.task_q = None
+        self.conn = None
         self.process = None
         self.sent: set = set()
         self.spawn()
@@ -316,14 +334,17 @@ class _Worker:
         # one unlinks the parent's segments when the worker exits.
         resource_tracker.ensure_running()
         self.sent = set()
-        self.task_q = self.ctx.Queue()
+        self.conn, child = self.ctx.Pipe()
         self.process = self.ctx.Process(
             target=_worker_main,
-            args=(self.worker_id, self.task_q, self.result_q),
+            args=(child,),
             name=f"repro-proc-{self.worker_id}",
             daemon=True,
         )
         self.process.start()
+        # The worker holds the only other end now, so its death reads as
+        # end of file here.
+        child.close()
         STATS.inc("workers_spawned")
 
     def alive(self) -> bool:
@@ -334,31 +355,48 @@ class _Worker:
         self.spawn()
         STATS.inc("workers_replaced")
 
-    def submit(self, epoch: int, task_id: int, payload: dict, ir: tuple) -> None:
-        """Queue one task; ``ir`` (``(fn, module)``) goes with it only if
-        this process has not been sent the payload's kernel yet."""
-        if payload["kernel"] not in self.sent:
-            self.sent.add(payload["kernel"])
-            payload = dict(payload, ir=ir)
-            STATS.inc("kernels_sent")
-        self.task_q.put((epoch, task_id, payload))
+    def submit(self, payload: dict, ir: tuple) -> None:
+        """Send one task; ``ir`` (``(fn, module)``) goes with it only if
+        this process has not been sent the payload's kernel yet.  Raises
+        :class:`BrokenPipeError` (or another :class:`OSError`) if the
+        worker is gone."""
+        key = payload["kernel"]
+        if key in self.sent:
+            self.conn.send(payload)
+            return
+        self.conn.send(dict(payload, ir=ir))
+        self.sent.add(key)
+        STATS.inc("kernels_sent")
+
+    def receive(self) -> Optional[tuple]:
+        """The worker's reply, or None if it died before sending one whole.
+        Call once the pipe or the process sentinel is ready."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
 
     def terminate(self) -> None:
-        if self.process is not None and self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():  # pragma: no cover - stuck in D state
-                self.process.kill()
+        """End the process and release its pipe and sentinel."""
+        if self.process is not None:
+            if self.process.is_alive():
+                self.process.terminate()
                 self.process.join(timeout=2.0)
-        if self.task_q is not None:
-            self.task_q.close()
+                if self.process.is_alive():  # pragma: no cover - stuck in D state
+                    self.process.kill()
+                    self.process.join(timeout=2.0)
+            if not self.process.is_alive():
+                self.process.close()
+                self.process = None
+        if self.conn is not None:
+            self.conn.close()
 
     def stop(self) -> None:
-        """Graceful shutdown: sentinel, short join, then terminate."""
+        """Graceful shutdown: a ``None`` task, short join, then terminate."""
         if self.process is not None and self.process.is_alive():
             try:
-                self.task_q.put(None)
-            except Exception:  # pragma: no cover - queue already broken
+                self.conn.send(None)
+            except OSError:
                 pass
             self.process.join(timeout=1.0)
         self.terminate()
@@ -428,13 +466,9 @@ class ProcessShardPool:
 
     def __init__(self, workers: int) -> None:
         self.ctx = get_context(_START_METHOD)
-        self.result_q = self.ctx.Queue()
-        self.workers = [
-            _Worker(self.ctx, i, self.result_q) for i in range(workers)
-        ]
+        self.workers = [_Worker(self.ctx, i) for i in range(workers)]
         self.lock = threading.Lock()
         self.segments = _SegmentList()
-        self._epoch = 0
 
     @property
     def size(self) -> int:
@@ -443,9 +477,7 @@ class ProcessShardPool:
     def grow(self, workers: int) -> None:
         with self.lock:
             while len(self.workers) < workers:
-                self.workers.append(
-                    _Worker(self.ctx, len(self.workers), self.result_q)
-                )
+                self.workers.append(_Worker(self.ctx, len(self.workers)))
 
     def shutdown(self) -> None:
         """Stop the workers, then unlink the idle segments (a launch still
@@ -463,82 +495,106 @@ class ProcessShardPool:
         payloads: Dict[int, dict],
         ir: tuple,
         deadline_seconds: float,
-    ) -> Dict[int, List[tuple]]:
-        """Run one task per worker index; gather every result.  ``ir`` is
-        the ``(fn, module)`` of the kernel every payload names.
+        own: Callable[[], object],
+    ) -> Tuple[object, Dict[int, List[tuple]]]:
+        """Send one task per worker index, run ``own`` — the caller's
+        shard, which precedes every task's in the plan — meanwhile, then
+        gather every reply.  ``ir`` is the ``(fn, module)`` of the kernel
+        every payload names.
 
-        Returns ``{task_id: shard entries}`` (see :func:`_run_task`) on
-        full success.  Raises
-        the lowest-shard kernel exception on worker-reported errors,
-        :class:`~repro.errors.ShardTimeout` on deadline expiry, and
-        :class:`WorkerLost` when a task's worker died past its respawn
-        budget.  In every raising path the workers that
-        hold abandoned tasks have been terminated and respawned, so the
-        next launch starts from a clean pool.
+        Returns ``own()`` and ``{task_id: shard entries}`` (see
+        :func:`_run_task`) on full success.  Raises the lowest-shard
+        kernel exception (``own``'s first) once no task is outstanding,
+        :class:`~repro.errors.ShardTimeout` when a task has not replied
+        by the deadline, and :class:`WorkerLost` when a task's worker died
+        past its respawn budget.  Whatever leaves with tasks still
+        outstanding (those two, an interrupt) first terminates and
+        respawns their workers, so the next launch starts from a clean
+        pool and no pipe holds a reply meant for an earlier launch.
         """
         with self.lock:
-            self._epoch += 1
-            epoch = self._epoch
             deadline = time.monotonic() + deadline_seconds
-            outstanding: Dict[int, int] = {}  # task_id -> worker index
+            outstanding: Dict[int, _Worker] = {}
             respawns: Dict[int, int] = {}
             results: Dict[int, List[tuple]] = {}
             errors: List[Tuple[int, BaseException]] = []  # (failing b0, exc)
 
-            for task_id, payload in payloads.items():
-                worker = self.workers[task_id % len(self.workers)]
-                if not worker.alive():
-                    worker.respawn()
-                worker.submit(epoch, task_id, payload, ir)
-                outstanding[task_id] = task_id % len(self.workers)
-                STATS.inc("tasks")
-
-            def abandon() -> None:
-                for task_id, widx in outstanding.items():
-                    self.workers[widx].respawn()
-
-            while outstanding:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    abandon()
-                    STATS.inc("deadline_timeouts")
-                    raise ShardTimeout(
-                        f"process-sharded launch overran its "
-                        f"{deadline_seconds:.3f}s deadline with "
-                        f"{len(outstanding)} task(s) outstanding"
+            def replace(task_id: int) -> None:
+                """The task's worker died: respawn it, within the budget."""
+                respawns[task_id] = respawns.get(task_id, 0) + 1
+                if respawns[task_id] > MAX_RESPAWNS_PER_TASK:
+                    raise WorkerLost(
+                        f"process shard task {task_id} lost its "
+                        f"worker {respawns[task_id]} times"
                     )
+                outstanding[task_id].respawn()
+
+            def send(task_id: int) -> None:
+                while True:
+                    try:
+                        outstanding[task_id].submit(payloads[task_id], ir)
+                        return
+                    except OSError:  # a dead pipe is a dead worker
+                        replace(task_id)
+
+            own_error: Optional[Exception] = None
+            try:
+                for task_id in payloads:
+                    worker = self.workers[task_id % len(self.workers)]
+                    if not worker.alive():
+                        worker.respawn()  # died between launches
+                    outstanding[task_id] = worker
+                    send(task_id)
+                    STATS.inc("tasks")
                 try:
-                    msg = self.result_q.get(timeout=min(0.05, remaining))
-                except queue_mod.Empty:
-                    # No result yet: check for workers that died mid-task.
-                    for task_id, widx in list(outstanding.items()):
-                        worker = self.workers[widx]
-                        if worker.alive():
-                            continue
-                        respawns[task_id] = respawns.get(task_id, 0) + 1
-                        worker.respawn()
-                        if respawns[task_id] > MAX_RESPAWNS_PER_TASK:
-                            abandon()
-                            raise WorkerLost(
-                                f"process shard task {task_id} lost its "
-                                f"worker {respawns[task_id]} times"
-                            )
-                        worker.submit(epoch, task_id, payloads[task_id], ir)
-                    continue
-                kind, msg_epoch, task_id = msg[0], msg[1], msg[2]
-                if msg_epoch != epoch or task_id not in outstanding:
-                    continue  # stale result from an abandoned launch
-                outstanding.pop(task_id)
-                if kind == "ok":
-                    results[task_id] = msg[3]
-                else:
-                    errors.append((msg[3], msg[4]))
+                    mine = own()
+                except Exception as exc:
+                    own_error = exc
+                    # Its frames hold the caller's views of the segments; a
+                    # view does not keep its mapping alive, so one read
+                    # after the segment is closed would fault.
+                    traceback.clear_frames(exc.__traceback__)
+                while outstanding:
+                    handles = {}
+                    for task_id, worker in outstanding.items():
+                        handles[worker.conn] = task_id
+                        handles[worker.process.sentinel] = task_id
+                    ready = wait_ready(
+                        list(handles), max(0.0, deadline - time.monotonic())
+                    )
+                    if not ready:
+                        STATS.inc("deadline_timeouts")
+                        raise ShardTimeout(
+                            f"process-sharded launch overran its "
+                            f"{deadline_seconds:.3f}s deadline with "
+                            f"{len(outstanding)} task(s) outstanding"
+                        )
+                    # One reply or one death per task: its pipe and its
+                    # sentinel can both be ready.
+                    for task_id in dict.fromkeys(handles[h] for h in ready):
+                        reply = outstanding[task_id].receive()
+                        if reply is None:
+                            replace(task_id)
+                            send(task_id)
+                        elif reply[0] == "ok":
+                            results[task_id] = reply[1]
+                            del outstanding[task_id]
+                        else:
+                            errors.append((reply[1], reply[2]))
+                            del outstanding[task_id]
+            except BaseException:
+                # Nothing may run on in segments the launch gives back.
+                for worker in outstanding.values():
+                    worker.respawn()
+                raise
+            if own_error is not None:
+                raise own_error
             if errors:
                 # Lowest failing shard wins, matching serial discovery
                 # order; workers that errored are alive and reusable.
                 errors.sort(key=lambda pair: pair[0])
                 raise errors[0][1]
-            return results
+            return mine, results
 
 
 _POOL_LOCK = threading.Lock()
@@ -618,12 +674,13 @@ def run_shards(
     direct: bool,
     deadline_seconds: float,
 ) -> List[Tuple[bool, Optional[dict]]]:
-    """The process transport: run the shard body over ``plan`` on the
-    worker processes and return what it returned
+    """The process transport: run the shard body over ``plan`` — its
+    first shard on this thread, the rest on ``workers − 1`` worker
+    processes — and return what it returned
     (:func:`repro.parallel.shard.run_shard`) in plan order, or raise.
 
-    Workers run against staged shared-memory copies of ``bound``; the
-    caller's buffers are only written here, after every shard has
+    Every shard runs against staged shared-memory copies of ``bound``;
+    the caller's buffers are only written here, after every shard has
     succeeded.  With ``direct`` the shards write the staged ``written``
     arrays in place and those are copied back once; otherwise they run
     against private copies of them and the returned per-shard diffs are
@@ -632,27 +689,51 @@ def run_shards(
     :meth:`ProcessShardPool.run_tasks`) — by then no worker is running a
     shard of this launch, so its segments are free to be reused.
     """
+    from ..codegen.runtime import geometry
+    from .shard import run_shard
+
     mode = "direct" if direct else "diff"
-    pool = get_process_pool(workers)
-    count = min(workers, pool.size, len(plan))
+    private = [] if direct else list(written)
+    pool = get_process_pool(workers - 1)
+    count = min(workers - 1, pool.size, len(plan) - 1)
 
     views: Dict[str, np.ndarray] = {}
+    values: Dict[str, object] = {}
     taken: List[shm_mod.SharedMemory] = []
     try:
         specs, scalars = _stage_arrays(
             pool.segments, bound, compiled.param_names, views, taken
         )
+        values.update(scalars)
+        values.update(views)
         payloads: Dict[int, dict] = {
             widx: {
                 "kernel": (compiled.fingerprint, compiled.grid_class, compiled.bounds_check),
                 "grid": grid,
-                "shards": [plan[i] for i in range(widx, len(plan), count)],
+                "shards": plan[1 + widx :: count],
                 "arrays": specs,
                 "scalars": scalars,
-                "private": [] if direct else list(written),
+                "private": private,
             }
             for widx in range(count)
         }
+
+        def own() -> Tuple[bool, Optional[dict]]:
+            """The caller's shard: ``plan[0]``, on the staged views."""
+            with obs_trace.span(
+                "proc.shard",
+                kernel=compiled.fn_name,
+                blocks=f"{plan[0][0]}:{plan[0][1]}",
+                mode=mode,
+                worker="caller",
+            ) as traced:
+                result = run_shard(
+                    compiled, geometry(grid), grid.block_threads, values, plan[0],
+                    private,
+                )
+                traced.set(planned=result[0])
+                return result
+
         with obs_trace.span(
             "proc.launch",
             kernel=compiled.fn_name,
@@ -660,7 +741,9 @@ def run_shards(
             workers=count,
             shards=len(plan),
         ):
-            results = pool.run_tasks(payloads, (fn, module), deadline_seconds)
+            mine, results = pool.run_tasks(
+                payloads, (fn, module), deadline_seconds, own
+            )
             for task_id in sorted(results):
                 for b0, b1, start, end, planned, _diff in results[task_id]:
                     obs_trace.emit_span(
@@ -676,16 +759,18 @@ def run_shards(
             if direct:
                 for name in written:
                     bound[name][...] = views[name]
-        # Workers took the plan in strides; ascending b0 restores its order.
+        # Workers took plan[1:] in strides; ascending b0 restores its order.
         shards = sorted(
             (entry for entries in results.values() for entry in entries),
             key=lambda entry: entry[0],
         )
-        STATS.inc("shards_run", len(shards))
+        STATS.inc("shards_run", 1 + len(shards))
         STATS.inc("launches")
         STATS.inc(mode)
-        return [(planned, diff) for *_stamps, planned, diff in shards]
+        return [mine] + [(planned, diff) for *_stamps, planned, diff in shards]
     finally:
+        # A traceback may still hold this frame: no view may outlive it.
         views.clear()
+        values.clear()
         for seg in taken:
             pool.segments.give(seg)

@@ -45,11 +45,11 @@ genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
 pool (``parallel_map``, or ``guarded_map`` under a guard — a hung thread
 cannot be killed, only abandoned, so the staging of a launch that did
 not fully succeed is dropped, never reused: a shard that wakes later
-writes memory nobody reads); ``"process"`` ships it to the
-:mod:`repro.parallel.procpool` workers, which run it on shared-memory
-staging copies (a dead worker is respawned, a hung one terminated before
-its segments are reused; the caller's buffers are out of reach by
-construction).
+writes memory nobody reads); ``"process"`` runs the first shard on the
+launching thread and ships the rest to the :mod:`repro.parallel.procpool`
+workers, all on shared-memory staging copies (a dead worker is
+respawned, a hung one terminated before its segments are reused; the
+caller's buffers are out of reach by construction).
 
 Exceptions (e.g. bounds-check failures) propagate from the lowest
 failing shard, matching the serial order of discovery; the reported

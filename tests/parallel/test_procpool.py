@@ -9,7 +9,9 @@ at spawn (fork), so every test that sets it shuts the pool down first.
 
 import dataclasses
 import glob
+import mmap
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -136,7 +138,8 @@ class TestStandingTransport:
             launch(zoo.square_map, grid, args, options=PROC)
             assert np.array_equal(args[0], serial[0])
         after = procpool.stats_snapshot()
-        assert after["kernels_sent"] - before["kernels_sent"] == 2  # two workers, once each
+        # parallel=2 is the caller and one worker process, sent the IR once
+        assert after["kernels_sent"] - before["kernels_sent"] == 1
         # two arrays a launch: the first launch creates, the next two reuse
         assert after["segments_reused"] - before["segments_reused"] == 4
 
@@ -218,13 +221,19 @@ class TestStandingTransport:
         assert _own_segments() == []
 
 
+def _worker_b0(grid, workers=2):
+    """The first block of the first shard a worker process runs (the
+    caller keeps ``plan[0]``)."""
+    return plan_shards(grid.total_blocks, workers)[1][0]
+
+
 class TestContainment:
     def test_dead_worker_is_replaced_and_task_retried(self, tmp_path, monkeypatch):
         once = tmp_path / "die-once"
-        # Shard 0's worker hard-exits the first time it sees the shard;
-        # the once-file makes the respawned worker run it normally.
-        monkeypatch.setenv(procpool.INJECT_ENV, f"die@0:{once}")
         grid = Grid.for_elements(N)
+        # The worker hard-exits the first time it sees its shard; the
+        # once-file makes the respawned worker run it normally.
+        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:{once}")
         args = _square_args(seed=5)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
@@ -233,9 +242,9 @@ class TestContainment:
         assert once.exists(), "the injected fault actually fired"
         assert np.array_equal(args[0], serial[0])
         assert after["workers_replaced"] >= before["workers_replaced"] + 1
-        # Both workers' first task carried the IR, and so did the retry:
+        # The worker's first task carried the IR, and so did the retry:
         # the respawned process knows no kernel.
-        assert after["kernels_sent"] - before["kernels_sent"] == 3
+        assert after["kernels_sent"] - before["kernels_sent"] == 2
         again = _square_args(seed=6)
         serial = _run_serial(zoo.square_map, grid, again)
         launch(zoo.square_map, grid, again, options=PROC)
@@ -246,12 +255,13 @@ class TestContainment:
     def test_a_resubmitted_task_reruns_shards_that_already_stored(
         self, direct, tmp_path, monkeypatch
     ):
-        """Why in place needs arrays the kernel never loads.  Four shards on
-        two workers: worker 0 runs blocks 0:4, stores, and dies before 8:12;
-        its task is re-submitted over the same staged segment.  With private
-        copies (what the rule gives ``y[i] = a * x[i] + y[i]``) the rerun of
-        0:4 starts from the pristine ``y`` again; writing the segment in
-        place applies it twice."""
+        """Why in place needs arrays the kernel never loads.  Four shards,
+        parallel=2: the caller runs blocks 0:4, the one worker runs 4:8,
+        stores, and dies before 8:12; its task is re-submitted over the same
+        staged segment.  With private copies (what the rule gives
+        ``y[i] = a * x[i] + y[i]``) the rerun of 4:8 starts from the
+        pristine ``y`` again; writing the segment in place applies it
+        twice."""
         kernel, grid, args = zoo.saxpy_case(N)
         fn, mod = resolve_kernel(kernel), resolve_module(kernel)
         compiled = get_compiled(fn, mod, grid, True)
@@ -266,9 +276,11 @@ class TestContainment:
         )
         assert (tmp_path / "once").exists(), "the injected fault actually fired"
         if direct:
-            twice = plan[1][0] * grid.block_threads  # blocks 0:4 ran twice
-            assert not np.array_equal(args[0][:twice], serial[0][:twice])
-            assert np.array_equal(args[0][twice:], serial[0][twice:])
+            # blocks 4:8 ran twice
+            lo, hi = (plan[k][0] * grid.block_threads for k in (1, 2))
+            assert not np.array_equal(args[0][lo:hi], serial[0][lo:hi])
+            assert np.array_equal(args[0][:lo], serial[0][:lo])
+            assert np.array_equal(args[0][hi:], serial[0][hi:])
         else:
             apply_diffs(bound, [diff for _planned, diff in results])
             assert args[0].tobytes() == serial[0].tobytes()
@@ -277,8 +289,8 @@ class TestContainment:
         # No once-file: the shard kills every worker that picks it up.
         # After the respawn budget the launch must still produce exact
         # results via in-parent re-execution.
-        monkeypatch.setenv(procpool.INJECT_ENV, "die@0:")
         grid = Grid.for_elements(N)
+        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:")
         args = _square_args(seed=6)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
@@ -287,9 +299,117 @@ class TestContainment:
         assert np.array_equal(args[0], serial[0])
         assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
 
-    def test_hung_shard_hits_guard_deadline(self, monkeypatch):
-        monkeypatch.setenv(procpool.INJECT_ENV, "hang@0:30")
+    def test_the_callers_shard_is_no_fault_target(self, monkeypatch):
+        """``die@0:`` names the caller's shard, and the caller never reads
+        the directive: nothing dies, nothing is re-executed."""
+        monkeypatch.setenv(procpool.INJECT_ENV, "die@0:")
         grid = Grid.for_elements(N)
+        args = _square_args(seed=13)
+        serial = _run_serial(zoo.square_map, grid, args)
+        before = procpool.stats_snapshot()
+        launch(zoo.square_map, grid, args, options=PROC)
+        after = procpool.stats_snapshot()
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert after["launches"] == before["launches"] + 1
+        for field in ("workers_replaced", "serial_reexecutions"):
+            assert after[field] == before[field]
+
+    def test_a_send_to_a_dead_worker_is_a_death(self, monkeypatch):
+        """A worker killed after ``alive()`` said it lived: the send breaks
+        its pipe, which respawns it and re-sends — never a kernel error."""
+        grid = Grid.for_elements(N)
+        launch(zoo.square_map, grid, _square_args(seed=1), options=PROC)
+        worker = procpool.get_process_pool(1).workers[0]
+        os.kill(worker.process.pid, signal.SIGKILL)
+        worker.process.join(timeout=10)
+        assert worker.process.exitcode == -signal.SIGKILL
+        monkeypatch.setattr(procpool._Worker, "alive", lambda self: True)
+        args = _square_args(seed=14)
+        serial = _run_serial(zoo.square_map, grid, args)
+        before = procpool.stats_snapshot()
+        launch(zoo.square_map, grid, args, options=PROC)
+        after = procpool.stats_snapshot()
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert after["workers_replaced"] == before["workers_replaced"] + 1
+        assert after["serial_reexecutions"] == before["serial_reexecutions"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_respawns_leave_no_descriptor_behind(self, tmp_path, monkeypatch):
+        """Three die/respawn drills: each replaced worker's pipe and
+        sentinel are closed, so the parent's descriptors are back where
+        they were."""
+        grid = Grid.for_elements(N)
+        once = tmp_path / "once"
+        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:{once}")
+        once.touch()  # spent: the warm-up launch runs clean
+        launch(zoo.square_map, grid, _square_args(seed=1), options=PROC)
+        baseline = len(os.listdir("/proc/self/fd"))
+        before = procpool.stats_snapshot()
+        for seed in (2, 3, 4):
+            once.unlink()  # re-arm: the live worker dies on its shard
+            args = _square_args(seed=seed)
+            serial = _run_serial(zoo.square_map, grid, args)
+            launch(zoo.square_map, grid, args, options=PROC)
+            assert once.exists(), "the injected fault actually fired"
+            assert args[0].tobytes() == serial[0].tobytes()
+        after = procpool.stats_snapshot()
+        assert after["workers_replaced"] - before["workers_replaced"] == 3
+        assert len(os.listdir("/proc/self/fd")) == baseline
+
+    @pytest.mark.parametrize(
+        "shards, workers, bad",
+        [(4, 2, (1, 2)), (5, 3, (2, 3))],
+    )
+    def test_a_worker_names_the_shard_that_raised(self, shards, workers, bad):
+        """Out-of-range indices in two shards: the lower one's error is
+        raised, even when the higher one is not its worker's first shard
+        (with ``(5, 3)`` one worker runs shards 1 and 3, another 2 and 4)."""
+        grid = Grid.for_elements(N)
+        plan = plan_shards(grid.total_blocks, shards)
+        rng = np.random.default_rng(15)
+        idx = rng.integers(0, N, N).astype(np.int32)
+        for extra, shard in enumerate(bad, start=1):
+            idx[plan[shard][0] * grid.block_threads] = N + extra
+        args = [np.zeros(N, np.float32), rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
+        fn = resolve_kernel(zoo.gather_expensive)
+        mod = resolve_module(zoo.gather_expensive)
+        compiled = get_compiled(fn, mod, grid, True)
+        bound = bind_arguments(fn, args)
+        with pytest.raises(ExecutionError, match=rf", {N + 1}\] vs size"):
+            procpool.run_shards(
+                fn, mod, compiled, grid, bound, plan, workers, ["out"], True, 30.0
+            )
+        assert not args[0].any()
+
+    def test_the_callers_error_wins_and_holds_no_segment(self):
+        """Shards 0 and 1 both fail: the caller's shard is the lowest, so
+        its error is raised, after the worker has replied.  Its traceback
+        holds no view of a segment: a view does not keep its mapping alive,
+        so reading one after shutdown closed the segment would fault."""
+        grid = Grid.for_elements(N)
+        plan = plan_shards(grid.total_blocks, 2)
+        rng = np.random.default_rng(16)
+        idx = rng.integers(0, N, N).astype(np.int32)
+        for extra, shard in enumerate((0, 1), start=1):
+            idx[plan[shard][0] * grid.block_threads] = N + extra
+        out = np.zeros(N, np.float32)
+        args = [out, rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
+        with pytest.raises(ExecutionError, match=rf", {N + 1}\] vs size") as caught:
+            launch(zoo.gather_expensive, grid, args, options=PROC)
+        assert not out.any()
+        assert procpool.get_process_pool(1).workers[0].alive()
+        views, tb = [], caught.value.__traceback__
+        while tb is not None:
+            for value in tb.tb_frame.f_locals.values():
+                for item in value.values() if isinstance(value, dict) else [value]:
+                    if isinstance(item, np.ndarray) and isinstance(item.base, mmap.mmap):
+                        views.append(item.shape)
+            tb = tb.tb_next
+        assert views == []
+
+    def test_hung_shard_hits_guard_deadline(self, monkeypatch):
+        grid = Grid.for_elements(N)
+        monkeypatch.setenv(procpool.INJECT_ENV, f"hang@{_worker_b0(grid)}:30")
         args = _square_args(seed=7)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
@@ -301,7 +421,7 @@ class TestContainment:
         assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
         # The hung worker was terminated before the launch gave its
         # segments back, and its replacement has been sent nothing.
-        pool = procpool.get_process_pool(2)
+        pool = procpool.get_process_pool(1)
         assert pool.segments.free_bytes == 2 * N * 4
         assert pool.workers[0].alive() and pool.workers[0].sent == set()
 
@@ -402,8 +522,10 @@ class TestResourceTracker:
 
 class TestObservability:
     def test_proc_spans_reach_the_trace_stream(self):
+        from repro.codegen import clear_cache
         from repro.obs import trace as obs_trace
 
+        clear_cache()  # the caller's shard plans in this process
         was_enabled = obs_trace.enabled()
         obs_trace.enable()
         try:
@@ -424,6 +546,9 @@ class TestObservability:
         parent = next(r for r in records if r["name"] == "proc.launch")
         assert all(s["trace_id"] == parent["trace_id"] for s in shard_spans)
         assert [s["attrs"]["planned"] for s in shard_spans] == [False, False]
+        # the caller runs plan[0] itself, the one worker process the rest
+        assert [s["attrs"]["worker"] for s in shard_spans] == ["caller", 0]
+        assert [s["attrs"]["blocks"] for s in shard_spans] == ["0:8", "8:16"]
 
     def test_planned_shards_show_in_spans_and_in_the_registry(self):
         from repro.obs import render_prometheus
