@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
 
@@ -142,10 +142,12 @@ class LaunchOptions:
         if self.parallel is not None:
             # Defer to the parallel runtime's validator without importing
             # it at module load (repro.parallel imports this module).
-            from .parallel.pool import resolve_workers
+            # "auto" is checked as a literal: the host is probed where a
+            # launch plan resolves it, not on every record.
+            from .parallel.pool import validate_workers
 
             try:
-                resolve_workers(self.parallel)
+                validate_workers(self.parallel)
             except ConfigError as exc:
                 raise ConfigError(
                     f"parallel= takes a worker count or 'auto' ({exc}); the "
@@ -154,7 +156,25 @@ class LaunchOptions:
                 ) from None
 
     def merged_over(self, base: "LaunchOptions") -> "LaunchOptions":
-        """A new record where this record's set fields override ``base``."""
+        """The record where this record's set fields override ``base``.
+
+        Merges are memoized by the identity of the two records (up to
+        :data:`MERGE_MEMO_MAX` pairs), so merging the same two objects
+        again returns the same object and a warm launch neither rebuilds
+        nor re-validates one.  An entry pins both records, so their ids
+        cannot be reused while it stands.
+        """
+        key = (id(self), id(base))
+        hit = _MERGED.get(key)
+        if hit is not None:
+            return hit[0]
+        merged = self._merge(base)
+        if len(_MERGED) >= MERGE_MEMO_MAX:
+            _MERGED.clear()
+        _MERGED[key] = (merged, self, base)
+        return merged
+
+    def _merge(self, base: "LaunchOptions") -> "LaunchOptions":
         updates = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -180,6 +200,12 @@ class LaunchOptions:
 
 #: The empty record every thread's stack starts from.
 DEFAULT_OPTIONS = LaunchOptions()
+
+#: Bound on the merge memo; a full memo starts over.
+MERGE_MEMO_MAX = 256
+
+#: (id(over), id(base)) -> (merged, over, base).
+_MERGED: Dict[Tuple[int, int], Tuple[LaunchOptions, ...]] = {}
 
 
 class _OptionsStack(threading.local):

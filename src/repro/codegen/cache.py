@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..engine.interpreter import drop_launch_plans
 from ..errors import CodegenError
 from ..kernel import ir
 from ..obs import trace as obs_trace
@@ -54,6 +55,22 @@ class CompiledKernel:
         geo = geometry(grid)
         self.entry(geo, *[bound_args[name] for name in self.param_names])
 
+    def reuse(self) -> "CompiledKernel":
+        """One more launch of this kernel from a launch plan that already
+        holds it: the :func:`get_compiled` hit without the fingerprint and
+        key lookup — same fault seam, same hit count, same span."""
+        maybe_inject(SITE_COMPILE, self.fn_name, exc=CodegenError)
+        return self._hit()
+
+    def _hit(self) -> "CompiledKernel":
+        STATS.inc("cache_hits")
+        with obs_trace.span(
+            "codegen.compile", kernel=self.fn_name, cache="hit",
+            grid_class=self.grid_class,
+        ):
+            pass
+        return self
+
 
 _CACHE: Dict[Tuple[str, str, bool], CompiledKernel] = {}
 
@@ -71,12 +88,7 @@ def get_compiled(
     key = (fp, "2d" if grid.is_2d else "1d", bool(bounds_check))
     hit = _CACHE.get(key)
     if hit is not None:
-        STATS.inc("cache_hits")
-        with obs_trace.span(
-            "codegen.compile", kernel=fn.name, cache="hit", grid_class=key[1]
-        ):
-            pass
-        return hit
+        return hit._hit()
     started = time.perf_counter()
     with obs_trace.span(
         "codegen.compile", kernel=fn.name, cache="miss", grid_class=key[1]
@@ -144,9 +156,11 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
 
 
 def clear_cache() -> None:
-    """Drop all compiled kernels, and the address plans resolved for them
-    (tests; does not reset STATS)."""
+    """Drop all compiled kernels, the engine's launch plans that hold them
+    and the address plans resolved for them (tests; does not reset
+    STATS)."""
     _CACHE.clear()
+    drop_launch_plans()
     drop_plans()
 
 

@@ -297,6 +297,12 @@ def _run(subject: Subject, cell: Cell, plan, outcome: Outcome) -> None:
     repeats = 1
     if cell.backend == "codegen" and cell.fault is None:
         repeats = PLANNED_LAUNCHES
+    elif cell.backend == "codegen" and cell.fault != "compile":
+        # The faulted launch runs on the launch plans a fault-free launch
+        # built, whatever cells ran before this one (``compile`` clears
+        # the cache on purpose: its seam is a cold compile).
+        with options(cell.options()):
+            run_ladder(subject.app, copy.deepcopy(subject.inputs), subject.variant)
     earlier: List[List[np.ndarray]] = []
     for _ in range(repeats):
         inputs = copy.deepcopy(subject.inputs)  # fresh outputs every launch

@@ -24,6 +24,7 @@ instruction classes and memory access streams for the device cost model.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,8 +36,8 @@ from ..kernel.types import BOOL, F32, F64, I32, I64, U32
 from ..obs import trace as obs_trace
 from .hooks import notify_launch
 from .launch import (
+    Binding,
     Grid,
-    bind_arguments,
     resolve_kernel,
     resolve_module,
     validate_backend,
@@ -87,42 +88,34 @@ def launch(
     interpreter if lowering fails.  Kernels the shardability analysis
     rejects (and interpreter launches) transparently run serial.
     """
-    fn = resolve_kernel(kernel)
-    mod = resolve_module(kernel, module)
-    if fn.kind != "kernel":
-        raise ExecutionError(f"{fn.name} is a device function, not a kernel")
     ambient = current_options()
     effective = ambient if options is None else options.merged_over(ambient)
-    # With no backend set anywhere the default is the interpreter, on
-    # every thread: the tuner's cost model needs the instruction/memory
-    # traces only it records, and pool workers start from this default
-    # rather than from whatever the spawning thread had scoped.
-    chosen = validate_backend(
-        effective.backend if effective.backend is not None else "interp"
+    bounds_check = bool(bounds_check)
+    key = (
+        id(kernel), id(module), grid.is_2d, bounds_check,
+        trace is not None, call_observer is not None, effective,
     )
-    wants_interp = trace is not None or call_observer is not None
-    if chosen == "codegen" and call_observer is not None:
-        raise ExecutionError(
-            f"{fn.name}: backend 'codegen' cannot honor call_observer; "
-            "device-call observation requires the interpreter"
-        )
-    if chosen == "auto":
-        chosen = "interp" if wants_interp else "codegen"
-        fallback = True
-    else:
-        fallback = False
-    bound = bind_arguments(fn, args)
+    plan = _PLANS.get(key)
+    if plan is None:
+        plan = _plan(kernel, module, effective, trace, call_observer)
+        with _PLANS_LOCK:
+            if len(_PLANS) >= PLAN_CAP:
+                _PLANS.pop(next(iter(_PLANS)))
+            _PLANS[key] = plan
+    fn, mod = plan.fn, plan.module
+    bound = plan.binding.bind(args)
     t = trace if trace is not None else Trace()
+    chosen = plan.backend
     compiled = None
     if chosen == "codegen":
-        from ..codegen import cache as _codegen_cache
-
         try:
-            compiled = _codegen_cache.get_compiled(fn, mod, grid, bounds_check)
+            compiled = plan.compiled_kernel(grid, bounds_check)
         except CodegenError:
-            if not fallback:
+            if not plan.fallback:
                 raise
-            _codegen_cache.STATS.inc("fallbacks")
+            from ..codegen.runtime import STATS as _codegen_stats
+
+            _codegen_stats.inc("fallbacks")
             chosen = "interp"
     t.count_launch(grid.threads)
     with obs_trace.span(
@@ -132,28 +125,108 @@ def launch(
             execution = _Execution(fn, mod, grid, bound, t, bounds_check)
             execution.call_observer = call_observer
             execution.run()
-        elif not _maybe_shard(fn, mod, compiled, grid, bound, effective):
+        elif plan.policy is None or not _shard(plan, compiled, grid, bound):
             compiled.run(grid, bound)
     notify_launch(fn, mod, grid, t, backend=chosen)
     return t
 
 
-def _maybe_shard(fn, mod, compiled, grid, bound, effective) -> bool:
-    """Shard a codegen launch when the effective options ask for workers.
+#: Bound on the launch-plan store; a full store drops its oldest plan.
+PLAN_CAP = 512
 
-    Kept import-lazy so serial launches (the default everywhere) never
-    pay for the :mod:`repro.parallel` machinery.
+
+class LaunchPlan:
+    """What every launch of one kind resolves to, resolved once.
+
+    One plan per (kernel, module, grid class, bounds mode, effective
+    :class:`~repro.LaunchOptions` record, trace/observer requested): the
+    kernel and module, the argument :class:`~repro.engine.launch.Binding`,
+    the backend chosen (and whether ``"auto"`` may fall back), the
+    compiled kernel once there is one, and the shard
+    :class:`~repro.parallel.ParallelPolicy` (None when serial).  The plan
+    pins the ``kernel`` and ``module`` objects its key holds by id.
+    What a plan does not hold is still checked per launch: the arguments,
+    the compile fault seam, the hit count, sharding by grid size.
     """
-    if effective.parallel is None and effective.executor is None:
-        return False
-    from ..parallel.pool import policy_from_options
 
-    policy = policy_from_options(effective)
-    if policy.serial:
-        return False
+    __slots__ = (
+        "kernel", "key_module", "fn", "module", "binding", "backend",
+        "fallback", "policy", "compiled",
+    )
+
+    def __init__(self, kernel, key_module, fn, module, backend, fallback, policy):
+        self.kernel, self.key_module = kernel, key_module
+        self.fn, self.module = fn, module
+        self.binding = Binding(fn)
+        self.backend, self.fallback, self.policy = backend, fallback, policy
+        self.compiled = None
+
+    def compiled_kernel(self, grid: Grid, bounds_check: bool):
+        """The compiled kernel: fetched through the codegen cache until
+        one compiles, reused from then on."""
+        compiled = self.compiled
+        if compiled is not None:
+            return compiled.reuse()
+        from ..codegen.cache import get_compiled
+
+        compiled = self.compiled = get_compiled(
+            self.fn, self.module, grid, bounds_check
+        )
+        return compiled
+
+
+_PLANS: Dict[tuple, LaunchPlan] = {}
+_PLANS_LOCK = threading.Lock()
+
+
+def drop_launch_plans() -> None:
+    """Forget every launch plan (:func:`repro.codegen.clear_cache` calls
+    this: plans hold compiled kernels)."""
+    with _PLANS_LOCK:
+        _PLANS.clear()
+
+
+def _plan(kernel, module, effective: LaunchOptions, trace, call_observer) -> LaunchPlan:
+    fn = resolve_kernel(kernel)
+    mod = resolve_module(kernel, module)
+    if fn.kind != "kernel":
+        raise ExecutionError(f"{fn.name} is a device function, not a kernel")
+    # With no backend set anywhere the default is the interpreter, on
+    # every thread: the tuner's cost model needs the instruction/memory
+    # traces only it records, and pool workers start from this default
+    # rather than from whatever the spawning thread had scoped.
+    chosen = validate_backend(
+        effective.backend if effective.backend is not None else "interp"
+    )
+    if chosen == "codegen" and call_observer is not None:
+        raise ExecutionError(
+            f"{fn.name}: backend 'codegen' cannot honor call_observer; "
+            "device-call observation requires the interpreter"
+        )
+    fallback = chosen == "auto"
+    if fallback:
+        wants_interp = trace is not None or call_observer is not None
+        chosen = "interp" if wants_interp else "codegen"
+    policy = None
+    if chosen == "codegen" and (
+        effective.parallel is not None or effective.executor is not None
+    ):
+        # Import-lazy so serial launches (the default everywhere) never
+        # pay for the repro.parallel machinery.
+        from ..parallel.pool import policy_from_options
+
+        policy = policy_from_options(effective)
+        if policy.serial:
+            policy = None
+    return LaunchPlan(kernel, module, fn, mod, chosen, fallback, policy)
+
+
+def _shard(plan: LaunchPlan, compiled, grid: Grid, bound) -> bool:
+    """Shard a codegen launch whose plan asks for workers; False means
+    the caller runs it serially (grid too small, kernel unshardable)."""
     from ..parallel.shard import maybe_run_sharded
 
-    return maybe_run_sharded(fn, mod, compiled, grid, bound, policy)
+    return maybe_run_sharded(plan.fn, plan.module, compiled, grid, bound, plan.policy)
 
 
 def call_device_function(fn, module: ir.Module, args) -> np.ndarray:

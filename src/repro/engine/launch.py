@@ -72,6 +72,62 @@ class Grid:
         )
 
 
+class Binding:
+    """How one kernel's launch arguments bind to its parameters, resolved
+    once per kernel: each parameter's name, whether it is an array, and
+    its NumPy dtype.  :meth:`bind` still checks every call's arguments."""
+
+    __slots__ = ("kernel", "names", "params")
+
+    def __init__(self, fn: ir.Function) -> None:
+        self.kernel = fn.name
+        self.names = tuple(p.name for p in fn.params)
+        self.params = tuple(
+            (p.name, p.is_array, p.type.dtype.to_numpy()) for p in fn.params
+        )
+
+    def bind(self, args: Union[Sequence, Dict[str, object]]) -> Dict[str, object]:
+        """See :func:`bind_arguments`."""
+        names = self.names
+        if isinstance(args, dict):
+            missing = [name for name in names if name not in args]
+            extra = [k for k in args if k not in names]
+            if missing or extra:
+                raise ExecutionError(
+                    f"{self.kernel}: bad arguments "
+                    f"(missing={missing}, unexpected={extra})"
+                )
+            ordered = [args[name] for name in names]
+        else:
+            ordered = list(args)
+            if len(ordered) != len(names):
+                raise ExecutionError(
+                    f"{self.kernel} takes {len(names)} arguments, got {len(ordered)}"
+                )
+
+        bound: Dict[str, object] = {}
+        for (name, is_array, dtype), value in zip(self.params, ordered):
+            if not is_array:
+                bound[name] = dtype.type(value)
+                continue
+            if not isinstance(value, np.ndarray):
+                raise ExecutionError(
+                    f"{self.kernel}: argument {name!r} must be a numpy array"
+                )
+            if value.dtype != dtype:
+                raise ExecutionError(
+                    f"{self.kernel}: array {name!r} has dtype {value.dtype}, "
+                    f"kernel declares {dtype}"
+                )
+            if not value.flags.c_contiguous:
+                raise ExecutionError(
+                    f"{self.kernel}: array {name!r} must be C-contiguous "
+                    "(kernel writes must alias the caller's buffer)"
+                )
+            bound[name] = value.reshape(-1)
+        return bound
+
+
 def bind_arguments(
     fn: ir.Function, args: Union[Sequence, Dict[str, object]]
 ) -> Dict[str, object]:
@@ -80,45 +136,10 @@ def bind_arguments(
     Array parameters must be NumPy arrays with the declared element dtype;
     they are flattened *as views* so kernel stores are visible to the caller
     (the device-memory model of CUDA, without the copies).  Scalars are cast
-    to the declared dtype.
+    to the declared dtype.  A launch plan holds its kernel's
+    :class:`Binding` instead of rebuilding it per call.
     """
-    if isinstance(args, dict):
-        missing = [p.name for p in fn.params if p.name not in args]
-        extra = [k for k in args if not any(p.name == k for p in fn.params)]
-        if missing or extra:
-            raise ExecutionError(
-                f"{fn.name}: bad arguments (missing={missing}, unexpected={extra})"
-            )
-        ordered = [args[p.name] for p in fn.params]
-    else:
-        ordered = list(args)
-        if len(ordered) != len(fn.params):
-            raise ExecutionError(
-                f"{fn.name} takes {len(fn.params)} arguments, got {len(ordered)}"
-            )
-
-    bound: Dict[str, object] = {}
-    for param, value in zip(fn.params, ordered):
-        if param.is_array:
-            if not isinstance(value, np.ndarray):
-                raise ExecutionError(
-                    f"{fn.name}: argument {param.name!r} must be a numpy array"
-                )
-            expected = param.type.dtype.to_numpy()
-            if value.dtype != expected:
-                raise ExecutionError(
-                    f"{fn.name}: array {param.name!r} has dtype {value.dtype}, "
-                    f"kernel declares {expected}"
-                )
-            if not value.flags["C_CONTIGUOUS"]:
-                raise ExecutionError(
-                    f"{fn.name}: array {param.name!r} must be C-contiguous "
-                    "(kernel writes must alias the caller's buffer)"
-                )
-            bound[param.name] = value.reshape(-1)
-        else:
-            bound[param.name] = param.type.dtype.to_numpy().type(value)
-    return bound
+    return Binding(fn).bind(args)
 
 
 def resolve_kernel(kernel: Union[KernelFn, ir.Function]) -> ir.Function:

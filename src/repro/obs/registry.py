@@ -187,6 +187,7 @@ class Metric:
         self._buckets = buckets
         self._children: Dict[Tuple[str, ...], Child] = {}
         self._lock = threading.Lock()
+        self._unlabelled: Optional[Child] = None
 
     def labels(self, **labels: object) -> Child:
         key = _label_key(self.labelnames, {k: str(v) for k, v in labels.items()})
@@ -196,15 +197,19 @@ class Metric:
                 child = self._children[key] = Child(self.kind, self._buckets)
             return child
 
-    # Unlabelled families proxy to their single anonymous child.
+    # Unlabelled families proxy to their single anonymous child, looked
+    # up once.
 
     def _anonymous(self) -> Child:
-        if self.labelnames:
-            raise ConfigError(
-                f"metric {self.name} has labels {self.labelnames}; "
-                "use .labels(...)"
-            )
-        return self.labels()
+        child = self._unlabelled
+        if child is None:
+            if self.labelnames:
+                raise ConfigError(
+                    f"metric {self.name} has labels {self.labelnames}; "
+                    "use .labels(...)"
+                )
+            child = self._unlabelled = self.labels()
+        return child
 
     def inc(self, amount: float = 1.0) -> None:
         self._anonymous().inc(amount)

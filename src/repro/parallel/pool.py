@@ -105,14 +105,12 @@ def host_worker_count() -> int:
     return usable
 
 
-def resolve_workers(workers) -> int:
-    """Normalize a ``workers`` knob to a positive int.
-
-    Accepts a positive integer or the string ``"auto"`` (host cores);
-    anything else raises :class:`~repro.errors.ConfigError`.
-    """
+def validate_workers(workers) -> object:
+    """Return a ``workers`` knob unchanged if it is a positive integer or
+    the literal ``"auto"``; anything else raises
+    :class:`~repro.errors.ConfigError`.  Never probes the host."""
     if workers == AUTO_WORKERS:
-        return host_worker_count()
+        return workers
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ConfigError(
             f"workers must be a positive integer or {AUTO_WORKERS!r}, "
@@ -120,6 +118,14 @@ def resolve_workers(workers) -> int:
         )
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    return workers
+
+
+def resolve_workers(workers) -> int:
+    """Normalize a ``workers`` knob to a positive int: ``"auto"`` is the
+    host's usable cores (:func:`host_worker_count`, probed per call)."""
+    if validate_workers(workers) == AUTO_WORKERS:
+        return host_worker_count()
     return workers
 
 
@@ -161,7 +167,8 @@ class ParallelPolicy:
 def policy_from_options(opts: LaunchOptions) -> ParallelPolicy:
     """The :class:`ParallelPolicy` a merged options record resolves to:
     its ``parallel``/``min_shard_threads``/``executor`` fields over the
-    serial defaults."""
+    serial defaults.  ``parallel="auto"`` probes the host here, so the
+    engine calls this once per launch plan, not once per launch."""
     return ParallelPolicy(
         workers=opts.parallel if opts.parallel is not None else 1,
         min_shard_threads=(

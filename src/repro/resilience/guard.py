@@ -27,14 +27,15 @@ zero-overhead paths.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from concurrent.futures import FIRST_COMPLETED, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from .._options import UNSET, current_options
+from .._options import UNSET, LaunchOptions, current_options
 from .._options import options as options_scope
 from ..errors import ResilienceError, ShardTimeout, WorkerDeath
 from ..obs import trace as obs_trace
@@ -257,31 +258,74 @@ class LadderReport:
         return [a for a in self.attempts if not a.ok]
 
 
-def _ladder_rungs(variant, backend: str, workers: int):
-    """(label, backend, workers, runs_variant) rungs, deduplicated.
+@dataclass(frozen=True)
+class Rung:
+    """One rung of a resolved ladder."""
+
+    label: str
+    backend: str
+    runs_variant: bool
+    #: the fields in which the rung differs from the scope the ladder was
+    #: planned in, scoped while it runs; None when it differs in none.
+    options: Optional[LaunchOptions] = None
+
+
+@dataclass(frozen=True)
+class LadderPlan:
+    """The rungs one ladder walks, resolved once for a scope: a session
+    holds one per (scope, exact or variant) and walks it every launch."""
+
+    rungs: Tuple[Rung, ...]
+    #: the enabled guard; None is the unguarded one-rung ladder.
+    policy: Optional[GuardPolicy]
+
+
+# Every argument is a frozen record or a scalar and a plan is immutable, so
+# equal arguments share one plan: a direct run_ladder in an unchanged scope
+# resolves nothing again.
+@functools.lru_cache(maxsize=256)
+def plan_ladder(
+    exact: bool,
+    scope: LaunchOptions,
+    backend: Optional[str] = None,
+    workers: Optional[object] = None,
+    policy: Optional[GuardPolicy] = None,
+) -> LadderPlan:
+    """The ladder :func:`run_ladder` walks when called in ``scope``.
 
     The canonical ladder is *approx variant → exact codegen → exact
     interpreter*; serving the exact program collapses the first rung
-    into an exact launch under the session's own backend.  Rungs whose
+    into an exact launch under the scope's own backend.  Rungs whose
     execution signature repeats an earlier rung are dropped (re-running
-    an identical configuration cannot recover anything).
+    an identical configuration cannot recover anything).  Unguarded is
+    the one-rung ladder: the first rung is also the final one, so
+    nothing is contained or validated.
     """
-    rungs = []
-    seen = set()
-
-    def add(label: str, be: str, w: int, runs_variant: bool) -> None:
-        sig = ("variant" if runs_variant else "exact", be, w)
-        if sig not in seen:
-            seen.add(sig)
-            rungs.append((label, be, w, runs_variant))
-
-    if variant is not None:
-        add("variant", backend, workers, True)
-    else:
-        add("exact", backend, workers, False)
-    add("exact_codegen", "codegen", workers, False)
-    add("exact_interp", "interp", 1, False)
-    return rungs
+    if backend is None:
+        backend = scope.backend or "auto"
+    if workers is None:
+        workers = scope.parallel or 1
+    if policy is None:
+        policy = None if scope.guard is UNSET else scope.guard
+    guarded = policy is not None and policy.enabled
+    candidates = (
+        ("exact" if exact else "variant", backend, workers, not exact),
+        ("exact_codegen", "codegen", workers, False),
+        ("exact_interp", "interp", 1, False),
+    )
+    rungs, seen = [], set()
+    for label, be, w, runs_variant in candidates if guarded else candidates[:1]:
+        if (runs_variant, be, w) in seen:
+            continue
+        seen.add((runs_variant, be, w))
+        wanted = {"backend": be, "parallel": w}
+        if guarded:  # an unguarded rung leaves the guard field as it found it
+            wanted["guard"] = policy
+        differs = {k: v for k, v in wanted.items() if getattr(scope, k) != v}
+        rungs.append(
+            Rung(label, be, runs_variant, LaunchOptions(**differs) if differs else None)
+        )
+    return LadderPlan(tuple(rungs), policy if guarded else None)
 
 
 def run_ladder(
@@ -306,35 +350,32 @@ def run_ladder(
     ever read from it.  A rung scopes just the fields in which
     it differs, so a healthy first rung pushes no scope at all.
     """
-    scope = current_options()
-    if backend is None:
-        backend = scope.backend or "auto"
-    if workers is None:
-        workers = scope.parallel or 1
-    if policy is None:
-        policy = current_policy()
-    guarded = policy is not None and policy.enabled
-    rungs = _ladder_rungs(variant, backend, workers)
+    plan = plan_ladder(variant is None, current_options(), backend, workers, policy)
+    return walk_ladder(app, inputs, variant, plan)
+
+
+def walk_ladder(app, inputs, variant, plan: LadderPlan):
+    """Walk a resolved ladder (:func:`run_ladder` without the planning);
+    call it in the scope the plan was made for."""
+    policy = plan.policy
+    guarded = policy is not None
     if guarded:
         STATS.inc("guarded_launches")
-    else:
-        # Unguarded is the one-rung ladder: the first rung is also the
-        # final one, so nothing is contained or validated.
-        rungs = rungs[:1]
+    rungs = plan.rungs
     report = LadderReport(served="", depth=0)
-    for depth, (label, be, w, runs_variant) in enumerate(rungs):
+    for depth, rung in enumerate(rungs):
+        label = rung.label
         final = depth == len(rungs) - 1
-        wanted = {"backend": be, "parallel": w}
-        if guarded:  # an unguarded rung leaves the guard field as it found it
-            wanted["guard"] = policy
-        differs = {k: v for k, v in wanted.items() if getattr(scope, k) != v}
-        rung_scope = options_scope(**differs) if differs else nullcontext()
+        rung_scope = (
+            options_scope(rung.options) if rung.options is not None else nullcontext()
+        )
         rung_span = obs_trace.span(
-            "ladder.rung", rung=label, depth=depth, backend=be, guarded=guarded
+            "ladder.rung", rung=label, depth=depth, backend=rung.backend,
+            guarded=guarded,
         )
         try:
             with rung_span, rung_scope:
-                if runs_variant:
+                if rung.runs_variant:
                     out, _trace = app.run_variant(variant, inputs)
                 else:
                     out, _trace = app.run_exact(inputs)
@@ -352,9 +393,9 @@ def run_ladder(
             )
             continue
         if not final:
-            plan = active_plan()
-            if plan is not None:
-                spec = plan.poll(SITE_OUTPUT, label)
+            faults = active_plan()
+            if faults is not None:
+                spec = faults.poll(SITE_OUTPUT, label)
                 if spec is not None and corrupt_output(out, spec.mode):
                     STATS.inc("corruptions_injected")
             if policy.validate_outputs:

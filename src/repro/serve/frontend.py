@@ -134,6 +134,7 @@ class _FrontendMetrics:
             "requests admitted to the front-end queue",
             labelnames=("tenant",),
         )
+        self._admitted: Dict[str, object] = {}  # tenant -> its series, held
         self._rejects = registry.counter(
             "repro_frontend_rejects_total",
             "requests refused at admission",
@@ -178,7 +179,10 @@ class _FrontendMetrics:
         )
 
     def admitted(self, tenant: str) -> None:
-        self._requests.labels(tenant=tenant).inc()
+        child = self._admitted.get(tenant)
+        if child is None:
+            child = self._admitted[tenant] = self._requests.labels(tenant=tenant)
+        child.inc()
 
     def rejected(self, reason: str) -> None:
         self._rejects.labels(reason=reason).inc()

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..obs.registry import CounterGroup, get_registry
 from ..obs.timeline import timeline as obs_timeline
@@ -137,6 +137,9 @@ class SessionMetrics:
             "wall time of served launches",
             labelnames=("session",),
         ).labels(session=self.label)
+        # Series looked up once per label value, then held: a warm
+        # record_launch makes no registry lookup.
+        self._children: Dict[Tuple[object, str], object] = {}
 
         # Baselines of the process-wide codegen, shard and guard counters
         # at session start, so the snapshot attributes compiles/hits/
@@ -186,13 +189,21 @@ class SessionMetrics:
 
     # -- recording -----------------------------------------------------------
 
+    def _child(self, family, name: str, value):
+        """``family``'s series for this session and ``name=value``."""
+        key = (family, value)
+        child = self._children.get(key)
+        if child is None:
+            child = self._children[key] = family.labels(
+                **{"session": self.label, name: value}
+            )
+        return child
+
     def record_launch(self, record: LaunchRecord) -> None:
         self._counters.inc("launches")
         self._counters.inc("kernel_launches", record.kernel_launches)
         for backend, count in record.backends.items():
-            self._backend_family.labels(
-                session=self.label, backend=backend
-            ).inc(count)
+            self._child(self._backend_family, "backend", backend).inc(count)
         if record.sampled:
             self._counters.inc("sampled_checks")
             self._counters.inc("sample_seconds", record.sample_seconds)
@@ -205,10 +216,8 @@ class SessionMetrics:
         elif record.action == "recalibrate_up":
             self._counters.inc("recalibrations_up")
         for fault in record.faults:
-            self._fault_family.labels(session=self.label, fault=fault).inc()
-        self._depth_family.labels(
-            session=self.label, depth=record.fallback_depth
-        ).inc()
+            self._child(self._fault_family, "fault", fault).inc()
+        self._child(self._depth_family, "depth", record.fallback_depth).inc()
         if record.fallback_depth > 0:
             self._counters.inc("fallback_launches")
         if record.duration:

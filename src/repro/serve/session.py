@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 from .._options import (
     UNSET,
@@ -32,14 +32,14 @@ from .._options import (
 from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
-from ..engine import launch_hook
+from ..engine.hooks import tally_launches
 from ..errors import ConfigError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.timeline import timeline as obs_timeline
 from ..parallel import ProfileCache, resolve_workers
 from ..resilience.breaker import BreakerConfig, VariantBreaker
 from ..resilience.faults import SITE_QUALITY, maybe_inject
-from ..resilience.guard import GuardPolicy, run_ladder
+from ..resilience.guard import GuardPolicy, LadderPlan, plan_ladder, walk_ladder
 from ..runtime.tuner import GreedyTuner, TuningResult
 from .cache import CacheEntry, VariantCache, cache_key
 from .metrics import LaunchRecord, SessionMetrics, Transition
@@ -48,6 +48,20 @@ from .recalibrate import Recalibrator
 
 #: What a session serves with where its ``options=`` says nothing.
 _DEFAULT_OPTIONS = LaunchOptions(backend="auto", parallel=1, executor="thread")
+
+#: Bound on a session's serving plans; a full store starts over.
+SERVING_PLAN_CAP = 64
+
+
+@dataclass(frozen=True)
+class _ServingPlan:
+    """What a launch under one enclosing scope resolves to, resolved once
+    per (scope record, exact or variant): the record the launch enters
+    and the ladder it walks in it.  Pins ``scope``, whose id keys it."""
+
+    scope: LaunchOptions
+    effective: LaunchOptions
+    ladder: LadderPlan
 
 
 class ApproxSession:
@@ -154,6 +168,7 @@ class ApproxSession:
         self._tuning: Optional[TuningResult] = None
         self._recalibrator: Optional[Recalibrator] = None
         self._key: Optional[str] = None
+        self._plans: Dict[Tuple[int, bool], _ServingPlan] = {}
         self._closed = False
 
     # -- identity --------------------------------------------------------------
@@ -336,15 +351,16 @@ class ApproxSession:
         started = time.perf_counter()
         # Precedence: an active repro.options scope overrides the session
         # defaults, which already fold in the config knobs and the guard.
-        # The merged record is entered once; the ladder and the quality
-        # check both read how to run from it.
-        effective = current_options().merged_over(self.options)
+        # The merged record is resolved once per scope (the serving plan)
+        # and entered; the ladder and the quality check both read how to
+        # run from it.
+        scope = current_options()
         with obs_trace.span(
             "serve.launch",
             app=self.app.name,
             session=self.metrics.label,
             launch_id=launch_id,
-        ) as root, options_scope(effective):
+        ) as root:
             self.metrics.begin_launch(launch_id, root.trace_id)
             if override is not None:
                 serving_variant, serving_name, serving_speedup = override
@@ -364,11 +380,13 @@ class ApproxSession:
                 trace_id=root.trace_id,
             )
             on_ladder = override is None
-            out, report = self._serve(serving_variant, inputs, record)
-            if serving_variant is not None:
-                self._charge_breaker(record, report, on_ladder)
-            if report.primary_ok and self.monitor.should_sample(index):
-                self._sample(out, inputs, serving_variant, record, on_ladder)
+            plan = self._serving_plan(scope, serving_variant is None)
+            with options_scope(plan.effective):
+                out, report = self._serve(serving_variant, inputs, record, plan.ladder)
+                if serving_variant is not None:
+                    self._charge_breaker(record, report, on_ladder)
+                if report.primary_ok and self.monitor.should_sample(index):
+                    self._sample(out, inputs, serving_variant, record, on_ladder)
             for event in self.breaker.drain_events():
                 self.metrics.record_breaker_event(event)
             record.duration = time.perf_counter() - started
@@ -381,24 +399,34 @@ class ApproxSession:
             )
         return out
 
-    def _serve(self, variant, inputs, record: LaunchRecord) -> tuple:
-        """Run ``variant`` through the ladder under the entered scope and
-        note on ``record`` what served; returns ``(output, report)``."""
+    def _serving_plan(self, scope: LaunchOptions, exact: bool) -> _ServingPlan:
+        """The serving plan for launches under ``scope``, built on first use."""
+        key = (id(scope), exact)
+        plan = self._plans.get(key)
+        if plan is None:
+            effective = scope.merged_over(self.options)
+            # The session's guard governs its ladder even under a scope
+            # that sets another.
+            ladder = plan_ladder(exact, effective, policy=self.guard)
+            plan = _ServingPlan(scope, effective, ladder)
+            if len(self._plans) >= SERVING_PLAN_CAP:
+                self._plans.clear()
+            self._plans[key] = plan
+        return plan
 
-        def count(event) -> None:
-            record.kernel_launches += 1
-            record.backends[event.backend] = record.backends.get(event.backend, 0) + 1
-
-        with launch_hook(count):
+    def _serve(self, variant, inputs, record: LaunchRecord, ladder: LadderPlan) -> tuple:
+        """Walk ``ladder`` for ``variant`` under the entered scope and note
+        on ``record`` what served and what this thread launched; returns
+        ``(output, report)``."""
+        with tally_launches(record.backends):
             try:
-                # The session's guard governs its ladder even under a
-                # scope that sets another.
-                out, report = run_ladder(self.app, inputs, variant, policy=self.guard)
+                out, report = walk_ladder(self.app, inputs, variant, ladder)
             except BaseException:
                 # The ladder exhausted every rung: the caller sees this
                 # error, so it counts against availability.
                 self.metrics.record_launch_error()
                 raise
+        record.kernel_launches = sum(record.backends.values())
         record.served = report.served
         record.fallback_depth = report.depth
         record.faults = [f"{a.rung}:{a.site}" for a in report.faults]

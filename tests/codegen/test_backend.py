@@ -110,6 +110,9 @@ class TestFallback:
         def boom(*args, **kwargs):
             raise CodegenError("synthetic lowering failure")
 
+        # A lowering failure happens before the kernel ever compiled: no
+        # launch plan may hold a compiled kernel yet.
+        cache_mod.clear_cache()
         monkeypatch.setattr(cache_mod, "get_compiled", boom)
         before = STATS.fallbacks
         args = _square_args(64)
@@ -131,6 +134,9 @@ class TestFallback:
         def boom(*args, **kwargs):
             raise CodegenError("synthetic lowering failure")
 
+        # A lowering failure happens before the kernel ever compiled: no
+        # launch plan may hold a compiled kernel yet.
+        cache_mod.clear_cache()
         monkeypatch.setattr(cache_mod, "get_compiled", boom)
         with pytest.raises(CodegenError, match="synthetic"):
             launch(

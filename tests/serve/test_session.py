@@ -3,6 +3,7 @@
 import json
 import threading
 
+import numpy as np
 import pytest
 
 from repro import ApproxSession, DeviceKind, LaunchOptions, MonitorConfig, Paraprox
@@ -329,3 +330,136 @@ class TestSessionOptions:
                 guard=GuardPolicy(),
                 options=LaunchOptions(guard=None),
             )
+
+
+def _plan_session(app=None, **kwargs) -> ApproxSession:
+    """A tuned session whose launches are never sampled."""
+    session = ApproxSession(
+        app if app is not None else GaussianFilterApp(scale=0.05),
+        target_quality=0.9,
+        monitor=MonitorConfig(sample_every=1000),
+        **kwargs,
+    )
+    session.tune()
+    return session
+
+
+def _direct(session, variant, inputs):
+    """``variant`` (None: the exact program) run outside the session,
+    under its options."""
+    from repro import options
+
+    app = session.app
+    with options(session.options):
+        if variant is None:
+            return app.run_exact(inputs)[0]
+        return app.run_variant(variant, inputs)[0]
+
+
+class TestSessionPlans:
+    """A session resolves its launch record and ladder once per scope;
+    what changes between launches is still read on every launch."""
+
+    def test_a_step_down_serves_the_new_variant_on_the_next_launch(self):
+        session = _plan_session()
+        inputs = session.app.generate_inputs(seed=4)
+        session.launch(inputs)
+        session.launch(inputs)
+        chosen = session.current_variant
+        assert chosen != "exact"
+        assert session._recalibrator.step_down()
+        stepped = session.current_variant
+        out = session.launch(inputs)
+        assert session.last_launch.variant == stepped != chosen
+        expected = _direct(session, session._recalibrator.current, inputs)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+    def test_a_quarantine_serves_the_new_variant_on_the_next_launch(self):
+        from repro.resilience import BreakerConfig, GuardPolicy
+        from repro.resilience.faults import SITE_OUTPUT, FaultPlan, FaultSpec, use_faults
+
+        session = _plan_session(
+            guard=GuardPolicy(retries=0, backoff_seconds=0.0),
+            breaker=BreakerConfig(fault_threshold=1),
+        )
+        inputs = session.app.generate_inputs(seed=4)
+        session.launch(inputs)
+        session.launch(inputs)
+        chosen = session.current_variant
+        plan = FaultPlan([FaultSpec(SITE_OUTPUT, mode="nan", match="variant", max_fires=1)])
+        with use_faults(plan):
+            session.launch(inputs)
+        assert plan.total_fired() == 1
+        assert session.last_launch.fallback_depth == 1
+        assert chosen in session.breaker.quarantined()
+        out = session.launch(inputs)
+        assert session.last_launch.variant == session.current_variant != chosen
+        assert session.last_launch.fallback_depth == 0
+        expected = _direct(session, session._recalibrator.current, inputs)
+        assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+    def test_exact_launches_interleave_with_served_ones(self):
+        session = _plan_session()
+        chosen = session.current_variant
+        variant = session._recalibrator.current
+        for seed in range(6):
+            inputs = session.app.generate_inputs(seed=seed)
+            exact = seed % 2 == 1
+            out = session.launch(inputs, variant="exact" if exact else None)
+            assert session.last_launch.variant == ("exact" if exact else chosen)
+            expected = _direct(session, None if exact else variant, inputs)
+            assert np.asarray(out).tobytes() == np.asarray(expected).tobytes()
+
+    def test_a_multi_kernel_launch_counts_every_kernel(self):
+        from repro.apps.registry import make_app
+
+        session = _plan_session(make_app("cumhist", scale=0.001))
+        app = session.app
+        for seed in range(3):
+            session.launch(app.generate_inputs(seed=seed))
+            assert session.last_launch.kernel_launches == 4
+            assert session.last_launch.backends == {"codegen": 4}
+        assert session.metrics_snapshot()["backend_launches"] == {"codegen": 12}
+
+    def test_a_warm_launch_keeps_its_span_tree(self):
+        from repro.obs import trace as obs_trace
+
+        session = _plan_session()
+        inputs = session.app.generate_inputs(seed=4)
+        session.launch(inputs)
+        session.launch(inputs)
+        obs_trace.enable()
+        try:
+            obs_trace.drain_records()
+            session.launch(inputs)
+            spans = [r for r in obs_trace.drain_records() if r["type"] == "span"]
+        finally:
+            obs_trace.disable()
+        (root,) = [s for s in spans if s["name"] == "serve.launch"]
+        (rung,) = [s for s in spans if s["parent_id"] == root["span_id"]]
+        assert rung["name"] == "ladder.rung"
+        children = {
+            (s["name"], s["attrs"].get("cache"))
+            for s in spans
+            if s["parent_id"] == rung["span_id"]
+        }
+        assert children == {("codegen.compile", "hit"), ("engine.launch", None)}
+
+    def test_an_auto_session_probes_the_host_once_per_plan(self, monkeypatch):
+        """``parallel="auto"`` is resolved where a plan is built, not on
+        every launch (the documented way to ask for every core)."""
+        from repro.parallel import pool
+
+        session = _plan_session(options=LaunchOptions(parallel="auto"))
+        inputs = session.app.generate_inputs(seed=4)
+        calls = []
+        probe = pool.host_worker_count
+        monkeypatch.setattr(
+            pool, "host_worker_count", lambda: calls.append(1) or probe()
+        )
+        session.launch(inputs)
+        assert len(calls) <= 1  # one plan: the served kernel under the session's record
+        calls.clear()
+        for _ in range(20):
+            session.launch(inputs)
+        assert calls == []
