@@ -19,6 +19,7 @@ Quick start::
 __version__ = "1.1.0"
 
 from ._options import LaunchOptions, current_options, options
+from ._state import reset
 from .approx.base import VariantSet
 from .approx.compiler import Paraprox, ParaproxConfig
 from .device import CORE_I7, GTX560, CostModel, DeviceKind, DeviceSpec
@@ -36,6 +37,7 @@ __all__ = [
     "LaunchOptions",
     "options",
     "current_options",
+    "reset",
     "ApproxSession",
     "ServeFrontend",
     "MonitorConfig",

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
+from ._state import Store
 from .errors import ConfigError
 
 #: Valid values for the ``backend`` launch option.
@@ -158,20 +159,15 @@ class LaunchOptions:
     def merged_over(self, base: "LaunchOptions") -> "LaunchOptions":
         """The record where this record's set fields override ``base``.
 
-        Merges are memoized by the identity of the two records (up to
-        :data:`MERGE_MEMO_MAX` pairs), so merging the same two objects
-        again returns the same object and a warm launch neither rebuilds
-        nor re-validates one.  An entry pins both records, so their ids
-        cannot be reused while it stands.
+        Merges are memoized by the identity of the two records, so
+        merging the same two objects again returns the same object and a
+        warm launch neither rebuilds nor re-validates one.  An entry pins
+        both records, so their ids cannot be reused while it stands.
         """
         key = (id(self), id(base))
-        hit = _MERGED.get(key)
-        if hit is not None:
-            return hit[0]
-        merged = self._merge(base)
-        if len(_MERGED) >= MERGE_MEMO_MAX:
-            _MERGED.clear()
-        _MERGED[key] = (merged, self, base)
+        merged = _MERGED.get(key)
+        if merged is None:
+            merged = _MERGED.put(key, self._merge(base), pins=(self, base))
         return merged
 
     def _merge(self, base: "LaunchOptions") -> "LaunchOptions":
@@ -201,11 +197,8 @@ class LaunchOptions:
 #: The empty record every thread's stack starts from.
 DEFAULT_OPTIONS = LaunchOptions()
 
-#: Bound on the merge memo; a full memo starts over.
-MERGE_MEMO_MAX = 256
-
-#: (id(over), id(base)) -> (merged, over, base).
-_MERGED: Dict[Tuple[int, int], Tuple[LaunchOptions, ...]] = {}
+#: (id(over), id(base)) -> merged.
+_MERGED = Store("options.merged", cap=256)
 
 
 class _OptionsStack(threading.local):

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set
 
+from .._state import Store
 from ..codegen.fingerprint import fingerprint_kernel
 from ..kernel import intrinsics, ir
 from ..kernel.visitors import walk, walk_statements
@@ -134,8 +135,7 @@ def build_index_fact(fn: ir.Function) -> IndexFact:
     return IndexFact(loads, stores, frozenset(repeated), frozenset(uniform))
 
 
-_FACTS: Dict[str, IndexFact] = {}
-_FACTS_MAX = 512
+_FACTS = Store("analysis.index_facts", cap=512)
 
 
 def index_fact(
@@ -145,7 +145,5 @@ def index_fact(
     fp = fingerprint if fingerprint is not None else fingerprint_kernel(fn, module)
     fact = _FACTS.get(fp)
     if fact is None:
-        if len(_FACTS) >= _FACTS_MAX:
-            _FACTS.pop(next(iter(_FACTS)))
-        fact = _FACTS[fp] = build_index_fact(fn)
+        fact = _FACTS.put(fp, build_index_fact(fn))
     return fact

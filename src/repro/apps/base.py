@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .._state import Store
 from ..engine import Grid, Trace, launch
 from ..kernel.frontend import KernelFn
 from ..runtime.quality import QualityMetric
@@ -97,14 +98,14 @@ class Application(abc.ABC):
         """
         cache = getattr(self, "_golden_cache", None)
         if cache is None:
-            cache = self._golden_cache = {}
+            cache = self._golden_cache = Store(cap=self.GOLDEN_CACHE_SIZE)
         key = _input_fingerprint(inputs)
-        if key not in cache:
-            if len(cache) >= self.GOLDEN_CACHE_SIZE:
-                cache.pop(next(iter(cache)))
+        golden = cache.get(key)
+        if golden is None:
+            cache.make_room()  # before the exact run makes one more output
             out, _trace = (run_exact or self.run_exact)(inputs)
-            cache[key] = np.array(out, copy=True)
-        return cache[key]
+            golden = cache.put(key, np.array(out, copy=True))
+        return golden
 
     def evaluate(self, output, inputs, run_exact=None) -> float:
         """Quality of ``output`` against the golden output for ``inputs`` —

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from ..engine.interpreter import drop_launch_plans
+from .._state import Store
+from ..engine.interpreter import _PLANS as _LAUNCH_PLANS
 from ..errors import CodegenError
 from ..kernel import ir
 from ..obs import trace as obs_trace
@@ -72,7 +73,8 @@ class CompiledKernel:
         return self
 
 
-_CACHE: Dict[Tuple[str, str, bool], CompiledKernel] = {}
+#: (fingerprint, grid class, bounds_check) -> compiled kernel.
+_CACHE = Store("codegen.compiled")
 
 
 def get_compiled(
@@ -121,14 +123,12 @@ def get_compiled(
     STATS.inc("table_gathers", info["table_gathers"])
     STATS.inc("cast_elisions", info["cast_elisions"])
     STATS.inc("planned_sites", info["planned_sites"])
-    _CACHE[key] = compiled
-    return compiled
+    return _CACHE.put(key, compiled)
 
 
 # Identity-keyed memo for classification results (same pinning rationale
 # as the fingerprint memo: IR trees are immutable after construction).
-_CLASSIFY_MEMO: Dict[Tuple[int, int], Tuple[object, object, Tuple[str, str]]] = {}
-_CLASSIFY_MEMO_MAX = 512
+_CLASSIFY_MEMO = Store("codegen.classify", cap=512)
 
 
 def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
@@ -141,18 +141,15 @@ def classify_lowering(fn: ir.Function, module: ir.Module) -> Tuple[str, str]:
     """
     key = (id(fn), id(module))
     hit = _CLASSIFY_MEMO.get(key)
-    if hit is not None and hit[0] is fn and hit[1] is module:
-        return hit[2]
+    if hit is not None:
+        return hit
     try:
         *_, info = lower_kernel(fn, module)
     except CodegenError as exc:
         result = ("interpreter", f"codegen fallback: {exc}")
     else:
         result = ("codegen", _detail_string(info))
-    if len(_CLASSIFY_MEMO) >= _CLASSIFY_MEMO_MAX:
-        _CLASSIFY_MEMO.pop(next(iter(_CLASSIFY_MEMO)))
-    _CLASSIFY_MEMO[key] = (fn, module, result)
-    return result
+    return _CLASSIFY_MEMO.put(key, result, pins=(fn, module))
 
 
 def clear_cache() -> None:
@@ -160,7 +157,7 @@ def clear_cache() -> None:
     and the address plans resolved for them (tests; does not reset
     STATS)."""
     _CACHE.clear()
-    drop_launch_plans()
+    _LAUNCH_PLANS.clear()
     drop_plans()
 
 

@@ -11,33 +11,30 @@ the kernel *and* every device function it can reach.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Set, Tuple
+from typing import List, Set
 
+from .._state import Store
 from ..kernel import intrinsics, ir
 
 # Identity-keyed memo: IR trees are never mutated after construction
 # (transforms build new Function objects), so one (fn, module) pair always
-# hashes to the same digest.  The stored strong references pin the objects,
-# which keeps their ids from being reused while an entry is live.
-_MEMO: Dict[Tuple[int, int], Tuple[ir.Function, ir.Module, str]] = {}
-_MEMO_MAX = 512
+# hashes to the same digest.  An entry pins the pair, which keeps their ids
+# from being reused while it is live.
+_MEMO = Store("codegen.fingerprint", cap=512)
 
 
 def fingerprint_kernel(fn: ir.Function, module: ir.Module) -> str:
     """Hex digest over ``fn`` plus its transitively called device functions."""
     key = (id(fn), id(module))
     hit = _MEMO.get(key)
-    if hit is not None and hit[0] is fn and hit[1] is module:
-        return hit[2]
+    if hit is not None:
+        return hit
     parts: List[str] = []
     for function in [fn] + reachable_device_functions(fn, module):
         _serialize_function(function, parts)
     payload = "\x1f".join(parts).encode("utf-8")
     digest = hashlib.blake2b(payload, digest_size=20).hexdigest()
-    if len(_MEMO) >= _MEMO_MAX:
-        _MEMO.pop(next(iter(_MEMO)))
-    _MEMO[key] = (fn, module, digest)
-    return digest
+    return _MEMO.put(key, digest, pins=(fn, module))
 
 
 def reachable_device_functions(fn: ir.Function, module: ir.Module) -> List[ir.Function]:

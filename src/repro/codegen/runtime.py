@@ -38,11 +38,11 @@ import os
 import threading
 import weakref
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .._state import Store, on_reset
 from ..engine.interpreter import _c_divide, _c_mod
 from ..engine.launch import Grid
 from ..errors import ExecutionError
@@ -273,7 +273,7 @@ def _reset_in_child() -> None:
     _plan_bytes = 0
     for geo in _GEOMETRY_CACHE.values():
         geo.plans = {}
-        geo.shards = {}
+        geo.shards.clear()
 
 
 os.register_at_fork(after_in_child=_reset_in_child)
@@ -480,6 +480,7 @@ def _offer(plan: _Plan, key, value, arrays=(), form: str = "") -> None:
         STATS.inc("plan_form_" + form)
 
 
+@on_reset
 def drop_plans() -> None:
     """Release every plan (their compiled kernels are gone)."""
     with _PLAN_LOCK:
@@ -1199,7 +1200,7 @@ class Geometry:
         self.sbid = self.bid
         self.nsb = grid.blocks
         self.plans: Dict[tuple, _Entry] = {}
-        self.shards: Dict[Tuple[int, int, int], "Geometry"] = {}
+        self.shards = Store(cap=_SHARD_VIEWS_MAX, on_evict=_release_geometry)
         self.share = 1.0
 
     def shard(self, b0: int, b1: int, block_threads: int) -> "Geometry":
@@ -1212,12 +1213,7 @@ class Geometry:
         span = (b0, b1, block_threads)
         view = self.shards.get(span)
         if view is None:
-            with _PLAN_LOCK:
-                view = self.shards.get(span)
-                if view is None:
-                    while len(self.shards) >= _SHARD_VIEWS_MAX:
-                        _release_all(self.shards.pop(next(iter(self.shards))).plans)
-                    view = self.shards[span] = self._slice(*span)
+            view = self.shards.put(span, self._slice(*span))
         return view
 
     def _slice(self, b0: int, b1: int, block_threads: int) -> "Geometry":
@@ -1254,27 +1250,22 @@ class Geometry:
         return geo
 
 
-_GEOMETRY_CACHE: "OrderedDict[Grid, Geometry]" = OrderedDict()
-_GEOMETRY_CACHE_MAX = 64
+def _release_geometry(old: Geometry) -> None:
+    """An evicted geometry's plans, and its shard views', leave the byte
+    cap with it."""
+    with _PLAN_LOCK:
+        for gone in (old, *old.shards.values()):
+            _release_all(gone.plans)
+
+
+_GEOMETRY_CACHE = Store("codegen.geometry", cap=64, on_evict=_release_geometry)
 
 
 def geometry(grid: Grid) -> Geometry:
     """The cached geometry of ``grid``, least recently launched evicted
-    first; an evicted geometry's plans, and its shard views', leave the
-    byte cap with it."""
+    first (a hit makes it the newest entry)."""
     geo = _GEOMETRY_CACHE.get(grid)
-    if geo is not None:
-        try:
-            _GEOMETRY_CACHE.move_to_end(grid)
-        except KeyError:  # evicted by another thread since the lookup
-            pass
-        return geo
-    with _PLAN_LOCK:
-        geo = _GEOMETRY_CACHE.get(grid)
-        if geo is None:
-            while len(_GEOMETRY_CACHE) >= _GEOMETRY_CACHE_MAX:
-                _, old = _GEOMETRY_CACHE.popitem(last=False)
-                for gone in (old, *old.shards.values()):
-                    _release_all(gone.plans)
-            geo = _GEOMETRY_CACHE[grid] = Geometry(grid)
+    if geo is None:
+        return _GEOMETRY_CACHE.put(grid, Geometry(grid))
+    _GEOMETRY_CACHE.touch(grid)
     return geo

@@ -24,12 +24,12 @@ instruction classes and memory access streams for the device cost model.
 from __future__ import annotations
 
 import functools
-import threading
 from typing import Dict, Optional
 
 import numpy as np
 
 from .._options import LaunchOptions, current_options
+from .._state import Store
 from ..errors import CodegenError, ExecutionError
 from ..kernel import intrinsics, ir
 from ..kernel.types import BOOL, F32, F64, I32, I64, U32
@@ -97,11 +97,10 @@ def launch(
     )
     plan = _PLANS.get(key)
     if plan is None:
-        plan = _plan(kernel, module, effective, trace, call_observer)
-        with _PLANS_LOCK:
-            if len(_PLANS) >= PLAN_CAP:
-                _PLANS.pop(next(iter(_PLANS)))
-            _PLANS[key] = plan
+        plan = _PLANS.put(
+            key, _plan(kernel, module, effective, trace, call_observer),
+            pins=(kernel, module),
+        )
     fn, mod = plan.fn, plan.module
     bound = plan.binding.bind(args)
     t = trace if trace is not None else Trace()
@@ -131,10 +130,6 @@ def launch(
     return t
 
 
-#: Bound on the launch-plan store; a full store drops its oldest plan.
-PLAN_CAP = 512
-
-
 class LaunchPlan:
     """What every launch of one kind resolves to, resolved once.
 
@@ -143,19 +138,15 @@ class LaunchPlan:
     kernel and module, the argument :class:`~repro.engine.launch.Binding`,
     the backend chosen (and whether ``"auto"`` may fall back), the
     compiled kernel once there is one, and the shard
-    :class:`~repro.parallel.ParallelPolicy` (None when serial).  The plan
-    pins the ``kernel`` and ``module`` objects its key holds by id.
+    :class:`~repro.parallel.ParallelPolicy` (None when serial).  Its entry
+    in the plan store pins the ``kernel`` and ``module`` its key holds by id.
     What a plan does not hold is still checked per launch: the arguments,
     the compile fault seam, the hit count, sharding by grid size.
     """
 
-    __slots__ = (
-        "kernel", "key_module", "fn", "module", "binding", "backend",
-        "fallback", "policy", "compiled",
-    )
+    __slots__ = ("fn", "module", "binding", "backend", "fallback", "policy", "compiled")
 
-    def __init__(self, kernel, key_module, fn, module, backend, fallback, policy):
-        self.kernel, self.key_module = kernel, key_module
+    def __init__(self, fn, module, backend, fallback, policy):
         self.fn, self.module = fn, module
         self.binding = Binding(fn)
         self.backend, self.fallback, self.policy = backend, fallback, policy
@@ -175,15 +166,9 @@ class LaunchPlan:
         return compiled
 
 
-_PLANS: Dict[tuple, LaunchPlan] = {}
-_PLANS_LOCK = threading.Lock()
-
-
-def drop_launch_plans() -> None:
-    """Forget every launch plan (:func:`repro.codegen.clear_cache` calls
-    this: plans hold compiled kernels)."""
-    with _PLANS_LOCK:
-        _PLANS.clear()
+#: Launch plans by key; :func:`repro.codegen.clear_cache` drops them with
+#: the compiled kernels they hold.
+_PLANS = Store("engine.launch_plans", cap=512)
 
 
 def _plan(kernel, module, effective: LaunchOptions, trace, call_observer) -> LaunchPlan:
@@ -218,7 +203,7 @@ def _plan(kernel, module, effective: LaunchOptions, trace, call_observer) -> Lau
         policy = policy_from_options(effective)
         if policy.serial:
             policy = None
-    return LaunchPlan(kernel, module, fn, mod, chosen, fallback, policy)
+    return LaunchPlan(fn, mod, chosen, fallback, policy)
 
 
 def _shard(plan: LaunchPlan, compiled, grid: Grid, bound) -> bool:

@@ -55,7 +55,7 @@ SEAMS = (
     "serve.batch",
     "serve.launch",
     "proc.launch",
-    "guard.attempt",
+    "ladder.rung",
 )
 
 _MAX_DEPTH = 64

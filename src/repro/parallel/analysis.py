@@ -55,8 +55,9 @@ unroll, is not shardable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from .._state import Store
 from ..analysis.affine import Poly
 from ..analysis.index import grid_uniform, index_fact
 from ..codegen.fingerprint import fingerprint_kernel, reachable_device_functions
@@ -196,8 +197,7 @@ def analyze_function(
     )
 
 
-_ANALYSIS_CACHE: Dict[Tuple[str, bool], Shardability] = {}
-_ANALYSIS_CACHE_MAX = 512
+_ANALYSIS_CACHE = Store("parallel.shardability", cap=512)
 
 
 def analyze_shardability(
@@ -212,8 +212,4 @@ def analyze_shardability(
     hit = _ANALYSIS_CACHE.get(key)
     if hit is not None:
         return hit
-    result = analyze_function(fn, module, flat)
-    if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_MAX:
-        _ANALYSIS_CACHE.pop(next(iter(_ANALYSIS_CACHE)))
-    _ANALYSIS_CACHE[key] = result
-    return result
+    return _ANALYSIS_CACHE.put(key, analyze_function(fn, module, flat))

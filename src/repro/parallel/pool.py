@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .._options import LaunchOptions, validate_executor
+from .._state import on_reset
 from ..errors import ConfigError
 from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
@@ -340,8 +341,9 @@ def pools_snapshot() -> Dict[str, Dict[str, int]]:
         return {kind: stats.snapshot() for kind, stats in _POOL_STATS.items()}
 
 
+@on_reset
 def shutdown_pools() -> None:
-    """Tear down every pool (tests; pools are recreated on demand)."""
+    """Tear down every pool (pools are recreated on demand)."""
     with _POOL_LOCK:
         for pool in _POOLS.values():
             pool.shutdown(wait=True)

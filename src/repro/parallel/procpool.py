@@ -107,6 +107,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._state import on_reset
 from ..errors import ExecutionError, ResilienceError, ShardTimeout
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
@@ -612,6 +613,7 @@ def get_process_pool(workers: int) -> ProcessShardPool:
         return _POOL
 
 
+@on_reset
 def shutdown_process_pool() -> None:
     """Tear down the worker processes (tests and interpreter exit)."""
     global _POOL

@@ -63,6 +63,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._state import on_reset
 from ..codegen.cache import CompiledKernel
 from ..codegen.runtime import Geometry, geometry
 from ..engine.launch import Grid
@@ -183,6 +184,14 @@ class _StagingList:
 
 
 _STAGING = _StagingList()
+
+
+@on_reset
+def _drop_staging() -> None:
+    """Empty the free list."""
+    with _STAGING.lock:
+        _STAGING.free.clear()
+        _STAGING.free_bytes = 0
 
 
 def scribble_staging() -> None:

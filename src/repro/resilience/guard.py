@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .._options import UNSET, LaunchOptions, current_options
 from .._options import options as options_scope
+from .._state import on_reset
 from ..errors import ResilienceError, ShardTimeout, WorkerDeath
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
@@ -326,6 +327,9 @@ def plan_ladder(
             Rung(label, be, runs_variant, LaunchOptions(**differs) if differs else None)
         )
     return LadderPlan(tuple(rungs), policy if guarded else None)
+
+
+on_reset(plan_ladder.cache_clear)
 
 
 def run_ladder(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from .._options import (
     UNSET,
@@ -29,6 +29,7 @@ from .._options import (
     current_options,
     options as options_scope,
 )
+from .._state import Store
 from ..approx.base import VariantSet
 from ..approx.compiler import Paraprox, ParaproxConfig
 from ..device import DeviceKind, spec_for
@@ -49,17 +50,12 @@ from .recalibrate import Recalibrator
 #: What a session serves with where its ``options=`` says nothing.
 _DEFAULT_OPTIONS = LaunchOptions(backend="auto", parallel=1, executor="thread")
 
-#: Bound on a session's serving plans; a full store starts over.
-SERVING_PLAN_CAP = 64
-
-
 @dataclass(frozen=True)
 class _ServingPlan:
     """What a launch under one enclosing scope resolves to, resolved once
     per (scope record, exact or variant): the record the launch enters
-    and the ladder it walks in it.  Pins ``scope``, whose id keys it."""
+    and the ladder it walks in it."""
 
-    scope: LaunchOptions
     effective: LaunchOptions
     ladder: LadderPlan
 
@@ -168,7 +164,7 @@ class ApproxSession:
         self._tuning: Optional[TuningResult] = None
         self._recalibrator: Optional[Recalibrator] = None
         self._key: Optional[str] = None
-        self._plans: Dict[Tuple[int, bool], _ServingPlan] = {}
+        self._plans = Store(cap=64)
         self._closed = False
 
     # -- identity --------------------------------------------------------------
@@ -408,10 +404,7 @@ class ApproxSession:
             # The session's guard governs its ladder even under a scope
             # that sets another.
             ladder = plan_ladder(exact, effective, policy=self.guard)
-            plan = _ServingPlan(scope, effective, ladder)
-            if len(self._plans) >= SERVING_PLAN_CAP:
-                self._plans.clear()
-            self._plans[key] = plan
+            plan = self._plans.put(key, _ServingPlan(effective, ladder), pins=scope)
         return plan
 
     def _serve(self, variant, inputs, record: LaunchRecord, ladder: LadderPlan) -> tuple:

@@ -30,7 +30,6 @@ from repro.engine.launch import resolve_kernel, resolve_module
 from repro.errors import ExecutionError
 from repro.kernel import kernel
 from repro.kernel.dsl import array_f32, f32, global_id, i32
-from repro.parallel import shutdown_process_pool
 from repro.parallel.shard import plan_shards, run_shard
 from repro.parallel.shard import stats_snapshot as shard_stats
 from test_differential import ZOO_CASES
@@ -41,11 +40,12 @@ INTERP = LaunchOptions(backend="interp")
 
 @pytest.fixture(autouse=True)
 def _fresh_plans():
-    """Every test starts with no compiled kernel and no plan, and leaves
-    none behind for the rest of the suite."""
-    clear_cache()
+    """Every test starts with no compiled kernel, no plan, no geometry and
+    no worker process (forked workers know no plan and no kernel), and
+    leaves none behind for the rest of the suite."""
+    repro.reset()
     yield
-    clear_cache()
+    repro.reset()
 
 
 def _fresh(args, seed):
@@ -155,18 +155,10 @@ def _sharded(workers=2, executor="thread"):
     )
 
 
-@pytest.fixture
-def _fresh_workers():
-    """Worker processes forked here know no plan and no kernel."""
-    shutdown_process_pool()
-    yield
-    shutdown_process_pool()
-
-
 @pytest.mark.parametrize("executor", ["thread", "process"])
 @pytest.mark.parametrize("name", sorted(zoo.ACCESS_CASES))
 def test_a_sharded_key_builds_once_per_span_and_hits_from_the_third_launch(
-    name, executor, _fresh_workers
+    name, executor
 ):
     kernel, grid, args = zoo.ACCESS_CASES[name](1024)
     spans = len(plan_shards(grid.total_blocks, 2))
@@ -220,7 +212,7 @@ def test_drop_plans_empties_shard_views_too():
         launch(kernel, grid, _fresh(args, 1), options=_sharded())
     assert len(rt.geometry(grid).shards) == 2 and len(_resident()) == 2
     rt.drop_plans()
-    assert rt.geometry(grid).shards == {} and _resident() == [] and rt._plan_bytes == 0
+    assert len(rt.geometry(grid).shards) == 0 and _resident() == [] and rt._plan_bytes == 0
     # ... and the next launches start over, on new views
     for _ in range(3):
         launch(kernel, grid, _fresh(args, 1), options=_sharded())
@@ -711,12 +703,12 @@ def test_the_geometry_cache_is_lru_and_an_evicted_geometry_releases_its_plan_byt
                options=CODEGEN)
     kept = rt.geometry(hot)
     assert rt._plan_bytes > 0
-    for blocks in range(4, 4 + rt._GEOMETRY_CACHE_MAX + 1):  # 65 more grids
+    for blocks in range(4, 4 + rt._GEOMETRY_CACHE.cap + 1):  # 65 more grids
         rt.geometry(Grid(blocks, 32))
         assert rt.geometry(hot) is kept  # launched between every one of them
-    assert len(rt._GEOMETRY_CACHE) == rt._GEOMETRY_CACHE_MAX
+    assert len(rt._GEOMETRY_CACHE) == rt._GEOMETRY_CACHE.cap
     held = rt._plan_bytes
-    for blocks in range(100, 100 + rt._GEOMETRY_CACHE_MAX):  # now it goes cold
+    for blocks in range(100, 100 + rt._GEOMETRY_CACHE.cap):  # now it goes cold
         rt.geometry(Grid(blocks, 32))
     assert rt.geometry(hot) is not kept
     assert held > 0 and rt._plan_bytes == 0 == stats_snapshot()["plan_bytes"]

@@ -47,9 +47,9 @@ _I = ir.Var("i", I32)
 
 @pytest.fixture(autouse=True)
 def _fresh_kernels():
-    clear_cache()
+    repro.reset()
     yield
-    clear_cache()
+    repro.reset()
 
 
 def _source(kern, module=None):

@@ -1,11 +1,16 @@
 """Sampling profiler: attribution, collapsed output, rendering."""
 
+import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.apps.gaussian import GaussianFilterApp
 from repro.obs import span
+from repro.obs import trace as obs_trace
 from repro.obs.export import load_collapsed, render_flame, render_top
 from repro.obs.profile import (
     SEAMS,
@@ -14,6 +19,9 @@ from repro.obs.profile import (
 )
 from repro.obs import profile as obs_profile
 from repro.obs.registry import MetricsRegistry
+from repro.resilience.guard import GuardPolicy, run_ladder
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def _busy(stop, tag):
@@ -169,3 +177,16 @@ class TestCollapsedFormat:
         assert "shard.run" in SEAMS
         assert "serve.batch" in SEAMS
         assert "proc.launch" in SEAMS
+
+    def test_every_seam_is_a_span_a_guarded_launch_or_src_emits(self, traced_memory):
+        app = GaussianFilterApp(scale=0.05)
+        with repro.options(
+            backend="codegen", parallel=2, min_shard_threads=1, guard=GuardPolicy()
+        ):
+            run_ladder(app, app.generate_inputs(seed=0), None)
+        launched = {r["name"] for r in obs_trace.drain_records() if r.get("type") == "span"}
+        assert {"ladder.rung", "engine.launch", "shard.run"} <= launched
+        opened = set()
+        for path in SRC.rglob("*.py"):
+            opened.update(re.findall(r'span\(\s*"([a-z_.]+)"', path.read_text()))
+        assert set(SEAMS) - launched - opened == set()

@@ -26,13 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import LaunchOptions
 from repro.engine import Grid, launch
 from repro.errors import ExecutionError
 from repro.kernel import ir
 from repro.kernel.types import F32, I32, ArrayType, ScalarType
 from repro.kernel.visitors import walk
-from repro.parallel import shutdown_process_pool
 from repro.parallel.analysis import analyze_shardability
 
 _OUT = ir.ArrayRef("out", ArrayType(F32))
@@ -198,9 +198,9 @@ def _outcome(fn, module, grid, size, **lane):
 
 @pytest.fixture(scope="module", autouse=True)
 def _process_pool():
-    shutdown_process_pool()
+    repro.reset()
     yield
-    shutdown_process_pool()
+    repro.reset()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -43,9 +43,9 @@ N = 1 << 12
 def _fresh_pool(monkeypatch):
     """Isolate every test's worker set (and its inherited environment)."""
     monkeypatch.delenv(procpool.INJECT_ENV, raising=False)
-    shutdown_process_pool()
+    repro.reset()
     yield
-    shutdown_process_pool()
+    repro.reset()
 
 
 def _square_args(n=N, seed=0):

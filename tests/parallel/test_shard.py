@@ -18,7 +18,7 @@ from repro import LaunchOptions
 from repro.engine import Grid, launch
 from repro.conformance import PLANNED_LAUNCHES, Cell, check, kernel_subject, run_cell
 from repro.errors import ExecutionError
-from repro.parallel import procpool, shard, shutdown_process_pool
+from repro.parallel import procpool, shard
 from repro.parallel.shard import STATS, plan_shards
 from repro.resilience import GuardPolicy, stats_snapshot as guard_stats
 from repro.resilience.faults import FAULT_CLASSES, FaultPlan, FaultSpec, use_faults
@@ -186,9 +186,9 @@ def test_sharded_bit_exact(name, workers):
 
 @pytest.fixture
 def _process_pool():
-    shutdown_process_pool()
+    repro.reset()
     yield
-    shutdown_process_pool()
+    repro.reset()
 
 
 @pytest.mark.parametrize(
