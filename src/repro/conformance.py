@@ -57,7 +57,13 @@ from .resilience.faults import (
 )
 from .resilience.guard import GuardPolicy, run_ladder
 from .runtime.tuner import GreedyTuner
-from .serve import ApproxSession, MonitorConfig, OverloadConfig, ServeFrontend
+from .serve import (
+    ApproxSession,
+    MonitorConfig,
+    OverloadConfig,
+    Recalibrator,
+    ServeFrontend,
+)
 from .serve.cache import CacheEntry, VariantCache
 
 CONTRACTS = ("exact", "variant", "contained", "floor", "warm_start")
@@ -588,7 +594,13 @@ def check_floor(app, seed: int = 0) -> Result:
 
 
 def sweep_warm_start(apps) -> Iterator[Result]:
-    """``warm_start``: tune cold into a fresh registry, then warm from it."""
+    """``warm_start``: tune cold into a fresh registry, then warm from it.
+
+    A warm profile it did not re-measure must be the variant's stored
+    point, unchanged.  A front-only ``gc`` then drops the dominated
+    points, and a warm tune from what is left may only put variants on
+    the recalibration ladder that the cold tune measured at the TOQ.
+    """
     spec = spec_for(DeviceKind.GPU)
     toq = 0.90
     cold_total = warm_total = 0
@@ -620,6 +632,24 @@ def sweep_warm_start(apps) -> Iterator[Result]:
                     f"warm chose {warm_result.chosen.name}, "
                     f"cold chose {cold_result.chosen.name}"
                 )
+            stored = {
+                p.variant: (p.quality, p.speedup)
+                for p in registry.points(warm.last_registry_key)
+            }
+            for p in warm_result.profiles:
+                if p.predicted and (p.quality, p.speedup) != stored.get(p.name):
+                    problems.append(f"{p.name} predicted, not its stored point")
+
+            registry.compact(front_only=True)
+            pruned = GreedyTuner(spec, toq=toq, registry=registry)
+            ladder = Recalibrator(pruned.profile(app, variants, inputs), toq).ladder
+            cold_quality = {p.name: p.quality for p in cold_result.profiles}
+            for p in ladder:
+                if cold_quality[p.name] < toq:
+                    problems.append(
+                        f"after gc, rung {p.name} measured "
+                        f"{cold_quality[p.name]:.4f} < {toq}"
+                    )
             yield Result(
                 "warm_start", app.name, status=FAIL if problems else OK,
                 detail="; ".join(problems)

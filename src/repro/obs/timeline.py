@@ -92,7 +92,7 @@ class QualityTimeline:
     ) -> None:
         """One sampled quality check.  Sessions tuning under a variant
         registry stamp ``registry_key`` so exported timelines can be fed
-        back as surrogate training data
+        back into the stored measurements warm starts read
         (:meth:`repro.registry.VariantRegistry.ingest_timeline`)."""
         fields: Dict[str, object] = dict(
             session=session,

@@ -1,25 +1,25 @@
-"""Cross-session variant registry with model-based design-space exploration.
+"""Cross-session variant registry: tuning measurements that outlive a session.
 
 The greedy tuner (paper §3.5) walks one path through the knob space per
 session and forgets it at exit.  This package makes that knowledge
 durable and shared, following autoAx: measurements are characterized
-into per-(kernel, device, input-sketch) Pareto fronts plus lightweight
-surrogates, persisted in a crash-safe append-only store that any number
-of serving workers can read and write concurrently.  Warm tuning then
-starts from the front's TOQ-feasible knee and refines locally instead of
-re-measuring the whole variant ladder — recalibration becomes a lookup.
+into per-(kernel, device, input-sketch) Pareto fronts, persisted in a
+crash-safe append-only store that any number of serving workers can
+read and write concurrently.  Warm tuning then starts from the front's
+TOQ-feasible knee and re-measures a few rungs below it; every rung it
+does not re-measure reads that variant's stored measurement, and a
+variant with none is left off the ladder — recalibration becomes a
+lookup.
 
 Public surface:
 
 * :class:`VariantRegistry` — the store (``repro.registry.store``);
 * :class:`ParetoPoint`, :func:`pareto_front`, :func:`knee` — front
   machinery (``repro.registry.pareto``);
-* :class:`Surrogate` — knob-space quality/speedup models
-  (``repro.registry.surrogate``);
 * :func:`registry_key`, :func:`input_sketch` — key derivation
   (``repro.registry.sketch``);
-* ``python -m repro.registry`` — inspect / merge / gc / ingest /
-  smoke CLI (``repro.registry.__main__``).
+* ``python -m repro.registry`` — inspect / merge / gc / ingest CLI
+  (``repro.registry.__main__``).
 
 See ``docs/REGISTRY.md`` for the file format, the locking model and the
 environment variables.
@@ -28,7 +28,6 @@ environment variables.
 from .pareto import ParetoPoint, dominates, feasible, knee, pareto_front
 from .sketch import device_fingerprint, input_sketch, kernel_digest, registry_key
 from .store import VariantRegistry, resolve_registry
-from .surrogate import Surrogate, fit_surrogate
 
 __all__ = [
     "VariantRegistry",
@@ -38,8 +37,6 @@ __all__ = [
     "dominates",
     "feasible",
     "knee",
-    "Surrogate",
-    "fit_surrogate",
     "registry_key",
     "input_sketch",
     "device_fingerprint",

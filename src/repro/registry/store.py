@@ -3,9 +3,10 @@
 One registry directory holds everything a fleet of serving workers has
 learned about a knob space, keyed by ``(kernel fingerprint, device
 fingerprint, input-distribution sketch)`` (:mod:`repro.registry.sketch`).
-Per key it keeps the by-variant merged measurement points whose Pareto
-front (:mod:`repro.registry.pareto`) seeds warm tuning, plus enough raw
-evidence to fit surrogates (:mod:`repro.registry.surrogate`).
+Per key it keeps the by-variant merged measurement points: their Pareto
+front (:mod:`repro.registry.pareto`) seeds warm tuning, and warm tuning
+reads every stored point by variant name for the rungs it does not
+re-measure.
 
 Durability model — **versioned append-only segments**:
 
@@ -41,7 +42,7 @@ import os
 import re
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import SerializationError
 from ..obs import trace as obs_trace
@@ -55,7 +56,6 @@ from .sketch import (
     sketch_from_json,
     sketch_to_json,
 )
-from .surrogate import Surrogate, fit_surrogate
 
 try:  # pragma: no cover - always present on the POSIX hosts we target
     import fcntl
@@ -104,9 +104,6 @@ class _Metrics:
         self.points = registry.gauge(
             "repro_registry_points", "merged points held in memory"
         )
-        self.fit_seconds = registry.histogram(
-            "repro_registry_fit_seconds", "surrogate fit wall time"
-        )
 
     @classmethod
     def get(cls) -> "_Metrics":
@@ -140,7 +137,7 @@ class _FileLock:
 
 
 class VariantRegistry:
-    """The shared store of per-key Pareto fronts and surrogate evidence.
+    """The shared store of per-key measurement points and their Pareto fronts.
 
     Args:
         root: registry directory (created if missing); ``None`` for a
@@ -173,8 +170,6 @@ class VariantRegistry:
         self._poisoned: set = set()  # segments with an unparseable tail
         self._lock = threading.Lock()
         self._flock = _FileLock(self.root)
-        self._version = 0  # bumped on every state change (surrogate memo)
-        self._fit_memo: Dict[str, Tuple[int, Surrogate]] = {}
         self.recovered_lines = 0
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -186,14 +181,6 @@ class VariantRegistry:
                     self._flock.release()
 
     # -- keys ------------------------------------------------------------------
-
-    def key_for(self, app, spec, inputs) -> str:
-        """The canonical key a fresh (app, device, input set) would mint.
-
-        Prefer :meth:`resolve_key`, which snaps to an existing key whose
-        stored sketch is within tolerance before minting a new one.
-        """
-        return registry_key(app, spec, inputs)
 
     def resolve_key(self, app, spec, inputs) -> str:
         """The key this (app, device, input set) should tune under.
@@ -265,7 +252,6 @@ class VariantRegistry:
             self._state.clear()
             self._offsets.clear()
             self._poisoned.clear()
-            self._fit_memo.clear()
         for path in segments:
             self._replay_segment(path)
         self._publish_gauges()
@@ -315,7 +301,6 @@ class VariantRegistry:
             # older segments said is superseded.
             self._state.clear()
             self._sketches.clear()
-            self._fit_memo.clear()
         elif op == "sketch":
             self._sketches[str(record["key"])] = [
                 (str(s), [float(v) for v in c])
@@ -332,7 +317,6 @@ class VariantRegistry:
             )
         else:
             raise SerializationError(f"unknown registry op {op!r}")
-        self._version += 1
 
     def _active_segment(self) -> Path:
         segments = self._segments()
@@ -418,8 +402,6 @@ class VariantRegistry:
                     for p in stamped
                 )
                 self._append(records)
-                self._version += 1
-                self._fit_memo.pop(key, None)
                 metrics.writes.inc(len(stamped))
                 self._publish_gauges()
             finally:
@@ -488,7 +470,8 @@ class VariantRegistry:
                 self._flock.release()
 
     def points(self, key: str) -> List[ParetoPoint]:
-        """Every merged point held for ``key`` (surrogate training data)."""
+        """Every merged point held for ``key``, one per variant (the front
+        is a subset)."""
         with self._lock:
             return list(self._state.get(key, {}).values())
 
@@ -510,23 +493,6 @@ class VariantRegistry:
     def knee_for(self, key: str, toq: float) -> Optional[ParetoPoint]:
         """The TOQ-feasible knee of ``key``'s front, margin applied."""
         return knee(self.lookup(key), toq, self.margin)
-
-    def fit(self, key: str) -> Surrogate:
-        """The surrogate for ``key``, memoized per store version."""
-        import time
-
-        with self._lock:
-            memo = self._fit_memo.get(key)
-            if memo is not None and memo[0] == self._version:
-                return memo[1]
-            points = list(self._state.get(key, {}).values())
-            version = self._version
-        started = time.perf_counter()
-        model = fit_surrogate(points)
-        _Metrics.get().fit_seconds.observe(time.perf_counter() - started)
-        with self._lock:
-            self._fit_memo[key] = (version, model)
-        return model
 
     def stats(self) -> dict:
         """A JSON-friendly snapshot for ``metrics_snapshot()`` and the CLI."""
@@ -575,8 +541,6 @@ class VariantRegistry:
                     for key in list(self._state):
                         front = pareto_front(self._state[key].values())
                         self._state[key] = {p.variant: p for p in front}
-                    self._version += 1
-                    self._fit_memo.clear()
             return 0
         with obs_trace.span("registry.gc", front_only=front_only) as span:
             with self._lock:
@@ -629,8 +593,6 @@ class VariantRegistry:
                         self._offsets.pop(old.name, None)
                         self._poisoned.discard(old.name)
                     self._offsets[path.name] = path.stat().st_size
-                    self._version += 1
-                    self._fit_memo.clear()
                     self._publish_gauges()
                     span.set(segments_removed=len(old_segments))
                     return len(old_segments)

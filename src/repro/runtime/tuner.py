@@ -25,9 +25,9 @@ class VariantProfile:
     deserialized from :meth:`TuningResult.from_dict` before its variant
     object has been rebound (see :meth:`GreedyTuner.resume`).
 
-    ``predicted`` marks profiles a registry warm start filled in from
-    the surrogate/front instead of measuring; they populate the
-    recalibration ladder but are never *chosen* directly.
+    ``predicted`` marks profiles a registry warm start copied from a
+    stored measurement instead of re-measuring this session; they are
+    never *chosen* directly, but the recalibration ladder includes them.
     """
 
     variant: object  # ApproxKernel | ScanVariant | None for exact
@@ -249,8 +249,10 @@ class GreedyTuner:
     profiling into the *seeded* mode: when the registry holds a usable
     Pareto front for this (kernel, device, input-sketch) key, tuning
     starts from the front's TOQ-feasible knee and refines locally —
-    measuring a fraction of the ladder — and every measurement (seeded
-    or cold) is written back so the next session starts warmer.  After a
+    measuring a fraction of the ladder, and reading every other rung's
+    stored measurement by variant name (a variant with no stored point
+    stays off the ladder) — and every measurement (seeded or cold) is
+    written back so the next session starts warmer.  After a
     ``profile`` call, ``last_measured``, ``last_seed_mode`` and
     ``last_registry_key`` describe what happened.
     """
@@ -400,11 +402,11 @@ class GreedyTuner:
     ) -> Optional[List[VariantProfile]]:
         """Knee-seeded local refinement over the registry front.
 
-        Returns the non-exact profiles (measured plus surrogate-predicted)
-        or None when the front is not trustworthy for this variant set —
-        too few points, no TOQ-feasible knee, or a knee naming a variant
-        that no longer exists — in which case the caller falls back to
-        the cold sweep.
+        Returns the non-exact profiles (measured, or copied from the
+        variant's stored point) or None when the front is not trustworthy
+        for this variant set — too few points, no TOQ-feasible knee, or a
+        knee naming a variant that no longer exists — in which case the
+        caller falls back to the cold sweep.
 
         The measurement budget is capped at half the ladder, which is
         what makes warm recalibration cheap by construction: starting at
@@ -430,15 +432,17 @@ class GreedyTuner:
         if knee_point is None:
             return None
 
-        predict = self._predictor(registry, registry_key, front)
-
-        def predicted_speedup(variant) -> float:
-            _q, s = predict(variant)
-            return s
+        # (quality, speedup) by variant name.  A variant with no stored
+        # point reads as infeasible, so it can neither be chosen nor put
+        # on the ladder without a measurement.
+        stored = {p.variant: (p.quality, p.speedup) for p in evidence}
+        unknown = (0.0, 1.0)
 
         # Slow-but-safe to fast-but-risky, exactly the recalibrator's
         # ladder orientation; refinement walks it downward from the knee.
-        order = sorted(variants, key=lambda v: (predicted_speedup(v), v.name))
+        order = sorted(
+            variants, key=lambda v: (stored.get(v.name, unknown)[1], v.name)
+        )
         start = next(
             i for i, v in enumerate(order) if v.name == knee_point.variant
         )
@@ -478,7 +482,7 @@ class GreedyTuner:
             if hit is not None:
                 profiles.append(hit)
                 continue
-            quality, speedup = predict(variant)
+            quality, speedup = stored.get(variant.name, unknown)
             cycles = exact_cycles / speedup if speedup > 0 else exact_cycles
             profiles.append(
                 VariantProfile(
@@ -490,26 +494,6 @@ class GreedyTuner:
                 )
             )
         return profiles
-
-    @staticmethod
-    def _predictor(registry, registry_key, front):
-        """(quality, speedup) estimator: exact front evidence by name,
-        surrogate for variants the registry has never seen."""
-        by_variant = {p.variant: p for p in front}
-        surrogate = registry.fit(registry_key)
-
-        def predict(variant):
-            point = by_variant.get(variant.name)
-            if point is not None:
-                return point.quality, point.speedup
-            knobs = dict(getattr(variant, "knobs", {}) or {})
-            if surrogate.trained and knobs:
-                return surrogate.predict(knobs)
-            # Unknown and unmodelable: predict infeasible so it can
-            # neither be chosen nor put on the ladder unmeasured.
-            return 0.0, 1.0
-
-        return predict
 
     def _write_back(self, registry, registry_key, profiles) -> None:
         """Persist every *measured* profile as registry evidence."""

@@ -266,7 +266,8 @@ class TestRemovedSurface:
         "repro._options": ("deprecated",),
         "repro.serve.frontend": ("_differential_harness",),
         "repro.serve.overload": ("_drill", "_drill_app"),
-        "repro.registry.__main__": ("_selfcheck",),
+        "repro.registry.__main__": ("_selfcheck", "_smoke", "_SMOKE_WRITER"),
+        "repro.registry": ("Surrogate", "fit_surrogate"),
         "repro.obs.slo": ("run_drill",),
     }
 
@@ -279,6 +280,7 @@ class TestRemovedSurface:
         "repro.parallel.__main__",
         "repro.resilience.check",
         "repro.resilience.__main__",
+        "repro.registry.surrogate",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -295,6 +297,14 @@ class TestRemovedSurface:
         import importlib.util
 
         assert importlib.util.find_spec(module_name) is None
+
+    def test_registry_has_no_knob_space_model(self):
+        """Warm starts read stored points by name; nothing fits a model
+        over them, and keys come from ``resolve_key`` only."""
+        from repro.registry import VariantRegistry
+
+        for name in ("fit", "key_for"):
+            assert not hasattr(VariantRegistry, name), name
 
     def test_serving_modules_carry_no_harness_imports(self):
         import repro.serve.frontend

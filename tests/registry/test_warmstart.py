@@ -7,6 +7,7 @@ from repro.apps.gaussian import MeanFilterApp
 from repro.device import spec_for
 from repro.registry import VariantRegistry
 from repro.runtime.tuner import GreedyTuner
+from repro.serve import Recalibrator
 
 
 @pytest.fixture()
@@ -220,3 +221,135 @@ class TestExclusionsAndWriteBack:
         }
         bumped = {v for (v, s) in after - before}
         assert bumped == measured
+
+
+ROW = "mean_kernel__stencil_row_rd1"  # dominated by column_rd1 on GPU
+COLUMN = "mean_kernel__stencil_column_rd1"
+
+
+def profile_named(result, name):
+    return next(p for p in result.profiles if p.name == name)
+
+
+class TestStoredPoints:
+    """A rung a warm tune does not re-measure reads the variant's stored
+    measurement; a variant with no stored point stays off the ladder."""
+
+    TOQ = 0.90
+
+    def cold_then_warm(self, name, compact=False):
+        from repro.apps.registry import make_app
+
+        app = make_app(name)
+        variants = Paraprox(target_quality=self.TOQ).compile(app)
+        inputs = app.generate_inputs(seed=app.seed)
+        spec = spec_for(DeviceKind.GPU)
+        registry = VariantRegistry()
+        cold = GreedyTuner(spec, toq=self.TOQ, registry=registry).profile(
+            app, variants, inputs
+        )
+        if compact:
+            registry.compact(front_only=True)
+        tuner = GreedyTuner(spec, toq=self.TOQ, registry=registry)
+        warm = tuner.profile(app, variants, inputs)
+        return registry, tuner, cold, warm
+
+    @pytest.mark.parametrize("name", ["convsep", "gamma", "kde", "meanfilter"])
+    def test_predicted_profile_is_the_stored_point(self, name):
+        registry, tuner, _, warm = self.cold_then_warm(name)
+        stored = {
+            p.variant: (p.quality, p.speedup)
+            for p in registry.points(tuner.last_registry_key)
+        }
+        predicted = [p for p in warm.profiles if p.predicted]
+        assert predicted
+        for p in predicted:
+            assert (p.quality, p.speedup) == stored[p.name], p.name
+
+    def test_gc_leaves_no_unqualified_rung_below_the_choice(self):
+        """After a front-only gc, kde's dominated reductions have no
+        stored point; none may reach the ladder, so the first TOQ
+        violation steps down to a rung measured at the TOQ."""
+        _, tuner, cold, warm = self.cold_then_warm("kde", compact=True)
+        assert tuner.last_seed_mode == "warm"
+        measured = {p.name: p.quality for p in cold.profiles}
+        recal = Recalibrator(warm, toq=self.TOQ)
+        assert recal.ladder
+        for rung in recal.ladder:
+            assert measured[rung.name] >= self.TOQ, rung.name
+        assert recal.current_name == "kde_kernel__red_l1_skip4"
+        assert recal.step_down()
+        assert recal.current_name == "kde_kernel__red_l1_skip2"
+
+    @pytest.mark.parametrize("name", ["hotspot", "kde"])
+    def test_warm_ladder_is_the_cold_ladder(self, name):
+        """Stored points order the rungs as the cold tune measured them
+        (hotspot's row and column rungs differ by 0.1 % in speedup)."""
+        _, tuner, cold, warm = self.cold_then_warm(name)
+        assert tuner.last_seed_mode == "warm"
+
+        def rungs(result):
+            return [p.name for p in Recalibrator(result, toq=self.TOQ).ladder]
+
+        assert rungs(warm) == rungs(cold)
+
+    def test_variant_without_a_point_reads_unknown(self, setup):
+        app, variants, inputs, spec = setup
+        source = VariantRegistry()
+        tuner, _ = tune(setup, source)
+        key = tuner.last_registry_key
+        registry = VariantRegistry()
+        assert registry.resolve_key(app, spec, inputs) == key
+        registry.record_many(
+            key, [p for p in source.points(key) if p.variant != COLUMN]
+        )
+        tuner, warm = tune(setup, registry)
+        assert tuner.last_seed_mode == "warm"
+        column = profile_named(warm, COLUMN)
+        assert column.predicted
+        assert (column.quality, column.speedup) == (0.0, 1.0)
+        assert warm.chosen.name != COLUMN
+        ladder = [p.name for p in Recalibrator(warm, toq=0.9).ladder]
+        assert COLUMN not in ladder
+
+    def test_predicted_cycles_follow_the_stored_speedup(self, setup):
+        registry = VariantRegistry()
+        tune(setup, registry)
+        _, warm = tune(setup, registry)
+        exact = next(p for p in warm.profiles if p.is_exact)
+        predicted = [p for p in warm.profiles if p.predicted]
+        assert predicted
+        for p in predicted:
+            assert p.cycles == pytest.approx(exact.cycles / p.speedup), p.name
+
+    def test_record_observation_moves_what_warm_start_reads(self, setup):
+        registry = VariantRegistry()
+        tuner, cold = tune(setup, registry)
+        key = tuner.last_registry_key
+        before = profile_named(cold, ROW).quality
+        assert registry.record_observation(key, ROW, 0.5)
+        _, warm = tune(setup, registry)
+        row = profile_named(warm, ROW)
+        assert row.predicted
+        assert row.quality == pytest.approx((before + 0.5) / 2)
+        assert row.speedup == pytest.approx(profile_named(cold, ROW).speedup)
+
+    def test_ingested_quality_sample_moves_what_warm_start_reads(
+        self, setup
+    ):
+        registry = VariantRegistry()
+        tuner, cold = tune(setup, registry)
+        entry = {
+            "kind": "quality_sample",
+            "registry_key": tuner.last_registry_key,
+            "variant": ROW,
+            "quality": 0.25,
+            "speedup": 1.0,
+        }
+        assert registry.ingest_timeline([entry]) == 1
+        _, warm = tune(setup, registry)
+        row = profile_named(warm, ROW)
+        assert row.predicted
+        before = profile_named(cold, ROW)
+        assert row.quality == pytest.approx((before.quality + 0.25) / 2)
+        assert row.speedup == pytest.approx((before.speedup + 1.0) / 2)
