@@ -82,13 +82,6 @@ class PureSlice:
         return len(self.statements)
 
 
-@dataclass
-class _Block:
-    """One straight-line statement list and how to reach it."""
-
-    statements: List[ir.Stmt]
-
-
 def _blocks_of(fn: ir.Function) -> List[List[ir.Stmt]]:
     """All straight-line statement lists of a function (bodies of the
     function, of If arms and of For loops)."""

@@ -261,10 +261,6 @@ def fold_function(fn: ir.Function) -> Tuple[ir.Function, FoldStats]:
 _TOP = (-math.inf, math.inf)
 
 
-def _widen(value: float) -> float:
-    return value
-
-
 def _iv_add(a, b):
     return a[0] + b[0], a[1] + b[1]
 

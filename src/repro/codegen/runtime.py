@@ -43,7 +43,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .._state import Store, on_reset
-from ..engine.interpreter import _c_divide, _c_mod
 from ..engine.launch import Grid
 from ..errors import ExecutionError
 from ..obs.registry import CounterGroup
@@ -176,11 +175,6 @@ def c_mod_int(a, b):
     """C remainder, sign follows the dividend (``_c_mod``)."""
     a64, b64, q = _c_div64(a, b)
     return a64 - q * b64
-
-
-# keep the float paths importable for completeness / tests
-c_divide = _c_divide
-c_mod = _c_mod
 
 
 # ------------------------------------------------------------------ counters

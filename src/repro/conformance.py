@@ -145,10 +145,6 @@ def excluded(cell: Cell) -> Optional[str]:
         return None
     if cell.via != "ladder" or not cell.guard or cell.backend != "codegen":
         return "faults are contained by the guarded ladder; nothing else promises it"
-    if cell.executor != "thread":
-        # The process lane's seam is REPRO_PROC_INJECT
-        # (tests/parallel/test_procpool.py); bridging it is a follow-up.
-        return "a FaultPlan does not cross the process boundary"
     if cell.workers != 2:
         return "one shard split is enough to visit the worker site"
     return None
@@ -449,7 +445,7 @@ def sweep_pipeline(app, seeds: Sequence[int], contracts: Iterable[str]) -> Itera
     one app's exact pipeline — one run per cell serves both."""
     subject = app_subject(app)
     reference = run_cell(subject, REFERENCE)
-    faulted: Dict[str, List[tuple]] = {}
+    faulted: Dict[tuple, List[Outcome]] = {}  # (fault class, executor)
     with contextlib.ExitStack() as stack:
         session = None
         for cell in cells(seeds):
@@ -462,21 +458,22 @@ def sweep_pipeline(app, seeds: Sequence[int], contracts: Iterable[str]) -> Itera
                 session = stack.enter_context(sampling_session(app))
             outcome = run_cell(subject, cell, session)
             if cell.fault is not None:
-                faulted.setdefault(cell.fault, []).append((cell, outcome))
+                faulted.setdefault((cell.fault, cell.executor), []).append(outcome)
             for contract in wanted:
                 yield check(subject, cell, reference, contract, outcome)
     if "contained" not in contracts:
         return  # the audit below belongs to that contract alone
-    for fault, runs in faulted.items():
-        # Reachability is observed: the worker site is only visited by a
-        # launch that shards, and some apps legitimately have none.
+    for (fault, executor), runs in faulted.items():
+        # Per executor, so one lane's fires cannot hide the other's dead
+        # seam.  Reachability is observed: the worker site is only visited
+        # by a launch that shards, and some apps legitimately have none.
         visited = FAULT_CLASSES[fault][0] != SITE_WORKER or any(
-            outcome.sharded for _cell, outcome in runs
+            outcome.sharded for outcome in runs
         )
-        if visited and not any(outcome.fired for _cell, outcome in runs):
+        if visited and not any(outcome.fired for outcome in runs):
             yield Result(
                 "contained", f"{subject.name} / {fault}", None, FAIL,
-                f"never fired across seeds {list(seeds)}",
+                f"never fired across seeds {list(seeds)} on the {executor} executor",
             )
 
 
@@ -701,19 +698,21 @@ def run(
 
     for contract in dict.fromkeys(r.contract for r in results):
         out(f"{contract}: " + _counts([r for r in results if r.contract == contract]))
-    fired = Counter(
-        (r.cell.fault, r.fired > 0)
-        for r in results
-        if r.contract == "contained" and r.cell is not None
-    )
-    if fired:
-        out(
-            "fault cells fired / not reached: "
-            + ", ".join(
-                f"{fault} {fired[fault, True]}/{fired[fault, False]}"
-                for fault in sorted({fault for fault, _ in fired})
-            )
+    for executor in AXES["executor"]:
+        fired = Counter(
+            (r.cell.fault, r.fired > 0)
+            for r in results
+            if r.contract == "contained" and r.cell is not None
+            and r.cell.executor == executor
         )
+        if fired:
+            out(
+                f"fault cells fired / not reached on {executor}: "
+                + ", ".join(
+                    f"{fault} {fired[fault, True]}/{fired[fault, False]}"
+                    for fault in sorted({fault for fault, _ in fired})
+                )
+            )
     out(f"{len(results)} cells run in {time.perf_counter() - started:.1f} s")
     return results
 

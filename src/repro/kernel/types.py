@@ -139,12 +139,5 @@ class ArrayType:
         return f"{self.dtype.name}[{self.space}]"
 
 
-KernelType = object  # ScalarType | ArrayType (py39-friendly alias for docs)
-
-
-def is_scalar(t) -> bool:
-    return isinstance(t, ScalarType)
-
-
 def is_array(t) -> bool:
     return isinstance(t, ArrayType)

@@ -73,20 +73,20 @@ and a wall-clock deadline, which the caller's own shard counts against,
 terminates hung workers — before the launch returns its segments to the
 free list, so no process still running an abandoned task can write into
 a later launch's staging.  Every unrecoverable outcome is raised
-(:class:`~repro.errors.ShardTimeout`, :class:`WorkerLost`) for
-``run_sharded``'s bit-exact serial re-execution in the parent.
+(:class:`~repro.errors.ShardTimeout`, :class:`WorkerLost`, an injected
+fault) for ``run_sharded``'s bit-exact serial re-execution in the parent.
 Kernel-raised exceptions (e.g. bounds checks) are not faults to absorb:
 the error from the lowest failing shard propagates, matching the serial
 order of discovery — the caller's shard is the lowest, and a worker
 names the shard that raised.
 
-Fault injection for tests rides in the ``REPRO_PROC_INJECT`` environment
-variable (it must cross the process boundary, which the in-process fault
-plans of :mod:`repro.resilience.faults` cannot):
-``die@<b0>:<once-path>`` makes the worker running the shard that starts
-at block ``b0`` exit hard (once; the path records that the fault fired),
-and ``hang@<b0>:<seconds>`` makes it sleep through the deadline.  Only
-workers read it: the caller's shard, ``plan[0]``, is never a target.
+Faults come from the active :class:`~repro.resilience.faults.FaultPlan`,
+as on the thread lane.  The parent polls ``shard.worker`` once per shard,
+context ``"<kernel>:<b0>-<b1>"``: the caller's shard first, which acts
+out what fired in-process, then a worker task's shards each time the
+task is sent, so a re-send after a death draws again.  What fired rides
+in the task: a forked worker holds no plan, and exits hard (``dead``),
+sleeps (``hang``) or fails the shard (``exception``) on cue.
 """
 
 from __future__ import annotations
@@ -111,6 +111,7 @@ from .._state import on_reset
 from ..errors import ExecutionError, ResilienceError, ShardTimeout
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
+from ..resilience.faults import SITE_WORKER, FaultSpec, active_plan, fire
 
 #: Wall-clock bound on one process-sharded launch outside any guard
 #: scope; a :class:`~repro.resilience.GuardPolicy` overrides it.
@@ -119,9 +120,6 @@ DEFAULT_DEADLINE_SECONDS = 120.0
 #: Times one task is re-submitted after its worker died mid-run before
 #: the launch gives up on the pool and re-executes serially.
 MAX_RESPAWNS_PER_TASK = 2
-
-#: Environment variable holding a worker-side fault directive.
-INJECT_ENV = "REPRO_PROC_INJECT"
 
 #: Smallest segment size class (a page); classes double from here.
 _SEGMENT_MIN_BYTES = 1 << 12
@@ -178,29 +176,6 @@ def stats_snapshot() -> Dict[str, int]:
 # ----------------------------------------------------------- worker side
 
 
-def _maybe_fault(b0: int) -> None:
-    """Honour a ``REPRO_PROC_INJECT`` directive for the shard at ``b0``."""
-    spec = os.environ.get(INJECT_ENV, "")
-    if not spec:
-        return
-    kind, _, rest = spec.partition("@")
-    target, _, arg = rest.partition(":")
-    if target != str(b0):
-        return
-    if kind == "die":
-        if arg:
-            # The once-file makes the fault single-shot: the respawned
-            # worker (or a retried task) sees it and runs normally.
-            try:
-                fd = os.open(arg, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                return
-            os.close(fd)
-        os._exit(17)
-    elif kind == "hang":
-        time.sleep(float(arg) if arg else 3600.0)
-
-
 def size_class(nbytes: int) -> int:
     """The staging size class for ``nbytes``: the next power of two, at
     least a page.  Shared with the thread lane's heap staging
@@ -249,8 +224,8 @@ def _run_task(payload: dict, kept: _Kept) -> tuple:
     :func:`repro.parallel.shard.run_shard` and what it returned (whether
     the shard read a complete address plan; None when it wrote the staged
     arrays in place, per-array byte diffs otherwise) — or, once a shard
-    raises, ``("err", b0, exc)`` naming that shard.
-    """
+    raises, ``("err", b0, exc)`` naming that shard.  A fault the parent
+    drew for a shard (``payload["faults"]``) is acted out as it starts."""
     from ..codegen.cache import get_compiled
     from ..codegen.runtime import geometry
     from .shard import run_shard
@@ -272,9 +247,13 @@ def _run_task(payload: dict, kept: _Kept) -> tuple:
             values[name] = np.ndarray(
                 length, dtype=np.dtype(dtype_str), buffer=kept.attach(seg_name).buf
             )
+        faults = payload.get("faults", {})
         shards: List[tuple] = []
         for b0, b1 in payload["shards"]:
-            _maybe_fault(b0)
+            if b0 in faults:
+                if faults[b0].mode == "dead":
+                    os._exit(17)
+                fire(faults[b0], SITE_WORKER, f"{compiled.fn_name}:{b0}-{b1}")
             start = time.perf_counter()
             planned, diff = run_shard(
                 compiled, geo, grid.block_threads, values, (b0, b1),
@@ -310,6 +289,16 @@ def _worker_main(conn) -> None:
 
 
 # ----------------------------------------------------------- parent side
+
+
+def _draw_faults(kernel: str, shards: List[Tuple[int, int]]) -> Dict[int, FaultSpec]:
+    """What the active fault plan fires on ``shards`` of ``kernel``, by
+    first block: one ``shard.worker`` poll per shard."""
+    plan = active_plan()
+    if plan is None:
+        return {}
+    drawn = {b0: plan.poll(SITE_WORKER, f"{kernel}:{b0}-{b1}") for b0, b1 in shards}
+    return {b0: spec for b0, spec in drawn.items() if spec is not None}
 
 
 class _Worker:
@@ -501,7 +490,8 @@ class ProcessShardPool:
         """Send one task per worker index, run ``own`` — the caller's
         shard, which precedes every task's in the plan — meanwhile, then
         gather every reply.  ``ir`` is the ``(fn, module)`` of the kernel
-        every payload names.
+        every payload names; each send of a task carries the faults the
+        active plan fires on its shards then (:func:`_draw_faults`).
 
         Returns ``own()`` and ``{task_id: shard entries}`` (see
         :func:`_run_task`) on full success.  Raises the lowest-shard
@@ -531,9 +521,13 @@ class ProcessShardPool:
                 outstanding[task_id].respawn()
 
             def send(task_id: int) -> None:
+                payload = payloads[task_id]
+                faults = _draw_faults(ir[0].name, payload["shards"])
+                if faults:
+                    payload = dict(payload, faults=faults)
                 while True:
                     try:
-                        outstanding[task_id].submit(payloads[task_id], ir)
+                        outstanding[task_id].submit(payload, ir)
                         return
                     except OSError:  # a dead pipe is a dead worker
                         replace(task_id)
@@ -720,6 +714,9 @@ def run_shards(
             for widx in range(count)
         }
 
+        # The caller's shard draws first, as it comes first in the plan.
+        fault = _draw_faults(compiled.fn_name, plan[:1]).get(plan[0][0])
+
         def own() -> Tuple[bool, Optional[dict]]:
             """The caller's shard: ``plan[0]``, on the staged views."""
             with obs_trace.span(
@@ -729,6 +726,9 @@ def run_shards(
                 mode=mode,
                 worker="caller",
             ) as traced:
+                if fault is not None:
+                    b0, b1 = plan[0]
+                    fire(fault, SITE_WORKER, f"{compiled.fn_name}:{b0}-{b1}")
                 result = run_shard(
                     compiled, geometry(grid), grid.block_threads, values, plan[0],
                     private,

@@ -37,8 +37,8 @@ This module owns the sharded launch, once, for both executors:
   write conflict no kernel in the suite exhibits, and exactly what the
   ``exact`` contract of :mod:`repro.conformance` certifies;
 * the **fallback** — when the transport gives up (deadline, lost worker,
-  retries exhausted under a guard) the launch is re-run serially on the
-  caller's buffers, which no shard was allowed to touch.
+  injected fault, retries exhausted under a guard) the launch is re-run
+  serially on the caller's buffers, which no shard was allowed to touch.
 
 Only the *transport* differs per executor, because the failure modes
 genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
@@ -67,7 +67,7 @@ from .._state import on_reset
 from ..codegen.cache import CompiledKernel
 from ..codegen.runtime import Geometry, geometry
 from ..engine.launch import Grid
-from ..errors import ShardTimeout
+from ..errors import InjectedFault, ShardTimeout
 from ..kernel import ir
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
@@ -329,14 +329,15 @@ def run_sharded(
             else:
                 results = parallel_map("shard", workers, on_thread, plan)
     except Exception as exc:
-        # A transport that gave up — deadline, lost worker, or (guarded
-        # thread lane) a shard still failing past the retry budget —
-        # left the caller's buffers untouched, so serial re-execution is
-        # exact.  Its staging is dropped, not given back: a shard may
-        # still be running on it.  Any other kernel-raised error is not a
-        # fault to absorb: it propagates as the serial path's would.
+        # A transport that gave up — deadline, lost worker, injected
+        # fault, or (guarded thread lane) a shard still failing past the
+        # retry budget — left the caller's buffers untouched, so serial
+        # re-execution is exact.  Its staging is dropped, not given back:
+        # a shard may still be running on it.  Any other kernel-raised
+        # error is not a fault to absorb: it propagates as the serial
+        # path's would.
         if not (
-            isinstance(exc, (ShardTimeout, procpool.WorkerLost))
+            isinstance(exc, (ShardTimeout, procpool.WorkerLost, InjectedFault))
             or (guarded and not on_processes)
         ):
             raise

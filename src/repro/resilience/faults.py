@@ -18,11 +18,13 @@ but every spec's total fire budget still holds.)
 The active plan is **process-global** on purpose: faults must be visible
 inside pool worker threads, which never inherit thread-local scopes.
 Only one plan can be active at a time; :func:`use_faults` nests by
-stacking.
+stacking.  A forked process starts with no plan: the process shard
+lane's parent polls for its workers (:mod:`repro.parallel.procpool`).
 """
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 import time
@@ -114,6 +116,10 @@ class FaultSpec:
             raise ResilienceError(
                 f"max_fires must be >= 1 or None, got {self.max_fires!r}"
             )
+        if not self.hang_seconds >= 0.0:  # NaN fails this too
+            raise ResilienceError(
+                f"hang_seconds must be >= 0, got {self.hang_seconds!r}"
+            )
 
 
 class FaultPlan:
@@ -170,6 +176,8 @@ class FaultPlan:
 
 _PLAN_LOCK = threading.Lock()
 _PLAN_STACK: List[FaultPlan] = []
+# A child's copy would fire on its own budget after the parent's block.
+os.register_at_fork(after_in_child=_PLAN_STACK.clear)
 
 
 def active_plan() -> Optional[FaultPlan]:
@@ -218,7 +226,20 @@ def maybe_inject(
 ) -> Optional[FaultSpec]:
     """The seam a fault site calls.  No active plan: one list check.
 
-    Behaviour per fired mode:
+    A spec that fires is acted out by :func:`fire`.
+    """
+    plan = active_plan()
+    spec = None if plan is None else plan.poll(site, context)
+    return None if spec is None else fire(spec, site, context, exc)
+
+
+def fire(
+    spec: FaultSpec,
+    site: str,
+    context: str = "",
+    exc: Type[BaseException] = InjectedFault,
+) -> FaultSpec:
+    """Act out ``spec``, which fired at ``site``.  Per mode:
 
     * ``exception`` — raise ``exc`` (combined with :class:`InjectedFault`).
     * ``dead`` — raise :class:`~repro.errors.WorkerDeath`.
@@ -227,12 +248,6 @@ def maybe_inject(
       failure).
     * ``nan`` / ``inf`` — return the spec; the caller corrupts its output.
     """
-    plan = active_plan()
-    if plan is None:
-        return None
-    spec = plan.poll(site, context)
-    if spec is None:
-        return None
     if spec.mode == "exception":
         raise _injected_type(exc)(f"injected fault at {site} ({context})")
     if spec.mode == "dead":

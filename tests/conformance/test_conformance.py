@@ -86,13 +86,18 @@ class TestCoverage:
             reason = excluded(cell)
             assert (cell in enumerated) == (reason is None)
         assert "never shards" in excluded(Cell(workers=2))
-        assert "process boundary" in excluded(
-            Cell(
-                backend="codegen", executor="process", workers=2, guard=True,
-                via="ladder", fault="worker_crash",
-            )
+        assert "one shard split" in excluded(
+            Cell(backend="codegen", workers=4, guard=True, via="ladder", fault="quality")
         )
-        assert len(enumerated) == 69  # 48 fault-free + 21 fault cells
+        for executor in AXES["executor"]:
+            assert excluded(
+                Cell(
+                    backend="codegen", executor=executor, workers=2, guard=True,
+                    via="ladder", fault="worker_crash",
+                )
+            ) is None
+        # 48 fault-free + 2 executors x 7 fault classes x 3 seeds
+        assert len(enumerated) == 90
 
 
 # ------------------------------------------------------------ planted bugs

@@ -13,7 +13,7 @@ import kernel_zoo as zoo
 from repro import LaunchOptions
 from repro.engine import Grid, launch
 from repro.obs import trace as obs_trace
-from repro.parallel import procpool, shutdown_process_pool
+from repro.parallel import shutdown_process_pool
 from repro.parallel.pool import get_pool, parallel_map, pool_stats
 
 
@@ -78,8 +78,7 @@ class TestProcpoolPropagation:
     which parents to the ambient launching span like any other."""
 
     @pytest.fixture(autouse=True)
-    def _fresh_pool(self, monkeypatch):
-        monkeypatch.delenv(procpool.INJECT_ENV, raising=False)
+    def _fresh_pool(self):
         shutdown_process_pool()
         yield
         shutdown_process_pool()

@@ -2,9 +2,10 @@
 
 The process lane must be indistinguishable from serial codegen execution
 — same bytes in the caller's buffers, same exceptions — while surviving
-worker death and hung shards.  Faults are injected through the
-``REPRO_PROC_INJECT`` environment hook: workers inherit the environment
-at spawn (fork), so every test that sets it shuts the pool down first.
+worker death and hung shards.  Faults are injected through the one seam
+both shard lanes share, an active ``FaultPlan``: the parent draws each
+worker shard's fault when it sends the task, and the caller's shard polls
+in-process.
 """
 
 import dataclasses
@@ -31,6 +32,13 @@ from repro.parallel import procpool, shutdown_process_pool
 from repro.parallel.analysis import analyze_shardability
 from repro.parallel.shard import apply_diffs, plan_shards, run_sharded
 from repro.resilience import GuardPolicy
+from repro.resilience.faults import (
+    SITE_COMPILE,
+    SITE_WORKER,
+    FaultPlan,
+    FaultSpec,
+    use_faults,
+)
 
 #: Two workers is enough to prove the lane on a single-core container.
 PROC = LaunchOptions(
@@ -40,9 +48,8 @@ N = 1 << 12
 
 
 @pytest.fixture(autouse=True)
-def _fresh_pool(monkeypatch):
-    """Isolate every test's worker set (and its inherited environment)."""
-    monkeypatch.delenv(procpool.INJECT_ENV, raising=False)
+def _fresh_pool():
+    """Isolate every test's worker set."""
     repro.reset()
     yield
     repro.reset()
@@ -227,20 +234,26 @@ def _worker_b0(grid, workers=2):
     return plan_shards(grid.total_blocks, workers)[1][0]
 
 
+def _at(b0, mode="dead", **spec):
+    """A plan firing ``mode`` on the shard that starts at block ``b0``."""
+    return FaultPlan([FaultSpec(SITE_WORKER, mode, match=f":{b0}-", **spec)])
+
+
 class TestContainment:
-    def test_dead_worker_is_replaced_and_task_retried(self, tmp_path, monkeypatch):
-        once = tmp_path / "die-once"
+    def test_dead_worker_is_replaced_and_task_retried(self):
         grid = Grid.for_elements(N)
-        # The worker hard-exits the first time it sees its shard; the
-        # once-file makes the respawned worker run it normally.
-        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:{once}")
+        # The worker hard-exits the first time it is sent its shard; the
+        # re-send draws again, and the spec's one fire is spent.
+        plan = _at(_worker_b0(grid), max_fires=1)
         args = _square_args(seed=5)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
-        launch(zoo.square_map, grid, args, options=PROC)
+        with use_faults(plan):
+            launch(zoo.square_map, grid, args, options=PROC)
         after = procpool.stats_snapshot()
-        assert once.exists(), "the injected fault actually fired"
-        assert np.array_equal(args[0], serial[0])
+        assert plan.fired == {SITE_WORKER: 1}, "the injected fault fired once"
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert after["serial_reexecutions"] == before["serial_reexecutions"]
         assert after["workers_replaced"] >= before["workers_replaced"] + 1
         # The worker's first task carried the IR, and so did the retry:
         # the respawned process knows no kernel.
@@ -252,9 +265,7 @@ class TestContainment:
         assert procpool.stats_snapshot()["kernels_sent"] == after["kernels_sent"]
 
     @pytest.mark.parametrize("direct", [False, True])
-    def test_a_resubmitted_task_reruns_shards_that_already_stored(
-        self, direct, tmp_path, monkeypatch
-    ):
+    def test_a_resubmitted_task_reruns_shards_that_already_stored(self, direct):
         """Why in place needs arrays the kernel never loads.  Four shards,
         parallel=2: the caller runs blocks 0:4, the one worker runs 4:8,
         stores, and dies before 8:12; its task is re-submitted over the same
@@ -269,12 +280,14 @@ class TestContainment:
         assert not analysis.in_place
         serial = _run_serial(kernel, grid, args)
         plan = plan_shards(grid.total_blocks, 4)
-        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{plan[2][0]}:{tmp_path / 'once'}")
+        faults = _at(plan[2][0], max_fires=1)
         bound = bind_arguments(fn, args)
-        results = procpool.run_shards(
-            fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays, direct, 30.0
-        )
-        assert (tmp_path / "once").exists(), "the injected fault actually fired"
+        with use_faults(faults):
+            results = procpool.run_shards(
+                fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays,
+                direct, 30.0,
+            )
+        assert faults.fired == {SITE_WORKER: 1}, "the injected fault fired once"
         if direct:
             # blocks 4:8 ran twice
             lo, hi = (plan[k][0] * grid.block_threads for k in (1, 2))
@@ -285,34 +298,96 @@ class TestContainment:
             apply_diffs(bound, [diff for _planned, diff in results])
             assert args[0].tobytes() == serial[0].tobytes()
 
-    def test_persistent_death_falls_back_to_serial(self, monkeypatch):
-        # No once-file: the shard kills every worker that picks it up.
-        # After the respawn budget the launch must still produce exact
-        # results via in-parent re-execution.
+    def test_persistent_death_falls_back_to_serial(self):
+        # No fire budget: the shard kills every worker it is sent to.
+        # Past the respawn budget the task's worker is lost, and the
+        # launch must still produce exact results via in-parent
+        # re-execution.
         grid = Grid.for_elements(N)
-        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:")
+        plan = _at(_worker_b0(grid))
         args = _square_args(seed=6)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
-        launch(zoo.square_map, grid, args, options=PROC)
+        with use_faults(plan):
+            launch(zoo.square_map, grid, args, options=PROC)
         after = procpool.stats_snapshot()
-        assert np.array_equal(args[0], serial[0])
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert plan.fired == {SITE_WORKER: 1 + procpool.MAX_RESPAWNS_PER_TASK}
+        assert after["workers_replaced"] - before["workers_replaced"] == (
+            procpool.MAX_RESPAWNS_PER_TASK + 1  # the last one after WorkerLost
+        )
         assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
 
-    def test_the_callers_shard_is_no_fault_target(self, monkeypatch):
-        """``die@0:`` names the caller's shard, and the caller never reads
-        the directive: nothing dies, nothing is re-executed."""
-        monkeypatch.setenv(procpool.INJECT_ENV, "die@0:")
+    def test_persistent_death_raises_worker_lost_to_the_fallback(self):
         grid = Grid.for_elements(N)
+        fn, mod = resolve_kernel(zoo.square_map), resolve_module(zoo.square_map)
+        compiled = get_compiled(fn, mod, grid, True)
+        bound = bind_arguments(fn, _square_args(seed=6))
+        with use_faults(_at(_worker_b0(grid))):
+            with pytest.raises(procpool.WorkerLost):
+                procpool.run_shards(
+                    fn, mod, compiled, grid, bound, plan_shards(grid.total_blocks, 2),
+                    2, ["out"], True, 30.0,
+                )
+
+    @pytest.mark.parametrize("mode", ["exception", "dead"])
+    def test_the_callers_shard_is_a_fault_target(self, mode):
+        """A plan that fires on its first poll hits ``plan[0]``, which the
+        launching thread runs: the injected fault goes to the serial
+        fallback like any shard's, and no worker is touched."""
+        grid = Grid.for_elements(N)
+        plan = FaultPlan([FaultSpec(SITE_WORKER, mode, max_fires=1)])
         args = _square_args(seed=13)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
-        launch(zoo.square_map, grid, args, options=PROC)
+        with use_faults(plan):
+            launch(zoo.square_map, grid, args, options=PROC)
+        after = procpool.stats_snapshot()
+        assert plan.fired == {SITE_WORKER: 1}
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
+        assert after["workers_replaced"] == before["workers_replaced"]
+
+    def test_an_injected_exception_in_a_worker_falls_back_to_serial(self):
+        grid = Grid.for_elements(N)
+        plan = _at(_worker_b0(grid), "exception")
+        args = _square_args(seed=17)
+        serial = _run_serial(zoo.square_map, grid, args)
+        before = procpool.stats_snapshot()
+        with use_faults(plan):
+            launch(zoo.square_map, grid, args, options=PROC)
+        after = procpool.stats_snapshot()
+        assert plan.fired == {SITE_WORKER: 1}
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
+        # The worker failed the shard and lives on.
+        assert after["workers_replaced"] == before["workers_replaced"]
+        assert procpool.get_process_pool(1).workers[0].alive()
+
+    def test_a_worker_forked_inside_a_plan_holds_none(self):
+        """The workers are forked inside ``use_faults``.  Every fire is the
+        parent's, counted in its plan, and after the block nothing fires:
+        a forked worker starts with no plan, so a later launch of the
+        kernel the plan named compiles cleanly in the worker."""
+        grid = Grid.for_elements(N)
+        plan = FaultPlan([
+            FaultSpec(SITE_COMPILE, match="saxpy"),
+            FaultSpec(SITE_WORKER, match=f":{_worker_b0(grid)}-", max_fires=1),
+        ])
+        args = _square_args(seed=18)
+        serial = _run_serial(zoo.square_map, grid, args)
+        with use_faults(plan):
+            launch(zoo.square_map, grid, args, options=PROC)  # forks the worker
+        assert args[0].tobytes() == serial[0].tobytes()
+        assert plan.fired == {SITE_WORKER: 1}
+        kernel, grid, args = zoo.saxpy_case(N)
+        serial = _run_serial(kernel, grid, args)
+        before = procpool.stats_snapshot()
+        launch(kernel, grid, args, options=PROC)
         after = procpool.stats_snapshot()
         assert args[0].tobytes() == serial[0].tobytes()
-        assert after["launches"] == before["launches"] + 1
-        for field in ("workers_replaced", "serial_reexecutions"):
-            assert after[field] == before[field]
+        assert after["serial_reexecutions"] == before["serial_reexecutions"]
+        assert plan.fired == {SITE_WORKER: 1}
 
     def test_a_send_to_a_dead_worker_is_a_death(self, monkeypatch):
         """A worker killed after ``alive()`` said it lived: the send breaks
@@ -334,23 +409,21 @@ class TestContainment:
         assert after["serial_reexecutions"] == before["serial_reexecutions"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-    def test_respawns_leave_no_descriptor_behind(self, tmp_path, monkeypatch):
+    def test_respawns_leave_no_descriptor_behind(self):
         """Three die/respawn drills: each replaced worker's pipe and
         sentinel are closed, so the parent's descriptors are back where
         they were."""
         grid = Grid.for_elements(N)
-        once = tmp_path / "once"
-        monkeypatch.setenv(procpool.INJECT_ENV, f"die@{_worker_b0(grid)}:{once}")
-        once.touch()  # spent: the warm-up launch runs clean
         launch(zoo.square_map, grid, _square_args(seed=1), options=PROC)
         baseline = len(os.listdir("/proc/self/fd"))
         before = procpool.stats_snapshot()
         for seed in (2, 3, 4):
-            once.unlink()  # re-arm: the live worker dies on its shard
+            plan = _at(_worker_b0(grid), max_fires=1)  # the live worker dies
             args = _square_args(seed=seed)
             serial = _run_serial(zoo.square_map, grid, args)
-            launch(zoo.square_map, grid, args, options=PROC)
-            assert once.exists(), "the injected fault actually fired"
+            with use_faults(plan):
+                launch(zoo.square_map, grid, args, options=PROC)
+            assert plan.fired == {SITE_WORKER: 1}, "the injected fault fired"
             assert args[0].tobytes() == serial[0].tobytes()
         after = procpool.stats_snapshot()
         assert after["workers_replaced"] - before["workers_replaced"] == 3
@@ -407,13 +480,13 @@ class TestContainment:
             tb = tb.tb_next
         assert views == []
 
-    def test_hung_shard_hits_guard_deadline(self, monkeypatch):
+    def test_hung_shard_hits_guard_deadline(self):
         grid = Grid.for_elements(N)
-        monkeypatch.setenv(procpool.INJECT_ENV, f"hang@{_worker_b0(grid)}:30")
+        plan = _at(_worker_b0(grid), "hang", hang_seconds=30.0)
         args = _square_args(seed=7)
         serial = _run_serial(zoo.square_map, grid, args)
         before = procpool.stats_snapshot()
-        with repro.options(guard=GuardPolicy(deadline_seconds=0.5)):
+        with repro.options(guard=GuardPolicy(deadline_seconds=0.5)), use_faults(plan):
             launch(zoo.square_map, grid, args, options=PROC)
         after = procpool.stats_snapshot()
         assert np.array_equal(args[0], serial[0])

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import conformance
 from repro.apps.registry import make_app
 from repro.conformance import (
     REFERENCE,
@@ -18,6 +19,7 @@ from repro.conformance import (
     run,
     run_cell,
 )
+from repro.parallel import procpool
 from repro.resilience.faults import FAULT_CLASSES
 from repro.resilience.guard import STATS
 
@@ -107,13 +109,41 @@ class TestCheckApps:
         vacuous = sum(r.status == "not reached" for r in results)
         assert ok and vacuous and ok + vacuous == len(results)
         assert all((r.fired > 0) == (r.status == "ok") for r in results)
-        assert lines[-3] == (
+        assert lines[-4] == (
             f"contained: {len(results)} cells run, {ok} ok, "
             f"{vacuous} not reached, 0 failed"
         )
-        fired = sum(r.cell.fault == "nan_output" and r.fired > 0 for r in results)
-        assert f"nan_output {fired}/{3 - fired}" in lines[-2]
+        for line, executor in zip(lines[-3:-1], ("thread", "process")):
+            assert line.startswith(f"fault cells fired / not reached on {executor}: ")
+            fired = sum(
+                r.cell.fault == "nan_output" and r.cell.executor == executor
+                and r.fired > 0
+                for r in results
+            )
+            assert f"nan_output {fired}/{3 - fired}" in line
         assert lines[-1].startswith(f"{len(results)} cells run in ")
+
+    def test_a_dead_process_seam_fails_though_thread_cells_fire(self, monkeypatch):
+        """The never-fired audit is kept per executor: with the process
+        lane's draw switched off, worker faults that fire on the thread
+        cells must not hide that none fires on the process cells."""
+        faults = (None, "worker_crash", "worker_dead")
+        monkeypatch.setitem(conformance.AXES, "fault", faults)
+        monkeypatch.setattr(procpool, "_draw_faults", lambda kernel, shards: {})
+        lines = []
+        results = run(["gamma"], ("contained",), out=lines.append)
+        failed = [r for r in results if not r.ok]
+        assert {r.subject for r in failed} == {
+            "Gamma Correction / worker_crash", "Gamma Correction / worker_dead",
+        }
+        assert {r.detail for r in failed} == {
+            "never fired across seeds [0, 1, 2] on the process executor"
+        }
+        assert all(
+            r.fired == 0 for r in results if r.cell and r.cell.executor == "process"
+        )
+        assert any(r.fired for r in results if r.cell and r.cell.executor == "thread")
+        assert "on process: worker_crash 0/3, worker_dead 0/3" in lines[-2]
 
 
 class TestMain:
@@ -121,7 +151,7 @@ class TestMain:
         code = main(["gamma", "--contract", "contained", "--seeds", "0", "1", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "[ok ] contained gamma: 21 cells run" in out
+        assert "[ok ] contained gamma: 42 cells run" in out
 
     def test_cli_fails_when_a_reachable_fault_never_fires(self, capsys):
         # under seed 2 alone the nan_output spec skips its one visit

@@ -40,11 +40,16 @@ class TestFaultSpec:
             {"site": SITE_WORKER, "probability": 0.0},
             {"site": SITE_WORKER, "probability": 1.5},
             {"site": SITE_WORKER, "max_fires": 0},
+            {"site": SITE_WORKER, "mode": "hang", "hang_seconds": -1.0},
+            {"site": SITE_WORKER, "mode": "hang", "hang_seconds": float("nan")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ResilienceError):
             FaultSpec(**kwargs)
+
+    def test_a_zero_hang_is_valid(self):
+        assert FaultSpec(SITE_WORKER, "hang", hang_seconds=0.0).hang_seconds == 0.0
 
 
 class TestFaultPlan:
