@@ -199,28 +199,26 @@ def _loop_values(loop: ir.For) -> Optional[List[int]]:
 
 def walk_unrolled(
     body: List[ir.Stmt],
-    visit: Callable[[ir.Stmt, Dict[str, int], bool], None],
+    visit: Callable[[ir.Stmt, Dict[str, int]], None],
     bindings: Optional[Dict[str, int]] = None,
-    looped: bool = False,
 ) -> None:
-    """Call ``visit(stmt, bindings, looped)`` for every statement of ``body``
-    and of the arms and loop bodies within it, once per iteration of each
+    """Call ``visit(stmt, bindings)`` for every statement of ``body`` and of
+    the arms and loop bodies within it, once per iteration of each
     enclosing constant-trip loop of at most :data:`MAX_UNROLL` iterations
-    (its variable bound in ``bindings``).  ``looped`` says some loop the
-    walk did not unroll encloses ``stmt``."""
+    (its variable bound in ``bindings``)."""
     bindings = bindings or {}
     for stmt in body:
-        visit(stmt, bindings, looped)
+        visit(stmt, bindings)
         if isinstance(stmt, ir.For):
             values = _loop_values(stmt)
             if values is not None and len(values) <= MAX_UNROLL:
                 for v in values:
-                    walk_unrolled(stmt.body, visit, {**bindings, stmt.var: v}, looped)
+                    walk_unrolled(stmt.body, visit, {**bindings, stmt.var: v})
             else:
-                walk_unrolled(stmt.body, visit, bindings, True)
+                walk_unrolled(stmt.body, visit, bindings)
         elif isinstance(stmt, ir.If):
-            walk_unrolled(stmt.then_body, visit, bindings, looped)
-            walk_unrolled(stmt.else_body, visit, bindings, looped)
+            walk_unrolled(stmt.then_body, visit, bindings)
+            walk_unrolled(stmt.else_body, visit, bindings)
 
 
 def loads_in(stmt: ir.Stmt) -> List[ir.Load]:
@@ -248,7 +246,7 @@ def extract_load_polynomials(fn: ir.Function) -> Dict[str, ArrayAccesses]:
     defs = single_assignment_defs(fn)
     out: Dict[str, ArrayAccesses] = {}
 
-    def visit(stmt: ir.Stmt, bindings: Dict[str, int], _looped: bool) -> None:
+    def visit(stmt: ir.Stmt, bindings: Dict[str, int]) -> None:
         if isinstance(stmt, (ir.If, ir.For)):
             return
         for node in loads_in(stmt):

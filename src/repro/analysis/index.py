@@ -18,9 +18,8 @@ result holds for a whole launch:
   integers: the fact does not model wrap-around.
 
 A site inside a constant-trip loop is read once per iteration
-(:func:`~repro.analysis.affine.walk_unrolled`); a store under any other
-loop stores many times, which the fact records per array.  The fact also
-carries the grid-uniform names loop bounds are checked against.
+(:func:`~repro.analysis.affine.walk_unrolled`).  The fact also carries
+the grid-uniform names loop bounds are checked against.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class IndexFact:
         loads: global array -> the index of each load site, in program
             order (None: not analysable).
         stores: the same for store sites.
-        repeated: arrays stored to under a loop the walk did not unroll.
         uniform: names with one value across every thread of any grid
             wherever they are read: scalar params and locals all of whose
             assignments are grid-uniform, and loop variables.
@@ -57,7 +55,6 @@ class IndexFact:
 
     loads: Dict[str, List[Optional[Poly]]]
     stores: Dict[str, List[Optional[Poly]]]
-    repeated: FrozenSet[str]
     uniform: FrozenSet[str]
 
 
@@ -110,7 +107,6 @@ def build_index_fact(fn: ir.Function) -> IndexFact:
     arrays = {p.name for p in fn.params if p.is_array}
     loads: Dict[str, List[Optional[Poly]]] = {}
     stores: Dict[str, List[Optional[Poly]]] = {}
-    repeated: Set[str] = set()
 
     def form(index: ir.Expr, bindings: Dict[str, int]) -> Optional[Poly]:
         poly = to_poly(index, defs, bindings)
@@ -122,17 +118,15 @@ def build_index_fact(fn: ir.Function) -> IndexFact:
             return None
         return poly.subs({"%global_id": _GLOBAL_ID})
 
-    def visit(stmt: ir.Stmt, bindings: Dict[str, int], looped: bool) -> None:
+    def visit(stmt: ir.Stmt, bindings: Dict[str, int]) -> None:
         for load in loads_in(stmt):
             if load.array.name in arrays:
                 loads.setdefault(load.array.name, []).append(form(load.index, bindings))
         if isinstance(stmt, ir.Store) and stmt.array.name in arrays:
             stores.setdefault(stmt.array.name, []).append(form(stmt.index, bindings))
-            if looped:
-                repeated.add(stmt.array.name)
 
     walk_unrolled(fn.body, visit)
-    return IndexFact(loads, stores, frozenset(repeated), frozenset(uniform))
+    return IndexFact(loads, stores, frozenset(uniform))
 
 
 _FACTS = Store("analysis.index_facts", cap=512)

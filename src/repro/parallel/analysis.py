@@ -9,14 +9,16 @@ the cross-*block* coupling the hardware model forbids too:
 
 * **Global atomics.** Concurrent shards would race on the
   read-modify-write; merging per-shard partial results would need an
-  operator-specific combine, not an overlay.  (Atomics on *shared*
-  arrays are per-block and stay legal.)
+  operator-specific combine.  (Atomics on *shared* arrays are per-block
+  and stay legal.)
 * **Impure builtins** (``printf``, ``clock``): their side effects are
   ordered by the serial lockstep schedule that sharding destroys.
-* **Cross-block data flow through global memory**: an array that is both
-  loaded and stored is only safe when every access reads one private
-  index, so a thread only ever re-reads its own element.
-* **Stores the shard assembly cannot order** (below).
+* **Cross-block data flow through global memory**: a kernel that loads
+  an array it stores does not shard.  Its stores may be private, but a
+  shard that runs twice over one copy — a retry, a task re-submitted
+  after its worker died — would apply them twice.
+* **Stores not proved private** (below): shards write one copy of each
+  written array in place, so two blocks storing one element would race.
 * **Block-dependent control coupling**: loop bounds must be uniform
   across the *whole grid* (a scalar param only if every assignment to it
   is).  The runtime enforces uniformity per execution, so a bound that
@@ -24,8 +26,9 @@ the cross-*block* coupling the hardware model forbids too:
   single-block shard; static uniformity keeps error behaviour identical.
 
 Kernels that pass map cleanly onto the paper's patterns: Map,
-Scatter/Gather, Stencil and Partition kernels shard; atomic Reductions
-and the impure zoo kernels fall back to serial.
+Scatter/Gather, Stencil and Partition kernels shard; atomic Reductions,
+the impure zoo kernels and kernels whose store indices go through ``/``
+or ``%`` (matmul's ``c[row*n + col]``) run serial.
 
 Stores are judged **per array, across all of its store sites**, on the
 index polynomials of :mod:`repro.analysis.index`.  They are *private* —
@@ -42,14 +45,9 @@ less than the stride:
   provably non-zero (a bare scalar param is not), and the spread is below
   that constant.
 
-When every written array is private and none is also loaded, shards may
-write one shared copy of each written array in place — zero-copy, and a
-shard that runs twice (a retry, a re-submitted task) stores the same
-bytes again.  Otherwise each shard writes private copies, overlaid in
-shard order (:mod:`repro.parallel.shard`), which restores the serial
-store order only where each lane stores to an array once: an array with
-unproved stores at several sites, or under a loop the index walk did not
-unroll, is not shardable.
+So a shardable kernel's shards all write one copy of the written arrays
+in place, on either executor, retried or not (:mod:`repro.parallel.shard`
+says which copy): the answer follows from the privacy proof alone.
 """
 
 from __future__ import annotations
@@ -71,35 +69,23 @@ class Shardability:
 
     Attributes:
         kernel: kernel name.
-        shardable: blocks are provably independent; the grid may split.
+        shardable: blocks are provably independent and every store is
+            proved private into an array the kernel never loads: the grid
+            may split, its shards writing one copy in place.
         reasons: why not, when ``shardable`` is False (empty otherwise).
         written_arrays: global array params the kernel stores to, in
-            declaration order — what the copy/overlay path must merge.
-        disjoint_writes: every global store lands on a provably
-            thread- or block-private element.
-        write_only: no written array is also loaded, so running a shard
-            again over what an earlier run of it stored stores the same
-            bytes (``y[i] = a * x[i] + y[i]`` would apply twice).
+            declaration order — what a launch stages and copies back.
     """
 
     kernel: str
     shardable: bool
     reasons: List[str] = field(default_factory=list)
     written_arrays: List[str] = field(default_factory=list)
-    disjoint_writes: bool = False
-    write_only: bool = False
-
-    @property
-    def in_place(self) -> bool:
-        """Shards may all write one copy of the written arrays in place
-        (zero-copy), on either executor, retried or not."""
-        return self.disjoint_writes and self.write_only
 
     def describe(self) -> str:
         if self.shardable:
-            mode = "zero-copy" if self.in_place else "copy+merge"
             writes = ", ".join(self.written_arrays) or "none"
-            return f"{self.kernel}: shardable ({mode}; writes: {writes})"
+            return f"{self.kernel}: shardable (in place; writes: {writes})"
         return f"{self.kernel}: serial — " + "; ".join(self.reasons)
 
 
@@ -175,25 +161,19 @@ def analyze_function(
                             f"loop {what} for {node.var!r}{where} is not grid-uniform"
                         )
 
-    disjoint = True  # vacuously, with no stores: nothing to merge
     for name, forms in fact.stores.items():
-        loaded = fact.loads.get(name)
-        private = _private(forms, flat)
-        disjoint = disjoint and private
-        if loaded is not None and not (private and set(loaded + forms) == {forms[0]}):
-            reasons.append(f"array {name!r} is read and written with coupled indices")
-        elif not private and (len(forms) > 1 or name in fact.repeated):
+        if not _private(forms, flat):
             reasons.append(
                 f"stores to {name!r} are not proved private and may overlap "
                 "across blocks"
             )
+        if name in fact.loads:
+            reasons.append(f"array {name!r} is loaded and stored")
     return Shardability(
         kernel=fn.name,
         shardable=not reasons,
         reasons=sorted(set(reasons)),
         written_arrays=[p.name for p in fn.params if p.name in fact.stores],
-        disjoint_writes=disjoint and not reasons,
-        write_only=not any(name in fact.loads for name in fact.stores),
     )
 
 

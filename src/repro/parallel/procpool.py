@@ -43,21 +43,12 @@ Execution protocol, per sharded launch:
    the moment they happen.  Each worker maps the segments by name —
    attachments are kept across launches, bounded, least recently used
    closed first — and replies on its pipe.  Caller and workers run the
-   one shard body, :func:`repro.parallel.shard.run_shard`, in the mode
-   :func:`repro.parallel.shard.run_sharded` chose:
-
-   * ``direct`` (``Shardability.in_place``: private stores into arrays
-     the kernel never loads) — shards write the shared output segments
-     in place; the parent copies each written segment back to the
-     caller's buffer once (no per-shard pickling at all).  A task
-     re-submitted after its worker died runs over what the dead worker
-     already stored, and stores the same bytes.
-   * ``diff`` — shards run against private copies and return a mask of
-     the bytes that changed relative to the pristine segment and their
-     new values; the caller overlays them in ascending shard order,
-     byte-exactly reproducing the serial store order.  A
-     re-submitted task starts again from the pristine segment, which is
-     why a kernel that loads an array it stores runs here.
+   one shard body, :func:`repro.parallel.shard.run_shard`, which writes
+   the shared output segments in place (the analysis only lets private
+   stores into arrays the kernel never loads shard); the parent copies
+   each written segment back to the caller's buffer once.  A task
+   re-submitted after its worker died runs over what the dead worker
+   already stored, and stores the same bytes.
 
    Shard views (:meth:`repro.codegen.runtime.Geometry.shard`) are cached
    per process, so the second launch of a span builds the span's address
@@ -152,8 +143,10 @@ _FIELDS = {
     "launches": "sharded launches executed on the process pool",
     "tasks": "worker tasks: parallel − 1 per launch",
     "shards_run": "individual shards executed (the caller's included)",
-    "direct": "launches assembled by direct shared-memory writes",
-    "diff": "launches assembled by diff overlay",
+    "direct": "launches whose shards wrote the shared-memory segments in place "
+    "(every launch)",
+    "diff": "always 0 (shards write in place or the launch runs serial); kept "
+    "while bench/layers.py reads it, ROADMAP item 4",
     "workers_spawned": "worker processes started",
     "workers_replaced": "workers respawned after dying mid-task",
     "deadline_timeouts": "launches that overran their deadline",
@@ -219,12 +212,11 @@ class _Kept:
 def _run_task(payload: dict, kept: _Kept) -> tuple:
     """Execute one worker task: all this worker's shards of one launch.
 
-    Returns ``("ok", entries)`` with one ``(b0, b1, start, end, planned,
-    diff)`` entry per shard — perf-counter stamps around
+    Returns ``("ok", entries)`` with one ``(b0, b1, start, end, planned)``
+    entry per shard — perf-counter stamps around
     :func:`repro.parallel.shard.run_shard` and what it returned (whether
-    the shard read a complete address plan; None when it wrote the staged
-    arrays in place, per-array byte diffs otherwise) — or, once a shard
-    raises, ``("err", b0, exc)`` naming that shard.  A fault the parent
+    the shard read a complete address plan) — or, once a shard raises,
+    ``("err", b0, exc)`` naming that shard.  A fault the parent
     drew for a shard (``payload["faults"]``) is acted out as it starts."""
     from ..codegen.cache import get_compiled
     from ..codegen.runtime import geometry
@@ -255,11 +247,8 @@ def _run_task(payload: dict, kept: _Kept) -> tuple:
                     os._exit(17)
                 fire(faults[b0], SITE_WORKER, f"{compiled.fn_name}:{b0}-{b1}")
             start = time.perf_counter()
-            planned, diff = run_shard(
-                compiled, geo, grid.block_threads, values, (b0, b1),
-                payload["private"],
-            )
-            shards.append((b0, b1, start, time.perf_counter(), planned, diff))
+            planned = run_shard(compiled, geo, grid.block_threads, values, (b0, b1))
+            shards.append((b0, b1, start, time.perf_counter(), planned))
         return ("ok", shards)
     except Exception as exc:  # reported to the parent, which raises it
         # Its frames hold views of the segments, which trim may close.
@@ -667,20 +656,17 @@ def run_shards(
     plan: List[Tuple[int, int]],
     workers: int,
     written: Sequence[str],
-    direct: bool,
     deadline_seconds: float,
-) -> List[Tuple[bool, Optional[dict]]]:
+) -> List[bool]:
     """The process transport: run the shard body over ``plan`` — its
     first shard on this thread, the rest on ``workers − 1`` worker
-    processes — and return what it returned
-    (:func:`repro.parallel.shard.run_shard`) in plan order, or raise.
+    processes — and return, per shard, whether it read a complete address
+    plan (:func:`repro.parallel.shard.run_shard`), or raise.
 
-    Every shard runs against staged shared-memory copies of ``bound``;
-    the caller's buffers are only written here, after every shard has
-    succeeded.  With ``direct`` the shards write the staged ``written``
-    arrays in place and those are copied back once; otherwise they run
-    against private copies of them and the returned per-shard diffs are
-    the caller's to assemble.  Raises the lowest-shard kernel exception,
+    Every shard runs against staged shared-memory copies of ``bound``,
+    writing the staged ``written`` arrays in place; those are copied back
+    to the caller's buffers once, after every shard has succeeded.
+    Raises the lowest-shard kernel exception,
     :class:`~repro.errors.ShardTimeout` or :class:`WorkerLost` (see
     :meth:`ProcessShardPool.run_tasks`) — by then no worker is running a
     shard of this launch, so its segments are free to be reused.
@@ -688,8 +674,6 @@ def run_shards(
     from ..codegen.runtime import geometry
     from .shard import run_shard
 
-    mode = "direct" if direct else "diff"
-    private = [] if direct else list(written)
     pool = get_process_pool(workers - 1)
     count = min(workers - 1, pool.size, len(plan) - 1)
 
@@ -709,7 +693,6 @@ def run_shards(
                 "shards": plan[1 + widx :: count],
                 "arrays": specs,
                 "scalars": scalars,
-                "private": private,
             }
             for widx in range(count)
         }
@@ -717,29 +700,26 @@ def run_shards(
         # The caller's shard draws first, as it comes first in the plan.
         fault = _draw_faults(compiled.fn_name, plan[:1]).get(plan[0][0])
 
-        def own() -> Tuple[bool, Optional[dict]]:
+        def own() -> bool:
             """The caller's shard: ``plan[0]``, on the staged views."""
             with obs_trace.span(
                 "proc.shard",
                 kernel=compiled.fn_name,
                 blocks=f"{plan[0][0]}:{plan[0][1]}",
-                mode=mode,
                 worker="caller",
             ) as traced:
                 if fault is not None:
                     b0, b1 = plan[0]
                     fire(fault, SITE_WORKER, f"{compiled.fn_name}:{b0}-{b1}")
-                result = run_shard(
-                    compiled, geometry(grid), grid.block_threads, values, plan[0],
-                    private,
+                planned = run_shard(
+                    compiled, geometry(grid), grid.block_threads, values, plan[0]
                 )
-                traced.set(planned=result[0])
-                return result
+                traced.set(planned=planned)
+                return planned
 
         with obs_trace.span(
             "proc.launch",
             kernel=compiled.fn_name,
-            mode=mode,
             workers=count,
             shards=len(plan),
         ):
@@ -747,29 +727,25 @@ def run_shards(
                 payloads, (fn, module), deadline_seconds, own
             )
             for task_id in sorted(results):
-                for b0, b1, start, end, planned, _diff in results[task_id]:
+                for b0, b1, start, end, planned in results[task_id]:
                     obs_trace.emit_span(
                         "proc.shard",
                         start,
                         end,
                         kernel=compiled.fn_name,
                         blocks=f"{b0}:{b1}",
-                        mode=mode,
                         planned=planned,
                         worker=task_id,
                     )
-            if direct:
-                for name in written:
-                    bound[name][...] = views[name]
-        # Workers took plan[1:] in strides; ascending b0 restores its order.
-        shards = sorted(
-            (entry for entries in results.values() for entry in entries),
-            key=lambda entry: entry[0],
-        )
-        STATS.inc("shards_run", 1 + len(shards))
+            for name in written:
+                bound[name][...] = views[name]
+        planned = [mine] + [
+            entry[-1] for entries in results.values() for entry in entries
+        ]
+        STATS.inc("shards_run", len(planned))
         STATS.inc("launches")
-        STATS.inc(mode)
-        return [mine] + [(planned, diff) for *_stamps, planned, diff in shards]
+        STATS.inc("direct")
+        return planned
     finally:
         # A traceback may still hold this frame: no view may outlive it.
         views.clear()

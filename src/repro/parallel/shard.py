@@ -11,31 +11,21 @@ from its third launch a span reads its plan.
 
 This module owns the sharded launch, once, for both executors:
 
-* the **shard body** (:func:`run_shard`) — run blocks ``b0:b1`` either in
-  place or against private copies of the written arrays, returning in
-  the private case the bytes that changed, and whether the launch read
-  a complete address plan;
-* **where shards write** — one rule on both executors.  Shards write *in
-  place* iff every global store is provably thread- or block-private and
-  no written array is also loaded (``Shardability.in_place``): no two
-  shards store to one element, and a shard that runs twice — a retry, a
-  task re-submitted after its worker died — stores the same bytes again.
-  In place means into the caller's buffers when nothing can fail over
-  them (a thread launch outside any guard), otherwise into one
+* the **shard body** (:func:`run_shard`) — run blocks ``b0:b1`` in
+  place, returning whether the launch read a complete address plan;
+* **where shards write** — one copy of each written array, in place.
+  The analysis lets a kernel shard only when every global store is
+  provably thread- or block-private and no written array is also loaded
+  (:mod:`repro.parallel.analysis`): no two shards store to one element,
+  and a shard that runs twice — a retry, a task re-submitted after its
+  worker died — stores the same bytes again.  Every other kernel runs
+  serial.  In place means into the caller's buffers when nothing can fail
+  over them (a thread launch outside any guard), otherwise into one
   **launch-private staging copy** of each written array, which the
   parent fills from the caller's array before any shard starts and
   copies back once, after *every* shard succeeded: shared-memory
   segments on the process lane (:mod:`repro.parallel.procpool`), heap
-  buffers from :class:`_StagingList` on a guarded thread launch.  Any
-  other kernel runs ``overlay``: each shard writes private copies;
-* the **assembly** (:func:`apply_diffs`) — overlay the per-shard byte
-  diffs onto the caller's buffers in ascending shard order.  Changes are
-  detected by *byte* comparison against the untouched original (``==``
-  on floats would miss ``-0.0`` vs ``0.0`` and NaN-payload differences).
-  The overlay equals serial execution unless a higher block overwrites a
-  lower block's store with the original byte pattern — a cross-block
-  write conflict no kernel in the suite exhibits, and exactly what the
-  ``exact`` contract of :mod:`repro.conformance` certifies;
+  buffers from :class:`_StagingList` on a guarded thread launch;
 * the **fallback** — when the transport gives up (deadline, lost worker,
   injected fault, retries exhausted under a guard) the launch is re-run
   serially on the caller's buffers, which no shard was allowed to touch.
@@ -59,7 +49,7 @@ index range may cover a sub-grid rather than the whole launch.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -77,9 +67,6 @@ from . import procpool
 from .analysis import Shardability, analyze_shardability
 from .pool import ParallelPolicy, parallel_map
 
-#: Per written array: (byte mask, byte values under it) a shard changed.
-ShardDiff = Dict[str, Tuple[np.ndarray, np.ndarray]]
-
 # ------------------------------------------------------------------ stats
 
 #: Registry field -> help text; each becomes ``repro_shard_<field>``.
@@ -87,12 +74,13 @@ _FIELDS = {
     "sharded_launches": "launches split across the shard pool",
     "shards_run": "individual shards executed",
     "zero_copy": "sharded launches whose shards wrote in place — caller's "
-    "buffers or launch staging",
+    "buffers or launch staging; every one that did not fall back to serial",
     "staged": "of zero_copy, launches that wrote launch-private staging, "
     "copied back once (guarded thread lane, process lane)",
     "staging_bytes": "bytes copied into heap staging buffers (thread lane; the "
     "process lane counts repro_procpool_shm_bytes)",
-    "overlay": "sharded launches assembled copy+overlay",
+    "overlay": "always 0 (shards write in place or the launch runs serial); "
+    "kept while bench/layers.py reads it, ROADMAP item 4",
     "serial_unshardable": "launches kept serial by the shardability analysis",
     "serial_small_grid": "launches kept serial below the shard threshold",
     "planned": "shards that read a complete address plan (of shards_run)",
@@ -114,7 +102,7 @@ def plan_shards(total_blocks: int, workers: int) -> List[Tuple[int, int]]:
 
     Ranges differ in size by at most one block (remainder blocks go to
     the leading shards), every range is non-empty, and their ascending
-    order is the deterministic assembly/merge order.
+    order is the serial block order.
     """
     shards = max(1, min(workers, total_blocks))
     base, extra = divmod(total_blocks, shards)
@@ -213,47 +201,14 @@ def run_shard(
     block_threads: int,
     values: Dict[str, object],
     span: Tuple[int, int],
-    private: Sequence[str],
-) -> Tuple[bool, Optional[ShardDiff]]:
-    """The shard body: run blocks ``span`` of ``compiled`` over ``values``.
-    Returns ``(planned, diff)``; ``planned`` says the kernel computed none
-    of its launch-invariant sites, it read them all from the span's plan.
-
-    With ``private`` empty the kernel writes ``values`` in place and
-    ``diff`` is None.  Otherwise the arrays named in ``private`` are
-    copied first, the kernel writes the copies, and ``diff`` is what
-    changed: per array, a mask of the bytes that differ from ``values``
-    — which nothing writes before assembly, so it is the pristine
-    snapshot — and the new bytes under it.  (A mask, not an index list:
-    eight index bytes per changed byte made assembly three times slower
-    and the pickled diff larger than the array.)
-    """
+) -> bool:
+    """The shard body: run blocks ``span`` of ``compiled`` over ``values``,
+    writing them in place.  Returns whether the kernel computed none of
+    its launch-invariant sites, reading them all from the span's plan."""
     shard_geo = geo.shard(span[0], span[1], block_threads)
-    local = dict(values)
-    for name in private:
-        local[name] = values[name].copy()
-    planned = bool(
-        compiled.entry(shard_geo, *[local[name] for name in compiled.param_names])
+    return bool(
+        compiled.entry(shard_geo, *[values[name] for name in compiled.param_names])
     )
-    if not private:
-        return planned, None
-    diff: ShardDiff = {}
-    for name in private:
-        mine = local[name].view(np.uint8)
-        changed = mine != values[name].view(np.uint8)
-        diff[name] = (changed, mine[changed])
-    return planned, diff
-
-
-def apply_diffs(bound: Dict[str, object], diffs: Sequence[ShardDiff]) -> None:
-    """The assembly: overlay per-shard diffs onto the caller's buffers.
-
-    ``diffs`` must be in ascending shard order — the serial store order.
-    """
-    for diff in diffs:
-        for name, (changed, vals) in diff.items():
-            if vals.size:
-                bound[name].view(np.uint8)[changed] = vals
 
 
 def run_sharded(
@@ -272,19 +227,17 @@ def run_sharded(
     :mod:`repro.parallel.procpool` worker processes (``fn``/``module``
     must be supplied — workers recompile from the IR).  An ambient guard
     adds retries and a deadline on the thread lane and tightens the
-    deadline on the process lane; the module docstring says how mode and
-    fallback follow from the executor and the guard.
+    deadline on the process lane; the module docstring says how the copy
+    shards write and the fallback follow from the executor and the guard.
     """
     plan = plan_shards(grid.total_blocks, workers)
     guard = guard_mod.current_policy()
     guarded = guard is not None and guard.enabled
     on_processes = executor == "process" and fn is not None
-    in_place = analysis.in_place
-    private = () if in_place else analysis.written_arrays
     # In place is on the caller's buffers only when nothing can fail over
     # them; a process worker can always die and a guard retries, times out
     # and abandons, so those launches write staging, copied back at the end.
-    staged = in_place and (on_processes or guarded)
+    staged = on_processes or guarded
     staging: Dict[str, np.ndarray] = {}
     try:
         if on_processes:
@@ -295,18 +248,18 @@ def run_sharded(
             )
             results = procpool.run_shards(
                 fn, module, compiled, grid, bound, plan, workers,
-                analysis.written_arrays, in_place, deadline,
+                analysis.written_arrays, deadline,
             )
         else:
             geo = geometry(grid)
-            mode = "staged" if staged else "direct" if in_place else "overlay"
+            mode = "staged" if staged else "direct"
             values = bound
             if staged:
                 for name in analysis.written_arrays:
                     staging[name] = _STAGING.take(bound[name])
                 values = {**bound, **staging}
 
-            def on_thread(span: Tuple[int, int]) -> Tuple[bool, Optional[ShardDiff]]:
+            def on_thread(span: Tuple[int, int]) -> bool:
                 with obs_trace.span(
                     "shard.run",
                     kernel=compiled.fn_name,
@@ -317,11 +270,9 @@ def run_sharded(
                         maybe_inject(
                             SITE_WORKER, f"{compiled.fn_name}:{span[0]}-{span[1]}"
                         )
-                    result = run_shard(
-                        compiled, geo, grid.block_threads, values, span, private
-                    )
-                    traced.set(planned=result[0])
-                    return result
+                    planned = run_shard(compiled, geo, grid.block_threads, values, span)
+                    traced.set(planned=planned)
+                    return planned
 
             if guarded:
                 guard_mod.STATS.inc("guarded_sharded")
@@ -346,9 +297,9 @@ def run_sharded(
         )
         compiled.run(grid, bound)
     else:
-        STATS.inc("zero_copy" if in_place else "overlay")
+        STATS.inc("zero_copy")
         STATS.inc("staged", staged)
-        STATS.inc("planned", sum(planned for planned, _diff in results))
+        STATS.inc("planned", sum(results))
         if staging:
             # Every shard returned: the thread lane's staging goes to the
             # caller and back on the free list (the process lane copied
@@ -356,8 +307,6 @@ def run_sharded(
             for name, view in staging.items():
                 bound[name][...] = view
             _STAGING.give(staging.values())
-        if not in_place:
-            apply_diffs(bound, [diff for _planned, diff in results])
     STATS.inc("sharded_launches")
     STATS.inc("shards_run", len(plan))
 

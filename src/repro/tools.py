@@ -70,21 +70,17 @@ def launched_kernels(app, variant_set) -> Dict[str, LaunchEvent]:
 
 def _print_shards(app, variant_set) -> None:
     """Where the shards of each launched kernel write, per lane
-    (docs/PARALLEL.md), and why not in place."""
+    (docs/PARALLEL.md), and why a kernel runs serial."""
     launched = launched_kernels(app, variant_set)
     width = max(map(len, launched))
     print(f"\n=== shard verdicts: kernels of the exact program + {len(variant_set)} variants ===")
-    print(f"  {'kernel':<{width}} thread   guarded  process  why not in place")
+    print(f"  {'kernel':<{width}} thread   guarded  process  why serial")
     for name, event in launched.items():
         verdict = analyze_shardability(
             event.fn, event.module, flat=event.grid.threads_per_block_y == 1
         )
-        lanes, why = ("serial",) * 3, "; ".join(verdict.reasons)
-        if verdict.in_place:
-            lanes = ("direct", "staged", "direct")
-        elif verdict.shardable:
-            lanes = ("overlay", "overlay", "diff")
-            why = "loads what it stores" if verdict.disjoint_writes else "stores not proved private"
+        lanes = ("direct", "staged", "direct") if verdict.shardable else ("serial",) * 3
+        why = "; ".join(verdict.reasons)
         print(f"  {name:<{width}} {''.join(f'{lane:<9}' for lane in lanes)}{why}".rstrip())
 
 

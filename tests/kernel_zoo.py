@@ -291,7 +291,7 @@ def transpose_i64(out: array_f32, x: array_f32, w: i64, h: i64):
 def saxpy_inplace(y: array_f32, x: array_f32, a: f32, n: i32):
     """Loads the array it stores, through one thread-private index: blocks
     stay independent, but a shard run twice over one copy of ``y`` — a
-    retry, a re-submitted task — would apply twice."""
+    retry, a re-submitted task — would apply twice, so it runs serial."""
     i = global_id()
     if i < n:
         y[i] = a * x[i] + y[i]

@@ -12,21 +12,24 @@ from repro.approx.compiler import Paraprox
 from repro.parallel.analysis import _private, analyze_function, analyze_shardability
 from repro.tools import launched_kernels
 
-IN_PLACE = (True, "in place", ())
-OVERLAY = (True, "overlay", ())
+IN_PLACE = (True, ())  # shardable: its shards write one copy in place
 
 
 def serial(*reasons):
-    return (False, "serial", reasons)
+    return (False, reasons)
 
 
 def verdict(result):
-    """``(shardable, in place / overlay / serial, reasons)``."""
-    mode = ("in place" if result.in_place else "overlay") if result.shardable else "serial"
-    return (result.shardable, mode, tuple(result.reasons))
+    """``(shardable, reasons)``."""
+    return (result.shardable, tuple(result.reasons))
 
 
-OVERLAP = "stores to 'out' are not proved private and may overlap across blocks"
+def overlap(name):
+    return f"stores to {name!r} are not proved private and may overlap across blocks"
+
+
+OVERLAP = overlap("out")
+LOADED_Y = "array 'y' is loaded and stored"
 
 #: Every kernel in the zoo with its verdict.  This list is exhaustive on
 #: purpose: a new zoo kernel must be classified here or the completeness
@@ -46,18 +49,19 @@ EXPECTED = {
     "noop": IN_PLACE,
     "clamp_map": IN_PLACE,
     "divergent_return": IN_PLACE,
-    "tile_scale2d": OVERLAY,  # y*w + x: x/y intrinsics times a param
-    "tiled_matmul": OVERLAY,  # through / and % of block_id and thread_id
+    "tile_scale2d": serial(OVERLAP),  # y*w + x: x/y intrinsics times a param
+    "tiled_matmul": serial(overlap("c")),  # through / and % of block_id and thread_id
     "border_stencil": IN_PLACE,
     "border_stencil_unguarded": IN_PLACE,  # it raises, in whichever shard
-    "transpose_i64": OVERLAY,
-    "saxpy_inplace": OVERLAY,  # y[i] loaded and stored through one private index
-    "rescale_inplace": OVERLAY,  # the same, spelled two ways
+    "transpose_i64": serial(OVERLAP),
+    # private stores, but a shard run twice over one copy would apply twice
+    "saxpy_inplace": serial(LOADED_Y),  # y[i] loaded and stored through one private index
+    "rescale_inplace": serial(LOADED_Y),  # the same, spelled two ways
     "overlapping_thread_stores": serial(OVERLAP),
     "overlapping_block_stores": serial(OVERLAP),
     "block_varying_bound": serial("loop stop for 'k' is not grid-uniform"),
-    "uniform_store": OVERLAY,  # every block stores out[n]: the last one wins
-    "masked_uniform_store": OVERLAY,  # the same, the last active block
+    "uniform_store": serial(OVERLAP),  # every block stores out[n]: the last one wins
+    "masked_uniform_store": serial(OVERLAP),  # the same, the last active block
 }
 
 #: Every kernel the 13 apps launch (exact program and every variant at TOQ
@@ -105,12 +109,12 @@ APP_KERNELS = {
     "mean_kernel__stencil_row_rd1": IN_PLACE,
     "mean_kernel__stencil_column_rd1": IN_PLACE,
     # c[row*n + col] with row, col through / and % (docs/PARALLEL.md)
-    "matmul_kernel": OVERLAY,
-    "matmul_kernel__stencil_center_rd1": OVERLAY,
-    "matmul_kernel__stencil_center_rd2": OVERLAY,
-    "matmul_kernel__red_skip2": OVERLAY,
-    "matmul_kernel__red_skip4": OVERLAY,
-    "matmul_kernel__red_skip8": OVERLAY,
+    "matmul_kernel": serial(overlap("c")),
+    "matmul_kernel__stencil_center_rd1": serial(overlap("c")),
+    "matmul_kernel__stencil_center_rd2": serial(overlap("c")),
+    "matmul_kernel__red_skip2": serial(overlap("c")),
+    "matmul_kernel__red_skip4": serial(overlap("c")),
+    "matmul_kernel__red_skip8": serial(overlap("c")),
     "denoise_kernel": IN_PLACE,
     "denoise_kernel__red_skip2": IN_PLACE,
     "denoise_kernel__red_skip4": IN_PLACE,
@@ -127,7 +131,8 @@ APP_KERNELS = {
     "kde_kernel__red_l1_skip4": IN_PLACE,
     "kde_kernel__red_l1_skip8": IN_PLACE,
     "scan_phase1": IN_PLACE,
-    "scan_phase2": OVERLAY,  # sums_scan[thread_id()]: one block, nothing to prove
+    # sums_scan[thread_id()]: every block would store the same elements
+    "scan_phase2": serial(overlap("sums_scan")),
     "scan_phase3": IN_PLACE,
     # out[(kept + block_id()) * block_dim() + thread_id()]: kept is a param
     "scan_tail_predict": IN_PLACE,
@@ -181,16 +186,16 @@ def test_written_arrays_in_declaration_order():
     assert result.written_arrays == ["partial", "sums"]
 
 
-def test_in_place_needs_written_arrays_the_kernel_never_loads():
+def test_sharding_needs_written_arrays_the_kernel_never_loads():
     """Private stores alone are not enough to share one copy of the written
     arrays: a shard that runs twice must store the same bytes again."""
     saxpy = analyze_function(zoo.saxpy_inplace.fn, zoo.saxpy_inplace.module)
-    assert saxpy.shardable and saxpy.disjoint_writes
-    assert not saxpy.write_only and not saxpy.in_place
-    assert "copy+merge" in saxpy.describe()
-    # unproved stores into a write-only array: still not in place
+    assert _private(index_fact(zoo.saxpy_inplace.fn, zoo.saxpy_inplace.module).stores["y"], True)
+    assert not saxpy.shardable and saxpy.reasons == [LOADED_Y]
+    assert "serial" in saxpy.describe()
+    # unproved stores into a write-only array: serial too
     tile = analyze_function(zoo.tile_scale2d.fn, zoo.tile_scale2d.module)
-    assert tile.write_only and not tile.in_place
+    assert not tile.shardable and tile.reasons == [OVERLAP]
 
 
 def test_analysis_is_cached_by_fingerprint():
@@ -200,7 +205,7 @@ def test_analysis_is_cached_by_fingerprint():
 
 def test_describe_mentions_mode():
     k = zoo.square_map
-    assert "zero-copy" in analyze_shardability(k.fn, k.module).describe()
+    assert "in place" in analyze_shardability(k.fn, k.module).describe()
     hist = zoo.atomic_histogram
     assert "serial" in analyze_shardability(hist.fn, hist.module).describe()
 
@@ -277,8 +282,8 @@ def test_the_block_shape_is_part_of_the_verdict():
     threads: a ``block_id() * block_dim()`` stride no longer separates
     them, a ``global_id()`` one still does."""
     tail = scan_tail_predict
-    assert analyze_shardability(tail.fn, tail.module, flat=True).in_place
+    assert analyze_shardability(tail.fn, tail.module, flat=True).shardable
     tall = analyze_shardability(tail.fn, tail.module, flat=False)
-    assert tall.shardable and not tall.in_place
+    assert not tall.shardable and tall.reasons == [overlap("out")]
     square = zoo.square_map
-    assert analyze_shardability(square.fn, square.module, flat=False).in_place
+    assert analyze_shardability(square.fn, square.module, flat=False).shardable

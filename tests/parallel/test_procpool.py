@@ -8,7 +8,6 @@ worker shard's fault when it sends the task, and the caller's shard polls
 in-process.
 """
 
-import dataclasses
 import glob
 import mmap
 import os
@@ -30,7 +29,7 @@ from repro.engine.launch import resolve_kernel, resolve_module
 from repro.errors import ExecutionError
 from repro.parallel import procpool, shutdown_process_pool
 from repro.parallel.analysis import analyze_shardability
-from repro.parallel.shard import apply_diffs, plan_shards, run_sharded
+from repro.parallel.shard import plan_shards
 from repro.resilience import GuardPolicy
 from repro.resilience.faults import (
     SITE_COMPILE,
@@ -80,41 +79,28 @@ class TestBitExactness:
         assert after["shm_bytes"] > before["shm_bytes"]
         assert after["shards_run"] > before["shards_run"]
 
-    def test_diff_mode_matches_serial_on_2d_grid(self):
-        # tile_scale2d's writes are not provably disjoint, so the lane
-        # must assemble via per-shard byte diffs against the pristine
-        # staging copy.
-        grid = Grid.for_image(50, 30)
-        args = [np.zeros(1500, np.float32),
-                np.random.default_rng(4).random(1500, dtype=np.float32),
-                50, 30, 1.7]
-        serial = _run_serial(zoo.tile_scale2d, grid, args)
-        before = procpool.stats_snapshot()
-        launch(zoo.tile_scale2d, grid, args, options=PROC)
-        after = procpool.stats_snapshot()
-        assert np.array_equal(args[0], serial[0])
-        assert after["diff"] == before["diff"] + 1
+    def test_a_task_names_the_kernel_and_the_staged_arrays_only(self, monkeypatch):
+        """Shards write the staged segments in place: a task carries no list
+        of arrays to copy, and a reply no diffs."""
+        sent, received = [], []
+        submit, receive = procpool._Worker.submit, procpool._Worker.receive
 
-    def test_forced_diff_mode_on_disjoint_kernel(self):
-        """Diff assembly is correct even where direct would have been
-        legal — the overlay must reconstruct the exact same bytes."""
-        fn = resolve_kernel(zoo.square_map)
-        mod = resolve_module(zoo.square_map)
-        grid = Grid.for_elements(N)
-        compiled = get_compiled(fn, mod, grid, True)
-        args = _square_args(seed=9)
-        serial = _run_serial(zoo.square_map, grid, args)
-        bound = bind_arguments(fn, args)
-        analysis = analyze_shardability(fn, mod, fingerprint=compiled.fingerprint)
-        forced = dataclasses.replace(analysis, disjoint_writes=False)
-        before = procpool.stats_snapshot()
-        run_sharded(
-            compiled, grid, bound, 2, forced, executor="process", fn=fn, module=mod
-        )
-        after = procpool.stats_snapshot()
-        assert after["diff"] == before["diff"] + 1
-        assert after["direct"] == before["direct"]
-        assert np.array_equal(args[0], serial[0])
+        def record_submit(worker, payload, ir):
+            sent.append(payload)
+            return submit(worker, payload, ir)
+
+        def record_receive(worker):
+            reply = receive(worker)
+            received.append(reply)
+            return reply
+
+        monkeypatch.setattr(procpool._Worker, "submit", record_submit)
+        monkeypatch.setattr(procpool._Worker, "receive", record_receive)
+        launch(zoo.square_map, Grid.for_elements(N), _square_args(seed=3), options=PROC)
+        (payload,) = sent
+        assert set(payload) == {"kernel", "grid", "shards", "arrays", "scalars"}
+        ((status, entries),) = received
+        assert status == "ok" and [len(entry) for entry in entries] == [5]
 
     def test_shards_stride_across_workers(self):
         """Every shard of the plan runs exactly once (the striding
@@ -264,39 +250,30 @@ class TestContainment:
         assert np.array_equal(again[0], serial[0])
         assert procpool.stats_snapshot()["kernels_sent"] == after["kernels_sent"]
 
-    @pytest.mark.parametrize("direct", [False, True])
-    def test_a_resubmitted_task_reruns_shards_that_already_stored(self, direct):
-        """Why in place needs arrays the kernel never loads.  Four shards,
-        parallel=2: the caller runs blocks 0:4, the one worker runs 4:8,
-        stores, and dies before 8:12; its task is re-submitted over the same
-        staged segment.  With private copies (what the rule gives
-        ``y[i] = a * x[i] + y[i]``) the rerun of 4:8 starts from the
-        pristine ``y`` again; writing the segment in place applies it
-        twice."""
+    def test_a_resubmitted_task_reruns_shards_that_already_stored(self):
+        """Why a kernel that loads an array it stores runs serial.  Four
+        shards, parallel=2: the caller runs blocks 0:4, the one worker runs
+        4:8, stores, and dies before 8:12; its task is re-submitted over the
+        same staged segment, so ``y[i] = a * x[i] + y[i]`` applies twice to
+        blocks 4:8."""
         kernel, grid, args = zoo.saxpy_case(N)
         fn, mod = resolve_kernel(kernel), resolve_module(kernel)
         compiled = get_compiled(fn, mod, grid, True)
         analysis = analyze_shardability(fn, mod, fingerprint=compiled.fingerprint)
-        assert not analysis.in_place
+        assert not analysis.shardable
         serial = _run_serial(kernel, grid, args)
         plan = plan_shards(grid.total_blocks, 4)
         faults = _at(plan[2][0], max_fires=1)
         bound = bind_arguments(fn, args)
         with use_faults(faults):
-            results = procpool.run_shards(
-                fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays,
-                direct, 30.0,
+            procpool.run_shards(
+                fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays, 30.0
             )
         assert faults.fired == {SITE_WORKER: 1}, "the injected fault fired once"
-        if direct:
-            # blocks 4:8 ran twice
-            lo, hi = (plan[k][0] * grid.block_threads for k in (1, 2))
-            assert not np.array_equal(args[0][lo:hi], serial[0][lo:hi])
-            assert np.array_equal(args[0][:lo], serial[0][:lo])
-            assert np.array_equal(args[0][hi:], serial[0][hi:])
-        else:
-            apply_diffs(bound, [diff for _planned, diff in results])
-            assert args[0].tobytes() == serial[0].tobytes()
+        lo, hi = (plan[k][0] * grid.block_threads for k in (1, 2))
+        assert not np.array_equal(args[0][lo:hi], serial[0][lo:hi])
+        assert np.array_equal(args[0][:lo], serial[0][:lo])
+        assert np.array_equal(args[0][hi:], serial[0][hi:])
 
     def test_persistent_death_falls_back_to_serial(self):
         # No fire budget: the shard kills every worker it is sent to.
@@ -327,7 +304,7 @@ class TestContainment:
             with pytest.raises(procpool.WorkerLost):
                 procpool.run_shards(
                     fn, mod, compiled, grid, bound, plan_shards(grid.total_blocks, 2),
-                    2, ["out"], True, 30.0,
+                    2, ["out"], 30.0,
                 )
 
     @pytest.mark.parametrize("mode", ["exception", "dead"])
@@ -371,7 +348,7 @@ class TestContainment:
         kernel the plan named compiles cleanly in the worker."""
         grid = Grid.for_elements(N)
         plan = FaultPlan([
-            FaultSpec(SITE_COMPILE, match="saxpy"),
+            FaultSpec(SITE_COMPILE, match="gather_expensive"),
             FaultSpec(SITE_WORKER, match=f":{_worker_b0(grid)}-", max_fires=1),
         ])
         args = _square_args(seed=18)
@@ -380,13 +357,17 @@ class TestContainment:
             launch(zoo.square_map, grid, args, options=PROC)  # forks the worker
         assert args[0].tobytes() == serial[0].tobytes()
         assert plan.fired == {SITE_WORKER: 1}
-        kernel, grid, args = zoo.saxpy_case(N)
+        kernel = zoo.gather_expensive
+        rng = np.random.default_rng(18)
+        idx = rng.integers(0, N, N).astype(np.int32)
+        args = [np.zeros(N, np.float32), rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
         serial = _run_serial(kernel, grid, args)
         before = procpool.stats_snapshot()
         launch(kernel, grid, args, options=PROC)
         after = procpool.stats_snapshot()
         assert args[0].tobytes() == serial[0].tobytes()
         assert after["serial_reexecutions"] == before["serial_reexecutions"]
+        assert after["launches"] == before["launches"] + 1
         assert plan.fired == {SITE_WORKER: 1}
 
     def test_a_send_to_a_dead_worker_is_a_death(self, monkeypatch):
@@ -450,7 +431,7 @@ class TestContainment:
         bound = bind_arguments(fn, args)
         with pytest.raises(ExecutionError, match=rf", {N + 1}\] vs size"):
             procpool.run_shards(
-                fn, mod, compiled, grid, bound, plan, workers, ["out"], True, 30.0
+                fn, mod, compiled, grid, bound, plan, workers, ["out"], 30.0
             )
         assert not args[0].any()
 
@@ -506,8 +487,8 @@ class TestContainment:
         args = [out, rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
         with pytest.raises(ExecutionError, match="out of range"):
             launch(zoo.gather_expensive, Grid.for_elements(N), args, options=PROC)
-        # Direct mode runs on staged copies; a failed launch must leave
-        # the caller's buffers untouched.
+        # Shards run on staged copies; a failed launch must leave the
+        # caller's buffers untouched.
         assert not out.any()
 
 

@@ -96,12 +96,6 @@ SHARDABLE_CASES = {
         Grid.for_elements(n),
         [np.zeros(n, np.float32), _rand(n), n],
     ),
-    "tile_scale2d": lambda n: (
-        # 2-D grid; not provably disjoint -> copy + overlay assembly
-        zoo.tile_scale2d,
-        Grid.for_image(50, 30),
-        [np.zeros(1500, np.float32), _rand(1500), 50, 30, 1.7],
-    ),
     "mean3x3": lambda n: (
         zoo.mean3x3,
         Grid.for_image(32, 24),
@@ -149,39 +143,50 @@ SHARDABLE_CASES = {
         Grid.for_elements(n),
         [np.zeros(n, np.float32), _rand(n), n],
     ),
-    # loads the array it stores: never one shared copy, on any lane
+    # The compiled kernels' index resolution reads each shard's *slice* of
+    # the parent's id arrays (reinterpreted as unsigned): dead lanes
+    # outside the range.
+    "border_stencil": zoo.ACCESS_CASES["border_stencil"],
+}
+
+# Kernels the analysis keeps serial although their blocks never observe
+# one another: stores not proved private (2-D tiles, indices through ``/``
+# and ``%``) or arrays loaded and stored (a shard run twice over one copy
+# would apply twice).  Every lane must answer as serial does, serially.
+SERIAL_CASES = {
+    # 2-D grid: y*w + x is not proved private
+    "tile_scale2d": lambda n: (
+        zoo.tile_scale2d,
+        Grid.for_image(50, 30),
+        [np.zeros(1500, np.float32), _rand(1500), 50, 30, 1.7],
+    ),
+    "tiled_matmul": zoo.ACCESS_CASES["tiled_matmul"],
+    "transpose_i64": zoo.ACCESS_CASES["transpose_i64"],
+    # loads the array it stores
     "saxpy_inplace": zoo.saxpy_case,
     "rescale_inplace": lambda n: (
         zoo.rescale_inplace, Grid.for_elements(n), [_rand(n, 15), 1.5, n]
     ),
-    # The compiled kernels' index resolution reads each shard's *slice* of
-    # the parent's id arrays (reinterpreted as unsigned): all in range,
-    # dead lanes outside, and int64 indices.
-    **zoo.ACCESS_CASES,
 }
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
-@pytest.mark.parametrize("name", sorted(SHARDABLE_CASES))
+@pytest.mark.parametrize("name", sorted(SHARDABLE_CASES.keys() | SERIAL_CASES.keys()))
 def test_sharded_bit_exact(name, workers):
-    kernel, grid, args = SHARDABLE_CASES[name](1000)
-    before = STATS.sharded_launches
+    """Bit-exact at every worker count.  A shardable kernel shards every
+    launch of the cell, the plan-building and the plan-reading one too; an
+    unshardable one runs every launch serial and says so."""
+    kernel, grid, args = {**SHARDABLE_CASES, **SERIAL_CASES}[name](1000)
+    before = STATS.snapshot()
     result = _sharded_vs_serial(kernel, grid, args, workers=workers)
     assert result.status == "ok", result.describe()
-    # every launch of the cell sharded, the plan-building and the plan-reading one too
-    assert STATS.sharded_launches == before + PLANNED_LAUNCHES, (
-        f"{name} should actually have sharded"
+    after = STATS.snapshot()
+    sharded = PLANNED_LAUNCHES if name in SHARDABLE_CASES else 0
+    assert after["sharded_launches"] == before["sharded_launches"] + sharded, (
+        f"{name} should {'' if sharded else 'not '}have sharded"
     )
-
-
-# One shard body, one assembly and one fallback serve every lane, so the
-# same differential must hold on each, and one rule says where shards
-# write.  square_map's and border_stencil's stores are provably private
-# and into an array they never load: in place — the caller's buffers with
-# no guard, launch staging under one or on worker processes.
-# tile_scale2d's, tiled_matmul's and transpose_i64's stores are not proved
-# private, and saxpy_inplace loads what it stores: private copies
-# everywhere.
+    unshardable = PLANNED_LAUNCHES - sharded
+    assert after["serial_unshardable"] == before["serial_unshardable"] + unshardable
 
 
 @pytest.fixture
@@ -191,26 +196,36 @@ def _process_pool():
     repro.reset()
 
 
+_LANES = [dict(), dict(guard=True), dict(executor="process")]
+
+
+@pytest.mark.parametrize("ambient", _LANES, ids=["thread", "guarded", "process"])
+@pytest.mark.parametrize("name", sorted(SERIAL_CASES))
+def test_unshardable_kernels_run_serial_on_every_lane(name, ambient, _process_pool):
+    kernel, grid, args = SERIAL_CASES[name](1000)
+    before = STATS.snapshot()
+    result = _sharded_vs_serial(kernel, grid, args, workers=2, **ambient)
+    assert result.status == "ok", result.describe()
+    after = STATS.snapshot()
+    assert after["serial_unshardable"] == before["serial_unshardable"] + PLANNED_LAUNCHES
+    assert after["sharded_launches"] == before["sharded_launches"]
+
+
+# One shard body and one fallback serve every lane, so the same
+# differential must hold on each, and one rule says where shards write:
+# square_map's and border_stencil's stores are provably private and into
+# an array they never load, so in place — the caller's buffers with no
+# guard, launch staging under one or on worker processes.
 @pytest.mark.parametrize(
     "name,ambient,snapshot,counter",
     [
         # a guarded thread launch never writes the caller's buffers in place
         ("square_map", dict(guard=True), STATS.snapshot, "staged"),
         ("square_map", dict(guard=True), STATS.snapshot, "zero_copy"),
-        ("tile_scale2d", dict(guard=True), STATS.snapshot, "overlay"),
         ("square_map", dict(executor="process"), procpool.stats_snapshot, "direct"),
-        ("tile_scale2d", dict(executor="process"), procpool.stats_snapshot, "diff"),
-        ("tiled_matmul", dict(guard=True), STATS.snapshot, "overlay"),
-        ("tiled_matmul", dict(executor="process"), procpool.stats_snapshot, "diff"),
         ("border_stencil", dict(guard=True), STATS.snapshot, "staged"),
         ("border_stencil", dict(executor="process"), procpool.stats_snapshot, "direct"),
         ("border_stencil", dict(executor="process"), STATS.snapshot, "staged"),
-        ("transpose_i64", dict(executor="process"), procpool.stats_snapshot, "diff"),
-        ("saxpy_inplace", dict(), STATS.snapshot, "overlay"),
-        ("saxpy_inplace", dict(guard=True), STATS.snapshot, "overlay"),
-        ("saxpy_inplace", dict(executor="process"), procpool.stats_snapshot, "diff"),
-        ("rescale_inplace", dict(guard=True), STATS.snapshot, "overlay"),
-        ("rescale_inplace", dict(executor="process"), procpool.stats_snapshot, "diff"),
     ],
 )
 def test_sharded_bit_exact_on_every_lane(
@@ -225,8 +240,7 @@ def test_sharded_bit_exact_on_every_lane(
 
 # Each store site of these kernels is private, but the two sites of one
 # array overlap across blocks: in place, shards race on the shared
-# elements, and an overlay lets a later block's first store win over an
-# earlier block's second.  So they run serial on every lane.
+# elements.  So they run serial on every lane.
 @pytest.mark.parametrize("executor", ["thread", "process"])
 @pytest.mark.parametrize("name", ["overlapping_thread_stores", "overlapping_block_stores"])
 def test_stores_overlapping_across_blocks_run_serial(name, executor, _process_pool):
@@ -262,23 +276,43 @@ def test_a_loop_stop_that_varies_per_block_raises_as_serial_does(executor, _proc
     assert outcome(backend="codegen", **sharded) == serial
 
 
+def _original_bytes_last(threads):
+    """``1 .. threads`` with the last lane's value 0.0: the bytes ``out``
+    holds before the launch."""
+    x = np.arange(1, threads + 1, dtype=np.float32)
+    x[-1] = 0.0
+    return x
+
+
 @pytest.mark.parametrize(
-    "lane", [dict(), dict(workers=2), dict(workers=2, executor="process")]
+    "lane",
+    [dict(), dict(workers=2), dict(workers=2, guard=True), dict(workers=2, executor="process")],
+)
+@pytest.mark.parametrize(
+    "values", [lambda threads: _rand(threads, 16), _original_bytes_last],
+    ids=["random", "original_bytes_last"],
 )
 def test_per_lane_values_stored_at_a_uniform_index_leave_the_last_lane(
-    lane, _process_pool
+    lane, values, _process_pool
 ):
     """``out[n] = x[global_id()]`` with no mask: every lane writes the one
     element and the last lane's value stays, on the first launch and on
-    the planned ones, on every lane — the same rule a masked store obeys."""
+    the planned ones, on every lane — the same rule a masked store obeys.
+    The last lane may store back the very bytes ``out`` held.  Every block
+    stores the one element, so the launch runs serial."""
     grid, n = Grid(2, 4), 5
-    x = _rand(grid.threads, 16)
+    x = values(grid.threads)
     subject = kernel_subject(zoo.uniform_store, grid, [np.zeros(8, np.float32), x, n])
     reference = run_cell(subject, Cell())
     assert not reference.error, reference.error
     assert reference.arrays[0][n] == x[-1]
+    before = STATS.snapshot()
     result = check(subject, replace(SERIAL, **lane), reference=reference)
     assert result.status == "ok", result.describe()
+    after = STATS.snapshot()
+    assert after["sharded_launches"] == before["sharded_launches"]
+    unshardable = PLANNED_LAUNCHES if lane else 0
+    assert after["serial_unshardable"] == before["serial_unshardable"] + unshardable
 
 
 @pytest.mark.parametrize("backend", ["interp", "codegen"])
@@ -303,7 +337,7 @@ def test_a_uniform_store_with_or_without_a_mask_leaves_the_last_active_lane(back
         assert unmasked.tobytes() == masked.tobytes()
 
 
-@pytest.mark.parametrize("name", ["square_map", "tile_scale2d"])
+@pytest.mark.parametrize("name", ["square_map", "border_stencil"])
 def test_serial_reexecution_after_worker_crash_is_bit_exact(name):
     """An injected ``worker_crash`` past the retry budget lands on the one
     fallback: serial re-execution on buffers no shard touched."""
@@ -409,18 +443,6 @@ class TestAssemblyModes:
         after = STATS.snapshot()
         assert after["zero_copy"] == before["zero_copy"] + 1
         assert after["overlay"] == before["overlay"]
-
-    def test_overlay_counted_for_unproven_stores(self):
-        out = np.zeros(1500, np.float32)
-        before = STATS.snapshot()
-        launch(
-            zoo.tile_scale2d,
-            Grid.for_image(50, 30),
-            [out, _rand(1500), 50, 30, 1.7],
-            options=_codegen(4, min_shard_threads=1),
-        )
-        after = STATS.snapshot()
-        assert after["overlay"] == before["overlay"] + 1
 
     def test_shards_run_matches_plan(self):
         n = 4096

@@ -59,7 +59,8 @@ class TestInspectCommand:
             if line.startswith("  scan_")
         }
         assert rows["scan_tail_predict"] == ["direct", "staged", "direct"]
-        assert rows["scan_phase2"] == ["overlay", "overlay", "diff"] + "stores not proved private".split()
+        why = "stores to 'sums_scan' are not proved private and may overlap across blocks"
+        assert rows["scan_phase2"] == ["serial", "serial", "serial"] + why.split()
         assert set(rows) == {"scan_phase1", "scan_phase2", "scan_phase3", "scan_tail_predict"}
 
     def test_inspect_shards_names_why_a_kernel_stays_serial(self, capsys):
