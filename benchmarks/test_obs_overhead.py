@@ -140,49 +140,7 @@ def _p99(times) -> float:
     return ranked[min(len(ranked) - 1, int(len(ranked) * 0.99))]
 
 
-MAX_PROFILED = float(
-    os.environ.get("REPRO_OBS_PROFILE_MAX_OVERHEAD", "1.03")
-)
 MAX_P99_SHIFT = float(os.environ.get("REPRO_OBS_HTTP_MAX_P99_SHIFT", "1.05"))
-
-
-def test_profiler_overhead_is_bounded():
-    """Sampling at the default 10ms interval must stay within the same
-    3% envelope as tracing: threads pay nothing between samples."""
-    from repro.obs.profile import DEFAULT_INTERVAL_S, SamplingProfiler
-    from repro.obs.registry import MetricsRegistry
-
-    was_enabled = obs_trace.enabled()
-    obs_trace.disable()
-    try:
-        app, session = _session()
-        baseline = _time_launches(app, session)
-        profiler = SamplingProfiler(
-            interval_s=DEFAULT_INTERVAL_S, registry=MetricsRegistry()
-        )
-        with profiler:
-            profiled = _time_launches(app, session)
-        overhead = profiled / baseline
-        print(
-            f"\n{LAUNCHES} launches: bare {baseline * 1e3:.3f}ms, "
-            f"profiled {profiled * 1e3:.3f}ms "
-            f"({profiler.sample_count()} samples), overhead {overhead:.3f}x"
-        )
-        from conftest import write_bench_summary
-
-        write_bench_summary(
-            "obs_overhead",
-            profiler_overhead=overhead,
-            profiler_samples=profiler.sample_count(),
-            profiler_ceiling=MAX_PROFILED,
-        )
-        assert overhead <= MAX_PROFILED, (
-            f"profiler overhead {overhead:.3f}x above the allowed "
-            f"{MAX_PROFILED:.3f}x (override with REPRO_OBS_PROFILE_MAX_OVERHEAD)"
-        )
-    finally:
-        if was_enabled:
-            obs_trace.enable()
 
 
 def test_http_scrape_under_load_keeps_p99_bounded():

@@ -19,33 +19,24 @@ On top of the legs sit the live-ops surfaces:
 * :mod:`repro.obs.slo` — declarative per-tenant SLO objectives with
   multi-window burn-rate alerting (OK → WARN → PAGE with hysteresis);
 * :mod:`repro.obs.http` — the embedded stdlib HTTP endpoint
-  (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``, ``/debug/vars``,
-  ``/debug/profile``), opt-in via ``ServeFrontend(serve_http=...)`` or
-  ``REPRO_OBS_HTTP``;
-* :mod:`repro.obs.profile` — the sampling wall-clock profiler with
-  span-context attribution and collapsed-stack flamegraph export,
-  enabled with ``REPRO_OBS_PROFILE=1``.
+  (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``, ``/debug/vars``),
+  opt-in via ``ServeFrontend(serve_http=...)`` or ``REPRO_OBS_HTTP``.
 
 ``python -m repro.obs summarize <trace.jsonl>`` renders a trace file:
 top spans by time, fallback-depth breakdown, the quality-vs-speedup
-timeline and per-launch span trees.  ``flame``/``top`` render collapsed
-profiles.
+timeline and per-launch span trees.
 See ``docs/OBSERVABILITY.md``.
 """
 
 from .export import (
     build_trees,
-    load_collapsed,
     load_trace,
     quantile_table,
-    render_flame,
     render_prometheus,
-    render_top,
     render_tree,
     summarize,
 )
 from .http import ObsHTTPServer
-from .profile import SamplingProfiler, active_profiler
 from .registry import (
     MetricsRegistry,
     REGISTRY,
@@ -80,8 +71,6 @@ __all__ = [
     "SLOEngine",
     "SLOObjective",
     "ObsHTTPServer",
-    "SamplingProfiler",
-    "active_profiler",
     "QualityTimeline",
     "timeline",
     "Span",
@@ -100,9 +89,6 @@ __all__ = [
     "render_prometheus",
     "quantile_table",
     "load_trace",
-    "load_collapsed",
-    "render_flame",
-    "render_top",
     "build_trees",
     "render_tree",
     "summarize",

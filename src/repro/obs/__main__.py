@@ -12,11 +12,6 @@ Commands:
   format, followed by ``# ``-commented p50/p95/p99 estimates per
   histogram series (mostly useful under ``python -m`` with ``-i`` or
   from tests; a fresh process has only just-registered series).
-* ``flame <profile.collapsed> [--min-percent P]`` — a text flamegraph
-  from the sampling profiler's collapsed-stack output
-  (``REPRO_OBS_PROFILE_OUT``, or ``/debug/profile`` saved to a file).
-* ``top <profile.collapsed> [--limit N]`` — self-time ranking of the
-  hottest frames in a collapsed profile.
 """
 
 from __future__ import annotations
@@ -26,12 +21,9 @@ import sys
 
 from .export import (
     build_trees,
-    load_collapsed,
     load_trace,
     quantile_table,
-    render_flame,
     render_prometheus,
-    render_top,
     render_tree,
     summarize,
 )
@@ -59,23 +51,6 @@ def main(argv=None) -> int:
         help="print the registry in Prometheus format with quantile columns",
     )
 
-    p_flame = sub.add_parser(
-        "flame", help="render a text flamegraph from a collapsed profile"
-    )
-    p_flame.add_argument("profile", help="path to a collapsed-stack file")
-    p_flame.add_argument(
-        "--min-percent", type=float, default=0.5,
-        help="fold branches below this percent of samples (default 0.5)",
-    )
-
-    p_top = sub.add_parser(
-        "top", help="self-time ranking from a collapsed profile"
-    )
-    p_top.add_argument("profile", help="path to a collapsed-stack file")
-    p_top.add_argument(
-        "--limit", type=int, default=20, help="rows to show (default 20)"
-    )
-
     args = parser.parse_args(argv)
     if args.command == "summarize":
         print(summarize(args.trace, trees=args.trees))
@@ -93,14 +68,6 @@ def main(argv=None) -> int:
     elif args.command == "metrics":
         sys.stdout.write(render_prometheus())
         sys.stdout.write(quantile_table())
-    elif args.command == "flame":
-        sys.stdout.write(
-            render_flame(
-                load_collapsed(args.profile), min_percent=args.min_percent
-            )
-        )
-    elif args.command == "top":
-        sys.stdout.write(render_top(load_collapsed(args.profile), args.limit))
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Exporters: Prometheus text exposition, trace and profile analysis.
+"""Exporters: Prometheus text exposition and trace analysis.
 
-Three consumers are served here:
+Two consumers are served here:
 
 * a scrape endpoint — :func:`render_prometheus` renders every metric in
   the registry in the Prometheus text exposition format (versioned
@@ -10,10 +10,7 @@ Three consumers are served here:
   output stays valid exposition format);
 * offline trace analysis — :func:`load_trace`, :func:`build_trees` and
   :func:`summarize` parse the JSONL stream written under ``REPRO_OBS=1``
-  and power the ``python -m repro.obs`` CLI;
-* profile analysis — :func:`load_collapsed`, :func:`render_flame` and
-  :func:`render_top` read the sampling profiler's collapsed-stack
-  output (``REPRO_OBS_PROFILE_OUT``) for ``flame``/``top``.
+  and power the ``python -m repro.obs`` CLI.
 """
 
 from __future__ import annotations
@@ -33,19 +30,28 @@ from .registry import (
 # ----------------------------------------------------------- prometheus
 
 
+def _escape(value: object) -> str:
+    """A label value as the text format spells it: backslash, double
+    quote and line feed escaped, so an outside name cannot break a line."""
+    return (
+        str(value).replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    )
+
+
 def _fmt_labels(labels: Dict[str, str]) -> str:
     if not labels:
         return ""
-    inner = ",".join(
-        f'{k}="{str(v).replace(chr(92), chr(92) * 2).replace(chr(34), chr(92) + chr(34))}"'
-        for k, v in sorted(labels.items())
-    )
+    inner = ",".join(f'{k}="{_escape(v)}"' for k, v in sorted(labels.items()))
     return "{" + inner + "}"
 
 
 def _fmt_value(value: float) -> str:
-    if value == int(value):
-        return str(int(value))
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # an infinity, or NaN
+        return "NaN" if value != value else ("+Inf" if value > 0 else "-Inf")
+    if value == whole:
+        return str(whole)
     return repr(float(value))
 
 
@@ -114,83 +120,6 @@ def quantile_table(
         return ""
     header = "# -- estimated histogram quantiles (linear interpolation) --"
     return "\n".join([header, *rows]) + "\n"
-
-
-# ---------------------------------------------------------- profile files
-
-
-def load_collapsed(path) -> Dict[Tuple[str, ...], int]:
-    """Parse a collapsed-stack profile: ``frame;frame;frame count``."""
-    stacks: Dict[Tuple[str, ...], int] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            frames, _, count_text = line.rpartition(" ")
-            try:
-                count = int(count_text)
-            except ValueError:
-                continue
-            key = tuple(frames.split(";"))
-            stacks[key] = stacks.get(key, 0) + count
-    return stacks
-
-
-def render_flame(
-    stacks: Dict[Tuple[str, ...], int],
-    min_percent: float = 0.5,
-    max_depth: int = 24,
-) -> str:
-    """A text flamegraph: the merged stack tree, indented, widest first.
-
-    Branches below ``min_percent`` of total samples are folded away so
-    the hot paths dominate the page the way they dominate the profile.
-    """
-    total = sum(stacks.values())
-    if total == 0:
-        return "(empty profile)\n"
-
-    def children_of(prefix: Tuple[str, ...]):
-        groups: Dict[str, int] = defaultdict(int)
-        for stack, count in stacks.items():
-            if len(stack) > len(prefix) and stack[: len(prefix)] == prefix:
-                groups[stack[len(prefix)]] += count
-        return sorted(groups.items(), key=lambda kv: -kv[1])
-
-    lines: List[str] = [f"total: {total} samples"]
-
-    def walk(prefix: Tuple[str, ...], depth: int) -> None:
-        if depth >= max_depth:
-            return
-        for frame, count in children_of(prefix):
-            percent = 100.0 * count / total
-            if percent < min_percent:
-                continue
-            lines.append(f"{'  ' * depth}{frame} {percent:5.1f}% ({count})")
-            walk(prefix + (frame,), depth + 1)
-
-    walk((), 0)
-    return "\n".join(lines) + "\n"
-
-
-def render_top(
-    stacks: Dict[Tuple[str, ...], int], limit: int = 20
-) -> str:
-    """Self-time ranking: samples where each frame was the innermost."""
-    total = sum(stacks.values())
-    if total == 0:
-        return "(empty profile)\n"
-    self_counts: Dict[str, int] = defaultdict(int)
-    for stack, count in stacks.items():
-        if stack:
-            self_counts[stack[-1]] += count
-    lines = [f"{'self%':>6} {'samples':>8}  frame"]
-    for frame, count in sorted(
-        self_counts.items(), key=lambda kv: -kv[1]
-    )[:limit]:
-        lines.append(f"{100.0 * count / total:>5.1f}% {count:>8}  {frame}")
-    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------------ trace files

@@ -13,9 +13,7 @@ stdlib-only (``http.server``) daemon-threaded listener exposing:
   stop routing before the listener disappears;
 * ``/slo`` — the attached :class:`~repro.obs.slo.SLOEngine`'s alert and
   objective state as JSON;
-* ``/debug/vars`` — the raw registry snapshot as JSON (expvar-style);
-* ``/debug/profile`` — the sampling profiler's collapsed stacks, when
-  one is running (:mod:`repro.obs.profile`).
+* ``/debug/vars`` — the raw registry snapshot as JSON (expvar-style).
 
 Opt-in only: construct one explicitly, pass ``serve_http=`` to
 :class:`~repro.serve.ServeFrontend`, or set ``REPRO_OBS_HTTP`` to a
@@ -100,28 +98,14 @@ class _Handler(BaseHTTPRequestHandler):
                 if owner.slo is not None:
                     self._reply_json(200, owner.slo.state())
                 else:
-                    self._reply_json(
-                        200,
-                        {
-                            "objectives": [],
-                            "max_state": "OK",
-                            "pressure_hint": 0.0,
-                        },
-                    )
+                    self._reply_json(200, {"objectives": [], "max_state": "OK"})
             elif path == "/debug/vars":
                 self._reply_json(200, owner.registry.snapshot())
-            elif path == "/debug/profile":
-                stacks = owner.profile_stacks()
-                if stacks is None:
-                    self._reply(404, "no profiler running\n")
-                else:
-                    self._reply(200, stacks)
             elif path == "/":
                 self._reply(
                     200,
                     "repro obs endpoint\n"
-                    "/metrics /healthz /readyz /slo /debug/vars "
-                    "/debug/profile\n",
+                    "/metrics /healthz /readyz /slo /debug/vars\n",
                 )
             else:
                 self._reply(404, f"unknown path {path}\n")
@@ -145,8 +129,6 @@ class ObsHTTPServer:
         slo: optional :class:`~repro.obs.slo.SLOEngine` behind ``/slo``.
         frontend: optional :class:`~repro.serve.ServeFrontend` whose
             closed state feeds ``/readyz``.
-        profiler: optional :class:`~repro.obs.profile.SamplingProfiler`
-            behind ``/debug/profile`` (default: the active global one).
     """
 
     def __init__(
@@ -156,12 +138,10 @@ class ObsHTTPServer:
         registry: Optional[MetricsRegistry] = None,
         slo=None,
         frontend=None,
-        profiler=None,
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
         self.slo = slo
         self.frontend = frontend
-        self.profiler = profiler
         self._host = host
         self._requested_port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
@@ -183,16 +163,6 @@ class ObsHTTPServer:
         if frontend is not None and getattr(frontend, "_closed", False):
             return False
         return True
-
-    def profile_stacks(self) -> Optional[str]:
-        profiler = self.profiler
-        if profiler is None:
-            from .profile import active_profiler
-
-            profiler = active_profiler()
-        if profiler is None:
-            return None
-        return profiler.collapsed_stacks()
 
     def start(self) -> "ObsHTTPServer":
         if self._httpd is not None:

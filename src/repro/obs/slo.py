@@ -30,11 +30,7 @@ the same discipline as the brownout controller's.
 
 Transitions land in three places at once: the quality timeline
 (``kind="slo"``), the metrics registry (``repro_slo_*`` families) and —
-through :meth:`SLOEngine.state` — the ``/slo`` HTTP endpoint.  The
-engine also offers :meth:`SLOEngine.pressure_hint`, an optional scalar
-the overload controller may fold into its
-:class:`~repro.serve.overload.PressureSample`: a paging SLO is pressure
-even when queues look healthy.
+through :meth:`SLOEngine.state` — the ``/slo`` HTTP endpoint.
 
 ``tests/obs/test_slo.py::TestDrill`` is the deterministic fake-clock
 replay: it injects a latency regression and asserts WARN and PAGE fire
@@ -507,17 +503,6 @@ class SLOEngine:
 
     # -- views ---------------------------------------------------------------
 
-    def pressure_hint(self) -> float:
-        """A scalar the overload controller may fold into its pressure
-        sample: 0.0 while every objective is OK, 0.5 with a WARN firing,
-        1.0 with a PAGE — a paging SLO is saturation-equivalent even
-        when the queue itself looks healthy."""
-        with self._lock:
-            worst = max(
-                (alert.level for alert in self._alerts.values()), default=OK
-            )
-        return {OK: 0.0, WARN: 0.5, PAGE: 1.0}[worst]
-
     def alerts(self) -> Dict[str, str]:
         with self._lock:
             return {
@@ -559,8 +544,4 @@ class SLOEngine:
                         "last_evaluated": alert.last_evaluated,
                     }
                 )
-        return {
-            "objectives": objectives,
-            "max_state": STATE_NAMES[worst],
-            "pressure_hint": self.pressure_hint(),
-        }
+        return {"objectives": objectives, "max_state": STATE_NAMES[worst]}

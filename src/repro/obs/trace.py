@@ -45,29 +45,12 @@ _SEQ = itertools.count()
 _FLUSH_EVERY = 64
 
 
-#: Per-thread span stacks, readable from *other* threads.  ``_Context``
-#: registers each thread's stack list here the first time the thread
-#: touches the context (``threading.local.__init__`` runs once per
-#: thread).  The sampling profiler (:mod:`repro.obs.profile`) walks this
-#: to attribute samples to the span a thread is currently inside; the
-#: lists are mutated without a lock, but list append/pop are atomic under
-#: the GIL and the profiler only ever copies, so a torn read costs at
-#: worst one misattributed sample.
-_THREAD_STACKS: Dict[int, List["Span"]] = {}
-
-
 class _Context(threading.local):
     def __init__(self) -> None:
         self.stack: List["Span"] = []
-        _THREAD_STACKS[threading.get_ident()] = self.stack
 
 
 _CONTEXT = _Context()
-
-
-def thread_stacks() -> Dict[int, List["Span"]]:
-    """Live per-thread span stacks (profiler use; treat as read-only)."""
-    return _THREAD_STACKS
 
 
 class _Sink:

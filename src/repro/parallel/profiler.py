@@ -19,9 +19,9 @@ one cache.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
+from .._state import Store
 from ..apps.base import _input_fingerprint
 
 #: (quality, modelled cycles) for one (variant, input set) measurement.
@@ -62,9 +62,13 @@ def profile_key(app_name: str, device: str, variant, inputs) -> Tuple:
 class ProfileCache:
     """Thread-safe LRU memo of (variant, input-set) -> (quality, cycles).
 
-    Bounded at ``max_entries``; on overflow the least-recently-*used* entry
-    is evicted — recalibration re-touches the live variants' measurements,
-    so churn from one-off inputs cannot push the working set out.
+    An unregistered :class:`repro._state.Store` of ``max_entries`` holds the
+    measurements (each session owns its cache, so :func:`repro.reset` does
+    not reach it); a hit touches its entry, so on overflow the
+    least-recently-*used* entry is evicted — recalibration re-touches the
+    live variants' measurements, and churn from one-off inputs cannot push
+    the working set out.  A key keeps its first measurement: a put for a
+    key already held (two workers that measured it at once) is a no-op.
     """
 
     def __init__(self, max_entries: int = 4096) -> None:
@@ -74,39 +78,39 @@ class ProfileCache:
             raise ConfigError(
                 f"max_entries must be >= 1, got {max_entries!r}"
             )
-        self._data: "OrderedDict[Tuple, Measurement]" = OrderedDict()
-        self._lock = threading.Lock()
         self.max_entries = max_entries
+        self._store = Store(cap=max_entries, on_evict=self._evicted)
+        #: guards the three counters only; the store has its own lock
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def get(self, key: Tuple) -> Optional[Measurement]:
+        value = self._store.get(key)
         with self._lock:
-            value = self._data.get(key)
             if value is None:
                 self.misses += 1
             else:
                 self.hits += 1
-                self._data.move_to_end(key)
-            return value
+        if value is not None:
+            self._store.touch(key)
+        return value
 
     def put(self, key: Tuple, value: Measurement) -> None:
+        self._store.put(key, value)
+
+    def _evicted(self, _value: Measurement) -> None:
         with self._lock:
-            if key not in self._data and len(self._data) >= self.max_entries:
-                self._data.popitem(last=False)
-                self.evictions += 1
-            self._data[key] = value
-            self._data.move_to_end(key)
+            self.evictions += 1
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._store)
 
     def snapshot(self) -> Dict[str, int]:
         with self._lock:
             return {
-                "entries": len(self._data),
+                "entries": len(self._store),
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
@@ -114,8 +118,8 @@ class ProfileCache:
             }
 
     def clear(self) -> None:
+        self._store.clear()
         with self._lock:
-            self._data.clear()
             self.hits = 0
             self.misses = 0
             self.evictions = 0

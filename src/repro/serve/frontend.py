@@ -222,9 +222,8 @@ class ServeFrontend:
             :class:`~repro.obs.slo.SLOEngine`, an iterable of
             :class:`~repro.obs.slo.SLOObjective` (an engine is built
             from them), or None (the default).  With an engine attached
-            the dispatcher evaluates objectives between batches, records
-            per-tenant wait/deadline series, and folds the engine's
-            pressure hint into the overload controller's sample.
+            the dispatcher evaluates objectives between batches and
+            records per-tenant wait/deadline series.
         serve_http: the embedded ops endpoint — ``True`` (ephemeral
             loopback port), a port number, ``"host:port"``, or None (the
             default: also honours ``REPRO_OBS_HTTP`` from the
@@ -589,9 +588,6 @@ class ServeFrontend:
                 queue_delay_s=delay,
                 miss_rate=miss_rate,
                 saturation=depth / float(self.max_queue_depth),
-                slo_burn=(
-                    self.slo.pressure_hint() if self.slo is not None else 0.0
-                ),
             )
         )
 

@@ -106,18 +106,11 @@ class OverloadConfig:
 @dataclass(frozen=True)
 class PressureSample:
     """One batch window's raw pressure signals (all dimensionless after
-    normalization except ``queue_delay_s``).
-
-    ``slo_burn`` is the optional hint from an attached
-    :class:`~repro.obs.slo.SLOEngine`
-    (:meth:`~repro.obs.slo.SLOEngine.pressure_hint`): 0.5 while a WARN
-    fires, 1.0 for a PAGE — a burning SLO is pressure even when the
-    queue itself looks healthy."""
+    normalization except ``queue_delay_s``)."""
 
     queue_delay_s: float = 0.0
     miss_rate: float = 0.0
     saturation: float = 0.0
-    slo_burn: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -226,15 +219,12 @@ class OverloadController:
 
     def pressure_of(self, sample: PressureSample) -> float:
         """Normalize one sample to a single scalar: the worst of queue
-        delay (relative to target, capped), miss rate, saturation, and
-        the SLO burn hint."""
+        delay (relative to target, capped), miss rate and saturation."""
         delay = min(
             sample.queue_delay_s / self.config.queue_delay_target_s,
             _PRESSURE_CAP,
         )
-        return max(
-            delay, sample.miss_rate, sample.saturation, sample.slo_burn
-        )
+        return max(delay, sample.miss_rate, sample.saturation)
 
     def observe(self, sample: PressureSample) -> int:
         """Feed one batch window's sample; returns the (possibly moved)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs.__main__ import main
 from repro.obs.export import build_trees, load_trace, render_tree, summarize
 
@@ -131,3 +133,10 @@ class TestCli:
         get_registry().counter("repro_cli_smoke_total", "smoke").inc()
         assert main(["metrics"]) == 0
         assert "repro_cli_smoke_total 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["flame", "top"])
+    def test_only_trace_and_metrics_commands_remain(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(tmp_path / "profile.collapsed")])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

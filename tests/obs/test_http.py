@@ -1,7 +1,6 @@
 """Embedded HTTP endpoint: spec parsing, routes, readiness, wiring."""
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -56,6 +55,25 @@ class TestEndpoints:
         assert status == 200
         assert "repro_http_test_total 3" in body
 
+    def test_metrics_serves_a_non_finite_gauge(self, server):
+        server.registry.gauge("repro_http_test_ceiling").set(float("inf"))
+        status, body = _get(server, "/metrics")
+        assert status == 200
+        assert "repro_http_test_ceiling +Inf" in body.splitlines()
+
+    def test_metrics_keeps_an_outside_label_value_on_one_line(self, server):
+        family = server.registry.counter(
+            "repro_http_tenant_total", labelnames=("tenant",)
+        )
+        family.labels(tenant="a\nb").inc()
+        status, body = _get(server, "/metrics")
+        assert status == 200
+        samples = [
+            line for line in body.splitlines()
+            if line.startswith("repro_http_tenant_total")
+        ]
+        assert samples == ['repro_http_tenant_total{tenant="a\\nb"} 1']
+
     def test_healthz_is_always_ok(self, server):
         assert _get(server, "/healthz") == (200, "ok\n")
 
@@ -81,45 +99,17 @@ class TestEndpoints:
     def test_slo_without_engine_serves_an_empty_default(self, server):
         status, body = _get(server, "/slo")
         assert status == 200
-        assert json.loads(body) == {
-            "objectives": [],
-            "max_state": "OK",
-            "pressure_hint": 0.0,
-        }
+        assert json.loads(body) == {"objectives": [], "max_state": "OK"}
 
     def test_debug_vars_is_the_registry_snapshot(self, server):
         status, body = _get(server, "/debug/vars")
         assert status == 200
         assert json.loads(body)["repro_http_test_total"] == 3
 
-    def test_debug_profile_404s_without_a_profiler(self, server, monkeypatch):
-        # The CI shard may run with an env-activated global profiler the
-        # endpoint would fall back to; hide it for the 404 case.
-        from repro.obs import profile as obs_profile
-
-        monkeypatch.setattr(obs_profile, "_ACTIVE", None)
-        assert _get(server, "/debug/profile")[0] == 404
-
-    def test_debug_profile_serves_the_active_stacks(self, server):
-        from repro.obs.profile import SamplingProfiler
-
-        profiler = SamplingProfiler(
-            interval_s=0.002, registry=MetricsRegistry()
+    def test_debug_profile_is_an_unknown_path(self, server):
+        assert _get(server, "/debug/profile") == (
+            404, "unknown path /debug/profile\n"
         )
-        server.profiler = profiler
-        try:
-            with profiler:
-                deadline = time.monotonic() + 5
-                while (
-                    profiler.sample_count() < 3
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-            status, body = _get(server, "/debug/profile")
-        finally:
-            server.profiler = None
-        assert status == 200
-        assert body.strip(), "no collapsed stacks served"
 
     def test_unknown_path_404s(self, server):
         assert _get(server, "/nope")[0] == 404

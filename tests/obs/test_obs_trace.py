@@ -1,6 +1,10 @@
 """Structured tracing: spans, context, the disabled fast path, JSONL."""
 
+import ast
 import json
+import pathlib
+import re
+import threading
 
 from repro.obs import trace as obs_trace
 from repro.obs.trace import NOOP_SPAN
@@ -42,6 +46,39 @@ class TestSpans:
         with obs_trace.span("two") as two:
             pass
         assert one.trace_id != two.trace_id
+
+    def test_each_thread_keeps_its_own_span_stack(self, traced_memory):
+        seen = {}
+
+        def work():
+            seen["ambient"] = obs_trace.current_span()
+            with obs_trace.span("worker") as worker:
+                seen["worker"] = worker
+
+        with obs_trace.span("outer") as outer:
+            thread = threading.Thread(target=work)
+            thread.start()
+            thread.join()
+            assert obs_trace.current_span() is outer
+        assert seen["ambient"] is None
+        assert seen["worker"].parent_id is None
+        assert seen["worker"].trace_id != outer.trace_id
+
+    def test_carry_parents_another_threads_spans_to_the_caller(self, traced_memory):
+        seen = {}
+
+        def work():
+            with obs_trace.span("shard") as shard:
+                seen["shard"] = shard
+            seen["after"] = obs_trace.current_span()
+
+        with obs_trace.span("launch") as launch:
+            thread = threading.Thread(target=obs_trace.carry(work))
+            thread.start()
+            thread.join()
+        assert seen["shard"].parent_id == launch.span_id
+        assert seen["shard"].trace_id == launch.trace_id
+        assert seen["after"] is launch
 
     def test_attrs_and_events_land_in_the_record(self, traced_memory):
         with obs_trace.span("op", kernel="k") as span:
@@ -185,3 +222,39 @@ class TestRotation:
             assert obs_trace._SINK._max_bytes == int(2.5 * 1024 * 1024)
         finally:
             self._restore(was_enabled)
+
+
+class TestSeamTable:
+    """docs/OBSERVABILITY.md's "Instrumented seams" table names every span
+    ``src/`` opens, and nothing else."""
+
+    ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+    def emitted(self):
+        names = set()
+        for path in (self.ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call) or not node.args:
+                    continue
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if called in ("span", "emit_span"):
+                    first = node.args[0]
+                    assert isinstance(first, ast.Constant), (
+                        f"{path.name}:{node.lineno}: a span name must be a literal"
+                    )
+                    names.add(first.value)
+        return names
+
+    def documented(self):
+        doc = (self.ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+        table = doc.split("Instrumented seams:", 1)[1].split("\n\n", 2)[1]
+        names = set()
+        for row in table.splitlines()[2:]:
+            names.update(re.findall(r"`([a-z_.]+)`", row.split("|")[1]))
+        return names
+
+    def test_the_table_lists_exactly_the_spans_src_emits(self):
+        emitted = self.emitted()
+        assert {"serve.launch", "engine.launch", "proc.shard"} <= emitted
+        assert self.documented() == emitted

@@ -145,6 +145,28 @@ class TestViews:
         ).inc()
         assert 'k="say \\"hi\\""' in render_prometheus(registry)
 
+    def test_prometheus_escapes_line_feeds_in_label_values(self):
+        # A tenant named by a caller must not split its sample in two.
+        registry = MetricsRegistry()
+        family = registry.counter("repro_x_total", labelnames=("tenant",))
+        family.labels(tenant="a\nb").inc()
+        family.labels(tenant="c\\n").inc()
+        text = render_prometheus(registry)
+        assert 'repro_x_total{tenant="a\\nb"} 1' in text
+        assert 'repro_x_total{tenant="c\\\\n"} 1' in text
+        samples = [line for line in text.splitlines() if not line.startswith("#")]
+        assert len(samples) == 2
+
+    def test_prometheus_writes_non_finite_values(self):
+        registry = MetricsRegistry()
+        registry.gauge("repro_up").set(float("inf"))
+        registry.gauge("repro_down").set(float("-inf"))
+        registry.gauge("repro_unknown").set(float("nan"))
+        lines = render_prometheus(registry).splitlines()
+        assert "repro_up +Inf" in lines
+        assert "repro_down -Inf" in lines
+        assert "repro_unknown NaN" in lines
+
 
 class TestSubsystemFamilies:
     """The rewired subsystems register into the global registry."""

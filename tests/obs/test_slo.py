@@ -246,18 +246,6 @@ class TestAlertFSM:
         assert engine.alerts() == {"miss": "OK"}
         assert now >= 10.0 + 120.0
 
-    def test_pressure_hint_tracks_the_worst_alert(self):
-        registry = MetricsRegistry()
-        engine, clock, bad, total = _miss_rate_engine(registry)
-        assert engine.pressure_hint() == 0.0
-        engine.evaluate(0.0)
-        total.inc(100)
-        bad.inc(50)
-        engine.evaluate(10.0)
-        assert engine.pressure_hint() == 0.5
-        engine.evaluate(20.0)
-        assert engine.pressure_hint() == 1.0
-
     def test_transitions_land_in_metrics(self):
         registry = MetricsRegistry()
         engine, clock, bad, total = _miss_rate_engine(registry)
@@ -320,7 +308,6 @@ class TestEngine:
         )
         state = engine.state()
         assert state["max_state"] == "OK"
-        assert state["pressure_hint"] == 0.0
         (objective,) = state["objectives"]
         assert objective["name"] == "l"
         assert objective["threshold_s"] == 0.25

@@ -269,10 +269,20 @@ class TestRemovedSurface:
         "repro.registry.__main__": ("_selfcheck", "_smoke", "_SMOKE_WRITER"),
         "repro.registry": ("Surrogate", "fit_surrogate"),
         "repro.obs.slo": ("run_drill",),
+        "repro.obs": (
+            "SamplingProfiler",
+            "active_profiler",
+            "load_collapsed",
+            "render_flame",
+            "render_top",
+        ),
+        "repro.obs.export": ("load_collapsed", "render_flame", "render_top"),
+        "repro.obs.trace": ("thread_stacks", "_THREAD_STACKS"),
     }
 
-    #: The six retired harness drivers; ``python -m repro.conformance``
-    #: replaced them and no alias remains.
+    #: The six retired harness CLIs (``python -m repro.conformance``
+    #: replaced them and no alias remains), the k-NN surrogate and the
+    #: sampling profiler.
     REMOVED_MODULES = (
         "repro.codegen.check",
         "repro.codegen.__main__",
@@ -281,6 +291,7 @@ class TestRemovedSurface:
         "repro.resilience.check",
         "repro.resilience.__main__",
         "repro.registry.surrogate",
+        "repro.obs.profile",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -297,6 +308,19 @@ class TestRemovedSurface:
         import importlib.util
 
         assert importlib.util.find_spec(module_name) is None
+
+    def test_no_profiler_route_or_slo_pressure_hint(self):
+        """The profiler's endpoint hook and the SLO hint brownout read."""
+        import dataclasses
+
+        from repro.obs.http import ObsHTTPServer
+        from repro.obs.slo import SLOEngine
+        from repro.serve.overload import PressureSample
+
+        assert not hasattr(ObsHTTPServer, "profile_stacks")
+        assert not hasattr(SLOEngine, "pressure_hint")
+        fields = {f.name for f in dataclasses.fields(PressureSample)}
+        assert fields == {"queue_delay_s", "miss_rate", "saturation"}
 
     def test_registry_has_no_knob_space_model(self):
         """Warm starts read stored points by name; nothing fits a model

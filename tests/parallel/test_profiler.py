@@ -54,9 +54,9 @@ class TestProfileCache:
         cache = ProfileCache(max_entries=2)
         cache.put(("a",), (1.0, 1.0))
         cache.put(("b",), (1.0, 2.0))
-        cache.put(("a",), (1.0, 3.0))  # overwrite, not insert
+        cache.put(("a",), (1.0, 3.0))  # held already: the first value stays
         assert len(cache) == 2
-        assert cache.get(("a",)) == (1.0, 3.0)
+        assert cache.get(("a",)) == (1.0, 1.0)
         assert cache.get(("b",)) == (1.0, 2.0)
 
     def test_clear_resets_everything(self):
@@ -71,6 +71,17 @@ class TestProfileCache:
             "evictions": 0,
             "max_entries": 4096,
         }
+
+    def test_repro_reset_leaves_a_session_cache_alone(self):
+        # Each session owns its cache; only registered stores are process
+        # state that ``repro.reset()`` empties.
+        import repro
+
+        cache = ProfileCache(max_entries=2)
+        cache.put(("k",), (1.0, 1.0))
+        repro.reset()
+        assert cache.get(("k",)) == (1.0, 1.0)
+        assert len(cache) == 1
 
 
 class TestProfileCacheConcurrentEviction:

@@ -142,15 +142,18 @@ def test_the_store_evicts_oldest_first_and_pins_what_its_keys_name():
 # ------------------------------------------------------------ static guard
 
 #: (file, function) pairs that keep an eviction of their own: the
-#: per-thread workspace arenas, which drop their views when full.
-_OWN_EVICTION = {("codegen/runtime.py", "_carve")}
+#: per-thread workspace arenas, which drop their views when full, and the
+#: address-plan key table, which forgets a key that holds no plan before
+#: one that holds a plan — a preference the store's oldest-out rule cannot
+#: express.
+_OWN_EVICTION = {("codegen/runtime.py", "_carve"), ("codegen/runtime.py", "_plan_miss")}
 
 
 def _hand_rolled_evictions(tree):
-    """``pop(next(iter(...)))`` anywhere, and ``.clear()`` under an
-    ``if``/``while`` that tests a ``len(...)`` against a bound, with the
-    name of the enclosing function."""
-    found = []
+    """``pop(next(iter(...)))`` anywhere, and ``.clear()``, ``.popitem(...)``
+    or ``next(iter(...))`` under an ``if``/``while`` that tests a
+    ``len(...)`` against a bound, with the name of the enclosing function."""
+    found = set()
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -159,21 +162,37 @@ def _hand_rolled_evictions(tree):
             arg = node.args[0] if node.args else None
             if (node.func.attr == "pop" and isinstance(arg, ast.Call)
                     and getattr(arg.func, "id", None) == "next"):
-                found.append((function, node.lineno))
+                found.add((function, node.lineno))
         if isinstance(node, (ast.If, ast.While)) and _tests_a_length(node.test):
             for stmt in node.body:
                 for call in ast.walk(stmt):
-                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                            and call.func.attr == "clear"):
-                        found.append((function, call.lineno))
+                    if _drops_an_entry(call):
+                        found.add((function, call.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
-    return found
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def _drops_an_entry(node):
+    """``x.clear()``, ``x.popitem(...)``, or ``next(iter(...))``: the oldest
+    key of an insertion-ordered map."""
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("clear", "popitem")
+    first = node.args[0] if node.args else None
+    return (
+        getattr(node.func, "id", None) == "next"
+        and isinstance(first, ast.Call)
+        and getattr(first.func, "id", None) == "iter"
+    )
 
 
 def _tests_a_length(test):
+    if isinstance(test, ast.BoolOp):  # ``k not in d and len(d) >= cap``
+        return any(_tests_a_length(value) for value in test.values)
     return isinstance(test, ast.Compare) and any(
         isinstance(side, ast.Call) and getattr(side.func, "id", None) == "len"
         for side in (test.left, *test.comparators)
@@ -198,5 +217,14 @@ def test_the_guard_finds_the_evictions_it_forbids():
         "    if len(d) >= cap:\n"
         "        d.clear()\n"
         "    d.pop(next(iter(d)))\n"
+        "    while len(d) > cap:\n"
+        "        d.popitem(last=False)\n"
+        "    if 'k' not in d and len(d) >= cap:\n"
+        "        if d:\n"
+        "            del d[next(iter(d))]\n"
+        "    if len(d) == 1:\n"
+        "        only = next(iter(d))\n"
     )
-    assert _hand_rolled_evictions(ast.parse(source)) == [("f", 3), ("f", 4)]
+    assert _hand_rolled_evictions(ast.parse(source)) == [
+        ("f", 3), ("f", 4), ("f", 6), ("f", 9)
+    ]
