@@ -23,14 +23,14 @@ class ApproxMeta:
     """Compile-time description of the approximation baked into a kernel.
 
     Every transform attaches one of these to the rewritten
-    :class:`~repro.kernel.ir.Function` (as the ``approx`` attribute) so
-    downstream layers can specialize on it without re-deriving anything
-    from the IR:
+    :class:`~repro.kernel.ir.Function` (as the ``approx`` attribute), and
+    the record keys the variant's identity, not its lowering:
 
-    * :mod:`repro.codegen` keys its cache and fingerprint on the
-      ``(transform, knobs)`` tuple and lowers loads from the lookup
-      tables named in ``tables`` as ``np.take`` gathers when it can prove
-      the index inside the recorded extent;
+    * :func:`repro.codegen.fingerprint_kernel` serializes the whole
+      record, so the compiled-kernel cache, ``variant_identity`` and the
+      registries' point identities tell two knob settings — and a tagged
+      and an untagged copy of one IR — apart; the emitter reads nothing
+      from it, so both copies lower to the same source;
     * :meth:`VariantSet.describe` and the serving metrics surface the
       per-variant lowering outcome.
 
@@ -43,8 +43,9 @@ class ApproxMeta:
         knobs: the knob values baked into the IR, as a sorted
             ``(name, value)`` tuple (hashable, fingerprint-friendly).
         tables: ``(table param name, entry count)`` per lookup table the
-            kernel gained; the lowering uses the entry count to prove
-            gather indices in-range.
+            kernel gained; part of the fingerprint, so a variant keeps the
+            identity its cache entries and registry points were stored
+            under.
     """
 
     transform: str

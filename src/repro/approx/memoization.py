@@ -329,6 +329,7 @@ def rewrite_kernel_with_table(
         f"{memo.func}.mode": mode,
         f"{memo.func}.space": space,
     }
+    # The tables' extents are part of the tag, so of the variant's identity.
     tables = {table_param: memo.entries}
     if prior is not None and prior.transform == "memo":
         knobs.update(dict(prior.knobs))

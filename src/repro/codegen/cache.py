@@ -119,8 +119,6 @@ def get_compiled(
     STATS.inc("compiles")
     STATS.inc("compile_seconds", time.perf_counter() - started)
     STATS.inc("source_bytes", len(source))
-    STATS.inc("folds", info["folded"] + info["reassociated"])
-    STATS.inc("table_gathers", info["table_gathers"])
     STATS.inc("cast_elisions", info["cast_elisions"])
     STATS.inc("planned_sites", info["planned_sites"])
     return _CACHE.put(key, compiled)

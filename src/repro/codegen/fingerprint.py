@@ -71,9 +71,9 @@ def _serialize_function(fn: ir.Function, out: List[str]) -> None:
     out.append(f"fn:{fn.name}:{fn.kind}")
     meta = getattr(fn, "approx", None)
     if meta is not None:
-        # The approx tag feeds the lowering (table extents for proven
-        # gathers), so two IR-identical kernels with different tags must
-        # not share compiled code.
+        # The tag keys identity, not the lowering: two IR-identical kernels
+        # with different tags lower alike, but keep the cache keys,
+        # variant identities and registry points they were stored under.
         out.append(f"approx:{meta.transform}:{meta.knobs!r}:{meta.tables!r}")
     if fn.return_type is not None:
         out.append(f"ret:{fn.return_type.dtype.name}")

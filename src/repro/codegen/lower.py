@@ -47,10 +47,9 @@ import numpy as np
 
 from ..errors import CodegenError
 from ..kernel import intrinsics, ir
-from ..kernel.visitors import walk, walk_statements
+from ..kernel.visitors import clone, walk, walk_statements
 from . import runtime as _runtime
 from .fingerprint import ir_walk, reachable_device_functions
-from .fold import compute_intervals, fold_function, interval_of
 
 #: Ceiling on generated source size; dual-path emission of deeply nested
 #: uniform conditionals could otherwise blow up exponentially.
@@ -264,9 +263,6 @@ class _Emitter:
         # What the specializations accomplished, for the lowering-outcome
         # detail string and the codegen stats.
         self.info: Dict[str, int] = {
-            "folded": 0,
-            "reassociated": 0,
-            "table_gathers": 0,
             "cast_elisions": 0,
             "planned_sites": 0,
             "slots": 0,
@@ -279,8 +275,6 @@ class _Emitter:
         self.param_names: Set[str] = set()
         self.shared: Dict[str, int] = {}  # name -> in-block size (shape[0])
         self.varying: Set[str] = set()
-        self.tables: Dict[str, int] = {}  # table param -> proven entry count
-        self.intervals: Dict[str, Tuple[float, float]] = {}
         self._static: Dict[str, str] = {}  # var -> proven runtime np dtype name
         # address-plan state of the function being emitted
         self._scalars: Set[str] = set()  # scalar params never assigned
@@ -1170,28 +1164,20 @@ class _Emitter:
     # ------------------------------------------------------------- functions
 
     def emit_function(self, fn: ir.Function) -> str:
-        # Exact-semantics constant folding; the knob values the approximation
-        # transforms bake into the IR are the literals it mostly finds.
-        fn, fstats = fold_function(fn)
-        self.info["folded"] += fstats.folded
-        self.info["reassociated"] += fstats.reassociated
-        meta = getattr(fn, "approx", None)
+        # Lowered on a private copy: the per-position facts below are keyed
+        # by ``id()``, and in the copy every position is a node of its own,
+        # even where the caller's tree shares one between two positions.
+        fn = clone(fn)
         is_kernel = self.is_kernel = fn.kind == "kernel"
         self.fname = fn.name
         self.param_names = {p.name for p in fn.params}
         self._array = set()
         arrays: Set[str] = set()
         if is_kernel:
-            # Only transformed kernels carry lookup tables with a proven
-            # extent; an exact kernel has none to gather from.
-            self.tables = dict(meta.tables) if meta is not None else {}
-            self.intervals = compute_intervals(fn)
             seeds = {p.name: p.type.dtype.np_dtype for p in fn.params if not p.is_array}
         else:
             # A device function's parameters are what every call site
             # passes: the dtypes they all prove, arrays where they all do.
-            self.tables = {}
-            self.intervals = {}
             sites = self._site_facts.get(fn.name, [])
             seeds = {}
             for i, p in enumerate(fn.params):
@@ -1858,14 +1844,6 @@ class _Emitter:
             nsb = ", _G.nsb"
         else:
             call = f"rt.load_global({buf}, {idx}, {tail}"
-            entries = self.tables.get(expr.array.name)
-            if entries is not None:
-                lo, hi = interval_of(expr.index, self.intervals)
-                if lo >= 0 and hi <= entries - 1:
-                    # Lookup-table gather with a compile-time in-range
-                    # proof: no clamp, no live-lane bounds scan.
-                    self.info["table_gathers"] += 1
-                    call = f"rt.load_table({buf}, {idx}, {entries}, {tail}"
 
         def source(out):
             if key is None:
@@ -1986,9 +1964,8 @@ def lower_kernel(
     Returns ``(source, exec_globals, entry_name, info)``; the caller
     compiles the source with these globals and fetches ``entry_name`` from
     the namespace.  ``info`` counts what the specializations accomplished
-    (``folded``/``reassociated``/``table_gathers``/``cast_elisions``/
-    ``planned_sites``, and the workspace's ``slots``/``merges_elided``/
-    ``reused_exprs``).
+    (``cast_elisions``/``planned_sites``, and the workspace's
+    ``slots``/``merges_elided``/``reused_exprs``).
     """
     if fn.kind != "kernel":
         raise CodegenError(f"{fn.name} is a device function, not a kernel")

@@ -190,8 +190,6 @@ _FIELDS = {
     "compile_seconds": "wall time spent lowering and compiling",
     "source_bytes": "bytes of generated source",
     "fallbacks": "auto-mode launches that fell back to the interpreter",
-    "folds": "constant subexpressions folded or reassociated at lowering",
-    "table_gathers": "lookup-table loads lowered as proven-in-range gathers",
     "cast_elisions": "identity result casts elided at lowering",
     "planned_sites": "launch-invariant sites the lowering handed to address plans",
     "plan_builds": "address plans started (second launch of a key, or a retry)",
@@ -835,27 +833,6 @@ def load_global(
     value = _take(buf, flat_idx, out)
     if not plan.dead:
         _offer_site(plan, key, _gather_site(plan, key, flat_idx, buf.size, 0, 0))
-    return value
-
-
-def load_table(
-    buf, idx, entries, live, bc: bool, fname: str, aname: str, plan=NO_PLAN, key=None,
-    out=None,
-):
-    """Gather from a lookup table whose index the lowering *proved* to
-    lie in ``[0, entries - 1]`` (interval analysis over the memoization
-    rewrite's clamp/pack idioms).  Where :func:`resolve_index` tests the
-    range at run time, here it is a compile-time fact — ``take`` is a
-    straight gather.
-
-    The proof is about the IR; the buffer is a runtime argument, so a
-    caller binding a table smaller than the proof assumed falls back to
-    the exact interpreter path (clamp + optional bounds check)."""
-    if buf.size < entries:
-        return load_global(buf, idx, live, bc, fname, aname, plan, key, out)
-    value = _take(buf, idx, out)
-    if not plan.dead:
-        _offer_site(plan, key, _gather_site(plan, key, idx, buf.size, 0, 0))
     return value
 
 

@@ -8,9 +8,11 @@ the layers a user debugging a mis-detected kernel needs to see:
   patterns, Eq.-1 cost estimates, and the approximate variants Paraprox
   would generate with their knob settings; ``--lowered`` adds the NumPy
   source the codegen backend generates for the exact kernel and for each
-  variant, with its lowering detail string; ``--shards`` adds, for each
-  kernel the exact program and the variants launch, its shardability
-  verdict and the mode a sharded launch of it takes on each lane,
+  variant (for a multi-kernel program, for each kernel the exact program
+  and the variants launch), with its lowering detail string; ``--shards``
+  adds, for each kernel the exact program and the variants launch, its
+  shardability verdict and the mode a sharded launch of it takes on each
+  lane,
 * ``tune <app>`` — run the full pipeline and print the tuning frontier.
 """
 
@@ -94,6 +96,9 @@ def cmd_inspect(args) -> int:
         print(f"  patterns (Table 1): {'+'.join(app.info.patterns)}")
         variant_set = Paraprox(target_quality=args.toq).compile(app)
         print(f"  variants: {variant_set.names()}")
+        if args.lowered:
+            for name, event in launched_kernels(app, variant_set).items():
+                _print_lowered(name, event.fn, event.module)
         if args.shards:
             _print_shards(app, variant_set)
         return 0
@@ -177,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lowered",
         action="store_true",
         help="print the generated NumPy source and lowering detail of the exact "
-        "kernel and of each variant",
+        "kernel and of each variant (of each launched kernel for a multi-kernel "
+        "program)",
     )
     inspect_p.add_argument(
         "--shards",

@@ -361,27 +361,6 @@ def test_bounds_check_off_still_clamps():
         assert not isinstance(want, str) and compare(want, got) is None
 
 
-def test_a_table_smaller_than_its_proof_still_falls_back():
-    """``load_table`` trusts a compile-time range proof only while the bound
-    buffer is as large as the proof assumed; planned or not."""
-    buf = np.arange(8, dtype=np.float32)
-    idx = np.array([0, 3, 9, 12], np.int32)
-    live = np.array([True, True, False, False])
-    tail = (live, True, "kern", "table")
-    plans = rt.geometry(Grid(1, 4)).plans
-    for key in range(2):  # first key: unplanned launch; then build, then hit
-        for _ in range(3):
-            plan, lookup, _building = rt.plan(rt.geometry(Grid(1, 4)), ("table-test", key))
-            site = lookup(0)
-            got = site.run(buf) if site is not None else rt.load_table(
-                buf, idx, 16, *tail, plan, 0
-            )
-            assert got.tolist() == [0.0, 3.0, 7.0, 7.0]  # clamped, not gathered past the end
-    assert sum(e.plan is not None for e in plans.values()) == 2
-    with pytest.raises(ExecutionError, match="out of range"):
-        rt.load_table(buf, idx, 16, None, True, "kern", "table")
-
-
 # -------------------------------------------------- what a plan holds, and how
 
 

@@ -1,5 +1,8 @@
 """Compile cache, fingerprints and the stats counters."""
 
+import pathlib
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.codegen import (
     stats_snapshot,
 )
 from repro.codegen.cache import STATS
+from repro.codegen.runtime import _FIELDS
 from repro.engine import Grid, launch
 
 
@@ -121,8 +125,7 @@ class TestLowering:
         source, exec_globals, entry, info = lower_kernel(fn, mod)
         assert entry == f"_kernel_{fn.name}"
         assert set(info) == {
-            "folded", "reassociated", "table_gathers", "cast_elisions", "planned_sites",
-            "slots", "merges_elided", "reused_exprs",
+            "cast_elisions", "planned_sites", "slots", "merges_elided", "reused_exprs",
         }
         compile(source, "<test>", "exec")  # must be valid Python
         assert "np.errstate" in source
@@ -137,3 +140,24 @@ class TestLowering:
             "fallbacks",
         }
         assert STATS.snapshot() == stats_snapshot()
+
+
+class TestFamilyTable:
+    """docs/OBSERVABILITY.md has one row for each ``repro_codegen_*``
+    family the counter group registers, and no row for any other."""
+
+    def documented(self):
+        doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+        names = set()
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            if line.startswith("| `repro_codegen_"):
+                names.update(re.findall(r"`(repro_codegen_[a-z_]+)`", line.split("|")[1]))
+        return names
+
+    def test_every_codegen_family_has_a_row(self):
+        missing = {"repro_codegen_" + k for k in _FIELDS} - self.documented()
+        assert not missing
+
+    def test_every_codegen_row_names_a_family(self):
+        stale = self.documented() - {"repro_codegen_" + k for k in _FIELDS}
+        assert not stale

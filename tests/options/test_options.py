@@ -261,6 +261,7 @@ class TestRemovedSurface:
         ),
         "repro.codegen.lower": ("lower_kernel_ex",),
         "repro.codegen.cache": ("_lowering_mode",),
+        "repro.codegen.runtime": ("load_table",),
         "repro.obs.http": ("server_from_env",),
         "repro.registry.store": ("_env_float", "_env_int"),
         "repro._options": ("deprecated",),
@@ -281,8 +282,8 @@ class TestRemovedSurface:
     }
 
     #: The six retired harness CLIs (``python -m repro.conformance``
-    #: replaced them and no alias remains), the k-NN surrogate and the
-    #: sampling profiler.
+    #: replaced them and no alias remains), the k-NN surrogate, the
+    #: sampling profiler and the lowering's constant-folding pass.
     REMOVED_MODULES = (
         "repro.codegen.check",
         "repro.codegen.__main__",
@@ -292,6 +293,7 @@ class TestRemovedSurface:
         "repro.resilience.__main__",
         "repro.registry.surrogate",
         "repro.obs.profile",
+        "repro.codegen.fold",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))

@@ -51,6 +51,13 @@ class TestInspectCommand:
         assert "multi-kernel program" in out
         assert "scan" in out
 
+    def test_inspect_lowered_prints_each_kernel_a_program_launches(self, capsys):
+        assert main(["inspect", "cumhist", "--scale", "0.01", "--lowered"]) == 0
+        out = capsys.readouterr().out
+        for name in ("scan_phase1", "scan_phase2", "scan_phase3", "scan_tail_predict"):
+            assert f"=== lowered: {name} -> codegen (" in out
+            assert f"def _kernel_{name}(_G, " in out
+
     def test_inspect_shards_prints_each_launched_kernels_lanes(self, capsys):
         assert main(["inspect", "cumhist", "--shards"]) == 0
         rows = {
