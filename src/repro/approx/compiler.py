@@ -51,10 +51,6 @@ class ParaproxConfig:
     memo_spaces: tuple = ("global",)
     memo_extra_tables: int = 2
     memo_start_bits: Optional[int] = None
-    #: extension beyond the paper (its §5 future work): when a kernel's
-    #: heavy math is inline rather than factored into a device function,
-    #: outline its best pure slice so memoization can apply.
-    enable_section_outlining: bool = False
     #: extension beyond the paper (its §5 safety discussion): guard every
     #: division in generated approximate kernels so an approximated zero
     #: divisor skips the calculation instead of faulting.
@@ -113,17 +109,24 @@ class ParaproxConfig:
                 f"unknown memo table space {sp!r}; known: {TABLE_SPACES}",
             )
         check(
-            isinstance(self.memo_extra_tables, int) and self.memo_extra_tables >= 0,
+            isinstance(self.memo_extra_tables, int)
+            and not isinstance(self.memo_extra_tables, bool)
+            and self.memo_extra_tables >= 0,
             f"memo_extra_tables must be a non-negative integer, "
             f"got {self.memo_extra_tables!r}",
         )
         if self.memo_start_bits is not None:
             check(
                 isinstance(self.memo_start_bits, int)
+                and not isinstance(self.memo_start_bits, bool)
                 and 1 <= self.memo_start_bits <= 24,
                 f"memo_start_bits must be in [1, 24] or None, "
                 f"got {self.memo_start_bits!r}",
             )
+        check(
+            isinstance(self.guard_divisions, bool),
+            f"guard_divisions must be a bool, got {self.guard_divisions!r}",
+        )
 
     # -- serialization (the session cache key hashes ``to_dict()``) ----------
 
@@ -218,23 +221,13 @@ class Paraprox:
         spec = spec_for(device or self.device)
         detector = PatternDetector(latency_table=spec.latencies)
         kernel_name = app.kernel.fn.name
-        module = app.kernel.module
         matches = detector.detect(app.kernel).for_kernel(kernel_name)
         cfg = self.config
-        if cfg.enable_section_outlining and not any(
-            isinstance(m, MapMatch) for m in matches
-        ):
-            from .outline import outline_best_slice
-
-            outlined = outline_best_slice(module, kernel_name, spec.latencies)
-            if outlined is not None:
-                module, _section = outlined
-                matches = detector.detect_kernel(module[kernel_name], module)
         variants: List[object] = []
         skipped: List[str] = []
         for match in matches:
             try:
-                self._apply_match(app, match, kernel_name, cfg, variants, module)
+                self._apply_match(app, match, kernel_name, cfg, variants)
             except TransformError as exc:
                 # A pattern that matched but cannot be rewritten (e.g. a
                 # partition tile too large to unroll) is skipped, exactly as
@@ -257,8 +250,8 @@ class Paraprox:
             skipped=skipped,
         )
 
-    def _apply_match(self, app, match, kernel_name, cfg, variants, module=None) -> None:
-        module = module if module is not None else app.kernel.module
+    def _apply_match(self, app, match, kernel_name, cfg, variants) -> None:
+        module = app.kernel.module
         if isinstance(match, MapMatch):
             inputs = app.generate_inputs(seed=app.seed + 77)
             _kernel, grid, args = app.training_launch(inputs)

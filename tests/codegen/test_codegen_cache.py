@@ -1,5 +1,6 @@
 """Compile cache, fingerprints and the stats counters."""
 
+import functools
 import pathlib
 import re
 
@@ -19,6 +20,8 @@ from repro.codegen import (
 from repro.codegen.cache import STATS
 from repro.codegen.runtime import _FIELDS
 from repro.engine import Grid, launch
+from repro.parallel import procpool, shard
+from repro.resilience import guard
 
 
 @pytest.fixture(autouse=True)
@@ -142,22 +145,41 @@ class TestLowering:
         assert STATS.snapshot() == stats_snapshot()
 
 
+#: The four module-level counter groups, by registry prefix.
+_GROUPS = {
+    "codegen": _FIELDS,
+    "shard": shard._FIELDS,
+    "procpool": procpool._FIELDS,
+    "guard": guard._FIELDS,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _documented():
+    """Every ``repro_*`` family named in the first cell of a
+    docs/OBSERVABILITY.md table row (a row may name two)."""
+    doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+    names = set()
+    for line in doc.read_text(encoding="utf-8").splitlines():
+        if line.startswith("| `repro_"):
+            names.update(re.findall(r"`(repro_[a-z_]+)`", line.split("|")[1]))
+    return frozenset(names)
+
+
 class TestFamilyTable:
-    """docs/OBSERVABILITY.md has one row for each ``repro_codegen_*``
-    family the counter group registers, and no row for any other."""
+    """docs/OBSERVABILITY.md has one row for each family the four
+    module-level counter groups register, and no row for any other."""
 
-    def documented(self):
-        doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
-        names = set()
-        for line in doc.read_text(encoding="utf-8").splitlines():
-            if line.startswith("| `repro_codegen_"):
-                names.update(re.findall(r"`(repro_codegen_[a-z_]+)`", line.split("|")[1]))
-        return names
+    @pytest.mark.parametrize(
+        "family",
+        [f"repro_{group}_{k}" for group, fields in _GROUPS.items() for k in fields],
+    )
+    def test_every_family_has_a_row(self, family):
+        assert family in _documented()
 
-    def test_every_codegen_family_has_a_row(self):
-        missing = {"repro_codegen_" + k for k in _FIELDS} - self.documented()
-        assert not missing
-
-    def test_every_codegen_row_names_a_family(self):
-        stale = self.documented() - {"repro_codegen_" + k for k in _FIELDS}
+    @pytest.mark.parametrize("group", sorted(_GROUPS))
+    def test_every_row_names_a_family(self, group):
+        prefix = f"repro_{group}_"
+        rows = {name for name in _documented() if name.startswith(prefix)}
+        stale = rows - {prefix + k for k in _GROUPS[group]}
         assert not stale

@@ -6,8 +6,11 @@ these tests pin the precedence chain and prove the spellings it replaced
 longer exist anywhere on the public surface.
 """
 
+import ast
+import functools
 import inspect
 import os
+import pathlib
 import threading
 
 import numpy as np
@@ -185,7 +188,6 @@ class TestCompileKnobs:
 
     def test_every_config_field_is_read_by_the_compiler(self):
         import dataclasses
-        import pathlib
         import re
 
         from repro import ParaproxConfig
@@ -207,7 +209,6 @@ class TestCompileKnobs:
             "memo_spaces",
             "memo_extra_tables",
             "memo_start_bits",
-            "enable_section_outlining",
             "guard_divisions",
         ]
         unread = [
@@ -220,7 +221,6 @@ class TestEnvironmentKnobs:
     """docs/API.md lists every ``REPRO_*`` variable ``src/`` reads."""
 
     def test_the_documented_table_is_what_the_source_reads(self):
-        import pathlib
         import re
 
         root = pathlib.Path(__file__).resolve().parents[2]
@@ -233,6 +233,31 @@ class TestEnvironmentKnobs:
         api = (root / "docs" / "API.md").read_text(encoding="utf-8")
         documented = set(re.findall(r"^\| `(REPRO_[A-Z0-9_]+)` \|", api, re.M))
         assert read == documented
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped_imports():
+    """``(path, names)`` for every ``.py`` file under ``src/``, ``bench/``,
+    ``benchmarks/`` and ``examples/``: each module name one of its
+    import statements, at any depth, can bind, relative ones resolved
+    against the file's package."""
+    root = pathlib.Path(__file__).resolve().parents[2]
+    out = []
+    for top in ("src", "bench", "benchmarks", "examples"):
+        base = root / "src" if top == "src" else root
+        for path in sorted((root / top).rglob("*.py")):
+            package = path.relative_to(base).parent.parts
+            names = set()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    parts = package[: len(package) - node.level + 1] if node.level else ()
+                    module = ".".join((*parts, node.module) if node.module else parts)
+                    names.add(module)
+                    names.update(f"{module}.{alias.name}" for alias in node.names)
+            out.append((path.relative_to(root), frozenset(names)))
+    return tuple(out)
 
 
 class TestRemovedSurface:
@@ -283,7 +308,8 @@ class TestRemovedSurface:
 
     #: The six retired harness CLIs (``python -m repro.conformance``
     #: replaced them and no alias remains), the k-NN surrogate, the
-    #: sampling profiler and the lowering's constant-folding pass.
+    #: sampling profiler, the lowering's constant-folding pass, the
+    #: fluent IR builder and pure-section outlining.
     REMOVED_MODULES = (
         "repro.codegen.check",
         "repro.codegen.__main__",
@@ -294,6 +320,8 @@ class TestRemovedSurface:
         "repro.registry.surrogate",
         "repro.obs.profile",
         "repro.codegen.fold",
+        "repro.kernel.builder",
+        "repro.approx.outline",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -310,6 +338,20 @@ class TestRemovedSurface:
         import importlib.util
 
         assert importlib.util.find_spec(module_name) is None
+
+    @pytest.mark.parametrize("module_name", REMOVED_MODULES)
+    def test_no_source_imports_a_removed_module(self, module_name):
+        """``find_spec`` cannot see an import inside a function body,
+        which only fails once its branch runs; every import statement
+        in the shipped code, resolved to absolute names, can."""
+        offenders = [
+            str(path) for path, names in _shipped_imports() if module_name in names
+        ]
+        assert not offenders, f"{module_name} is imported by {offenders}"
+
+    def test_config_refuses_the_outlining_key(self):
+        with pytest.raises(ConfigError, match="enable_section_outlining"):
+            repro.ParaproxConfig.from_dict({"enable_section_outlining": False})
 
     def test_no_profiler_route_or_slo_pressure_hint(self):
         """The profiler's endpoint hook and the SLO hint brownout read."""

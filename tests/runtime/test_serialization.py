@@ -54,6 +54,10 @@ class TestConfigRoundTrip:
             {"memo_spaces": ("texture",)},
             {"memo_extra_tables": -1},
             {"memo_start_bits": 0},
+            {"memo_extra_tables": True},
+            {"memo_start_bits": True},
+            # Truthy: a "false" read from a file would switch guards on.
+            {"guard_divisions": "false"},
         ],
     )
     def test_bad_knobs_raise_at_construction(self, bad):
