@@ -241,7 +241,9 @@ class Paraprox:
 
             for variant in variants:
                 if isinstance(variant, ApproxKernel):
-                    variant.module, guards = guard_divisions(variant.module)
+                    variant.module, guards = guard_divisions(
+                        variant.module, variant.kernel
+                    )
                     variant.knobs["division_guards"] = guards
         return VariantSet(
             kernel=kernel_name,

@@ -9,7 +9,8 @@ divisor is zero" — and leaves it as future work; this module implements
 it.
 
 :func:`guard_divisions` rewrites every division/modulo whose divisor is
-not a provably non-zero constant into a guarded select::
+not a provably non-zero constant, in a kernel and the device functions it
+calls, into a guarded select::
 
     a / b        ->        (b != 0) ? a / b : fallback
 
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
+from ..codegen.fingerprint import reachable_device_functions
 from ..kernel import ir
 from ..kernel.frontend import KernelFn
 from ..kernel.visitors import Transformer, clone_module
@@ -115,16 +117,22 @@ def guard_divisions(
     target: Union[KernelFn, ir.Module], kernel_name: str = None
 ) -> Tuple[ir.Module, int]:
     """Return (new module, number of guards inserted) with every unsafe
-    division in every function of the module guarded."""
+    division guarded in ``kernel_name`` and the device functions it
+    reaches.  ``kernel_name`` defaults to a :class:`KernelFn`'s own name
+    and is required with a bare module: guards in functions the kernel
+    never calls would never run."""
+    if kernel_name is None and not isinstance(target, KernelFn):
+        raise TypeError("guard_divisions of a module needs its kernel_name")
     module = target.module if isinstance(target, KernelFn) else target
     new_module = clone_module(module)
+    kernel = new_module[kernel_name or target.name]
     pass_ = _GuardDivisions()
-    for name, fn in list(new_module.functions.items()):
+    for fn in [kernel] + reachable_device_functions(kernel, new_module):
         rebuilt = pass_.transform_function(fn)
         # Guarding preserves the approximation semantics, so the approx
         # tag survives this pass (transform_function drops it).
         meta = getattr(fn, "approx", None)
         if meta is not None:
             rebuilt.approx = meta
-        new_module.functions[name] = rebuilt
+        new_module.functions[fn.name] = rebuilt
     return new_module, pass_.guarded

@@ -69,9 +69,9 @@ from .serve.cache import CacheEntry, VariantCache
 CONTRACTS = ("exact", "variant", "contained", "floor", "warm_start")
 
 #: Guard knobs of the fault cells: a tight deadline so injected hangs
-#: reliably overrun it, and fast retries.  Fault-free guarded cells run
-#: under the default ``GuardPolicy()`` every session serves with.
-CHAOS_POLICY = GuardPolicy(retries=1, backoff_seconds=0.001, deadline_seconds=0.15)
+#: reliably overrun it.  Fault-free guarded cells run under the default
+#: ``GuardPolicy()`` every session serves with.
+CHAOS_POLICY = GuardPolicy(deadline_seconds=0.15)
 
 #: Injected hang length — comfortably past the chaos deadline.
 HANG_SECONDS = 0.4

@@ -94,10 +94,10 @@ class InjectedFault(ResilienceError):
 
 
 class WorkerDeath(InjectedFault):
-    """An injected shard-worker death: the guard must treat the worker
-    (and its pool) as lost, replace it, and re-run the shard."""
+    """An injected shard-worker death: a transport fault, so the launch
+    re-executes serially (a process worker sent one really exits)."""
 
 
 class ShardTimeout(ResilienceError):
-    """A guarded sharded launch overran its wall-clock deadline; the
-    guard abandons the pool and re-executes the launch serially."""
+    """A sharded launch overran its wall-clock deadline; the pool is
+    abandoned and the launch re-executes serially."""

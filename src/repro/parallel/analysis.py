@@ -14,9 +14,10 @@ the cross-*block* coupling the hardware model forbids too:
 * **Impure builtins** (``printf``, ``clock``): their side effects are
   ordered by the serial lockstep schedule that sharding destroys.
 * **Cross-block data flow through global memory**: a kernel that loads
-  an array it stores does not shard.  Its stores may be private, but a
-  shard that runs twice over one copy — a retry, a task re-submitted
-  after its worker died — would apply them twice.
+  an array it stores does not shard.  Its stores may be private, but no
+  load is proved to read only what its own block stores, so one shard
+  could read what another writes, in an order the serial schedule does
+  not have.
 * **Stores not proved private** (below): shards write one copy of each
   written array in place, so two blocks storing one element would race.
 * **Block-dependent control coupling**: loop bounds must be uniform
@@ -46,8 +47,8 @@ less than the stride:
   that constant.
 
 So a shardable kernel's shards all write one copy of the written arrays
-in place, on either executor, retried or not (:mod:`repro.parallel.shard`
-says which copy): the answer follows from the privacy proof alone.
+in place, on either executor (:mod:`repro.parallel.shard` says which
+copy): the answer follows from the privacy proof alone.
 """
 
 from __future__ import annotations

@@ -210,7 +210,7 @@ class PoolStats:
         ).labels(**label)
         self._restarts = registry.counter(
             "repro_pool_workers_restarted_total",
-            "pool replacements after worker death or timeout",
+            "pool replacements after all workers died or a deadline expired",
             labelnames=("pool",),
         ).labels(**label)
 
@@ -299,10 +299,10 @@ def get_pool(kind: str, workers: int) -> ThreadPoolExecutor:
 def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:
     """Force-replace the ``kind`` pool with a fresh one.
 
-    Used by the guarded launch path after a worker death or deadline
-    expiry: the old executor stays usable by any caller already holding
-    it (hung workers finish against private buffers and exit once it is
-    collected) and the restart is counted.
+    Used by the guarded launch path after a deadline expired: the old
+    executor stays usable by any caller already holding it (hung workers
+    finish against private buffers and exit once it is collected) and the
+    restart is counted.
     """
     workers = resolve_workers(workers)
     with _POOL_LOCK:
@@ -310,13 +310,18 @@ def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:
         return _fresh_pool_locked(kind, max(workers, _POOL_SIZES.get(kind, 0)))
 
 
-def parallel_map(kind: str, workers: int, fn: Callable, items: Sequence) -> List:
+def parallel_map(
+    kind: str, workers: int, fn: Callable, items: Sequence, timeout=None
+) -> List:
     """``[fn(item) for item in items]`` over the ``kind`` pool.
 
     Results come back in item order regardless of completion order — the
     deterministic-assembly property every caller relies on.  The first
     exception in item order propagates, as in the serial loop.  With one
-    worker (or one item) the pool is bypassed entirely.
+    worker (or one item) the pool is bypassed entirely.  ``timeout``
+    bounds the wait for every result, in seconds from the call; on expiry
+    the tasks not yet started are cancelled and
+    :class:`concurrent.futures.TimeoutError` is raised.
     """
     items = list(items)
     workers = resolve_workers(workers)
@@ -327,7 +332,7 @@ def parallel_map(kind: str, workers: int, fn: Callable, items: Sequence) -> List
     stats.record(len(items), workers)
     # Spans started inside the tasks must parent to the submitting
     # thread's ambient span (no-op wrap while tracing is disabled).
-    return list(pool.map(obs_trace.carry(fn), items))
+    return list(pool.map(obs_trace.carry(fn), items, timeout=timeout))
 
 
 def pool_stats(kind: str) -> PoolStats:

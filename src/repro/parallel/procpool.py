@@ -36,7 +36,7 @@ Execution protocol, per sharded launch:
    kernel in a table of its own, so the unpickle, the fingerprint and the
    compile are paid once per (worker process, kernel).  The parent's
    record of what a worker was sent starts empty with every (re)spawn,
-   so a task re-submitted after its worker died carries the IR again.
+   so the first task a respawned worker is sent carries the IR again.
 3. The caller runs its shard on its own views of the segments while the
    workers run theirs; then it waits on each outstanding worker's pipe
    and process sentinel at once, so a reply and a death are both seen
@@ -46,38 +46,31 @@ Execution protocol, per sharded launch:
    one shard body, :func:`repro.parallel.shard.run_shard`, which writes
    the shared output segments in place (the analysis only lets private
    stores into arrays the kernel never loads shard); the parent copies
-   each written segment back to the caller's buffer once.  A task
-   re-submitted after its worker died runs over what the dead worker
-   already stored, and stores the same bytes.
+   each written segment back to the caller's buffer once.
 
    Shard views (:meth:`repro.codegen.runtime.Geometry.shard`) are cached
    per process, so the second launch of a span builds the span's address
    plan and later ones read it — the caller's in the parent, the others'
    in the workers.
 
-Containment mirrors the guarded thread lane and is *always on* here,
-because a worker process can genuinely die: the caller's buffers are
-never touched before every shard has succeeded, a worker that exits
-without reporting — or whose pipe breaks under a send — is respawned
-with a fresh pipe and its task re-submitted (a bounded number of times),
-and a wall-clock deadline, which the caller's own shard counts against,
-terminates hung workers — before the launch returns its segments to the
-free list, so no process still running an abandoned task can write into
-a later launch's staging.  Every unrecoverable outcome is raised
-(:class:`~repro.errors.ShardTimeout`, :class:`WorkerLost`, an injected
-fault) for ``run_sharded``'s bit-exact serial re-execution in the parent.
-Kernel-raised exceptions (e.g. bounds checks) are not faults to absorb:
-the error from the lowest failing shard propagates, matching the serial
-order of discovery — the caller's shard is the lowest, and a worker
-names the shard that raised.
+Containment is *always on* here, because a worker process can genuinely
+die: the caller's buffers are untouched until every shard has succeeded,
+and a task is sent at most once per launch.  A worker that dies (or whose
+pipe breaks under a send) raises :class:`WorkerLost`, a task with no
+reply by the deadline — which the caller's own shard counts against —
+:class:`~repro.errors.ShardTimeout`; the workers still holding a task are
+respawned before the launch gives its segments back, and ``run_sharded``
+re-executes serially in the parent, bit-exact.  Kernel-raised exceptions
+(e.g. bounds checks) propagate from the lowest failing shard — the
+caller's shard is the lowest, and a worker names the shard that raised.
 
 Faults come from the active :class:`~repro.resilience.faults.FaultPlan`,
 as on the thread lane.  The parent polls ``shard.worker`` once per shard,
 context ``"<kernel>:<b0>-<b1>"``: the caller's shard first, which acts
-out what fired in-process, then a worker task's shards each time the
-task is sent, so a re-send after a death draws again.  What fired rides
-in the task: a forked worker holds no plan, and exits hard (``dead``),
-sleeps (``hang``) or fails the shard (``exception``) on cue.
+out what fired in-process, then a worker task's shards when the task is
+sent.  What fired rides in the task: a forked worker holds no plan, and
+exits hard (``dead``), sleeps (``hang``) or fails the shard
+(``exception``) on cue.
 """
 
 from __future__ import annotations
@@ -108,10 +101,6 @@ from ..resilience.faults import SITE_WORKER, FaultSpec, active_plan, fire
 #: scope; a :class:`~repro.resilience.GuardPolicy` overrides it.
 DEFAULT_DEADLINE_SECONDS = 120.0
 
-#: Times one task is re-submitted after its worker died mid-run before
-#: the launch gives up on the pool and re-executes serially.
-MAX_RESPAWNS_PER_TASK = 2
-
 #: Smallest segment size class (a page); classes double from here.
 _SEGMENT_MIN_BYTES = 1 << 12
 #: Bytes of idle segments the parent's free list keeps, and bytes of
@@ -128,7 +117,7 @@ _START_METHOD = (
 
 
 class WorkerLost(ResilienceError):
-    """A worker process died mid-task more times than the respawn budget.
+    """A worker process died mid-task, or its pipe broke under a send.
 
     An infrastructure failure, not a kernel error: the launch falls back
     to bit-exact serial re-execution in the parent.
@@ -148,13 +137,14 @@ _FIELDS = {
     "diff": "always 0 (shards write in place or the launch runs serial); kept "
     "while bench/layers.py reads it, ROADMAP item 4",
     "workers_spawned": "worker processes started",
-    "workers_replaced": "workers respawned after dying mid-task",
+    "workers_replaced": "workers respawned: found dead between launches, or "
+    "still holding a task of a launch that failed",
     "deadline_timeouts": "launches that overran their deadline",
     "serial_reexecutions": "launches recomputed serially after containment",
     "shm_bytes": "bytes staged into shared-memory segments",
     "segments_reused": "staged arrays that took a segment from the free list",
     "kernels_sent": "task messages that carried a kernel's IR (first use by a "
-    "worker process, or a re-submission)",
+    "worker process; a respawned process counts anew)",
 }
 
 
@@ -337,23 +327,27 @@ class _Worker:
     def submit(self, payload: dict, ir: tuple) -> None:
         """Send one task; ``ir`` (``(fn, module)``) goes with it only if
         this process has not been sent the payload's kernel yet.  Raises
-        :class:`BrokenPipeError` (or another :class:`OSError`) if the
-        worker is gone."""
+        :class:`WorkerLost` if the worker is gone."""
         key = payload["kernel"]
-        if key in self.sent:
-            self.conn.send(payload)
-            return
-        self.conn.send(dict(payload, ir=ir))
+        try:
+            if key in self.sent:
+                self.conn.send(payload)
+                return
+            self.conn.send(dict(payload, ir=ir))
+        except OSError as exc:  # a dead pipe is a dead worker
+            raise WorkerLost(
+                f"process shard worker {self.worker_id} is gone: {exc}"
+            ) from None
         self.sent.add(key)
         STATS.inc("kernels_sent")
 
-    def receive(self) -> Optional[tuple]:
-        """The worker's reply, or None if it died before sending one whole.
-        Call once the pipe or the process sentinel is ready."""
+    def receive(self) -> tuple:
+        """The worker's reply; :class:`WorkerLost` if it died before sending
+        one whole.  Call once the pipe or the process sentinel is ready."""
         try:
             return self.conn.recv()
         except (EOFError, OSError):
-            return None
+            raise WorkerLost(f"process shard worker {self.worker_id} died") from None
 
     def terminate(self) -> None:
         """End the process and release its pipe and sentinel."""
@@ -479,15 +473,16 @@ class ProcessShardPool:
         """Send one task per worker index, run ``own`` — the caller's
         shard, which precedes every task's in the plan — meanwhile, then
         gather every reply.  ``ir`` is the ``(fn, module)`` of the kernel
-        every payload names; each send of a task carries the faults the
-        active plan fires on its shards then (:func:`_draw_faults`).
+        every payload names; each task carries the faults the active plan
+        fires on its shards when it is sent (:func:`_draw_faults`).
 
         Returns ``own()`` and ``{task_id: shard entries}`` (see
         :func:`_run_task`) on full success.  Raises the lowest-shard
         kernel exception (``own``'s first) once no task is outstanding,
         :class:`~repro.errors.ShardTimeout` when a task has not replied
         by the deadline, and :class:`WorkerLost` when a task's worker died
-        past its respawn budget.  Whatever leaves with tasks still
+        or its pipe broke under the send — unless ``own`` failed, whose
+        error is raised in place of either.  Whatever leaves with tasks still
         outstanding (those two, an interrupt) first terminates and
         respawns their workers, so the next launch starts from a clean
         pool and no pipe holds a reply meant for an earlier launch.
@@ -495,40 +490,19 @@ class ProcessShardPool:
         with self.lock:
             deadline = time.monotonic() + deadline_seconds
             outstanding: Dict[int, _Worker] = {}
-            respawns: Dict[int, int] = {}
             results: Dict[int, List[tuple]] = {}
             errors: List[Tuple[int, BaseException]] = []  # (failing b0, exc)
-
-            def replace(task_id: int) -> None:
-                """The task's worker died: respawn it, within the budget."""
-                respawns[task_id] = respawns.get(task_id, 0) + 1
-                if respawns[task_id] > MAX_RESPAWNS_PER_TASK:
-                    raise WorkerLost(
-                        f"process shard task {task_id} lost its "
-                        f"worker {respawns[task_id]} times"
-                    )
-                outstanding[task_id].respawn()
-
-            def send(task_id: int) -> None:
-                payload = payloads[task_id]
-                faults = _draw_faults(ir[0].name, payload["shards"])
-                if faults:
-                    payload = dict(payload, faults=faults)
-                while True:
-                    try:
-                        outstanding[task_id].submit(payload, ir)
-                        return
-                    except OSError:  # a dead pipe is a dead worker
-                        replace(task_id)
-
             own_error: Optional[Exception] = None
             try:
-                for task_id in payloads:
+                for task_id, payload in payloads.items():
                     worker = self.workers[task_id % len(self.workers)]
                     if not worker.alive():
                         worker.respawn()  # died between launches
                     outstanding[task_id] = worker
-                    send(task_id)
+                    faults = _draw_faults(ir[0].name, payload["shards"])
+                    if faults:
+                        payload = dict(payload, faults=faults)
+                    worker.submit(payload, ir)
                     STATS.inc("tasks")
                 try:
                     mine = own()
@@ -557,19 +531,17 @@ class ProcessShardPool:
                     # sentinel can both be ready.
                     for task_id in dict.fromkeys(handles[h] for h in ready):
                         reply = outstanding[task_id].receive()
-                        if reply is None:
-                            replace(task_id)
-                            send(task_id)
-                        elif reply[0] == "ok":
+                        if reply[0] == "ok":
                             results[task_id] = reply[1]
-                            del outstanding[task_id]
                         else:
                             errors.append((reply[1], reply[2]))
-                            del outstanding[task_id]
-            except BaseException:
+                        del outstanding[task_id]
+            except BaseException as exc:
                 # Nothing may run on in segments the launch gives back.
                 for worker in outstanding.values():
                     worker.respawn()
+                if own_error is not None and isinstance(exc, Exception):
+                    raise own_error from None  # the lowest shard's error wins
                 raise
             if own_error is not None:
                 raise own_error

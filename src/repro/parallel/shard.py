@@ -16,34 +16,36 @@ This module owns the sharded launch, once, for both executors:
 * **where shards write** — one copy of each written array, in place.
   The analysis lets a kernel shard only when every global store is
   provably thread- or block-private and no written array is also loaded
-  (:mod:`repro.parallel.analysis`): no two shards store to one element,
-  and a shard that runs twice — a retry, a task re-submitted after its
-  worker died — stores the same bytes again.  Every other kernel runs
-  serial.  In place means into the caller's buffers when nothing can fail
-  over them (a thread launch outside any guard), otherwise into one
-  **launch-private staging copy** of each written array, which the
-  parent fills from the caller's array before any shard starts and
-  copies back once, after *every* shard succeeded: shared-memory
-  segments on the process lane (:mod:`repro.parallel.procpool`), heap
-  buffers from :class:`_StagingList` on a guarded thread launch;
-* the **fallback** — when the transport gives up (deadline, lost worker,
-  injected fault, retries exhausted under a guard) the launch is re-run
-  serially on the caller's buffers, which no shard was allowed to touch.
+  (:mod:`repro.parallel.analysis`): no two shards store to one element.
+  Every other kernel runs serial.  In place means into the caller's
+  buffers when nothing can fail over them (a thread launch outside any
+  guard), otherwise into one **launch-private staging copy** of each
+  written array, which the parent fills from the caller's array before
+  any shard starts and copies back once, after *every* shard succeeded:
+  shared-memory segments on the process lane
+  (:mod:`repro.parallel.procpool`), heap buffers from
+  :class:`_StagingList` on a guarded thread launch;
+* the **fallback** — a failed shard is never retried.  When the
+  transport fails (deadline, lost worker, injected fault) the launch is
+  re-run serially on the caller's buffers, which no shard was allowed to
+  touch.
 
 Only the *transport* differs per executor, because the failure modes
 genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
-pool (``parallel_map``, or ``guarded_map`` under a guard — a hung thread
-cannot be killed, only abandoned, so the staging of a launch that did
-not fully succeed is dropped, never reused: a shard that wakes later
-writes memory nobody reads); ``"process"`` runs the first shard on the
-launching thread and ships the rest to the :mod:`repro.parallel.procpool`
-workers, all on shared-memory staging copies (a dead worker is
-respawned, a hung one terminated before its segments are reused; the
-caller's buffers are out of reach by construction).
+pool (``parallel_map``, or ``guarded_map`` under a guard, which adds the
+deadline — a hung thread cannot be killed, only abandoned, so the
+staging of a launch that did not fully succeed is dropped, never reused:
+a shard that wakes later writes memory nobody reads); ``"process"`` runs
+the first shard on the launching thread and ships the rest to the
+:mod:`repro.parallel.procpool` workers, all on shared-memory staging
+copies (a dead or hung worker is respawned for the next launch before
+its segments are reused; the caller's buffers are out of reach by
+construction).
 
-Exceptions (e.g. bounds-check failures) propagate from the lowest
-failing shard, matching the serial order of discovery; the reported
-index range may cover a sub-grid rather than the whole launch.
+Every other exception (e.g. a bounds-check failure) propagates from the
+lowest failing shard on both lanes, guarded or not, matching the serial
+order of discovery; the reported index range may cover a sub-grid rather
+than the whole launch.
 """
 
 from __future__ import annotations
@@ -226,17 +228,17 @@ def run_sharded(
     ``executor="process"`` routes the shards to the
     :mod:`repro.parallel.procpool` worker processes (``fn``/``module``
     must be supplied — workers recompile from the IR).  An ambient guard
-    adds retries and a deadline on the thread lane and tightens the
-    deadline on the process lane; the module docstring says how the copy
-    shards write and the fallback follow from the executor and the guard.
+    adds a deadline on the thread lane and sets the deadline on the
+    process lane; the module docstring says how the copy shards write and
+    the fallback follow from the executor and the guard.
     """
     plan = plan_shards(grid.total_blocks, workers)
     guard = guard_mod.current_policy()
     guarded = guard is not None and guard.enabled
     on_processes = executor == "process" and fn is not None
     # In place is on the caller's buffers only when nothing can fail over
-    # them; a process worker can always die and a guard retries, times out
-    # and abandons, so those launches write staging, copied back at the end.
+    # them; a process worker can always die and a guard times out and
+    # abandons, so those launches write staging, copied back at the end.
     staged = on_processes or guarded
     staging: Dict[str, np.ndarray] = {}
     try:
@@ -279,19 +281,12 @@ def run_sharded(
                 results = guard_mod.guarded_map("shard", workers, on_thread, plan, guard)
             else:
                 results = parallel_map("shard", workers, on_thread, plan)
-    except Exception as exc:
-        # A transport that gave up — deadline, lost worker, injected
-        # fault, or (guarded thread lane) a shard still failing past the
-        # retry budget — left the caller's buffers untouched, so serial
-        # re-execution is exact.  Its staging is dropped, not given back:
-        # a shard may still be running on it.  Any other kernel-raised
-        # error is not a fault to absorb: it propagates as the serial
-        # path's would.
-        if not (
-            isinstance(exc, (ShardTimeout, procpool.WorkerLost, InjectedFault))
-            or (guarded and not on_processes)
-        ):
-            raise
+    except (ShardTimeout, procpool.WorkerLost, InjectedFault):
+        # A transport fault — deadline, lost worker, injected fault — left
+        # the caller's buffers untouched, so serial re-execution is exact.
+        # Its staging is dropped, not given back: a shard may still be
+        # running on it.  Any other exception is not a fault to absorb: it
+        # propagates as the serial path's would.
         (procpool.STATS if on_processes else guard_mod.STATS).inc(
             "serial_reexecutions"
         )

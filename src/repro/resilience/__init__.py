@@ -5,9 +5,9 @@ Three cooperating pieces (Paraprox's runtime, hardened for production):
 * :mod:`~repro.resilience.faults` — deterministic, seedable fault
   injection at the stack's real failure sites (compile, shard worker,
   quality evaluation, cache load, output corruption).
-* :mod:`~repro.resilience.guard` — guarded launches: per-shard retries
-  with backoff, wall-clock deadlines with serial re-execution, pool
-  revival, and the fallback ladder *approx variant → exact codegen →
+* :mod:`~repro.resilience.guard` — guarded launches: a wall-clock
+  deadline on sharded launches, serial re-execution after a transport
+  fault, and the fallback ladder *approx variant → exact codegen →
   exact interpreter* that turns any contained failure into an exact
   answer.
 * :mod:`~repro.resilience.breaker` — per-variant circuit breakers that

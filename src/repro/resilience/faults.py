@@ -42,9 +42,10 @@ from ..errors import InjectedFault, ResilienceError, WorkerDeath
 SITE_COMPILE = "codegen.compile"
 
 #: Shard-worker execution of one sub-grid (``repro.parallel.shard`` and
-#: the guarded executor).  Modes: ``"exception"`` (transient crash),
-#: ``"hang"`` (sleep past the launch deadline), ``"dead"`` (the worker
-#: and its pool are lost and must be replaced).
+#: the guarded executor).  Modes: ``"exception"`` (a crash), ``"hang"``
+#: (sleep past the launch deadline), ``"dead"`` (the worker is lost; a
+#: process worker really exits).  Each is a transport fault: the launch
+#: re-runs serially.
 SITE_WORKER = "shard.worker"
 
 #: Quality evaluation of a sampled launch (``ApproxSession.launch``).
@@ -134,10 +135,6 @@ class FaultPlan:
         self.specs: List[FaultSpec] = list(specs)
         self.seed = seed
         self._rng = random.Random(seed)
-        # Dedicated RNG for retry-backoff jitter (resilience.guard): kept
-        # separate from the firing RNG so adding jitter draws does not
-        # perturb which visits fire under a given seed.
-        self.backoff_rng = random.Random(("backoff", seed).__repr__())
         self._left: List[Optional[int]] = [s.max_fires for s in self.specs]
         self.fired: Dict[str, int] = {}
         self._lock = threading.Lock()

@@ -1,16 +1,16 @@
-"""Guarded launches: exception containment, retries, deadlines, ladders.
+"""Guarded launches: exception containment, deadlines, ladders.
 
 Two layers of protection compose here:
 
-* **Task level** — :func:`guarded_map` is ``parallel_map`` with the
-  paranoia a production pool needs: failed tasks are retried with
-  full-jitter exponential backoff, the whole batch carries a wall-clock
-  deadline, and a dead or hung pool is replaced.  The sharded launch
-  path (:func:`repro.parallel.shard.run_sharded`) maps its shard body
-  through it whenever a guard is enabled, against launch-private copies
-  of the written arrays — so an abandoned or hung worker can never
-  scribble on the caller's buffers — and turns any unrecoverable outcome
-  into a bit-exact serial re-execution.
+* **Task level** — :func:`guarded_map` is ``parallel_map`` under a
+  wall-clock deadline: when it expires the pool is abandoned and replaced.
+  The sharded launch path (:func:`repro.parallel.shard.run_sharded`) maps
+  its shard body through it whenever a guard is enabled, against
+  launch-private copies of the written arrays — so an abandoned or hung
+  worker can never scribble on the caller's buffers.  A failed shard is
+  never retried: a transport fault (deadline, injected fault) re-runs the
+  launch serially, bit-exact, and any other exception propagates from the
+  lowest failing shard, as on the process lane.
 * **Launch level** — :func:`run_ladder` walks the fallback ladder
   *approx variant → exact codegen → exact interpreter*.  Each rung's
   exceptions are contained, its output is validated (NaN/Inf guardrail)
@@ -28,9 +28,8 @@ zero-overhead paths.
 from __future__ import annotations
 
 import functools
-import random
-import time
-from concurrent.futures import FIRST_COMPLETED, wait
+import math
+from concurrent.futures import TimeoutError as FuturesTimeout
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -38,11 +37,19 @@ from typing import Dict, List, Optional, Tuple
 from .._options import UNSET, LaunchOptions, current_options
 from .._options import options as options_scope
 from .._state import on_reset
-from ..errors import ResilienceError, ShardTimeout, WorkerDeath
+from ..errors import ResilienceError, ShardTimeout
 from ..obs import trace as obs_trace
 from ..obs.registry import CounterGroup
 from .faults import SITE_OUTPUT, active_plan
 from .validate import corrupt_output, validate_output
+
+
+def _positive_finite(value) -> bool:
+    """Whether ``value`` is a real number (not a ``bool``), finite, > 0."""
+    return (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and math.isfinite(value) and value > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,6 @@ class GuardPolicy:
 
     Attributes:
         enabled: False restores the unguarded fast path everywhere.
-        retries: re-submissions per failed shard (transient faults).
-        backoff_seconds: base of the exponential retry backoff.
         deadline_seconds: wall-clock bound on one sharded launch; on
             expiry the pool is abandoned and the launch re-runs serially.
         validate_outputs: run the NaN/Inf guardrail on non-final rungs.
@@ -60,22 +65,20 @@ class GuardPolicy:
     """
 
     enabled: bool = True
-    retries: int = 2
-    backoff_seconds: float = 0.002
     deadline_seconds: float = 30.0
     validate_outputs: bool = True
     value_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ResilienceError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_seconds < 0:
+        if not _positive_finite(self.deadline_seconds):
             raise ResilienceError(
-                f"backoff_seconds must be >= 0, got {self.backoff_seconds}"
+                f"deadline_seconds must be a finite number > 0, "
+                f"got {self.deadline_seconds!r}"
             )
-        if self.deadline_seconds <= 0:
+        if self.value_limit is not None and not _positive_finite(self.value_limit):
             raise ResilienceError(
-                f"deadline_seconds must be > 0, got {self.deadline_seconds}"
+                f"value_limit must be None or a finite number > 0, "
+                f"got {self.value_limit!r}"
             )
 
 
@@ -86,29 +89,6 @@ def current_policy() -> Optional[GuardPolicy]:
     return None if guard is UNSET else guard
 
 
-#: Jitter source outside any fault plan; unseeded on purpose — real
-#: deployments *want* decorrelated retries across processes.
-_JITTER_RNG = random.Random()
-
-
-def _backoff_delay(cap: float) -> float:
-    """Full-jitter retry backoff: uniform in ``[0, cap]``.
-
-    A deterministic exponential schedule makes every shard that failed in
-    the same round retry at the same instant — a synchronized thundering
-    herd against the pool.  Full jitter (AWS-style) spreads the retries
-    over the whole window while keeping the exponential cap.  Under an
-    active :class:`~repro.resilience.faults.FaultPlan` the draw comes from
-    the plan's dedicated ``backoff_rng``, so chaos-harness runs replay the
-    exact same sleep sequence for a given seed.
-    """
-    if cap <= 0.0:
-        return 0.0
-    plan = active_plan()
-    rng = plan.backoff_rng if plan is not None else _JITTER_RNG
-    return rng.uniform(0.0, cap)
-
-
 # ------------------------------------------------------------------- stats
 
 
@@ -116,10 +96,11 @@ def _backoff_delay(cap: float) -> float:
 _FIELDS = {
     "guarded_launches": "fallback-ladder walks",
     "guarded_sharded": "sharded launches run under the guard",
-    "shard_retries": "failed shards re-submitted",
+    "shard_retries": "always 0 (a failed shard is never retried); kept while "
+    "bench/layers.py reads it, ROADMAP item 4",
     "shard_timeouts": "sharded launches that overran their deadline",
-    "serial_reexecutions": "launches recomputed serially after containment",
-    "pool_replacements": "pools replaced after worker death or timeout",
+    "serial_reexecutions": "launches recomputed serially after a transport fault",
+    "pool_replacements": "pools replaced after a deadline expired",
     "validation_trips": "outputs rejected by the NaN/Inf guardrail",
     "containments": "rung failures absorbed by the ladder",
     "corruptions_injected": "fault-injected output corruptions",
@@ -140,93 +121,32 @@ def stats_snapshot() -> Dict[str, int]:
 def guarded_map(
     kind: str, workers: int, fn, items, policy: GuardPolicy
 ) -> List:
-    """``parallel_map`` with containment: retries, deadline, pool revival.
+    """``parallel_map`` under the guard's wall-clock deadline.
 
-    Results return in item order.  A shard that raises is re-submitted up
-    to ``policy.retries`` times with exponential backoff;
-    :class:`~repro.errors.WorkerDeath` additionally replaces the pool
-    (the worker is gone, not merely unlucky).  When the wall-clock
-    deadline expires the pool is abandoned — hung workers keep running
-    against buffers private to the abandoned launch, harmlessly — and
+    Results return in item order, and the first exception in item order
+    propagates, as from ``parallel_map``: a failed task is not retried.
+    When the deadline expires the pool is abandoned — hung workers keep
+    running against buffers private to the abandoned launch, harmlessly,
+    and a fresh pool keeps later launches from queueing behind them — and
     :class:`~repro.errors.ShardTimeout` is raised for the caller's serial
-    fallback.  Exhausted retries re-raise the shard's own exception.
+    fallback.
     """
     from ..parallel import pool as pool_mod
 
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    ambient = obs_trace.current_span()
-    fn = obs_trace.carry(fn)
-    deadline = time.monotonic() + policy.deadline_seconds
-    executor = pool_mod.get_pool(kind, workers)
-    pool_mod.pool_stats(kind).record(len(items), workers)
-    results: List[object] = [None] * len(items)
-    attempts = [0] * len(items)
-    pending: Dict[object, int] = {}
-
-    def submit(idx: int) -> None:
-        pending[executor.submit(fn, items[idx])] = idx
-
-    for i in range(len(items)):
-        submit(i)
-    while pending:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            break
-        done, _not_done = wait(
-            pending, timeout=remaining, return_when=FIRST_COMPLETED
+    try:
+        return pool_mod.parallel_map(
+            kind, workers, fn, items, timeout=policy.deadline_seconds
         )
-        if not done:
-            break  # deadline will trip on the next loop check
-        for future in done:
-            idx = pending.pop(future)
-            exc = future.exception()
-            if exc is None:
-                results[idx] = future.result()
-                continue
-            if isinstance(exc, WorkerDeath):
-                STATS.inc("pool_replacements")
-                executor = pool_mod.replace_pool(kind, workers)
-            if attempts[idx] >= policy.retries:
-                for other in pending:
-                    other.cancel()
-                raise exc
-            attempts[idx] += 1
-            STATS.inc("shard_retries")
-            if ambient is not None:
-                ambient.event(
-                    "shard_retry",
-                    shard=idx,
-                    attempt=attempts[idx],
-                    error=type(exc).__name__,
-                )
-            if policy.backoff_seconds:
-                time.sleep(
-                    _backoff_delay(
-                        min(
-                            policy.backoff_seconds * (2 ** (attempts[idx] - 1)),
-                            max(deadline - time.monotonic(), 0.0),
-                        )
-                    )
-                )
-            submit(idx)
-    if pending:
-        # Deadline expired with shards still out.  Abandon the pool: hung
-        # workers only hold buffers of this launch, and a fresh pool keeps
-        # later launches from queueing behind them.
-        for future in pending:
-            future.cancel()
+    except FuturesTimeout:
         STATS.inc("shard_timeouts")
         STATS.inc("pool_replacements")
+        ambient = obs_trace.current_span()
         if ambient is not None:
-            ambient.event("shard_timeout", outstanding=len(pending))
+            ambient.event("shard_timeout")
         pool_mod.replace_pool(kind, workers)
         raise ShardTimeout(
-            f"sharded launch overran its {policy.deadline_seconds:.3f}s "
-            f"deadline with {len(pending)} shard(s) outstanding"
-        )
-    return results
+            f"sharded launch overran its {policy.deadline_seconds:.3f}s deadline"
+        ) from None
 
 
 # ---------------------------------------------------------- fallback ladder

@@ -363,7 +363,6 @@ class SessionMetrics:
         if self._guard_policy is not None:
             resilience["guard_policy"] = {
                 "enabled": self._guard_policy.enabled,
-                "retries": self._guard_policy.retries,
                 "deadline_seconds": self._guard_policy.deadline_seconds,
             }
         return {

@@ -83,7 +83,7 @@ class ApproxSession:
             for: profiling is ≈ 78 % of an empty-cache bring-up, which
             ``bench``'s ``cold_start`` reads at ≈ 58 ms for the typical
             app and ≈ 0.6 s for the slowest (docs/SERVING.md).
-        guard: guarded-launch policy (retries, deadline, output
+        guard: guarded-launch policy (deadline, output
             validation); defaults to ``options.guard`` when that is set,
             else ``GuardPolicy()``.  Pass ``GuardPolicy(enabled=False)``
             (or ``options=LaunchOptions(guard=None)``) for the raw

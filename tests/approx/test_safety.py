@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps.registry import APP_CLASSES, make_app
 from repro.approx.safety import guard_divisions
 from repro.engine import Grid, launch
 from repro.kernel import ir, kernel, validate_module
@@ -41,7 +42,7 @@ class TestGuardInsertion:
 
     def test_idempotent(self):
         once, n1 = guard_divisions(divide_kernel)
-        twice, n2 = guard_divisions(once)
+        twice, n2 = guard_divisions(once, "divide_kernel")
         selects = [n for n in walk(twice["divide_kernel"]) if isinstance(n, ir.Select)]
         assert len(selects) == 1  # no double guards
 
@@ -54,6 +55,10 @@ class TestGuardInsertion:
 
         _module, guards = guard_divisions(int_div)
         assert guards == 1
+
+    def test_a_module_needs_its_kernel_name(self):
+        with pytest.raises(TypeError, match="kernel_name"):
+            guard_divisions(divide_kernel.module)
 
 
 class TestGuardedSemantics:
@@ -92,3 +97,30 @@ class TestCompilerIntegration:
         # the memoized kernel still runs and meets TOQ with guards in place
         result = px.optimize(app, DeviceKind.GPU, variants=variants)
         assert result.quality >= 0.90
+
+
+class TestGuardsOnlyWhatRuns:
+    """A guard counts only if it sits where the variant's kernel runs: in
+    the kernel or a device function it reaches.  Memoized variants no
+    longer call the function they tabulated, so guarding it changed
+    nothing but the count."""
+
+    @pytest.mark.parametrize("name", sorted(APP_CLASSES))
+    def test_division_guards_count_exactly_the_guards_that_change_the_kernel(
+        self, name
+    ):
+        from repro import DeviceKind, Paraprox, ParaproxConfig
+        from repro.parallel.profiler import variant_identity
+
+        plain = Paraprox(target_quality=0.9).compile(
+            make_app(name, seed=0), DeviceKind.GPU
+        )
+        guarded = Paraprox(
+            target_quality=0.9, config=ParaproxConfig(guard_divisions=True)
+        ).compile(make_app(name, seed=0), DeviceKind.GPU)
+        assert [v.name for v in plain] == [v.name for v in guarded]
+        for before, after in zip(plain, guarded):
+            if "division_guards" not in after.knobs:
+                continue  # a pipeline variant: no module of its own to guard
+            changed = variant_identity(before) != variant_identity(after)
+            assert (after.knobs["division_guards"] > 0) == changed, after.name

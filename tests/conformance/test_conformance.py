@@ -68,7 +68,7 @@ class TestCoverage:
         )
         faulted = Cell(backend="codegen", workers=2, guard=True, fault="compile")
         assert faulted.options().guard == CHAOS_POLICY == GuardPolicy(
-            retries=1, backoff_seconds=0.001, deadline_seconds=0.15
+            deadline_seconds=0.15
         )
         assert Cell(backend="codegen", guard=True).options().guard == GuardPolicy()
 

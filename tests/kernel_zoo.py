@@ -290,8 +290,8 @@ def transpose_i64(out: array_f32, x: array_f32, w: i64, h: i64):
 @kernel
 def saxpy_inplace(y: array_f32, x: array_f32, a: f32, n: i32):
     """Loads the array it stores, through one thread-private index: blocks
-    stay independent, but a shard run twice over one copy of ``y`` — a
-    retry, a re-submitted task — would apply twice, so it runs serial."""
+    stay independent, but the analysis proves no load private, so it runs
+    serial."""
     i = global_id()
     if i < n:
         y[i] = a * x[i] + y[i]

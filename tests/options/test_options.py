@@ -273,6 +273,8 @@ class TestRemovedSurface:
         ),
         "repro.parallel.pool": ("get_healthy_pool",),
         "repro.resilience": ("use_guard", "run_sharded_guarded", "GuardStats"),
+        "repro.resilience.guard": ("_backoff_delay", "_JITTER_RNG"),
+        "repro.parallel.procpool": ("MAX_RESPAWNS_PER_TASK",),
         "repro.serve": ("EventLog", "LaunchInfo"),
         "repro.serve.session": ("LaunchInfo",),
         "repro.codegen": (
@@ -352,6 +354,23 @@ class TestRemovedSurface:
     def test_config_refuses_the_outlining_key(self):
         with pytest.raises(ConfigError, match="enable_section_outlining"):
             repro.ParaproxConfig.from_dict({"enable_section_outlining": False})
+
+    def test_guard_policy_has_no_retry_knobs(self):
+        import dataclasses
+
+        from repro.resilience import GuardPolicy
+
+        assert [f.name for f in dataclasses.fields(GuardPolicy)] == [
+            "enabled",
+            "deadline_seconds",
+            "validate_outputs",
+            "value_limit",
+        ]
+
+    def test_fault_plan_has_no_backoff_rng(self):
+        from repro.resilience.faults import FaultPlan
+
+        assert not hasattr(FaultPlan([]), "backoff_rng")
 
     def test_no_profiler_route_or_slo_pressure_hint(self):
         """The profiler's endpoint hook and the SLO hint brownout read."""

@@ -226,10 +226,24 @@ def _at(b0, mode="dead", **spec):
 
 
 class TestContainment:
-    def test_dead_worker_is_replaced_and_task_retried(self):
+    def test_a_worker_that_dies_once_costs_one_serial_launch(self, monkeypatch):
+        """The worker hard-exits the first time it is sent its shard: the
+        transport raises ``WorkerLost`` without re-sending the task, the
+        launch re-runs serially, and the worker is respawned.  The next
+        launch shards again, on the new process."""
         grid = Grid.for_elements(N)
-        # The worker hard-exits the first time it is sent its shard; the
-        # re-send draws again, and the spec's one fire is spent.
+        launch(zoo.square_map, grid, _square_args(seed=4), options=PROC)
+        raised = []
+        run_shards = procpool.run_shards
+
+        def spy(*args, **kwargs):
+            try:
+                return run_shards(*args, **kwargs)
+            except Exception as exc:
+                raised.append(type(exc))
+                raise
+
+        monkeypatch.setattr(procpool, "run_shards", spy)
         plan = _at(_worker_b0(grid), max_fires=1)
         args = _square_args(seed=5)
         serial = _run_serial(zoo.square_map, grid, args)
@@ -238,48 +252,27 @@ class TestContainment:
             launch(zoo.square_map, grid, args, options=PROC)
         after = procpool.stats_snapshot()
         assert plan.fired == {SITE_WORKER: 1}, "the injected fault fired once"
+        assert raised == [procpool.WorkerLost]
         assert args[0].tobytes() == serial[0].tobytes()
-        assert after["serial_reexecutions"] == before["serial_reexecutions"]
-        assert after["workers_replaced"] >= before["workers_replaced"] + 1
-        # The worker's first task carried the IR, and so did the retry:
-        # the respawned process knows no kernel.
-        assert after["kernels_sent"] - before["kernels_sent"] == 2
-        again = _square_args(seed=6)
-        serial = _run_serial(zoo.square_map, grid, again)
-        launch(zoo.square_map, grid, again, options=PROC)
-        assert np.array_equal(again[0], serial[0])
-        assert procpool.stats_snapshot()["kernels_sent"] == after["kernels_sent"]
+        assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
+        assert after["workers_replaced"] == before["workers_replaced"] + 1
+        assert after["tasks"] == before["tasks"] + 1  # sent once, not again
+        assert after["launches"] == before["launches"]
+        assert after["kernels_sent"] == before["kernels_sent"]
+        nxt = _square_args(seed=6)
+        serial = _run_serial(zoo.square_map, grid, nxt)
+        launch(zoo.square_map, grid, nxt, options=PROC)
+        final = procpool.stats_snapshot()
+        assert nxt[0].tobytes() == serial[0].tobytes()
+        assert raised == [procpool.WorkerLost]
+        assert final["launches"] == after["launches"] + 1
+        assert final["serial_reexecutions"] == after["serial_reexecutions"]
+        # The respawned process knows no kernel: its first task carries the IR.
+        assert final["kernels_sent"] == after["kernels_sent"] + 1
 
-    def test_a_resubmitted_task_reruns_shards_that_already_stored(self):
-        """Why a kernel that loads an array it stores runs serial.  Four
-        shards, parallel=2: the caller runs blocks 0:4, the one worker runs
-        4:8, stores, and dies before 8:12; its task is re-submitted over the
-        same staged segment, so ``y[i] = a * x[i] + y[i]`` applies twice to
-        blocks 4:8."""
-        kernel, grid, args = zoo.saxpy_case(N)
-        fn, mod = resolve_kernel(kernel), resolve_module(kernel)
-        compiled = get_compiled(fn, mod, grid, True)
-        analysis = analyze_shardability(fn, mod, fingerprint=compiled.fingerprint)
-        assert not analysis.shardable
-        serial = _run_serial(kernel, grid, args)
-        plan = plan_shards(grid.total_blocks, 4)
-        faults = _at(plan[2][0], max_fires=1)
-        bound = bind_arguments(fn, args)
-        with use_faults(faults):
-            procpool.run_shards(
-                fn, mod, compiled, grid, bound, plan, 2, analysis.written_arrays, 30.0
-            )
-        assert faults.fired == {SITE_WORKER: 1}, "the injected fault fired once"
-        lo, hi = (plan[k][0] * grid.block_threads for k in (1, 2))
-        assert not np.array_equal(args[0][lo:hi], serial[0][lo:hi])
-        assert np.array_equal(args[0][:lo], serial[0][:lo])
-        assert np.array_equal(args[0][hi:], serial[0][hi:])
-
-    def test_persistent_death_falls_back_to_serial(self):
-        # No fire budget: the shard kills every worker it is sent to.
-        # Past the respawn budget the task's worker is lost, and the
-        # launch must still produce exact results via in-parent
-        # re-execution.
+    def test_persistent_death_sends_the_task_once_then_falls_back(self):
+        """No fire budget: the shard would kill every worker it is sent
+        to, but a task is sent at most once per launch."""
         grid = Grid.for_elements(N)
         plan = _at(_worker_b0(grid))
         args = _square_args(seed=6)
@@ -289,10 +282,9 @@ class TestContainment:
             launch(zoo.square_map, grid, args, options=PROC)
         after = procpool.stats_snapshot()
         assert args[0].tobytes() == serial[0].tobytes()
-        assert plan.fired == {SITE_WORKER: 1 + procpool.MAX_RESPAWNS_PER_TASK}
-        assert after["workers_replaced"] - before["workers_replaced"] == (
-            procpool.MAX_RESPAWNS_PER_TASK + 1  # the last one after WorkerLost
-        )
+        assert plan.fired == {SITE_WORKER: 1}
+        assert after["tasks"] == before["tasks"] + 1
+        assert after["workers_replaced"] == before["workers_replaced"] + 1
         assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
 
     def test_persistent_death_raises_worker_lost_to_the_fallback(self):
@@ -372,7 +364,8 @@ class TestContainment:
 
     def test_a_send_to_a_dead_worker_is_a_death(self, monkeypatch):
         """A worker killed after ``alive()`` said it lived: the send breaks
-        its pipe, which respawns it and re-sends — never a kernel error."""
+        its pipe, which loses the worker — never a kernel error — so the
+        launch re-runs serially and the worker is respawned."""
         grid = Grid.for_elements(N)
         launch(zoo.square_map, grid, _square_args(seed=1), options=PROC)
         worker = procpool.get_process_pool(1).workers[0]
@@ -387,7 +380,9 @@ class TestContainment:
         after = procpool.stats_snapshot()
         assert args[0].tobytes() == serial[0].tobytes()
         assert after["workers_replaced"] == before["workers_replaced"] + 1
-        assert after["serial_reexecutions"] == before["serial_reexecutions"]
+        assert after["serial_reexecutions"] == before["serial_reexecutions"] + 1
+        monkeypatch.undo()
+        assert procpool.get_process_pool(1).workers[0].alive()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
     def test_respawns_leave_no_descriptor_behind(self):
@@ -460,6 +455,32 @@ class TestContainment:
                         views.append(item.shape)
             tb = tb.tb_next
         assert views == []
+
+    def test_the_callers_error_wins_over_a_worker_death(self):
+        """The caller's shard raises a bounds error and the worker dies in
+        the same launch: the caller's error, the lowest shard's, is raised
+        — not ``WorkerLost``, and not a serial re-run's, which would name
+        the higher shard's index too — and the dead worker is respawned."""
+        grid = Grid.for_elements(N)
+        plan = plan_shards(grid.total_blocks, 2)
+        rng = np.random.default_rng(19)
+        idx = rng.integers(0, N, N).astype(np.int32)
+        for extra, shard in enumerate((0, 1), start=1):
+            idx[plan[shard][0] * grid.block_threads] = N + extra
+        out = np.zeros(N, np.float32)
+        args = [out, rng.random(N, dtype=np.float32) * 50 + 1, idx, N]
+        faults = _at(_worker_b0(grid), max_fires=1)
+        before = procpool.stats_snapshot()
+        with use_faults(faults), pytest.raises(
+            ExecutionError, match=rf", {N + 1}\] vs size"
+        ):
+            launch(zoo.gather_expensive, grid, args, options=PROC)
+        after = procpool.stats_snapshot()
+        assert faults.fired == {SITE_WORKER: 1}
+        assert not out.any()
+        assert after["serial_reexecutions"] == before["serial_reexecutions"]
+        assert after["workers_replaced"] == before["workers_replaced"] + 1
+        assert procpool.get_process_pool(1).workers[0].alive()
 
     def test_hung_shard_hits_guard_deadline(self):
         grid = Grid.for_elements(N)

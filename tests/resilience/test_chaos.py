@@ -68,8 +68,9 @@ class TestRunChaos:
 
     def test_fault_free_run_serves_at_depth_zero(self, gamma):
         subject, reference = gamma
-        # worker_crash at seed 0 is absorbed by the shard retries, so the
-        # first rung still serves; just assert the bookkeeping here.
+        # worker_crash at seed 0 is absorbed by the serial re-execution
+        # inside the launch, so the first rung still serves; just assert
+        # the bookkeeping here.
         outcome = run_cell(subject, replace(FAULT_LANE, fault="worker_crash"))
         assert compare(reference.arrays, outcome.arrays) is None
         assert outcome.served  # a ladder rung label, not ""

@@ -1,4 +1,4 @@
-"""Guarded launches: containment, retries, deadlines, the fallback ladder."""
+"""Guarded launches: containment, deadlines, the fallback ladder."""
 
 import threading
 import time
@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 
 import kernel_zoo as zoo
+import repro
 from repro.apps.registry import make_app
 from repro import LaunchOptions, options
 from repro.engine import Grid, launch, launch_hook
-from repro.errors import ResilienceError, ShardTimeout, WorkerDeath
+from repro.errors import ExecutionError, ResilienceError, ShardTimeout, WorkerDeath
+from repro.parallel import procpool
+from repro.parallel.pool import get_pool, pool_stats
 from repro.resilience.faults import (
     SITE_OUTPUT,
     SITE_WORKER,
@@ -36,21 +39,35 @@ def _reset_guard_stats():
     STATS.reset()
 
 
-FAST = GuardPolicy(retries=2, backoff_seconds=0.0, deadline_seconds=5.0)
+FAST = GuardPolicy(deadline_seconds=5.0)
 
 
 class TestGuardPolicy:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"retries": -1},
-            {"backoff_seconds": -0.1},
             {"deadline_seconds": 0.0},
+            {"deadline_seconds": -1.0},
+            {"deadline_seconds": float("nan")},
+            {"deadline_seconds": float("inf")},
+            {"deadline_seconds": True},
+            {"deadline_seconds": "30"},
+            {"value_limit": 0.0},
+            {"value_limit": -1.0},
+            {"value_limit": float("nan")},
+            {"value_limit": float("inf")},
+            {"value_limit": True},
+            {"value_limit": "10"},
         ],
     )
     def test_invalid_knobs_rejected(self, kwargs):
         with pytest.raises(ResilienceError):
             GuardPolicy(**kwargs)
+
+    def test_finite_positive_knobs_accepted(self):
+        policy = GuardPolicy(deadline_seconds=1, value_limit=1e30)
+        assert policy.deadline_seconds == 1 and policy.value_limit == 1e30
+        assert GuardPolicy().value_limit is None
 
     def test_use_guard_scopes_per_thread(self):
         assert current_policy() is None
@@ -103,19 +120,24 @@ class TestGuardedMap:
             0, 10, 20, 30, 40, 50
         ]
 
-    def test_transient_failures_are_retried(self):
-        failures = {1: 2, 3: 1}  # item -> times to fail before succeeding
+    def test_a_failed_task_is_not_retried(self):
+        """Items 1 and 3 fail: the lowest one's exception propagates, and
+        no item ran twice (tasks not started by then are cancelled)."""
+        calls = []
         lock = threading.Lock()
 
         def flaky(i):
             with lock:
-                if failures.get(i, 0) > 0:
-                    failures[i] -= 1
-                    raise ValueError(f"transient {i}")
+                calls.append(i)
+            if i in (1, 3):
+                raise ValueError(f"failed {i}")
             return i
 
-        assert guarded_map("test", 4, flaky, range(5), FAST) == list(range(5))
-        assert STATS.shard_retries == 3
+        with pytest.raises(ValueError, match="failed 1"):
+            guarded_map("test", 4, flaky, range(5), FAST)
+        time.sleep(0.05)  # items past the failing one may still be running
+        assert len(calls) == len(set(calls)) and {0, 1} <= set(calls)
+        assert STATS.shard_retries == 0
 
     def test_exhausted_retries_reraise_the_shard_exception(self):
         def always(i):
@@ -126,22 +148,25 @@ class TestGuardedMap:
         with pytest.raises(ValueError, match="persistent"):
             guarded_map("test", 4, always, range(4), FAST)
 
-    def test_worker_death_replaces_pool_and_recovers(self):
-        died = []
-        lock = threading.Lock()
+    def test_a_worker_death_raises_and_keeps_the_pool(self):
+        """An injected thread death kills no thread: it propagates like
+        any task's exception, for the caller's serial fallback."""
+        pool = get_pool("test", 2)
+        restarts = pool_stats("test").snapshot()["workers_restarted"]
 
         def mortal(i):
-            with lock:
-                if i == 1 and not died:
-                    died.append(i)
-                    raise WorkerDeath("injected")
+            if i == 1:
+                raise WorkerDeath("injected")
             return i
 
-        assert guarded_map("test", 2, mortal, range(4), FAST) == list(range(4))
-        assert STATS.pool_replacements >= 1
+        with pytest.raises(WorkerDeath):
+            guarded_map("test", 2, mortal, range(4), FAST)
+        assert STATS.pool_replacements == 0
+        assert get_pool("test", 2) is pool
+        assert pool_stats("test").snapshot()["workers_restarted"] == restarts
 
     def test_deadline_expiry_raises_shard_timeout(self):
-        policy = GuardPolicy(retries=0, deadline_seconds=0.05)
+        policy = GuardPolicy(deadline_seconds=0.05)
 
         def hang(i):
             if i == 1:
@@ -152,7 +177,7 @@ class TestGuardedMap:
         with pytest.raises(ShardTimeout):
             guarded_map("test", 2, hang, range(2), policy)
         assert time.monotonic() - started < 0.45  # did not wait out the hang
-        assert STATS.shard_timeouts == 1
+        assert STATS.shard_timeouts == 1 and STATS.pool_replacements == 1
 
     def test_serial_bypass_for_one_worker(self):
         assert guarded_map("test", 1, lambda i: i + 1, range(3), FAST) == [
@@ -195,24 +220,52 @@ class TestGuardedShardedLaunch:
         np.testing.assert_array_equal(out, expected)
         assert STATS.serial_reexecutions == 1
         assert plan.total_fired() > 0
-        # past the retry budget other shards may still be writing it
+        # other shards of the failed launch may still be writing it
         assert staging.idle() == []
 
-    def test_a_crash_inside_the_retry_budget_is_retried_on_the_same_staging(
-        self, staging
-    ):
+    def test_one_crash_re_runs_the_launch_serially_once(self, staging):
         plan = FaultPlan([FaultSpec(SITE_WORKER, mode="exception", max_fires=1)])
-        before = SHARD_STATS.staged
+        before = SHARD_STATS.snapshot()
         with use_faults(plan):
             out, expected = self._launch_square(policy=FAST, workers=2)
         assert out.tobytes() == expected.tobytes()
         assert plan.total_fired() == 1
-        assert STATS.shard_retries == 1 and STATS.serial_reexecutions == 0
-        assert SHARD_STATS.staged == before + 1
-        assert len(staging.idle()) == 1
+        assert STATS.shard_retries == 0 and STATS.serial_reexecutions == 1
+        after = SHARD_STATS.snapshot()
+        assert after["staged"] == before["staged"]
+        assert after["zero_copy"] == before["zero_copy"]
+        assert staging.idle() == []  # the failed launch's staging is dropped
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["unguarded", "guarded"])
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_a_kernel_error_propagates_from_the_failing_shard(self, executor, guarded):
+        """An undersized ``out``: the second of two shards raises the bounds
+        error.  Every lane, guarded or not, raises that shard's error, not a
+        serial re-run's, and nothing is retried or re-executed."""
+        n = 1 << 16
+        out, x = np.zeros(n // 2, np.float32), np.ones(n, np.float32)
+        before = procpool.STATS.serial_reexecutions
+        try:
+            with options(guard=FAST if guarded else None), pytest.raises(
+                ExecutionError,
+                match=r"'out' out of range \[32768, 65535\] vs size 32768",
+            ):
+                launch(
+                    zoo.square_map,
+                    Grid.for_elements(n),
+                    [out, x, n],
+                    options=LaunchOptions(
+                        backend="codegen", parallel=2, executor=executor,
+                        min_shard_threads=1,
+                    ),
+                )
+        finally:
+            repro.reset()
+        assert STATS.shard_retries == 0 and STATS.serial_reexecutions == 0
+        assert procpool.STATS.serial_reexecutions == before
 
     def test_hung_workers_hit_the_deadline_then_serial(self):
-        policy = GuardPolicy(retries=0, deadline_seconds=0.05)
+        policy = GuardPolicy(deadline_seconds=0.05)
         plan = FaultPlan(
             [FaultSpec(SITE_WORKER, mode="hang", hang_seconds=0.4)]
         )
@@ -230,7 +283,7 @@ class TestGuardedShardedLaunch:
         then: launches of the same shapes issued while it sleeps and after
         it wakes stay byte-equal to serial, and the caller's array of the
         timed-out launch is what the serial re-execution wrote."""
-        policy = GuardPolicy(retries=0, deadline_seconds=0.05)
+        policy = GuardPolicy(deadline_seconds=0.05)
         self._launch_square(policy=policy, workers=2)
         (abandoned,) = staging.idle()  # the next launch takes this one
         hang = 1.0
@@ -355,51 +408,3 @@ class TestRunLadder:
             run_ladder(Broken(), inputs, None, backend="interp", policy=FAST)
         # Non-final rungs were contained before the final one propagated.
         assert STATS.containments >= 1
-
-
-class TestBackoffJitter:
-    """Full-jitter retry backoff: bounded, decorrelated, reproducible."""
-
-    def test_delay_stays_within_the_cap(self):
-        from repro.resilience.guard import _backoff_delay
-
-        draws = [_backoff_delay(0.2) for _ in range(256)]
-        assert all(0.0 <= d <= 0.2 for d in draws)
-        # Full jitter, not a fixed fraction of the cap.
-        assert len({round(d, 9) for d in draws}) > 1
-
-    def test_non_positive_cap_means_no_sleep(self):
-        from repro.resilience.guard import _backoff_delay
-
-        assert _backoff_delay(0.0) == 0.0
-        assert _backoff_delay(-1.0) == 0.0
-
-    def test_seeded_plan_makes_jitter_deterministic(self):
-        from repro.resilience.guard import _backoff_delay
-
-        runs = []
-        for _ in range(2):
-            with use_faults(FaultPlan([], seed=7)):
-                runs.append([_backoff_delay(1.0) for _ in range(16)])
-        assert runs[0] == runs[1]
-        with use_faults(FaultPlan([], seed=8)):
-            other = [_backoff_delay(1.0) for _ in range(16)]
-        assert other != runs[0]
-
-    def test_backoff_rng_is_independent_of_fault_firing(self):
-        # Drawing jitter must not perturb the deterministic fault
-        # firing sequence of a seeded plan (and vice versa).
-        fired = []
-        for warm in (0, 16):
-            plan = FaultPlan(
-                [FaultSpec(SITE_WORKER, probability=0.5)], seed=123
-            )
-            with use_faults(plan):
-                from repro.resilience.guard import _backoff_delay
-
-                for _ in range(warm):
-                    _backoff_delay(1.0)
-                fired.append(
-                    [plan.poll(SITE_WORKER) is not None for _ in range(32)]
-                )
-        assert fired[0] == fired[1]

@@ -25,7 +25,7 @@ def _reset_guard_stats():
     STATS.reset()
 
 
-FAST_GUARD = GuardPolicy(retries=0, backoff_seconds=0.0)
+FAST_GUARD = GuardPolicy()
 
 # Corrupt only the primary (variant) rung: the exact rungs stay clean, so
 # every faulted launch still serves a correct answer at depth 1.

@@ -307,10 +307,13 @@ class TestSessionOptions:
         from repro.resilience import GuardPolicy
 
         app = GaussianFilterApp(scale=0.05)
-        tight = GuardPolicy(retries=0, deadline_seconds=1.0)
+        tight = GuardPolicy(deadline_seconds=1.0)
         session = ApproxSession(app, options=LaunchOptions(guard=tight))
         assert session.guard is tight and session.options.guard is tight
-        assert session.metrics_snapshot()["resilience"]["guard_policy"]["retries"] == 0
+        assert session.metrics_snapshot()["resilience"]["guard_policy"] == {
+            "enabled": True,
+            "deadline_seconds": 1.0,
+        }
         unguarded = ApproxSession(app, options=LaunchOptions(guard=None))
         assert unguarded.guard == GuardPolicy(enabled=False)
         assert unguarded.options.guard == unguarded.guard
@@ -379,7 +382,7 @@ class TestSessionPlans:
         from repro.resilience.faults import SITE_OUTPUT, FaultPlan, FaultSpec, use_faults
 
         session = _plan_session(
-            guard=GuardPolicy(retries=0, backoff_seconds=0.0),
+            guard=GuardPolicy(),
             breaker=BreakerConfig(fault_threshold=1),
         )
         inputs = session.app.generate_inputs(seed=4)
