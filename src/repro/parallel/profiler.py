@@ -22,7 +22,6 @@ import threading
 from typing import Dict, Optional, Tuple
 
 from .._state import Store
-from ..apps.base import _input_fingerprint
 
 #: (quality, modelled cycles) for one (variant, input set) measurement.
 Measurement = Tuple[float, float]
@@ -49,14 +48,11 @@ def variant_identity(variant) -> str:
     return f"{variant.name}|{sorted(knobs.items())!r}"
 
 
-def profile_key(app_name: str, device: str, variant, inputs) -> Tuple:
-    """The full memoization key for one (variant, input set) evaluation."""
-    return (
-        app_name,
-        device,
-        variant_identity(variant),
-        _input_fingerprint(inputs),
-    )
+def profile_key(app_name: str, device: str, variant, fingerprint: Tuple) -> Tuple:
+    """The full memoization key for one (variant, input set) evaluation;
+    ``fingerprint`` is the input set's :func:`_input_fingerprint`, taken
+    once per input set by the caller rather than once per variant."""
+    return (app_name, device, variant_identity(variant), fingerprint)
 
 
 class ProfileCache:

@@ -17,9 +17,18 @@ import numpy as np
 EPSILON = 1e-12
 
 
-def _as_f64(a, e):
-    a = np.asarray(a, dtype=np.float64).ravel()
-    e = np.asarray(e, dtype=np.float64).ravel()
+def _operands(approx, exact):
+    """Both sides flat, in C order, in their own dtypes: a contiguous array
+    is viewed, not copied.
+
+    The metrics cast to float64 inside their ufuncs (``dtype=np.float64``)
+    and compute into float64 buffers of their own, so neither side is ever
+    promoted into a copy; the elementwise values and the one reduction over
+    a contiguous float64 array are the ones the promote-then-compute
+    formulas give, bit for bit.
+    """
+    a = np.ravel(approx)
+    e = np.ravel(exact)
     if a.shape != e.shape:
         raise ValueError(f"shape mismatch: approx {a.shape} vs exact {e.shape}")
     return a, e
@@ -36,44 +45,60 @@ def _finite_or_inf(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
+def _abs_diff(a, e, out=None) -> np.ndarray:
+    """|a - e| in float64, in ``out`` or one new buffer."""
+    d = np.subtract(a, e, out=out, dtype=np.float64)
+    return np.abs(d, out=d)
+
+
+def _relative(a, e) -> np.ndarray:
+    """|a - e| / max(|e|, EPSILON), in two float64 buffers."""
+    denom = np.abs(e, dtype=np.float64)
+    np.maximum(denom, EPSILON, out=denom)
+    d = _abs_diff(a, e)
+    return np.divide(d, denom, out=d)
+
+
 def mean_relative_error(approx, exact) -> float:
     """mean(|approx - exact| / |exact|), with an epsilon floor on |exact|.
 
     Returns ``inf`` when either side contains NaN/Inf."""
-    a, e = _as_f64(approx, exact)
+    a, e = _operands(approx, exact)
     if not (_finite_or_inf(a) and _finite_or_inf(e)):
         return float("inf")
-    denom = np.maximum(np.abs(e), EPSILON)
-    return float(np.mean(np.abs(a - e) / denom))
+    return float(np.mean(_relative(a, e)))
 
 
 def l1_norm_error(approx, exact) -> float:
     """sum(|approx - exact|) / sum(|exact|) — relative L1 distance.
 
     Returns ``inf`` when either side contains NaN/Inf."""
-    a, e = _as_f64(approx, exact)
+    a, e = _operands(approx, exact)
     if not (_finite_or_inf(a) and _finite_or_inf(e)):
         return float("inf")
-    denom = max(float(np.sum(np.abs(e))), EPSILON)
-    return float(np.sum(np.abs(a - e)) / denom)
+    buf = np.abs(e, dtype=np.float64)
+    denom = max(float(np.sum(buf)), EPSILON)
+    return float(np.sum(_abs_diff(a, e, out=buf)) / denom)
 
 
 def l2_norm_error(approx, exact) -> float:
     """||approx - exact||_2 / ||exact||_2 — relative L2 distance.
 
     Returns ``inf`` when either side contains NaN/Inf."""
-    a, e = _as_f64(approx, exact)
+    a, e = _operands(approx, exact)
     if not (_finite_or_inf(a) and _finite_or_inf(e)):
         return float("inf")
-    denom = max(float(np.sqrt(np.sum(e * e))), EPSILON)
-    return float(np.sqrt(np.sum((a - e) ** 2)) / denom)
+    buf = np.multiply(e, e, dtype=np.float64)
+    denom = max(float(np.sqrt(np.sum(buf))), EPSILON)
+    d = np.subtract(a, e, out=buf, dtype=np.float64)
+    return float(np.sqrt(np.sum(np.multiply(d, d, out=d))) / denom)
 
 
 def relative_errors(approx, exact) -> np.ndarray:
     """Per-element relative error — the quantity behind the error CDF of
     paper Fig 13."""
-    a, e = _as_f64(approx, exact)
-    return np.abs(a - e) / np.maximum(np.abs(e), EPSILON)
+    a, e = _operands(approx, exact)
+    return _relative(a, e)
 
 
 _METRICS: Dict[str, Callable] = {

@@ -302,6 +302,7 @@ class GreedyTuner:
     def _profile(
         self, app, variants, inputs, repeats: int, exclude
     ) -> TuningResult:
+        from ..apps.base import _input_fingerprint
         from ..parallel.pool import parallel_map
         from ..parallel.profiler import profile_key
 
@@ -316,14 +317,20 @@ class GreedyTuner:
 
         device = self.spec.kind.value
         cache = self.profile_cache
+        fingerprints = [
+            _input_fingerprint(i) if cache is not None else None
+            for i in input_sets
+        ]
 
         def measure(variant) -> VariantProfile:
             with obs_trace.span("tune.measure", variant=variant.name) as span:
                 qualities, cycles = [], []
                 cache_hits = 0
-                for (exact_out, _t), ins in zip(exact_runs, input_sets):
+                for (exact_out, _t), ins, fingerprint in zip(
+                    exact_runs, input_sets, fingerprints
+                ):
                     key = (
-                        profile_key(app.name, device, variant, ins)
+                        profile_key(app.name, device, variant, fingerprint)
                         if cache is not None
                         else None
                     )

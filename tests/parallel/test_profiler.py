@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import DeviceKind, LaunchOptions, Paraprox
+from repro.apps.base import _input_fingerprint
 from repro.apps.gaussian import MeanFilterApp
 from repro.device import spec_for
 from repro.parallel.profiler import ProfileCache, profile_key, variant_identity
@@ -208,17 +209,13 @@ class TestIdentityKeys:
 
     def test_profile_key_varies_with_inputs(self, variants):
         app = MeanFilterApp(scale=0.05)
-        key1 = profile_key(
-            app.name, "gpu", variants[0], app.generate_inputs(seed=1)
-        )
-        key2 = profile_key(
-            app.name, "gpu", variants[0], app.generate_inputs(seed=2)
-        )
-        assert key1 != key2
-        again = profile_key(
-            app.name, "gpu", variants[0], app.generate_inputs(seed=1)
-        )
-        assert key1 == again
+
+        def key(seed):
+            fingerprint = _input_fingerprint(app.generate_inputs(seed=seed))
+            return profile_key(app.name, "gpu", variants[0], fingerprint)
+
+        assert key(1) != key(2)
+        assert key(1) == key(1)
 
 
 class TestConcurrentTuning:

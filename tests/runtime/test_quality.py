@@ -132,3 +132,179 @@ class TestNonFiniteInputs:
     def test_finite_inputs_never_return_non_finite_error(self, x):
         for fn in self.METRICS:
             assert np.isfinite(fn(x + 0.5, x))
+
+
+# -- the promote-then-compute formulas the in-place metrics must reproduce --
+
+
+def _reference_as_f64(a, e):
+    a = np.asarray(a, dtype=np.float64).ravel()
+    e = np.asarray(e, dtype=np.float64).ravel()
+    if a.shape != e.shape:
+        raise ValueError(f"shape mismatch: approx {a.shape} vs exact {e.shape}")
+    return a, e
+
+
+def _reference_finite(a):
+    return bool(np.isfinite(a).all())
+
+
+def reference_mean_relative_error(approx, exact):
+    a, e = _reference_as_f64(approx, exact)
+    if not (_reference_finite(a) and _reference_finite(e)):
+        return float("inf")
+    denom = np.maximum(np.abs(e), 1e-12)
+    return float(np.mean(np.abs(a - e) / denom))
+
+
+def reference_l1_norm_error(approx, exact):
+    a, e = _reference_as_f64(approx, exact)
+    if not (_reference_finite(a) and _reference_finite(e)):
+        return float("inf")
+    denom = max(float(np.sum(np.abs(e))), 1e-12)
+    return float(np.sum(np.abs(a - e)) / denom)
+
+
+def reference_l2_norm_error(approx, exact):
+    a, e = _reference_as_f64(approx, exact)
+    if not (_reference_finite(a) and _reference_finite(e)):
+        return float("inf")
+    denom = max(float(np.sqrt(np.sum(e * e))), 1e-12)
+    return float(np.sqrt(np.sum((a - e) ** 2)) / denom)
+
+
+def reference_relative_errors(approx, exact):
+    a, e = _reference_as_f64(approx, exact)
+    return np.abs(a - e) / np.maximum(np.abs(e), 1e-12)
+
+
+PAIRS = (
+    (mean_relative_error, reference_mean_relative_error),
+    (l1_norm_error, reference_l1_norm_error),
+    (l2_norm_error, reference_l2_norm_error),
+)
+
+# f64 stays below 1e100 so that no finite pair overflows to a NaN score.
+ELEMENTS = {
+    np.float16: st.floats(width=16, allow_nan=False, allow_infinity=False),
+    np.float32: st.floats(width=32, allow_nan=False, allow_infinity=False),
+    np.float64: st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False),
+    np.int32: st.integers(-(2**31), 2**31 - 1),
+}
+LAYOUTS = ("c", "fortran", "transposed", "strided")
+
+
+def _laid_out(draw, dtype, shape, layout):
+    """One array of ``shape`` in ``layout``, a third of its entries zero."""
+    stored = {
+        "transposed": shape[::-1],
+        "strided": (2 * shape[0], shape[1]),
+    }.get(layout, shape)
+    elements = st.one_of(st.just(0), ELEMENTS[dtype])
+    x = draw(arrays(dtype, stored, elements=elements))
+    if layout == "fortran":
+        return np.asfortranarray(x)
+    if layout == "transposed":
+        return x.T
+    if layout == "strided":
+        return x[::2]
+    return x
+
+
+@st.composite
+def metric_cases(draw):
+    dtype = draw(st.sampled_from(sorted(ELEMENTS, key=str)))
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    approx = _laid_out(draw, dtype, shape, draw(st.sampled_from(LAYOUTS)))
+    exact = _laid_out(draw, dtype, shape, draw(st.sampled_from(LAYOUTS)))
+    if np.issubdtype(dtype, np.floating) and draw(st.booleans()):
+        side = draw(st.sampled_from((approx, exact)))
+        poisoned = np.array(side)  # writable, whatever view ``side`` is
+        flat = draw(st.integers(0, poisoned.size - 1))
+        poisoned.reshape(-1)[flat] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        if side is approx:
+            approx = poisoned
+        else:
+            exact = poisoned
+    if draw(st.booleans()):
+        approx = approx.reshape(-1)  # same size, another shape
+    return approx, exact
+
+
+class TestReferenceOracle:
+    """The in-place metrics equal the promote-then-compute formulas they
+    replaced — the same float, not a close one — on every dtype the apps
+    produce, on views, with zeros in the exact output and with NaN/Inf."""
+
+    @given(metric_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_errors_equal_the_reference(self, case):
+        approx, exact = case
+        for fn, reference in PAIRS:
+            assert fn(approx, exact) == reference(approx, exact)
+
+    @given(metric_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_relative_errors_equal_the_reference(self, case):
+        approx, exact = case
+        with np.errstate(invalid="ignore"):  # inf - inf, inf / inf
+            got = relative_errors(approx, exact)
+            want = reference_relative_errors(approx, exact)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)  # NaN where it has NaN
+
+    def test_size_mismatch_raises_like_the_reference(self):
+        for fn, reference in PAIRS + ((relative_errors, reference_relative_errors),):
+            for args in ((np.ones(3), np.ones(4)), (np.ones((2, 3)), np.ones(5))):
+                with pytest.raises(ValueError) as got:
+                    fn(*args)
+                with pytest.raises(ValueError) as want:
+                    reference(*args)
+                assert str(got.value) == str(want.value)
+
+    def test_scalars_compare_like_one_element_arrays(self):
+        for fn, reference in PAIRS:
+            assert fn(1.5, 2.0) == reference(1.5, 2.0)
+        np.testing.assert_array_equal(
+            relative_errors(1.5, 2.0), reference_relative_errors(1.5, 2.0)
+        )
+
+
+class TestAllocationGuard:
+    """Each metric allocates only its own float64 buffers: no promoted copy
+    of either side and no chained temporaries.  NumPy reports its data
+    buffers to tracemalloc, so the peak is a deterministic count."""
+
+    N = 1_000_000
+    BUFFER = 8 * N  # one float64 buffer over the pair
+    SLACK = 2 * N  # the two isfinite masks, one byte an element, and change
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(0)
+        exact = rng.random(self.N, dtype=np.float32) + np.float32(0.5)
+        approx = exact * np.float32(1.01)
+        return approx, exact
+
+    @pytest.mark.parametrize(
+        "fn, buffers",
+        [
+            (mean_relative_error, 2),
+            (l1_norm_error, 1),
+            (l2_norm_error, 1),
+            (relative_errors, 2),
+        ],
+        ids=["mean_relative", "l1", "l2", "relative_errors"],
+    )
+    def test_peak_is_the_metrics_own_buffers(self, pair, fn, buffers):
+        import tracemalloc
+
+        fn(*pair)  # warm any one-time allocation outside the measurement
+        tracemalloc.start()
+        try:
+            result = fn(*pair)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        del result
+        assert peak <= buffers * self.BUFFER + self.SLACK, peak
