@@ -4,20 +4,20 @@
 or a small loss in resolution during video playback, especially when this
 allows video playback to occur seamlessly."  This script synthesises a
 short panning video (a scene translating under camera noise), tunes the
-denoise stage once, and then streams frames through the calibrated runtime
-— reporting the effective throughput improvement, the measured per-frame
-quality at the calibration checks, and the total quality-check overhead.
+denoise stage once, and then streams frames through a serving session that
+samples quality every 12th frame (paper §3.5) — reporting the effective
+throughput improvement, the measured per-frame quality at the sampled
+checks, and the total quality-check overhead.
 
     python examples/video_stream.py
 """
 
 import numpy as np
 
-from repro import DeviceKind, Paraprox
+from repro import ApproxSession, DeviceKind, MonitorConfig
 from repro.apps.gaussian import MeanFilterApp
 from repro.apps.images import synthetic_image
 from repro.device import CostModel, GTX560
-from repro.runtime.calibration import CalibratedRuntime
 
 FRAMES = 48
 SIDE = 128
@@ -45,39 +45,41 @@ class VideoDenoise(MeanFilterApp):
 
 def main() -> None:
     app = VideoDenoise()
-    paraprox = Paraprox(target_quality=0.90)
-    tuning = paraprox.optimize(app, DeviceKind.GPU)
-    ladder = [
-        p.variant
-        for p in sorted(tuning.profiles, key=lambda p: p.speedup)
-        if p.variant is not None and p.quality >= 0.90
-    ]
+    session = ApproxSession(
+        app,
+        target_quality=0.90,
+        device=DeviceKind.GPU,
+        monitor=MonitorConfig(sample_every=12, advance_after=2, margin=0.02),
+    )
+    tuning = session.tune()
+    variants = {p.name: p.variant for p in tuning.profiles}
     print(f"tuned once: {tuning.chosen.name} "
           f"({tuning.speedup:.2f}x at {tuning.quality:.1%} quality)")
 
-    runtime = CalibratedRuntime(app, ladder, toq=0.90, check_interval=12)
     cost = CostModel(GTX560)
     approx_cycles = exact_cycles = 0.0
     for i in range(FRAMES):
         inputs = app.frame(i)
-        out = runtime.invoke(inputs)
+        session.launch(inputs)
         # account modelled per-frame cost of the variant actually used
-        if runtime.rung >= 0:
-            _o, trace = app.run_variant(ladder[runtime.rung], inputs)
+        served = variants.get(session.last_launch.variant)
+        if served is not None:
+            _o, trace = app.run_variant(served, inputs)
         else:
             _o, trace = app.run_exact(inputs)
         approx_cycles += cost.cycles(trace)
         _o, trace = app.run_exact(inputs)
         exact_cycles += cost.cycles(trace)
 
-    stats = runtime.stats
-    checks = [r for r in stats.records if r.checked]
-    print(f"\nstreamed {FRAMES} frames at variant {runtime.current_name}")
+    snapshot = session.metrics_snapshot()
+    checks = [r.quality for r in session.metrics.records if r.quality is not None]
+    overhead = snapshot["sampled_checks"] / snapshot["launches"]
+    print(f"\nstreamed {FRAMES} frames at variant {session.current_variant}")
     print(f"effective stream speedup: {exact_cycles / approx_cycles:.2f}x "
-          f"(modelled cycles, {stats.checks} quality checks included separately)")
-    print(f"quality at calibration checks: "
-          f"{', '.join(f'{r.quality:.1%}' for r in checks)}")
-    print(f"quality-check overhead: {stats.overhead:.1%} extra exact frames "
+          f"(modelled cycles, {snapshot['sampled_checks']} quality checks "
+          f"included separately)")
+    print(f"quality at sampled checks: {', '.join(f'{q:.1%}' for q in checks)}")
+    print(f"quality-check overhead: {overhead:.1%} extra exact frames "
           f"(paper §5: <5% at 40-50-frame intervals)")
 
 

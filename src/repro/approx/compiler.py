@@ -51,10 +51,6 @@ class ParaproxConfig:
     memo_spaces: tuple = ("global",)
     memo_extra_tables: int = 2
     memo_start_bits: Optional[int] = None
-    #: extension beyond the paper (its §5 safety discussion): guard every
-    #: division in generated approximate kernels so an approximated zero
-    #: divisor skips the calculation instead of faulting.
-    guard_divisions: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -123,10 +119,6 @@ class ParaproxConfig:
                 f"memo_start_bits must be in [1, 24] or None, "
                 f"got {self.memo_start_bits!r}",
             )
-        check(
-            isinstance(self.guard_divisions, bool),
-            f"guard_divisions must be a bool, got {self.guard_divisions!r}",
-        )
 
     # -- serialization (the session cache key hashes ``to_dict()``) ----------
 
@@ -235,16 +227,6 @@ class Paraprox:
                 # without failing the build.
                 skipped.append(f"{match.pattern.value}: {exc}")
         self.last_skipped = skipped
-        if cfg.guard_divisions:
-            from .base import ApproxKernel
-            from .safety import guard_divisions
-
-            for variant in variants:
-                if isinstance(variant, ApproxKernel):
-                    variant.module, guards = guard_divisions(
-                        variant.module, variant.kernel
-                    )
-                    variant.knobs["division_guards"] = guards
         return VariantSet(
             kernel=kernel_name,
             variants=variants,

@@ -1,6 +1,5 @@
-"""Quality metrics, the greedy tuner, and online calibration."""
+"""Quality metrics and the greedy tuner."""
 
-from .calibration import CalibratedRuntime, CalibrationStats
 from .quality import (
     L1_NORM,
     L2_NORM,
@@ -25,6 +24,4 @@ __all__ = [
     "GreedyTuner",
     "TuningResult",
     "VariantProfile",
-    "CalibratedRuntime",
-    "CalibrationStats",
 ]

@@ -18,6 +18,7 @@ up to a more aggressive variant (Green's behaviour).
 
 from __future__ import annotations
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Optional
@@ -56,12 +57,32 @@ class MonitorConfig:
     margin: float = 0.02
 
     def __post_init__(self) -> None:
-        if self.sample_every < 1:
-            raise ServeError("MonitorConfig.sample_every must be >= 1")
-        if self.window < 1:
-            raise ServeError("MonitorConfig.window must be >= 1")
-        if not 0.0 <= self.drift_drop <= 1.0:
-            raise ServeError("MonitorConfig.drift_drop must be in [0, 1]")
+        for name, least in (
+            ("sample_every", 1),
+            ("window", 1),
+            ("min_samples", 0),
+            ("advance_after", 0),
+        ):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, numbers.Integral)
+                or isinstance(value, bool)
+                or value < least
+            ):
+                raise ServeError(
+                    f"MonitorConfig.{name} must be an int >= {least}, got {value!r}"
+                )
+        for name in ("drift_drop", "margin"):
+            value = getattr(self, name)
+            # NaN fails the range test: every comparison with it is False.
+            if (
+                not isinstance(value, numbers.Real)
+                or isinstance(value, bool)
+                or not 0.0 <= value <= 1.0
+            ):
+                raise ServeError(
+                    f"MonitorConfig.{name} must be a real in [0, 1], got {value!r}"
+                )
 
 
 class QualityMonitor:

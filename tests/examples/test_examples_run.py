@@ -59,10 +59,11 @@ def test_video_stream():
     assert "quality-check overhead" in out
 
 
-def test_online_calibration():
-    out = _run("online_calibration.py", timeout=400)
+def test_serving_session():
+    out = _run("serving_session.py", timeout=400)
     assert "drifts" in out
-    assert "back_off" in out  # the drift must trigger at least one back-off
+    # the drift must step the session down at least once
+    assert "recalibrate_down" in out
     assert "final variant" in out
 
 

@@ -3,17 +3,16 @@ of switching between different sized lookup tables by storing multiple
 tables in memory and changing the pointer passed to the kernel" — and
 "no more than three tables are needed".
 
-Here the calibration runtime walks a ladder of memoized variants whose
-only difference is the table (size + pointer), backing off to a larger
-table when drifted inputs push quality below the TOQ.
+Here a serving session walks a ladder of memoized variants whose only
+difference is the table (size + pointer), backing off to a larger table
+when drifted inputs push quality below the TOQ.
 """
 
 import numpy as np
 import pytest
 
-from repro import DeviceKind, Paraprox, ParaproxConfig
+from repro import ApproxSession, MonitorConfig, ParaproxConfig
 from repro.apps.blackscholes import BlackScholesApp
-from repro.runtime.calibration import CalibratedRuntime
 
 
 class DriftingBlackScholes(BlackScholesApp):
@@ -35,46 +34,51 @@ class DriftingBlackScholes(BlackScholesApp):
 @pytest.fixture(scope="module")
 def ladder_setup():
     app = DriftingBlackScholes(scale=0.005)
-    px = Paraprox(
-        target_quality=0.90, config=ParaproxConfig(memo_extra_tables=2)
+    session = ApproxSession(
+        app,
+        target_quality=0.90,
+        config=ParaproxConfig(memo_extra_tables=2),
+        monitor=MonitorConfig(sample_every=2, advance_after=0),
     )
-    tuning = px.optimize(app, DeviceKind.GPU)
+    tuning = session.tune()
     memo_profiles = [
         p for p in tuning.profiles if p.variant is not None and p.quality >= 0.90
     ]
     # least -> most aggressive = biggest table (safest) first
     memo_profiles.sort(key=lambda p: -p.variant.knobs["table_bits"])
-    return app, [p.variant for p in memo_profiles]
+    return session, [p.variant for p in memo_profiles]
 
 
 class TestTableLadder:
     def test_multiple_table_sizes_generated(self, ladder_setup):
-        _app, ladder = ladder_setup
+        _session, ladder = ladder_setup
         sizes = [v.knobs["table_bits"] for v in ladder]
         assert len(sizes) >= 2
         assert len(set(sizes)) == len(sizes)  # distinct table sizes
         assert len(sizes) <= 3  # the paper: no more than three needed
 
     def test_tables_are_distinct_buffers(self, ladder_setup):
-        _app, ladder = ladder_setup
+        _session, ladder = ladder_setup
         tables = [v.extra_args[0] for v in ladder]
         assert len({t.shape for t in tables}) == len(tables)
 
     def test_runtime_switches_tables_on_drift(self, ladder_setup):
-        app, ladder = ladder_setup
+        session, ladder = ladder_setup
         if len(ladder) < 2:
             pytest.skip("search found only one qualifying table size")
-        runtime = CalibratedRuntime(
-            app, ladder, toq=0.90, check_interval=2, advance_after=0
-        )
-        start = runtime.current_name
+        app = session.app
+        bits = {v.name: v.knobs["table_bits"] for v in ladder}
+        assert session.current_variant in bits  # serving starts on a table
         for i in range(8):
-            runtime.invoke(app.generate_inputs(seed=100 + i))
-        pre_drift_rung = runtime.rung
+            session.launch(app.generate_inputs(seed=100 + i))
         app.drifted = True
         for i in range(12):
-            runtime.invoke(app.generate_inputs(seed=200 + i))
-        # Drift must have pushed the runtime down the ladder (bigger table
-        # or exact), and the move is a pure pointer/kernel swap.
-        assert runtime.rung < pre_drift_rung or runtime.current_name == "exact"
-        assert runtime.stats.back_offs >= 1
+            session.launch(app.generate_inputs(seed=200 + i))
+        snapshot = session.metrics_snapshot()
+        assert snapshot["recalibrations"]["down"] >= 1
+        # Drift must have pushed the session down the ladder, each step a
+        # pure pointer/kernel swap to a bigger table, or to exact.
+        for t in snapshot["transitions"]:
+            assert t["to_variant"] == "exact" or (
+                bits[t["to_variant"]] > bits[t["from_variant"]]
+            ), t

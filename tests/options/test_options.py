@@ -209,7 +209,6 @@ class TestCompileKnobs:
             "memo_spaces",
             "memo_extra_tables",
             "memo_start_bits",
-            "guard_divisions",
         ]
         unread = [
             n for n in names if not re.search(rf"\b(?:cfg|config)\.{n}\b", readers)
@@ -306,12 +305,14 @@ class TestRemovedSurface:
         ),
         "repro.obs.export": ("load_collapsed", "render_flame", "render_top"),
         "repro.obs.trace": ("thread_stacks", "_THREAD_STACKS"),
+        "repro.runtime": ("CalibratedRuntime", "CalibrationStats"),
     }
 
     #: The six retired harness CLIs (``python -m repro.conformance``
     #: replaced them and no alias remains), the k-NN surrogate, the
     #: sampling profiler, the lowering's constant-folding pass, the
-    #: fluent IR builder and pure-section outlining.
+    #: fluent IR builder, pure-section outlining, the second §3.5
+    #: sample-and-step loop and the division-guard pass.
     REMOVED_MODULES = (
         "repro.codegen.check",
         "repro.codegen.__main__",
@@ -324,6 +325,8 @@ class TestRemovedSurface:
         "repro.codegen.fold",
         "repro.kernel.builder",
         "repro.approx.outline",
+        "repro.runtime.calibration",
+        "repro.approx.safety",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -354,6 +357,10 @@ class TestRemovedSurface:
     def test_config_refuses_the_outlining_key(self):
         with pytest.raises(ConfigError, match="enable_section_outlining"):
             repro.ParaproxConfig.from_dict({"enable_section_outlining": False})
+
+    def test_config_refuses_the_division_guard_key(self):
+        with pytest.raises(ConfigError, match="unknown keys.*guard_divisions"):
+            repro.ParaproxConfig.from_dict({"guard_divisions": False})
 
     def test_guard_policy_has_no_retry_knobs(self):
         import dataclasses

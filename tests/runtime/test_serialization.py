@@ -25,7 +25,7 @@ class TestConfigRoundTrip:
     def test_custom_round_trips_with_tuple_restoration(self):
         config = ParaproxConfig(
             skipping_rates=(2, 16), memo_modes=("nearest", "linear"),
-            memo_start_bits=7, guard_divisions=True,
+            memo_start_bits=7, memo_extra_tables=0,
         )
         clone = ParaproxConfig.from_dict(config.to_dict())
         assert clone == config
@@ -34,6 +34,9 @@ class TestConfigRoundTrip:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             ParaproxConfig.from_dict({"skip_rates": [2]})
+        # the removed division-guard knob, whatever its value
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ParaproxConfig.from_dict({"guard_divisions": "false"})
 
     def test_non_dict_rejected(self):
         with pytest.raises(ConfigError):
@@ -56,8 +59,6 @@ class TestConfigRoundTrip:
             {"memo_start_bits": 0},
             {"memo_extra_tables": True},
             {"memo_start_bits": True},
-            # Truthy: a "false" read from a file would switch guards on.
-            {"guard_divisions": "false"},
         ],
     )
     def test_bad_knobs_raise_at_construction(self, bad):

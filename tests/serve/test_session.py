@@ -52,6 +52,12 @@ class TestQualityMonitor:
         # streak resets after the signal
         assert monitor.observe(0.95) == OK
 
+    def test_no_headroom_inside_the_margin(self):
+        monitor = QualityMonitor(
+            0.9, MonitorConfig(advance_after=1, margin=0.05)
+        )
+        assert [monitor.observe(0.94) for _ in range(5)] == [OK] * 5
+
     def test_reset_clears_window(self):
         monitor = QualityMonitor(0.9, MonitorConfig(window=4))
         monitor.observe(0.5)
@@ -59,11 +65,42 @@ class TestQualityMonitor:
         assert monitor.estimate is None
         assert monitor.observe(0.95) == OK
 
-    def test_bad_config_rejected(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"sample_every": 0},
+            # sampled launches 2, 5, 8, 11 (``i % 1.5 == 0.5``)
+            {"sample_every": 1.5},
+            # taken as 1: every launch pays a check
+            {"sample_every": True},
+            # headroom on every clean sample
+            {"advance_after": -1},
+            # never steps up: every comparison with NaN is False
+            {"margin": float("nan")},
+            # drift declared on the first sample
+            {"min_samples": -5},
+            # a bare TypeError from ``deque(maxlen=2.5)``
+            {"window": 2.5},
+            {"window": True},
+            {"min_samples": 2.0},
+            {"drift_drop": "0.05"},
+            {"margin": -0.01},
+        ],
+    )
+    def test_bad_config_rejected(self, bad):
         with pytest.raises(ServeError):
-            MonitorConfig(sample_every=0)
+            MonitorConfig(**bad)
+
+    def test_bad_toq_rejected(self):
         with pytest.raises(ServeError):
             QualityMonitor(toq=0.0)
+
+    def test_edge_config_accepted(self):
+        config = MonitorConfig(
+            sample_every=1, window=1, min_samples=0, advance_after=0,
+            drift_drop=1, margin=0.0,
+        )
+        assert QualityMonitor(0.9, config).should_sample(0)
 
 
 class TestRecalibrator:
@@ -184,6 +221,31 @@ class TestSessionLifecycle:
         assert record.quality is not None
         assert 0.0 <= record.quality <= 1.0
         assert record.speedup_estimate > 0
+
+    def test_checking_every_40th_launch_costs_under_5_percent(self):
+        """Paper §5: a quality check every 40-50 invocations costs < 5 %
+        in extra exact runs."""
+        app = GaussianFilterApp(scale=0.05)
+        session = ApproxSession(
+            app, target_quality=0.9, monitor=MonitorConfig(sample_every=40)
+        )
+        session.tune()
+        assert session.current_variant != "exact"
+        exact_runs = []
+        run_exact = app.run_exact
+
+        def counting(inputs):
+            exact_runs.append(inputs)
+            return run_exact(inputs)
+
+        app.run_exact = counting
+        for i in range(200):
+            session.launch(app.generate_inputs(seed=i))
+        snap = session.metrics_snapshot()
+        assert snap["launches"] == 200
+        assert snap["sampled_checks"] == 5
+        assert len(exact_runs) == 5
+        assert len(exact_runs) / snap["launches"] < 0.05
 
     def test_snapshot_shape(self):
         app = GaussianFilterApp(scale=0.05)
