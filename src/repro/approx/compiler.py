@@ -14,6 +14,7 @@ from typing import Dict, List, Optional
 
 from ..device import DeviceKind, spec_for
 from ..errors import ConfigError, TransformError
+from ..kernel.validate import validate_module
 from ..patterns import (
     MapMatch,
     PatternDetector,
@@ -198,16 +199,20 @@ class Paraprox:
         like the plain list earlier releases returned).
 
         Applications with a custom pipeline (the scan benchmark) may define
-        ``build_variants(toq, config)`` and take over entirely.
+        ``build_variants(toq, config)`` and take over entirely.  Either way
+        every rewritten module is validated here, so a malformed rewrite
+        raises :class:`~repro.errors.ValidationError` at compile time.
         """
         custom = getattr(app, "build_variants", None)
         if callable(custom):
             self.last_skipped = []
             exact = getattr(app, "kernel", None)
             fn = getattr(exact, "fn", None)
+            variants = list(custom(self.toq, self.config))
+            _validate_rewrites(variants)
             return VariantSet(
                 kernel=fn.name if fn is not None else "",
-                variants=list(custom(self.toq, self.config)),
+                variants=variants,
                 exact=exact,
             )
         spec = spec_for(device or self.device)
@@ -227,6 +232,7 @@ class Paraprox:
                 # without failing the build.
                 skipped.append(f"{match.pattern.value}: {exc}")
         self.last_skipped = skipped
+        _validate_rewrites(variants)
         return VariantSet(
             kernel=kernel_name,
             variants=variants,
@@ -283,3 +289,16 @@ class Paraprox:
         tuner = GreedyTuner(spec_for(kind), toq=self.toq)
         training_inputs = app.generate_inputs(seed=app.seed)
         return tuner.profile(app, variants, training_inputs, repeats=repeats)
+
+
+def _validate_rewrites(variants) -> None:
+    """Validate every module the variants carry: an ``ApproxKernel``'s own,
+    or the ``row``/``col`` pair of a separable-convolution variant.  (A scan
+    variant carries none: it sets a skip count on the fixed scan program.)"""
+    seen = set()
+    for variant in variants:
+        for part in (variant, getattr(variant, "row", None), getattr(variant, "col", None)):
+            module = getattr(part, "module", None)
+            if module is not None and id(module) not in seen:
+                seen.add(id(module))
+                validate_module(module)

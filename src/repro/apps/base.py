@@ -29,8 +29,7 @@ def _input_fingerprint(inputs: Dict[str, object]) -> Tuple:
     bytes in C order, hashed straight from its buffer (a contiguous array
     is not copied).  sha256 rather than blake2b: on a CPU with SHA
     extensions it hashes the same bytes about twice as fast.  The key
-    lives in memory only (the golden outputs and :class:`ProfileCache`
-    use it).
+    lives in memory only (the golden outputs use it).
     """
     parts: List[Tuple[str, object]] = []
     for key in sorted(inputs):

@@ -7,8 +7,8 @@ The layer has three legs, all near-zero-cost while disabled:
   counters into; ``metrics_snapshot()`` and the Prometheus exposition are
   views over this one store.
 * :mod:`repro.obs.trace` — structured spans with ids, parents and
-  wall-times, thread-propagated context (including across the shard and
-  profile pools), exported as JSONL.  Enable with ``REPRO_OBS=1`` and
+  wall-times, thread-propagated context (including across the shard
+  pool), exported as JSONL.  Enable with ``REPRO_OBS=1`` and
   point ``REPRO_OBS_TRACE`` at a file to persist the stream.
 * :mod:`repro.obs.timeline` — the quality-drift timeline: every quality
   sample, TOQ violation, drift event, knob change, breaker transition and

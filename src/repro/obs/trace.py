@@ -4,7 +4,7 @@ A *span* is one timed operation — a served launch, a ladder rung, a
 codegen compile, one shard of a sharded launch — with an id, a parent id
 and a trace id tying every span of one root operation together.  The
 ambient span is tracked per thread; :func:`carry` captures it so work
-submitted to the shard/profile pools parents to the launching span even
+submitted to the shard pool parents to the launching span even
 though it runs on a different thread (and even after a dead worker was
 replaced, because the context rides with the *task*, not the thread).
 

@@ -1,19 +1,14 @@
-"""Multicore parallel runtime: grid-sharded launches + concurrent profiling.
+"""Multicore parallel runtime: grid-sharded launches.
 
-Two pipelines share this package's worker pools:
-
-* **Sharded launches** — when the static shardability analysis
-  (:mod:`repro.parallel.analysis`) proves a kernel's blocks independent,
-  the codegen backend splits the block grid into per-worker sub-grids and
-  runs them on a thread pool (:mod:`repro.parallel.shard`) or — with
-  ``executor="process"`` — on the :mod:`repro.parallel.procpool` worker
-  processes with shared-memory handoff, bit-exact with serial execution
-  either way.  Scope it with ``repro.options(parallel=..., executor=...)``
-  or per launch via ``launch(..., options=...)``.
-* **Concurrent profiling** — ``GreedyTuner`` evaluates variants
-  concurrently and memoizes per-(variant, input-set) measurements in a
-  :class:`ProfileCache` (:mod:`repro.parallel.profiler`), so serving
-  sessions recalibrate without re-measuring unchanged variants.
+When the static shardability analysis (:mod:`repro.parallel.analysis`)
+proves a kernel's blocks independent, the codegen backend splits the
+block grid into per-worker sub-grids and runs them on the shard thread
+pool (:mod:`repro.parallel.shard`, :mod:`repro.parallel.pool`) or — with
+``executor="process"`` — on the :mod:`repro.parallel.procpool` worker
+processes with shared-memory handoff, bit-exact with serial execution
+either way.  Scope it with ``repro.options(parallel=..., executor=...)``
+or per launch via ``launch(..., options=...)``.  Tuning does not use it:
+variants are profiled serially, on the calling thread.
 
 ``python -m repro.conformance`` proves sharded == serial == interpreter
 for every registered app on both executors.
@@ -26,13 +21,11 @@ from .pool import (
     ParallelPolicy,
     host_worker_count,
     parallel_map,
-    pools_snapshot,
     resolve_workers,
     shutdown_pools,
 )
 from .procpool import ProcessShardPool, get_process_pool, shutdown_process_pool
 from .procpool import stats_snapshot as procpool_stats_snapshot
-from .profiler import ProfileCache, profile_key, variant_identity
 from .shard import STATS, maybe_run_sharded, plan_shards, run_sharded
 from .shard import stats_snapshot as shard_stats_snapshot
 
@@ -44,7 +37,6 @@ __all__ = [
     "AUTO_WORKERS",
     "DEFAULT_MIN_SHARD_THREADS",
     "ParallelPolicy",
-    "ProfileCache",
     "STATS",
     "Shardability",
     "analyze_shardability",
@@ -52,11 +44,8 @@ __all__ = [
     "maybe_run_sharded",
     "parallel_map",
     "plan_shards",
-    "pools_snapshot",
-    "profile_key",
     "resolve_workers",
     "run_sharded",
     "shard_stats_snapshot",
     "shutdown_pools",
-    "variant_identity",
 ]

@@ -1,18 +1,9 @@
-"""Worker pools and the parallelism policy.
+"""The shard thread pool and the parallelism policy.
 
-Two long-lived :class:`~concurrent.futures.ThreadPoolExecutor` pools back
-the parallel runtime:
-
-* ``"shard"`` — runs the per-shard sub-grid invocations of a compiled
-  kernel (:mod:`repro.parallel.shard`).
-* ``"profile"`` — runs per-variant tuner evaluations
-  (:mod:`repro.parallel.profiler`).
-
-They are separate on purpose: a profiling task *launches* kernels, and a
-launch may itself fan out shards — routing both through one pool could
-fill every worker with profiling tasks that then block waiting for shard
-tasks that can never start.  Shard tasks never submit work, so each pool
-drains independently.
+One long-lived :class:`~concurrent.futures.ThreadPoolExecutor` runs the
+per-shard sub-grid invocations of a compiled kernel
+(:mod:`repro.parallel.shard`).  Shard tasks never submit work, so the
+pool always drains.
 
 Threads (not processes) are the right vehicle here because the compiled
 NumPy callables spend their time inside vectorized ufuncs, which release
@@ -31,7 +22,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .._options import LaunchOptions, validate_executor
 from .._state import on_reset
@@ -132,10 +123,10 @@ def resolve_workers(workers) -> int:
 
 @dataclass(frozen=True)
 class ParallelPolicy:
-    """How parallel one launch (or profiling run) is allowed to be.
+    """How parallel one launch is allowed to be.
 
     Attributes:
-        workers: sub-grids / concurrent evaluations to aim for; 1 = serial.
+        workers: sub-grids to aim for; 1 = serial.
         min_shard_threads: grids with fewer threads than this never shard.
         executor: ``"thread"`` (in-process pool; NumPy-bound kernels
             release the GIL) or ``"process"`` (the
@@ -181,38 +172,32 @@ def policy_from_options(opts: LaunchOptions) -> ParallelPolicy:
     )
 
 
-# ----------------------------------------------------------------- pools
+# ------------------------------------------------------------------ pool
 
 
 class PoolStats:
-    """Counters for one named pool, served from the metrics registry.
-
-    The series are labelled ``pool=<kind>`` (``repro_pool_tasks_total``,
-    ``repro_pool_batches_total``, ``repro_pool_max_workers``,
-    ``repro_pool_workers_restarted_total``), so every pool shares four
-    metric families and the snapshot is a registry view.
-    """
+    """Counters of the shard pool, served from the metrics registry
+    (``repro_pool_tasks_total``, ``repro_pool_batches_total``,
+    ``repro_pool_max_workers``, ``repro_pool_workers_restarted_total``),
+    so the snapshot is a registry view."""
 
     __slots__ = ("_tasks", "_batches", "_workers", "_restarts")
 
-    def __init__(self, kind: str = "default") -> None:
+    def __init__(self) -> None:
         registry = get_registry()
-        label = {"pool": kind}
         self._tasks = registry.counter(
-            "repro_pool_tasks_total", "tasks submitted", labelnames=("pool",)
-        ).labels(**label)
+            "repro_pool_tasks_total", "tasks submitted"
+        ).labels()
         self._batches = registry.counter(
-            "repro_pool_batches_total", "parallel_map batches", labelnames=("pool",)
-        ).labels(**label)
+            "repro_pool_batches_total", "parallel_map batches"
+        ).labels()
         self._workers = registry.gauge(
-            "repro_pool_max_workers", "pool size high-water mark",
-            labelnames=("pool",),
-        ).labels(**label)
+            "repro_pool_max_workers", "pool size high-water mark"
+        ).labels()
         self._restarts = registry.counter(
             "repro_pool_workers_restarted_total",
             "pool replacements after all workers died or a deadline expired",
-            labelnames=("pool",),
-        ).labels(**label)
+        ).labels()
 
     def record(self, tasks: int, workers: int) -> None:
         self._tasks.inc(tasks)
@@ -232,9 +217,11 @@ class PoolStats:
 
 
 _POOL_LOCK = threading.Lock()
-_POOLS: Dict[str, ThreadPoolExecutor] = {}
-_POOL_SIZES: Dict[str, int] = {}
-_POOL_STATS: Dict[str, PoolStats] = {}
+#: The shard pool (None until first use and after shutdown) and the
+#: thread bound its next ``submit`` spawns up to.
+_POOL: Optional[ThreadPoolExecutor] = None
+_POOL_SIZE = 0
+_STATS = PoolStats()
 
 
 def _pool_healthy(pool: ThreadPoolExecutor) -> bool:
@@ -252,52 +239,45 @@ def _pool_healthy(pool: ThreadPoolExecutor) -> bool:
     return not threads or any(t.is_alive() for t in threads)
 
 
-def _stats_locked(kind: str) -> PoolStats:
-    """``pool_stats`` body for callers already holding ``_POOL_LOCK``."""
-    stats = _POOL_STATS.get(kind)
-    if stats is None:
-        stats = _POOL_STATS[kind] = PoolStats(kind)
-    return stats
-
-
-def _fresh_pool_locked(kind: str, workers: int) -> ThreadPoolExecutor:
+def _fresh_pool_locked(workers: int) -> ThreadPoolExecutor:
     # The old executor is dropped, never shut down: whoever fetched it and
     # has not submitted yet can still submit.  Once the last holder lets
     # go it is collected and its idle threads exit.
-    pool = ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix=f"repro-{kind}"
+    global _POOL, _POOL_SIZE
+    _POOL_SIZE = max(workers, _POOL_SIZE)
+    _POOL = ThreadPoolExecutor(
+        max_workers=_POOL_SIZE, thread_name_prefix="repro-shard"
     )
-    _POOLS[kind] = pool
-    _POOL_SIZES[kind] = workers
-    return pool
+    return _POOL
 
 
-def get_pool(kind: str, workers: int) -> ThreadPoolExecutor:
-    """The shared executor for ``kind`` with at least ``workers`` threads.
+def get_pool(workers: int) -> ThreadPoolExecutor:
+    """The shared shard executor with at least ``workers`` threads.
 
-    Pools only ever grow, and grow in place: asking for more workers than
-    the pool holds raises the bound its next ``submit`` spawns threads up
+    The pool only ever grows, and grows in place: asking for more workers
+    than it holds raises the bound its next ``submit`` spawns threads up
     to, so a caller that fetched the executor a moment ago still holds a
     live one (replacing it here left that caller with ``cannot schedule
     new futures after shutdown``).  A pool whose workers have all died is
     replaced — submitting to it would deadlock forever — and the
     replacement counts as a worker restart.
     """
+    global _POOL_SIZE
     workers = resolve_workers(workers)
     with _POOL_LOCK:
-        pool = _POOLS.get(kind)
+        pool = _POOL
         if pool is not None and not _pool_healthy(pool):
-            _stats_locked(kind).record_restart()
+            _STATS.record_restart()
             pool = None
         if pool is None:
-            pool = _fresh_pool_locked(kind, max(workers, _POOL_SIZES.get(kind, 0)))
-        elif _POOL_SIZES[kind] < workers:
-            pool._max_workers = _POOL_SIZES[kind] = workers  # noqa: SLF001
+            pool = _fresh_pool_locked(workers)
+        elif _POOL_SIZE < workers:
+            pool._max_workers = _POOL_SIZE = workers  # noqa: SLF001
         return pool
 
 
-def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:
-    """Force-replace the ``kind`` pool with a fresh one.
+def replace_pool(workers: int) -> ThreadPoolExecutor:
+    """Force-replace the shard pool with a fresh one.
 
     Used by the guarded launch path after a deadline expired: the old
     executor stays usable by any caller already holding it (hung workers
@@ -306,14 +286,12 @@ def replace_pool(kind: str, workers: int) -> ThreadPoolExecutor:
     """
     workers = resolve_workers(workers)
     with _POOL_LOCK:
-        _stats_locked(kind).record_restart()
-        return _fresh_pool_locked(kind, max(workers, _POOL_SIZES.get(kind, 0)))
+        _STATS.record_restart()
+        return _fresh_pool_locked(workers)
 
 
-def parallel_map(
-    kind: str, workers: int, fn: Callable, items: Sequence, timeout=None
-) -> List:
-    """``[fn(item) for item in items]`` over the ``kind`` pool.
+def parallel_map(workers: int, fn: Callable, items: Sequence, timeout=None) -> List:
+    """``[fn(item) for item in items]`` over the shard pool.
 
     Results come back in item order regardless of completion order — the
     deterministic-assembly property every caller relies on.  The first
@@ -327,30 +305,25 @@ def parallel_map(
     workers = resolve_workers(workers)
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    pool = get_pool(kind, workers)
-    stats = pool_stats(kind)
-    stats.record(len(items), workers)
+    pool = get_pool(workers)
+    _STATS.record(len(items), workers)
     # Spans started inside the tasks must parent to the submitting
     # thread's ambient span (no-op wrap while tracing is disabled).
     return list(pool.map(obs_trace.carry(fn), items, timeout=timeout))
 
 
-def pool_stats(kind: str) -> PoolStats:
-    with _POOL_LOCK:
-        return _stats_locked(kind)
-
-
-def pools_snapshot() -> Dict[str, Dict[str, int]]:
-    """Per-pool counters for ``metrics_snapshot()``."""
-    with _POOL_LOCK:
-        return {kind: stats.snapshot() for kind, stats in _POOL_STATS.items()}
+def pool_stats() -> PoolStats:
+    """The shard pool's counters (``metrics_snapshot()["parallel"]["pool"]``
+    is their snapshot)."""
+    return _STATS
 
 
 @on_reset
 def shutdown_pools() -> None:
-    """Tear down every pool (pools are recreated on demand)."""
+    """Tear down the pool (it is recreated on demand)."""
+    global _POOL, _POOL_SIZE
     with _POOL_LOCK:
-        for pool in _POOLS.values():
-            pool.shutdown(wait=True)
-        _POOLS.clear()
-        _POOL_SIZES.clear()
+        if _POOL is not None:
+            _POOL.shutdown(wait=True)
+        _POOL = None
+        _POOL_SIZE = 0

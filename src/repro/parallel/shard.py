@@ -31,7 +31,7 @@ This module owns the sharded launch, once, for both executors:
   touch.
 
 Only the *transport* differs per executor, because the failure modes
-genuinely differ: ``"thread"`` maps the body over the ``"shard"`` thread
+genuinely differ: ``"thread"`` maps the body over the shard thread
 pool (``parallel_map``, or ``guarded_map`` under a guard, which adds the
 deadline — a hung thread cannot be killed, only abandoned, so the
 staging of a launch that did not fully succeed is dropped, never reused:
@@ -234,7 +234,7 @@ def run_sharded(
     """
     plan = plan_shards(grid.total_blocks, workers)
     guard = guard_mod.current_policy()
-    guarded = guard is not None and guard.enabled
+    guarded = guard is not None
     on_processes = executor == "process" and fn is not None
     # In place is on the caller's buffers only when nothing can fail over
     # them; a process worker can always die and a guard times out and
@@ -278,9 +278,9 @@ def run_sharded(
 
             if guarded:
                 guard_mod.STATS.inc("guarded_sharded")
-                results = guard_mod.guarded_map("shard", workers, on_thread, plan, guard)
+                results = guard_mod.guarded_map(workers, on_thread, plan, guard)
             else:
-                results = parallel_map("shard", workers, on_thread, plan)
+                results = parallel_map(workers, on_thread, plan)
     except (ShardTimeout, procpool.WorkerLost, InjectedFault):
         # A transport fault — deadline, lost worker, injected fault — left
         # the caller's buffers untouched, so serial re-execution is exact.

@@ -30,7 +30,7 @@ class ParetoPoint:
             observations carry no cycle counts).
         knobs: the knob values the variant encodes, JSON-plain.
         identity: content identity of the variant (kernel-IR fingerprint
-            via :func:`repro.parallel.profiler.variant_identity`), so two
+            via :func:`repro.runtime.tuner.variant_identity`), so two
             differently-configured variants sharing a name never merge.
         samples: measurements folded into the running means.
         generation: registry segment generation that last touched this

@@ -16,8 +16,8 @@ key's sketch vector and resolves lookups by *proximity*
 (:func:`sketch_distance` under :data:`DEFAULT_TOLERANCE`): fresh draws
 from one generator land within tolerance of the stored key, while a
 0..255 image sits eight units from a 0..1 image and never matches.  The
-byte-exact :func:`~repro.apps.base._input_fingerprint` the ProfileCache
-uses is the within-process counterpart; the sketch is its cross-session
+byte-exact :func:`~repro.apps.base._input_fingerprint` the golden-output
+store uses is the within-process counterpart; the sketch is its cross-session
 generalization.
 """
 

@@ -5,7 +5,7 @@ Two layers of protection compose here:
 * **Task level** — :func:`guarded_map` is ``parallel_map`` under a
   wall-clock deadline: when it expires the pool is abandoned and replaced.
   The sharded launch path (:func:`repro.parallel.shard.run_sharded`) maps
-  its shard body through it whenever a guard is enabled, against
+  its shard body through it whenever a guard is in scope, against
   launch-private copies of the written arrays — so an abandoned or hung
   worker can never scribble on the caller's buffers.  A failed shard is
   never retried: a transport fault (deadline, injected fault) re-runs the
@@ -54,19 +54,17 @@ def _positive_finite(value) -> bool:
 
 @dataclass(frozen=True)
 class GuardPolicy:
-    """How paranoid one guarded launch is.
+    """How paranoid one guarded launch is.  ``None`` in its place (the
+    ``guard`` of :class:`~repro.LaunchOptions`) is the unguarded path.
 
     Attributes:
-        enabled: False restores the unguarded fast path everywhere.
         deadline_seconds: wall-clock bound on one sharded launch; on
             expiry the pool is abandoned and the launch re-runs serially.
-        validate_outputs: run the NaN/Inf guardrail on non-final rungs.
-        value_limit: optional |x| bound for the out-of-range guardrail.
+        value_limit: optional |x| bound for the out-of-range guardrail;
+            the NaN/Inf guardrail runs on every non-final rung.
     """
 
-    enabled: bool = True
     deadline_seconds: float = 30.0
-    validate_outputs: bool = True
     value_limit: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -118,9 +116,7 @@ def stats_snapshot() -> Dict[str, int]:
 # ----------------------------------------------------- guarded parallel map
 
 
-def guarded_map(
-    kind: str, workers: int, fn, items, policy: GuardPolicy
-) -> List:
+def guarded_map(workers: int, fn, items, policy: GuardPolicy) -> List:
     """``parallel_map`` under the guard's wall-clock deadline.
 
     Results return in item order, and the first exception in item order
@@ -135,7 +131,7 @@ def guarded_map(
 
     try:
         return pool_mod.parallel_map(
-            kind, workers, fn, items, timeout=policy.deadline_seconds
+            workers, fn, items, timeout=policy.deadline_seconds
         )
     except FuturesTimeout:
         STATS.inc("shard_timeouts")
@@ -143,7 +139,7 @@ def guarded_map(
         ambient = obs_trace.current_span()
         if ambient is not None:
             ambient.event("shard_timeout")
-        pool_mod.replace_pool(kind, workers)
+        pool_mod.replace_pool(workers)
         raise ShardTimeout(
             f"sharded launch overran its {policy.deadline_seconds:.3f}s deadline"
         ) from None
@@ -197,7 +193,7 @@ class LadderPlan:
     holds one per (scope, exact or variant) and walks it every launch."""
 
     rungs: Tuple[Rung, ...]
-    #: the enabled guard; None is the unguarded one-rung ladder.
+    #: the guard; None is the unguarded one-rung ladder.
     policy: Optional[GuardPolicy]
 
 
@@ -210,7 +206,7 @@ def plan_ladder(
     scope: LaunchOptions,
     backend: Optional[str] = None,
     workers: Optional[object] = None,
-    policy: Optional[GuardPolicy] = None,
+    policy: object = UNSET,
 ) -> LadderPlan:
     """The ladder :func:`run_ladder` walks when called in ``scope``.
 
@@ -218,17 +214,18 @@ def plan_ladder(
     interpreter*; serving the exact program collapses the first rung
     into an exact launch under the scope's own backend.  Rungs whose
     execution signature repeats an earlier rung are dropped (re-running
-    an identical configuration cannot recover anything).  Unguarded is
-    the one-rung ladder: the first rung is also the final one, so
-    nothing is contained or validated.
+    an identical configuration cannot recover anything).  ``policy``
+    left :data:`~repro._options.UNSET` is the scope's guard; ``None`` is
+    unguarded, the one-rung ladder: the first rung is also the final
+    one, so nothing is contained or validated.
     """
     if backend is None:
         backend = scope.backend or "auto"
     if workers is None:
         workers = scope.parallel or 1
-    if policy is None:
+    if policy is UNSET:
         policy = None if scope.guard is UNSET else scope.guard
-    guarded = policy is not None and policy.enabled
+    guarded = policy is not None
     candidates = (
         ("exact" if exact else "variant", backend, workers, not exact),
         ("exact_codegen", "codegen", workers, False),
@@ -246,7 +243,7 @@ def plan_ladder(
         rungs.append(
             Rung(label, be, runs_variant, LaunchOptions(**differs) if differs else None)
         )
-    return LadderPlan(tuple(rungs), policy if guarded else None)
+    return LadderPlan(tuple(rungs), policy)
 
 
 on_reset(plan_ladder.cache_clear)
@@ -258,7 +255,7 @@ def run_ladder(
     variant,
     backend: Optional[str] = None,
     workers: Optional[object] = None,
-    policy: Optional[GuardPolicy] = None,
+    policy: object = UNSET,
 ):
     """Serve one invocation through the fallback ladder.
 
@@ -270,7 +267,8 @@ def run_ladder(
     The first rung is the :func:`repro.options` scope the ladder is
     called in: ``backend``, ``workers`` and ``policy`` left unset mean
     what that scope says (``"auto"``, serial and unguarded where it says
-    nothing), and everything else — executor, shard threshold — is only
+    nothing; ``policy=None`` is unguarded whatever it says), and
+    everything else — executor, shard threshold — is only
     ever read from it.  A rung scopes just the fields in which
     it differs, so a healthy first rung pushes no scope at all.
     """
@@ -322,21 +320,16 @@ def walk_ladder(app, inputs, variant, plan: LadderPlan):
                 spec = faults.poll(SITE_OUTPUT, label)
                 if spec is not None and corrupt_output(out, spec.mode):
                     STATS.inc("corruptions_injected")
-            if policy.validate_outputs:
-                violation = validate_output(out, policy.value_limit)
-                if violation is not None:
-                    STATS.inc("validation_trips")
-                    ambient = obs_trace.current_span()
-                    if ambient is not None:
-                        ambient.event(
-                            "validation_trip", rung=label, error=violation
-                        )
-                    report.attempts.append(
-                        LadderAttempt(
-                            label, False, error=violation, site="output.validate"
-                        )
-                    )
-                    continue
+            violation = validate_output(out, policy.value_limit)
+            if violation is not None:
+                STATS.inc("validation_trips")
+                ambient = obs_trace.current_span()
+                if ambient is not None:
+                    ambient.event("validation_trip", rung=label, error=violation)
+                report.attempts.append(
+                    LadderAttempt(label, False, error=violation, site="output.validate")
+                )
+                continue
         report.attempts.append(LadderAttempt(label, True))
         report.served = label
         report.depth = depth

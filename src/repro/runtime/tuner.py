@@ -221,6 +221,27 @@ class TuningResult:
         return self
 
 
+def variant_identity(variant) -> str:
+    """A content key for one variant, stored on its registry points.
+
+    Prefers the fingerprint of the variant's kernel IR (robust against
+    two differently-configured variants sharing a name); falls back to
+    ``name + knobs`` for variants without a module (e.g. scan pipeline
+    variants, whose knobs fully determine behaviour).
+    """
+    module = getattr(variant, "module", None)
+    kernel_name = getattr(variant, "kernel", None)
+    if module is not None and kernel_name is not None:
+        try:
+            from ..codegen.fingerprint import fingerprint_kernel
+
+            return fingerprint_kernel(module[kernel_name], module)
+        except Exception:
+            pass
+    knobs = getattr(variant, "knobs", {}) or {}
+    return f"{variant.name}|{sorted(knobs.items())!r}"
+
+
 def _plain(knobs: dict) -> dict:
     """Knob values coerced to JSON-friendly types."""
     out = {}
@@ -237,13 +258,8 @@ def _plain(knobs: dict) -> dict:
 class GreedyTuner:
     """Profiles variants and picks the fastest that satisfies the TOQ.
 
-    ``workers`` > 1 evaluates variants concurrently on the shared
-    ``"profile"`` thread pool (each worker reuses the exact-run outputs,
-    computed once up front); profile order and the tuning result are
-    identical to the serial path.  ``profile_cache`` (a
-    :class:`~repro.parallel.ProfileCache`) memoizes per-(variant,
-    input-set) measurements across ``profile`` calls, so a session
-    recalibration only re-measures variants whose IR or inputs changed.
+    Variants are measured one after another on the calling thread; the
+    exact program runs once per input set, up front.
 
     ``registry`` (a :class:`~repro.registry.VariantRegistry`) switches
     profiling into the *seeded* mode: when the registry holds a usable
@@ -261,8 +277,6 @@ class GreedyTuner:
         self,
         spec: DeviceSpec,
         toq: float = 0.90,
-        workers: int = 1,
-        profile_cache=None,
         registry=None,
     ) -> None:
         if not 0.0 < toq <= 1.0:
@@ -270,10 +284,6 @@ class GreedyTuner:
         self.spec = spec
         self.cost_model = CostModel(spec)
         self.toq = toq
-        from ..parallel.pool import resolve_workers
-
-        self.workers = resolve_workers(workers)
-        self.profile_cache = profile_cache
         self.registry = registry
         #: variants actually measured by the most recent ``profile`` call.
         self.last_measured = 0
@@ -295,17 +305,13 @@ class GreedyTuner:
         stay warm for re-admission.
         """
         with obs_trace.span(
-            "tune.profile", app=app.name, workers=self.workers, repeats=repeats
+            "tune.profile", app=app.name, repeats=repeats
         ):
             return self._profile(app, variants, inputs, repeats, exclude)
 
     def _profile(
         self, app, variants, inputs, repeats: int, exclude
     ) -> TuningResult:
-        from ..apps.base import _input_fingerprint
-        from ..parallel.pool import parallel_map
-        from ..parallel.profiler import profile_key
-
         input_sets = [inputs]
         for r in range(1, repeats):
             input_sets.append(app.generate_inputs(seed=app.seed + 1000 + r))
@@ -315,40 +321,15 @@ class GreedyTuner:
             self.cost_model.cycles(t) for _o, t in exact_runs
         ) / len(exact_runs)
 
-        device = self.spec.kind.value
-        cache = self.profile_cache
-        fingerprints = [
-            _input_fingerprint(i) if cache is not None else None
-            for i in input_sets
-        ]
-
         def measure(variant) -> VariantProfile:
             with obs_trace.span("tune.measure", variant=variant.name) as span:
                 qualities, cycles = [], []
-                cache_hits = 0
-                for (exact_out, _t), ins, fingerprint in zip(
-                    exact_runs, input_sets, fingerprints
-                ):
-                    key = (
-                        profile_key(app.name, device, variant, fingerprint)
-                        if cache is not None
-                        else None
-                    )
-                    hit = cache.get(key) if cache is not None else None
-                    if hit is None:
-                        out, trace = app.run_variant(variant, ins)
-                        hit = (
-                            float(app.quality(out, exact_out)),
-                            float(self.cost_model.cycles(trace)),
-                        )
-                        if cache is not None:
-                            cache.put(key, hit)
-                    else:
-                        cache_hits += 1
-                    qualities.append(hit[0])
-                    cycles.append(hit[1])
+                for (exact_out, _t), ins in zip(exact_runs, input_sets):
+                    out, trace = app.run_variant(variant, ins)
+                    qualities.append(float(app.quality(out, exact_out)))
+                    cycles.append(float(self.cost_model.cycles(trace)))
                 mean_cycles = sum(cycles) / len(cycles)
-                span.set(cache_hits=cache_hits, input_sets=len(input_sets))
+                span.set(input_sets=len(input_sets))
                 return VariantProfile(
                     variant=variant,
                     quality=sum(qualities) / len(qualities),
@@ -379,9 +360,7 @@ class GreedyTuner:
             profiles = [exact_profile] + warm
             seed_mode = "warm"
         else:
-            profiles = [exact_profile] + parallel_map(
-                "profile", self.workers, measure, variants
-            )
+            profiles = [exact_profile] + [measure(v) for v in variants]
             self.last_measured = len(variants)
             seed_mode = "cold" if registry is not None else "off"
         self.last_seed_mode = seed_mode
@@ -504,7 +483,6 @@ class GreedyTuner:
 
     def _write_back(self, registry, registry_key, profiles) -> None:
         """Persist every *measured* profile as registry evidence."""
-        from ..parallel.profiler import variant_identity
         from ..registry.pareto import ParetoPoint
 
         points = [

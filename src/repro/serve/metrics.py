@@ -160,7 +160,6 @@ class SessionMetrics:
         # assembled in exactly one place (see bind_session_sources).
         self._breaker = None
         self._guard_policy = None
-        self._profile_cache = None
         self._workers: Optional[int] = None
         # Correlation ids of the launch currently in flight.
         self._current_launch_id = -1
@@ -168,9 +167,7 @@ class SessionMetrics:
 
     # -- wiring ---------------------------------------------------------------
 
-    def bind_session_sources(
-        self, breaker=None, guard_policy=None, profile_cache=None, workers=None
-    ) -> None:
+    def bind_session_sources(self, breaker=None, guard_policy=None, workers=None) -> None:
         """Attach the session-owned objects the snapshot reports on.
 
         Keeping the assembly here (rather than splitting it between this
@@ -179,7 +176,6 @@ class SessionMetrics:
         """
         self._breaker = breaker
         self._guard_policy = guard_policy
-        self._profile_cache = profile_cache
         self._workers = workers
 
     def begin_launch(self, launch_id: int, trace_id: Optional[str]) -> None:
@@ -330,19 +326,17 @@ class SessionMetrics:
             for key in current
         }
         shard_now = self._shard_stats()
-        from ..parallel.pool import pools_snapshot as _pools
+        from ..parallel.pool import pool_stats
 
         parallel = {
             "shards": {
                 key: shard_now[key] - self._shard_baseline[key]
                 for key in shard_now
             },
-            "pools": _pools(),
+            "pool": pool_stats().snapshot(),
         }
         if self._workers is not None:
             parallel["workers"] = self._workers
-        if self._profile_cache is not None:
-            parallel["profile_cache"] = self._profile_cache.snapshot()
         guard_now = self._guard_stats()
         resilience = {
             "guard": {
@@ -360,11 +354,11 @@ class SessionMetrics:
         }
         if self._breaker is not None:
             resilience["breakers"] = self._breaker.snapshot()
-        if self._guard_policy is not None:
-            resilience["guard_policy"] = {
-                "enabled": self._guard_policy.enabled,
-                "deadline_seconds": self._guard_policy.deadline_seconds,
-            }
+        guard = self._guard_policy
+        resilience["guard_policy"] = {
+            "enabled": guard is not None,
+            "deadline_seconds": guard.deadline_seconds if guard is not None else None,
+        }
         return {
             "launches": self.launches,
             "launch_errors": self.launch_errors,

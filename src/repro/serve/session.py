@@ -37,7 +37,7 @@ from ..engine.hooks import tally_launches
 from ..errors import ConfigError, ServeError
 from ..obs import trace as obs_trace
 from ..obs.timeline import timeline as obs_timeline
-from ..parallel import ProfileCache, resolve_workers
+from ..parallel import resolve_workers
 from ..resilience.breaker import BreakerConfig, VariantBreaker
 from ..resilience.faults import SITE_QUALITY, maybe_inject
 from ..resilience.guard import GuardPolicy, LadderPlan, plan_ladder, walk_ladder
@@ -76,18 +76,18 @@ class ApproxSession:
             third and last layer of the precedence chain.  At launch
             time an active :func:`repro.options` scope overrides these;
             a field left unset here is ``backend="auto"``, serial,
-            ``executor="thread"``.  They govern every
-            launch the session makes, the sampled quality check
-            included; only tuning always interprets — its cost model
-            needs instruction traces.  That is what a cold start pays
-            for: profiling is ≈ 78 % of an empty-cache bring-up, which
-            ``bench``'s ``cold_start`` reads at ≈ 58 ms for the typical
-            app and ≈ 0.6 s for the slowest (docs/SERVING.md).
-        guard: guarded-launch policy (deadline, output
-            validation); defaults to ``options.guard`` when that is set,
-            else ``GuardPolicy()``.  Pass ``GuardPolicy(enabled=False)``
-            (or ``options=LaunchOptions(guard=None)``) for the raw
-            unguarded path; saying two different guards is a
+            ``executor="thread"``.  They govern every launch the
+            session makes, the sampled quality check included; only
+            tuning always interprets, serially on the calling thread —
+            its cost model needs instruction traces.  That is what a
+            cold start pays for: profiling is ≈ 78 % of an empty-cache
+            bring-up, which ``bench``'s ``cold_start`` reads at ≈ 58 ms
+            for the typical app and ≈ 0.6 s for the slowest
+            (docs/SERVING.md).
+        guard: guarded-launch policy (deadline, output guardrail);
+            defaults to ``options.guard`` when that is set, else
+            ``GuardPolicy()``.  Pass ``options=LaunchOptions(guard=None)``
+            for the raw unguarded path; saying two different guards is a
             :class:`~repro.errors.ConfigError`.
         breaker: circuit-breaker knobs for variant quarantine; defaults
             to ``BreakerConfig()``.
@@ -127,7 +127,7 @@ class ApproxSession:
         )
         # ``options.guard`` is the other spelling of ``guard=``; ``None``
         # there is the explicitly unguarded session.
-        said = GuardPolicy(enabled=False) if merged.guard is None else merged.guard
+        said = merged.guard
         if guard is None:
             guard = GuardPolicy() if said is UNSET else said
         elif said is not UNSET and said != guard:
@@ -136,13 +136,13 @@ class ApproxSession:
                 f"options=LaunchOptions(guard={merged.guard!r}) disagree; "
                 "say the guard in one of them"
             )
+        #: the session's guard; None serves unguarded.
         self.guard = guard
         # The guard folded in, so one record says how a launch runs.
         self.options = replace(merged, guard=guard)
         self.backend = self.options.backend
         self.parallel_workers = resolve_workers(self.options.parallel)
         self.breaker = VariantBreaker(breaker)
-        self.profile_cache = ProfileCache()
         self.device = device
         self.spec = spec_for(device)
         self.cache = VariantCache(cache_dir)
@@ -151,7 +151,6 @@ class ApproxSession:
         self.metrics.bind_session_sources(
             breaker=self.breaker,
             guard_policy=self.guard,
-            profile_cache=self.profile_cache,
             workers=self.parallel_workers,
         )
         self.registry = resolve_registry(registry)
@@ -237,13 +236,7 @@ class ApproxSession:
         if self._tuning is not None and not force:
             return self._tuning
         variants = self._variants if self._variants is not None else self.compile()
-        tuner = GreedyTuner(
-            self.spec,
-            toq=self.toq,
-            workers=self.parallel_workers,
-            profile_cache=self.profile_cache,
-            registry=self.registry,
-        )
+        tuner = GreedyTuner(self.spec, toq=self.toq, registry=self.registry)
         started = time.perf_counter()
         saved = self._entry.tuning if self._entry is not None else None
         quarantined = self.breaker.quarantined()
@@ -445,14 +438,36 @@ class ApproxSession:
         self, out, inputs, variant, record: LaunchRecord, on_ladder: bool
     ) -> None:
         """Check this launch's quality, put it on the timeline and — for
-        a launch on the tuner's own ladder — let the monitor react."""
+        a launch on the tuner's own ladder — let the monitor react.
+
+        Serving the exact program on the ladder, the check scores the
+        rung a step up would serve (the *probe*) against the served
+        output, which is the exact output: the monitor and the timeline
+        see the probe's quality and only its headroom acts, so the
+        session steps up once that rung clears the TOQ again and never
+        on the exact program's own perfect score.  The launch records
+        what it served, quality 1.0.  With no rung to step up to there
+        is nothing to check.
+        """
+        probe = None
+        if variant is None and on_ladder:
+            probe = next(
+                (
+                    p
+                    for p in self._recalibrator.ladder
+                    if not self.breaker.blocked(p.name, record.index)
+                ),
+                None,
+            )
+            if probe is None:
+                return
         record.sampled = True
         check_started = time.perf_counter()
-        quality = self._evaluate_quality(out, inputs, variant, record)
+        quality = self._evaluate_quality(out, inputs, variant, record, probe)
         record.sample_seconds = time.perf_counter() - check_started
         if quality is None:
             return
-        record.quality = quality
+        record.quality = quality if probe is None else 1.0
         # Overridden (browned-out) launches are *expected* to serve below
         # the session TOQ; their samples stay out of the drift window so
         # the monitor keeps describing the tuner's own configuration.
@@ -461,21 +476,26 @@ class ApproxSession:
             session=self.metrics.label,
             launch_id=record.launch_id,
             trace_id=record.trace_id,
-            variant=record.variant,
+            variant=record.variant if probe is None else probe.name,
             quality=quality,
         )
         obs_timeline().quality_sample(
             **ids,
             estimate=self.monitor.estimate,
             toq=self.toq,
-            speedup=record.speedup_estimate,
+            speedup=record.speedup_estimate if probe is None else probe.speedup,
             verdict=verdict,
             registry_key=self._registry_key,
         )
+        if probe is not None:
+            # A probe below the TOQ is not a served violation.
+            if verdict == HEADROOM:
+                self._react(verdict, record, quality)
+            return
         if verdict in (VIOLATION, DRIFT):
             obs_timeline().verdict(verdict, **ids)
         if on_ladder:
-            self._react(verdict, record)
+            self._react(verdict, record, quality)
 
     def _resolve_override(self, name: str) -> Optional[tuple]:
         """Resolve a requested ladder rung to ``(variant, name, speedup)``.
@@ -498,10 +518,12 @@ class ApproxSession:
                 pass
         return None
 
-    def _evaluate_quality(self, out, inputs, variant, record) -> Optional[float]:
+    def _evaluate_quality(self, out, inputs, variant, record, probe) -> Optional[float]:
         """Sampled-quality evaluation with fault containment.
 
-        On a golden-cache miss the exact program runs under the scope
+        ``probe`` (a ladder profile, when serving the exact program) runs
+        on ``inputs`` and is scored against ``out``.  Otherwise, on a
+        golden-cache miss the exact program runs under the scope
         :meth:`launch` entered — the options this launch served under,
         so a check costs what ``launch(variant="exact")`` costs — and,
         if that run raises, once more on the serial interpreter, the
@@ -529,9 +551,14 @@ class ApproxSession:
 
             try:
                 maybe_inject(SITE_QUALITY, self.app.name)
-                quality = 1.0  # serving the exact program: nothing to compare
-                if variant is not None:
+                if probe is not None:
+                    check_span.set(probe=probe.name)
+                    probe_out, _trace = self.app.run_variant(probe.variant, inputs)
+                    quality = self.app.quality(probe_out, out)
+                elif variant is not None:
                     quality = self.app.evaluate(out, inputs, run_exact)
+                else:
+                    quality = 1.0  # a brownout to exact: nothing to compare
                 check_span.set(quality=quality)
                 return quality
             except Exception as exc:
@@ -583,8 +610,9 @@ class ApproxSession:
         self._step_below_blocked(record.index)
         self._record_move(record.index, previous, "quarantine", record.quality)
 
-    def _react(self, verdict: str, record: LaunchRecord) -> None:
-        """Apply the monitor's verdict: one greedy ladder step (§3.5)."""
+    def _react(self, verdict: str, record: LaunchRecord, quality: float) -> None:
+        """Apply the monitor's verdict on a sampled ``quality``: one greedy
+        ladder step (§3.5)."""
         recal = self._recalibrator
         if verdict in (VIOLATION, DRIFT):
             record.reason = verdict
@@ -594,16 +622,15 @@ class ApproxSession:
             if (
                 self.registry is not None
                 and self._registry_key is not None
-                and record.quality is not None
                 and recal.current is not None
             ):
                 self.registry.record_observation(
-                    self._registry_key, recal.current_name, record.quality
+                    self._registry_key, recal.current_name, quality
                 )
             previous = recal.current_name
             if recal.step_down():
                 record.action = "recalibrate_down"
-                self._record_move(record.index, previous, verdict, record.quality)
+                self._record_move(record.index, previous, verdict, quality)
         elif verdict == HEADROOM and not recal.at_top:
             record.reason = "headroom"
             previous = recal.current_name
@@ -617,7 +644,7 @@ class ApproxSession:
                     break
             if moved:
                 record.action = "recalibrate_up"
-                self._record_move(record.index, previous, "headroom", record.quality)
+                self._record_move(record.index, previous, "headroom", quality)
             else:
                 recal.rung = previous_rung
 

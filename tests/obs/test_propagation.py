@@ -1,7 +1,7 @@
-"""Cross-thread span propagation through the worker pools.
+"""Cross-thread span propagation through the shard pool and the
+process lane.
 
-The satellite requirement: spans started inside pool tasks must parent to
-the launching span — on the shard pool, on the profile pool, and still
+Spans started inside pool tasks must parent to the launching span — also
 after a dead worker set forced a pool replacement (the context rides with
 the task, not the thread, so replacement is invisible to the trace tree).
 """
@@ -33,31 +33,24 @@ def _kill_workers(pool) -> None:
 
 class TestPoolPropagation:
     def test_shard_pool_tasks_parent_to_launching_span(self, traced_memory):
-        get_pool("shard", 2)
+        get_pool(2)
         with obs_trace.span("launch.root") as root:
-            results = parallel_map("shard", 2, _task, range(6))
+            results = parallel_map(2, _task, range(6))
         assert results == [(root.trace_id, root.span_id)] * 6
 
-    def test_profile_pool_tasks_parent_to_launching_span(self, traced_memory):
-        get_pool("profile", 2)
-        with obs_trace.span("tune.root") as root:
-            results = parallel_map("profile", 2, _task, range(4))
-        assert results == [(root.trace_id, root.span_id)] * 4
-
     def test_parenting_survives_dead_worker_replacement(self, traced_memory):
-        kind = "obs-replacement"
-        pool = get_pool(kind, 2)
-        parallel_map(kind, 2, lambda i: i, range(4))  # warm: spawn workers
+        pool = get_pool(2)
+        parallel_map(2, lambda i: i, range(4))  # warm: spawn workers
         _kill_workers(pool)
-        before = pool_stats(kind).snapshot()["workers_restarted"]
+        before = pool_stats().snapshot()["workers_restarted"]
         with obs_trace.span("launch.root") as root:
-            results = parallel_map(kind, 2, _task, range(6))
-        assert pool_stats(kind).snapshot()["workers_restarted"] == before + 1
+            results = parallel_map(2, _task, range(6))
+        assert pool_stats().snapshot()["workers_restarted"] == before + 1
         assert results == [(root.trace_id, root.span_id)] * 6
 
     def test_worker_spans_record_worker_threads(self, traced_memory):
         with obs_trace.span("launch.root"):
-            parallel_map("shard", 2, _task, range(6))
+            parallel_map(2, _task, range(6))
         records = obs_trace.drain_records()
         workers = {
             r["thread"] for r in records if r.get("name") == "task.run"
@@ -65,7 +58,7 @@ class TestPoolPropagation:
         assert any(name.startswith("repro-shard") for name in workers)
 
     def test_without_ambient_span_tasks_become_roots(self, traced_memory):
-        results = parallel_map("shard", 2, _task, range(4))
+        results = parallel_map(2, _task, range(4))
         for trace_id, parent_id in results:
             assert parent_id is None
             assert trace_id is not None

@@ -132,7 +132,7 @@ class TestServedTrace:
         ):
             assert key in snap, key
         assert snap["parallel"]["workers"] == 2
-        assert "profile_cache" in snap["parallel"]
+        assert set(snap["parallel"]) == {"shards", "pool", "workers"}
         for key in (
             "guard", "faults", "fallback_depths", "fallback_launches",
             "quarantines", "readmissions", "breakers", "guard_policy",
@@ -151,3 +151,21 @@ class TestServedTrace:
         assert f'repro_session_launches_total{{session="{label}"}} 6' in text
         assert "# TYPE repro_session_launch_seconds histogram" in text
         assert f'repro_session_launch_seconds_count{{session="{label}"}} 6' in text
+
+
+def test_tuning_measures_each_variant_once_on_the_calling_thread(traced_memory):
+    """One ``tune.measure`` span per variant, each on the tuning thread and
+    carrying only what it measured: there is no cache to report on."""
+    import threading
+
+    app = GaussianFilterApp(scale=0.05)
+    with ApproxSession(app, options=LaunchOptions(parallel=2)) as session:
+        result = session.tune()
+    measures = [
+        r for r in obs_trace.drain_records() if r.get("name") == "tune.measure"
+    ]
+    names = [p.name for p in result.profiles if p.name != "exact"]
+    assert sorted(r["attrs"]["variant"] for r in measures) == sorted(names)
+    for record in measures:
+        assert set(record["attrs"]) == {"variant", "input_sets"}
+        assert record["thread"] == threading.current_thread().name

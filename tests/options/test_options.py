@@ -179,7 +179,7 @@ class TestPrecedenceChain:
             snapshot = s.metrics_snapshot()
         assert snapshot["session"]["backend"] == "auto"
         assert snapshot["parallel"]["workers"] == 1
-        assert snapshot["parallel"]["profile_cache"]["max_entries"] == 4096
+        assert "profile_cache" not in snapshot["parallel"]
 
 
 class TestCompileKnobs:
@@ -269,8 +269,18 @@ class TestRemovedSurface:
             "default_policy",
             "resolve_policy",
             "ShardStats",
+            "ProfileCache",
+            "profile_key",
+            "variant_identity",
+            "pools_snapshot",
         ),
-        "repro.parallel.pool": ("get_healthy_pool",),
+        "repro.parallel.pool": (
+            "get_healthy_pool",
+            "pools_snapshot",
+            "_POOLS",
+            "_POOL_SIZES",
+            "_POOL_STATS",
+        ),
         "repro.resilience": ("use_guard", "run_sharded_guarded", "GuardStats"),
         "repro.resilience.guard": ("_backoff_delay", "_JITTER_RNG"),
         "repro.parallel.procpool": ("MAX_RESPAWNS_PER_TASK",),
@@ -312,7 +322,8 @@ class TestRemovedSurface:
     #: replaced them and no alias remains), the k-NN surrogate, the
     #: sampling profiler, the lowering's constant-folding pass, the
     #: fluent IR builder, pure-section outlining, the second §3.5
-    #: sample-and-step loop and the division-guard pass.
+    #: sample-and-step loop, the division-guard pass and the concurrent
+    #: profiler's measurement memo.
     REMOVED_MODULES = (
         "repro.codegen.check",
         "repro.codegen.__main__",
@@ -327,6 +338,7 @@ class TestRemovedSurface:
         "repro.approx.outline",
         "repro.runtime.calibration",
         "repro.approx.safety",
+        "repro.parallel.profiler",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -368,11 +380,32 @@ class TestRemovedSurface:
         from repro.resilience import GuardPolicy
 
         assert [f.name for f in dataclasses.fields(GuardPolicy)] == [
-            "enabled",
             "deadline_seconds",
-            "validate_outputs",
             "value_limit",
         ]
+
+    @pytest.mark.parametrize("knob", ["enabled", "validate_outputs"])
+    def test_guard_policy_has_one_spelling_of_unguarded(self, knob):
+        """``LaunchOptions(guard=None)`` is the unguarded path; the output
+        guardrail is part of every guard."""
+        from repro.resilience import GuardPolicy
+
+        with pytest.raises(TypeError, match=knob):
+            GuardPolicy(**{knob: False})
+
+    def test_tuning_has_no_workers_and_the_pool_no_kind(self):
+        """Variants are profiled serially; the one thread pool is the
+        shard pool."""
+        from repro.device import DeviceKind, spec_for
+        from repro.parallel.pool import get_pool
+        from repro.runtime.tuner import GreedyTuner
+
+        with pytest.raises(TypeError, match="workers"):
+            GreedyTuner(spec_for(DeviceKind.GPU), toq=0.9, workers=2)
+        with pytest.raises(TypeError, match="profile_cache"):
+            GreedyTuner(spec_for(DeviceKind.GPU), toq=0.9, profile_cache=None)
+        with pytest.raises(TypeError):
+            get_pool("profile", 2)
 
     def test_fault_plan_has_no_backoff_rng(self):
         from repro.resilience.faults import FaultPlan

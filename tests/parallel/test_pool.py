@@ -1,11 +1,12 @@
-"""Worker pools, the ambient parallelism policy, and parallel_map."""
+"""The shard pool, the ambient parallelism policy, and parallel_map."""
 
 import threading
 import time
 
 import pytest
 
-from repro import LaunchOptions, current_options, options
+from repro import ApproxSession, LaunchOptions, current_options, options
+from repro.apps.gaussian import MeanFilterApp
 from repro.errors import ConfigError
 from repro.parallel.pool import (
     AUTO_WORKERS,
@@ -15,7 +16,6 @@ from repro.parallel.pool import (
     parallel_map,
     policy_from_options,
     pool_stats,
-    pools_snapshot,
     resolve_workers,
 )
 
@@ -88,7 +88,7 @@ class TestPolicy:
             t.start()
             t.join()
         # a fresh thread starts from the serial default, not the spawning
-        # thread's scope — profile workers must not inherit shard policies
+        # thread's scope — pool workers must not inherit shard policies
         assert seen["policy"].serial
 
     def test_resolve_policy_none_uses_ambient(self):
@@ -120,17 +120,17 @@ class TestParallelMap:
             time.sleep(0.02 * (4 - i))
             return i * 10
 
-        assert parallel_map("test", 4, slow_identity, range(4)) == [0, 10, 20, 30]
+        assert parallel_map(4, slow_identity, range(4)) == [0, 10, 20, 30]
 
     def test_serial_bypass_with_one_worker(self):
-        before = pool_stats("test").snapshot()["batches"]
-        assert parallel_map("test", 1, lambda i: i + 1, [1, 2, 3]) == [2, 3, 4]
-        assert pool_stats("test").snapshot()["batches"] == before
+        before = pool_stats().snapshot()["batches"]
+        assert parallel_map(1, lambda i: i + 1, [1, 2, 3]) == [2, 3, 4]
+        assert pool_stats().snapshot()["batches"] == before
 
     def test_serial_bypass_with_one_item(self):
-        before = pool_stats("test").snapshot()["batches"]
-        assert parallel_map("test", 8, lambda i: i + 1, [41]) == [42]
-        assert pool_stats("test").snapshot()["batches"] == before
+        before = pool_stats().snapshot()["batches"]
+        assert parallel_map(8, lambda i: i + 1, [41]) == [42]
+        assert pool_stats().snapshot()["batches"] == before
 
     def test_first_exception_in_item_order_propagates(self):
         def boom(i):
@@ -139,27 +139,124 @@ class TestParallelMap:
             return i
 
         with pytest.raises(ValueError, match="item 1"):
-            parallel_map("test", 4, boom, range(4))
+            parallel_map(4, boom, range(4))
 
     def test_empty_items(self):
-        assert parallel_map("test", 4, lambda i: i, []) == []
+        assert parallel_map(4, lambda i: i, []) == []
 
     def test_stats_record_tasks_and_workers(self):
-        before = pool_stats("test").snapshot()
-        parallel_map("test", 3, lambda i: i, range(5))
-        after = pool_stats("test").snapshot()
+        before = pool_stats().snapshot()
+        parallel_map(3, lambda i: i, range(5))
+        after = pool_stats().snapshot()
         assert after["tasks"] == before["tasks"] + 5
         assert after["batches"] == before["batches"] + 1
         assert after["max_workers"] >= 3
 
-    def test_pools_snapshot_lists_used_pools(self):
-        parallel_map("test", 2, lambda i: i, range(2))
-        snap = pools_snapshot()
-        assert "test" in snap
-        assert set(snap["test"]) == {
+    def test_snapshot_has_the_four_counters(self):
+        parallel_map(2, lambda i: i, range(2))
+        assert set(pool_stats().snapshot()) == {
             "tasks", "batches", "max_workers", "workers_restarted"
         }
 
+
+    def test_pool_families_are_unlabelled(self):
+        """One pool, one series per family: no ``pool`` label."""
+        from repro.obs import render_prometheus
+
+        parallel_map(2, lambda i: i, range(3))
+        series = [
+            line for line in render_prometheus().splitlines()
+            if line.startswith("repro_pool_")
+        ]
+        names = {line.split()[0] for line in series}
+        assert names == {
+            "repro_pool_tasks_total",
+            "repro_pool_batches_total",
+            "repro_pool_max_workers",
+            "repro_pool_workers_restarted_total",
+        }
+        assert len(series) == 4
+
+class TestSessionParallel:
+    """A session's ``parallel=`` governs its launches' shards only."""
+
+    def test_metrics_snapshot_reports_parallel_section(self):
+        with ApproxSession(
+            MeanFilterApp(scale=0.05),
+            target_quality=0.9,
+            options=LaunchOptions(parallel=2),
+        ) as session:
+            session.tune()
+            session.launch(session.app.generate_inputs(seed=3))
+            snap = session.metrics_snapshot()
+        parallel = snap["parallel"]
+        assert set(parallel) == {"shards", "pool", "workers"}
+        assert parallel["workers"] == 2
+        assert set(parallel["shards"]) == {
+            "sharded_launches",
+            "shards_run",
+            "zero_copy",
+            "staged",
+            "staging_bytes",
+            "overlay",
+            "serial_unshardable",
+            "serial_small_grid",
+            "planned",
+        }
+        assert parallel["pool"] == pool_stats().snapshot()
+
+    def test_session_parallel_arg_overrides_config(self):
+        with ApproxSession(
+            MeanFilterApp(scale=0.05),
+            target_quality=0.9,
+            options=LaunchOptions(parallel=3),
+        ) as session:
+            assert session.parallel_workers == 3
+        with ApproxSession(MeanFilterApp(scale=0.05), target_quality=0.9) as session:
+            assert session.parallel_workers == 1  # the session's constant
+
+    def test_tuning_starts_no_thread_pool(self):
+        """Variants are profiled on the calling thread: tuning under
+        ``parallel=2`` submits nothing and starts no thread."""
+        before = {t.ident for t in threading.enumerate()}
+        batches = pool_stats().snapshot()["batches"]
+        with ApproxSession(
+            MeanFilterApp(scale=0.05), options=LaunchOptions(parallel=2)
+        ) as session:
+            session.tune()
+        started = [t.name for t in threading.enumerate() if t.ident not in before]
+        assert started == []
+        assert pool_stats().snapshot()["batches"] == batches
+
+    def test_parallel_does_not_change_the_tuning_result(self):
+        results = []
+        for workers in (1, 2):
+            with ApproxSession(
+                MeanFilterApp(scale=0.05), options=LaunchOptions(parallel=workers)
+            ) as session:
+                results.append(session.tune().to_dict())
+        assert results[0] == results[1]
+
+
+    def test_a_forced_retune_measures_every_variant_again(self):
+        """A session keeps no memo of measurements: a retune on the same
+        training inputs profiles each variant afresh, to the same result."""
+        app = MeanFilterApp(scale=0.05)
+        with ApproxSession(app, options=LaunchOptions(parallel=2)) as session:
+            first = session.tune().to_dict()
+            measured = []
+            run_variant = app.run_variant
+
+            def counting(variant, inputs):
+                measured.append(variant.name)
+                return run_variant(variant, inputs)
+
+            app.run_variant = counting
+            again = session.tune(force=True).to_dict()
+        assert not hasattr(session, "profile_cache")
+        profiled = [row["name"] for row in first["profiles"] if row["name"] != "exact"]
+        assert profiled and sorted(measured) == sorted(profiled)
+        assert again == first
 
 class TestHostWorkerCount:
     """Container CPU limits must cap ``workers="auto"`` resolution."""

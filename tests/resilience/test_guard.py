@@ -26,6 +26,7 @@ from repro.resilience.guard import (
     GuardPolicy,
     current_policy,
     guarded_map,
+    plan_ladder,
     run_ladder,
 )
 from repro.parallel.shard import STATS as SHARD_STATS
@@ -116,7 +117,7 @@ class TestGuardedMap:
                 time.sleep(0.02)
             return i * 10
 
-        assert guarded_map("test", 4, slow_first, range(6), FAST) == [
+        assert guarded_map(4, slow_first, range(6), FAST) == [
             0, 10, 20, 30, 40, 50
         ]
 
@@ -134,7 +135,7 @@ class TestGuardedMap:
             return i
 
         with pytest.raises(ValueError, match="failed 1"):
-            guarded_map("test", 4, flaky, range(5), FAST)
+            guarded_map(4, flaky, range(5), FAST)
         time.sleep(0.05)  # items past the failing one may still be running
         assert len(calls) == len(set(calls)) and {0, 1} <= set(calls)
         assert STATS.shard_retries == 0
@@ -146,13 +147,13 @@ class TestGuardedMap:
             return i
 
         with pytest.raises(ValueError, match="persistent"):
-            guarded_map("test", 4, always, range(4), FAST)
+            guarded_map(4, always, range(4), FAST)
 
     def test_a_worker_death_raises_and_keeps_the_pool(self):
         """An injected thread death kills no thread: it propagates like
         any task's exception, for the caller's serial fallback."""
-        pool = get_pool("test", 2)
-        restarts = pool_stats("test").snapshot()["workers_restarted"]
+        pool = get_pool(2)
+        restarts = pool_stats().snapshot()["workers_restarted"]
 
         def mortal(i):
             if i == 1:
@@ -160,10 +161,10 @@ class TestGuardedMap:
             return i
 
         with pytest.raises(WorkerDeath):
-            guarded_map("test", 2, mortal, range(4), FAST)
+            guarded_map(2, mortal, range(4), FAST)
         assert STATS.pool_replacements == 0
-        assert get_pool("test", 2) is pool
-        assert pool_stats("test").snapshot()["workers_restarted"] == restarts
+        assert get_pool(2) is pool
+        assert pool_stats().snapshot()["workers_restarted"] == restarts
 
     def test_deadline_expiry_raises_shard_timeout(self):
         policy = GuardPolicy(deadline_seconds=0.05)
@@ -175,12 +176,12 @@ class TestGuardedMap:
 
         started = time.monotonic()
         with pytest.raises(ShardTimeout):
-            guarded_map("test", 2, hang, range(2), policy)
+            guarded_map(2, hang, range(2), policy)
         assert time.monotonic() - started < 0.45  # did not wait out the hang
         assert STATS.shard_timeouts == 1 and STATS.pool_replacements == 1
 
     def test_serial_bypass_for_one_worker(self):
-        assert guarded_map("test", 1, lambda i: i + 1, range(3), FAST) == [
+        assert guarded_map(1, lambda i: i + 1, range(3), FAST) == [
             1, 2, 3
         ]
 
@@ -336,7 +337,7 @@ class TestRunLadder:
         inputs, golden = setup
         out, report = run_ladder(
             app, inputs, None, backend="interp",
-            policy=GuardPolicy(enabled=False),
+            policy=None,
         )
         np.testing.assert_array_equal(np.asarray(out), golden)
         assert report.served == "exact" and report.primary_ok
@@ -374,7 +375,7 @@ class TestRunLadder:
         inputs, golden = setup
         out, backends, sharded = self._walk_under_a_sharding_scope(
             app, inputs, backend="interp", workers=1,
-            policy=GuardPolicy(enabled=False),
+            policy=None,
         )
         np.testing.assert_array_equal(out, golden)
         assert backends == {"interp"} and sharded == 0
@@ -392,6 +393,20 @@ class TestRunLadder:
         assert any(a.site == "output.validate" for a in report.faults)
         assert STATS.validation_trips == 1
 
+    def test_a_value_limit_trips_every_rung_but_the_last(self, app, setup):
+        """The output guardrail is part of every guard: it checks each
+        non-final rung, and the final rung serves unvalidated."""
+        inputs, golden = setup
+        policy = GuardPolicy(deadline_seconds=5.0, value_limit=1e-30)
+        out, report = run_ladder(app, inputs, None, backend="auto", policy=policy)
+        np.testing.assert_array_equal(np.asarray(out), golden)
+        assert [a.rung for a in report.attempts] == [
+            "exact", "exact_codegen", "exact_interp"
+        ]
+        assert report.served == "exact_interp" and report.depth == 2
+        assert [a.site for a in report.faults] == ["output.validate"] * 2
+        assert STATS.validation_trips == 2
+
     def test_final_rung_exceptions_propagate(self, app, setup):
         inputs, _golden = setup
 
@@ -408,3 +423,24 @@ class TestRunLadder:
             run_ladder(Broken(), inputs, None, backend="interp", policy=FAST)
         # Non-final rungs were contained before the final one propagated.
         assert STATS.containments >= 1
+
+
+class TestPlanLadder:
+    """``policy`` left unset is the scope's guard; ``None`` is unguarded."""
+
+    def test_an_unset_policy_is_the_scope_guard(self):
+        plan = plan_ladder(False, LaunchOptions(guard=FAST), backend="codegen")
+        assert plan.policy is FAST
+        assert [r.label for r in plan.rungs] == [
+            "variant", "exact_codegen", "exact_interp"
+        ]
+        plain = plan_ladder(False, LaunchOptions(), backend="codegen")
+        assert plain.policy is None and [r.label for r in plain.rungs] == ["variant"]
+
+    def test_none_is_unguarded_whatever_the_scope(self):
+        scope = LaunchOptions(backend="codegen", parallel=1, guard=FAST)
+        plan = plan_ladder(False, scope, policy=None)
+        assert plan.policy is None
+        (rung,) = plan.rungs
+        # the one rung leaves the scope's guard field as it found it
+        assert rung.label == "variant" and rung.options is None

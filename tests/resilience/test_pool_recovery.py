@@ -14,6 +14,7 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from repro import LaunchOptions
 from repro.apps.registry import make_app
@@ -58,49 +59,53 @@ def _run_with_timeout(fn, timeout=10.0):
     return box["result"]
 
 
+@pytest.fixture(autouse=True)
+def _fresh_pool():
+    """Each test starts from no pool (sizes only grow) and leaves none
+    behind, dead workers included."""
+    shutdown_pools()
+    yield
+    shutdown_pools()
+
+
 class TestDeadPoolRecovery:
     def test_parallel_map_survives_an_all_dead_pool(self):
-        kind = "recovery-map"
-        pool = get_pool(kind, 2)
+        pool = get_pool(2)
         # Warm the pool so worker threads actually exist, then kill them.
-        assert parallel_map(kind, 2, lambda i: i, range(4)) == [0, 1, 2, 3]
+        assert parallel_map(2, lambda i: i, range(4)) == [0, 1, 2, 3]
         _kill_workers(pool)
-        before = pool_stats(kind).snapshot()["workers_restarted"]
+        before = pool_stats().snapshot()["workers_restarted"]
         result = _run_with_timeout(
-            lambda: parallel_map(kind, 2, lambda i: i * 2, range(4))
+            lambda: parallel_map(2, lambda i: i * 2, range(4))
         )
         assert result == [0, 2, 4, 6]
-        assert pool_stats(kind).snapshot()["workers_restarted"] == before + 1
+        assert pool_stats().snapshot()["workers_restarted"] == before + 1
 
     def test_get_pool_replaces_dead_pool(self):
-        kind = "recovery-get"
-        pool = get_pool(kind, 2)
+        pool = get_pool(2)
         pool.submit(lambda: None).result()
         _kill_workers(pool)
-        fresh = get_pool(kind, 2)
+        fresh = get_pool(2)
         assert fresh is not pool
         assert fresh.submit(lambda: 42).result(timeout=5) == 42
 
     def test_healthy_pool_is_not_replaced(self):
-        kind = "recovery-keep"
-        pool = get_pool(kind, 2)
+        pool = get_pool(2)
         pool.submit(lambda: None).result()
-        assert get_pool(kind, 2) is pool
+        assert get_pool(2) is pool
 
     def test_unused_pool_counts_as_healthy(self):
         # No submissions yet means no threads yet; that's fine — workers
         # spawn on first submit.
-        kind = "recovery-cold"
-        pool = get_pool(kind, 2)
-        assert get_pool(kind, 2) is pool
+        pool = get_pool(2)
+        assert get_pool(2) is pool
 
     def test_replace_pool_counts_a_restart_and_keeps_size(self):
-        kind = "recovery-force"
-        pool = get_pool(kind, 4)
-        before = pool_stats(kind).snapshot()["workers_restarted"]
-        fresh = replace_pool(kind, 2)
+        pool = get_pool(4)
+        before = pool_stats().snapshot()["workers_restarted"]
+        fresh = replace_pool(2)
         assert fresh is not pool
-        assert pool_stats(kind).snapshot()["workers_restarted"] == before + 1
+        assert pool_stats().snapshot()["workers_restarted"] == before + 1
         # Pool sizes only grow: the replacement keeps the larger size.
         assert fresh._max_workers == 4
 
@@ -108,13 +113,12 @@ class TestDeadPoolRecovery:
 class TestReplacementKeepsTheOldExecutor:
     """A replaced pool stays usable by whoever already holds it: an
     unguarded caller between ``get_pool`` and its submit (a sharded launch
-    on another thread, the tuner's profile pool) must not die with
-    ``cannot schedule new futures after shutdown``."""
+    on another thread) must not die with ``cannot schedule new futures
+    after shutdown``."""
 
     def test_a_caller_holding_a_replaced_pool_finishes_and_its_threads_exit(
         self, monkeypatch
     ):
-        kind = "recovery-replaced"
         record = PoolStats.record
         ran_on = []
 
@@ -122,14 +126,14 @@ class TestReplacementKeepsTheOldExecutor:
             # Runs between parallel_map's get_pool and its pool.map.
             record(self, tasks, workers)
             monkeypatch.setattr(PoolStats, "record", record)
-            replace_pool(kind, 2)
+            replace_pool(2)
 
         def square(x):
             ran_on.append(threading.current_thread())
             return x * x
 
         monkeypatch.setattr(PoolStats, "record", replace_once)
-        result = _run_with_timeout(lambda: parallel_map(kind, 2, square, [1, 2, 3]))
+        result = _run_with_timeout(lambda: parallel_map(2, square, [1, 2, 3]))
         assert result == [1, 4, 9]
         assert ran_on and threading.current_thread() not in ran_on
         for thread in set(ran_on):
@@ -140,31 +144,29 @@ class TestReplacementKeepsTheOldExecutor:
         """``guarded_map`` fetches the pool, records, then submits: a
         replacement in between leaves it a live executor, so it neither
         fails nor replaces the pool a second time."""
-        kind = "recovery-guarded"
         record = PoolStats.record
 
         def replace_once(self, tasks, workers):
             record(self, tasks, workers)
             monkeypatch.setattr(PoolStats, "record", record)
-            replace_pool(kind, 2)
+            replace_pool(2)
 
         monkeypatch.setattr(PoolStats, "record", replace_once)
-        restarts = pool_stats(kind).snapshot()["workers_restarted"]
+        restarts = pool_stats().snapshot()["workers_restarted"]
         before = guard_stats()
         result = _run_with_timeout(
-            lambda: guarded_map(kind, 2, lambda x: x + 1, [1, 2, 3], GuardPolicy())
+            lambda: guarded_map(2, lambda x: x + 1, [1, 2, 3], GuardPolicy())
         )
         assert result == [2, 3, 4]
-        assert pool_stats(kind).snapshot()["workers_restarted"] == restarts + 1
+        assert pool_stats().snapshot()["workers_restarted"] == restarts + 1
         after = guard_stats()
         for counter in ("pool_replacements", "shard_retries"):
             assert after[counter] == before[counter], counter
 
     def test_the_replaced_executor_is_dropped_not_shut_down(self):
-        kind = "recovery-dropped"
-        old = get_pool(kind, 2)
-        fresh = replace_pool(kind, 2)
-        assert get_pool(kind, 2) is fresh is not old
+        old = get_pool(2)
+        fresh = replace_pool(2)
+        assert get_pool(2) is fresh is not old
         assert not old._shutdown
         assert old.submit(lambda: 7).result(timeout=5) == 7
 
@@ -174,20 +176,20 @@ class TestGrowthKeepsTheExecutor:
     fetched the executor before the request still holds a live one."""
 
     def test_a_grown_pool_is_the_same_executor_and_runs_the_larger_fan_out(self):
-        kind = "recovery-grow"
-        pool = get_pool(kind, 2)
+        restarts = pool_stats().snapshot()["workers_restarted"]
+        pool = get_pool(2)
         pool.submit(lambda: None).result(timeout=5)
-        assert get_pool(kind, 3) is pool
+        assert get_pool(3) is pool
         barrier = threading.Barrier(3)  # met only if three tasks run at once
         waited = _run_with_timeout(
-            lambda: parallel_map(kind, 3, lambda _i: barrier.wait(timeout=5), range(3))
+            lambda: parallel_map(3, lambda _i: barrier.wait(timeout=5), range(3))
         )
         assert sorted(waited) == [0, 1, 2]
-        assert pool_stats(kind).snapshot()["workers_restarted"] == 0
+        assert pool_stats().snapshot()["workers_restarted"] == restarts
 
     def test_two_sessions_with_different_parallel_on_two_threads(self):
         """ROADMAP 7(b)(iii): one session's wider fan-out grows the
-        ``"shard"`` pool while the other's launches are submitting to it.
+        shard pool while the other's launches are submitting to it.
         When growth replaced the executor the narrower session's submit
         raised ``cannot schedule new futures after shutdown``."""
         shutdown_pools()  # so the pool starts at the narrower size

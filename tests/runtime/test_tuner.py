@@ -7,7 +7,7 @@ from repro.apps.gaussian import MeanFilterApp
 from repro.approx.compiler import Paraprox
 from repro.device import DeviceKind, spec_for
 from repro.errors import TuningError
-from repro.runtime.tuner import GreedyTuner, VariantProfile
+from repro.runtime.tuner import GreedyTuner, VariantProfile, variant_identity
 
 
 def _profiles(specs):
@@ -126,3 +126,27 @@ class TestProfilingIntegration:
         tuner = GreedyTuner(spec_for(DeviceKind.GPU), toq=0.90)
         result = tuner.profile(app, variants, app.generate_inputs(0), repeats=3)
         assert result.chosen.quality > 0.0
+
+
+class TestIdentityKeys:
+    """``variant_identity`` is what a registry point stores as the
+    variant's content identity."""
+
+    @pytest.fixture()
+    def variants(self):
+        return list(Paraprox(target_quality=0.5).compile(MeanFilterApp(scale=0.05)))
+
+    def test_variant_identity_is_stable(self, variants):
+        assert variant_identity(variants[0]) == variant_identity(variants[0])
+
+    def test_variant_identity_distinguishes_variants(self, variants):
+        identities = {variant_identity(v) for v in variants}
+        assert len(identities) == len(variants)
+
+    def test_identity_falls_back_to_name_and_knobs(self):
+        class Bare:
+            name = "thing"
+            knobs = {"rate": 2}
+
+        assert "thing" in variant_identity(Bare())
+        assert "rate" in variant_identity(Bare())

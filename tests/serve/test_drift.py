@@ -106,3 +106,105 @@ def test_drift_events_are_counted_separately():
     snap = session.metrics_snapshot()
     assert snap["drift_events"] >= 1
     assert snap["recalibrations"]["down"] >= 1
+
+
+def test_a_session_at_exact_steps_up_only_once_the_drift_is_gone():
+    """Serving the exact program, a sampled check scores the rung a step up
+    would serve: under drift that persists the session stays at exact (a
+    probe below the TOQ is no served violation), and once the drift is
+    gone it steps back up."""
+    app = DriftingKDE()
+    session = ApproxSession(
+        app,
+        target_quality=TOQ,
+        device=DeviceKind.GPU,
+        monitor=MonitorConfig(sample_every=3, window=3, min_samples=2, drift_drop=0.25),
+    )
+    session.tune()
+    first_rung = session.metrics_snapshot()["session"]["ladder"][0]
+    app.drifted = True
+    launch = 0
+    while session.current_variant != "exact":
+        assert launch < 30, "the drift never sent the session to exact"
+        session.launch(app.generate_inputs(seed=1000 + launch))
+        launch += 1
+    at_exact = session.metrics_snapshot()
+    for _ in range(36):  # twelve checks, four times advance_after
+        session.launch(app.generate_inputs(seed=1000 + launch))
+        launch += 1
+    drifted = session.metrics_snapshot()
+    assert drifted["sampled_checks"] == at_exact["sampled_checks"] + 12
+    assert drifted["recalibrations"]["up"] == 0
+    assert drifted["toq_violations"] == at_exact["toq_violations"]
+    assert session.current_variant == "exact"
+    sampled = [r for r in drifted["recent_launches"] if r["sampled"]]
+    assert sampled and all(r["quality"] == 1.0 for r in sampled)
+
+    app.drifted = False
+    for _ in range(36):
+        session.launch(app.generate_inputs(seed=1000 + launch))
+        launch += 1
+        if session.current_variant != "exact":
+            break
+    recovered = session.metrics_snapshot()
+    assert recovered["recalibrations"]["up"] == 1
+    last = recovered["transitions"][-1]
+    assert (last["from_variant"], last["to_variant"], last["reason"]) == (
+        "exact",
+        first_rung,
+        "headroom",
+    )
+    assert last["quality"] >= TOQ
+
+
+def test_a_session_with_no_rung_above_exact_skips_its_checks():
+    app = DriftingKDE()
+    session = ApproxSession(
+        app, target_quality=1.0, monitor=MonitorConfig(sample_every=1)
+    )
+    session.tune()
+    assert session.metrics_snapshot()["session"]["ladder"] == []
+    for i in range(4):
+        session.launch(app.generate_inputs(seed=3000 + i))
+    snap = session.metrics_snapshot()
+    assert snap["sampled_checks"] == 0
+    assert snap["recalibrations"] == {"down": 0, "up": 0}
+
+
+def test_a_check_at_exact_runs_the_probe_and_no_second_exact_program():
+    """The served output at exact *is* the exact output: a sampled check
+    runs only the rung a step up would serve and scores it against that."""
+    app = DriftingKDE()
+    session = ApproxSession(
+        app,
+        target_quality=TOQ,
+        device=DeviceKind.GPU,
+        monitor=MonitorConfig(sample_every=3, window=3, min_samples=2, drift_drop=0.25),
+    )
+    session.tune()
+    probe = session.metrics_snapshot()["session"]["ladder"][0]
+    app.drifted = True
+    launch = 0
+    while session.current_variant != "exact":
+        assert launch < 30, "the drift never sent the session to exact"
+        session.launch(app.generate_inputs(seed=1000 + launch))
+        launch += 1
+    runs = {"exact": 0, "variant": []}
+    run_exact, run_variant = app.run_exact, app.run_variant
+
+    def counting_exact(inputs):
+        runs["exact"] += 1
+        return run_exact(inputs)
+
+    def counting_variant(variant, inputs):
+        runs["variant"].append(variant.name)
+        return run_variant(variant, inputs)
+
+    app.run_exact, app.run_variant = counting_exact, counting_variant
+    before = session.metrics_snapshot()["sampled_checks"]
+    for _ in range(6):
+        session.launch(app.generate_inputs(seed=1000 + launch))
+        launch += 1
+    checks = session.metrics_snapshot()["sampled_checks"] - before
+    assert session.current_variant == "exact" and checks == 2
+    assert runs == {"exact": 6, "variant": [probe] * checks}

@@ -377,13 +377,32 @@ class TestSessionOptions:
             "deadline_seconds": 1.0,
         }
         unguarded = ApproxSession(app, options=LaunchOptions(guard=None))
-        assert unguarded.guard == GuardPolicy(enabled=False)
-        assert unguarded.options.guard == unguarded.guard
+        assert unguarded.guard is None and unguarded.options.guard is None
+        assert unguarded.metrics_snapshot()["resilience"]["guard_policy"] == {
+            "enabled": False,
+            "deadline_seconds": None,
+        }
         # guard= alone, and both spellings agreeing, stay as they were
         assert ApproxSession(app, guard=tight).options.guard is tight
         assert ApproxSession(app).guard == GuardPolicy()
         both = ApproxSession(app, guard=tight, options=LaunchOptions(guard=tight))
         assert both.guard == tight
+
+    def test_an_unguarded_session_walks_one_rung_in_a_guarded_scope(self):
+        """``None`` is the session's own answer, not "ask the scope"."""
+        from repro import options
+        from repro.resilience import GuardPolicy
+        from repro.resilience import stats_snapshot as guard_stats
+
+        app = GaussianFilterApp(scale=0.05)
+        session = ApproxSession(app, options=LaunchOptions(guard=None))
+        session.tune()
+        before = guard_stats()["guarded_launches"]
+        with options(guard=GuardPolicy()):
+            session.launch(app.generate_inputs(seed=1))
+        assert guard_stats()["guarded_launches"] == before
+        (plan,) = session._plans.values()
+        assert plan.ladder.policy is None and len(plan.ladder.rungs) == 1
 
     def test_two_different_guards_are_refused(self):
         from repro.errors import ConfigError
