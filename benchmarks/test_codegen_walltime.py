@@ -33,6 +33,14 @@ accumulator is updated in place) and 7.9-8.7x (variant geomean: the stencil
 variant lost nine merges and six of nine products) over four runs of this
 file on the host that wrote PR 21's numbers.  Floors unchanged, for the
 same reason.
+
+Since PR 45 the trace recorder prices each sampled address pattern once
+per stream, so the numerator fell where a loop re-issues the same
+addresses: tiled matmul's interpreted launches read 0.27-0.29 s against
+0.42-0.46 s, and its ratio 3.2-3.9x against 4.9x.  Blackscholes
+(2.9-4.0x against 3.0-3.2x) and the variant geomean (8.0-8.7x against
+7.8x) issue no repeated pattern and did not move beyond noise.  Two runs
+of this file each side, 2-vCPU host.  Floors unchanged.
 """
 
 import math

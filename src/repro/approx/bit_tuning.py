@@ -15,6 +15,17 @@ are snapped to their quantization levels, the *exact* function is
 evaluated on the snapped values, and the result is compared against the
 exact outputs ("bit tuning does not need to use an actual lookup table").
 
+A node of ``Q`` bits has at most ``2**Q`` distinct snapped points, often
+far fewer than the training samples.  When ``2**Q`` does not exceed the
+sample count, the function is evaluated once per table address the
+samples reach and the outputs are scattered back to the samples.  This is
+exact: the address is the concatenated level indices, so unpacking a
+distinct address and dequantizing it gives the very float64 inputs the
+samples at that address snap to, and the function is evaluated
+elementwise, so each sample gets the output it would have got on its own.
+Beyond ``2**Q`` samples the snapped samples are evaluated directly, which
+keeps memory linear in the sample count.
+
 The table-size search wraps bit tuning: starting from the default
 2048-entry table it doubles while quality misses the TOQ and shrinks while
 quality exceeds it, returning the frontier of explored sizes so the
@@ -28,7 +39,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .quantize import InputRange, quantize_value
+from .quantize import (
+    InputRange,
+    dequantize,
+    pack_address,
+    quantize_index,
+    unpack_address,
+)
 
 #: Default table size the search starts from: 2048 entries = 11 bits.
 DEFAULT_TABLE_BITS = 11
@@ -76,8 +93,9 @@ class BitTuner:
     """Steepest-ascent hill climbing over bit assignments.
 
     Args:
-        evaluate: function taking quantized input arrays (one per variable
-            input) and returning the function outputs.
+        evaluate: elementwise function taking quantized input arrays (one
+            per variable input, of equal length) and returning one output
+            per element.
         training_inputs: one array per variable input.
         exact_outputs: exact function outputs for the training inputs.
         quality_fn: (approx_outputs, exact_outputs) -> quality in [0, 1].
@@ -110,11 +128,24 @@ class BitTuner:
         """Quality of one bit split, memoized across the search."""
         if bits in self._cache:
             return self._cache[bits]
-        snapped = [
-            quantize_value(x, rng, q)
+        levels = [
+            quantize_index(x, rng, q)
             for x, rng, q in zip(self.inputs, self.ranges, bits)
         ]
-        approx = self.evaluate(*snapped)
+        rank = None
+        if (1 << sum(bits)) <= self.inputs[0].size:
+            # One evaluation per table address reached, scattered back by
+            # each sample's rank among those addresses.
+            addr = pack_address(levels, bits)
+            present = np.zeros(1 << sum(bits), dtype=bool)
+            present[addr] = True
+            rank = (np.cumsum(present) - 1)[addr]
+            levels = unpack_address(np.flatnonzero(present), bits)
+        approx = self.evaluate(
+            *(dequantize(i, rng, q) for i, rng, q in zip(levels, self.ranges, bits))
+        )
+        if rank is not None:
+            approx = np.asarray(approx)[rank]
         quality = float(self.quality_fn(approx, self.exact))
         self._cache[bits] = quality
         self.nodes_evaluated += 1

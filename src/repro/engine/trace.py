@@ -15,6 +15,13 @@ warp costs (this is what makes large lookup tables slow in paper Fig 17).
 To bound overhead the trace samples at most ``COALESCE_SAMPLE`` threads per
 access site; the per-warp transaction average is unbiased under the
 grid-stride layouts our kernels use.
+
+A loop body issues the same sampled addresses again and again (a tile
+loop re-reads its shared tile in every tile, a reduction re-reads its
+query row for every point).  Each stream remembers what the first
+``PRICED_PATTERNS`` distinct patterns it priced cost, so a repeat adds
+the stored counts instead of sorting the warps again; the trace it
+records is the same either way (docs/COSTMODEL.md).
 """
 
 from __future__ import annotations
@@ -72,6 +79,11 @@ def _bank_conflict_depth(warp_rows: np.ndarray) -> int:
 #: "bigger than any cache").
 MAX_TRACKED_SEGMENTS = 1 << 16
 
+#: Distinct address patterns one stream remembers the price of.  A key
+#: holds at most ``COALESCE_SAMPLE`` addresses of at most 8 bytes, so one
+#: stream's memo holds at most 64 x 32 KiB = 2 MiB of keys.
+PRICED_PATTERNS = 64
+
 
 @dataclass
 class MemStats:
@@ -87,6 +99,13 @@ class MemStats:
     #: distinct 128-byte segments touched (capped working-set estimate)
     segments: set = field(default_factory=set)
     segments_saturated: bool = False
+    #: (element size, dtype, sampled address bytes) -> (warps, transactions,
+    #: atomic chain) that pattern added, for at most ``PRICED_PATTERNS``
+    #: patterns.  A recording cache, not trace data: no ``==``, ``repr``,
+    #: ``merge`` or pickle sees it.
+    priced: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def transactions_per_warp(self) -> float:
@@ -121,6 +140,14 @@ class MemStats:
             self.segments_saturated = True
             self.segments = set()
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["priced"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, priced={})
+
     def merge(self, other: "MemStats") -> None:
         self.accesses += other.accesses
         self.bytes += other.bytes
@@ -135,6 +162,54 @@ class MemStats:
             if len(self.segments) > MAX_TRACKED_SEGMENTS:
                 self.segments_saturated = True
                 self.segments = set()
+
+
+def _price(
+    stats: MemStats, space: str, kind: str, element_size: int, sample: np.ndarray
+) -> Tuple[int, int, int]:
+    """Note a 1-d address sample's segments in ``stats`` and return the
+    (warps, transactions, atomic chain) it costs."""
+    segs = sample * element_size // SEGMENT_BYTES
+    full_warps = sample.size // WARP_SIZE
+    if full_warps == 0:
+        # Fewer than one warp of threads: a single partial warp, priced
+        # by distinct segments in every space.
+        distinct = _distinct(segs)
+        stats.note_segments(distinct)
+        chain = (
+            _max_run_length(np.sort(sample)[None, :]) if kind == "atomic" else 0
+        )
+        return 1, int(distinct.size), chain
+    lanes = full_warps * WARP_SIZE
+    warp_view = sample[:lanes].reshape(full_warps, WARP_SIZE)
+    # Each warp's segment ids, sorted: the first of every run is a
+    # distinct segment of that warp.  Those (plus the ragged tail) are
+    # all the working-set estimate needs — usually a few dozen ids
+    # instead of the whole sample — and for global streams their count
+    # is the transaction count.
+    warp_segs = np.sort(segs[:lanes].reshape(full_warps, WARP_SIZE), axis=1)
+    new_seg = warp_segs[:, 1:] != warp_segs[:, :-1]
+    stats.note_segments(
+        _distinct(
+            np.concatenate((warp_segs[:, 0], warp_segs[:, 1:][new_seg], segs[lanes:]))
+        )
+    )
+    if space == "shared":
+        # Shared memory serializes on *bank* conflicts: a warp costs as
+        # many cycles as the deepest same-bank pile-up (32 banks, word
+        # interleaved).
+        transactions = _bank_conflict_depth(warp_view)
+    elif space == "constant":
+        # The constant cache broadcasts one *word* per cycle: a warp
+        # costs one step per distinct address it requests.
+        words = np.sort(warp_view, axis=1)
+        transactions = full_warps + int(np.count_nonzero(words[:, 1:] != words[:, :-1]))
+    else:
+        transactions = full_warps + int(np.count_nonzero(new_seg))
+    chain = (
+        _max_run_length(np.sort(warp_view, axis=1)) if kind == "atomic" else 0
+    )
+    return full_warps, transactions, chain
 
 
 @dataclass
@@ -174,6 +249,10 @@ class Trace:
         same element — and is priced in O(1) as the single partial warp
         the general path would make of a one-element sample: one warp, one
         transaction, chain 1, whatever the space or the lane count.
+
+        A sample this stream has priced before adds the counts stored for
+        it and notes no segments: the first pricing put them in the set,
+        which only grows until it saturates and then ignores them.
         """
         key = (space, kind, array)
         stats = self.mem.get(key)
@@ -191,51 +270,16 @@ class Trace:
                 stats.atomic_chain += 1
             return
         sample = np.asarray(addresses).ravel()[:COALESCE_SAMPLE]
-        segs = sample * element_size // SEGMENT_BYTES
-        full_warps = sample.size // WARP_SIZE
-        if full_warps == 0:
-            # Fewer than one warp of threads: a single partial warp, priced
-            # by distinct segments in every space.
-            distinct = _distinct(segs)
-            stats.note_segments(distinct)
-            stats.warps += 1
-            stats.transactions += distinct.size
-            if kind == "atomic":
-                stats.atomic_chain += _max_run_length(np.sort(sample)[None, :])
-            return
-        lanes = full_warps * WARP_SIZE
-        warp_view = sample[:lanes].reshape(full_warps, WARP_SIZE)
-        # Each warp's segment ids, sorted: the first of every run is a
-        # distinct segment of that warp.  Those (plus the ragged tail) are
-        # all the working-set estimate needs — usually a few dozen ids
-        # instead of the whole sample — and for global streams their count
-        # is the transaction count.
-        warp_segs = np.sort(segs[:lanes].reshape(full_warps, WARP_SIZE), axis=1)
-        new_seg = warp_segs[:, 1:] != warp_segs[:, :-1]
-        stats.note_segments(
-            _distinct(
-                np.concatenate(
-                    (warp_segs[:, 0], warp_segs[:, 1:][new_seg], segs[lanes:])
-                )
-            )
-        )
-        stats.warps += full_warps
-        if space == "shared":
-            # Shared memory serializes on *bank* conflicts: a warp costs as
-            # many cycles as the deepest same-bank pile-up (32 banks, word
-            # interleaved).
-            stats.transactions += _bank_conflict_depth(warp_view)
-        elif space == "constant":
-            # The constant cache broadcasts one *word* per cycle: a warp
-            # costs one step per distinct address it requests.
-            words = np.sort(warp_view, axis=1)
-            stats.transactions += full_warps + int(
-                np.count_nonzero(words[:, 1:] != words[:, :-1])
-            )
-        else:
-            stats.transactions += full_warps + int(np.count_nonzero(new_seg))
-        if kind == "atomic":
-            stats.atomic_chain += _max_run_length(np.sort(warp_view, axis=1))
+        pattern = (element_size, sample.dtype.str, sample.tobytes())
+        price = stats.priced.get(pattern)
+        if price is None:
+            price = _price(stats, space, kind, element_size, sample)
+            if len(stats.priced) < PRICED_PATTERNS:
+                stats.priced[pattern] = price
+        warps, transactions, chain = price
+        stats.warps += warps
+        stats.transactions += transactions
+        stats.atomic_chain += chain
 
     def count_launch(self, threads: int) -> None:
         self.launches += 1

@@ -141,10 +141,11 @@ class SessionMetrics:
         # record_launch makes no registry lookup.
         self._children: Dict[Tuple[object, str], object] = {}
 
-        # Baselines of the process-wide codegen, shard and guard counters
-        # at session start, so the snapshot attributes compiles/hits/
-        # shards/containments to *this* session.
+        # Baselines of the process-wide codegen, shard, pool and guard
+        # counters at session start, so the snapshot attributes compiles/
+        # hits/shards/pool tasks/containments to *this* session.
         from ..codegen import stats_snapshot as _codegen_stats
+        from ..parallel.pool import pool_stats
         from ..parallel.shard import stats_snapshot as _shard_stats
         from ..resilience.guard import stats_snapshot as _guard_stats
 
@@ -152,6 +153,8 @@ class SessionMetrics:
         self._codegen_baseline = _codegen_stats()
         self._shard_stats = _shard_stats
         self._shard_baseline = _shard_stats()
+        self._pool_stats = pool_stats().snapshot
+        self._pool_baseline = self._pool_stats()
         self._guard_stats = _guard_stats
         self._guard_baseline = _guard_stats()
         self.records: Deque[LaunchRecord] = deque(maxlen=history)
@@ -326,14 +329,19 @@ class SessionMetrics:
             for key in current
         }
         shard_now = self._shard_stats()
-        from ..parallel.pool import pool_stats
-
+        pool_now = self._pool_stats()
         parallel = {
             "shards": {
                 key: shard_now[key] - self._shard_baseline[key]
                 for key in shard_now
             },
-            "pool": pool_stats().snapshot(),
+            # max_workers is the pool's high-water mark, not a count.
+            "pool": {
+                key: value
+                if key == "max_workers"
+                else value - self._pool_baseline[key]
+                for key, value in pool_now.items()
+            },
         }
         if self._workers is not None:
             parallel["workers"] = self._workers

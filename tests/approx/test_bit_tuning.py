@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.apps.registry import make_app
 from repro.approx.bit_tuning import (
     BitTuner,
     equal_split,
     neighbours,
     search_table_size,
 )
-from repro.approx.quantize import InputRange
+from repro.approx.memoization import MemoizationTransform, profile_device_calls
+from repro.approx.quantize import InputRange, quantize_value
+from repro.device import DeviceKind, spec_for
+from repro.patterns import MapMatch, PatternDetector
 from repro.runtime.quality import MEAN_RELATIVE
 
 
@@ -109,3 +113,103 @@ class TestTableSizeSearch:
         best = result.best_available()
         assert best.total in result.explored
         assert best.quality == max(c.quality for c in result.explored.values())
+
+
+class DirectTuner(BitTuner):
+    """Scores every node on all N snapped samples, one evaluation each:
+    the reference the distinct-point path must agree with exactly."""
+
+    def node_quality(self, bits):
+        if bits not in self._cache:
+            snapped = [
+                quantize_value(x, rng, q)
+                for x, rng, q in zip(self.inputs, self.ranges, bits)
+            ]
+            self._cache[bits] = float(
+                self.quality_fn(self.evaluate(*snapped), self.exact)
+            )
+        return self._cache[bits]
+
+
+def _app_tuners(name, device):
+    """(transform, profile, module) for every memoizable function of an
+    app's map matches, profiled as ``Paraprox.compile`` profiles them."""
+    app = make_app(name, seed=0)
+    module = app.kernel.module
+    kernel_name = app.kernel.fn.name
+    detector = PatternDetector(latency_table=spec_for(device).latencies)
+    out = []
+    for match in detector.detect(app.kernel).for_kernel(kernel_name):
+        if not isinstance(match, MapMatch):
+            continue
+        _kernel, grid, args = app.training_launch(
+            app.generate_inputs(seed=app.seed + 77)
+        )
+        profiles = profile_device_calls(
+            module[kernel_name], grid, args, match.candidates, module=module
+        )
+        transform = MemoizationTransform(toq=0.9, quality_fn=app.metric.quality)
+        out.extend((transform, profile, module) for profile in profiles.values())
+    return out
+
+
+class TestDistinctPointsAreExact:
+    """Each distinct snapped point is evaluated once; every node's quality
+    equals the one the direct N-sample evaluation gives, bit for bit."""
+
+    @pytest.mark.parametrize("device", [DeviceKind.GPU, DeviceKind.CPU])
+    @pytest.mark.parametrize(
+        "name", ["blackscholes", "quasirandom", "gamma", "boxmuller"]
+    )
+    def test_every_visited_node_matches_direct_evaluation(self, name, device):
+        cases = _app_tuners(name, device)
+        assert cases
+        for transform, profile, module in cases:
+            search, _variable, tuner = transform._tune_with_tuner(module, profile)
+            transform._select_configs(search, tuner)
+            direct = DirectTuner(
+                tuner.evaluate, tuner.inputs, tuner.exact, tuner.quality_fn,
+                ranges=tuner.ranges,
+            )
+            assert search_table_size(direct, transform.toq).explored == search.explored
+            n = tuner.inputs[0].size
+            # The distinct-point path ran on at least one visited node.
+            assert any((1 << sum(bits)) <= n for bits in tuner._cache)
+            for bits, quality in tuner._cache.items():
+                assert quality == direct.node_quality(bits), bits
+
+    def _synthetic(self, inputs, ranges):
+        def f(x, y):
+            return np.exp(-x) * np.cos(3.0 * y) + x * y
+
+        exact = f(*inputs)
+        return tuple(
+            cls(f, inputs, exact, MEAN_RELATIVE.quality, ranges=ranges)
+            for cls in (BitTuner, DirectTuner)
+        )
+
+    @pytest.mark.parametrize(
+        "bits", [(5, 6), (0, 11), (11, 0), (8, 9), (2, 2), (0, 0)]
+    )
+    def test_more_addresses_than_samples(self, bits):
+        """``2**Q`` above N (and below it) on a 300-sample input."""
+        rng = np.random.default_rng(1)
+        inputs = [rng.uniform(0.1, 2.0, 300), rng.uniform(-1.0, 1.0, 300)]
+        tuner, direct = self._synthetic(
+            inputs, [InputRange.of(a) for a in inputs]
+        )
+        assert tuner.node_quality(bits) == direct.node_quality(bits)
+
+    @pytest.mark.parametrize("bits", [(6, 6), (12, 0), (0, 12), (3, 9)])
+    def test_constant_input(self, bits):
+        """An input whose training range is one value snaps every sample
+        to that value, whatever its bits."""
+        rng = np.random.default_rng(2)
+        inputs = [rng.uniform(0.0, 1.0, 5000), np.full(5000, 0.25)]
+        ranges = [InputRange.of(inputs[0]), InputRange(0.25, 0.25)]
+        tuner, direct = self._synthetic(inputs, ranges)
+        assert tuner.node_quality(bits) == direct.node_quality(bits)
+        assert (
+            search_table_size(tuner, 0.999, start_bits=6, max_bits=14).explored
+            == search_table_size(direct, 0.999, start_bits=6, max_bits=14).explored
+        )

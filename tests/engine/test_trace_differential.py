@@ -7,12 +7,16 @@ model sums floats in insertion order) must agree.  Nothing here depends on
 stored numbers or on the platform.
 """
 
+import pickle
+import tracemalloc
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import kernel_zoo as zoo
+import reference_trace
 from reference_trace import (
     ReferenceTrace,
     reference_max_run_length,
@@ -21,13 +25,17 @@ from reference_trace import (
 from repro import DeviceKind, Paraprox
 from repro.apps.registry import APP_CLASSES, make_app
 from repro.engine import Grid, interpreter, launch
+from repro.engine import trace as trace_module
 from repro.engine.trace import (
     COALESCE_SAMPLE,
     MAX_TRACKED_SEGMENTS,
+    PRICED_PATTERNS,
     WARP_SIZE,
     Trace,
     _max_run_length,
 )
+from repro.kernel import kernel
+from repro.kernel.dsl import array_f32, global_id, i32
 
 SPACES = ("global", "constant", "shared")
 KINDS = ("load", "store", "atomic")
@@ -43,7 +51,10 @@ LENGTHS = st.sampled_from(
 @st.composite
 def address_streams(draw):
     """A few accesses to one stream: ``(addresses, count)`` pairs with the
-    shapes real kernels produce (affine, strided, broadcast, random)."""
+    shapes real kernels produce (affine, strided, broadcast, random), then
+    re-records of earlier ones, as a loop body issues them: the same
+    addresses with another count, the same sampled lanes with other lanes
+    beyond the sample, or the same values in the other index dtype."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = draw(st.sampled_from([np.int32, np.int64]))
     accesses = []
@@ -62,18 +73,38 @@ def address_streams(draw):
                 "few": rng.integers(0, 40, length),
             }[shape].astype(dtype)
         accesses.append((addresses, int(rng.integers(1, 1 << 16))))
+    for _ in range(draw(st.integers(0, 4))):
+        addresses, _count = accesses[draw(st.integers(0, len(accesses) - 1))]
+        form = draw(st.sampled_from(["recount", "tail", "dtype"]))
+        if form == "tail" and addresses.size > COALESCE_SAMPLE:
+            addresses = addresses.copy()
+            addresses[COALESCE_SAMPLE:] = rng.integers(
+                0, 1 << 20, addresses.size - COALESCE_SAMPLE
+            )
+        elif form == "dtype":
+            other = np.int64 if addresses.dtype == np.int32 else np.int32
+            addresses = addresses.astype(other)
+        accesses.append((addresses, int(rng.integers(1, 1 << 16))))
     return accesses
 
 
+@kernel
+def strided_sweep(out: array_f32, x: array_f32, n: i32, steps: i32):
+    """Each step reads the next row of ``x``: a new sampled address
+    pattern on every loop iteration."""
+    i = global_id()
+    acc = 0.0
+    for k in range(0, steps):
+        acc += x[k * n + i]
+    out[i] = acc
+
+
 class TestRecordAccessAgainstReference:
-    @given(
-        address_streams(),
-        st.sampled_from(SPACES),
-        st.sampled_from(KINDS),
-        st.sampled_from([1, 4, 8]),
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_every_field_matches(self, accesses, space, kind, element_size):
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("space", SPACES)
+    @given(address_streams(), st.sampled_from([1, 4, 8]))
+    @settings(max_examples=60, deadline=None)
+    def test_every_field_matches(self, space, kind, accesses, element_size):
         new, ref = Trace(), ReferenceTrace()
         for addresses, count in accesses:
             for trace in (new, ref):
@@ -103,6 +134,92 @@ class TestRecordAccessAgainstReference:
             for trace in (new, ref):
                 trace.record_access("global", "load", 4, 64, np.asarray(np.int32(5)), "a")
         assert trace_fields(new) == trace_fields(ref)
+
+    @pytest.mark.parametrize("space", SPACES)
+    def test_repeats_after_saturation(self, space):
+        """Patterns priced before the working set saturates and repeated
+        after it (memo hits, no segments noted) match the reference, and
+        the set stays shut."""
+        new, ref = Trace(), ReferenceTrace()
+        stride = 32
+        calls = MAX_TRACKED_SEGMENTS // COALESCE_SAMPLE
+        patterns = [
+            (np.arange(COALESCE_SAMPLE) + call * COALESCE_SAMPLE) * stride
+            for call in range(calls + 1)
+        ]
+        order = [0, 1, 0] + list(range(2, calls + 1)) + [0, calls, 1, 0]
+        for step, i in enumerate(order):
+            for trace in (new, ref):
+                trace.record_access(space, "atomic", 4, 100 + step, patterns[i], "a")
+            assert trace_fields(new) == trace_fields(ref)
+        stats = new.mem[(space, "atomic", "a")]
+        assert stats.segments_saturated and stats.segments == set()
+        assert len(stats.priced) == calls + 1  # every pattern priced once
+
+    def test_memo_is_not_trace_data(self):
+        """A memoized trace copies, merges, compares, prints and pickles
+        as the trace it recorded; the copy starts with an empty memo and
+        keeps recording the same numbers."""
+        new, ref = Trace(), ReferenceTrace()
+        rows = np.arange(WARP_SIZE * 8) * 5
+        for count in (10, 20, 30):
+            for trace in (new, ref):
+                trace.record_access("global", "load", 4, count, rows, "a")
+                trace.record_access("shared", "store", 8, count, rows % 64, "b")
+        stats = new.mem[("global", "load", "a")]
+        assert len(stats.priced) == 1
+        plain = Trace()
+        plain.merge(ref)
+        assert new == plain and repr(new) == repr(plain)
+        merged = Trace()
+        merged.merge(new)
+        others = [new.copy(), merged, pickle.loads(pickle.dumps(new))]
+        for other in others:
+            assert trace_fields(other) == trace_fields(ref)
+            assert all(s.priced == {} for s in other.mem.values())
+        for trace in [*others, ref]:
+            trace.record_access("global", "load", 4, 7, rows, "a")
+        assert all(trace_fields(other) == trace_fields(ref) for other in others)
+        assert stats.priced  # the original keeps its own memo
+
+    def test_memo_stays_within_its_bound(self):
+        """A loop over more distinct sampled patterns than the cap prices
+        them all and remembers ``PRICED_PATTERNS`` of them: what the live
+        trace holds beyond what the reference recorder holds for the same
+        launch stays within the documented bound (keys of at most
+        ``COALESCE_SAMPLE`` 8-byte addresses, plus the entries' tuples)."""
+        steps, threads = 3 * PRICED_PATTERNS, COALESCE_SAMPLE
+        x = np.ones(steps * threads, np.float32)
+        out = np.zeros(threads, np.float32)
+        grid = Grid.for_elements(threads)
+        launch(strided_sweep, grid, [out, x, threads, steps])  # warm caches
+        recorders = [trace_module.__file__, reference_trace.__file__]
+        traces, held = [], []
+        for trace in (Trace(), ReferenceTrace()):
+            tracemalloc.start()
+            try:
+                launch(strided_sweep, grid, [out, x, threads, steps], trace=trace)
+                snapshot = tracemalloc.take_snapshot()
+            finally:
+                tracemalloc.stop()
+            traces.append(trace)
+            held.append(
+                sum(
+                    stat.size
+                    for stat in snapshot.filter_traces(
+                        [tracemalloc.Filter(True, path) for path in recorders]
+                    ).statistics("filename")
+                )
+            )
+        new, ref = traces
+        assert trace_fields(new) == trace_fields(ref)
+        stats = new.mem[("global", "load", "x")]
+        assert stats.accesses == steps * threads
+        assert len(stats.priced) == PRICED_PATTERNS
+        key_bound = PRICED_PATTERNS * COALESCE_SAMPLE * 8
+        assert sum(len(key[2]) for key in stats.priced) <= key_bound
+        entry_overhead = PRICED_PATTERNS * 512
+        assert 0 < held[0] - held[1] <= len(new.mem) * (key_bound + entry_overhead)
 
     def test_uniform_address_is_one_partial_warp_in_every_space(self):
         """The documented quirk: a 0-d address costs one warp, one

@@ -203,7 +203,34 @@ class TestSessionParallel:
             "serial_small_grid",
             "planned",
         }
-        assert parallel["pool"] == pool_stats().snapshot()
+        # Counts since the session started; the pool's size is a level.
+        assert set(parallel["pool"]) == {
+            "tasks", "batches", "max_workers", "workers_restarted"
+        }
+        assert parallel["pool"]["tasks"] >= parallel["pool"]["batches"] >= 1
+        assert parallel["pool"]["max_workers"] == pool_stats().snapshot()["max_workers"]
+
+    def test_pool_counts_are_per_session(self):
+        """Two sessions in one process, one after the other: the serial
+        one's snapshot does not count the pool tasks the sharded one
+        submitted before it started (the counters are deltas since the
+        session started, like ``shards``)."""
+        with ApproxSession(
+            MeanFilterApp(scale=0.05),
+            target_quality=0.9,
+            options=LaunchOptions(parallel=2, min_shard_threads=1),
+        ) as sharded:
+            sharded.tune()
+            sharded.launch(sharded.app.generate_inputs(seed=3))
+            sharded_pool = sharded.metrics_snapshot()["parallel"]["pool"]
+        with ApproxSession(MeanFilterApp(scale=0.05), target_quality=0.9) as serial:
+            serial.tune()
+            serial.launch(serial.app.generate_inputs(seed=3))
+            serial_pool = serial.metrics_snapshot()["parallel"]["pool"]
+        assert sharded_pool["tasks"] >= 2
+        assert sharded_pool["batches"] >= 1
+        assert (serial_pool["tasks"], serial_pool["batches"]) == (0, 0)
+        assert serial_pool["workers_restarted"] == 0
 
     def test_session_parallel_arg_overrides_config(self):
         with ApproxSession(
