@@ -11,9 +11,9 @@ result holds for a whole launch:
 * the only symbols an index may keep are thread intrinsics (``%name``)
   and *launch-invariant* names, which hold one value for every thread of
   one launch: scalar params the body never assigns, and locals assigned
-  once, outside any loop, from grid-uniform values.  Any other symbol (an
-  accumulator, a loop variable the walk did not unroll, ``x = gid % w``)
-  leaves the index unanalysable (None);
+  once, outside any loop, from grid-uniform values under grid-uniform
+  conditions.  Any other symbol (an accumulator, a loop variable the walk
+  did not unroll, ``x = gid % w``) leaves the index unanalysable (None);
 * the arithmetic must be integer throughout, and is read as exact
   integers: the fact does not model wrap-around.
 
@@ -25,12 +25,12 @@ the grid-uniform names loop bounds are checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .._state import Store
 from ..codegen.fingerprint import fingerprint_kernel
 from ..kernel import intrinsics, ir
-from ..kernel.visitors import walk, walk_statements
+from ..kernel.visitors import walk
 from .affine import Poly, loads_in, single_assignment_defs, to_poly, walk_unrolled
 
 #: ``global_id`` in terms of the block and the thread within it.
@@ -50,7 +50,8 @@ class IndexFact:
         stores: the same for store sites.
         uniform: names with one value across every thread of any grid
             wherever they are read: scalar params and locals all of whose
-            assignments are grid-uniform, and loop variables.
+            assignments are grid-uniform values under grid-uniform ``if``
+            conditions, and loop variables.
     """
 
     loads: Dict[str, List[Optional[Poly]]]
@@ -76,19 +77,29 @@ def grid_uniform(expr: ir.Expr, uniform: FrozenSet[str]) -> bool:
 
 def build_index_fact(fn: ir.Function) -> IndexFact:
     """The uncached core of :func:`index_fact`."""
+    # name -> each assigned value and the condition of each enclosing
+    # ``if``: which threads assign is part of what the name holds.
     assigns: Dict[str, List[ir.Expr]] = {}
     loop_vars: Set[str] = set()
     in_loop: Set[str] = set()
-    for stmt in walk_statements(fn.body):
-        if isinstance(stmt, ir.Assign):
-            assigns.setdefault(stmt.target, []).append(stmt.value)
-        elif isinstance(stmt, ir.For):
-            loop_vars.add(stmt.var)
-            in_loop.update(
-                s.target for s in walk_statements(stmt.body) if isinstance(s, ir.Assign)
-            )
+
+    def collect(body: List[ir.Stmt], control: Tuple[ir.Expr, ...], looped: bool):
+        for stmt in body:
+            if isinstance(stmt, ir.Assign):
+                assigns.setdefault(stmt.target, []).extend((stmt.value,) + control)
+                if looped:
+                    in_loop.add(stmt.target)
+            elif isinstance(stmt, ir.If):
+                collect(stmt.then_body, control + (stmt.cond,), looped)
+                collect(stmt.else_body, control + (stmt.cond,), looped)
+            elif isinstance(stmt, ir.For):
+                loop_vars.add(stmt.var)
+                collect(stmt.body, control, True)
+
+    collect(fn.body, (), False)
     # A scalar param is uniform as a local is: iff every assignment to it
-    # is.  Loop variables are, given uniform bounds (checked by the caller).
+    # and every condition it is assigned under is.  Loop variables are,
+    # given uniform bounds (checked by the caller).
     scalars = {p.name for p in fn.params if not p.is_array}
     uniform = (scalars | loop_vars) - set(assigns)
     changed = True

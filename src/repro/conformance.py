@@ -637,7 +637,7 @@ def sweep_warm_start(apps) -> Iterator[Result]:
                 if p.predicted and (p.quality, p.speedup) != stored.get(p.name):
                     problems.append(f"{p.name} predicted, not its stored point")
 
-            registry.compact(front_only=True)
+            registry.compact()
             pruned = GreedyTuner(spec, toq=toq, registry=registry)
             ladder = Recalibrator(pruned.profile(app, variants, inputs), toq).ladder
             cold_quality = {p.name: p.quality for p in cold_result.profiles}

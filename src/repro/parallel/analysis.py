@@ -21,10 +21,12 @@ the cross-*block* coupling the hardware model forbids too:
 * **Stores not proved private** (below): shards write one copy of each
   written array in place, so two blocks storing one element would race.
 * **Block-dependent control coupling**: loop bounds must be uniform
-  across the *whole grid* (a scalar param only if every assignment to it
-  is).  The runtime enforces uniformity per execution, so a bound that
-  varies per block would raise serially but could pass inside a
-  single-block shard; static uniformity keeps error behaviour identical.
+  across the *whole grid* (a local or scalar param only if every value
+  assigned to it is, and every ``if`` condition an assignment sits
+  under: ``k = 2; if block_id() > 0: k = 3`` is not).  The runtime
+  enforces uniformity per execution, so a bound that varies per block
+  would raise serially but could pass inside a single-block shard;
+  static uniformity keeps error behaviour identical.
 
 Kernels that pass map cleanly onto the paper's patterns: Map,
 Scatter/Gather, Stencil and Partition kernels shard; atomic Reductions,

@@ -3,9 +3,9 @@
 The greedy tuner (paper §3.5) walks one path through the knob space per
 session and forgets it at exit.  This package makes that knowledge
 durable and shared, following autoAx: measurements are characterized
-into per-(kernel, device, input-sketch) Pareto fronts, persisted in a
-crash-safe append-only store that any number of serving workers can
-read and write concurrently.  Warm tuning then starts from the front's
+into per-(kernel, device, input-sketch) Pareto fronts, persisted in one
+JSON document, replaced atomically, that any number of serving workers
+can read and write concurrently.  Warm tuning then starts from the front's
 TOQ-feasible knee and re-measures a few rungs below it; every rung it
 does not re-measure reads that variant's stored measurement, and a
 variant with none is left off the ladder — recalibration becomes a

@@ -6,8 +6,8 @@ Subcommands:
   for machine-readable output.
 * ``merge DEST SRC...`` — absorb every point (and sketch) from the
   source registries into DEST.
-* ``gc DIR`` — compact to a single fresh segment; by default only each
-  key's Pareto front survives (``--keep-all`` keeps dominated points).
+* ``gc DIR`` — drop dominated points: only each key's Pareto front
+  survives the rewrite of ``DIR/registry.json``.
 * ``ingest DIR TRACE.jsonl`` — fold ``registry_key``-stamped quality
   samples from an exported trace/timeline stream back into the store.
 
@@ -42,8 +42,7 @@ def _cmd_inspect(args) -> int:
     print(f"registry {stats['root']}")
     print(
         f"  {stats['keys']} keys, {stats['points']} points, "
-        f"{stats['segments']} segments (generation {stats['generation']}, "
-        f"{stats['recovered_lines']} recovered lines)"
+        f"{stats['unreadable']} unreadable documents ignored"
     )
     for key in registry.keys():
         front = registry.lookup(key, refresh=False)
@@ -69,13 +68,9 @@ def _cmd_merge(args) -> int:
 
 def _cmd_gc(args) -> int:
     registry = VariantRegistry(args.dir)
-    before = registry.stats()
-    removed = registry.compact(front_only=not args.keep_all)
-    after = registry.stats()
-    print(
-        f"gc {args.dir}: {before['points']} -> {after['points']} points, "
-        f"{removed} segments removed (now generation {after['generation']})"
-    )
+    before = registry.stats()["points"]
+    registry.compact()
+    print(f"gc {args.dir}: {before} -> {registry.stats()['points']} points")
     return 0
 
 
@@ -114,12 +109,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_merge.add_argument("sources", nargs="+")
     p_merge.set_defaults(func=_cmd_merge)
 
-    p_gc = sub.add_parser("gc", help="compact; prune dominated points")
+    p_gc = sub.add_parser("gc", help="prune dominated points")
     p_gc.add_argument("dir")
-    p_gc.add_argument(
-        "--keep-all", action="store_true",
-        help="compact segments but keep dominated points",
-    )
     p_gc.set_defaults(func=_cmd_gc)
 
     p_ingest = sub.add_parser(

@@ -33,8 +33,6 @@ class ParetoPoint:
             via :func:`repro.runtime.tuner.variant_identity`), so two
             differently-configured variants sharing a name never merge.
         samples: measurements folded into the running means.
-        generation: registry segment generation that last touched this
-            point (used by garbage collection).
     """
 
     variant: str
@@ -44,7 +42,6 @@ class ParetoPoint:
     knobs: Dict[str, object] = field(default_factory=dict)
     identity: str = ""
     samples: int = 1
-    generation: int = 0
 
     def merged_with(self, other: "ParetoPoint") -> "ParetoPoint":
         """Fold ``other``'s evidence into this point (running means).
@@ -66,7 +63,6 @@ class ParetoPoint:
             knobs=dict(other.knobs) if other.knobs else dict(self.knobs),
             identity=other.identity or self.identity,
             samples=n,
-            generation=max(self.generation, other.generation),
         )
 
     # -- serialization -------------------------------------------------------
@@ -80,7 +76,6 @@ class ParetoPoint:
             "knobs": dict(self.knobs),
             "identity": self.identity,
             "samples": int(self.samples),
-            "generation": int(self.generation),
         }
 
     @classmethod
@@ -117,7 +112,6 @@ class ParetoPoint:
             knobs=knobs,
             identity=str(data.get("identity", "")),
             samples=max(1, int(data.get("samples", 1))),
-            generation=int(data.get("generation", 0)),
         )
 
 

@@ -8,22 +8,25 @@ front (:mod:`repro.registry.pareto`) seeds warm tuning, and warm tuning
 reads every stored point by variant name for the rungs it does not
 re-measure.
 
-Durability model — **versioned append-only segments**:
+Durability model — **one document, replaced whole**:
 
-* All state lives in ``seg-<NNNNNN>.jsonl`` files, one JSON record per
-  line, replayed in segment order at load.  Writers only ever append;
-  a torn final line (crash mid-write) is detected and dropped, and a
-  corrupt line abandons the rest of *that segment only* — the store
-  rebuilds from the last good record of the last good generation.
-* The active segment rotates at ``segment_bytes``; compaction
-  (:meth:`VariantRegistry.compact`) writes the consolidated state into a
-  fresh segment beginning with a ``truncate`` record (so replay ignores
-  everything older even if deleting the old segments is interrupted),
-  then removes the superseded files.
-* Cross-process safety: every append and every load holds an
-  ``fcntl.flock`` on ``<root>/.lock`` (exclusive for writers, shared for
-  readers), so the process-pool fleet can share one registry directory.
-  In-process, a ``threading.Lock`` serializes the same paths.
+* All state lives in ``<root>/registry.json``:
+  ``{"format": 2, "sketches": {key: sketch}, "points": {key: [point, ...]}}``.
+  A front is a small table (13 apps leave 47 points in 18 KB), so every
+  write rewrites the document: a temp file, flushed and fsynced, then
+  ``os.replace``.  Rename is atomic, so a reader or a crash sees either
+  the old document or the new one, never part of either.
+* Writers hold an exclusive ``fcntl.flock`` on ``<root>/.lock`` and
+  re-read the document first if another writer replaced it, so the
+  process-pool fleet can share one directory without losing points.
+  Readers take no lock; they re-read only when the document's
+  (inode, size, ``mtime_ns``) changed.  In-process, a
+  ``threading.Lock`` serializes the same paths.
+* A document that does not parse or validate is ignored: the handle
+  reads like a fresh directory (tuning falls back to a cold sweep), the
+  load counts in ``stats()["unreadable"]``, and the next write replaces
+  it.  ``seg-*.jsonl`` files of the older segment-log format are not
+  read.
 
 ``root=None`` keeps the registry purely in memory — the zero-IO mode
 sessions use when no registry directory is configured.
@@ -39,10 +42,11 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 import threading
+import time
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SerializationError
 from ..obs import trace as obs_trace
@@ -62,14 +66,14 @@ try:  # pragma: no cover - always present on the POSIX hosts we target
 except ImportError:  # pragma: no cover - non-POSIX fallback (no-op locks)
     fcntl = None
 
-#: On-disk record format version.
-FORMAT = 1
+#: On-disk document format version.
+FORMAT = 2
+DOCUMENT = "registry.json"
 
-_SEGMENT_RE = re.compile(r"^seg-(\d{6})\.jsonl$")
-
-DEFAULT_SEGMENT_BYTES = 1 << 20
 DEFAULT_MARGIN = 0.005
 DEFAULT_MIN_POINTS = 2
+
+State = Dict[str, Dict[str, ParetoPoint]]
 
 
 class _Metrics:
@@ -87,16 +91,16 @@ class _Metrics:
             labelnames=("result",),
         )
         self.writes = registry.counter(
-            "repro_registry_writes_total", "points appended to the registry"
+            "repro_registry_writes_total", "points written to the registry"
         )
         self.warmstarts = registry.counter(
             "repro_registry_warmstarts_total",
             "tuner seedings by mode",
             labelnames=("mode",),
         )
-        self.recovered = registry.counter(
-            "repro_registry_recovered_lines_total",
-            "corrupt or torn segment lines dropped at load",
+        self.unreadable = registry.counter(
+            "repro_registry_unreadable_total",
+            "registry documents ignored at load because they did not parse",
         )
         self.keys = registry.gauge(
             "repro_registry_keys", "distinct keys held in memory"
@@ -113,27 +117,37 @@ class _Metrics:
 
 
 class _FileLock:
-    """``flock`` on ``<root>/.lock``; a no-op when rootless or non-POSIX."""
+    """Exclusive ``flock`` on ``<root>/.lock`` for a ``with`` block; a
+    no-op when rootless or non-POSIX."""
 
     def __init__(self, root: Optional[Path]) -> None:
         self.path = root / ".lock" if root is not None else None
         self._fh: Optional[io.IOBase] = None
 
-    def acquire(self, shared: bool = False) -> None:
-        if self.path is None or fcntl is None:
-            return
-        self._fh = self.path.open("a+b")
-        fcntl.flock(
-            self._fh.fileno(), fcntl.LOCK_SH if shared else fcntl.LOCK_EX
-        )
+    def __enter__(self) -> None:
+        if self.path is not None and fcntl is not None:
+            self._fh = self.path.open("a+b")
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
 
-    def release(self) -> None:
-        if self._fh is None:
-            return
-        if fcntl is not None:
-            fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-        self._fh.close()
-        self._fh = None
+    def __exit__(self, *_exc) -> None:
+        if self._fh is not None:
+            self._fh.close()  # closing the descriptor releases the lock
+            self._fh = None
+
+
+def _parse(data: bytes) -> Tuple[State, Dict[str, list]]:
+    """The points and sketches of a document; raises on anything else."""
+    doc = json.loads(data.decode("utf-8"))
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise SerializationError("not a registry document of this format")
+    sketches = {str(k): sketch_from_json(v) for k, v in doc["sketches"].items()}
+    state: State = {}
+    for key, points in doc["points"].items():
+        held = state[str(key)] = {}
+        for raw in points:
+            point = ParetoPoint.from_dict(raw)
+            held[point.variant] = point
+    return state, sketches
 
 
 class VariantRegistry:
@@ -142,43 +156,31 @@ class VariantRegistry:
     Args:
         root: registry directory (created if missing); ``None`` for a
             purely in-memory registry.
-        segment_bytes: active-segment rotation threshold.
         margin: TOQ safety margin for knee selection — warm starts only
             trust front points clearing ``toq + margin``.
         min_points: front points required before warm starts engage.
-        fsync: fsync every append (off by default; the append-only
-            format already confines a crash to the torn final line).
     """
 
     def __init__(
         self,
         root: Optional[object] = None,
-        segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         margin: float = DEFAULT_MARGIN,
         min_points: int = DEFAULT_MIN_POINTS,
-        fsync: bool = False,
     ) -> None:
         self.root = Path(root) if root is not None else None
-        self.segment_bytes = segment_bytes
         self.margin = margin
         self.min_points = min_points
-        self.fsync = fsync
-        self._state: Dict[str, Dict[str, ParetoPoint]] = {}
+        self._state: State = {}
         self._sketches: Dict[str, list] = {}  # key -> stored sketch vector
-        self._pending_sketches: Dict[str, list] = {}  # minted, not yet appended
-        self._offsets: Dict[str, int] = {}  # segment name -> bytes consumed
-        self._poisoned: set = set()  # segments with an unparseable tail
+        self._pending_sketches: Dict[str, list] = {}  # minted, not yet written
+        self.path = self.root / DOCUMENT if self.root is not None else None
+        self._seen: Optional[tuple] = None  # signature of the document held
         self._lock = threading.Lock()
         self._flock = _FileLock(self.root)
-        self.recovered_lines = 0
+        self.unreadable = 0
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-            with self._lock:
-                self._flock.acquire(shared=True)
-                try:
-                    self._replay()
-                finally:
-                    self._flock.release()
+            self.refresh()
 
     # -- keys ------------------------------------------------------------------
 
@@ -219,146 +221,62 @@ class VariantRegistry:
         with self._lock:
             return len(self._state)
 
-    # -- segment machinery -----------------------------------------------------
+    # -- the document ----------------------------------------------------------
 
-    def _segments(self) -> List[Path]:
+    def _load(self) -> None:
+        """Re-read the document if it was replaced since this handle last
+        read or wrote it (called under ``self._lock``)."""
         if self.root is None:
-            return []
-        found = []
-        for path in self.root.iterdir():
-            if _SEGMENT_RE.match(path.name):
-                found.append(path)
-        return sorted(found)
-
-    @staticmethod
-    def _segment_seq(path: Path) -> int:
-        return int(_SEGMENT_RE.match(path.name).group(1))
-
-    def generation(self) -> int:
-        """The current segment generation (0 for a fresh/memory store)."""
-        segments = self._segments()
-        return self._segment_seq(segments[-1]) if segments else 0
-
-    def _replay(self) -> None:
-        """Rebuild (or incrementally extend) memory state from segments.
-
-        Called under both locks.  Segments already consumed are resumed
-        from their recorded byte offset; a previously-seen segment that
-        vanished (compaction by another process) forces a full rebuild.
-        """
-        segments = self._segments()
-        names = {p.name for p in segments}
-        if any(name not in names for name in self._offsets):
-            self._state.clear()
-            self._offsets.clear()
-            self._poisoned.clear()
-        for path in segments:
-            self._replay_segment(path)
+            return
+        try:
+            fh = self.path.open("rb")
+        except FileNotFoundError:
+            return
+        with fh:
+            st = os.fstat(fh.fileno())
+            seen = (st.st_ino, st.st_size, st.st_mtime_ns)
+            if seen == self._seen:
+                return
+            self._seen = seen
+            data = fh.read()
+        try:
+            self._state, self._sketches = _parse(data)
+        except (ValueError, SerializationError, KeyError, TypeError, AttributeError,
+                RecursionError):
+            # Reads like a fresh directory; the next write replaces it.
+            self._state, self._sketches = {}, {}
+            self.unreadable += 1
+            _Metrics.get().unreadable.inc()
         self._publish_gauges()
 
-    def _replay_segment(self, path: Path) -> None:
-        offset = self._offsets.get(path.name, 0)
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return
-        if size <= offset:
-            return
-        generation = self._segment_seq(path)
-        with path.open("rb") as fh:
-            fh.seek(offset)
-            consumed = offset
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    # Torn final line: a writer crashed (or is) mid-append.
-                    # Stop here; the offset lets a later replay resume once
-                    # the line is completed.
-                    self.recovered_lines += 1
-                    _Metrics.get().recovered.inc()
-                    break
-                consumed += len(raw)
-                line = raw.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line.decode("utf-8"))
-                    self._apply(record, generation)
-                except (ValueError, SerializationError, KeyError, TypeError):
-                    # A corrupt line poisons the rest of its segment (we
-                    # cannot trust framing past it) but not the store:
-                    # later segments still replay.
-                    self.recovered_lines += 1
-                    _Metrics.get().recovered.inc()
-                    self._poisoned.add(path.name)
-                    consumed = size
-                    break
-        self._offsets[path.name] = consumed
-
-    def _apply(self, record: dict, generation: int) -> None:
-        op = record.get("op", "point")
-        if op == "truncate":
-            # A compacted segment starts from nothing: everything the
-            # older segments said is superseded.
-            self._state.clear()
-            self._sketches.clear()
-        elif op == "sketch":
-            self._sketches[str(record["key"])] = [
-                (str(s), [float(v) for v in c])
-                for s, c in record["sketch"]
-            ]
-        elif op == "point":
-            point = ParetoPoint.from_dict(record["point"])
-            if point.generation < generation:
-                point = ParetoPoint.from_dict(
-                    {**point.to_dict(), "generation": generation}
-                )
-            merge_points(
-                self._state.setdefault(str(record["key"]), {}), [point]
-            )
-        else:
-            raise SerializationError(f"unknown registry op {op!r}")
-
-    def _active_segment(self) -> Path:
-        segments = self._segments()
-        if not segments:
-            return self.root / "seg-000001.jsonl"
-        active = segments[-1]
-        try:
-            size = active.stat().st_size
-        except OSError:
-            return active
-        # Rotate when full — and also when the segment has a tail replay
-        # could not consume (a torn line from a crashed writer, or framing
-        # poisoned by a corrupt record).  Appending after such a tail
-        # would glue the new record onto the unreadable bytes and lose
-        # it; a fresh segment is readable by every replayer.  Called
-        # after ``_replay`` under the exclusive lock, so the offset is
-        # current.
-        unreadable_tail = (
-            active.name in self._poisoned
-            or self._offsets.get(active.name, 0) != size
-        )
-        if size >= self.segment_bytes or unreadable_tail:
-            return self.root / f"seg-{self._segment_seq(active) + 1:06d}.jsonl"
-        return active
-
-    def _append(self, records: List[dict]) -> None:
-        """Append records to the active segment (called under both locks)."""
-        if self.root is None:
-            return
-        path = self._active_segment()
-        payload = "".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records
-        )
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(payload)
-            fh.flush()
-            if self.fsync:
+    def _store(self, state: State, sketches: Dict[str, list]) -> None:
+        """Make ``state`` the registry's content: replace the document,
+        then memory, so a failed write changes neither (called under both
+        locks)."""
+        if self.root is not None:
+            doc = {
+                "format": FORMAT,
+                "sketches": {k: sketch_to_json(v) for k, v in sketches.items()},
+                "points": {
+                    k: [p.to_dict() for p in held.values()]
+                    for k, held in state.items()
+                },
+            }
+            tmp = self.path.with_suffix(".tmp")
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+                fh.flush()
+                # mtime can be as coarse as a clock tick and a freed inode
+                # number is reused: a nanosecond stamp makes every write
+                # change the signature readers compare.
+                now = time.time_ns()
+                os.utime(fh.fileno(), ns=(now, now))
                 os.fsync(fh.fileno())
-        self._offsets[path.name] = (
-            self._offsets.get(path.name, 0) + len(payload.encode("utf-8"))
-        )
+                st = os.fstat(fh.fileno())
+            os.replace(tmp, self.path)
+            self._seen = (st.st_ino, st.st_size, st.st_mtime_ns)
+        self._state, self._sketches = state, sketches
+        self._publish_gauges()
 
     def _publish_gauges(self) -> None:
         metrics = _Metrics.get()
@@ -368,106 +286,87 @@ class VariantRegistry:
     # -- writes ----------------------------------------------------------------
 
     def record(self, key: str, point: ParetoPoint) -> None:
-        """Merge one measurement point and append it to the log."""
+        """Merge one measurement point and write it back."""
         self.record_many(key, [point])
 
     def record_many(self, key: str, points: List[ParetoPoint]) -> None:
-        """Record a batch under one lock acquisition (a tuning write-back)."""
+        """Record a batch in one write (a tuning write-back)."""
         if not points:
             return
-        metrics = _Metrics.get()
-        with self._lock:
-            self._flock.acquire()
-            try:
-                self._replay()  # fold in other writers before merging ours
-                generation = max(1, self.generation())
-                stamped = [
-                    ParetoPoint.from_dict(
-                        {**p.to_dict(), "generation": generation}
-                    )
-                    for p in points
-                ]
-                merge_points(self._state.setdefault(key, {}), stamped)
-                records: List[dict] = []
-                sketch = self._pending_sketches.pop(key, None)
-                if sketch is not None and key not in self._sketches:
-                    # First write under a freshly minted key: persist its
-                    # sketch vector so future sessions can proximity-match.
-                    self._sketches[key] = sketch_from_json(sketch)
-                    records.append(
-                        {"v": FORMAT, "op": "sketch", "key": key, "sketch": sketch}
-                    )
-                records.extend(
-                    {"v": FORMAT, "op": "point", "key": key, "point": p.to_dict()}
-                    for p in stamped
-                )
-                self._append(records)
-                metrics.writes.inc(len(stamped))
-                self._publish_gauges()
-            finally:
-                self._flock.release()
+        with self._lock, self._flock:
+            self._load()  # fold in other writers before merging ours
+            held = merge_points(dict(self._state.get(key, {})), points)
+            sketches = self._sketches
+            sketch = self._pending_sketches.get(key)
+            if sketch is not None and key not in sketches:
+                # First write under a freshly minted key: persist its
+                # sketch vector so future sessions can proximity-match.
+                sketches = {**sketches, key: sketch_from_json(sketch)}
+            self._store({**self._state, key: held}, sketches)
+            self._pending_sketches.pop(key, None)
+            _Metrics.get().writes.inc(len(points))
 
     def record_observation(
-        self,
-        key: str,
-        variant: str,
-        quality: float,
-        speedup: Optional[float] = None,
+        self, key: str, variant: str, quality: float, speedup: Optional[float] = None
     ) -> bool:
         """Fold one served-quality observation (e.g. a drift sample) into
         the variant's point.  Timelines carry no cycle counts, so the
         stored speedup is reused unless a fresh one is given.  Returns
         False when the variant has no point yet (nothing to refine)."""
-        with self._lock:
-            held = self._state.get(key, {}).get(variant)
-        if held is None:
-            return False
-        observation = ParetoPoint(
-            variant=variant,
-            quality=float(quality),
-            speedup=float(speedup) if speedup is not None else held.speedup,
-            cycles=0.0,
-            knobs=dict(held.knobs),
-            identity=held.identity,
-            samples=1,
-        )
-        self.record(key, observation)
-        return True
+        return self._observe([(key, variant, quality, speedup)]) == 1
 
     def ingest_timeline(self, entries: List[dict]) -> int:
         """Fold quality-timeline entries (``registry_key``-stamped quality
         samples) back into the store — the obs-export-to-training-data
-        path.  Returns the number of observations absorbed."""
-        absorbed = 0
-        for entry in entries:
-            if entry.get("kind") != "quality_sample":
-                continue
-            key = entry.get("registry_key")
-            variant = entry.get("variant")
-            quality = entry.get("quality")
-            if not key or not variant or variant == "exact":
-                continue
-            if not isinstance(quality, (int, float)):
-                continue
-            if self.record_observation(
-                str(key), str(variant), float(quality),
-                speedup=entry.get("speedup"),
-            ):
+        path — in one write.  Returns the number of observations absorbed."""
+        observations = [
+            (str(e["registry_key"]), str(e["variant"]), e["quality"], e.get("speedup"))
+            for e in entries
+            if e.get("kind") == "quality_sample"
+            and e.get("registry_key")
+            and e.get("variant")
+            and e["variant"] != "exact"
+            and isinstance(e.get("quality"), (int, float))
+        ]
+        return self._observe(observations)
+
+    def _observe(self, observations: List[tuple]) -> int:
+        """Fold ``(key, variant, quality, speedup)`` observations in order,
+        each into the point the previous ones left, then write once."""
+        if not observations:
+            return 0
+        with self._lock, self._flock:
+            self._load()
+            folded: State = {}
+            absorbed = 0
+            for key, variant, quality, speedup in observations:
+                held = folded.get(key)
+                if held is None:
+                    held = dict(self._state.get(key, {}))
+                point = held.get(variant)
+                if point is None:
+                    continue
+                observation = replace(
+                    point,
+                    quality=float(quality),
+                    speedup=point.speedup if speedup is None else float(speedup),
+                    cycles=0.0,
+                    knobs=dict(point.knobs),
+                    samples=1,
+                )
+                folded[key] = merge_points(held, [observation])
                 absorbed += 1
-        return absorbed
+            if absorbed:
+                self._store({**self._state, **folded}, self._sketches)
+                _Metrics.get().writes.inc(absorbed)
+            return absorbed
 
     # -- reads -----------------------------------------------------------------
 
     def refresh(self) -> None:
-        """Fold in whatever other processes appended since the last read."""
-        if self.root is None:
-            return
+        """Re-read the document if another handle replaced it."""
         with self._lock:
-            self._flock.acquire(shared=True)
-            try:
-                self._replay()
-            finally:
-                self._flock.release()
+            self._load()
 
     def points(self, key: str) -> List[ParetoPoint]:
         """Every merged point held for ``key``, one per variant (the front
@@ -478,8 +377,8 @@ class VariantRegistry:
     def lookup(self, key: str, refresh: bool = True) -> List[ParetoPoint]:
         """The Pareto front for ``key`` (empty when unknown).
 
-        Reads through to disk first (cheap stat-based tail replay) so a
-        fleet worker sees what its peers just learned.
+        Reads through to disk first (one ``fstat`` unless the document
+        changed) so a fleet worker sees what its peers just learned.
         """
         with obs_trace.span("registry.lookup", key=key) as span:
             if refresh:
@@ -501,9 +400,7 @@ class VariantRegistry:
                 "root": str(self.root) if self.root is not None else None,
                 "keys": len(self._state),
                 "points": sum(len(v) for v in self._state.values()),
-                "segments": len(self._segments()),
-                "generation": self.generation(),
-                "recovered_lines": self.recovered_lines,
+                "unreadable": self.unreadable,
                 "margin": self.margin,
                 "min_points": self.min_points,
             }
@@ -527,77 +424,22 @@ class VariantRegistry:
                 merged += len(points)
         return merged
 
-    def compact(self, front_only: bool = False) -> int:
-        """Rewrite the store as one fresh segment; returns segments removed.
-
-        ``front_only=True`` is garbage collection: dominated points are
-        dropped and only each key's Pareto front survives.  The new
-        segment starts with a ``truncate`` record, so the rewrite is
-        correct even if deleting the superseded segments is interrupted.
-        """
-        if self.root is None:
-            with self._lock:
-                if front_only:
-                    for key in list(self._state):
-                        front = pareto_front(self._state[key].values())
-                        self._state[key] = {p.variant: p for p in front}
-            return 0
-        with obs_trace.span("registry.gc", front_only=front_only) as span:
-            with self._lock:
-                self._flock.acquire()
-                try:
-                    self._replay()
-                    old_segments = self._segments()
-                    generation = self.generation() + 1
-                    records: List[dict] = [{"v": FORMAT, "op": "truncate"}]
-                    for key in sorted(self._sketches):
-                        records.append(
-                            {
-                                "v": FORMAT,
-                                "op": "sketch",
-                                "key": key,
-                                "sketch": sketch_to_json(self._sketches[key]),
-                            }
-                        )
-                    for key in sorted(self._state):
-                        held = self._state[key].values()
-                        keep = pareto_front(held) if front_only else sorted(
-                            held, key=lambda p: p.variant
-                        )
-                        if front_only:
-                            self._state[key] = {p.variant: p for p in keep}
-                        for point in keep:
-                            records.append(
-                                {
-                                    "v": FORMAT,
-                                    "op": "point",
-                                    "key": key,
-                                    "point": point.to_dict(),
-                                }
-                            )
-                    path = self.root / f"seg-{generation:06d}.jsonl"
-                    tmp = path.with_suffix(".tmp")
-                    with tmp.open("w", encoding="utf-8") as fh:
-                        for record in records:
-                            fh.write(
-                                json.dumps(
-                                    record, sort_keys=True, separators=(",", ":")
-                                )
-                                + "\n"
-                            )
-                        fh.flush()
-                        os.fsync(fh.fileno())
-                    tmp.replace(path)
-                    for old in old_segments:
-                        old.unlink(missing_ok=True)
-                        self._offsets.pop(old.name, None)
-                        self._poisoned.discard(old.name)
-                    self._offsets[path.name] = path.stat().st_size
-                    self._publish_gauges()
-                    span.set(segments_removed=len(old_segments))
-                    return len(old_segments)
-                finally:
-                    self._flock.release()
+    def compact(self) -> int:
+        """Garbage collection: keep only each key's Pareto front and
+        rewrite the document; returns the number of points dropped."""
+        with obs_trace.span("registry.gc") as span:
+            with self._lock, self._flock:
+                self._load()
+                state = {
+                    key: {p.variant: p for p in pareto_front(held.values())}
+                    for key, held in self._state.items()
+                }
+                removed = sum(len(v) for v in self._state.values()) - sum(
+                    len(v) for v in state.values()
+                )
+                self._store(state, self._sketches)
+            span.set(points_removed=removed)
+        return removed
 
 
 def resolve_registry(registry) -> Optional[VariantRegistry]:

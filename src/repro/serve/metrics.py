@@ -8,10 +8,13 @@ JSON-friendly snapshot.  Since the unified observability layer
 registry under a per-session ``session=<label>`` label:
 :meth:`SessionMetrics.snapshot` is a *view* over the registry, the same
 store the Prometheus exposition reads, so the snapshot and the scrape
-endpoint can never diverge.  The resilience section (guard counters,
-fault counts, fallback depths, breaker states, guard policy) is
-assembled in exactly one place — here — from sources the session binds
-at construction.
+endpoint can never diverge.  The resilience section (fault counts,
+fallback depths, breaker states, guard policy) is assembled in exactly
+one place — here — from sources the session binds at construction.
+The snapshot holds only what this session did: process-wide counters
+(codegen, shards, the shard pool, the guard) are shared by every session
+alive at once, so they are read from their own ``stats_snapshot()`` and
+``/metrics``, not from here.
 
 Per-event narrative (launches, transitions, breaker changes) is carried
 by the quality timeline and the ``REPRO_OBS=1`` / ``REPRO_OBS_TRACE``
@@ -141,22 +144,6 @@ class SessionMetrics:
         # record_launch makes no registry lookup.
         self._children: Dict[Tuple[object, str], object] = {}
 
-        # Baselines of the process-wide codegen, shard, pool and guard
-        # counters at session start, so the snapshot attributes compiles/
-        # hits/shards/pool tasks/containments to *this* session.
-        from ..codegen import stats_snapshot as _codegen_stats
-        from ..parallel.pool import pool_stats
-        from ..parallel.shard import stats_snapshot as _shard_stats
-        from ..resilience.guard import stats_snapshot as _guard_stats
-
-        self._codegen_stats = _codegen_stats
-        self._codegen_baseline = _codegen_stats()
-        self._shard_stats = _shard_stats
-        self._shard_baseline = _shard_stats()
-        self._pool_stats = pool_stats().snapshot
-        self._pool_baseline = self._pool_stats()
-        self._guard_stats = _guard_stats
-        self._guard_baseline = _guard_stats()
         self.records: Deque[LaunchRecord] = deque(maxlen=history)
         self.transitions: Deque[Transition] = deque(maxlen=history)
         # Bound by the session so the parallel/resilience sections are
@@ -321,36 +308,8 @@ class SessionMetrics:
         this method is the *single* assembly point for the whole view.
         """
         recent = list(self.records)[-16:]
-        current = self._codegen_stats()
-        codegen = {
-            key: round(current[key] - self._codegen_baseline[key], 6)
-            if isinstance(current[key], float)
-            else current[key] - self._codegen_baseline[key]
-            for key in current
-        }
-        shard_now = self._shard_stats()
-        pool_now = self._pool_stats()
-        parallel = {
-            "shards": {
-                key: shard_now[key] - self._shard_baseline[key]
-                for key in shard_now
-            },
-            # max_workers is the pool's high-water mark, not a count.
-            "pool": {
-                key: value
-                if key == "max_workers"
-                else value - self._pool_baseline[key]
-                for key, value in pool_now.items()
-            },
-        }
-        if self._workers is not None:
-            parallel["workers"] = self._workers
-        guard_now = self._guard_stats()
+        parallel = {} if self._workers is None else {"workers": self._workers}
         resilience = {
-            "guard": {
-                key: guard_now[key] - self._guard_baseline[key]
-                for key in guard_now
-            },
             "faults": dict(self.fault_counts),
             "fallback_depths": {
                 str(depth): count
@@ -372,7 +331,6 @@ class SessionMetrics:
             "launch_errors": self.launch_errors,
             "kernel_launches": self.kernel_launches,
             "backend_launches": dict(self.backend_launches),
-            "codegen": codegen,
             "parallel": parallel,
             "resilience": resilience,
             "sampled_checks": self.sampled_checks,

@@ -685,12 +685,15 @@ class ApproxSession:
         session-identity block.
         """
         snapshot = self.metrics.snapshot()
-        if self._variants is not None:
-            # Per-variant lowering outcome: codegen / interpreter, with the
-            # reason (specialization summary or fallback cause) — the
-            # serving-side answer to "which code actually runs for each
-            # variant?".
-            snapshot["codegen"]["variants"] = self._variants.lowering_outcomes()
+        # Per-variant lowering outcome: codegen / interpreter, with the
+        # reason (specialization summary or fallback cause) — the
+        # serving-side answer to "which code actually runs for each
+        # variant?".
+        snapshot["codegen"] = {
+            "variants": self._variants.lowering_outcomes()
+            if self._variants is not None
+            else {}
+        }
         snapshot["session"] = {
             "app": self.app.name,
             "device": self.spec.kind.value,

@@ -30,8 +30,12 @@ def test_default_session_backend_serves_via_codegen():
 
 
 def test_session_codegen_compile_stats_attributed():
+    from repro.codegen import stats_snapshot
+
+    before = stats_snapshot()
     snapshot = _serve(backend="codegen", launches=5)
-    codegen = snapshot["codegen"]
+    after = stats_snapshot()
+    codegen = {key: after[key] - before[key] for key in ("compiles", "cache_hits", "fallbacks")}
     # Every served kernel launch either compiled a specialization or hit
     # the in-process compile cache (earlier tests may have warmed it).
     served = snapshot["backend_launches"]["codegen"]

@@ -342,6 +342,21 @@ def block_varying_bound(out: array_f32, n: i32):
 
 
 @kernel
+def block_guarded_bound(out: array_f32):
+    """Every value assigned to ``k`` is a constant, but blocks past the
+    first assign the second one: the loop stop differs across blocks, so
+    it is not grid-uniform."""
+    k = 2
+    if block_id() > 0:
+        k = 3
+    acc = 0.0
+    for j in range(0, k):
+        acc += 1.0
+    if thread_id() == 0:
+        out[block_id()] = acc
+
+
+@kernel
 def uniform_store(out: array_f32, x: array_f32, n: i32):
     """Every lane stores its own value into the one element ``out[n]``:
     the last lane's value wins, as it does when the store sits under a

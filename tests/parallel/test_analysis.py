@@ -60,6 +60,7 @@ EXPECTED = {
     "overlapping_thread_stores": serial(OVERLAP),
     "overlapping_block_stores": serial(OVERLAP),
     "block_varying_bound": serial("loop stop for 'k' is not grid-uniform"),
+    "block_guarded_bound": serial("loop stop for 'j' is not grid-uniform"),
     "uniform_store": serial(OVERLAP),  # every block stores out[n]: the last one wins
     "masked_uniform_store": serial(OVERLAP),  # the same, the last active block
 }
@@ -240,6 +241,11 @@ def test_a_reassigned_param_is_neither_uniform_nor_invariant():
     assert "n" not in fact.uniform and "acc" not in fact.uniform
     square = build_index_fact(zoo.square_map.fn)
     assert "n" in square.uniform
+
+
+def test_a_local_assigned_under_a_block_condition_is_not_uniform():
+    fact = build_index_fact(zoo.block_guarded_bound.fn)
+    assert "k" not in fact.uniform and "j" in fact.uniform
 
 
 def test_index_facts_are_built_once_per_fingerprint():

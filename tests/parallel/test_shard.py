@@ -256,24 +256,39 @@ def test_stores_overlapping_across_blocks_run_serial(name, executor, _process_po
     assert after["sharded_launches"] == before["sharded_launches"]
 
 
+def _outcome(kernel, args, **fields):
+    """The error a launch of ``kernel`` over two blocks raises, or what it
+    returned."""
+    out = np.zeros(2, np.float32)
+    try:
+        launch(kernel, Grid(2, 64), [out, *args], options=LaunchOptions(**fields))
+    except ExecutionError as exc:
+        return str(exc)
+    return f"returned {out.tolist()}"
+
+
 @pytest.mark.parametrize("executor", ["thread", "process"])
 def test_a_loop_stop_that_varies_per_block_raises_as_serial_does(executor, _process_pool):
     """``block_varying_bound``'s loop stop is one value inside each block,
     so a one-block shard would run it; the whole grid must refuse it."""
-
-    def outcome(**fields):
-        out = np.zeros(2, np.float32)
-        try:
-            launch(zoo.block_varying_bound, Grid(2, 64), [out, 0], options=LaunchOptions(**fields))
-        except ExecutionError as exc:
-            return str(exc)
-        return f"returned {out.tolist()}"
-
-    serial = outcome(backend="interp")
+    serial = _outcome(zoo.block_varying_bound, [0], backend="interp")
     assert "loop stop must be uniform across threads" in serial
-    assert outcome(backend="codegen") == serial
+    assert _outcome(zoo.block_varying_bound, [0], backend="codegen") == serial
     sharded = dict(parallel=2, min_shard_threads=1, executor=executor)
-    assert outcome(backend="codegen", **sharded) == serial
+    assert _outcome(zoo.block_varying_bound, [0], backend="codegen", **sharded) == serial
+
+
+@pytest.mark.parametrize("executor", ["thread", "process"])
+def test_a_loop_stop_assigned_under_a_block_condition_raises_as_serial_does(
+    executor, _process_pool
+):
+    """``block_guarded_bound`` assigns its loop stop only constants, but
+    under ``if block_id() > 0``: a one-block shard would run it."""
+    serial = _outcome(zoo.block_guarded_bound, [], backend="interp")
+    assert "loop stop must be uniform across threads" in serial
+    assert _outcome(zoo.block_guarded_bound, [], backend="codegen") == serial
+    sharded = dict(parallel=2, min_shard_threads=1, executor=executor)
+    assert _outcome(zoo.block_guarded_bound, [], backend="codegen", **sharded) == serial
 
 
 def _original_bytes_last(threads):

@@ -66,8 +66,10 @@ class TestMergeAndGc:
         assert survivors == {"fast", "safe"}
         assert "3 -> 2 points" in capsys.readouterr().out
 
-    def test_gc_keep_all_compacts_without_pruning(self, store):
-        assert main(["gc", str(store), "--keep-all"]) == 0
+    def test_gc_has_no_keep_all(self, store):
+        with pytest.raises(SystemExit) as exc:
+            main(["gc", str(store), "--keep-all"])
+        assert exc.value.code == 2
         assert len(VariantRegistry(store).points("app:k/gpu/s1")) == 3
 
 
@@ -103,7 +105,7 @@ from repro.registry.pareto import ParetoPoint
 from repro.registry.store import VariantRegistry
 
 root, worker, rounds = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
-registry = VariantRegistry(root, segment_bytes=2048)
+registry = VariantRegistry(root)
 written = 0
 for i in range(rounds):
     points = [
@@ -150,6 +152,6 @@ class TestSmoke:
             assert int(stdout) == rounds * 4
         registry = VariantRegistry(root)
         stats = registry.stats()
-        assert stats["recovered_lines"] == 0
+        assert stats["unreadable"] == 0
         assert stats["keys"] == min(3, rounds)
         assert all(len(registry.points(k)) == procs * 4 for k in registry.keys())

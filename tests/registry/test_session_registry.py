@@ -42,7 +42,7 @@ class TestSessionSeedModes:
         with make_session(tmp_path / "reg") as session:
             session.tune()
             assert isinstance(session.registry, VariantRegistry)
-        assert list((tmp_path / "reg").glob("seg-*.jsonl"))
+        assert (tmp_path / "reg" / "registry.json").is_file()
 
     def test_warm_restart_retunes_from_the_registry(self):
         registry = VariantRegistry()

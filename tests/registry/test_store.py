@@ -1,10 +1,11 @@
-"""The on-disk registry: durability, concurrency, recovery, maintenance."""
+"""The on-disk registry: durability, concurrency, unreadable input, maintenance."""
 
 import json
 import threading
 
 import pytest
 
+from repro.registry import store
 from repro.registry.pareto import ParetoPoint
 from repro.registry.store import VariantRegistry, resolve_registry
 
@@ -92,7 +93,7 @@ class TestCrossProcessVisibility:
         }
 
     def test_threaded_writers_keep_store_consistent(self, tmp_path):
-        registry = VariantRegistry(tmp_path, segment_bytes=1024)
+        registry = VariantRegistry(tmp_path)
         barrier = threading.Barrier(4)
 
         def worker(w):
@@ -110,115 +111,168 @@ class TestCrossProcessVisibility:
         for t in threads:
             t.join(timeout=60)
         reopened = VariantRegistry(tmp_path)
-        assert reopened.recovered_lines == 0
+        assert reopened.unreadable == 0
         assert sum(
             len(reopened.points(k)) for k in reopened.keys()
         ) == 4 * 20
 
 
-class TestCrashRecovery:
-    def _segment(self, tmp_path):
-        segments = sorted(tmp_path.glob("seg-*.jsonl"))
-        assert segments
-        return segments[-1]
+class TestDocument:
+    """One ``registry.json``, replaced whole; what is not one is ignored."""
 
-    def test_torn_final_line_is_dropped(self, tmp_path):
-        registry = VariantRegistry(tmp_path)
-        registry.record_many("k", [P("a"), P("b")])
-        seg = self._segment(tmp_path)
-        raw = seg.read_bytes()
-        seg.write_bytes(raw[:-7])  # crash mid-append: no trailing newline
-        recovered = VariantRegistry(tmp_path)
-        assert {p.variant for p in recovered.points("k")} == {"a"}
-        assert recovered.recovered_lines == 1
+    def test_state_lives_in_one_document(self, tmp_path):
+        VariantRegistry(tmp_path).record_many("k", [P("a"), P("b")])
+        doc = json.loads((tmp_path / "registry.json").read_text())
+        assert doc["format"] == 2
+        assert [p["variant"] for p in doc["points"]["k"]] == ["a", "b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "registry.json",
+        ]
 
-    def test_corrupt_line_poisons_rest_of_segment_only(self, tmp_path):
-        registry = VariantRegistry(tmp_path)
-        registry.record("k", P("a"))
-        seg = self._segment(tmp_path)
-        with seg.open("a", encoding="utf-8") as fh:
-            fh.write("{definitely not json\n")
-        # A later record in the SAME segment is unreachable (framing
-        # cannot be trusted past the corruption)...
-        with seg.open("a", encoding="utf-8") as fh:
-            fh.write(
-                json.dumps(
-                    {"v": 1, "op": "point", "key": "k",
-                     "point": P("lost").to_dict()}
-                ) + "\n"
-            )
-        half = VariantRegistry(tmp_path)
-        assert {p.variant for p in half.points("k")} == {"a"}
-        assert half.recovered_lines >= 1
-        # ...but new writes rotate past the poisoned tail into a fresh
-        # segment, so nothing else is ever appended where replay cannot
-        # reach it.
-        half.record("k", P("b"))
-        assert len(sorted(tmp_path.glob("seg-*.jsonl"))) == 2
-        assert {p.variant for p in VariantRegistry(tmp_path).points("k")} == {
-            "a", "b",
-        }
-
-    def test_truncated_compacted_segment_rebuilds_from_last_good_generation(
-        self, tmp_path
+    def test_failed_write_leaves_the_previous_document(
+        self, tmp_path, monkeypatch
     ):
         registry = VariantRegistry(tmp_path)
-        registry.record_many("k", [P("a", 0.99, 1.5), P("b", 0.85, 4.0)])
-        registry.compact()
-        seg = self._segment(tmp_path)
-        raw = seg.read_bytes()
-        seg.write_bytes(raw[: len(raw) // 2])  # crash mid-compaction-write
-        survivor = VariantRegistry(tmp_path)
-        # Whatever survived parses cleanly; nothing crashes, and the next
-        # write self-heals into a fresh good generation.
-        assert survivor.recovered_lines >= 0
-        survivor.record("k", P("c"))
-        healed = VariantRegistry(tmp_path)
-        assert "c" in {p.variant for p in healed.points("k")}
-
-    def test_vanished_segment_forces_full_rebuild(self, tmp_path):
-        registry = VariantRegistry(tmp_path, segment_bytes=1)  # rotate every write
         registry.record("k", P("a"))
+        before = (tmp_path / "registry.json").read_bytes()
+
+        def crash(*_args):
+            raise OSError("crash before the rename")
+
+        monkeypatch.setattr(store.os, "replace", crash)
+        with pytest.raises(OSError):
+            registry.record("k", P("b"))
+        monkeypatch.undo()
+        assert (tmp_path / "registry.json").read_bytes() == before
+        assert {p.variant for p in registry.points("k")} == {"a"}
+        assert {p.variant for p in VariantRegistry(tmp_path).points("k")} == {"a"}
+
+    def test_leftover_temp_file_is_never_read(self, tmp_path):
+        registry = VariantRegistry(tmp_path)
+        registry.record("k", P("a"))
+        (tmp_path / "registry.tmp").write_text(
+            json.dumps(
+                {"format": 2, "sketches": {},
+                 "points": {"k": [P("half-written").to_dict()]}}
+            )
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".lock", "registry.json", "registry.tmp",
+        ]
+        reopened = VariantRegistry(tmp_path)
+        assert {p.variant for p in reopened.points("k")} == {"a"}
+        registry.refresh()
+        assert {p.variant for p in registry.points("k")} == {"a"}
+
+    def test_segment_log_files_are_not_read(self, tmp_path):
+        (tmp_path / "seg-000001.jsonl").write_text(
+            json.dumps({"v": 1, "op": "point", "key": "k",
+                        "point": P("old").to_dict()}) + "\n"
+        )
+        registry = VariantRegistry(tmp_path)
+        assert registry.keys() == [] and registry.unreadable == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"format": 2, "sketches": {}, "points": {"k": [',
+            json.dumps({"format": 1, "sketches": {}, "points": {}}),
+            json.dumps(
+                {"format": 2, "sketches": {},
+                 "points": {"k": [{"variant": "a", "speedup": 2.0}]}}
+            ),
+        ],
+        ids=["truncated", "format-1", "point-without-quality"],
+    )
+    def test_unreadable_document_is_ignored_counted_and_replaced(
+        self, tmp_path, text
+    ):
+        from repro.obs.registry import get_registry
+
+        VariantRegistry(tmp_path).record("k", P("a"))
+        (tmp_path / "registry.json").write_text(text)
+        family = get_registry().get("repro_registry_unreadable_total")
+        counted = family.labels().value if family is not None else 0.0
+        registry = VariantRegistry(tmp_path)
+        assert registry.keys() == []  # reads like a fresh directory
+        assert registry.stats()["unreadable"] == 1
+        assert get_registry().get(
+            "repro_registry_unreadable_total"
+        ).labels().value == counted + 1
+        registry.refresh()  # the same bad document is counted once
+        assert registry.unreadable == 1
         registry.record("k", P("b"))
-        other = VariantRegistry(tmp_path)
-        other.compact()  # collapses to one fresh segment
-        registry.refresh()  # first handle must notice and rebuild
-        assert {p.variant for p in registry.points("k")} == {"a", "b"}
+        healed = VariantRegistry(tmp_path)
+        assert healed.unreadable == 0
+        assert {p.variant for p in healed.points("k")} == {"b"}
+
+    def test_reader_takes_no_lock(self, tmp_path):
+        import fcntl
+
+        VariantRegistry(tmp_path).record("k", P("a", 0.95, 2.0))
+        reader = VariantRegistry(tmp_path)
+        VariantRegistry(tmp_path).record("k", P("b", 0.85, 4.0))
+        seen = []
+        with open(tmp_path / ".lock", "a+b") as held:
+            fcntl.flock(held.fileno(), fcntl.LOCK_EX)  # a writer mid-write
+            thread = threading.Thread(
+                target=lambda: seen.extend(p.variant for p in reader.lookup("k"))
+            )
+            thread.start()
+            thread.join(timeout=10)
+            blocked = thread.is_alive()
+            fcntl.flock(held.fileno(), fcntl.LOCK_UN)
+        thread.join(timeout=10)
+        assert not blocked
+        assert set(seen) == {"a", "b"}
+
+    def test_ingest_timeline_writes_once(self, tmp_path, monkeypatch):
+        samples = [
+            ("k", "a", 0.70, None), ("k", "b", 0.60, 3.0), ("k", "a", 0.80, None),
+            ("k2", "c", 0.50, None), ("k", "ghost", 0.1, None),
+        ]
+
+        def fresh(root):
+            registry = VariantRegistry(root)
+            registry.record_many("k", [P("a", 0.90, 2.0), P("b", 0.85, 4.0)])
+            registry.record("k2", P("c", 0.95, 1.5))
+            return registry
+
+        sequential = fresh(tmp_path / "seq")
+        absorbed = sum(
+            sequential.record_observation(k, v, q, speedup=s)
+            for k, v, q, s in samples
+        )
+        ingested = fresh(tmp_path / "ingest")
+        replaced = []
+        real = store.os.replace
+        monkeypatch.setattr(
+            store.os, "replace",
+            lambda *a: (replaced.append(a), real(*a))[1],
+        )
+        entries = [
+            {"kind": "quality_sample", "registry_key": k, "variant": v,
+             "quality": q, "speedup": s}
+            for k, v, q, s in samples
+        ]
+        assert ingested.ingest_timeline(entries) == absorbed == 4
+        assert len(replaced) == 1
+        assert (tmp_path / "ingest" / "registry.json").read_bytes() == (
+            tmp_path / "seq" / "registry.json"
+        ).read_bytes()
 
 
 class TestMaintenance:
-    def test_segment_rotation(self, tmp_path):
-        registry = VariantRegistry(tmp_path, segment_bytes=256)
-        for i in range(20):
-            registry.record("k", P(f"v{i}"))
-        assert len(list(tmp_path.glob("seg-*.jsonl"))) > 1
-
-    def test_compact_collapses_segments(self, tmp_path):
-        registry = VariantRegistry(tmp_path, segment_bytes=256)
-        for i in range(20):
-            registry.record("k", P(f"v{i}", 0.9, 1.0 + i))
-        removed = registry.compact()
-        assert removed > 1
-        assert len(list(tmp_path.glob("seg-*.jsonl"))) == 1
-        assert len(VariantRegistry(tmp_path).points("k")) == 20
-
     def test_gc_keeps_only_the_front(self, tmp_path):
         registry = VariantRegistry(tmp_path)
         registry.record_many(
             "k",
             [P("best", 0.99, 9.0)] + [P(f"dom{i}", 0.5, 1.0) for i in range(5)],
         )
-        registry.compact(front_only=True)
+        assert registry.compact() == 5
         assert [p.variant for p in VariantRegistry(tmp_path).points("k")] == [
             "best"
         ]
-
-    def test_compaction_generation_supersedes_older_segments(self, tmp_path):
-        registry = VariantRegistry(tmp_path)
-        registry.record("k", P("a"))
-        generation = registry.generation()
-        registry.compact()
-        assert registry.generation() == generation + 1
 
     def test_merge_from_absorbs_other_registry(self, tmp_path):
         a = VariantRegistry(tmp_path / "a")
@@ -261,3 +315,23 @@ class TestResolveRegistry:
         assert registry.margin == 0.05 and registry.min_points == 7
         default = VariantRegistry(tmp_path / "default")
         assert default.margin == 0.005 and default.min_points == 2
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize("kwargs", [{"segment_bytes": 1024}, {"fsync": True}])
+    def test_log_knobs_are_gone(self, tmp_path, kwargs):
+        with pytest.raises(TypeError):
+            VariantRegistry(tmp_path, **kwargs)
+
+    def test_points_carry_no_generation(self):
+        with pytest.raises(TypeError):
+            P("a", generation=3)
+        assert "generation" not in P("a").to_dict()
+
+    def test_compact_has_no_keep_all_mode(self):
+        with pytest.raises(TypeError):
+            VariantRegistry().compact(front_only=False)
+
+    def test_stats_name_no_segments(self, tmp_path):
+        stats = VariantRegistry(tmp_path).stats()
+        assert not {"segments", "generation", "recovered_lines"} & set(stats)

@@ -249,7 +249,7 @@ class TestStoredPoints:
             app, variants, inputs
         )
         if compact:
-            registry.compact(front_only=True)
+            registry.compact()
         tuner = GreedyTuner(spec, toq=self.TOQ, registry=registry)
         warm = tuner.profile(app, variants, inputs)
         return registry, tuner, cold, warm

@@ -196,14 +196,15 @@ class TestResilienceSnapshot:
         session = make_session(threshold=1)
         session.tune()
         inputs = session.app.generate_inputs(seed=3)
+        before = STATS.snapshot()
         with use_faults(FaultPlan([VARIANT_NAN])):
             session.launch(inputs)
         session.launch(inputs)
+        after = STATS.snapshot()
 
         snap = session.metrics_snapshot()
         res = snap["resilience"]
         assert set(res) >= {
-            "guard",
             "faults",
             "fallback_depths",
             "fallback_launches",
@@ -212,8 +213,10 @@ class TestResilienceSnapshot:
             "breakers",
             "guard_policy",
         }
-        assert res["guard"]["guarded_launches"] == 2
-        assert res["guard"]["validation_trips"] == 1
+        # The guard's counters are process-wide: read them around the launches.
+        assert "guard" not in res
+        assert after["guarded_launches"] - before["guarded_launches"] == 2
+        assert after["validation_trips"] - before["validation_trips"] == 1
         assert res["fallback_launches"] == 1
         assert res["fallback_depths"]["1"] == 1
         assert any("output.validate" in key for key in res["faults"])

@@ -58,7 +58,7 @@ def test_threads_missing_a_full_store_at_once_agree_with_the_serial_results(
     every store two entries wide: each call misses, inserts and evicts
     while the other threads do the same on the same store."""
     kernels = _zoo_kernels()
-    assert len(kernels) == 25
+    assert len(kernels) == 26
     want = [lookup(fn, module) for fn, module in kernels]
     stores = (fingerprint._MEMO, cache._CLASSIFY_MEMO, index._FACTS, analysis._ANALYSIS_CACHE)
     for store in stores:
