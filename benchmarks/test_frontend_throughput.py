@@ -68,7 +68,7 @@ def _frontend_throughput(executor: str) -> float:
         min_shard_threads=1,
     )
     grid = Grid.for_elements(T)
-    with ServeFrontend(options=options, batch_window_s=0.0) as frontend:
+    with ServeFrontend(options=options) as frontend:
         frontend.launch(zoo.sum_chunks, grid, _chunk_args())  # warm
         best = float("inf")
         for _repeat in range(3):
@@ -130,7 +130,7 @@ def test_fault_free_frontend_overhead_is_bounded():
         return best
 
     def fronted() -> float:
-        with ServeFrontend(options=serial, batch_window_s=0.0) as frontend:
+        with ServeFrontend(options=serial) as frontend:
             frontend.launch(zoo.sum_chunks, grid, _chunk_args())  # warm
             best = float("inf")
             for _repeat in range(3):

@@ -10,8 +10,8 @@ Two claims from the overload tier are asserted here:
   ``REPRO_OVERLOAD_MIN_GAIN`` (default 2x) the hard-reject goodput, with
   **zero** served responses below the floor.
 * **Fault-free controller overhead** — with no pressure, the controller
-  adds one ``_observe_pressure`` call per batch window.  Measured
-  against the per-batch wall time of the front-end throughput workload
+  adds one ``_observe_pressure`` call per dispatched request.  Measured
+  against the per-launch wall time of the front-end throughput workload
   that cost must stay under ``REPRO_OVERLOAD_MAX_OVERHEAD`` (default
   1%); the end-to-end on/off delta is recorded alongside for
   corroboration (it is noise-dominated at this threshold, so only the
@@ -84,12 +84,7 @@ def _offered_load(app, session, inputs, t_full, overload):
     interval = t_full / 4.0
     count = max(60, int(WINDOW_S / interval))
     copies = [copy.deepcopy(inputs) for _ in range(count)]
-    frontend = ServeFrontend(
-        batch_window_s=0.001,
-        max_batch=4,
-        max_queue_depth=QUEUE_DEPTH,
-        overload=overload,
-    )
+    frontend = ServeFrontend(max_queue_depth=QUEUE_DEPTH, overload=overload)
     frontend.register_tenant("paying", toq_floor=TENANT_FLOOR, priority=1)
     try:
         futures, rejected = [], 0
@@ -159,7 +154,7 @@ def test_brownout_outserves_hard_reject_at_4x_load(tuned):
 
 
 def test_fault_free_controller_overhead_is_bounded():
-    """Controller cost per batch vs the front-end throughput workload."""
+    """Controller cost per request vs the front-end throughput workload."""
     T, chunk = 1 << 12, 64
     total = T * chunk
 
@@ -177,9 +172,7 @@ def test_fault_free_controller_overhead_is_bounded():
     launches = 8
 
     def walltime(overload):
-        with ServeFrontend(
-            options=serial, batch_window_s=0.0, overload=overload
-        ) as frontend:
+        with ServeFrontend(options=serial, overload=overload) as frontend:
             frontend.launch(zoo.sum_chunks, grid, chunk_args())  # warm
             best = float("inf")
             for _repeat in range(3):
@@ -199,30 +192,24 @@ def test_fault_free_controller_overhead_is_bounded():
     with_controller = walltime(quiet)
     end_to_end = with_controller / base - 1.0
 
-    # Direct measurement: one _observe_pressure per batch window is the
-    # whole fault-free hot path (level stays 0, so no per-request
-    # degradation lookups happen).
+    # Direct measurement: one _observe_pressure per dispatched request is
+    # the whole fault-free hot path (level stays 0, so no degradation
+    # lookups happen).
     from repro.serve.frontend import _Request
 
-    with ServeFrontend(batch_window_s=0.0, overload=quiet) as frontend:
+    with ServeFrontend(overload=quiet) as frontend:
         now = time.perf_counter()
-        batch = [
-            _Request(seq=i, tenant="default", key=("k",), run=lambda: None,
-                     enqueued=now)
-            for i in range(launches)
-        ]
+        request = _Request(tenant="default", run=lambda: None, enqueued=now)
         rounds = 2000
         started = time.perf_counter()
         for _ in range(rounds):
-            frontend._observe_pressure(batch, now + 0.001)
+            frontend._observe_pressure(request, now + 0.001)
         observe_cost = (time.perf_counter() - started) / rounds
-    per_batch = base / launches  # batch_window_s=0 => one-request batches,
-    # so charge a whole 8-request observation against one launch: an
-    # upper bound on the real per-batch share.
-    overhead = observe_cost / per_batch
+    per_launch = base / launches
+    overhead = observe_cost / per_launch
     print(
-        f"\ncontroller observation {observe_cost * 1e6:.1f}us per batch vs "
-        f"{per_batch * 1000:.1f}ms per launch: {overhead * 100:.3f}% "
+        f"\ncontroller observation {observe_cost * 1e6:.1f}us per request vs "
+        f"{per_launch * 1000:.1f}ms per launch: {overhead * 100:.3f}% "
         f"(end-to-end on/off delta {end_to_end * 100:+.1f}%)"
     )
     from conftest import write_bench_summary
@@ -231,7 +218,7 @@ def test_fault_free_controller_overhead_is_bounded():
         "overload_brownout",
         controller_overhead=overhead,
         observe_cost_s=observe_cost,
-        per_launch_wall_s=per_batch,
+        per_launch_wall_s=per_launch,
         end_to_end_delta=end_to_end,
         overhead_ceiling=MAX_OVERHEAD,
     )

@@ -1,9 +1,8 @@
-"""Multi-tenant serving: one front-end, many callers, batched execution.
+"""Multi-tenant serving: one front-end, many callers, one dispatcher.
 
 A deployment rarely serves one caller.  This script stands up a
-``ServeFrontend`` — the admission-controlled, batching request queue
-above the launch machinery — and drives it from three concurrent tenant
-threads:
+``ServeFrontend`` — the admission-controlled request queue above the
+launch machinery — and drives it from three concurrent tenant threads:
 
 * ``gold`` holds a large queue budget and a 90% target-quality floor;
   it streams launches of an approximation session and of a raw kernel,
@@ -12,8 +11,9 @@ threads:
 * ``probe`` tries to register a session below the gold floor and is
   refused at admission.
 
-Compatible kernel launches (same compiled-kernel cache key) fuse into
-batches; the metrics at the end show how many requests shared a batch.
+The dispatcher serves requests one at a time in arrival order; the
+metrics at the end show how many were served and their median queue
+wait.
 
     python examples/serving_frontend.py
 """
@@ -63,7 +63,7 @@ def gold_traffic(frontend, session, app, report):
         )
     for future in futures:
         future.result(timeout=300)
-    report["gold"] = f"{len(futures)} launches served"
+    report["gold"] = len(futures)
 
 
 def bronze_traffic(frontend, report):
@@ -89,14 +89,14 @@ def bronze_traffic(frontend, report):
             shed += 1  # a real client would back off and retry
     for future in futures:
         future.result(timeout=300)
-    report["bronze"] = f"{served} served, {shed} shed by backpressure"
+    report["bronze"] = (served, shed)
 
 
 def main() -> None:
     app = GaussianFilterApp(scale=0.05)
     options = LaunchOptions(backend="codegen", parallel=2)
     with ApproxSession(app, target_quality=0.92) as session, ServeFrontend(
-        options=options, batch_window_s=0.005
+        options=options
     ) as frontend:
         frontend.register_tenant("gold", max_queue_depth=64, toq_floor=0.9)
         frontend.register_tenant("bronze", max_queue_depth=2)
@@ -121,14 +121,13 @@ def main() -> None:
         for thread in threads:
             thread.join()
 
-        print(f"gold tenant   : {report['gold']}")
-        print(f"bronze tenant : {report['bronze']}")
-        batches = frontend.metrics.batches.value
-        batched = frontend.metrics.batched.value
+        served, shed = report["bronze"]
+        print(f"gold tenant   : {report['gold']} launches served")
+        print(f"bronze tenant : {served} served, {shed} shed by backpressure")
+        wait_p50 = frontend.metrics.wait_seconds.quantile(0.5) or 0.0
         print(
-            f"batching      : {batched:.0f} requests through "
-            f"{batches:.0f} batches "
-            f"({batched / max(batches, 1):.1f} per batch)"
+            f"dispatch      : {report['gold'] + served} requests served "
+            f"in arrival order, queue wait p50 {1e3 * wait_p50:.2f} ms"
         )
         print(
             f"session       : {session.metrics_snapshot()['launches']} "

@@ -191,10 +191,8 @@ class Subject:
             return self.app.run_exact(inputs)[0]
         return self.app.run_variant(self.variant, inputs)[0]
 
-    # The session protocol ServeFrontend.submit_app serves (one front-end
-    # per cell, so the batching key need not tell subjects apart).
+    # The session protocol ServeFrontend.submit_app serves.
     toq = 1.0
-    key = "conformance"
 
     def launch(self, inputs):
         return self.run(inputs)
@@ -498,9 +496,9 @@ def check_floor(app, seed: int = 0) -> Result:
         high_water=0.75,
         low_water=0.25,
         cooldown_s=0.05,
-        # The batching straggler window itself is queue delay; a target
-        # well above it keeps fault-free pressure under the low-water
-        # mark so recovery can actually complete.
+        # A target well above a fault-free request's queue wait keeps
+        # pressure under the low-water mark so recovery can actually
+        # complete.
         queue_delay_target_s=0.2,
         deadline_s=10.0,  # generous: the contract is *zero* misses
         window=8,
@@ -509,7 +507,7 @@ def check_floor(app, seed: int = 0) -> Result:
     sheds: List[str] = []
 
     with ApproxSession(app, target_quality=0.9) as session, ServeFrontend(
-        batch_window_s=0.02, max_batch=8, overload=config
+        overload=config
     ) as frontend:
         controller = frontend.overload
         frontend.register_tenant(

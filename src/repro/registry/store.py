@@ -291,20 +291,30 @@ class VariantRegistry:
 
     def record_many(self, key: str, points: List[ParetoPoint]) -> None:
         """Record a batch in one write (a tuning write-back)."""
-        if not points:
-            return
+        self._record({key: points})
+
+    def _record(self, incoming: Dict[str, List[ParetoPoint]]) -> int:
+        """Merge each key's points, in order, and write once; returns the
+        points merged."""
+        incoming = {key: points for key, points in incoming.items() if points}
+        if not incoming:
+            return 0
         with self._lock, self._flock:
             self._load()  # fold in other writers before merging ours
-            held = merge_points(dict(self._state.get(key, {})), points)
-            sketches = self._sketches
-            sketch = self._pending_sketches.get(key)
-            if sketch is not None and key not in sketches:
-                # First write under a freshly minted key: persist its
-                # sketch vector so future sessions can proximity-match.
-                sketches = {**sketches, key: sketch_from_json(sketch)}
-            self._store({**self._state, key: held}, sketches)
-            self._pending_sketches.pop(key, None)
-            _Metrics.get().writes.inc(len(points))
+            state, sketches = dict(self._state), self._sketches
+            for key, points in incoming.items():
+                state[key] = merge_points(dict(state.get(key, {})), points)
+                sketch = self._pending_sketches.get(key)
+                if sketch is not None and key not in sketches:
+                    # First write under a freshly minted key: persist its
+                    # sketch vector so future sessions can proximity-match.
+                    sketches = {**sketches, key: sketch_from_json(sketch)}
+            self._store(state, sketches)
+            for key in incoming:
+                self._pending_sketches.pop(key, None)
+            written = sum(len(points) for points in incoming.values())
+            _Metrics.get().writes.inc(written)
+            return written
 
     def record_observation(
         self, key: str, variant: str, quality: float, speedup: Optional[float] = None
@@ -408,21 +418,18 @@ class VariantRegistry:
     # -- maintenance -----------------------------------------------------------
 
     def merge_from(self, other: "VariantRegistry") -> int:
-        """Absorb every point another registry holds; returns points merged."""
+        """Absorb every point another registry holds in one write; returns
+        points merged."""
         other.refresh()
-        merged = 0
+        with other._lock:
+            incoming = {key: list(held.values()) for key, held in other._state.items()}
+            theirs = dict(other._sketches)
         with obs_trace.span("registry.merge", source=str(other.root)):
-            for key in other.keys():
-                points = other.points(key)
-                with other._lock:
-                    sketch = other._sketches.get(key)
-                if sketch is not None:
-                    with self._lock:
-                        if key not in self._sketches:
-                            self._pending_sketches[key] = sketch_to_json(sketch)
-                self.record_many(key, points)
-                merged += len(points)
-        return merged
+            with self._lock:
+                for key in incoming:
+                    if key in theirs and key not in self._sketches:
+                        self._pending_sketches[key] = sketch_to_json(theirs[key])
+            return self._record(incoming)
 
     def compact(self) -> int:
         """Garbage collection: keep only each key's Pareto front and

@@ -1,4 +1,4 @@
-"""Multi-tenant serving front-end: one queue, batched fused dispatch.
+"""Multi-tenant serving front-end: one queue, dispatched in arrival order.
 
 :class:`ServeFrontend` sits in front of the launch machinery (and of
 :class:`~repro.serve.ApproxSession` instances) and turns many concurrent
@@ -13,16 +13,10 @@ callers into one disciplined execution stream:
   :class:`~repro.errors.AdmissionError` at ``submit`` time, in the
   caller's thread, so backpressure propagates to the producer instead
   of growing an unbounded queue.
-* **Batching** — a dispatcher thread drains the queue and fuses
-  *compatible* requests into one batch: kernel launches sharing a
-  ``(kernel fingerprint, grid class, bounds_check)`` key — which is
-  exactly the compiled-kernel cache key, so one compilation serves the
-  whole batch — and session launches sharing the session.  A batch is
-  collected within a bounded window (``batch_window_s``) up to
-  ``max_batch`` requests and executed under one ``serve.batch`` span.
-* **Execution** — requests run in arrival order inside the batch (the
-  selection is deterministic: FIFO by global sequence number, never
-  reordered within a tenant), under the front-end's default
+* **Dispatch** — one dispatcher thread takes the queue head, runs it
+  and resolves its Future, then takes the next: requests run one at a
+  time in global arrival order, across tenants and keys alike, and
+  nothing waits for company.  They run under the front-end's default
   :class:`~repro.LaunchOptions` — typically ``executor="process"`` so
   shards land on the :mod:`repro.parallel.procpool` workers and the
   front-end thread stays responsive.  Results land in
@@ -45,7 +39,6 @@ from typing import Deque, Dict, List, Optional
 
 from .._options import LaunchOptions, options as options_scope
 from ..errors import AdmissionError, BackpressureError, ServeError
-from ..obs import trace as obs_trace
 from ..obs.registry import get_registry
 from .overload import (
     OverloadConfig,
@@ -59,12 +52,6 @@ DEFAULT_TENANT_DEPTH = 64
 
 #: Default global queue bound.
 DEFAULT_QUEUE_DEPTH = 256
-
-#: How long the dispatcher holds a batch open for compatible requests.
-DEFAULT_BATCH_WINDOW_S = 0.002
-
-#: Requests fused into one batch at most.
-DEFAULT_MAX_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -80,7 +67,12 @@ class Tenant:
             floor degradation must respect for this tenant.
         priority: shed ordering under overload — when the front-end's
             overload controller reaches SHED, only tenants at the lowest
-            registered priority are rejected.
+            priority among the requester and the senders of the last
+            ``OverloadConfig.window`` requests (refused ones included)
+            are rejected, so a tenant that stops sending ages out of the
+            floor.  The highest registered priority is never shed:
+            shedding exists to protect it, and with nothing above it
+            the queue bound alone turns away the excess.
         degradable: whether brownout may serve this tenant's session
             launches from a lower (faster) rung of the approximation
             ladder; False pins the tenant to each session's own choice.
@@ -109,9 +101,7 @@ class Tenant:
 class _Request:
     """One queued launch and everything needed to run and resolve it."""
 
-    seq: int
     tenant: str
-    key: tuple
     run: object  # callable producing the result; session runs accept
     # a ``variant=`` override from the brownout controller
     future: Future = field(default_factory=Future)
@@ -141,11 +131,14 @@ class _FrontendMetrics:
             labelnames=("reason",),
         )
         self.batches = registry.counter(
-            "repro_frontend_batches_total", "fused batches dispatched"
+            "repro_frontend_batches_total",
+            "requests dispatched (kept while bench/layers.py reads it, "
+            "ROADMAP 4(d))",
         )
         self.batched = registry.counter(
             "repro_frontend_batched_requests_total",
-            "requests executed through fused batches",
+            "requests dispatched (kept while bench/layers.py reads it, "
+            "ROADMAP 4(d))",
         )
         self.queue_depth = registry.gauge(
             "repro_frontend_queue_depth", "requests waiting in the queue"
@@ -153,11 +146,6 @@ class _FrontendMetrics:
         self.wait_seconds = registry.histogram(
             "repro_frontend_wait_seconds",
             "queue wait from admission to execution start",
-        )
-        self.batch_size = registry.histogram(
-            "repro_frontend_batch_size",
-            "requests per fused batch",
-            buckets=(1, 2, 4, 8, 16, 32),
         )
         self._deadline_misses = registry.counter(
             "repro_frontend_deadline_misses_total",
@@ -195,7 +183,7 @@ class _FrontendMetrics:
 
 
 class ServeFrontend:
-    """The multi-tenant batched front-end over the launch machinery.
+    """The multi-tenant front-end over the launch machinery.
 
     Args:
         options: default :class:`~repro.LaunchOptions` every request
@@ -203,9 +191,9 @@ class ServeFrontend:
             The typical serving configuration is
             ``LaunchOptions(backend="codegen", parallel=W,
             executor="process")``.
-        batch_window_s: how long the dispatcher keeps a batch open for
-            compatible requests after the first one arrives.
-        max_batch: requests fused into one batch at most.
+        batch_window_s: accepted only as ``0.0``; any other value raises
+            :class:`~repro.errors.ServeError`, since request batching was
+            removed.
         max_queue_depth: global bound on queued requests.
         registry: cross-session variant registry shared by every session
             served through this front-end (a
@@ -222,7 +210,7 @@ class ServeFrontend:
             :class:`~repro.obs.slo.SLOEngine`, an iterable of
             :class:`~repro.obs.slo.SLOObjective` (an engine is built
             from them), or None (the default).  With an engine attached
-            the dispatcher evaluates objectives between batches and
+            the dispatcher evaluates objectives once per turn and
             records per-tenant wait/deadline series.
         serve_http: the embedded ops endpoint — ``True`` (ephemeral
             loopback port), a port number, ``"host:port"``, or None (the
@@ -235,11 +223,14 @@ class ServeFrontend:
 
     _ids = itertools.count()
 
+    #: Always 0.0: the dispatcher never waits for more requests.  Kept
+    #: while bench/serving.py reads it (ROADMAP 4(d)).
+    batch_window_s = 0.0
+
     def __init__(
         self,
         options: Optional[LaunchOptions] = None,
-        batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
+        batch_window_s: float = 0.0,
         max_queue_depth: int = DEFAULT_QUEUE_DEPTH,
         registry: Optional[object] = None,
         overload: Optional[object] = None,
@@ -248,16 +239,18 @@ class ServeFrontend:
     ) -> None:
         from ..registry import resolve_registry
         from .signals import track_frontend
-        if max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {max_batch}")
+        if batch_window_s != 0.0:
+            raise ServeError(
+                "request batching was removed: the dispatcher serves in "
+                f"arrival order, so batch_window_s must be 0.0, got "
+                f"{batch_window_s}"
+            )
         if max_queue_depth < 1:
             raise ServeError(
                 f"max_queue_depth must be >= 1, got {max_queue_depth}"
             )
         self.options = options if options is not None else LaunchOptions()
         self.registry = resolve_registry(registry)
-        self.batch_window_s = batch_window_s
-        self.max_batch = max_batch
         self.max_queue_depth = max_queue_depth
         self.metrics = _FrontendMetrics()
         self.label = f"f{next(self._ids)}"
@@ -286,10 +279,17 @@ class ServeFrontend:
         self.http = self._start_http(serve_http)
         self._tenants: Dict[str, Tenant] = {}
         self._outstanding: Dict[str, int] = {}
+        # Senders of the last ``window`` admission attempts: the SHED
+        # floor is the lowest priority among them.
+        self._recent_senders: Deque[str] = deque(
+            maxlen=self.overload.config.window if self.overload else 1
+        )
+        # When the controller last escalated (perf_counter): a request
+        # queued before it is not sampled.
+        self._escalated_at = float("-inf")
         self._queue: Deque[_Request] = deque()
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
-        self._seq = itertools.count()
         self._closed = False
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-frontend", daemon=True
@@ -351,19 +351,26 @@ class ServeFrontend:
             raise AdmissionError(
                 f"unknown tenant {tenant_name!r}; register_tenant() first"
             )
+        controller = self.overload
+        if controller is not None:
+            self._recent_senders.append(tenant_name)
         if toq is not None and toq < tenant.toq_floor:
             self.metrics.rejected("toq_floor")
             raise AdmissionError(
                 f"tenant {tenant_name!r} requires target quality >= "
                 f"{tenant.toq_floor}, session serves {toq}"
             )
-        controller = self.overload
         if controller is not None and controller.is_shedding:
             # SHED is the ladder's last rung: degradation is exhausted,
-            # so reject — but only the lowest-priority tenants, and only
-            # while the controller stays in SHED.
-            lowest = min(t.priority for t in self._tenants.values())
-            if tenant.priority <= lowest:
+            # so reject — but only the lowest-priority tenants among the
+            # recent senders, never the highest registered priority (the
+            # traffic shedding protects; the queue bound still caps it),
+            # and only while the controller stays in SHED.
+            lowest = min(
+                self._tenants[name].priority for name in self._recent_senders
+            )
+            top = max(other.priority for other in self._tenants.values())
+            if tenant.priority <= lowest and tenant.priority < top:
                 self.metrics.rejected("shed")
                 controller.record_shed(tenant_name)
                 raise BackpressureError(
@@ -384,17 +391,14 @@ class ServeFrontend:
         return tenant
 
     def _enqueue(
-        self, tenant: str, key: tuple, run, toq=None, session=None,
-        deadline_s=None,
+        self, tenant: str, run, toq=None, session=None, deadline_s=None
     ) -> Future:
         with self._lock:
             if self._closed:
                 raise ServeError("front-end is closed")
             self._admit(tenant, toq)
             request = _Request(
-                seq=next(self._seq),
                 tenant=tenant,
-                key=key,
                 run=run,
                 enqueued=time.perf_counter(),
                 session=session,
@@ -421,23 +425,12 @@ class ServeFrontend:
     ) -> Future:
         """Queue one kernel launch; returns a Future resolving to its Trace.
 
-        Launches sharing a compiled-kernel cache key — same kernel IR
-        fingerprint, same grid class (1-D/2-D), same bounds mode — are
-        fused into one batch.  Array arguments are written in place,
-        exactly as by :func:`repro.launch`; the Future resolves after
-        those writes are visible.
+        Array arguments are written in place, exactly as by
+        :func:`repro.launch`; the Future resolves after those writes are
+        visible.
         """
-        from ..codegen.fingerprint import fingerprint_kernel
         from ..engine.interpreter import launch as _launch
-        from ..engine.launch import resolve_kernel, resolve_module
 
-        fn = resolve_kernel(kernel)
-        module = resolve_module(kernel)
-        key = (
-            fingerprint_kernel(fn, module),
-            "2d" if grid.is_2d else "1d",
-            bool(bounds_check),
-        )
         opts = (
             options.merged_over(self.options)
             if options is not None
@@ -449,7 +442,7 @@ class ServeFrontend:
                 kernel, grid, args, bounds_check=bounds_check, options=opts
             )
 
-        return self._enqueue(tenant, key, run, deadline_s=deadline_s)
+        return self._enqueue(tenant, run, deadline_s=deadline_s)
 
     def submit_app(
         self,
@@ -461,10 +454,10 @@ class ServeFrontend:
         """Queue one :meth:`ApproxSession.launch`; Future resolves to its
         output.
 
-        Requests for the same session fuse into one batch and run in
-        arrival order on the dispatcher thread (sessions are not
-        thread-safe; the front-end is their serialization point).  The
-        tenant's TOQ floor is checked against the session's target.
+        Requests run one at a time in arrival order on the dispatcher
+        thread (sessions are not thread-safe; the front-end is their
+        serialization point).  The tenant's TOQ floor is checked against
+        the session's target.
 
         Sessions without a registry of their own adopt the front-end's,
         so a whole fleet of tenants shares one store of tuning knowledge.
@@ -477,7 +470,6 @@ class ServeFrontend:
         """
         if self.registry is not None and hasattr(session, "attach_registry"):
             session.attach_registry(self.registry)
-        key = ("app", session.key)
 
         def run(variant=None):
             with options_scope(self.options):
@@ -486,7 +478,7 @@ class ServeFrontend:
                 return session.launch(inputs, variant=variant)
 
         return self._enqueue(
-            tenant, key, run, toq=session.toq, session=session,
+            tenant, run, toq=session.toq, session=session,
             deadline_s=deadline_s,
         )
 
@@ -496,15 +488,9 @@ class ServeFrontend:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _take_batch(self) -> List[_Request]:
-        """Collect the next batch (called on the dispatcher thread).
-
-        Deterministic selection: the head of the queue anchors the
-        batch; every queued request with the same key joins, in global
-        sequence order, up to ``max_batch``.  The batch window only
-        *waits* for stragglers — arrival order within the batch is
-        never changed by timing.
-        """
+    def _take_request(self) -> Optional[_Request]:
+        """Pop the queue head (called on the dispatcher thread); None on
+        an idle tick or once the queue is closed and drained."""
         with self._wake:
             while not self._queue and not self._closed:
                 self._wake.wait(timeout=0.1)
@@ -514,58 +500,43 @@ class ServeFrontend:
                     # recovering) while no traffic arrives.
                     break
             if not self._queue:
-                return []
-            anchor = self._queue[0]
-            deadline = time.monotonic() + self.batch_window_s
-            while len(self._queue) < self.max_batch:
-                matching = sum(1 for r in self._queue if r.key == anchor.key)
-                if matching >= self.max_batch:
-                    break
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._closed:
-                    break
-                self._wake.wait(timeout=remaining)
-            batch: List[_Request] = []
-            rest: Deque[_Request] = deque()
-            for request in self._queue:
-                if request.key == anchor.key and len(batch) < self.max_batch:
-                    batch.append(request)
-                else:
-                    rest.append(request)
-            self._queue = rest
+                return None
+            request = self._queue.popleft()
             self.metrics.queue_depth.set(len(self._queue))
-            return batch
+            return request
 
     def _dispatch_loop(self) -> None:
         while True:
-            batch = self._take_batch()
+            request = self._take_request()
             if self.slo is not None:
                 self.slo.maybe_evaluate()  # rate-limited inside the engine
-            if not batch:
+            if request is None:
                 if self._closed and not self._queue:
                     return
                 if self.overload is not None:
-                    self._observe_pressure([], time.perf_counter())
+                    self._observe_pressure(None, time.perf_counter())
                 continue
-            self._run_batch(batch)
+            self._serve_request(request)
 
-    def _observe_pressure(self, batch: List[_Request], now: float) -> int:
-        """Feed one batch window's pressure sample to the controller.
+    def _observe_pressure(self, request: Optional[_Request], now: float) -> int:
+        """Feed one dispatched request's (or one idle tick's) pressure
+        sample to the controller; returns the level to serve at.
 
-        The queue-delay component is the worst wait in the batch plus any
+        The queue-delay component is the request's wait plus any
         synthetic delay the ``serve.overload`` fault seam injects (the
         chaos drill's load ramp — a signal, never a real sleep).
+
+        A request queued before the controller's last escalation is
+        served at the current level but not sampled: its wait was spent
+        partly under the old level, so it cannot show whether the new
+        one keeps up.  Escalation therefore moves at most one level per
+        queue turnover, and a burst of backlogged requests cannot walk
+        the controller to SHED while a lower level keeps up.
         """
         from ..resilience.faults import SITE_OVERLOAD, active_plan
 
         controller = self.overload
-        delay = max((now - r.enqueued) for r in batch) if batch else 0.0
-        plan = active_plan()
-        if plan is not None:
-            spec = plan.poll(SITE_OVERLOAD, self.label)
-            if spec is not None:
-                delay += spec.hang_seconds
-        for request in batch:
+        if request is not None:
             deadline = (
                 request.deadline_s
                 if request.deadline_s is not None
@@ -576,6 +547,14 @@ class ServeFrontend:
             if missed:
                 self._deadline_miss_count += 1
                 self.metrics.deadline_missed(self.label)
+            if request.enqueued < self._escalated_at:
+                return controller.level
+        delay = now - request.enqueued if request is not None else 0.0
+        plan = active_plan()
+        if plan is not None:
+            spec = plan.poll(SITE_OVERLOAD, self.label)
+            if spec is not None:
+                delay += spec.hang_seconds
         miss_rate = (
             sum(self._miss_window) / len(self._miss_window)
             if self._miss_window
@@ -583,13 +562,17 @@ class ServeFrontend:
         )
         with self._lock:
             depth = len(self._queue)
-        return controller.observe(
+        before = controller.level
+        level = controller.observe(
             PressureSample(
                 queue_delay_s=delay,
                 miss_rate=miss_rate,
                 saturation=depth / float(self.max_queue_depth),
             )
         )
+        if level > before:
+            self._escalated_at = now
+        return level
 
     def _degradation_for(self, request: _Request, level: int) -> Optional[str]:
         """The brownout variant override for one session request."""
@@ -602,46 +585,37 @@ class ServeFrontend:
             tenant.toq_floor,
         )
 
-    def _run_batch(self, batch: List[_Request]) -> None:
+    def _serve_request(self, request: _Request) -> None:
         started = time.perf_counter()
         self.metrics.batches.inc()
-        self.metrics.batched.inc(len(batch))
-        self.metrics.batch_size.observe(len(batch))
+        self.metrics.batched.inc()
         level = (
-            self._observe_pressure(batch, started)
+            self._observe_pressure(request, started)
             if self.overload is not None
             else 0
         )
-        key = batch[0].key
-        with obs_trace.span(
-            "serve.batch",
-            key="/".join(str(part) for part in key[:2]),
-            size=len(batch),
-            tenants=",".join(sorted({r.tenant for r in batch})),
-        ):
-            for request in batch:
-                self.metrics.wait_seconds.observe(started - request.enqueued)
-                if self.slo is not None:
-                    self._observe_tenant(request, started)
-                if not request.future.set_running_or_notify_cancel():
-                    self._done(request)
-                    continue
-                override = (
-                    self._degradation_for(request, level)
-                    if level > 0 and request.session is not None
-                    else None
-                )
-                try:
-                    result = (
-                        request.run(variant=override)
-                        if override is not None
-                        else request.run()
-                    )
-                except BaseException as exc:  # noqa: BLE001 - future carries it
-                    request.future.set_exception(exc)
-                else:
-                    request.future.set_result(result)
-                self._done(request)
+        self.metrics.wait_seconds.observe(started - request.enqueued)
+        if self.slo is not None:
+            self._observe_tenant(request, started)
+        if not request.future.set_running_or_notify_cancel():
+            self._done(request)
+            return
+        override = (
+            self._degradation_for(request, level)
+            if level > 0 and request.session is not None
+            else None
+        )
+        try:
+            result = (
+                request.run(variant=override)
+                if override is not None
+                else request.run()
+            )
+        except BaseException as exc:  # noqa: BLE001 - future carries it
+            request.future.set_exception(exc)
+        else:
+            request.future.set_result(result)
+        self._done(request)
 
     def _observe_tenant(self, request: _Request, started: float) -> None:
         """Record the per-tenant series the SLO engine evaluates (only
@@ -680,7 +654,7 @@ class ServeFrontend:
         dispatcher.
 
         Every already-admitted request gets the chance to execute: the
-        dispatcher keeps taking batches until the queue is empty, and
+        dispatcher keeps taking requests until the queue is empty, and
         ``close`` waits up to ``timeout`` for that drain.  Only requests
         still undispatched after the timeout (or after a dispatcher
         death) are failed with :class:`~repro.errors.ServeError` — never

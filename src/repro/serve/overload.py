@@ -67,7 +67,8 @@ class OverloadConfig:
             1.0; the delay component is ``delay / target`` (capped).
         deadline_s: default per-request queue-delay deadline used for
             the miss-rate signal when ``submit`` gave none.
-        window: rolling request window for the deadline-miss rate.
+        window: rolling request window for the deadline-miss rate and,
+            in a front-end, for the tenants that set the SHED floor.
     """
 
     levels: int = 3
@@ -105,8 +106,10 @@ class OverloadConfig:
 
 @dataclass(frozen=True)
 class PressureSample:
-    """One batch window's raw pressure signals (all dimensionless after
-    normalization except ``queue_delay_s``)."""
+    """One dispatched request's raw pressure signals — or one idle
+    tick's, with no request — all dimensionless after normalization
+    except ``queue_delay_s`` (the request's queue wait).  A front-end
+    does not sample a request queued before the last escalation."""
 
     queue_delay_s: float = 0.0
     miss_rate: float = 0.0
@@ -227,8 +230,9 @@ class OverloadController:
         return max(delay, sample.miss_rate, sample.saturation)
 
     def observe(self, sample: PressureSample) -> int:
-        """Feed one batch window's sample; returns the (possibly moved)
-        level the next batch should serve at."""
+        """Feed one sample (a front-end sends one per dispatched request
+        queued since the last escalation, plus idle ticks); returns the
+        (possibly moved) level the request serves at."""
         config = self.config
         pressure = self.pressure_of(sample)
         with self._lock:
@@ -236,7 +240,7 @@ class OverloadController:
             level = self._level
             if pressure >= config.high_water:
                 # Escalation is immediate: sustained pressure walks one
-                # level per batch window.  Any high reading also voids
+                # level per sample.  Any high reading also voids
                 # recovery credit already accrued.
                 self._below_since = None
                 if level < self.shed_level:

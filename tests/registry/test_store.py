@@ -283,6 +283,42 @@ class TestMaintenance:
         assert merged == 1
         assert set(a.keys()) == {"k1", "k2"}
 
+    def test_merge_from_writes_once_and_matches_key_by_key(
+        self, tmp_path, monkeypatch
+    ):
+        source = tmp_path / "src"
+        source.mkdir()
+        sketch = [["shape", [1.0, 2.0]]]
+        (source / "registry.json").write_text(json.dumps({
+            "format": 2,
+            "sketches": {"k1": sketch, "k3": sketch},
+            "points": {
+                key: [P(v, q).to_dict() for v, q in (("a", 0.95), ("b", 0.8))]
+                for key in ("k1", "k2", "k3")
+            },
+        }))
+        # The reference: each key recorded on its own, its sketch pending.
+        by_key = VariantRegistry(tmp_path / "by_key")
+        other = VariantRegistry(source)
+        for key in other.keys():
+            if key in other._sketches:
+                by_key._pending_sketches[key] = sketch
+            by_key.record_many(key, other.points(key))
+
+        replaces = []
+        real_replace = store.os.replace
+        monkeypatch.setattr(
+            store.os, "replace",
+            lambda *a: replaces.append(a) or real_replace(*a),
+        )
+        merged = VariantRegistry(tmp_path / "merged")
+        assert merged.merge_from(VariantRegistry(source)) == 6
+        assert len(replaces) == 1
+        assert merged._pending_sketches == {}
+        assert (tmp_path / "merged" / "registry.json").read_bytes() == (
+            tmp_path / "by_key" / "registry.json"
+        ).read_bytes()
+
 
 class TestResolveRegistry:
     def test_none_stays_disabled(self):

@@ -240,7 +240,6 @@ class FakeSession:
     """Duck-typed ApproxSession: records the variant each launch served."""
 
     toq = 0.9
-    key = "fake-session"
 
     def __init__(self):
         self.tuning = SimpleNamespace(profiles=LADDER)
@@ -269,9 +268,7 @@ class TestFrontendIntegration:
     def _frontend(self, **config):
         knobs = dict(cooldown_s=30.0, queue_delay_target_s=0.05)
         knobs.update(config)
-        return ServeFrontend(
-            batch_window_s=0.001, overload=OverloadConfig(**knobs)
-        )
+        return ServeFrontend(overload=OverloadConfig(**knobs))
 
     def test_brownout_level_overrides_degradable_sessions(self):
         with self._frontend() as frontend:
@@ -314,6 +311,93 @@ class TestFrontendIntegration:
             rejects = frontend.metrics._rejects.labels(reason="shed").value
             assert rejects >= 1
 
+    def test_shed_floor_ignores_tenants_that_never_submit(self):
+        """The idle "default" tenant (priority 0) must not hold the SHED
+        floor: between gold and silver, silver is the one shed."""
+        with self._frontend(levels=1) as frontend:
+            frontend.register_tenant("gold", priority=2)
+            frontend.register_tenant("silver", priority=1)
+            session = FakeSession()
+            for tenant in ("gold", "silver"):
+                frontend.submit_app(session, None, tenant=tenant).result(
+                    timeout=10
+                )
+            _force_level(frontend.overload, frontend.overload.shed_level)
+            with pytest.raises(BackpressureError, match="silver"):
+                frontend.submit_app(session, None, tenant="silver")
+            out = frontend.submit_app(session, None, tenant="gold").result(
+                timeout=10
+            )
+            assert out is not None
+
+    def test_a_tenant_that_goes_idle_ages_out_of_the_shed_floor(self):
+        """``default`` (priority 0) submits once, as a warm-up would, then
+        the senders of the next ``window`` requests set the floor."""
+        with self._frontend(levels=1, window=4) as frontend:
+            frontend.register_tenant("gold", priority=2)
+            frontend.register_tenant("silver", priority=1)
+            session = FakeSession()
+            frontend.submit_app(session, None).result(timeout=10)
+            for tenant in ("gold", "silver") * 2:
+                frontend.submit_app(session, None, tenant=tenant).result(
+                    timeout=10
+                )
+            _force_level(frontend.overload, frontend.overload.shed_level)
+            with pytest.raises(BackpressureError, match="silver"):
+                frontend.submit_app(session, None, tenant="silver")
+            out = frontend.submit_app(session, None, tenant="gold").result(
+                timeout=10
+            )
+            assert out is not None
+
+    def test_shed_spares_the_highest_registered_priority(self):
+        """A lone top-priority tenant is not shed: there is nobody above
+        it to protect, and the queue bound still caps its excess."""
+        with self._frontend(levels=1) as frontend:
+            frontend.register_tenant("paying", priority=1)
+            session = FakeSession()
+            sheds = frontend.metrics._rejects.labels(reason="shed")
+            before = sheds.value
+            _force_level(frontend.overload, frontend.overload.shed_level)
+            for _ in range(3):
+                out = frontend.submit_app(
+                    session, None, tenant="paying"
+                ).result(timeout=10)
+                assert out is not None
+            assert sheds.value == before
+
+    def test_requests_queued_before_an_escalation_are_not_sampled(self):
+        """A backlog that built up under the old level walks the
+        controller up one level, not one level per queued request; a
+        request queued after the escalation is sampled again."""
+        with self._frontend() as frontend:
+            gate, started = threading.Event(), threading.Event()
+
+            def block():
+                started.set()
+                return gate.wait(10)
+
+            frontend._enqueue("default", block)
+            assert started.wait(5)
+            backlog = [
+                frontend._enqueue("default", lambda: None) for _ in range(3)
+            ]
+            time.sleep(0.15)  # each backlog wait is > 2x the 0.05 s target
+            gate.set()
+            for future in backlog:
+                future.result(timeout=10)
+            assert frontend.overload.level == 1
+
+            gate.clear()
+            started.clear()
+            frontend._enqueue("default", block)
+            assert started.wait(5)
+            fresh = frontend._enqueue("default", lambda: None)
+            time.sleep(0.15)
+            gate.set()
+            fresh.result(timeout=10)
+            assert frontend.overload.level == 2
+
     def test_controller_recovers_through_idle_ticks(self):
         with self._frontend(cooldown_s=0.05) as frontend:
             _force_level(frontend.overload, 1)
@@ -329,7 +413,7 @@ class TestFrontendIntegration:
             session = FakeSession()
             before = frontend.deadline_misses()
             gate = threading.Event()
-            blocker = frontend._enqueue("default", ("gate",), lambda: gate.wait(5))
+            blocker = frontend._enqueue("default", lambda: gate.wait(5))
             future = frontend.submit_app(session, None, deadline_s=0.01)
             time.sleep(0.1)  # let the queued request overrun its deadline
             gate.set()

@@ -65,7 +65,7 @@ class TestCheckBackend:
         # own defaults can keep the check off the interpreter.
         session = tuned_session(**options)
         del backends[:]
-        with ServeFrontend(batch_window_s=0.0) as frontend:
+        with ServeFrontend() as frontend:
             for seed in range(2 * SAMPLE_EVERY):
                 inputs = session.app.generate_inputs(seed=seed)
                 frontend.submit_app(session, inputs).result(timeout=60)

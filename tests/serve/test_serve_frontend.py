@@ -1,11 +1,13 @@
-"""Multi-tenant front-end: batching determinism, admission, backpressure.
+"""Multi-tenant front-end: arrival-order dispatch, admission, backpressure.
 
 The dispatcher is a real thread, so the deterministic tests park it on a
-gated request first — everything enqueued behind the gate is then
-batched and ordered with no timing dependence (``_take_batch`` selects
-by key and global sequence number, never by arrival jitter).
+gated request first — everything enqueued behind the gate then runs in
+arrival order with no timing dependence (the dispatcher pops the queue
+head, never anything else).
 """
 
+import pathlib
+import re
 import threading
 import time
 
@@ -16,6 +18,7 @@ import kernel_zoo as zoo
 from repro import LaunchOptions
 from repro.engine import Grid
 from repro.errors import AdmissionError, BackpressureError, ServeError
+from repro.obs.registry import get_registry
 from repro.parallel import shutdown_process_pool
 from repro.serve import ServeFrontend, Tenant
 
@@ -30,48 +33,48 @@ def _square_args(n=N, seed=0):
 def _gated_frontend(**kwargs):
     """A frontend whose dispatcher is parked on a blocker request.
 
-    Returns after the blocker's batch has been *counted*, so batch-count
-    deltas measured by the caller cover only the caller's requests.
+    Returns once the blocker has started running, so everything the
+    caller enqueues next waits behind it.
     """
     frontend = ServeFrontend(**kwargs)
     gate = threading.Event()
-    counted = frontend.metrics.batches.value + 1
-    blocker = frontend._enqueue("default", ("gate",), lambda: gate.wait(10))
-    deadline = time.monotonic() + 5
-    while (
-        frontend.metrics.batches.value < counted
-        and time.monotonic() < deadline
-    ):
-        time.sleep(0.001)  # dispatcher picks the blocker up
-    assert frontend.metrics.batches.value >= counted, (
-        "dispatcher never took the blocker"
-    )
+    started = threading.Event()
+
+    def block():
+        started.set()
+        return gate.wait(10)
+
+    blocker = frontend._enqueue("default", block)
+    assert started.wait(5), "dispatcher never took the blocker"
     return frontend, gate, blocker
 
 
-class TestBatching:
-    def test_compatible_requests_fuse_into_one_batch(self):
-        frontend, gate, blocker = _gated_frontend(
-            batch_window_s=0.001, max_batch=8
-        )
+class TestDispatchOrder:
+    def test_dispatch_follows_arrival_order_across_kernels(self):
+        """A later launch of kernel ``a`` never runs ahead of an earlier
+        launch of kernel ``b``: the dispatcher groups nothing by key."""
+        frontend, gate, blocker = _gated_frontend()
         try:
             order = []
-            batches_before = frontend.metrics.batches.value
-            futures = [
-                frontend._enqueue("default", ("k",), lambda i=i: order.append(i) or i)
-                for i in range(4)
-            ]
+            grid = Grid.for_elements(64)
+            futures = []
+            for tag, kernel in (
+                ("a1", zoo.square_map), ("b1", zoo.clamp_map),
+                ("a2", zoo.square_map),
+            ):
+                future = frontend.submit(kernel, grid, _square_args(64))
+                future.add_done_callback(lambda _f, t=tag: order.append(t))
+                futures.append(future)
             gate.set()
-            assert [f.result(timeout=10) for f in futures] == [0, 1, 2, 3]
-            assert order == [0, 1, 2, 3], "batch preserves sequence order"
-            # ONE fused batch for all four same-key requests.
-            assert frontend.metrics.batches.value - batches_before == 1
+            for future in futures:
+                future.result(timeout=30)
+            assert order == ["a1", "b1", "a2"]
         finally:
             gate.set()
             frontend.close()
 
     def test_interleaved_tenants_keep_fifo_order(self):
-        frontend, gate, blocker = _gated_frontend(batch_window_s=0.001)
+        frontend, gate, blocker = _gated_frontend()
         try:
             frontend.register_tenant("alpha")
             frontend.register_tenant("beta")
@@ -81,7 +84,7 @@ class TestBatching:
                 tag = f"{tenant}:{i}"
                 futures.append(
                     frontend._enqueue(
-                        tenant, ("k",), lambda t=tag: order.append(t) or t
+                        tenant, lambda t=tag: order.append(t) or t
                     )
                 )
             gate.set()
@@ -93,42 +96,13 @@ class TestBatching:
             gate.set()
             frontend.close()
 
-    def test_mismatched_keys_stay_in_separate_batches(self):
-        frontend, gate, blocker = _gated_frontend(batch_window_s=0.001)
-        try:
-            batches_before = frontend.metrics.batches.value
-            futures = [
-                frontend._enqueue("default", ("a",), lambda: "a1"),
-                frontend._enqueue("default", ("b",), lambda: "b1"),
-                frontend._enqueue("default", ("a",), lambda: "a2"),
-            ]
-            gate.set()
-            assert [f.result(timeout=10) for f in futures] == ["a1", "b1", "a2"]
-            # a-batch (anchored by head; a2 joins across the interleaved
-            # b) + b-batch
-            assert frontend.metrics.batches.value - batches_before == 2
-        finally:
-            gate.set()
-            frontend.close()
-
-    def test_max_batch_caps_fusion(self):
-        frontend, gate, blocker = _gated_frontend(
-            batch_window_s=0.001, max_batch=2
-        )
-        try:
-            batched_before = frontend.metrics.batches.value
-            futures = [
-                frontend._enqueue("default", ("k",), lambda i=i: i)
-                for i in range(4)
-            ]
-            gate.set()
-            for future in futures:
-                future.result(timeout=10)
-            # four same-key requests under max_batch=2 -> two batches
-            assert frontend.metrics.batches.value - batched_before == 2
-        finally:
-            gate.set()
-            frontend.close()
+    def test_removed_batching_surface_raises(self):
+        with pytest.raises(TypeError):
+            ServeFrontend(max_batch=8)
+        with pytest.raises(ServeError, match="batching was removed"):
+            ServeFrontend(batch_window_s=0.002)
+        with ServeFrontend(batch_window_s=0.0) as frontend:
+            assert frontend.batch_window_s == 0.0
 
 
 class TestAdmission:
@@ -144,7 +118,6 @@ class TestAdmission:
 
     def test_toq_floor_rejects_weak_session(self):
         class _Stub:
-            key = "stub-session"
             toq = 0.85
 
         with ServeFrontend() as frontend:
@@ -156,11 +129,11 @@ class TestAdmission:
         frontend, gate, blocker = _gated_frontend()
         try:
             frontend.register_tenant("small", max_queue_depth=1)
-            frontend._enqueue("small", ("k",), lambda: 1)
+            frontend._enqueue("small", lambda: 1)
             with pytest.raises(BackpressureError, match="small"):
-                frontend._enqueue("small", ("k",), lambda: 2)
+                frontend._enqueue("small", lambda: 2)
             # other tenants are unaffected by 'small' being at budget
-            frontend._enqueue("default", ("k",), lambda: 3)
+            frontend._enqueue("default", lambda: 3)
         finally:
             gate.set()
             frontend.close()
@@ -168,10 +141,10 @@ class TestAdmission:
     def test_global_queue_backpressure(self):
         frontend, gate, blocker = _gated_frontend(max_queue_depth=2)
         try:
-            frontend._enqueue("default", ("k",), lambda: 1)
-            frontend._enqueue("default", ("k",), lambda: 2)
+            frontend._enqueue("default", lambda: 1)
+            frontend._enqueue("default", lambda: 2)
             with pytest.raises(BackpressureError, match="queue is full"):
-                frontend._enqueue("default", ("k",), lambda: 3)
+                frontend._enqueue("default", lambda: 3)
         finally:
             gate.set()
             frontend.close()
@@ -201,12 +174,12 @@ class TestLifecycle:
         frontend = ServeFrontend()
         frontend.close()
         with pytest.raises(ServeError, match="closed"):
-            frontend._enqueue("default", ("k",), lambda: 1)
+            frontend._enqueue("default", lambda: 1)
 
     def test_close_drains_inflight_work(self):
         frontend = ServeFrontend()
         futures = [
-            frontend._enqueue("default", ("k",), lambda i=i: i)
+            frontend._enqueue("default", lambda i=i: i)
             for i in range(3)
         ]
         frontend.close()
@@ -218,7 +191,7 @@ class TestLifecycle:
             raise ValueError("kernel went sideways")
 
         with ServeFrontend() as frontend:
-            future = frontend._enqueue("default", ("k",), boom)
+            future = frontend._enqueue("default", boom)
             with pytest.raises(ValueError, match="sideways"):
                 future.result(timeout=10)
             assert frontend.outstanding() == 0
@@ -251,7 +224,7 @@ class TestEndToEnd:
         finally:
             shutdown_process_pool()
 
-    def test_session_launches_fuse_and_serialize(self):
+    def test_session_launches_serialize_on_the_dispatcher(self):
         from repro import ApproxSession
         from repro.apps.gaussian import GaussianFilterApp
 
@@ -267,19 +240,19 @@ class TestEndToEnd:
 
 class TestCloseDrain:
     def test_close_waits_for_a_slow_batch_then_drains_the_queue(self):
-        """Regression: a queued request behind a slow in-flight batch must
+        """Regression: a queued request behind a slow in-flight request must
         be dispatched during close(), not failed, while the timeout has
         not expired."""
-        frontend = ServeFrontend(batch_window_s=0.001)
+        frontend = ServeFrontend()
         release = threading.Event()
 
         def slow():
             release.wait(5)
             return "slow"
 
-        slow_future = frontend._enqueue("default", ("slow",), slow)
-        time.sleep(0.05)  # dispatcher picks the slow batch up
-        queued = frontend._enqueue("default", ("queued",), lambda: "queued")
+        slow_future = frontend._enqueue("default", slow)
+        time.sleep(0.05)  # dispatcher picks the slow request up
+        queued = frontend._enqueue("default", lambda: "queued")
         closer = threading.Thread(target=frontend.close, kwargs={"timeout": 10})
         closer.start()
         time.sleep(0.05)
@@ -293,26 +266,26 @@ class TestCloseDrain:
         assert frontend.outstanding() == 0
 
     def test_close_timeout_fails_only_undispatched_leftovers(self):
-        frontend = ServeFrontend(batch_window_s=0.001)
+        frontend = ServeFrontend()
         release = threading.Event()
 
         def hung():
             release.wait(30)
             return "eventually"
 
-        hung_future = frontend._enqueue("default", ("hung",), hung)
-        time.sleep(0.05)  # dispatcher is now stuck inside the batch
-        leftover = frontend._enqueue("default", ("leftover",), lambda: 1)
+        hung_future = frontend._enqueue("default", hung)
+        time.sleep(0.05)  # dispatcher is now stuck inside the request
+        leftover = frontend._enqueue("default", lambda: 1)
         frontend.close(timeout=0.2)
         with pytest.raises(ServeError, match="closed before dispatch"):
             leftover.result(timeout=1)
-        # Unblock the hung batch: its future must still resolve cleanly
+        # Unblock the hung request: its future must still resolve cleanly
         # (close never touches dispatched requests).
         release.set()
         assert hung_future.result(timeout=10) == "eventually"
 
     def test_close_from_dispatcher_thread_does_not_deadlock(self):
-        frontend = ServeFrontend(batch_window_s=0.001)
+        frontend = ServeFrontend()
         seen = []
 
         def closing_request():
@@ -320,8 +293,8 @@ class TestCloseDrain:
             seen.append("ran")
             return "done"
 
-        first = frontend._enqueue("default", ("k",), closing_request)
-        second = frontend._enqueue("default", ("k2",), lambda: "after")
+        first = frontend._enqueue("default", closing_request)
+        second = frontend._enqueue("default", lambda: "after")
         assert first.result(timeout=10) == "done"
         # The dispatch loop itself drains what was already admitted.
         assert second.result(timeout=10) == "after"
@@ -336,7 +309,7 @@ class TestConcurrency:
         """8 submitter threads race close(): every accepted Future must
         resolve (result or ServeError), nothing hangs, bookkeeping
         returns to zero."""
-        frontend = ServeFrontend(batch_window_s=0.001, max_queue_depth=512)
+        frontend = ServeFrontend(max_queue_depth=512)
         start = threading.Barrier(self.TENANTS + 1)
         futures = []
         futures_lock = threading.Lock()
@@ -346,9 +319,7 @@ class TestConcurrency:
             start.wait(5)
             for i in range(40):
                 try:
-                    future = frontend._enqueue(
-                        "default", ("k", worker), lambda i=i: i
-                    )
+                    future = frontend._enqueue("default", lambda i=i: i)
                 except ServeError:
                     rejected.append(worker)  # closed under us: fine
                     return
@@ -381,9 +352,7 @@ class TestConcurrency:
     def test_backpressure_and_admission_errors_under_contention(self):
         """8 threads hammer a tiny queue: every rejection is a typed
         error, every accepted request resolves, and the queue empties."""
-        frontend, gate, blocker = _gated_frontend(
-            batch_window_s=0.001, max_queue_depth=4
-        )
+        frontend, gate, blocker = _gated_frontend(max_queue_depth=4)
         frontend.register_tenant("narrow", max_queue_depth=2)
         outcomes = {"served": 0, "backpressure": 0, "admission": 0}
         lock = threading.Lock()
@@ -394,7 +363,7 @@ class TestConcurrency:
             tenant = ["default", "narrow", "ghost"][idx % 3]
             for i in range(20):
                 try:
-                    future = frontend._enqueue(tenant, ("k",), lambda: 1)
+                    future = frontend._enqueue(tenant, lambda: 1)
                 except BackpressureError:
                     with lock:
                         outcomes["backpressure"] += 1
@@ -428,3 +397,24 @@ class TestConcurrency:
         assert frontend.queue_depth() == 0
         assert frontend.outstanding() == 0
         assert frontend.outstanding("narrow") == 0
+
+
+class TestFamilyTable:
+    """docs/OBSERVABILITY.md has one row for each front-end and brownout
+    family the registry holds, and no row for any other."""
+
+    @pytest.mark.parametrize("prefix", ["repro_frontend_", "repro_brownout_"])
+    def test_doc_rows_match_registered_families(self, prefix):
+        with ServeFrontend(overload=True):
+            registered = {
+                metric.name for metric in get_registry().collect()
+                if metric.name.startswith(prefix)
+            }
+        doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+        documented = set()
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            if line.startswith(f"| `{prefix}"):
+                documented.update(
+                    re.findall(r"`(repro_[a-z_]+)`", line.split("|")[1])
+                )
+        assert documented == registered

@@ -23,13 +23,13 @@ CHILD = textwrap.dedent(
     from repro.serve import ServeFrontend, install_signal_handlers
 
     install_signal_handlers(timeout=10.0)
-    frontend = ServeFrontend(batch_window_s=0.001)
+    frontend = ServeFrontend()
 
     def slow():
         time.sleep(0.5)
         return "finished"
 
-    future = frontend._enqueue("default", ("slow",), slow)
+    future = frontend._enqueue("default", slow)
     future.add_done_callback(
         lambda f: print("RESOLVED", f.result(), flush=True)
     )
@@ -85,7 +85,7 @@ class TestHandlerBookkeeping:
         assert signal.getsignal(signal.SIGTERM) is previous
 
     def test_drain_closes_tracked_frontends(self):
-        frontend = ServeFrontend(batch_window_s=0.001)
+        frontend = ServeFrontend()
         assert frontend in signals.live_frontends()
         try:
             signals.drain(timeout=5.0)
