@@ -12,15 +12,13 @@ The layer has three legs, all near-zero-cost while disabled:
   point ``REPRO_OBS_TRACE`` at a file to persist the stream.
 * :mod:`repro.obs.timeline` — the quality-drift timeline: every quality
   sample, TOQ violation, drift event, knob change, breaker transition and
-  SLO alert, correlated to launches by ``launch_id`` and ``trace_id``.
+  brownout level change, correlated to launches by ``launch_id`` and
+  ``trace_id``.
 
-On top of the legs sit the live-ops surfaces:
-
-* :mod:`repro.obs.slo` — declarative per-tenant SLO objectives with
-  multi-window burn-rate alerting (OK → WARN → PAGE with hysteresis);
-* :mod:`repro.obs.http` — the embedded stdlib HTTP endpoint
-  (``/metrics``, ``/healthz``, ``/readyz``, ``/slo``, ``/debug/vars``),
-  opt-in via ``ServeFrontend(serve_http=...)`` or ``REPRO_OBS_HTTP``.
+On top of the legs sits the live-ops surface,
+:mod:`repro.obs.http` — the embedded stdlib HTTP endpoint
+(``/metrics``, ``/healthz``, ``/readyz``, ``/debug/vars``), opt-in via
+``ServeFrontend(serve_http=...)`` or ``REPRO_OBS_HTTP``.
 
 ``python -m repro.obs summarize <trace.jsonl>`` renders a trace file:
 top spans by time, fallback-depth breakdown, the quality-vs-speedup
@@ -41,10 +39,8 @@ from .registry import (
     MetricsRegistry,
     REGISTRY,
     get_registry,
-    histogram_fraction_le,
     histogram_quantile,
 )
-from .slo import SLOEngine, SLOObjective
 from .timeline import QualityTimeline, timeline
 from .trace import (
     NOOP_SPAN,
@@ -67,9 +63,6 @@ __all__ = [
     "REGISTRY",
     "get_registry",
     "histogram_quantile",
-    "histogram_fraction_le",
-    "SLOEngine",
-    "SLOObjective",
     "ObsHTTPServer",
     "QualityTimeline",
     "timeline",

@@ -4,7 +4,7 @@ Commands:
 
 * ``summarize <trace.jsonl> [--trees N]`` — the full report: top spans
   by total time, fallback-depth breakdown, the quality-vs-speedup
-  timeline (including SLO alert transitions) and the span tree(s) of
+  timeline (including brownout level changes) and the span tree(s) of
   the most recent N traces.
 * ``tree <trace.jsonl> [--trace ID]`` — just the span trees (all traces,
   or one).

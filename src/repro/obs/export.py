@@ -234,7 +234,7 @@ def summarize(path, trees: int = 1) -> str:
         e
         for e in events
         if e.get("kind")
-        in ("knob_change", "toq_violation", "drift", "breaker", "brownout", "slo")
+        in ("knob_change", "toq_violation", "drift", "breaker", "brownout")
     ]
     if quality or changes:
         out.append("")
@@ -260,15 +260,6 @@ def summarize(path, trees: int = 1) -> str:
                 out.append(
                     f"launch {launch:>5}  BREAKER {entry.get('variant')} -> "
                     f"{entry.get('state')} ({entry.get('reason')})"
-                )
-            elif entry.get("kind") == "slo":
-                out.append(
-                    f"{entry.get('objective', '?'):>12}  SLO "
-                    f"{entry.get('from_state')} -> {entry.get('to_state')} "
-                    f"tenant={entry.get('tenant')} "
-                    f"burn fast={entry.get('burn_fast', 0.0):.2f} "
-                    f"slow={entry.get('burn_slow', 0.0):.2f} "
-                    f"({entry.get('reason')})"
                 )
             elif entry.get("kind") == "brownout":
                 pressure = entry.get("pressure")

@@ -1,4 +1,4 @@
-"""Embedded ops endpoint: scrape, health and SLO state over HTTP.
+"""Embedded ops endpoint: scrape and health over HTTP.
 
 A serving process is only operable if its state can be *pulled* — a
 Prometheus scraper, a load-balancer health check, an engineer with
@@ -11,8 +11,6 @@ stdlib-only (``http.server``) daemon-threaded listener exposing:
 * ``/readyz`` — readiness: 503 once a drain began (the signal layer's
   SIGTERM handling) or the attached front-end closed, so load balancers
   stop routing before the listener disappears;
-* ``/slo`` — the attached :class:`~repro.obs.slo.SLOEngine`'s alert and
-  objective state as JSON;
 * ``/debug/vars`` — the raw registry snapshot as JSON (expvar-style).
 
 Opt-in only: construct one explicitly, pass ``serve_http=`` to
@@ -41,24 +39,29 @@ def parse_http_spec(spec) -> Optional[tuple]:
 
     Accepts ``True`` (ephemeral port), an integer port, ``"8080"``,
     ``"0.0.0.0:8080"`` or None/False/"" (disabled).  Returns
-    ``(host, port)`` or None.
+    ``(host, port)`` or None; a port outside 0-65535 is a
+    :class:`~repro.errors.ConfigError`.
     """
     if spec is None or spec is False or spec == "":
         return None
     if spec is True:
         return (DEFAULT_HOST, 0)
     if isinstance(spec, int):
-        return (DEFAULT_HOST, spec)
-    text = str(spec).strip()
-    host, _, port_text = text.rpartition(":")
-    if not host:
-        host = DEFAULT_HOST
-    try:
-        return (host, int(port_text))
-    except ValueError:
+        host, port = DEFAULT_HOST, spec
+    else:
+        host, _, port_text = str(spec).strip().rpartition(":")
+        try:
+            port = int(port_text)
+        except ValueError:
+            raise ConfigError(
+                f"bad HTTP endpoint spec {spec!r}: expected a port or "
+                "host:port"
+            )
+    if not 0 <= port <= 65535:
         raise ConfigError(
-            f"bad HTTP endpoint spec {spec!r}: expected a port or host:port"
+            f"bad HTTP endpoint spec {spec!r}: port {port} is outside 0-65535"
         )
+    return (host or DEFAULT_HOST, port)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -94,18 +97,13 @@ class _Handler(BaseHTTPRequestHandler):
                     self._reply(200, "ready\n")
                 else:
                     self._reply(503, "draining\n")
-            elif path == "/slo":
-                if owner.slo is not None:
-                    self._reply_json(200, owner.slo.state())
-                else:
-                    self._reply_json(200, {"objectives": [], "max_state": "OK"})
             elif path == "/debug/vars":
                 self._reply_json(200, owner.registry.snapshot())
             elif path == "/":
                 self._reply(
                     200,
                     "repro obs endpoint\n"
-                    "/metrics /healthz /readyz /slo /debug/vars\n",
+                    "/metrics /healthz /readyz /debug/vars\n",
                 )
             else:
                 self._reply(404, f"unknown path {path}\n")
@@ -126,7 +124,6 @@ class ObsHTTPServer:
             :attr:`port` after :meth:`start`).
         host: bind address, loopback unless deliberately widened.
         registry: metrics registry to serve (default: the global one).
-        slo: optional :class:`~repro.obs.slo.SLOEngine` behind ``/slo``.
         frontend: optional :class:`~repro.serve.ServeFrontend` whose
             closed state feeds ``/readyz``.
     """
@@ -136,11 +133,9 @@ class ObsHTTPServer:
         port: int = 0,
         host: str = DEFAULT_HOST,
         registry: Optional[MetricsRegistry] = None,
-        slo=None,
         frontend=None,
     ) -> None:
         self.registry = registry if registry is not None else get_registry()
-        self.slo = slo
         self.frontend = frontend
         self._host = host
         self._requested_port = port

@@ -59,31 +59,6 @@ def histogram_quantile(
     return buckets[-1] if buckets else None
 
 
-def histogram_fraction_le(
-    buckets: Tuple[float, ...], counts: List[int], bound: float
-) -> float:
-    """Fraction of observations at or below ``bound`` (interpolated).
-
-    The SLO engine's latency-compliance estimate: per-bucket ``counts``
-    (non-cumulative, +inf last) against a threshold that may fall inside
-    a bucket.  Observations in the +inf bucket always count as above.
-    Returns 1.0 for an empty histogram (no traffic = no violations).
-    """
-    total = sum(counts)
-    if total == 0:
-        return 1.0
-    covered = 0.0
-    for i, edge in enumerate(buckets):
-        if edge <= bound:
-            covered += counts[i]
-            continue
-        lower = buckets[i - 1] if i > 0 else 0.0
-        if bound > lower:
-            covered += counts[i] * (bound - lower) / (edge - lower)
-        break
-    return min(1.0, covered / total)
-
-
 def _label_key(labelnames: Tuple[str, ...], labels: Dict[str, str]) -> Tuple[str, ...]:
     missing = [n for n in labelnames if n not in labels]
     extra = [n for n in labels if n not in labelnames]
@@ -145,7 +120,7 @@ class Child:
 
     def raw_counts(self) -> Tuple[Tuple[float, ...], List[int], float, int]:
         """(buckets, per-bucket counts, sum, count) — non-cumulative,
-        +inf bucket last.  The SLO engine diffs these across snapshots."""
+        +inf bucket last."""
         with self._lock:
             return self._buckets, list(self._counts), self._sum, self._count
 

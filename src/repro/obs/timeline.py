@@ -3,7 +3,7 @@
 Green/SAGE-style recalibration is only debuggable with a record of *what
 the monitor saw and what the runtime did about it*, in order, with ids
 that tie each entry back to the launch (and trace) that produced it.  The
-timeline records seven kinds of entry:
+timeline records six kinds of entry:
 
 * ``quality_sample`` — one sampled quality check (quality, windowed
   estimate, TOQ, the serving variant and its modelled speedup);
@@ -14,9 +14,7 @@ timeline records seven kinds of entry:
 * ``breaker`` — a circuit-breaker state transition;
 * ``brownout`` — an overload-controller level change (which front-end,
   which level to which, the pressure reading that drove it) — together
-  with the interleaved quality samples this is the quality-vs-load plot;
-* ``slo`` — an SLO alert transition (which objective/tenant, from which
-  state to which, the fast/slow burn rates that drove it).
+  with the interleaved quality samples this is the quality-vs-load plot.
 
 Every entry carries ``session``, ``launch_id`` and ``trace_id``, so a
 served request can be traced from its input to the exact variant/knob
@@ -43,11 +41,8 @@ DRIFT = "drift"
 KNOB_CHANGE = "knob_change"
 BREAKER = "breaker"
 BROWNOUT = "brownout"
-SLO = "slo"
 
-KINDS = (
-    QUALITY_SAMPLE, TOQ_VIOLATION, DRIFT, KNOB_CHANGE, BREAKER, BROWNOUT, SLO
-)
+KINDS = (QUALITY_SAMPLE, TOQ_VIOLATION, DRIFT, KNOB_CHANGE, BREAKER, BROWNOUT)
 
 
 class QualityTimeline:
@@ -168,29 +163,6 @@ class QualityTimeline:
             state=state,
             reason=reason,
             pressure=pressure,
-        )
-
-    def slo(
-        self,
-        objective: str,
-        tenant: str,
-        from_state: str,
-        to_state: str,
-        burn_fast: float,
-        burn_slow: float,
-        reason: str,
-    ) -> None:
-        """One SLO alert transition (keyed by objective name + tenant;
-        the burn rates that drove it make the entry self-explaining)."""
-        self.record(
-            SLO,
-            objective=objective,
-            tenant=tenant,
-            from_state=from_state,
-            to_state=to_state,
-            burn_fast=burn_fast,
-            burn_slow=burn_slow,
-            reason=reason,
         )
 
     def breaker(

@@ -152,19 +152,6 @@ class _FrontendMetrics:
             "requests whose queue wait exceeded their deadline",
             labelnames=("frontend",),
         )
-        # Per-tenant families the SLO engine reads; observed only while
-        # an engine is attached (see ServeFrontend._observe_tenant) so
-        # front-ends without SLOs pay nothing extra per request.
-        self.tenant_wait_seconds = registry.histogram(
-            "repro_frontend_tenant_wait_seconds",
-            "queue wait from admission to execution start, per tenant",
-            labelnames=("tenant",),
-        )
-        self._tenant_deadline_misses = registry.counter(
-            "repro_frontend_tenant_deadline_misses_total",
-            "requests whose queue wait exceeded their deadline, per tenant",
-            labelnames=("tenant",),
-        )
 
     def admitted(self, tenant: str) -> None:
         child = self._admitted.get(tenant)
@@ -177,9 +164,6 @@ class _FrontendMetrics:
 
     def deadline_missed(self, frontend: str) -> None:
         self._deadline_misses.labels(frontend=frontend).inc()
-
-    def tenant_deadline_missed(self, tenant: str) -> None:
-        self._tenant_deadline_misses.labels(tenant=tenant).inc()
 
 
 class ServeFrontend:
@@ -206,19 +190,13 @@ class ServeFrontend:
             :class:`~repro.serve.overload.OverloadController`, or None
             (the default: overload stays a binary admit/reject and the
             dispatch fast path is untouched).
-        slo: per-tenant SLO evaluation — an
-            :class:`~repro.obs.slo.SLOEngine`, an iterable of
-            :class:`~repro.obs.slo.SLOObjective` (an engine is built
-            from them), or None (the default).  With an engine attached
-            the dispatcher evaluates objectives once per turn and
-            records per-tenant wait/deadline series.
         serve_http: the embedded ops endpoint — ``True`` (ephemeral
             loopback port), a port number, ``"host:port"``, or None (the
             default: also honours ``REPRO_OBS_HTTP`` from the
             environment).  The started
             :class:`~repro.obs.http.ObsHTTPServer` is available as
-            ``self.http`` and serves this front-end's readiness and SLO
-            state; it stops with :meth:`close`.
+            ``self.http`` and serves this front-end's readiness; it
+            stops with :meth:`close`.
     """
 
     _ids = itertools.count()
@@ -234,7 +212,6 @@ class ServeFrontend:
         max_queue_depth: int = DEFAULT_QUEUE_DEPTH,
         registry: Optional[object] = None,
         overload: Optional[object] = None,
-        slo: Optional[object] = None,
         serve_http: Optional[object] = None,
     ) -> None:
         from ..registry import resolve_registry
@@ -267,15 +244,6 @@ class ServeFrontend:
             maxlen=self.overload.config.window if self.overload else 1
         )
         self._deadline_miss_count = 0
-        if slo is None:
-            self.slo = None
-        else:
-            from ..obs.slo import SLOEngine
-
-            if isinstance(slo, SLOEngine):
-                self.slo = slo
-            else:
-                self.slo = SLOEngine(objectives=tuple(slo))
         self.http = self._start_http(serve_http)
         self._tenants: Dict[str, Tenant] = {}
         self._outstanding: Dict[str, int] = {}
@@ -313,9 +281,7 @@ class ServeFrontend:
         if spec is None:
             return None
         host, port = spec
-        return ObsHTTPServer(
-            port=port, host=host, slo=self.slo, frontend=self
-        ).start()
+        return ObsHTTPServer(port=port, host=host, frontend=self).start()
 
     # -- tenants ---------------------------------------------------------------
 
@@ -494,10 +460,10 @@ class ServeFrontend:
         with self._wake:
             while not self._queue and not self._closed:
                 self._wake.wait(timeout=0.1)
-                if self.overload is not None or self.slo is not None:
+                if self.overload is not None:
                     # Surface each idle tick to the dispatch loop so the
-                    # controller and the SLO engine keep observing (and
-                    # recovering) while no traffic arrives.
+                    # controller keeps observing (and recovering) while
+                    # no traffic arrives.
                     break
             if not self._queue:
                 return None
@@ -508,8 +474,6 @@ class ServeFrontend:
     def _dispatch_loop(self) -> None:
         while True:
             request = self._take_request()
-            if self.slo is not None:
-                self.slo.maybe_evaluate()  # rate-limited inside the engine
             if request is None:
                 if self._closed and not self._queue:
                     return
@@ -595,8 +559,6 @@ class ServeFrontend:
             else 0
         )
         self.metrics.wait_seconds.observe(started - request.enqueued)
-        if self.slo is not None:
-            self._observe_tenant(request, started)
         if not request.future.set_running_or_notify_cancel():
             self._done(request)
             return
@@ -616,19 +578,6 @@ class ServeFrontend:
         else:
             request.future.set_result(result)
         self._done(request)
-
-    def _observe_tenant(self, request: _Request, started: float) -> None:
-        """Record the per-tenant series the SLO engine evaluates (only
-        while an engine is attached — overhead discipline)."""
-        wait = started - request.enqueued
-        self.metrics.tenant_wait_seconds.labels(tenant=request.tenant).observe(
-            wait
-        )
-        deadline = request.deadline_s
-        if deadline is None and self.overload is not None:
-            deadline = self.overload.config.deadline_s
-        if deadline is not None and wait > deadline:
-            self.metrics.tenant_deadline_missed(request.tenant)
 
     def _done(self, request: _Request) -> None:
         with self._lock:

@@ -240,7 +240,7 @@ class SessionMetrics:
 
     def record_launch_error(self) -> None:
         """One launch that raised past every ladder rung — the error the
-        caller actually saw, the numerator of an availability SLO."""
+        caller actually saw."""
         self._counters.inc("launch_errors")
 
     def record_compile(self, cache: str, seconds: float) -> None:

@@ -111,6 +111,24 @@ class TestSummarize:
         assert "KNOB v -> exact (toq_violation)" in report
         assert "-- Span tree (t0)" in report
 
+    def test_an_slo_entry_from_an_older_trace_is_not_rendered(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = _sample_records() + [
+            {
+                "type": "event",
+                "kind": "slo",
+                "seq": 12,
+                "objective": "avail",
+                "from_state": "OK",
+                "to_state": "WARN",
+            }
+        ]
+        _write_trace(path, records)
+        report = summarize(path)
+        assert "4 spans across 1 traces, 3 events" in report
+        assert "KNOB v -> exact (toq_violation)" in report
+        assert "SLO" not in report and "avail" not in report
+
 
 class TestCli:
     def test_summarize_command(self, tmp_path, capsys):

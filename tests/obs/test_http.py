@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.obs.http import DEFAULT_HOST, ObsHTTPServer, parse_http_spec
 from repro.obs.registry import MetricsRegistry
-from repro.obs.slo import SLOEngine, SLOObjective
 from repro.serve import signals
 
 
@@ -37,9 +36,36 @@ class TestSpecParsing:
         assert parse_http_spec("9464") == (DEFAULT_HOST, 9464)
         assert parse_http_spec("0.0.0.0:9464") == ("0.0.0.0", 9464)
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("0", (DEFAULT_HOST, 0)),
+            ("65535", (DEFAULT_HOST, 65535)),
+            ("host:65535", ("host", 65535)),
+            (0, (DEFAULT_HOST, 0)),
+            (65535, (DEFAULT_HOST, 65535)),
+        ],
+    )
+    def test_ports_at_the_range_edges_are_accepted(self, spec, expected):
+        assert parse_http_spec(spec) == expected
+
     def test_junk_raises(self):
         with pytest.raises(ConfigError):
             parse_http_spec("not-a-port")
+
+    @pytest.mark.parametrize(
+        "spec", ["70000", "-1", "localhost:65536", 70000, -1, 65536]
+    )
+    def test_port_outside_the_range_raises(self, spec):
+        with pytest.raises(ConfigError, match="outside 0-65535"):
+            parse_http_spec(spec)
+
+    def test_frontend_refuses_an_out_of_range_env_port(self, monkeypatch):
+        from repro.serve import ServeFrontend
+
+        monkeypatch.setenv("REPRO_OBS_HTTP", "70000")
+        with pytest.raises(ConfigError, match="70000"):
+            ServeFrontend()
 
 
 class TestEndpoints:
@@ -96,10 +122,8 @@ class TestEndpoints:
         with server:
             assert _get(server, "/readyz")[0] == 503
 
-    def test_slo_without_engine_serves_an_empty_default(self, server):
-        status, body = _get(server, "/slo")
-        assert status == 200
-        assert json.loads(body) == {"objectives": [], "max_state": "OK"}
+    def test_slo_is_an_unknown_path(self, server):
+        assert _get(server, "/slo") == (404, "unknown path /slo\n")
 
     def test_debug_vars_is_the_registry_snapshot(self, server):
         status, body = _get(server, "/debug/vars")
@@ -117,25 +141,11 @@ class TestEndpoints:
     def test_index_lists_the_routes(self, server):
         status, body = _get(server, "/")
         assert status == 200
-        assert "/metrics" in body and "/slo" in body
+        assert "/metrics" in body and "/debug/vars" in body
+        assert "/slo" not in body
 
     def test_query_strings_and_trailing_slashes_normalise(self, server):
         assert _get(server, "/healthz/?verbose=1")[0] == 200
-
-
-class TestSLOEndpoint:
-    def test_slo_serves_the_engine_state(self):
-        registry = MetricsRegistry()
-        engine = SLOEngine(
-            objectives=(SLOObjective.availability("avail"),),
-            registry=registry,
-        )
-        with ObsHTTPServer(port=0, registry=registry, slo=engine) as server:
-            status, body = _get(server, "/slo")
-        assert status == 200
-        state = json.loads(body)
-        assert state["objectives"][0]["name"] == "avail"
-        assert state["max_state"] == "OK"
 
 
 class TestLifecycle:
@@ -174,6 +184,28 @@ class TestLifecycle:
         try:
             assert frontend.http is not None
             assert _get(frontend.http, "/healthz")[0] == 200
+        finally:
+            frontend.close()
+
+    @pytest.mark.parametrize(
+        "path, status",
+        [
+            ("/healthz", 200),
+            ("/readyz", 200),
+            ("/metrics", 200),
+            ("/debug/vars", 200),
+            ("/slo", 404),
+        ],
+    )
+    def test_live_frontend_routes(self, path, status):
+        """The routes a serving front-end answers once it has served a
+        request; the SLO route went with the SLO engine."""
+        from repro.serve import ServeFrontend
+
+        frontend = ServeFrontend(serve_http=True)
+        try:
+            frontend._enqueue("default", lambda: None).result(timeout=10)
+            assert _get(frontend.http, path)[0] == status
         finally:
             frontend.close()
 

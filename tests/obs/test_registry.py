@@ -287,20 +287,6 @@ class TestQuantiles:
         assert family.labels(tenant="a").quantile(0.5) < 0.01
         assert family.labels(tenant="b").quantile(0.5) > 0.1
 
-    def test_fraction_at_or_below_interpolates(self):
-        from repro.obs.registry import histogram_fraction_le
-
-        hist = self._hist()
-        for _ in range(90):
-            hist.observe(0.005)
-        for _ in range(10):
-            hist.observe(0.5)
-        buckets, counts, _sum, _count = hist._anonymous().raw_counts()
-        assert histogram_fraction_le(buckets, counts, 0.1) == pytest.approx(0.9)
-        assert histogram_fraction_le(buckets, counts, 5.0) == 1.0
-        # Empty histogram: no traffic means full compliance.
-        assert histogram_fraction_le((1.0,), [0, 0], 0.5) == 1.0
-
     def test_quantile_table_renders_comment_lines(self):
         from repro.obs.export import quantile_table
 

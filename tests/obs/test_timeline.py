@@ -3,7 +3,9 @@
 from repro.obs import trace as obs_trace
 from repro.obs.timeline import (
     BREAKER,
+    BROWNOUT,
     DRIFT,
+    KINDS,
     KNOB_CHANGE,
     QUALITY_SAMPLE,
     TOQ_VIOLATION,
@@ -55,6 +57,12 @@ class TestEntries:
         )
         kinds = [e["kind"] for e in timeline().entries(session="s9")]
         assert kinds == [TOQ_VIOLATION, DRIFT, KNOB_CHANGE, BREAKER]
+
+    def test_six_kinds_and_no_slo_entry(self):
+        assert KINDS == (
+            QUALITY_SAMPLE, TOQ_VIOLATION, DRIFT, KNOB_CHANGE, BREAKER, BROWNOUT
+        )
+        assert not hasattr(timeline(), "slo")
 
     def test_session_filter(self, traced_memory):
         timeline().breaker(

@@ -305,7 +305,7 @@ class TestRemovedSurface:
         "repro.serve.overload": ("_drill", "_drill_app"),
         "repro.registry.__main__": ("_selfcheck", "_smoke", "_SMOKE_WRITER"),
         "repro.registry": ("Surrogate", "fit_surrogate"),
-        "repro.obs.slo": ("run_drill",),
+        "repro.obs.timeline": ("SLO",),
         "repro.obs": (
             "SamplingProfiler",
             "active_profiler",
@@ -339,6 +339,7 @@ class TestRemovedSurface:
         "repro.runtime.calibration",
         "repro.approx.safety",
         "repro.parallel.profiler",
+        "repro.obs.slo",
     )
 
     @pytest.mark.parametrize("module_name", sorted(REMOVED))
@@ -417,11 +418,9 @@ class TestRemovedSurface:
         import dataclasses
 
         from repro.obs.http import ObsHTTPServer
-        from repro.obs.slo import SLOEngine
         from repro.serve.overload import PressureSample
 
         assert not hasattr(ObsHTTPServer, "profile_stacks")
-        assert not hasattr(SLOEngine, "pressure_hint")
         fields = {f.name for f in dataclasses.fields(PressureSample)}
         assert fields == {"queue_delay_s", "miss_rate", "saturation"}
 

@@ -18,6 +18,7 @@ import kernel_zoo as zoo
 from repro import LaunchOptions
 from repro.engine import Grid
 from repro.errors import AdmissionError, BackpressureError, ServeError
+from repro.obs.export import render_prometheus
 from repro.obs.registry import get_registry
 from repro.parallel import shutdown_process_pool
 from repro.serve import ServeFrontend, Tenant
@@ -103,6 +104,14 @@ class TestDispatchOrder:
             ServeFrontend(batch_window_s=0.002)
         with ServeFrontend(batch_window_s=0.0) as frontend:
             assert frontend.batch_window_s == 0.0
+
+    def test_removed_slo_surface_raises(self):
+        from repro.obs.http import ObsHTTPServer
+
+        with pytest.raises(TypeError, match="slo"):
+            ServeFrontend(slo=())
+        with pytest.raises(TypeError, match="slo"):
+            ObsHTTPServer(port=0, slo=None)
 
 
 class TestAdmission:
@@ -418,3 +427,57 @@ class TestFamilyTable:
                     re.findall(r"`(repro_[a-z_]+)`", line.split("|")[1])
                 )
         assert documented == registered
+
+    def test_only_the_request_counter_is_per_tenant(self):
+        """Tenant traffic with a deadline miss registers no per-tenant
+        wait or miss series: misses are counted per front-end."""
+        with ServeFrontend(overload=True) as frontend:
+            frontend.register_tenant("a", priority=1)
+            gate = threading.Event()
+            blocker = frontend._enqueue("a", lambda: gate.wait(5))
+            late = frontend._enqueue("a", lambda: None, deadline_s=0.001)
+            time.sleep(0.02)
+            gate.set()
+            blocker.result(timeout=10)
+            late.result(timeout=10)
+            assert frontend.deadline_misses() >= 1
+        tenant_labelled = {
+            metric.name for metric in get_registry().collect()
+            if metric.name.startswith("repro_frontend_")
+            and "tenant" in metric.labelnames
+        }
+        assert tenant_labelled == {"repro_frontend_requests_total"}
+
+
+class TestIdleTicks:
+    """Only an overload controller wakes the dispatch loop while the
+    queue is empty; without one the dispatcher stays parked."""
+
+    @pytest.fixture
+    def idle_returns(self, monkeypatch):
+        counts = {}
+        take = ServeFrontend._take_request
+
+        def counting(frontend):
+            request = take(frontend)
+            if request is None and not frontend._closed:
+                counts[frontend.label] = counts.get(frontend.label, 0) + 1
+            return request
+
+        monkeypatch.setattr(ServeFrontend, "_take_request", counting)
+        return counts
+
+    def test_no_idle_tick_without_overload(self, idle_returns):
+        with ServeFrontend() as frontend:
+            time.sleep(0.35)
+            assert idle_returns.get(frontend.label, 0) == 0
+
+    def test_overload_gets_idle_ticks(self, idle_returns):
+        with ServeFrontend(overload=True) as frontend:
+            deadline = time.monotonic() + 10
+            while (
+                idle_returns.get(frontend.label, 0) < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.05)
+            assert idle_returns.get(frontend.label, 0) >= 2

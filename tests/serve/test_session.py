@@ -1,6 +1,8 @@
 """Session lifecycle, monitor/recalibrator units, metrics and event log."""
 
 import json
+import pathlib
+import re
 import threading
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from repro import ApproxSession, DeviceKind, LaunchOptions, MonitorConfig, Paraprox
 from repro.apps.gaussian import GaussianFilterApp
 from repro.errors import ServeError
+from repro.obs.registry import HISTOGRAM, get_registry
 from repro.serve import QualityMonitor, Recalibrator
 from repro.serve.monitor import DRIFT, HEADROOM, OK, VIOLATION
 
@@ -547,3 +550,54 @@ class TestSessionPlans:
         for _ in range(20):
             session.launch(inputs)
         assert calls == []
+
+
+class TestSessionFamilyTable:
+    """docs/OBSERVABILITY.md has one row for each ``repro_session_*``
+    family the registry holds and no row for any other, and each row
+    names the ``metrics_snapshot()`` key the family feeds."""
+
+    @staticmethod
+    def _documented():
+        doc = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+        rows = {}
+        for line in doc.read_text(encoding="utf-8").splitlines():
+            if line.startswith("| `repro_session_"):
+                cells = line.split("|")
+                (name,) = re.findall(r"`(repro_[a-z_]+)`", cells[1])
+                rows[name] = re.findall(r"`([a-z_.]+)`", cells[-2])
+        return rows
+
+    @staticmethod
+    def _read(snapshot, key):
+        for part in key.split("."):
+            snapshot = snapshot[part]
+        return snapshot
+
+    def test_doc_rows_match_registered_families(self):
+        app = GaussianFilterApp(scale=0.05)
+        session = ApproxSession(
+            app, target_quality=0.9, monitor=MonitorConfig(sample_every=1)
+        )
+        session.launch(app.generate_inputs(seed=3))
+        families = {
+            metric.name: metric for metric in get_registry().collect()
+            if metric.name.startswith("repro_session_")
+        }
+        documented = self._documented()
+        assert set(documented) == set(families)
+        label = session.metrics.label
+        for name, keys in documented.items():
+            assert keys, f"{name} names no snapshot key"
+            before = [self._read(session.metrics_snapshot(), k) for k in keys]
+            family = families[name]
+            series = family.labels(
+                **{n: label if n == "session" else "1" for n in family.labelnames}
+            )
+            if family.kind == HISTOGRAM:
+                series.observe(1.0)
+            else:
+                series.inc()
+            after = [self._read(session.metrics_snapshot(), k) for k in keys]
+            for key, old, new in zip(keys, before, after):
+                assert new != old, f"{name} does not feed snapshot key {key}"
